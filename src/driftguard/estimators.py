@@ -14,11 +14,16 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm, qmc, rankdata
+from scipy.special import ndtri
 
 from .errors import InsufficientSamples, UnknownModel
 
 _DEGENERATE_VAR = 1e-14
+
+# Most points morris() passes to one model call.  Whole trajectories are
+# evaluated together, so memory is bounded by the block and not by the
+# trajectory count.
+_MORRIS_BLOCK_POINTS = 4096
 
 # SAResult field -> attribute name an execution plan binds.
 FIELD_TO_ATTRIBUTE = {
@@ -84,7 +89,7 @@ class BenchmarkModel:
                       scheme: str = "MonteCarlo") -> np.ndarray:
         """n x d_in physical-space sample under the model's input laws."""
         if scheme == "LatinHypercube":
-            u = qmc.LatinHypercube(d=self.d_in, seed=rng).random(n)
+            u = _latin_hypercube(n, self.d_in, rng)
         else:
             u = rng.random((n, self.d_in))
         return self.transform(u)
@@ -99,11 +104,39 @@ class BenchmarkModel:
                 x[:, i] = a + (b - a) * u[:, i]
             elif kind == "Normal":
                 mu, sd = dist[1], dist[2]
-                x[:, i] = norm.ppf(np.clip(u[:, i], 1e-12, 1 - 1e-12),
-                                   loc=mu, scale=sd)
+                x[:, i] = ndtri(np.clip(u[:, i], 1e-12, 1 - 1e-12)) * sd + mu
             else:
                 x[:, i] = u[:, i]
         return x
+
+
+def _latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n x d scrambled Latin hypercube sample in [0, 1).
+
+    The stream equals scipy.stats.qmc.LatinHypercube(d, seed=rng).random(n):
+    a child generator spawned from rng jitters every cell, then shuffles
+    each dimension's strata in turn.
+    """
+    child = rng.spawn(1)[0]
+    jitter = child.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        child.shuffle(row)
+    return (perms.T - jitter) / n
+
+
+def _midranks(y: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with ties sharing their mean rank, as
+    scipy.stats.rankdata(method="average"); all NaN if any value is NaN."""
+    if np.isnan(y).any():
+        return np.full(len(y), np.nan)
+    order = np.argsort(y)
+    ys = y[order]
+    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
+    counts = np.diff(starts, append=len(y))
+    ranks = np.empty(len(y))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
 
 
 def _nan_stats(*vectors) -> tuple[int, bool]:
@@ -133,9 +166,9 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     d = m.d_in
-    ua = (qmc.LatinHypercube(d=d, seed=rng).random(n)
+    ua = (_latin_hypercube(n, d, rng)
           if scheme == "LatinHypercube" else rng.random((n, d)))
-    ub = (qmc.LatinHypercube(d=d, seed=rng).random(n)
+    ub = (_latin_hypercube(n, d, rng)
           if scheme == "LatinHypercube" else rng.random((n, d)))
     fa = np.asarray(m.evaluate(m.transform(ua)), dtype=float).reshape(n, -1)[:, 0]
     fb = np.asarray(m.evaluate(m.transform(ub)), dtype=float).reshape(n, -1)[:, 0]
@@ -197,7 +230,7 @@ def chatterjee(m: BenchmarkModel, n: int, seed: int,
     rng = np.random.default_rng(seed)
     x = m.sample_inputs(n, rng, scheme)
     y = np.asarray(m.evaluate(x), dtype=float).reshape(n, -1)[:, 0]
-    y_ranks = rankdata(y, method="average")
+    y_ranks = _midranks(y)
     xi = tuple(_xi_statistic(x[:, i], y_ranks) for i in range(m.d_in))
     nan_count, _ = _nan_stats(xi)
     return SAResult(estimator="Chatterjee", rank_indices=xi,
@@ -254,7 +287,11 @@ def morris(m: BenchmarkModel, trajectories: int, levels: int = 4,
     """Morris elementary effects via winding-stairs trajectories.
 
     Grid step is delta = levels / (2*(levels-1)); cost is
-    trajectories*(d_in+1) evaluations.
+    trajectories*(d_in+1) evaluations.  Each trajectory draws its base
+    point, then its step order.  Whole trajectories are evaluated in
+    blocks of at most _MORRIS_BLOCK_POINTS points, one model call per
+    block; as a model evaluates each row on its own, the result has the
+    same bits as evaluating point by point.
     """
     if trajectories < 2:
         raise InsufficientSamples("morris requires >= 2 trajectories")
@@ -266,34 +303,36 @@ def morris(m: BenchmarkModel, trajectories: int, levels: int = 4,
     delta = levels / (2.0 * (levels - 1))
     grid = np.arange(levels) / (levels - 1)
     low = grid[grid + delta <= 1.0 + 1e-12]
-    effects = [[] for _ in range(d)]
-    n_evals = 0
-    warnings = []
-    if d == 1:
-        warnings.append("single-input screening is pointless")
-    for _ in range(trajectories):
-        base = rng.choice(low, size=d)
-        point = base.copy()
-        y_prev = float(np.asarray(m.evaluate(m.transform(
-            point[None, :])), dtype=float).reshape(-1)[0])
-        n_evals += 1
-        for i in rng.permutation(d):
-            point = point.copy()
-            point[i] = point[i] + delta if point[i] + delta <= 1.0 else point[i] - delta
-            sign = 1.0 if point[i] > base[i] else -1.0
-            y_new = float(np.asarray(m.evaluate(m.transform(
-                point[None, :])), dtype=float).reshape(-1)[0])
-            n_evals += 1
-            effects[int(i)].append(sign * (y_new - y_prev) / delta)
-            y_prev = y_new
+    warnings = ("single-input screening is pointless",) if d == 1 else ()
+    # Row i holds input i's effects in trajectory order, contiguous, so the
+    # mean and std below sum in the same order as over a per-input list.
+    effects = np.empty((d, trajectories))
+    per_block = max(1, _MORRIS_BLOCK_POINTS // (d + 1))
+    steps = np.arange(d + 1)[:, None]
+    for start in range(0, trajectories, per_block):
+        k = min(per_block, trajectories - start)
+        base = np.empty((k, d))
+        order = np.empty((k, d), dtype=np.intp)
+        for t in range(k):
+            base[t] = rng.choice(low, size=d)
+            order[t] = rng.permutation(d)
+        # base + delta <= 1.0 holds in floating point for every base in low
+        # (checked for every even levels up to 20 000), so each step is up.
+        stepped = base + delta
+        # Point j of a trajectory has moved the first j inputs of its order.
+        moved = np.argsort(order, axis=1)[:, None, :] < steps
+        points = np.where(moved, stepped[:, None, :], base[:, None, :])
+        y = np.asarray(m.evaluate(m.transform(points.reshape(-1, d))),
+                       dtype=float).reshape(k * (d + 1), -1)[:, 0]
+        effects[order, np.arange(start, start + k)[:, None]] = (
+            np.diff(y.reshape(k, d + 1), axis=1) / delta)
     mu_star = tuple(float(np.mean(np.abs(e))) for e in effects)
-    sigma = tuple(float(np.std(e, ddof=1)) if len(e) > 1 else 0.0
-                  for e in effects)
+    sigma = tuple(float(np.std(e, ddof=1)) for e in effects)
     nan_count, _ = _nan_stats(mu_star, sigma)
     return SAResult(estimator="Morris", mu_star=mu_star, sigma=sigma,
-                    evaluations_used=n_evals,
+                    evaluations_used=trajectories * (d + 1),
                     runtime_seconds=time.perf_counter() - t0,
-                    warnings=tuple(warnings), nan_count=nan_count)
+                    warnings=warnings, nan_count=nan_count)
 
 
 # ---------------------------------------------------------------------------

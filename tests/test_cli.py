@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -178,3 +180,17 @@ class TestParser:
     def test_config_required(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second at start-up; keep it off the CLI's
+    # import path.
+    import driftguard
+    src = os.path.dirname(os.path.dirname(driftguard.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, driftguard.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

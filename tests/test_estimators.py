@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.stats import norm, qmc, rankdata
 
 from driftguard import estimators as est
 from driftguard.errors import InsufficientSamples, UnknownModel
@@ -157,6 +160,121 @@ class TestMorris:
             est.morris(g8, trajectories=1)
         with pytest.raises(InsufficientSamples):
             est.morris(g8, trajectories=10, levels=3)
+
+    @pytest.mark.parametrize("model_id", ["structural_eq3", "g_function_15d",
+                                          "thermal_stub", "cantilever_beam"])
+    def test_blocked_matches_per_point_walk(self, model_id):
+        m = est.get_model(model_id)
+        per_block = est._MORRIS_BLOCK_POINTS // (m.d_in + 1)
+        for seed in (0, 7, 42):
+            for r in (2, 3, per_block - 1, per_block, per_block + 1):
+                got = est.morris(m, trajectories=r, seed=seed)
+                ref = _morris_per_point(m, r, seed=seed)
+                assert got.mu_star == ref.mu_star, (seed, r)
+                assert got.sigma == ref.sigma, (seed, r)
+                assert got.evaluations_used == ref.evaluations_used
+                assert got.nan_count == ref.nan_count
+                assert got.warnings == ref.warnings
+
+    @pytest.mark.parametrize("levels", [6, 10, 50])
+    def test_blocked_matches_per_point_walk_at_other_levels(self, levels):
+        m = est.get_model("structural_eq3")
+        got = est.morris(m, trajectories=5, levels=levels, seed=3)
+        ref = _morris_per_point(m, 5, levels=levels, seed=3)
+        assert (got.mu_star, got.sigma) == (ref.mu_star, ref.sigma)
+
+    def test_peak_memory_set_by_block_not_trajectories(self):
+        m = est.get_model("thermal_stub")
+        r = 20_000
+        tracemalloc.start()
+        try:
+            est.morris(m, trajectories=r, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The effects store needs 8*d*r bytes (3.2 MB here); all else is a
+        # few arrays of one block's points.  One array of every trajectory
+        # point would take 8*r*(d+1)*d = 67 MB.
+        block_bytes = 8 * est._MORRIS_BLOCK_POINTS * m.d_in
+        assert peak - 8 * m.d_in * r < 8 * block_bytes
+        assert peak < 10 * 2 ** 20
+
+
+def _morris_per_point(m, trajectories, levels=4, seed=0):
+    """Reference: the point-by-point walk morris() replaced, one model call
+    per trajectory point."""
+    rng = np.random.default_rng(seed)
+    d = m.d_in
+    delta = levels / (2.0 * (levels - 1))
+    grid = np.arange(levels) / (levels - 1)
+    low = grid[grid + delta <= 1.0 + 1e-12]
+    effects = [[] for _ in range(d)]
+    n_evals = 0
+    warnings = []
+    if d == 1:
+        warnings.append("single-input screening is pointless")
+    for _ in range(trajectories):
+        base = rng.choice(low, size=d)
+        point = base.copy()
+        y_prev = float(np.asarray(m.evaluate(m.transform(
+            point[None, :])), dtype=float).reshape(-1)[0])
+        n_evals += 1
+        for i in rng.permutation(d):
+            point = point.copy()
+            point[i] = point[i] + delta if point[i] + delta <= 1.0 else point[i] - delta
+            sign = 1.0 if point[i] > base[i] else -1.0
+            y_new = float(np.asarray(m.evaluate(m.transform(
+                point[None, :])), dtype=float).reshape(-1)[0])
+            n_evals += 1
+            effects[int(i)].append(sign * (y_new - y_prev) / delta)
+            y_prev = y_new
+    mu_star = tuple(float(np.mean(np.abs(e))) for e in effects)
+    sigma = tuple(float(np.std(e, ddof=1)) if len(e) > 1 else 0.0
+                  for e in effects)
+    nan_count, _ = est._nan_stats(mu_star, sigma)
+    return est.SAResult(estimator="Morris", mu_star=mu_star, sigma=sigma,
+                        evaluations_used=n_evals, warnings=tuple(warnings),
+                        nan_count=nan_count)
+
+
+class TestScipyStatsReplacements:
+    """The numpy/scipy.special stand-ins reproduce scipy.stats exactly."""
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 4), (10, 3), (257, 15)])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_latin_hypercube_stream(self, n, d, seed):
+        ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+        for _ in range(2):   # a second draw sees the parent's spawn count
+            got = est._latin_hypercube(n, d, ours)
+            ref = qmc.LatinHypercube(d=d, seed=theirs).random(n)
+            assert np.array_equal(got, ref)
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("y", [
+        [3.0, 1.0, 2.0],
+        [2.0, 2.0, 2.0],
+        [3.0, 2.0, 1.0, 2.0, 2.0, 2.0, 1.0],
+        [0.5, -1.0, 0.5, np.inf, -np.inf, 0.5],
+        [1.0, np.nan, 0.0],
+    ])
+    def test_midranks(self, y):
+        y = np.asarray(y)
+        assert np.array_equal(est._midranks(y), rankdata(y, method="average"),
+                              equal_nan=True)
+
+    def test_midranks_random_ties(self):
+        y = np.random.default_rng(3).integers(0, 40, size=2000).astype(float)
+        assert np.array_equal(est._midranks(y), rankdata(y, method="average"))
+
+    def test_normal_transform(self):
+        beam = est.get_model("cantilever_beam")
+        u = np.random.default_rng(4).random((5000, beam.d_in))
+        u[:4] = [0.0, 1.0, 1e-13, 1 - 1e-13]
+        x = beam.transform(u)
+        for i, (kind, mu, sd) in enumerate(beam.input_dists):
+            assert kind == "Normal"
+            ref = norm.ppf(np.clip(u[:, i], 1e-12, 1 - 1e-12), loc=mu, scale=sd)
+            assert np.array_equal(x[:, i], ref)
 
 
 class TestSimulatedExecutors:
