@@ -1,7 +1,10 @@
 """Cross-session archive backing warm-starts and anomaly recognition.
 
-The file format is a versioned JSON object holding an entry list; writes are
-atomic (temp file + rename) so a crash never leaves a torn archive.
+The file format is a versioned JSON object holding an entry list, ordered by
+each entry's sequence stamp. Entries are immutable, so each one is encoded
+once, on its first write, and its text is reused by every later write; the
+file itself is still rewritten whole and atomically (temp file + rename), so
+a crash never leaves a torn archive.
 """
 
 from __future__ import annotations
@@ -10,8 +13,7 @@ import json
 import math
 import os
 import tempfile
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +55,14 @@ class ArmStats:
 
 @dataclass(frozen=True)
 class ArchiveEntry:
+    """One finished (or seeded) session.
+
+    ``timestamp`` is a sequence stamp, not a clock time: a new entry gets the
+    previous last entry's stamp + 1 (0 in an empty archive), so entries sort
+    in insertion order and archive bytes are reproducible. Files written with
+    clock-time stamps load and sort unchanged.
+    """
+
     session_id: str
     timestamp: float
     task: str
@@ -91,6 +101,10 @@ class Archive:
         self.path = path
         self.settings = settings
         self.entries: list[ArchiveEntry] = []
+        # id(entry) -> (entry, JSON text). Holding the entry keeps its id
+        # from being reused, so a hit is always the same object, wherever
+        # it now sits in self.entries.
+        self._encoded: dict[int, tuple[ArchiveEntry, str]] = {}
         if path and os.path.exists(path):
             self.entries = _load_entries(path)
 
@@ -128,7 +142,7 @@ class Archive:
                 phi=tuple(float(v) for v in phis.mean(axis=0)))))
         entry = ArchiveEntry(
             session_id=trace.session_id,
-            timestamp=time.time(),
+            timestamp=self._next_stamp(),
             task=ps.context.task,
             d_in=ps.context.d_in,
             problem_features=problem_features(ps),
@@ -136,11 +150,7 @@ class Archive:
             best_reward=best_reward,
             per_arm_stats=tuple(per_arm),
             policy_snapshot=trace.policy_snapshot)
-        self.entries.append(entry)
-        self.entries.sort(key=lambda e: e.timestamp)
-        if self.path:
-            self.persist()
-        return entry
+        return self._add(entry)
 
     def seed_entry(self, ps: ProblemScheme, action, mean_reward: float,
                    count: int = 3, session_id: str = "seed") -> ArchiveEntry:
@@ -150,7 +160,7 @@ class Archive:
         phi = bandit.encode_features(ps.context, action)
         entry = ArchiveEntry(
             session_id=session_id,
-            timestamp=time.time(),
+            timestamp=self._next_stamp(),
             task=ps.context.task,
             d_in=ps.context.d_in,
             problem_features=problem_features(ps),
@@ -159,31 +169,63 @@ class Archive:
             per_arm_stats=((action.estimator,
                             ArmStats(count=count, mean_reward=mean_reward,
                                      phi=tuple(phi.values))),))
+        return self._add(entry)
+
+    def _next_stamp(self) -> float:
+        return self.entries[-1].timestamp + 1.0 if self.entries else 0.0
+
+    def _add(self, entry: ArchiveEntry) -> ArchiveEntry:
+        """Append and persist; a failed write leaves no trace of the entry."""
         self.entries.append(entry)
         self.entries.sort(key=lambda e: e.timestamp)
         if self.path:
-            self.persist()
+            try:
+                self.persist()
+            except PersistError:
+                self.entries[:] = [e for e in self.entries if e is not entry]
+                self._encoded.pop(id(entry), None)
+                raise
         return entry
 
     def persist(self) -> None:
-        """Atomic rewrite: serialize to a temp file, then rename over."""
-        payload = {"schema_version": SCHEMA_VERSION,
-                   "entries": [_entry_to_json(e) for e in self.entries]}
+        """Atomic rewrite: encode, write a temp file, then rename over.
+
+        Only entries not written before are encoded; the rest reuse their
+        cached text. The bytes equal ``json.dump(payload, fh,
+        sort_keys=True)`` of the whole payload.
+        """
+        encoded, parts = {}, []
+        for e in self.entries:
+            hit = self._encoded.get(id(e))
+            text = hit[1] if hit is not None else _entry_to_json(e)
+            encoded[id(e)] = (e, text)
+            parts.append(text)
+        self._encoded = encoded
+        text = '{"entries": [%s], "schema_version": %d}' % (
+            ", ".join(parts), SCHEMA_VERSION)
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
+        tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                fh.write(text)
             os.replace(tmp, self.path)
         except OSError as exc:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             raise PersistError(f"archive write failed: {exc}") from exc
 
 
-def _entry_to_json(entry: ArchiveEntry) -> dict:
-    data = asdict(entry)
-    data["per_arm_stats"] = [[est, asdict(stats)]
-                             for est, stats in entry.per_arm_stats]
-    return data
+def _entry_to_json(entry: ArchiveEntry) -> str:
+    """One entry as JSON text, keys sorted, via the C encoder."""
+    data = {f.name: getattr(entry, f.name) for f in fields(entry)}
+    data["per_arm_stats"] = [
+        [est, {f.name: getattr(stats, f.name) for f in fields(stats)}]
+        for est, stats in entry.per_arm_stats]
+    return json.dumps(data, sort_keys=True)
 
 
 def _load_entries(path: str) -> list[ArchiveEntry]:

@@ -9,6 +9,7 @@ indices perturbed by seeded noise, while their scheme plumbing stays real.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -341,7 +342,9 @@ def morris(m: BenchmarkModel, trajectories: int, levels: int = 4,
 def _reference_s1(m: BenchmarkModel, seed: int) -> np.ndarray:
     if m.analytic_s1 is not None:
         return np.asarray(m.analytic_s1, dtype=float)
-    rng = np.random.default_rng(hash(m.id) % (2 ** 31))
+    # A digest, not hash(): str hashes change with PYTHONHASHSEED.
+    digest = hashlib.blake2b(m.id.encode("utf-8"), digest_size=4).digest()
+    rng = np.random.default_rng(int.from_bytes(digest, "big") % (2 ** 31))
     ref = rng.random(m.d_in)
     return ref / (ref.sum() * 1.5)
 

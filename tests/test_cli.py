@@ -11,6 +11,9 @@ from driftguard.cli import (EXIT_ABORTED, EXIT_BAD_CONFIG, EXIT_OK,
 
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "configs")
+
 
 def _write(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -166,6 +169,20 @@ class TestSessions:
         assert (tmp_path / "s1.trace.jsonl").exists()
         assert (tmp_path / "s2.trace.jsonl").exists()
 
+    def test_archive_bytes_are_reproducible(self, tmp_path):
+        with open(os.path.join(CONFIGS, "gfunction_sessions.json")) as fh:
+            doc = json.load(fh)
+        blobs = []
+        for k in range(2):
+            run_dir = tmp_path / f"run{k}"
+            cfg = _write(tmp_path, {**doc, "archive_path":
+                                    str(run_dir / "archive.json")},
+                         name=f"config{k}.json")
+            assert main(["sessions", "--config", cfg, "--out", str(run_dir),
+                         "--quiet"]) == EXIT_OK
+            blobs.append((run_dir / "archive.json").read_bytes())
+        assert blobs[0] == blobs[1]
+
 
 class TestParser:
     def test_subcommands_and_flags(self):
@@ -182,15 +199,35 @@ class TestParser:
             build_parser().parse_args(["run"])
 
 
+def _src_env(**extra) -> dict:
+    import driftguard
+    src = os.path.dirname(os.path.dirname(driftguard.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]), **extra)
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs most of a second at start-up; keep it off the CLI's
     # import path.
-    import driftguard
-    src = os.path.dirname(os.path.dirname(driftguard.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = _src_env()
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, driftguard.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_trace_bytes_do_not_depend_on_hash_seed(tmp_path):
+    # Simulated PCE_SA/Generalized_Sobol references are seeded from the
+    # model id; that seed must be the same in every interpreter.
+    blobs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-m", "driftguard.cli", "run", "--config",
+             os.path.join(CONFIGS, "beam.json"), "--out", str(out),
+             "--quiet"],
+            env=_src_env(PYTHONHASHSEED=hash_seed), capture_output=True,
+            timeout=120, check=True)
+        blobs.append((out / "beam.trace.jsonl").read_bytes())
+    assert blobs[0] == blobs[1]
