@@ -1,4 +1,5 @@
-"""Combinatorial SA/UQ action spaces and feasibility filtering."""
+"""Combinatorial action space of the sensitivity-analysis (SA) task and its
+feasibility filtering; SA is the only task driftguard runs."""
 
 from __future__ import annotations
 
@@ -7,25 +8,26 @@ from dataclasses import dataclass
 
 from . import catalog
 from .config import DEFAULTS, Settings
-from .errors import TaskMismatch
 
 
 @dataclass(frozen=True)
 class ActionTuple:
     """One point in the combinatorial method space: a complete pipeline.
 
-    ``dims`` is ordered per the task's dimension catalog (4 for SA, 6 for UQ).
+    ``dims`` is ordered per the dimension catalog, one level per dimension.
     """
 
     task: str
     dims: tuple[str, ...]
 
     def __post_init__(self):
-        expected = len(catalog.dimensions(self.task))
+        if self.task != "SA":
+            raise ValueError(f"unknown task {self.task!r}")
+        expected = len(catalog.SA_DIMENSIONS)
         if len(self.dims) != expected:
             raise ValueError(
                 f"{self.task} actions need {expected} dims, got {len(self.dims)}")
-        for value, (name, values) in zip(self.dims, catalog.dimensions(self.task)):
+        for value, (name, values) in zip(self.dims, catalog.SA_DIMENSIONS):
             if value not in values:
                 raise ValueError(f"{value!r} not in catalog for {name}")
 
@@ -44,16 +46,14 @@ class FeasibilityReport:
         assert self.verdict == (len(self.violated) == 0)
 
 
-def enumerate_actions(task: str) -> list[ActionTuple]:
-    """Full Cartesian product of the task's dimension catalogs, lexicographic."""
-    value_lists = [values for _, values in catalog.dimensions(task)]
-    return [ActionTuple(task, dims) for dims in itertools.product(*value_lists)]
+def enumerate_actions() -> list[ActionTuple]:
+    """Full Cartesian product of the dimension catalog, lexicographic."""
+    value_lists = [values for _, values in catalog.SA_DIMENSIONS]
+    return [ActionTuple("SA", dims) for dims in itertools.product(*value_lists)]
 
 
 def validate_action(a: ActionTuple, x, settings: Settings = DEFAULTS) -> FeasibilityReport:
     """Apply every registered feasibility predicate that gates a's estimator."""
-    if a.task != x.task:
-        raise TaskMismatch(f"action task {a.task} vs context task {x.task}")
     violated = []
     thr = settings.screening_dim_threshold
     for pred in catalog.PREDICATES:
@@ -66,8 +66,8 @@ def validate_action(a: ActionTuple, x, settings: Settings = DEFAULTS) -> Feasibi
 
 
 def filter_feasible(x, settings: Settings = DEFAULTS) -> list[ActionTuple]:
-    """Feasible subset of enumerate_actions(x.task), order preserved."""
-    return [a for a in enumerate_actions(x.task)
+    """Feasible subset of enumerate_actions(), order preserved."""
+    return [a for a in enumerate_actions()
             if validate_action(a, x, settings).verdict]
 
 
@@ -75,7 +75,7 @@ def estimator_feasibility(x, settings: Settings = DEFAULTS) -> dict[str, dict]:
     """Per-estimator feasibility with the constraint that produced each verdict."""
     out: dict[str, dict] = {}
     thr = settings.screening_dim_threshold
-    for est in catalog.estimator_ids(x.task):
+    for est in catalog.SA_ESTIMATORS:
         violations = []
         for pred in catalog.PREDICATES:
             if est not in pred.applies_to:
@@ -89,6 +89,6 @@ def estimator_feasibility(x, settings: Settings = DEFAULTS) -> dict[str, dict]:
 
 
 def feasibility_bits(x, settings: Settings = DEFAULTS) -> tuple[bool, ...]:
-    """Bitset over the task's estimator catalog, in catalog order."""
+    """Bitset over the estimator catalog, in catalog order."""
     flags = estimator_feasibility(x, settings)
-    return tuple(flags[e]["feasible"] for e in catalog.estimator_ids(x.task))
+    return tuple(flags[e]["feasible"] for e in catalog.SA_ESTIMATORS)

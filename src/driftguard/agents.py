@@ -8,7 +8,6 @@ gates operate on realistic prose without LLM nondeterminism.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, replace
 
@@ -16,13 +15,9 @@ import numpy as np
 
 from . import catalog
 from .config import DEFAULTS, Settings
-from .errors import InsufficientSamples, ScriptMiss, UnknownModel, Unrecoverable
+from .errors import InsufficientSamples, UnknownModel, Unrecoverable
 from .estimators import BenchmarkModel, SAResult, run_estimator
 from .schemes import MethodScheme, ProblemScheme
-
-ROLES = ("coordinator", "gatekeeper", "model_translator", "strategist",
-         "critic", "study_agent", "refactor_agent", "inspector", "debugger",
-         "advisor")
 
 DRIFT_KINDS = ("method_swap", "field_corruption", "none")
 
@@ -32,10 +27,6 @@ class AgentMessage:
     role: str
     payload: object
     free_text: str = ""
-
-    def digest(self) -> str:
-        body = self.payload if isinstance(self.payload, str) else self.free_text
-        return hashlib.sha256(str(body).encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -73,21 +64,6 @@ class DriftSpec:
 class InspectorVerdict:
     approved: bool
     reasons: tuple[str, ...] = ()
-
-
-class ScriptedAgentConfig:
-    """Deterministic script table keyed by (role, input digest) with a
-    per-role wildcard fallback."""
-
-    def __init__(self, entries: dict | None = None):
-        self.entries = dict(entries or {})
-
-    def lookup(self, role: str, digest: str):
-        if (role, digest) in self.entries:
-            return self.entries[(role, digest)]
-        if (role, "*") in self.entries:
-            return self.entries[(role, "*")]
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +148,7 @@ def gatekeeper(ps: ProblemScheme) -> tuple[bool, str]:
     from .estimators import benchmark_catalog
     if ps.model_id and ps.model_id not in benchmark_catalog():
         return False, f"unknown model {ps.model_id!r}"
-    feasible = (ps.feasible_sa_estimators if ps.context.task == "SA"
-                else ps.feasible_uq_estimators)
-    if not feasible:
+    if not ps.feasible_sa_estimators:
         return False, "no feasible estimator for this problem"
     return True, "admitted"
 
@@ -205,8 +179,7 @@ def refactor_agent(report_text: str, model_id: str, seed: int,
     match = _EST_TOKEN.search(report_text)
     if match:
         token = match.group(1)
-        estimator = next(e for e in catalog.estimator_ids("SA")
-                         + catalog.estimator_ids("UQ")
+        estimator = next(e for e in catalog.SA_ESTIMATORS
                          if e.lower() == token.lower())
     else:
         estimator = fallback.estimator
@@ -316,40 +289,6 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
     return (f"estimate has not yet reached the precision target; sampling "
             f"appears insufficient at n_samples={n}. recommend increasing "
             f"the sample size.")
-
-
-def run_agent(role: str, message: AgentMessage,
-              script: ScriptedAgentConfig | None = None,
-              rng_seed: int = 0) -> AgentMessage:
-    """Script-table dispatch with per-role defaults.
-
-    Roles whose defaults need orchestration context (strategist, refactor,
-    inspector, debugger, advisor) are invoked directly by the pipeline; this
-    entry point serves scripted overrides and the context-free roles.
-    """
-    if role not in ROLES:
-        raise ScriptMiss(f"unknown role {role!r}")
-    if script is not None:
-        hit = script.lookup(role, message.digest())
-        if hit is not None:
-            return AgentMessage(role=role, payload=hit,
-                                free_text=str(hit) if isinstance(hit, str)
-                                else "")
-    if role == "coordinator" and isinstance(message.payload, dict):
-        ps = coordinator(message.payload)
-        return AgentMessage(role=role, payload=ps,
-                            free_text=render_problem_text(ps))
-    if role == "gatekeeper" and isinstance(message.payload, ProblemScheme):
-        ok, why = gatekeeper(message.payload)
-        return AgentMessage(role=role, payload=ok, free_text=why)
-    if role == "model_translator" and isinstance(message.payload,
-                                                 ProblemScheme):
-        model = model_translator(message.payload)
-        return AgentMessage(role=role, payload=model, free_text=model.id)
-    if role == "study_agent" and isinstance(message.payload, str):
-        text = study_agent(message.payload)
-        return AgentMessage(role=role, payload=text, free_text=text)
-    raise ScriptMiss(f"no script entry and no default for role {role!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ def problem_features(ps: ProblemScheme) -> tuple[float, ...]:
             min(1.0, ctx.d_out / 10.0),
             min(1.0, math.log10(max(ctx.n_budget, 1)) / 6.0),
             1.0 if ctx.task == "SA" else 0.0,
+            # Archive format slot from the removed UQ task; stays until the
+            # schema changes, so stored feature vectors keep their length.
             1.0 if ctx.task == "UQ" else 0.0,
             *hist,
             1.0 if ps.has_dependence else 0.0,
@@ -117,10 +119,6 @@ class Archive:
             if best is None or sim >= best_sim:
                 best, best_sim = entry, sim
         return (best, best_sim) if best is not None else (None, 0.0)
-
-    def best_match(self, current: ProblemScheme) -> tuple[float, object]:
-        entry, sim = self.lookup(current)
-        return sim, entry
 
     def record_session(self, trace) -> ArchiveEntry:
         """Append an entry aggregated from a finished session and persist."""

@@ -30,11 +30,9 @@ class FeatureVector:
         return np.asarray(self.values, dtype=float)
 
 
-def feature_dim(task: str) -> int:
-    dims = catalog.SA_DIMENSIONS if task == "SA" else catalog.UQ_DIMENSIONS
-    onehot = sum(len(levels) for _, levels in dims)
-    n_est = len(catalog.estimator_ids(task))
-    return 1 + 7 + onehot + 2 * n_est
+def feature_dim() -> int:
+    onehot = sum(len(levels) for _, levels in catalog.SA_DIMENSIONS)
+    return 1 + 7 + onehot + 2 * len(catalog.SA_ESTIMATORS)
 
 
 def encode_features(x: ContextVector, a: ActionTuple) -> FeatureVector:
@@ -48,13 +46,12 @@ def encode_features(x: ContextVector, a: ActionTuple) -> FeatureVector:
     mode = x.dist_family_mode
     context.extend(1.0 if mode == m else 0.0 for m in _DIST_MODES)
 
-    dims = catalog.SA_DIMENSIONS if a.task == "SA" else catalog.UQ_DIMENSIONS
     onehot = []
-    for (_, levels), level in zip(dims, a.dims):
+    for (_, levels), level in zip(catalog.SA_DIMENSIONS, a.dims):
         onehot.extend(1.0 if level == lv else 0.0 for lv in levels)
 
     interaction = []
-    for est in catalog.estimator_ids(a.task):
+    for est in catalog.SA_ESTIMATORS:
         hit = 1.0 if a.estimator == est else 0.0
         interaction.extend((hit * scaled_d, hit * scaled_logn))
 
@@ -93,7 +90,7 @@ class PolicyState:
                  exploration_mode: str = "explore_max"):
         self.task = task
         self.settings = settings
-        self.dim = feature_dim(task)
+        self.dim = feature_dim()
         b = settings.bandit
         self.noise_variance = b.noise_variance
         self.precision = np.eye(self.dim) * b.prior_precision

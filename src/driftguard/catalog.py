@@ -1,4 +1,6 @@
-"""Method catalog: estimator metadata, dimension catalogs, feasibility predicates.
+"""Method catalog for sensitivity analysis (SA), the only task driftguard
+runs: estimator metadata, the action dimension catalog and the feasibility
+predicates.
 
 Feasibility predicates are data (id + closure over the context) registered in a
 table, so new methods extend the filter without code changes.
@@ -6,22 +8,15 @@ table, so new methods extend the filter without code changes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import UnknownEstimator
-
-Task = str  # "SA" | "UQ"
-
-SA = "SA"
-UQ = "UQ"
 
 
 @dataclass(frozen=True)
 class EstimatorInfo:
     id: str
-    task: str
     index_type: str                 # variance_based | rank_based | screening
     produces: tuple[str, ...]
     sampling_scheme: str
@@ -53,7 +48,6 @@ _N_MIN_RULES: dict[str, Callable[[int], int]] = {
     "500 * (d_in + 2)": lambda d: 500 * (d + 2),
     "500 * d_in": lambda d: 500 * d,
     "10 * (d_in + 1)": lambda d: 10 * (d + 1),
-    "2 * C(d_in + 3, 3)": lambda d: 2 * math.comb(d + 3, 3),
     "10": lambda d: 10,
 }
 
@@ -62,7 +56,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
     e.id: e
     for e in [
         EstimatorInfo(
-            id="Sobol", task=SA, index_type="variance_based",
+            id="Sobol", index_type="variance_based",
             produces=("s1", "st"), sampling_scheme="pick-freeze",
             n_min_formula="500 * (d_in + 2)", cost_kind="pick_freeze",
             library_class="SobolSensitivity",
@@ -70,7 +64,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
                       "first order total order indices jansen"),
         ),
         EstimatorInfo(
-            id="Chatterjee", task=SA, index_type="rank_based",
+            id="Chatterjee", index_type="rank_based",
             produces=("rank_indices",), sampling_scheme="single-loop",
             n_min_formula="10", cost_kind="single_loop",
             library_class="ChatterjeeSensitivity",
@@ -78,7 +72,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
                       "xi nonparametric distribution free"),
         ),
         EstimatorInfo(
-            id="CVM", task=SA, index_type="rank_based",
+            id="CVM", index_type="rank_based",
             produces=("s1",), sampling_scheme="single-loop",
             n_min_formula="500 * (d_in + 2)", cost_kind="single_loop",
             library_class="CramerVonMisesSensitivity",
@@ -86,7 +80,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
                       "empirical distribution indices"),
         ),
         EstimatorInfo(
-            id="Morris", task=SA, index_type="screening",
+            id="Morris", index_type="screening",
             produces=("mu_star", "sigma"), sampling_scheme="trajectories",
             n_min_formula="10 * (d_in + 1)", cost_kind="trajectories",
             library_class="MorrisSensitivity",
@@ -94,7 +88,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
                       "mu star sigma winding stairs grid levels"),
         ),
         EstimatorInfo(
-            id="PCE_SA", task=SA, index_type="variance_based",
+            id="PCE_SA", index_type="variance_based",
             produces=("s1", "st"), sampling_scheme="regression",
             n_min_formula="500 * d_in", cost_kind="single_loop",
             library_class="PCESensitivity", simulated=True,
@@ -102,7 +96,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
                       "coefficients regression sobol analytic"),
         ),
         EstimatorInfo(
-            id="Generalized_Sobol", task=SA, index_type="variance_based",
+            id="Generalized_Sobol", index_type="variance_based",
             produces=("s1", "st"), sampling_scheme="pick-freeze",
             n_min_formula="500 * (d_in + 2)", cost_kind="pick_freeze",
             library_class="GeneralizedSobolSensitivity", simulated=True,
@@ -112,58 +106,17 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
     ]
 }
 
-UQ_ESTIMATORS: dict[str, EstimatorInfo] = {
-    e.id: e
-    for e in [
-        EstimatorInfo(
-            id="MCS_moments", task=UQ, index_type="variance_based",
-            produces=("mean", "variance"), sampling_scheme="monte-carlo",
-            n_min_formula="10", cost_kind="single_loop",
-            library_class="MonteCarloMoments", simulated=True,
-            keywords="monte carlo sampling moments mean variance estimate",
-        ),
-        EstimatorInfo(
-            id="PCE_moments", task=UQ, index_type="variance_based",
-            produces=("mean", "variance"), sampling_scheme="regression",
-            n_min_formula="500 * d_in", cost_kind="single_loop",
-            library_class="PCEMoments", simulated=True,
-            keywords="polynomial chaos moments surrogate spectral",
-        ),
-        EstimatorInfo(
-            id="FORM_reliability", task=UQ, index_type="variance_based",
-            produces=("pf",), sampling_scheme="optimization",
-            n_min_formula="10", cost_kind="single_loop",
-            library_class="FORM", simulated=True,
-            keywords="first order reliability limit state failure probability",
-        ),
-        EstimatorInfo(
-            id="MCMC_Bayes", task=UQ, index_type="variance_based",
-            produces=("posterior_mean",), sampling_scheme="mcmc",
-            n_min_formula="10", cost_kind="single_loop",
-            library_class="BayesMCMC", simulated=True,
-            keywords="markov chain monte carlo bayesian posterior inference",
-        ),
-    ]
-}
-
 
 def estimator_info(estimator_id: str) -> EstimatorInfo:
-    info = SA_ESTIMATORS.get(estimator_id) or UQ_ESTIMATORS.get(estimator_id)
+    info = SA_ESTIMATORS.get(estimator_id)
     if info is None:
         raise UnknownEstimator(estimator_id)
     return info
 
 
-def estimator_ids(task: str) -> tuple[str, ...]:
-    table = SA_ESTIMATORS if task == SA else UQ_ESTIMATORS
-    return tuple(table)
-
-
 # ---------------------------------------------------------------------------
-# Dimension catalogs.  Only the estimator dimension is fully named by the
+# Dimension catalog.  Only the estimator dimension is fully named by the
 # method table; the rest are config-declared with shipped defaults.
-# D5-D7 (confidence intervals, screening pre-filter, surrogate) are reserved
-# config slots, not part of the enumerated product.
 
 SA_DIMENSIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("D1_sampling", ("MonteCarlo", "LatinHypercube")),
@@ -171,22 +124,6 @@ SA_DIMENSIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("D3_budget", ("Fixed_N", "Staged")),
     ("D4_output", ("Scalar", "Aggregated")),
 )
-
-UQ_DIMENSIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("D1_propagation", ("MonteCarlo", "LatinHypercube", "ImportanceSampling",
-                        "MCMC", "PCE", "GaussianProcess")),
-    ("D2_estimator", tuple(UQ_ESTIMATORS)),
-    ("D3_budget", ("Fixed_N", "Staged")),
-    ("D4_output", ("Scalar", "Aggregated")),
-    ("D5_ci", ("None_CI", "Bootstrap_CI")),
-    ("D6_prefilter", ("None_prefilter", "Morris_prefilter")),
-)
-
-RESERVED_DIMENSIONS = ("D5_ci", "D6_prefilter", "D7_surrogate")
-
-
-def dimensions(task: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    return SA_DIMENSIONS if task == SA else UQ_DIMENSIONS
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +134,7 @@ def dimensions(task: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
 class Predicate:
     id: str
     applies_to: tuple[str, ...]
-    test: Callable  # (ctx_like, screening_dim_threshold) -> (bool, str, dict)
+    test: Callable  # (context, screening_dim_threshold) -> (bool, str, dict)
 
 
 def _morris_dim(ctx, thr):
@@ -225,22 +162,10 @@ def _variance_budget(ctx, thr):
         "n_budget": ctx.n_budget, "required": need}
 
 
-def _limit_state(ctx, thr):
-    ok = bool(getattr(ctx, "limit_state_defined", False))
-    return ok, "requires a defined limit state", {}
-
-
-def _target_pdf(ctx, thr):
-    ok = bool(getattr(ctx, "target_pdf_known", False))
-    return ok, "requires a known target pdf", {}
-
-
 PREDICATES: tuple[Predicate, ...] = (
     Predicate("morris_screening_high_dim", ("Morris",), _morris_dim),
     Predicate("gen_sobol_multioutput", ("Generalized_Sobol",), _gen_sobol_out),
-    Predicate("pce_min_samples", ("PCE_SA", "PCE_moments"), _pce_budget),
+    Predicate("pce_min_samples", ("PCE_SA",), _pce_budget),
     Predicate("variance_min_samples", ("Sobol", "CVM", "Generalized_Sobol"),
               _variance_budget),
-    Predicate("form_limit_state", ("FORM_reliability",), _limit_state),
-    Predicate("mcmc_target_pdf", ("MCMC_Bayes",), _target_pdf),
 )

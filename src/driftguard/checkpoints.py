@@ -107,7 +107,7 @@ class AdaptiveThreshold:
 
 
 class CheckpointManager:
-    """All eight gates plus their adaptive state and retry budgets."""
+    """All eight gates plus their adaptive state."""
 
     def __init__(self, null_dist: NullDistribution,
                  overrides: dict[str, float] | None = None,
@@ -116,7 +116,6 @@ class CheckpointManager:
         self.null_dist = null_dist
         self.specs: dict[str, CheckpointSpec] = {}
         self.state: dict[str, AdaptiveThreshold] = {}
-        self.retries_left: dict[str, int] = {}
         null_floor = null_dist.quantile(settings.threshold.null_quantile)
         for cp_id, (t0, tmin, blocking, inverted, action) in CHECKPOINT_TABLE.items():
             theta0 = (overrides or {}).get(cp_id, t0)
@@ -124,7 +123,6 @@ class CheckpointManager:
             self.specs[cp_id] = spec
             self.state[cp_id] = AdaptiveThreshold(
                 spec=spec, floor=max(tmin, null_floor), settings=settings)
-            self.retries_left[cp_id] = settings.retry_budget
 
     def threshold(self, cp_id: str) -> float:
         return self.state[cp_id].current()
@@ -151,21 +149,15 @@ class CheckpointManager:
         return CheckpointResult(cp_id, similarity, threshold, verdict,
                                 action, retry_count)
 
-    def evaluate_texts(self, cp_id: str, upstream: str, downstream: str,
-                       retry_count: int = 0) -> CheckpointResult:
-        """Embed both boundary texts and gate their cosine similarity."""
-        from .embedding import similarity as _sim
-        return self.evaluate(cp_id, _sim(upstream, downstream), retry_count)
-
     def evaluate_cp0(self, ps, archive) -> CP0Result:
         """Match the new problem against the archive and pick an
         exploration mode (close -> exploit, weak -> neutral, else
         explore_max plus screening-first for high-dimensional inputs)."""
         spec = self.specs["CP0"]
         cp0 = self.settings.cp0
-        best_sim, best_entry = 0.0, None
+        best_entry, best_sim = None, 0.0
         if not spec.disabled and archive is not None:
-            best_sim, best_entry = archive.best_match(ps)
+            best_entry, best_sim = archive.lookup(ps)
         if best_sim >= cp0.close_cutoff:
             match, mode = "close", "exploit"
         elif best_sim >= cp0.weak_cutoff:
@@ -176,14 +168,3 @@ class CheckpointManager:
                            and ps.context.d_in
                            >= self.settings.screening_dim_threshold)
         return CP0Result(best_sim, match, best_entry, mode, screening_first)
-
-    def consume_retry(self, cp_id: str) -> bool:
-        """Spend one retry for a blocking gate; False when exhausted."""
-        if self.retries_left[cp_id] <= 0:
-            return False
-        self.retries_left[cp_id] -= 1
-        return True
-
-    def reset_retries(self) -> None:
-        for cp_id in self.retries_left:
-            self.retries_left[cp_id] = self.settings.retry_budget

@@ -21,10 +21,6 @@ class ParseError(DriftguardError):
     """Malformed serialized scheme or config text."""
 
 
-class TaskMismatch(DriftguardError):
-    """Action task does not match the context task."""
-
-
 class DimensionError(DriftguardError):
     """Vector dimensions do not agree."""
 
@@ -43,14 +39,6 @@ class NoFeasibleAction(DriftguardError):
 
 class InvalidReward(DriftguardError):
     """Reward is non-finite or outside the accepted range."""
-
-
-class MalformedObservation(DriftguardError):
-    """Observation lacks an execution status."""
-
-
-class ScriptMiss(DriftguardError):
-    """No script entry and no default rule for an agent invocation."""
 
 
 class Unrecoverable(DriftguardError):

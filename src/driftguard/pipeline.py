@@ -249,10 +249,9 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     # (execution) Runner with the Debugger self-healing loop.
     obs: SAResult | None = None
     error: Exception | None = None
-    scheme_name = action.dims[0] if action.task == "SA" else "MonteCarlo"
     for attempt in range(st.max_debug_retries + 1):
         try:
-            obs = agents.execution_runner(plan, scheme_name)
+            obs = agents.execution_runner(plan, action.dims[0])
             error = None
             break
         except DriftguardError as exc:

@@ -49,10 +49,6 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
           model: BenchmarkModel | None = None,
           epsilon: float = 0.05,
           prev_obs: SAResult | None = None,
-          forbidden_read: bool = False,
-          critical_warnings: tuple[str, ...] = (),
-          addressed: tuple[str, ...] = (),
-          runtime_baseline: float | None = None,
           settings: Settings = DEFAULTS) -> RewardBreakdown:
     """Score one observation against its decided method scheme.
 
@@ -65,18 +61,16 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
     executed = obs is not None and obs.executed
 
     if not executed:
-        return RewardBreakdown(0.0, 0.0, 0.0, 0.0,
-                               tuple(critical_warnings) + ("execution failed",))
+        return RewardBreakdown(0.0, 0.0, 0.0, 0.0, ("execution failed",))
 
     attrs = obs.attributes()
     required = ms.required_attributes
     missing = tuple(a for a in required if a not in attrs)
-    synthetic = tuple(f"missing required attribute {a}" for a in missing)
-    criticals = tuple(critical_warnings) + synthetic
-    unaddressed = tuple(w for w in obs.warnings if w not in addressed) + synthetic
+    criticals = tuple(f"missing required attribute {a}" for a in missing)
+    unaddressed = tuple(obs.warnings) + criticals
 
     # Integrity: clean execution, attribute completeness, no critical flags.
-    exec_pts = r.integrity_execution if (not missing and not forbidden_read) else 0.0
+    exec_pts = r.integrity_execution if not missing else 0.0
     frac = 1.0 if not required else (len(required) - len(missing)) / len(required)
     attr_pts = r.integrity_attributes * frac
     warn_pts = r.integrity_warnings if not criticals else 0.0
@@ -129,18 +123,15 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
     details -= r.warning_penalty * len(unaddressed)
     details = max(0.0, details)
 
-    # Optimality: evaluation thrift plus runtime factor.
+    # Optimality: evaluation thrift plus a runtime factor. With no runtime
+    # baseline to compare against, the runtime factor is always 1: wall time
+    # varies between runs and would make rewards irreproducible.
     if obs.evaluations_used > 0:
         eval_part = min(1.0, ms.n_min_value / obs.evaluations_used)
     else:
         eval_part = 0.0
-    if runtime_baseline is not None and obs.runtime_seconds > 0:
-        runtime_part = min(1.0, runtime_baseline / obs.runtime_seconds)
-    else:
-        runtime_part = 1.0
     optimality = (r.optimality_budget_weight * eval_part
-                  + r.optimality_runtime_weight * runtime_part) \
-        * r.optimality_cap
+                  + r.optimality_runtime_weight) * r.optimality_cap
 
     return RewardBreakdown(integrity, accuracy, details, optimality,
                            criticals + tuple(w for w in unaddressed

@@ -16,8 +16,9 @@ from . import action_space, catalog
 from .action_space import ActionTuple
 from .config import DEFAULTS, Settings
 from .errors import InvalidProblem, ParseError, UnknownEstimator
+from .estimators import FIELD_TO_ATTRIBUTE
 
-TASKS = ("SA", "UQ")
+TASKS = ("SA",)
 DIST_FAMILIES = ("Uniform", "Normal", "Other")
 OUTPUT_CLASSES = ("scalar", "vector", "field")
 MODEL_CLASSES = ("additive", "multiplicative", "mixed", "unknown")
@@ -26,19 +27,6 @@ ROOT_CAUSES = ("insufficient_N", "wrong_estimator", "attribute_error",
 BUDGET_STATUSES = ("sufficient", "tight", "infeasible")
 CONVERGENCE_STATUSES = ("converged", "partial", "failed")
 REWARD_COMPONENTS = ("integrity", "accuracy", "details", "optimality")
-
-# SAResult field -> attribute name the generated plan must bind.
-ATTRIBUTE_NAMES = {
-    "s1": "first_order_indices",
-    "st": "total_order_indices",
-    "rank_indices": "chatterjee_indices",
-    "mu_star": "mu_star",
-    "sigma": "sigma_effects",
-    "mean": "output_mean",
-    "variance": "output_variance",
-    "pf": "failure_probability",
-    "posterior_mean": "posterior_mean",
-}
 
 _VALIDITY_CONDITIONS = {
     "Sobol": (("independent_inputs", "scalar_output", "budget_above_n_min"),
@@ -65,7 +53,7 @@ class ContextVector:
     task: str
     dist_family: tuple[str, ...]       # one entry per input
     multi_output_flag: bool
-    feasibility_bits: tuple[bool, ...]  # over the task's estimator catalog
+    feasibility_bits: tuple[bool, ...]  # over the estimator catalog
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
@@ -88,14 +76,9 @@ class ProblemScheme:
     output_class: str
     model_class: str
     has_dependence: bool
-    limit_state_defined: bool
-    low_fidelity_model: bool
-    target_pdf_known: bool
     high_d_in_flag: bool
     field_out_flag: bool
     feasible_sa_estimators: tuple[str, ...]
-    feasible_uq_estimators: tuple[str, ...]
-    estimator_feasibility: tuple[tuple[str, bool, str], ...]  # (id, ok, constraint)
     model_id: str = ""
 
 
@@ -174,49 +157,19 @@ def build_context_vector(desc: dict, settings: Settings = DEFAULTS) -> ContextVe
     return replace(base, feasibility_bits=bits)
 
 
-class _FlagProxy:
-    """Context plus structural flags, for UQ feasibility predicates."""
-
-    def __init__(self, ctx: ContextVector, desc: dict):
-        self.d_in = ctx.d_in
-        self.d_out = ctx.d_out
-        self.n_budget = ctx.n_budget
-        self.task = "UQ"
-        self.limit_state_defined = bool(desc.get("limit_state_defined", False))
-        self.target_pdf_known = bool(desc.get("target_pdf_known", False))
-
-
 def build_problem_scheme(desc: dict, settings: Settings = DEFAULTS) -> ProblemScheme:
     """Structured problem scheme with feasibility pre-computed; deterministic."""
     ctx = build_context_vector(desc, settings)
-    sa_proxy = replace(ctx, task="SA",
-                       feasibility_bits=()) if ctx.task != "SA" else ctx
-    sa_flags = action_space.estimator_feasibility(sa_proxy, settings)
-    uq_flags = action_space.estimator_feasibility(_FlagProxy(ctx, desc), settings)
-
-    per_estimator = []
-    for est, info in {**sa_flags, **uq_flags}.items():
-        constraint = ""
-        if info["violations"]:
-            v = info["violations"][0]
-            constraint = f"{v['predicate']}: {v['values']}"
-        per_estimator.append((est, info["feasible"], constraint))
-
     return ProblemScheme(
         context=ctx,
         output_class=desc.get("output_class", "scalar" if ctx.d_out == 1 else "vector"),
         model_class=desc.get("model_class", "unknown"),
         has_dependence=bool(desc.get("has_dependence", False)),
-        limit_state_defined=bool(desc.get("limit_state_defined", False)),
-        low_fidelity_model=bool(desc.get("low_fidelity_model", False)),
-        target_pdf_known=bool(desc.get("target_pdf_known", False)),
         high_d_in_flag=ctx.d_in >= settings.screening_dim_threshold,
         field_out_flag=desc.get("output_class") == "field",
-        feasible_sa_estimators=tuple(e for e in catalog.estimator_ids("SA")
-                                     if sa_flags[e]["feasible"]),
-        feasible_uq_estimators=tuple(e for e in catalog.estimator_ids("UQ")
-                                     if uq_flags[e]["feasible"]),
-        estimator_feasibility=tuple(per_estimator),
+        feasible_sa_estimators=tuple(
+            e for e, ok in zip(catalog.SA_ESTIMATORS, ctx.feasibility_bits)
+            if ok),
         model_id=desc.get("model_id", ""),
     )
 
@@ -236,7 +189,7 @@ def build_method_scheme(action: ActionTuple, ps: ProblemScheme,
         budget_status = "tight"
     else:
         budget_status = "sufficient"
-    attrs = tuple(ATTRIBUTE_NAMES[p] for p in info.produces)
+    attrs = tuple(FIELD_TO_ATTRIBUTE[p] for p in info.produces)
     valid_when, invalid_when = _VALIDITY_CONDITIONS.get(action.estimator, ((), ()))
     return MethodScheme(
         action=action,

@@ -136,7 +136,7 @@ def run_sim_sessions(cfg: SimConfig, seed: int, n_sessions: int = 3,
     ps = agents.coordinator(SIM_PROBLEM, settings)
     traces = []
     for k in range(1, n_sessions + 1):
-        sim, entry = archive.best_match(ps)
+        entry, sim = archive.lookup(ps)
         if entry is not None and sim >= settings.cp0.close_cutoff \
                 and entry.policy_snapshot:
             policy = bandit.PolicyState.from_snapshot(entry.policy_snapshot,

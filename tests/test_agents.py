@@ -2,10 +2,8 @@ import pytest
 
 from driftguard import agents
 from driftguard.action_space import ActionTuple
-from driftguard.agents import (AgentMessage, DriftSpec, ExecutionPlan,
-                               ScriptedAgentConfig)
-from driftguard.errors import (InsufficientSamples, ScriptMiss, UnknownModel,
-                               Unrecoverable)
+from driftguard.agents import AgentMessage, DriftSpec, ExecutionPlan
+from driftguard.errors import InsufficientSamples, UnknownModel, Unrecoverable
 from driftguard.estimators import SAResult
 from driftguard.reward import RewardBreakdown
 from driftguard.schemes import build_method_scheme
@@ -197,28 +195,6 @@ class TestAdvisor:
                        st=(0.6, 0.35, 0.12, 0.06), evaluations_used=6000)
         text = agents.advisor_report(ms, obs, self._breakdown(60), ps_eq3)
         assert "insufficient at n_samples=1000" in text
-
-
-class TestRunAgent:
-    def test_scripted_override_wins(self):
-        msg = AgentMessage(role="study_agent", payload="anything",
-                           free_text="anything")
-        script = ScriptedAgentConfig({("study_agent", "*"): "canned reply"})
-        out = agents.run_agent("study_agent", msg, script)
-        assert out.payload == "canned reply"
-
-    def test_default_coordinator_route(self):
-        out = agents.run_agent("coordinator",
-                               AgentMessage("user", EQ3_PROBLEM))
-        assert out.payload.model_id == "structural_eq3"
-
-    def test_unknown_role(self):
-        with pytest.raises(ScriptMiss):
-            agents.run_agent("oracle", AgentMessage("user", "hi"))
-
-    def test_no_default_raises(self):
-        with pytest.raises(ScriptMiss):
-            agents.run_agent("advisor", AgentMessage("user", "hi"))
 
 
 class TestDriftInjection:

@@ -41,7 +41,6 @@ class TestSimilarity:
 class TestLookup:
     def test_empty_archive(self, ps_g8):
         assert Archive().lookup(ps_g8) == (None, 0.0)
-        assert Archive().best_match(ps_g8) == (0.0, None)
 
     def test_best_entry_wins(self, ps_eq3, ps_g8):
         a = Archive()
@@ -254,4 +253,4 @@ class TestWarmStartPlumbing:
         phi, mean_reward, count = stats[0]
         assert mean_reward == 91.0 and count == 3
         from driftguard import bandit
-        assert len(phi) == bandit.feature_dim("SA")
+        assert len(phi) == bandit.feature_dim()

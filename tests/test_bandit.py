@@ -12,7 +12,7 @@ from driftguard.simenv import canonical_action
 
 class TestFeatures:
     def test_injective_over_sa_actions(self, ps_eq3):
-        actions = action_space.enumerate_actions("SA")
+        actions = action_space.enumerate_actions()
         vectors = {bandit.encode_features(ps_eq3.context, a).values
                    for a in actions}
         assert len(vectors) == len(actions)
@@ -20,7 +20,7 @@ class TestFeatures:
     def test_dimension_matches(self, ps_eq3):
         phi = bandit.encode_features(ps_eq3.context,
                                      canonical_action("Sobol"))
-        assert len(phi.values) == bandit.feature_dim("SA")
+        assert len(phi.values) == bandit.feature_dim()
 
     def test_deterministic(self, ps_eq3):
         a = canonical_action("CVM")

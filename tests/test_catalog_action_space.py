@@ -3,7 +3,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from driftguard import action_space, catalog
 from driftguard.action_space import ActionTuple
-from driftguard.errors import TaskMismatch, UnknownEstimator
+from driftguard.errors import UnknownEstimator
 from driftguard.schemes import build_context_vector
 
 from conftest import EQ3_PROBLEM, G8_PROBLEM
@@ -11,13 +11,9 @@ from conftest import EQ3_PROBLEM, G8_PROBLEM
 
 class TestCatalog:
     def test_sa_estimator_ids(self):
-        assert catalog.estimator_ids("SA") == (
+        assert tuple(catalog.SA_ESTIMATORS) == (
             "Sobol", "Chatterjee", "CVM", "Morris", "PCE_SA",
             "Generalized_Sobol")
-
-    def test_uq_estimator_ids(self):
-        assert catalog.estimator_ids("UQ") == (
-            "MCS_moments", "PCE_moments", "FORM_reliability", "MCMC_Bayes")
 
     def test_unknown_estimator_raises(self):
         with pytest.raises(UnknownEstimator):
@@ -39,7 +35,7 @@ class TestCatalog:
         assert catalog.estimator_info("Chatterjee").n_min(99) == 10
 
     def test_simulated_flags(self):
-        simulated = {e for e in catalog.estimator_ids("SA")
+        simulated = {e for e in catalog.SA_ESTIMATORS
                      if catalog.estimator_info(e).simulated}
         assert simulated == {"PCE_SA", "Generalized_Sobol"}
 
@@ -47,13 +43,9 @@ class TestCatalog:
 class TestActionSpace:
     def test_sa_enumeration_size(self):
         # 2 sampling x 6 estimators x 2 budget modes x 2 output modes.
-        actions = action_space.enumerate_actions("SA")
+        actions = action_space.enumerate_actions()
         assert len(actions) == 48
         assert len(set(actions)) == 48
-
-    def test_uq_enumeration_size(self):
-        # 6 x 4 x 2 x 2 x 2 x 2.
-        assert len(action_space.enumerate_actions("UQ")) == 384
 
     def test_dims_validated(self):
         with pytest.raises(ValueError):
@@ -61,16 +53,12 @@ class TestActionSpace:
         with pytest.raises(ValueError):
             ActionTuple("SA", ("MonteCarlo", "NotAnEstimator",
                                "Fixed_N", "Scalar"))
+        with pytest.raises(ValueError, match="unknown task"):
+            ActionTuple("UQ", ("MonteCarlo", "Sobol", "Fixed_N", "Scalar"))
 
     def test_estimator_property(self):
         a = ActionTuple("SA", ("LatinHypercube", "CVM", "Staged", "Scalar"))
         assert a.estimator == "CVM"
-
-    def test_task_mismatch_raises(self):
-        ctx = build_context_vector(EQ3_PROBLEM)
-        a = action_space.enumerate_actions("UQ")[0]
-        with pytest.raises(TaskMismatch):
-            action_space.validate_action(a, ctx)
 
 
 class TestFeasibility:
@@ -108,7 +96,7 @@ class TestFeasibility:
 
     def test_filter_preserves_order_and_subset(self):
         ctx = build_context_vector(G8_PROBLEM)
-        everything = action_space.enumerate_actions("SA")
+        everything = action_space.enumerate_actions()
         feasible = action_space.filter_feasible(ctx)
         assert [a for a in everything if a in set(feasible)] == feasible
 
@@ -122,6 +110,6 @@ class TestFeasibility:
         flags = action_space.estimator_feasibility(ctx)
         bits = action_space.feasibility_bits(ctx)
         assert bits == tuple(flags[e]["feasible"]
-                             for e in catalog.estimator_ids("SA"))
+                             for e in catalog.SA_ESTIMATORS)
         for est, info in flags.items():
             assert info["feasible"] == (not info["violations"])

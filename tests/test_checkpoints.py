@@ -60,13 +60,6 @@ class TestEvaluate:
         res = mgr.evaluate("CP2", 0.0)
         assert res.passed and res.threshold == DISABLED
 
-    def test_evaluate_texts_matches_similarity(self, manager):
-        from driftguard.embedding import similarity
-        a = "apply sobol with pick freeze sampling"
-        b = "review of the sobol pick freeze proposal"
-        res = manager.evaluate_texts("CP2", a, b)
-        assert res.similarity == pytest.approx(similarity(a, b))
-
 
 class TestAdaptiveThreshold:
     def test_initial_value_until_warmup(self, manager):
@@ -110,19 +103,6 @@ class TestAdaptiveThreshold:
             mgr.evaluate("CP4", sim)
             if mgr.state["CP4"].count >= DEFAULTS.threshold.warmup:
                 assert floor <= mgr.threshold("CP4") <= max(ceiling, floor)
-
-
-class TestRetries:
-    def test_budget_counts_down(self, manager):
-        assert DEFAULTS.retry_budget == 3
-        assert all(manager.consume_retry("CP5") for _ in range(3))
-        assert not manager.consume_retry("CP5")
-
-    def test_reset(self, manager):
-        for _ in range(3):
-            manager.consume_retry("CP5")
-        manager.reset_retries()
-        assert manager.consume_retry("CP5")
 
 
 class TestCP0:

@@ -74,13 +74,18 @@ class TestRun:
         assert capsys.readouterr().out == ""
 
     def test_aborted_session_exits_2(self, tmp_path):
-        doc = {**BASE_RUN, "problem": {**EQ3_PROBLEM, "d_out": 0}}
-        # d_out = 0 passes config parsing but fails problem validation,
+        # Both problems pass config parsing but fail problem validation,
         # aborting the session at intake.
-        cfg = _write(tmp_path, doc)
-        code = main(["run", "--config", cfg, "--out", str(tmp_path),
-                     "--quiet"])
-        assert code == EXIT_ABORTED
+        for change, reason in (({"d_out": 0}, "dimensionality"),
+                               ({"task": "UQ"}, "unknown task 'UQ'")):
+            doc = {**BASE_RUN, "problem": {**EQ3_PROBLEM, **change}}
+            cfg = _write(tmp_path, doc)
+            code = main(["run", "--config", cfg, "--out", str(tmp_path),
+                         "--quiet"])
+            assert code == EXIT_ABORTED
+            summary = json.loads(
+                (tmp_path / "cli-test.summary.json").read_text())
+            assert reason in summary["abort_reason"]
 
 
 class TestBadConfig:

@@ -69,18 +69,6 @@ class TestIntegrity:
         b = reward.score(ms, obs, model=g8, epsilon=0.1)
         assert b.integrity == pytest.approx(5.0)        # 10 * 1/2 attr credit
 
-    def test_forbidden_read_voids_execution_points(self, ms_g8, g8):
-        obs = _obs(g8, evals=ms_g8.n_min_value)
-        b = reward.score(ms_g8, obs, model=g8, epsilon=0.1,
-                         forbidden_read=True)
-        assert b.integrity == pytest.approx(15.0)       # lost the 20-pt block
-
-    def test_critical_warning_drops_warning_points(self, ms_g8, g8):
-        obs = _obs(g8, evals=ms_g8.n_min_value)
-        b = reward.score(ms_g8, obs, model=g8, epsilon=0.1,
-                         critical_warnings=("checkpoint flagged drift",))
-        assert b.integrity == pytest.approx(30.0)
-
 
 class TestAccuracy:
     def test_precision_scales_with_mae(self, ms_g8, g8):
@@ -136,11 +124,12 @@ class TestDetails:
         assert b.details == pytest.approx(15.0 - 3.0)
 
     def test_unaddressed_warning_penalty(self, ms_g8, g8):
-        warned = _obs(g8, warnings=("slow convergence", "cache miss"))
-        one_fixed = reward.score(ms_g8, warned, model=g8, epsilon=0.1,
-                                 addressed=("cache miss",))
-        none_fixed = reward.score(ms_g8, warned, model=g8, epsilon=0.1)
-        assert one_fixed.details - none_fixed.details == pytest.approx(2.0)
+        one = reward.score(ms_g8, _obs(g8, warnings=("slow convergence",)),
+                           model=g8, epsilon=0.1)
+        two = reward.score(ms_g8, _obs(g8, warnings=("slow convergence",
+                                                     "cache miss")),
+                           model=g8, epsilon=0.1)
+        assert one.details - two.details == pytest.approx(2.0)
 
     def test_details_floor_at_zero(self, ms_g8, g8):
         horror = _obs(g8, nan_count=3, negative_variance_flag=True,
@@ -158,12 +147,6 @@ class TestOptimality:
         assert at_min.optimality == pytest.approx(15.0)
         # Budget part halves (0.6 * 0.5), runtime part stays full (0.4).
         assert double.optimality == pytest.approx((0.6 * 0.5 + 0.4) * 15.0)
-
-    def test_runtime_baseline(self, ms_g8, g8):
-        obs = _obs(g8, evals=ms_g8.n_min_value, runtime_seconds=2.0)
-        fast_ref = reward.score(ms_g8, obs, model=g8, epsilon=0.1,
-                                runtime_baseline=1.0)
-        assert fast_ref.optimality == pytest.approx((0.6 + 0.4 * 0.5) * 15.0)
 
 
 class TestBreakdownInvariants:

@@ -32,8 +32,10 @@ class TestContextVector:
             build_context_vector({"task": "SA", "d_in": 4})
 
     def test_bad_task_rejected(self):
-        with pytest.raises(InvalidProblem):
-            build_context_vector({**EQ3_PROBLEM, "task": "XX"})
+        # UQ has no executor, so intake rejects it like any unknown task.
+        for task in ("XX", "UQ"):
+            with pytest.raises(InvalidProblem, match="unknown task"):
+                build_context_vector({**EQ3_PROBLEM, "task": task})
 
     def test_nonpositive_dim_rejected(self):
         with pytest.raises(InvalidProblem):
