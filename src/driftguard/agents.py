@@ -58,6 +58,11 @@ class DriftSpec:
             raise ValueError("drift probability must lie in [0, 1]")
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}")
+        if not all(isinstance(v, str) for v in (
+                self.target_field, self.replacement_value, self.source_value)):
+            raise ValueError("drift field and values must be strings")
+        if not isinstance(self.activation_iteration, (int, type(None))):
+            raise ValueError("activation_iteration must be an integer")
 
 
 @dataclass(frozen=True)
@@ -143,11 +148,19 @@ def coordinator(desc: dict, settings: Settings = DEFAULTS) -> ProblemScheme:
 
 
 def gatekeeper(ps: ProblemScheme) -> tuple[bool, str]:
-    """Admission check: the problem must bind to a catalog model and admit
-    at least one feasible estimator."""
+    """Admission check: the problem must bind to a catalog model whose
+    dimensions it states correctly and admit at least one feasible
+    estimator."""
     from .estimators import benchmark_catalog
-    if ps.model_id and ps.model_id not in benchmark_catalog():
-        return False, f"unknown model {ps.model_id!r}"
+    if ps.model_id:
+        model = benchmark_catalog().get(ps.model_id)
+        if model is None:
+            return False, f"unknown model {ps.model_id!r}"
+        ctx = ps.context
+        if (ctx.d_in, ctx.d_out) != (model.d_in, model.d_out):
+            return False, (f"problem states d_in={ctx.d_in}, d_out="
+                           f"{ctx.d_out} but model {model.id} has d_in="
+                           f"{model.d_in}, d_out={model.d_out}")
     if not ps.feasible_sa_estimators:
         return False, "no feasible estimator for this problem"
     return True, "admitted"
@@ -202,13 +215,10 @@ def inspector_check(plan: ExecutionPlan, ms: MethodScheme) -> InspectorVerdict:
     if plan.estimator != ms.estimator:
         reasons.append(f"estimator mismatch: plan runs {plan.estimator}, "
                        f"scheme requires {ms.estimator}")
-    bindings = set(plan.output_bindings)
-    missing = [a for a in ms.required_attributes if a not in bindings]
+    missing = [a for a in ms.required_attributes
+               if a not in plan.output_bindings]
     if missing:
         reasons.append("missing required bindings: " + ", ".join(missing))
-    forbidden = bindings & set(ms.forbidden_attributes)
-    if forbidden:
-        reasons.append("forbidden bindings: " + ", ".join(sorted(forbidden)))
     info = catalog.estimator_info(plan.estimator) if not reasons else None
     if info is not None:
         n = int(plan.hyperparam("n_samples", 0))

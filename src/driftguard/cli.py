@@ -16,11 +16,11 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .agents import DriftSpec
 from .archive import Archive
-from .errors import DriftguardError
+from .config import settings_from_dict
+from .errors import ConfigError, DriftguardError
 from .pipeline import (SessionConfig, SessionTrace, run_ablation_suite,
                        run_session, write_trace)
 
@@ -32,10 +32,6 @@ SESSION_COLUMNS = ("session_id", "seed", "outcome", "best_reward",
                    "iterations_to_best", "iterations_to_converge",
                    "best_estimator", "cp0_match", "cp0_similarity",
                    "cp0_mode", "cp0_screening_first")
-
-
-class ConfigError(DriftguardError):
-    """Configuration file missing, unparsable, or structurally invalid."""
 
 
 def _load_config(path: str) -> dict:
@@ -54,6 +50,8 @@ def _load_config(path: str) -> dict:
 def _drift_from(doc: dict | None) -> DriftSpec:
     if not doc:
         return DriftSpec()
+    if not isinstance(doc, dict):
+        raise ConfigError("drift must be a JSON object")
     try:
         return DriftSpec(
             kind=doc.get("kind", "none"),
@@ -66,31 +64,46 @@ def _drift_from(doc: dict | None) -> DriftSpec:
         raise ConfigError(f"bad drift spec: {exc}") from exc
 
 
-def _session_config(doc: dict, seed_override: int | None,
-                    **extra) -> SessionConfig:
+def _checkpoint_overrides(doc: dict) -> dict:
+    """The ``checkpoint_overrides`` block: checkpoint id -> initial
+    threshold, -1 disabling the gate."""
+    from .checkpoints import CHECKPOINT_TABLE
+    overrides = doc.get("checkpoint_overrides", {})
+    if overrides is not None and (not isinstance(overrides, dict) or not all(
+            cp in CHECKPOINT_TABLE and isinstance(theta0, (int, float))
+            for cp, theta0 in overrides.items())):
+        raise ConfigError("checkpoint_overrides must map checkpoint ids "
+                          f"({', '.join(CHECKPOINT_TABLE)}) to numbers")
+    return overrides
+
+
+def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
     if "problem" not in doc:
         raise ConfigError("config lacks a 'problem' object")
     from .estimators import benchmark_catalog
     model_id = doc["problem"].get("model_id", "") \
         if isinstance(doc["problem"], dict) else ""
-    if model_id and model_id not in benchmark_catalog():
+    if not isinstance(model_id, (str, type(None))) or \
+            (model_id and model_id not in benchmark_catalog()):
         raise ConfigError(f"unknown problem model {model_id!r}")
-    seed = seed_override if seed_override is not None \
-        else int(doc.get("seed", 0))
+    if not isinstance(doc.get("archive_path"), (str, type(None))):
+        raise ConfigError("archive_path must be a string")
+    settings_from_dict(doc.get("settings") or {})  # before any session runs
     try:
+        seed = seed_override if seed_override is not None \
+            else int(doc.get("seed", 0))
         return SessionConfig(
             problem=doc["problem"],
             n_max=int(doc.get("n_max", 5)),
             r_threshold=float(doc.get("r_threshold", 85.0)),
-            checkpoint_overrides=doc.get("checkpoint_overrides", {}),
+            checkpoint_overrides=_checkpoint_overrides(doc),
             drift=_drift_from(doc.get("drift")),
             seed=seed,
             session_id=doc.get("session_id", "session"),
             archive_path=doc.get("archive_path"),
             record_to_archive=bool(doc.get("record_to_archive", True)),
             persist_policy=bool(doc.get("persist_policy", False)),
-            settings_overrides=doc.get("settings", {}),
-            **extra)
+            settings_overrides=doc.get("settings", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad session config: {exc}") from exc
 
@@ -102,15 +115,26 @@ def _archive_for(doc: dict, cfg: SessionConfig) -> Archive | None:
     if warm:
         from . import action_space, agents
         try:
-            ps = agents.coordinator(cfg.problem)
-            arm = next(a for a in action_space.filter_feasible(ps.context)
-                       if a.estimator == warm["estimator"])
-            archive.seed_entry(ps, arm,
-                               mean_reward=float(warm["mean_reward"]),
-                               count=int(warm.get("count", 3)))
-        except (KeyError, StopIteration, TypeError, ValueError) as exc:
+            estimator = warm["estimator"]
+            mean_reward = float(warm["mean_reward"])
+            count = int(warm.get("count", 3))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad warm_start block: {exc}") from exc
+        ps = agents.coordinator(cfg.problem)
+        arm = next((a for a in action_space.filter_feasible(ps.context)
+                    if a.estimator == estimator), None)
+        if arm is None:
+            raise ConfigError(f"bad warm_start block: no feasible action "
+                              f"runs {estimator!r}")
+        archive.seed_entry(ps, arm, mean_reward=mean_reward, count=count)
     return archive
+
+
+def _output_name(doc: dict, default: str) -> str:
+    name = doc.get("output_name", default)
+    if not isinstance(name, str):
+        raise ConfigError("output_name must be a string")
+    return name
 
 
 def _out_dir(args) -> str:
@@ -166,19 +190,20 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     doc = _load_config(args.config)
-    base_cfg = _session_config(doc, None, )
-    conditions = []
-    for cond in doc.get("conditions", []):
-        try:
-            conditions.append((cond["name"],
-                               cond.get("checkpoint_overrides", {}),
-                               _drift_from(cond.get("drift"))))
-        except KeyError as exc:
-            raise ConfigError(f"condition lacks {exc}") from exc
-    seeds = [args.seed_override] if args.seed_override is not None \
-        else [int(s) for s in doc.get("seeds", [base_cfg.seed])]
+    base_cfg = _session_config(doc, None)
+    try:
+        conditions = [(cond["name"], _checkpoint_overrides(cond),
+                       _drift_from(cond.get("drift")))
+                      for cond in doc.get("conditions", [])]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"bad conditions list: {exc}") from exc
+    try:
+        seeds = [args.seed_override] if args.seed_override is not None \
+            else [int(s) for s in doc.get("seeds", [base_cfg.seed])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad seeds list: {exc}") from exc
     out = _out_dir(args)
-    out_csv = os.path.join(out, doc.get("output_name", "ablation") + ".csv")
+    out_csv = os.path.join(out, _output_name(doc, "ablation") + ".csv")
     factory = (lambda: _archive_for(doc, base_cfg)) \
         if doc.get("warm_start") or base_cfg.archive_path else None
     rows = run_ablation_suite(base_cfg, conditions, seeds, out_csv=out_csv,
@@ -194,19 +219,24 @@ def cmd_ablate(args) -> int:
 def cmd_sessions(args) -> int:
     doc = _load_config(args.config)
     session_docs = doc.get("sessions")
-    if not session_docs:
+    if not session_docs or not isinstance(session_docs, list):
         raise ConfigError("sessions command needs a non-empty 'sessions' "
                           "list")
-    out = _out_dir(args)
     shared = {k: v for k, v in doc.items() if k != "sessions"}
-    archive = Archive(doc["archive_path"]) if doc.get("archive_path") \
-        else Archive()
-    rows, aborted = [], False
+    cfgs = []
     for k, sdoc in enumerate(session_docs, start=1):
+        if not isinstance(sdoc, dict):
+            raise ConfigError(f"session entry {k} must be a JSON object")
         merged = {**shared, **sdoc}
         merged.setdefault("session_id", f"session-{k}")
         merged.setdefault("persist_policy", True)
-        cfg = _session_config(merged, args.seed_override)
+        cfgs.append(_session_config(merged, args.seed_override))
+    out = _out_dir(args)
+    table = os.path.join(out, _output_name(doc, "sessions") + ".csv")
+    archive = Archive(doc["archive_path"]) if doc.get("archive_path") \
+        else Archive()
+    rows, aborted = [], False
+    for cfg in cfgs:
         trace = run_session(cfg, archive=archive)
         write_trace(trace, os.path.join(out,
                                         f"{cfg.session_id}.trace.jsonl"))
@@ -229,7 +259,6 @@ def cmd_sessions(args) -> int:
         _say(args, f"{cfg.session_id}: {trace.outcome}, best "
                    f"{trace.best_reward:.1f}, cp0 {trace.cp0_match}/"
                    f"{trace.cp0_mode}")
-    table = os.path.join(out, doc.get("output_name", "sessions") + ".csv")
     with open(table, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(SESSION_COLUMNS))
         writer.writeheader()
@@ -260,8 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, DriftguardError, KeyError, TypeError,
-            ValueError) as exc:
+    except DriftguardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class BanditSettings:
@@ -87,18 +89,29 @@ class Settings:
 DEFAULTS = Settings()
 
 
-def settings_from_dict(overrides: dict) -> Settings:
-    """Build Settings from a (possibly nested) override dict."""
+def _replaced(base, overrides, where: str):
+    """``base`` with a (possibly nested) override dict applied; a key that
+    names no field, or a value of the wrong type, raises ConfigError."""
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    names = {f.name for f in dataclasses.fields(base)}
+    unknown = sorted(set(overrides) - names)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
     kwargs = {}
-    for f in dataclasses.fields(Settings):
-        if f.name not in overrides:
-            continue
-        value = overrides[f.name]
-        if dataclasses.is_dataclass(f.type) or f.name in (
-            "bandit", "threshold", "cp0", "reward", "archive",
-        ):
-            sub_cls = type(getattr(DEFAULTS, f.name))
-            kwargs[f.name] = sub_cls(**value) if isinstance(value, dict) else value
-        else:
-            kwargs[f.name] = value
-    return dataclasses.replace(DEFAULTS, **kwargs)
+    for name, value in overrides.items():
+        default = getattr(base, name)
+        if dataclasses.is_dataclass(default):
+            value = _replaced(default, value, f"{where}.{name}")
+        elif not isinstance(value, (int, float) if isinstance(default, float)
+                            else type(default)):
+            raise ConfigError(f"{where}.{name} must be of type "
+                              f"{type(default).__name__}")
+        kwargs[name] = value
+    return dataclasses.replace(base, **kwargs)
+
+
+def settings_from_dict(overrides: dict) -> Settings:
+    """Build Settings from a (possibly nested) override dict; unknown keys
+    and mistyped values at any level raise ConfigError."""
+    return _replaced(DEFAULTS, overrides, "settings")

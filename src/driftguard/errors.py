@@ -17,8 +17,8 @@ class UnknownModel(DriftguardError):
     """Benchmark model id not present in the catalog."""
 
 
-class ParseError(DriftguardError):
-    """Malformed serialized scheme or config text."""
+class ConfigError(DriftguardError):
+    """Configuration file missing, unparsable, or structurally invalid."""
 
 
 class DimensionError(DriftguardError):

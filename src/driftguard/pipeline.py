@@ -8,24 +8,18 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from . import action_space, agents, bandit, checkpoints, reward as reward_mod
+from . import action_space, agents, bandit, reward as reward_mod
 from .agents import AgentMessage, DriftSpec, ExecutionPlan
 from .archive import Archive
 from .checkpoints import CheckpointManager, CheckpointResult
 from .config import DEFAULTS, Settings, settings_from_dict
 from .embedding import calibrate_null, shipped_corpus, similarity
 from .errors import DriftguardError, Unrecoverable
-from .estimators import SAResult, get_model
-from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
+from .estimators import SAResult
+from .schemes import DiagnosticScheme, ProblemScheme, \
     build_diagnostic_scheme, serialize_scheme
-
-OUTCOMES = ("converged", "budget_exhausted", "aborted")
-
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -84,7 +78,7 @@ class SessionTrace:
     session_id: str
     problem_scheme: ProblemScheme | None
     records: list
-    outcome: str
+    outcome: str        # converged | budget_exhausted | aborted
     best_reward: float
     iterations_to_converge: int | None
     cp0_match: str = "none"
@@ -200,10 +194,11 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
                               "critic rejection budget exhausted", st)
 
     # (implementation) Study Agent with CP3 advisory and CP4 blocking gates.
+    # Both gates read the same strategy/study similarity.
     study_text = agents.study_agent(strategy_text)
-    events.append(manager.evaluate("CP3", similarity(strategy_text,
-                                                     study_text)))
-    cp4 = manager.evaluate("CP4", similarity(strategy_text, study_text))
+    sim_study = similarity(strategy_text, study_text)
+    events.append(manager.evaluate("CP3", sim_study))
+    cp4 = manager.evaluate("CP4", sim_study)
     events.append(cp4)
     if not cp4.passed:
         return _failed_record(n, action, events, drift_events, strategy_text,
@@ -364,12 +359,9 @@ def run_session(cfg: SessionConfig,
         else:
             policy.warm_start(entry.arm_stats_list(), cp0.match)
 
-    feasible = action_space.filter_feasible(ps.context, st)
-    if not feasible:
-        return _aborted(cfg, ps, "no feasible action")
-
     state = _SessionState(cfg=cfg, settings=st, ps=ps, model=model,
-                          manager=manager, policy=policy, feasible=feasible,
+                          manager=manager, policy=policy,
+                          feasible=action_space.filter_feasible(ps.context),
                           screening_first=cp0.screening_first)
 
     records = []
@@ -408,17 +400,6 @@ def _aborted(cfg, ps, why: str) -> SessionTrace:
 # ---------------------------------------------------------------------------
 # Trace serialization (JSONL: header line, then one record per line)
 
-def _jsonable(value):
-    if isinstance(value, (DiagnosticScheme, MethodScheme)):
-        return json.loads(serialize_scheme(value))
-    if hasattr(value, "__dataclass_fields__"):
-        from dataclasses import asdict
-        return asdict(value)
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def write_trace(trace: SessionTrace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         header = {"session_id": trace.session_id,
@@ -445,7 +426,7 @@ def write_trace(trace: SessionTrace, path: str) -> None:
                         "failure_action": e.failure_action}
                        for e in rec.checkpoint_events],
                    "drift_events": list(rec.drift_events),
-                   "diagnostic": _jsonable(rec.diagnostic),
+                   "diagnostic": json.loads(serialize_scheme(rec.diagnostic)),
                    "advisor_text": rec.advisor_text}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 

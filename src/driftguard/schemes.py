@@ -1,8 +1,9 @@
 """Context vector and the three structured inter-agent scheme types.
 
-All scheme types are immutable values; canonical serialization is UTF-8 JSON
-with sorted keys, the exact format that appears in session traces and the
-archive file.
+All scheme types are immutable values.  ``serialize_scheme`` writes the
+canonical form, compact UTF-8 JSON with sorted keys and a ``__kind__`` tag;
+session traces carry each iteration's diagnostic in that form.  Nothing
+reads schemes back from text.
 """
 
 from __future__ import annotations
@@ -10,37 +11,17 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from . import action_space, catalog
 from .action_space import ActionTuple
 from .config import DEFAULTS, Settings
-from .errors import InvalidProblem, ParseError, UnknownEstimator
+from .errors import InvalidProblem, UnknownEstimator
 from .estimators import FIELD_TO_ATTRIBUTE
 
 TASKS = ("SA",)
 DIST_FAMILIES = ("Uniform", "Normal", "Other")
-OUTPUT_CLASSES = ("scalar", "vector", "field")
-MODEL_CLASSES = ("additive", "multiplicative", "mixed", "unknown")
-ROOT_CAUSES = ("insufficient_N", "wrong_estimator", "attribute_error",
-               "numerical_degeneracy", "none")
-BUDGET_STATUSES = ("sufficient", "tight", "infeasible")
-CONVERGENCE_STATUSES = ("converged", "partial", "failed")
 REWARD_COMPONENTS = ("integrity", "accuracy", "details", "optimality")
-
-_VALIDITY_CONDITIONS = {
-    "Sobol": (("independent_inputs", "scalar_output", "budget_above_n_min"),
-              ("correlated_inputs", "high_dim_without_screening")),
-    "Chatterjee": (("any_distribution", "monotone_dependence_target"),
-                   ("interaction_structure_required",)),
-    "CVM": (("any_distribution",), ("interaction_structure_required",)),
-    "Morris": (("high_input_dimension", "screening_objective"),
-               ("precise_index_values_required",)),
-    "PCE_SA": (("smooth_response", "budget_above_n_min"),
-               ("discontinuous_response",)),
-    "Generalized_Sobol": (("vector_output",), ("scalar_output",)),
-}
-
 
 @dataclass(frozen=True)
 class ContextVector:
@@ -58,6 +39,10 @@ class ContextVector:
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
             raise InvalidProblem("dimensionality must be positive")
+        if self.n_budget < 1:
+            raise InvalidProblem("evaluation budget must be positive")
+        if not self.epsilon > 0:
+            raise InvalidProblem("target precision epsilon must be positive")
         if self.task not in TASKS:
             raise InvalidProblem(f"unknown task {self.task!r}")
         if self.multi_output_flag != (self.d_out > 1):
@@ -73,34 +58,32 @@ class ProblemScheme:
     """Structured problem representation produced once per session."""
 
     context: ContextVector
-    output_class: str
-    model_class: str
+    output_class: str      # scalar | vector | field
+    model_class: str       # additive | multiplicative | mixed | unknown
     has_dependence: bool
     high_d_in_flag: bool
     field_out_flag: bool
-    feasible_sa_estimators: tuple[str, ...]
     model_id: str = ""
+
+    @property
+    def feasible_sa_estimators(self) -> tuple[str, ...]:
+        """Estimators whose bit is set in the context, in catalog order."""
+        return tuple(e for e, ok in zip(catalog.SA_ESTIMATORS,
+                                        self.context.feasibility_bits) if ok)
 
 
 @dataclass(frozen=True)
 class MethodScheme:
     """Complete methodological specification attached to a policy decision."""
 
-    action: ActionTuple
     estimator: str
     index_type: str
-    produces: tuple[str, ...]
     sampling_scheme: str
-    n_min_formula: str
     n_min_value: int
-    n_cost_actual: int
-    budget_status: str
+    budget_status: str     # sufficient | tight | infeasible
     library_class: str
     required_attributes: tuple[str, ...]
-    forbidden_attributes: tuple[str, ...]
     hyperparams: tuple[tuple[str, float], ...]
-    valid_when: tuple[str, ...]
-    invalid_when: tuple[str, ...]
 
     def hyperparam(self, name: str, default=None):
         for key, value in self.hyperparams:
@@ -113,10 +96,10 @@ class MethodScheme:
 class DiagnosticScheme:
     """Machine-readable diagnosis closing each iteration."""
 
-    convergence_status: str
+    convergence_status: str    # converged | partial | failed
     bottleneck_dim: str
     reward: float
-    root_cause: str
+    root_cause: str            # a cause in _ROOT_CAUSE_RULES, or none
     prescribed_estimator: str | None
     prescribed_N_factor: float | None
     prescribed_hyperparam: tuple[tuple[str, float], ...] | None
@@ -142,14 +125,10 @@ def build_context_vector(desc: dict, settings: Settings = DEFAULTS) -> ContextVe
         n_budget = int(desc["n_budget"])
         epsilon = float(desc.get("epsilon", 0.05))
         task = desc["task"]
+        dists = tuple(d if d in DIST_FAMILIES else "Other"
+                      for d in desc.get("dist_family") or ("Other",) * d_in)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidProblem(f"incomplete problem description: {exc}") from exc
-    if d_in < 1 or d_out < 1:
-        raise InvalidProblem("dimensionality must be positive")
-    if task not in TASKS:
-        raise InvalidProblem(f"unknown task {task!r}")
-    dists = tuple(desc.get("dist_family") or ("Other",) * d_in)
-    dists = tuple(d if d in DIST_FAMILIES else "Other" for d in dists)
     base = ContextVector(d_in=d_in, d_out=d_out, n_budget=n_budget,
                          epsilon=epsilon, task=task, dist_family=dists,
                          multi_output_flag=d_out > 1, feasibility_bits=())
@@ -167,9 +146,6 @@ def build_problem_scheme(desc: dict, settings: Settings = DEFAULTS) -> ProblemSc
         has_dependence=bool(desc.get("has_dependence", False)),
         high_d_in_flag=ctx.d_in >= settings.screening_dim_threshold,
         field_out_flag=desc.get("output_class") == "field",
-        feasible_sa_estimators=tuple(
-            e for e, ok in zip(catalog.SA_ESTIMATORS, ctx.feasibility_bits)
-            if ok),
         model_id=desc.get("model_id", ""),
     )
 
@@ -189,24 +165,16 @@ def build_method_scheme(action: ActionTuple, ps: ProblemScheme,
         budget_status = "tight"
     else:
         budget_status = "sufficient"
-    attrs = tuple(FIELD_TO_ATTRIBUTE[p] for p in info.produces)
-    valid_when, invalid_when = _VALIDITY_CONDITIONS.get(action.estimator, ((), ()))
     return MethodScheme(
-        action=action,
         estimator=action.estimator,
         index_type=info.index_type,
-        produces=attrs,
         sampling_scheme=info.sampling_scheme,
-        n_min_formula=info.n_min_formula,
         n_min_value=n_min_value,
-        n_cost_actual=n_cost_actual,
         budget_status=budget_status,
         library_class=info.library_class,
-        required_attributes=attrs,
-        forbidden_attributes=(),
+        required_attributes=tuple(FIELD_TO_ATTRIBUTE[p]
+                                  for p in info.produces),
         hyperparams=tuple(sorted((k, float(v)) for k, v in hyperparams.items())),
-        valid_when=valid_when,
-        invalid_when=invalid_when,
     )
 
 
@@ -288,20 +256,7 @@ def build_diagnostic_scheme(report: str, obs, breakdown,
 
 
 # ---------------------------------------------------------------------------
-# Canonical serialization: UTF-8 JSON, sorted keys, round-trips bit-exactly.
-
-_SCHEME_TYPES = {}
-
-
-def _register(cls):
-    _SCHEME_TYPES[cls.__name__] = cls
-    return cls
-
-
-for _cls in (ContextVector, ProblemScheme, MethodScheme, DiagnosticScheme,
-             ActionTuple):
-    _register(_cls)
-
+# Canonical serialization: UTF-8 JSON, sorted keys, compact separators.
 
 def _to_jsonable(value):
     if is_dataclass(value) and not isinstance(value, type):
@@ -314,37 +269,7 @@ def _to_jsonable(value):
     return value
 
 
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
-
-
-def _from_jsonable(value):
-    if isinstance(value, dict) and "__kind__" in value:
-        kind = value.pop("__kind__")
-        cls = _SCHEME_TYPES.get(kind)
-        if cls is None:
-            raise ParseError(f"unknown scheme kind {kind!r}")
-        kwargs = {k: _tuplify(_from_jsonable(v)) for k, v in value.items()}
-        return cls(**kwargs)
-    if isinstance(value, list):
-        return [_from_jsonable(v) for v in value]
-    return value
-
-
 def serialize_scheme(scheme) -> str:
     """Canonical JSON text: sorted keys, compact separators."""
     return json.dumps(_to_jsonable(scheme), sort_keys=True,
                       separators=(",", ":"), ensure_ascii=False)
-
-
-def deserialize_scheme(text: str):
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc)) from exc
-    try:
-        return _from_jsonable(raw)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ParseError(str(exc)) from exc

@@ -33,9 +33,20 @@ class TestGroupA:
 
     def test_gatekeeper_rejects_infeasible_problem(self, ps_eq3):
         import dataclasses
-        ps = dataclasses.replace(ps_eq3, feasible_sa_estimators=())
+        no_bits = (False,) * len(ps_eq3.context.feasibility_bits)
+        ps = dataclasses.replace(ps_eq3, context=dataclasses.replace(
+            ps_eq3.context, feasibility_bits=no_bits))
+        assert ps.feasible_sa_estimators == ()
         ok, why = agents.gatekeeper(ps)
         assert not ok and "no feasible estimator" in why
+
+    def test_gatekeeper_rejects_dimensions_the_model_lacks(self):
+        for change, stated in (({"d_in": 9, "dist_family": ["Uniform"] * 9},
+                                "d_in=9"),
+                               ({"d_out": 2}, "d_out=2")):
+            ps = agents.coordinator({**EQ3_PROBLEM, **change})
+            ok, why = agents.gatekeeper(ps)
+            assert not ok and stated in why and "d_in=4, d_out=1" in why
 
     def test_model_translator(self, ps_eq3):
         model = agents.model_translator(ps_eq3)

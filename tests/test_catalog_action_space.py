@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from driftguard import action_space, catalog
 from driftguard.action_space import ActionTuple
+from driftguard.config import DEFAULTS
 from driftguard.errors import UnknownEstimator
 from driftguard.schemes import build_context_vector
 
@@ -61,30 +64,53 @@ class TestActionSpace:
         assert a.estimator == "CVM"
 
 
+def _bits(ctx) -> dict[str, bool]:
+    return dict(zip(catalog.SA_ESTIMATORS, action_space.feasibility_bits(ctx)))
+
+
+# The feasibility rules as the catalog first stated them, one check per
+# predicate id; the oracle below applies them action by action.
+_RULES = {
+    "morris_screening_high_dim": lambda ctx, thr: ctx.d_in >= thr,
+    "gen_sobol_multioutput": lambda ctx, thr: ctx.d_out > 1,
+    "pce_min_samples": lambda ctx, thr: ctx.n_budget >= 500 * ctx.d_in,
+    "variance_min_samples":
+        lambda ctx, thr: ctx.n_budget >= 500 * (ctx.d_in + 2),
+}
+
+
+def _walk_feasible(ctx, thr=DEFAULTS.screening_dim_threshold):
+    """The per-action walk: every predicate gating an action's estimator
+    must hold, checked for each of the 48 actions."""
+    feasible = []
+    for a in action_space.enumerate_actions():
+        violated = [p.id for p in catalog.PREDICATES
+                    if a.estimator in p.applies_to
+                    and not _RULES[p.id](ctx, thr)]
+        if not violated:
+            feasible.append(a)
+    return feasible
+
+
 class TestFeasibility:
     def test_morris_needs_high_dimension(self):
         low = build_context_vector(EQ3_PROBLEM)     # d_in = 4
         high = build_context_vector(G8_PROBLEM)     # d_in = 8
-        a = ActionTuple("SA", ("MonteCarlo", "Morris", "Fixed_N", "Scalar"))
-        low_report = action_space.validate_action(a, low)
-        assert not low_report.verdict
-        assert low_report.violated[0][0] == "morris_screening_high_dim"
-        assert action_space.validate_action(a, high).verdict
+        assert not _bits(low)["Morris"]
+        assert _bits(high)["Morris"]
 
     def test_generalized_sobol_needs_vector_output(self):
         scalar = build_context_vector(G8_PROBLEM)
         vector = build_context_vector({**G8_PROBLEM, "d_out": 3})
-        a = ActionTuple("SA", ("MonteCarlo", "Generalized_Sobol",
-                               "Fixed_N", "Scalar"))
-        assert not action_space.validate_action(a, scalar).verdict
-        assert action_space.validate_action(a, vector).verdict
+        assert not _bits(scalar)["Generalized_Sobol"]
+        assert _bits(vector)["Generalized_Sobol"]
 
     def test_budget_gates(self):
         starved = build_context_vector({**EQ3_PROBLEM, "n_budget": 1500})
-        flags = action_space.estimator_feasibility(starved)
-        assert not flags["Sobol"]["feasible"]        # needs 500*(4+2)=3000
-        assert not flags["PCE_SA"]["feasible"]       # needs 500*4=2000
-        assert flags["Chatterjee"]["feasible"]
+        flags = _bits(starved)
+        assert not flags["Sobol"]        # needs 500*(4+2)=3000
+        assert not flags["PCE_SA"]       # needs 500*4=2000
+        assert flags["Chatterjee"]
 
     def test_eq3_feasible_set(self, ps_eq3):
         assert set(ps_eq3.feasible_sa_estimators) == {
@@ -100,16 +126,34 @@ class TestFeasibility:
         feasible = action_space.filter_feasible(ctx)
         assert [a for a in everything if a in set(feasible)] == feasible
 
-    @hyp_settings(max_examples=30, deadline=None)
+    def test_filter_reads_only_the_bits(self):
+        ctx = build_context_vector(G8_PROBLEM)
+        only_cvm = tuple(e == "CVM" for e in catalog.SA_ESTIMATORS)
+        feasible = action_space.filter_feasible(
+            dataclasses.replace(ctx, feasibility_bits=only_cvm))
+        assert len(feasible) == 8
+        assert {a.estimator for a in feasible} == {"CVM"}
+
+    @hyp_settings(max_examples=60, deadline=None)
     @given(d_in=st.integers(1, 25), budget=st.integers(10, 200000),
-           d_out=st.integers(1, 5))
-    def test_bits_agree_with_reports(self, d_in, budget, d_out):
+           d_out=st.integers(1, 5), thr=st.integers(1, 12),
+           edge=st.sampled_from((None, 0, 2)), shift=st.integers(-1, 1))
+    def test_bits_agree_with_reports(self, d_in, budget, d_out, thr, edge,
+                                     shift):
+        # Oracle: the per-action predicate walk gives the same feasible
+        # actions as filter_feasible, and the same estimators as the bits.
+        # ``edge`` puts the budget next to the PCE (500 d) or pick-freeze
+        # (500 (d + 2)) minimum, where an off-by-one would show.
+        if edge is not None:
+            budget = 500 * (d_in + edge) + shift
+        settings = dataclasses.replace(DEFAULTS, screening_dim_threshold=thr)
         ctx = build_context_vector(
             {"task": "SA", "d_in": d_in, "d_out": d_out, "n_budget": budget,
-             "dist_family": ["Uniform"] * d_in})
-        flags = action_space.estimator_feasibility(ctx)
-        bits = action_space.feasibility_bits(ctx)
-        assert bits == tuple(flags[e]["feasible"]
-                             for e in catalog.SA_ESTIMATORS)
-        for est, info in flags.items():
-            assert info["feasible"] == (not info["violations"])
+             "dist_family": ["Uniform"] * d_in}, settings)
+        walked = _walk_feasible(ctx, thr)
+        assert action_space.filter_feasible(ctx) == walked
+        walked_estimators = {a.estimator for a in walked}
+        assert ctx.feasibility_bits == tuple(
+            e in walked_estimators for e in catalog.SA_ESTIMATORS)
+        assert ctx.feasibility_bits == action_space.feasibility_bits(
+            ctx, settings)

@@ -74,10 +74,15 @@ class TestRun:
         assert capsys.readouterr().out == ""
 
     def test_aborted_session_exits_2(self, tmp_path):
-        # Both problems pass config parsing but fail problem validation,
+        # Every problem passes config parsing but fails problem validation,
         # aborting the session at intake.
         for change, reason in (({"d_out": 0}, "dimensionality"),
-                               ({"task": "UQ"}, "unknown task 'UQ'")):
+                               ({"task": "UQ"}, "unknown task 'UQ'"),
+                               ({"d_in": 9}, "d_in=9"),
+                               ({"d_out": 2}, "d_out=2"),
+                               ({"n_budget": -5}, "budget"),
+                               ({"epsilon": 0}, "epsilon"),
+                               ({"dist_family": 5}, "incomplete problem")):
             doc = {**BASE_RUN, "problem": {**EQ3_PROBLEM, **change}}
             cfg = _write(tmp_path, doc)
             code = main(["run", "--config", cfg, "--out", str(tmp_path),
@@ -122,6 +127,55 @@ class TestBadConfig:
     def test_sessions_requires_session_list(self, tmp_path):
         cfg = _write(tmp_path, BASE_RUN)
         assert main(["sessions", "--config", cfg]) == EXIT_BAD_CONFIG
+
+    def test_unknown_settings_key(self, tmp_path, capsys):
+        for settings, key in (({"retry_budgett": 2}, "retry_budgett"),
+                              ({"bandit": {"novelty": 1.0}}, "novelty"),
+                              ({"bandit": 3}, "settings.bandit")):
+            cfg = _write(tmp_path, {**BASE_RUN, "settings": settings})
+            assert main(["run", "--config", cfg, "--out", str(tmp_path),
+                         "--quiet"]) == EXIT_BAD_CONFIG
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "cli-test.trace.jsonl").exists()
+
+    def test_config_shape_errors(self, tmp_path):
+        ablate = {"problem": EQ3_PROBLEM, "n_max": 1,
+                  "conditions": [{"name": "only"}]}
+        for command, doc in (
+                ("run", {**BASE_RUN, "seed": "one"}),
+                ("run", {**BASE_RUN, "settings": {"retry_budget": "x"}}),
+                ("run", {**BASE_RUN, "settings": {"bandit": {
+                    "novelty_rho": [5.0]}}}),
+                ("ablate", {**ablate, "seeds": ["x"]}),
+                ("ablate", {**ablate, "conditions": [{}]}),
+                ("ablate", {**ablate, "conditions": ["only"]}),
+                ("ablate", {**ablate, "output_name": 5}),
+                ("sessions", {**BASE_RUN, "sessions": [1, 2]}),
+                ("sessions", {**BASE_RUN, "sessions": {"s1": {}}}),
+                ("run", {**BASE_RUN, "warm_start": {"estimator": "Sobol"}}),
+                ("run", {**BASE_RUN, "checkpoint_overrides": {"CP3": "x"}}),
+                ("run", {**BASE_RUN, "checkpoint_overrides": {"CP9": 0.5}}),
+                ("run", {**BASE_RUN, "drift": "method_swap"}),
+                ("run", {**BASE_RUN, "drift": {"kind": "method_swap",
+                                               "activation_iteration": "2"}}),
+                ("run", {**BASE_RUN, "archive_path": 5}),
+                ("run", {**BASE_RUN, "problem": {**EQ3_PROBLEM,
+                                                 "model_id": ["x"]}}),
+                ("run", {**BASE_RUN, "warm_start": {
+                    "estimator": "Morris", "mean_reward": 90.0}})):
+            cfg = _write(tmp_path, doc)
+            assert main([command, "--config", cfg, "--out", str(tmp_path),
+                         "--quiet"]) == EXIT_BAD_CONFIG, doc
+
+    def test_internal_error_is_not_a_config_error(self, tmp_path,
+                                                  monkeypatch):
+        # A KeyError raised inside a session is a bug, not a bad config.
+        def broken(cfg, archive=None):
+            raise KeyError("mean")
+        monkeypatch.setattr("driftguard.cli.run_session", broken)
+        cfg = _write(tmp_path, BASE_RUN)
+        with pytest.raises(KeyError, match="mean"):
+            main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"])
 
 
 class TestAblate:

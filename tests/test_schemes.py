@@ -1,14 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
 
-from driftguard import action_space, agents
+from driftguard import action_space
 from driftguard.errors import InvalidProblem
 from driftguard.reward import RewardBreakdown
 from driftguard.schemes import (build_context_vector, build_diagnostic_scheme,
                                 build_method_scheme, build_problem_scheme,
-                                deserialize_scheme, serialize_scheme,
+                                serialize_scheme,
                                 DiagnosticScheme)
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
@@ -40,6 +39,15 @@ class TestContextVector:
     def test_nonpositive_dim_rejected(self):
         with pytest.raises(InvalidProblem):
             build_context_vector({**EQ3_PROBLEM, "d_in": 0})
+
+    def test_nonpositive_budget_or_epsilon_rejected(self):
+        for change, reason in (({"n_budget": 0}, "budget"),
+                               ({"n_budget": -5}, "budget"),
+                               ({"epsilon": 0.0}, "epsilon"),
+                               ({"epsilon": -0.1}, "epsilon"),
+                               ({"epsilon": float("nan")}, "epsilon")):
+            with pytest.raises(InvalidProblem, match=reason):
+                build_context_vector({**EQ3_PROBLEM, **change})
 
     def test_unknown_dist_mapped_to_other(self):
         ctx = build_context_vector({**EQ3_PROBLEM,
@@ -77,7 +85,6 @@ class TestMethodScheme:
         ms = build_method_scheme(self._action("Sobol"), ps_eq3,
                                  {"n_samples": 500})
         assert ms.n_min_value == 3000
-        assert ms.n_cost_actual == 3000
         assert ms.budget_status == "sufficient"
 
     def test_budget_tight(self, ps_eq3):
@@ -147,28 +154,6 @@ class TestDiagnosticScheme:
 
 
 class TestSerialization:
-    def test_problem_scheme_round_trip(self, ps_eq3):
-        blob = serialize_scheme(ps_eq3)
-        again = deserialize_scheme(blob)
-        assert again == ps_eq3
-        assert serialize_scheme(again) == blob
-
-    def test_method_scheme_round_trip(self, ps_eq3):
-        action = action_space.ActionTuple(
-            "SA", ("LatinHypercube", "Sobol", "Staged", "Scalar"))
-        ms = build_method_scheme(action, ps_eq3, {"n_samples": 750})
-        blob = serialize_scheme(ms)
-        assert deserialize_scheme(blob) == ms
-
     def test_serialized_form_is_canonical_json(self, ps_eq3):
         doc = json.loads(serialize_scheme(ps_eq3))
         assert doc["__kind__"] == "ProblemScheme"
-
-    @hyp_settings(max_examples=25, deadline=None)
-    @given(d_in=st.integers(1, 20), budget=st.integers(100, 100000),
-           eps=st.floats(0.01, 0.5))
-    def test_round_trip_random_contexts(self, d_in, budget, eps):
-        desc = {"task": "SA", "d_in": d_in, "d_out": 1, "n_budget": budget,
-                "epsilon": eps, "dist_family": ["Uniform"] * d_in}
-        ps = build_problem_scheme(desc)
-        assert deserialize_scheme(serialize_scheme(ps)) == ps
