@@ -55,9 +55,9 @@ def feasibility_bits(x, settings: Settings = DEFAULTS) -> tuple[bool, ...]:
     context vector, and everything downstream reads it from there.
     """
     thr = settings.screening_dim_threshold
-    return tuple(all(p.test(x, thr) for p in catalog.PREDICATES
+    return tuple(all(p.test(x, thr, info) for p in catalog.PREDICATES
                      if est in p.applies_to)
-                 for est in catalog.SA_ESTIMATORS)
+                 for est, info in catalog.SA_ESTIMATORS.items())
 
 
 def filter_feasible(x) -> list[ActionTuple]:

@@ -5,6 +5,7 @@ epsilon-greedy overlay, novelty down-weighting, and archive warm-starts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,14 @@ def feature_dim() -> int:
 
 def encode_features(x: ContextVector, a: ActionTuple) -> FeatureVector:
     """Deterministic feature map; context block scaled to [0, 1]."""
+    return FeatureVector(tuple(_feature_array(x, a).tolist()))
+
+
+@functools.lru_cache(maxsize=1024)
+def _feature_array(x: ContextVector, a: ActionTuple) -> np.ndarray:
+    """encode_features as a read-only array, computed once per (context,
+    action): both are frozen, and selection scores every candidate on every
+    call."""
     scaled_d = min(1.0, x.d_in / 20.0)
     scaled_logn = min(1.0, math.log10(max(x.n_budget, 1)) / 6.0)
     context = [scaled_d,
@@ -55,7 +64,9 @@ def encode_features(x: ContextVector, a: ActionTuple) -> FeatureVector:
         hit = 1.0 if a.estimator == est else 0.0
         interaction.extend((hit * scaled_d, hit * scaled_logn))
 
-    return FeatureVector(tuple([1.0] + context + onehot + interaction))
+    phi = np.array([1.0] + context + onehot + interaction, dtype=float)
+    phi.flags.writeable = False
+    return phi
 
 
 def exploration_schedule(n: int, mode: str,
@@ -222,8 +233,7 @@ def select_action(st: PolicyState, ps: ProblemScheme,
     scored = []
     novelty_applied = False
     for a in candidates:
-        phi = encode_features(x, a).as_array()
-        score = float(weights @ phi)
+        score = float(weights @ _feature_array(x, a))
         if novelty_warning:
             count = st.estimator_counts.get(a.estimator, 0)
             if count:

@@ -2,10 +2,11 @@
 runs: estimator metadata, the action dimension catalog and the feasibility
 predicates.
 
-Feasibility predicates are data (id + closure over the context returning a
-bool) registered in a table, so new methods extend the filter without code
-changes.  Intake evaluates them once per estimator into the context's
-feasibility bits; everything downstream reads the bits.
+Feasibility predicates are data (id + closure over the context and the
+gated estimator returning a bool) registered in a table, so new methods
+extend the filter without code changes.  Intake evaluates them once per
+estimator into the context's feasibility bits; everything downstream reads
+the bits.
 """
 
 from __future__ import annotations
@@ -115,25 +116,30 @@ SA_DIMENSIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 # ---------------------------------------------------------------------------
 # Feasibility predicate registry.  Each entry: (predicate id, estimator ids it
-# gates, test(context, screening_dim_threshold) -> bool).  Only
-# ``action_space.feasibility_bits`` runs them, once per estimator at intake.
+# gates, test(context, screening_dim_threshold, gated estimator's info) ->
+# bool).  Only ``action_space.feasibility_bits`` runs them, once per
+# estimator at intake.
 
 @dataclass(frozen=True)
 class Predicate:
     id: str
     applies_to: tuple[str, ...]
-    test: Callable  # (context, screening_dim_threshold) -> bool
+    test: Callable  # (context, screening_dim_threshold, EstimatorInfo) -> bool
+
+
+def _budget_covers_n_min(ctx, thr, info: EstimatorInfo) -> bool:
+    return ctx.n_budget >= info.n_min(ctx.d_in)
 
 
 PREDICATES: tuple[Predicate, ...] = (
     # Screening interpretation is unreliable below the dimension threshold.
     Predicate("morris_screening_high_dim", ("Morris",),
-              lambda ctx, thr: ctx.d_in >= thr),
+              lambda ctx, thr, info: ctx.d_in >= thr),
     Predicate("gen_sobol_multioutput", ("Generalized_Sobol",),
-              lambda ctx, thr: ctx.d_out > 1),
-    # Surrogate accuracy needs enough samples.
-    Predicate("pce_min_samples", ("PCE_SA",),
-              lambda ctx, thr: ctx.n_budget >= 500 * ctx.d_in),
+              lambda ctx, thr, info: ctx.d_out > 1),
+    # The budget must cover the gated estimator's own n_min: surrogate
+    # accuracy for PCE, estimator variance for the pick-freeze/rank methods.
+    Predicate("pce_min_samples", ("PCE_SA",), _budget_covers_n_min),
     Predicate("variance_min_samples", ("Sobol", "CVM", "Generalized_Sobol"),
-              lambda ctx, thr: ctx.n_budget >= 500 * (ctx.d_in + 2)),
+              _budget_covers_n_min),
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -267,7 +268,10 @@ def cmd_sessions(args) -> int:
     return EXIT_ABORTED if aborted else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged,
+    so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="driftguard",
         description="Checkpoint-guarded sensitivity-analysis orchestrator")

@@ -32,6 +32,19 @@ class TestFeatures:
         assert bandit.encode_features(ps_eq3.context, a) \
             != bandit.encode_features(ps_g8.context, a)
 
+    def test_selection_encodes_each_candidate_once(self, ps_eq3):
+        feasible = action_space.filter_feasible(ps_eq3.context)
+        bandit._feature_array.cache_clear()
+        st_ = bandit.PolicyState()
+        for seed in range(5):
+            bandit.select_action(st_, ps_eq3, feasible, rng_seed=seed)
+        assert bandit._feature_array.cache_info().misses == len(feasible)
+        phi = bandit._feature_array(ps_eq3.context, feasible[0])
+        assert tuple(phi.tolist()) == \
+            bandit.encode_features(ps_eq3.context, feasible[0]).values
+        with pytest.raises(ValueError):
+            phi[0] = 0.0
+
 
 class TestExplorationSchedule:
     def test_explore_max_starts_at_one(self):

@@ -126,6 +126,19 @@ class TestFeasibility:
         feasible = action_space.filter_feasible(ctx)
         assert [a for a in everything if a in set(feasible)] == feasible
 
+    @pytest.mark.parametrize("estimator", ["Sobol", "CVM", "PCE_SA"])
+    def test_budget_gate_reads_n_min(self, estimator, monkeypatch):
+        # The budget predicates hold no minimum of their own: raising an
+        # estimator's n_min makes it, and only it, infeasible.
+        ctx = build_context_vector(EQ3_PROBLEM)
+        before = _bits(ctx)
+        assert before[estimator]
+        monkeypatch.setitem(catalog.SA_ESTIMATORS, estimator,
+                            dataclasses.replace(
+                                catalog.SA_ESTIMATORS[estimator],
+                                n_min=lambda d: ctx.n_budget + 1))
+        assert _bits(ctx) == {**before, estimator: False}
+
     def test_filter_reads_only_the_bits(self):
         ctx = build_context_vector(G8_PROBLEM)
         only_cvm = tuple(e == "CVM" for e in catalog.SA_ESTIMATORS)

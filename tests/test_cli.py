@@ -257,6 +257,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
 
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
 
 def _src_env(**extra) -> dict:
     import driftguard

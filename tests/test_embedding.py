@@ -1,8 +1,17 @@
+import itertools
+import json
+import os
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from driftguard import embedding
+from driftguard import cli, embedding, pipeline
 from driftguard.errors import DimensionError, InsufficientCorpus
+
+from conftest import EQ3_PROBLEM
 
 TEXTS = st.text(alphabet=st.characters(codec="ascii"), min_size=0,
                 max_size=200)
@@ -11,16 +20,17 @@ TEXTS = st.text(alphabet=st.characters(codec="ascii"), min_size=0,
 class TestEmbed:
     def test_deterministic(self):
         a = embedding.embed("sobol variance decomposition")
+        embedding.embed.cache_clear()
         b = embedding.embed("sobol variance decomposition")
-        assert a == b
+        assert a is not b and np.array_equal(a.array, b.array)
 
     def test_unit_norm(self):
         vec = embedding.embed("morris screening trajectories")
-        assert abs(float(vec.as_array() @ vec.as_array()) - 1.0) < 1e-12
+        assert abs(float(vec.array @ vec.array) - 1.0) < 1e-12
 
     def test_empty_text_is_zero_vector(self):
         vec = embedding.embed("   !!! ")
-        assert all(v == 0.0 for v in vec.values)
+        assert vec.norm == 0.0 and not vec.array.any()
 
     def test_dimension_enforced(self):
         with pytest.raises(DimensionError):
@@ -86,3 +96,141 @@ class TestNullCalibration:
     def test_shipped_corpus_nonempty(self):
         corpus = embedding.shipped_corpus()
         assert len(corpus) >= 20
+
+
+# The tuple-based implementation the memoized one replaced, kept as the
+# reference: every similarity must keep its exact bits, because the null
+# quantile sets the adaptive floors that the traces print.
+
+def _oracle_embed(text: str) -> tuple[float, ...]:
+    counts = np.zeros(embedding.DIM, dtype=np.int64)
+    for token in embedding._TOKEN_RE.findall(text.lower()):
+        counts[embedding._bucket(token)] += 1
+    norm = float(np.sqrt(np.dot(counts, counts)))
+    if norm == 0.0:
+        return tuple([0.0] * embedding.DIM)
+    return tuple((counts / norm).tolist())
+
+
+def _oracle_cosine(u: tuple, v: tuple) -> float:
+    a, b = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def _oracle_calibrate_null(corpus, n_pairs: int, seed: int) -> tuple:
+    rng = random.Random(seed)
+    vectors = [_oracle_embed(t) for t in corpus]
+    sims = []
+    for _ in range(n_pairs):
+        i, j = rng.sample(range(len(corpus)), 2)
+        sims.append(_oracle_cosine(vectors[i], vectors[j]))
+    return tuple(sorted(sims))
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+class TestAgainstOracle:
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(a=TEXTS, b=TEXTS)
+    def test_similarity_bits(self, a, b):
+        expected = _oracle_cosine(_oracle_embed(a), _oracle_embed(b))
+        assert _bits(embedding.similarity(a, b)) == _bits(expected)
+
+    def test_embed_bits(self):
+        for text in embedding.shipped_corpus()[:20] + ("", "x y x"):
+            assert tuple(embedding.embed(text).array.tolist()) == \
+                _oracle_embed(text)
+
+    def test_all_corpus_pairs_bits(self):
+        corpus = embedding.shipped_corpus()
+        old = [_oracle_embed(t) for t in corpus]
+        new = [embedding.embed(t) for t in corpus]
+        for i, j in itertools.combinations(range(len(corpus)), 2):
+            assert _bits(embedding.cosine(new[i], new[j])) == \
+                _bits(_oracle_cosine(old[i], old[j])), (i, j)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123, 99999])
+    def test_null_samples_shipped_corpus(self, seed):
+        corpus = embedding.shipped_corpus()
+        assert embedding.calibrate_null(corpus, 500, seed).samples == \
+            _oracle_calibrate_null(corpus, 500, seed)
+
+    def test_null_samples_custom_corpus(self):
+        corpus = ["sobol indices from pick freeze", "morris screening",
+                  "rank correlation xi", "", "sobol sobol variance"]
+        for seed in (0, 3):
+            assert embedding.calibrate_null(corpus, 40, seed).samples == \
+                _oracle_calibrate_null(corpus, 40, seed)
+
+
+class TestMemo:
+    def test_cached_array_is_read_only(self):
+        vec = embedding.embed("polynomial chaos surrogate")
+        assert vec is embedding.embed("polynomial chaos surrogate")
+        with pytest.raises(ValueError):
+            vec.array[0] = 1.0
+        with pytest.raises(AttributeError):
+            vec.norm = 2.0
+        assert tuple(vec.array.tolist()) == \
+            _oracle_embed("polynomial chaos surrogate")
+
+    def test_memo_is_bounded(self):
+        embedding.embed.cache_clear()
+        for k in range(embedding.MEMO_SIZE + 50):
+            embedding.embed(f"memo bound probe {k}")
+        info = embedding.embed.cache_info()
+        assert info.maxsize == embedding.MEMO_SIZE
+        assert info.currsize == embedding.MEMO_SIZE
+
+    def test_custom_null_corpus_gets_its_own_distribution(self, monkeypatch):
+        # A shipped-corpus session first, so everything it embeds is cached;
+        # a session with its own corpus must still calibrate on that corpus.
+        captured = []
+        real = pipeline.CheckpointManager
+
+        def capture(null_dist, *args, **kwargs):
+            captured.append(null_dist)
+            return real(null_dist, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "CheckpointManager", capture)
+        custom = ("alpha beta", "gamma delta", "alpha gamma", "beta delta",
+                  "epsilon zeta")
+        cfg = pipeline.SessionConfig(problem=EQ3_PROBLEM, n_max=1, seed=4)
+        pipeline.run_session(cfg)
+        pipeline.run_session(cfg, null_corpus=custom)
+        shipped, own = captured
+        assert shipped.samples == _oracle_calibrate_null(
+            embedding.shipped_corpus(), 500, 4)
+        assert own.samples == _oracle_calibrate_null(custom, 500, 4)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "configs")
+
+
+def test_shipped_sessions_tokenize_each_text_once(tmp_path, monkeypatch):
+    """Three sessions share the null corpus and many gate texts; with the
+    memo each distinct text is tokenized exactly once per process."""
+    embedding.embed.cache_clear()
+    calls = Counter()
+    real = embedding._tokenize
+
+    def counting(text):
+        calls[text] += 1
+        return real(text)
+
+    monkeypatch.setattr(embedding, "_tokenize", counting)
+    with open(os.path.join(CONFIGS, "gfunction_sessions.json"),
+              encoding="utf-8") as fh:
+        assert len(json.load(fh)["sessions"]) > 1
+    assert cli.main(["sessions", "--config",
+                     os.path.join(CONFIGS, "gfunction_sessions.json"),
+                     "--out", str(tmp_path), "--quiet"]) == cli.EXIT_OK
+    assert set(embedding.shipped_corpus()) <= set(calls)
+    repeated = {text: n for text, n in calls.items() if n > 1}
+    assert not repeated
