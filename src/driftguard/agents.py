@@ -147,10 +147,11 @@ def coordinator(desc: dict, settings: Settings = DEFAULTS) -> ProblemScheme:
     return build_problem_scheme(desc, settings)
 
 
-def gatekeeper(ps: ProblemScheme) -> tuple[bool, str]:
-    """Admission check: the problem must bind to a catalog model whose
-    dimensions it states correctly and admit at least one feasible
-    estimator."""
+def gatekeeper(ps: ProblemScheme, desc: dict) -> tuple[bool, str]:
+    """Admission check: the problem must bind to a catalog model, state its
+    dimensions correctly (and its input families, when ``desc``, the
+    description ``ps`` was built from, states them), and admit at least one
+    feasible estimator."""
     from .estimators import benchmark_catalog
     if ps.model_id:
         model = benchmark_catalog().get(ps.model_id)
@@ -161,6 +162,11 @@ def gatekeeper(ps: ProblemScheme) -> tuple[bool, str]:
             return False, (f"problem states d_in={ctx.d_in}, d_out="
                            f"{ctx.d_out} but model {model.id} has d_in="
                            f"{model.d_in}, d_out={model.d_out}")
+        if desc.get("dist_family") and \
+                ctx.dist_family != model.dist_families():
+            return False, (f"problem states dist_family="
+                           f"{list(ctx.dist_family)} but model {model.id} has "
+                           f"{list(model.dist_families())}")
     if not ps.feasible_sa_estimators:
         return False, "no feasible estimator for this problem"
     return True, "admitted"

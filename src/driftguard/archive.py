@@ -1,14 +1,21 @@
 """Cross-session archive backing warm-starts and anomaly recognition.
 
-The file format is a versioned JSON object holding an entry list, ordered by
-each entry's sequence stamp. Entries are immutable, so each one is encoded
-once, on its first write, and its text is reused by every later write; the
-file itself is still rewritten whole and atomically (temp file + rename), so
-a crash never leaves a torn archive.
+The archive holds the latest entry per problem key ``(problem_features,
+d_in)``. Those two fields are all that ``similarity`` reads, and a lookup
+returns the most recent of equally similar entries, so an entry with a
+later twin could never be returned: recording a session replaces its
+problem's entry, and the list order is recency order.
+
+The file is a versioned JSON object (schema 2) holding that list; a file of
+any other schema is rejected with ``LoadError``. Entries are immutable and
+each encodes itself once, on its first write; the file itself is still
+rewritten whole and atomically (temp file + rename), so a crash never leaves
+a torn archive.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -19,28 +26,23 @@ import numpy as np
 
 from .config import DEFAULTS, Settings
 from .errors import LoadError, PersistError
-from .schemes import ProblemScheme
+from .schemes import DIST_FAMILIES, ProblemScheme
 
-SCHEMA_VERSION = 1
-
-_DIST_FAMILIES = ("Uniform", "Normal", "Other")
+SCHEMA_VERSION = 2
 
 
 def problem_features(ps: ProblemScheme) -> tuple[float, ...]:
     """Normalized descriptor used for archive similarity."""
     ctx = ps.context
-    hist = [0.0, 0.0, 0.0]
+    hist = [0.0] * len(DIST_FAMILIES)
     for d in ctx.dist_family:
-        hist[_DIST_FAMILIES.index(d if d in _DIST_FAMILIES else "Other")] += 1
+        hist[DIST_FAMILIES.index(d if d in DIST_FAMILIES else "Other")] += 1
     total = max(sum(hist), 1.0)
     hist = [h / total for h in hist]
     return (min(1.0, ctx.d_in / 20.0),
             min(1.0, ctx.d_out / 10.0),
             min(1.0, math.log10(max(ctx.n_budget, 1)) / 6.0),
             1.0 if ctx.task == "SA" else 0.0,
-            # Archive format slot from the removed UQ task; stays until the
-            # schema changes, so stored feature vectors keep their length.
-            1.0 if ctx.task == "UQ" else 0.0,
             *hist,
             1.0 if ps.has_dependence else 0.0,
             1.0 if ps.high_d_in_flag else 0.0,
@@ -52,22 +54,13 @@ class ArmStats:
     count: int
     mean_reward: float
     phi: tuple[float, ...]         # feature vector replayed on warm-start
-    feature_digest: str = ""
 
 
 @dataclass(frozen=True)
 class ArchiveEntry:
-    """One finished (or seeded) session.
-
-    ``timestamp`` is a sequence stamp, not a clock time: a new entry gets the
-    previous last entry's stamp + 1 (0 in an empty archive), so entries sort
-    in insertion order and archive bytes are reproducible. Files written with
-    clock-time stamps load and sort unchanged.
-    """
+    """One finished (or seeded) session."""
 
     session_id: str
-    timestamp: float
-    task: str
     d_in: int
     problem_features: tuple[float, ...]
     best_action: tuple[str, ...]
@@ -80,20 +73,29 @@ class ArchiveEntry:
         return [(stats.phi, stats.mean_reward, stats.count)
                 for _, stats in self.per_arm_stats]
 
+    @functools.cached_property
+    def json_text(self) -> str:
+        """The entry as JSON text, keys sorted, via the C encoder; computed
+        on the first write and reused by every later one."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["per_arm_stats"] = [
+            [est, {f.name: getattr(stats, f.name) for f in fields(stats)}]
+            for est, stats in self.per_arm_stats]
+        return json.dumps(data, sort_keys=True)
+
 
 def similarity(current: ProblemScheme, entry: ArchiveEntry,
                settings: Settings = DEFAULTS) -> float:
-    """Composite problem similarity in [0, 1]."""
+    """Composite problem similarity in [0, 1]. Every entry is an SA study,
+    as every problem is, so the task term always adds its full weight."""
     a = settings.archive
     f1 = np.asarray(problem_features(current))
     f2 = np.asarray(entry.problem_features)
     denom = float(np.linalg.norm(f1) * np.linalg.norm(f2))
     cos = float(f1 @ f2) / denom if denom > 0 else 0.0
-    task_eq = 1.0 if current.context.task == entry.task else 0.0
     kernel = math.exp(-abs(current.context.d_in - entry.d_in)
                       / a.dim_kernel_width)
-    score = a.feature_weight * cos + a.task_weight * task_eq \
-        + a.dim_weight * kernel
+    score = a.feature_weight * cos + a.task_weight + a.dim_weight * kernel
     return min(1.0, max(0.0, score))
 
 
@@ -103,10 +105,6 @@ class Archive:
         self.path = path
         self.settings = settings
         self.entries: list[ArchiveEntry] = []
-        # id(entry) -> (entry, JSON text). Holding the entry keeps its id
-        # from being reused, so a hit is always the same object, wherever
-        # it now sits in self.entries.
-        self._encoded: dict[int, tuple[ArchiveEntry, str]] = {}
         if path and os.path.exists(path):
             self.entries = _load_entries(path)
 
@@ -114,14 +112,14 @@ class Archive:
                ) -> tuple[ArchiveEntry | None, float]:
         """Best entry by composite similarity; ties go to the most recent."""
         best, best_sim = None, 0.0
-        for entry in self.entries:   # sorted by timestamp, later wins ties
+        for entry in self.entries:   # recency order, later wins ties
             sim = similarity(current, entry, self.settings)
             if best is None or sim >= best_sim:
                 best, best_sim = entry, sim
         return (best, best_sim) if best is not None else (None, 0.0)
 
     def record_session(self, trace) -> ArchiveEntry:
-        """Append an entry aggregated from a finished session and persist."""
+        """Store an entry aggregated from a finished session and persist."""
         ps = trace.problem_scheme
         arms: dict[str, list[tuple[tuple[float, ...], float]]] = {}
         best_reward, best_action = 0.0, ()
@@ -140,8 +138,6 @@ class Archive:
                 phi=tuple(float(v) for v in phis.mean(axis=0)))))
         entry = ArchiveEntry(
             session_id=trace.session_id,
-            timestamp=self._next_stamp(),
-            task=ps.context.task,
             d_in=ps.context.d_in,
             problem_features=problem_features(ps),
             best_action=tuple(best_action),
@@ -158,8 +154,6 @@ class Archive:
         phi = bandit.encode_features(ps.context, action)
         entry = ArchiveEntry(
             session_id=session_id,
-            timestamp=self._next_stamp(),
-            task=ps.context.task,
             d_in=ps.context.d_in,
             problem_features=problem_features(ps),
             best_action=tuple(action.dims),
@@ -169,38 +163,30 @@ class Archive:
                                      phi=tuple(phi.values))),))
         return self._add(entry)
 
-    def _next_stamp(self) -> float:
-        return self.entries[-1].timestamp + 1.0 if self.entries else 0.0
-
     def _add(self, entry: ArchiveEntry) -> ArchiveEntry:
-        """Append and persist; a failed write leaves no trace of the entry."""
+        """Replace the entry of the same problem, append and persist; a
+        failed write restores the previous list, replaced entry included."""
+        key = (entry.problem_features, entry.d_in)
+        previous = self.entries
+        self.entries = [e for e in previous
+                        if (e.problem_features, e.d_in) != key]
         self.entries.append(entry)
-        self.entries.sort(key=lambda e: e.timestamp)
         if self.path:
             try:
                 self.persist()
             except PersistError:
-                self.entries[:] = [e for e in self.entries if e is not entry]
-                self._encoded.pop(id(entry), None)
+                self.entries = previous
                 raise
         return entry
 
     def persist(self) -> None:
         """Atomic rewrite: encode, write a temp file, then rename over.
 
-        Only entries not written before are encoded; the rest reuse their
-        cached text. The bytes equal ``json.dump(payload, fh,
-        sort_keys=True)`` of the whole payload.
+        The bytes equal ``json.dump(payload, fh, sort_keys=True)`` of the
+        whole payload; each entry's text is its cached ``json_text``.
         """
-        encoded, parts = {}, []
-        for e in self.entries:
-            hit = self._encoded.get(id(e))
-            text = hit[1] if hit is not None else _entry_to_json(e)
-            encoded[id(e)] = (e, text)
-            parts.append(text)
-        self._encoded = encoded
         text = '{"entries": [%s], "schema_version": %d}' % (
-            ", ".join(parts), SCHEMA_VERSION)
+            ", ".join(e.json_text for e in self.entries), SCHEMA_VERSION)
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
         tmp = None
         try:
@@ -217,40 +203,27 @@ class Archive:
             raise PersistError(f"archive write failed: {exc}") from exc
 
 
-def _entry_to_json(entry: ArchiveEntry) -> str:
-    """One entry as JSON text, keys sorted, via the C encoder."""
-    data = {f.name: getattr(entry, f.name) for f in fields(entry)}
-    data["per_arm_stats"] = [
-        [est, {f.name: getattr(stats, f.name) for f in fields(stats)}]
-        for est, stats in entry.per_arm_stats]
-    return json.dumps(data, sort_keys=True)
-
-
 def _load_entries(path: str) -> list[ArchiveEntry]:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("schema_version") != SCHEMA_VERSION:
+        if not isinstance(payload, dict) \
+                or payload.get("schema_version") != SCHEMA_VERSION:
             raise LoadError(f"unsupported archive schema in {path}")
         entries = []
         for raw in payload["entries"]:
             arms = tuple((est, ArmStats(count=int(s["count"]),
                                         mean_reward=float(s["mean_reward"]),
-                                        phi=tuple(s["phi"]),
-                                        feature_digest=s.get("feature_digest",
-                                                             "")))
+                                        phi=tuple(s["phi"])))
                          for est, s in raw["per_arm_stats"])
             entries.append(ArchiveEntry(
                 session_id=raw["session_id"],
-                timestamp=float(raw["timestamp"]),
-                task=raw["task"],
                 d_in=int(raw["d_in"]),
                 problem_features=tuple(raw["problem_features"]),
                 best_action=tuple(raw["best_action"]),
                 best_reward=float(raw["best_reward"]),
                 per_arm_stats=arms,
                 policy_snapshot=raw.get("policy_snapshot")))
-        entries.sort(key=lambda e: e.timestamp)
         return entries
     except LoadError:
         raise

@@ -15,12 +15,10 @@ from . import catalog
 from .action_space import ActionTuple
 from .config import DEFAULTS, Settings
 from .errors import InvalidReward, NoFeasibleAction
-from .schemes import ContextVector, DiagnosticScheme, MethodScheme, \
-    ProblemScheme, build_method_scheme
+from .schemes import DIST_FAMILIES, ContextVector, DiagnosticScheme, \
+    MethodScheme, ProblemScheme, build_method_scheme
 
 EXPLORATION_MODES = ("exploit", "neutral", "explore_max")
-
-_DIST_MODES = ("Uniform", "Normal", "Other")
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ def _feature_array(x: ContextVector, a: ActionTuple) -> np.ndarray:
                scaled_logn,
                min(1.0, x.epsilon)]
     mode = x.dist_family_mode
-    context.extend(1.0 if mode == m else 0.0 for m in _DIST_MODES)
+    context.extend(1.0 if mode == m else 0.0 for m in DIST_FAMILIES)
 
     onehot = []
     for (_, levels), level in zip(catalog.SA_DIMENSIONS, a.dims):
@@ -97,9 +95,8 @@ class PolicyState:
     Single-writer: only the session orchestrator mutates it.
     """
 
-    def __init__(self, task: str = "SA", settings: Settings = DEFAULTS,
+    def __init__(self, settings: Settings = DEFAULTS,
                  exploration_mode: str = "explore_max"):
-        self.task = task
         self.settings = settings
         self.dim = feature_dim()
         b = settings.bandit
@@ -163,8 +160,7 @@ class PolicyState:
     # -- persistence -----------------------------------------------------
 
     def snapshot(self) -> dict:
-        return {"task": self.task,
-                "precision": self.precision.tolist(),
+        return {"precision": self.precision.tolist(),
                 "b_vector": self.b_vector.tolist(),
                 "iteration": self.iteration,
                 "estimator_counts": dict(self.estimator_counts),
@@ -173,8 +169,7 @@ class PolicyState:
     @classmethod
     def from_snapshot(cls, data: dict,
                       settings: Settings = DEFAULTS) -> "PolicyState":
-        st = cls(task=data["task"], settings=settings,
-                 exploration_mode=data["exploration_mode"])
+        st = cls(settings=settings, exploration_mode=data["exploration_mode"])
         st.precision = np.asarray(data["precision"], dtype=float)
         st.b_vector = np.asarray(data["b_vector"], dtype=float)
         st.iteration = int(data["iteration"])

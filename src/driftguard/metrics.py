@@ -1,14 +1,11 @@
-"""Post-hoc trace analysis: action-outcome mutual information, regret
-curves, and the path-dependence score.  Pure functions over immutable traces.
+"""Post-hoc trace analysis: action-outcome mutual information.  Pure
+functions over immutable traces.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NoData
 
@@ -26,14 +23,6 @@ class EmpowermentEstimate:
     def __post_init__(self):
         if self.mi_bits < -1e-9:
             raise ValueError("mutual information cannot be negative")
-
-
-@dataclass(frozen=True)
-class PathDependenceScore:
-    """Normalized variance of best rewards across forced-start conditions."""
-
-    score: float
-    per_start_best_rewards: tuple[tuple[str, tuple[float, ...]], ...]
 
 
 def _records(traces) -> list:
@@ -82,47 +71,3 @@ def estimate_empowerment(traces, bins: int = 10,
                                n_traces=len(list(traces)),
                                action_support=len(estimators),
                                outcome_bins=bins)
-
-
-def regret_curve(trace, r_star: float) -> list[float]:
-    """Cumulative regret prefix sums against the best attainable reward."""
-    out, total = [], 0.0
-    for r in trace.records:
-        total += r_star - r.reward_total
-        out.append(total)
-    return out
-
-
-def path_dependence(runner, forced_starts: list[str],
-                    seeds: list[int]) -> PathDependenceScore:
-    """Best-reward dispersion when iteration 1 is pinned per condition.
-
-    ``runner(start, seed)`` must return a trace exposing ``best_reward``.
-    Infeasible starts raise inside the runner and are skipped.
-    """
-    if not seeds:
-        raise NoData("path dependence needs at least one seed")
-    per_start: dict[str, list[float]] = {}
-    for start in forced_starts:
-        for seed in seeds:
-            try:
-                trace = runner(start, seed)
-            except Exception:
-                break            # infeasible forced start: skip condition
-            per_start.setdefault(start, []).append(trace.best_reward)
-    if not per_start:
-        raise NoData("no feasible forced-start condition")
-    means = [float(np.mean(v)) for v in per_start.values()]
-    grand = float(np.mean(means))
-    score = float(np.var(means)) / grand ** 2 if grand > 0 else 0.0
-    return PathDependenceScore(
-        score=score,
-        per_start_best_rewards=tuple((s, tuple(v))
-                                     for s, v in sorted(per_start.items())))
-
-
-def write_metrics(path: str, payload: dict) -> None:
-    """Canonical sorted-key JSON dump for metrics artifacts."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")

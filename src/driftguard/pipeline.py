@@ -336,7 +336,7 @@ def run_session(cfg: SessionConfig,
     if not cp1.passed:
         # The coordinator is deterministic; retries cannot change the text.
         return _aborted(cfg, ps, "problem restatement rejected at intake")
-    admitted, why = agents.gatekeeper(ps)
+    admitted, why = agents.gatekeeper(ps, cfg.problem)
     if not admitted:
         return _aborted(cfg, ps, why)
     try:
@@ -348,7 +348,7 @@ def run_session(cfg: SessionConfig,
     if archive is None and cfg.archive_path:
         archive = Archive(cfg.archive_path, st)
     cp0 = manager.evaluate_cp0(ps, archive)
-    policy = bandit.PolicyState(task=ps.context.task, settings=st,
+    policy = bandit.PolicyState(settings=st,
                                 exploration_mode=cp0.exploration_mode)
     if cp0.warm_start is not None:
         entry = cp0.warm_start

@@ -91,7 +91,7 @@ def run_sim_session(cfg: SimConfig, seed: int,
     means = dict(cfg.arm_means)
     arms = [canonical_action(est) for est, _ in cfg.arm_means]
     if policy is None:
-        policy = bandit.PolicyState(task="SA", settings=settings,
+        policy = bandit.PolicyState(settings=settings,
                                     exploration_mode=cfg.exploration_mode)
     rng = np.random.default_rng(seed)
     trace = SimTrace(session_id=session_id, problem_scheme=ps)
@@ -143,7 +143,7 @@ def run_sim_sessions(cfg: SimConfig, seed: int, n_sessions: int = 3,
                                                       settings)
             policy.exploration_mode = "exploit"
         else:
-            policy = bandit.PolicyState(task="SA", settings=settings,
+            policy = bandit.PolicyState(settings=settings,
                                         exploration_mode="explore_max")
         trace = run_sim_session(cfg, seed=seed * 7919 + k, policy=policy,
                                 session_id=f"sim-{k}", settings=settings)

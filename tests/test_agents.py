@@ -23,12 +23,12 @@ class TestGroupA:
         assert ps.context.d_in == 4
 
     def test_gatekeeper_admits_known_problem(self, ps_eq3):
-        ok, why = agents.gatekeeper(ps_eq3)
+        ok, why = agents.gatekeeper(ps_eq3, EQ3_PROBLEM)
         assert ok and why == "admitted"
 
     def test_gatekeeper_rejects_unknown_model(self):
-        ps = agents.coordinator({**EQ3_PROBLEM, "model_id": "ghost"})
-        ok, why = agents.gatekeeper(ps)
+        desc = {**EQ3_PROBLEM, "model_id": "ghost"}
+        ok, why = agents.gatekeeper(agents.coordinator(desc), desc)
         assert not ok and "ghost" in why
 
     def test_gatekeeper_rejects_infeasible_problem(self, ps_eq3):
@@ -37,15 +37,15 @@ class TestGroupA:
         ps = dataclasses.replace(ps_eq3, context=dataclasses.replace(
             ps_eq3.context, feasibility_bits=no_bits))
         assert ps.feasible_sa_estimators == ()
-        ok, why = agents.gatekeeper(ps)
+        ok, why = agents.gatekeeper(ps, EQ3_PROBLEM)
         assert not ok and "no feasible estimator" in why
 
     def test_gatekeeper_rejects_dimensions_the_model_lacks(self):
         for change, stated in (({"d_in": 9, "dist_family": ["Uniform"] * 9},
                                 "d_in=9"),
                                ({"d_out": 2}, "d_out=2")):
-            ps = agents.coordinator({**EQ3_PROBLEM, **change})
-            ok, why = agents.gatekeeper(ps)
+            desc = {**EQ3_PROBLEM, **change}
+            ok, why = agents.gatekeeper(agents.coordinator(desc), desc)
             assert not ok and stated in why and "d_in=4, d_out=1" in why
 
     def test_model_translator(self, ps_eq3):

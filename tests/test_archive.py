@@ -1,14 +1,21 @@
+import functools
 import io
 import json
+import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from driftguard import archive as arch
-from driftguard.archive import Archive, ArchiveEntry, ArmStats
+from driftguard import bandit
+from driftguard.archive import Archive, ArchiveEntry
+from driftguard.config import DEFAULTS
 from driftguard.errors import LoadError, PersistError
-from driftguard.simenv import (SimConfig, canonical_action, run_sim_session,
+from driftguard.simenv import (SimConfig, SimRecord, SimTrace,
+                               canonical_action, run_sim_session,
                                run_sim_sessions)
 
 
@@ -55,9 +62,99 @@ class TestLookup:
     def test_tie_goes_to_most_recent(self, ps_g8, sobol_entry):
         a = Archive()
         sobol_entry(a, session_id="older")
-        sobol_entry(a, session_id="newer")
+        seeded = sobol_entry(a, session_id="newer")
         entry, _ = a.lookup(ps_g8)
         assert entry.session_id == "newer"
+        # Two problems whose d_in lie 2 below and 2 above the query's tie
+        # exactly.
+        a.entries = [replace(seeded, session_id="below", d_in=6),
+                     replace(seeded, session_id="above", d_in=10)]
+        assert a.lookup(ps_g8)[0].session_id == "above"
+        a.entries.reverse()
+        assert a.lookup(ps_g8)[0].session_id == "below"
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 2),
+                                  st.sampled_from(("Sobol", "Morris", "CVM")),
+                                  st.floats(0.0, 100.0)),
+                        min_size=1, max_size=12))
+    def test_matches_append_everything_oracle(self, ps_eq3, ps_g8, ps_beam,
+                                              ops):
+        problems = (ps_eq3, ps_g8, ps_beam)
+        a, every = Archive(), []     # every: (session id, problem) added
+        for k, (record, which, estimator, reward) in enumerate(ops):
+            ps = problems[which]
+            if record:
+                entry = a.record_session(
+                    _trace(ps, estimator, reward, f"rec-{k}"))
+            else:
+                entry = a.seed_entry(ps, canonical_action(estimator), reward,
+                                     session_id=f"seed-{k}")
+            every.append((entry.session_id, ps))
+            assert len(a.entries) == len({id(p) for _, p in every})
+            for query in problems:
+                entry, sim = a.lookup(query)
+                assert (entry.session_id, float.hex(sim)) \
+                    == _append_everything_lookup(every, query)
+
+
+def _trace(ps, estimator: str, reward: float, session_id: str) -> SimTrace:
+    """A finished two-iteration session on ``ps``."""
+    trace = SimTrace(session_id=session_id, problem_scheme=ps)
+    for n, est in enumerate((estimator, "Sobol"), start=1):
+        action = canonical_action(est)
+        trace.records.append(SimRecord(
+            n=n, action=action, executed_estimator=est,
+            reward_total=reward / n,
+            features=bandit.encode_features(ps.context, action).values))
+    return trace
+
+
+def _schema_1_features(ps) -> np.ndarray:
+    """problem_features as schema 1 computed it, with the UQ slot."""
+    ctx = ps.context
+    families = ("Uniform", "Normal", "Other")
+    hist = [0.0, 0.0, 0.0]
+    for d in ctx.dist_family:
+        hist[families.index(d if d in families else "Other")] += 1
+    total = max(sum(hist), 1.0)
+    hist = [h / total for h in hist]
+    return np.asarray((min(1.0, ctx.d_in / 20.0),
+                       min(1.0, ctx.d_out / 10.0),
+                       min(1.0, math.log10(max(ctx.n_budget, 1)) / 6.0),
+                       1.0 if ctx.task == "SA" else 0.0,
+                       1.0 if ctx.task == "UQ" else 0.0,
+                       *hist,
+                       1.0 if ps.has_dependence else 0.0,
+                       1.0 if ps.high_d_in_flag else 0.0,
+                       1.0 if ps.field_out_flag else 0.0))
+
+
+def _schema_1_similarity(current, stored) -> float:
+    """archive.similarity as schema 1 computed it, between the problem of
+    a lookup and the problem an entry was stored for."""
+    a = DEFAULTS.archive
+    f1, f2 = _schema_1_features(current), _schema_1_features(stored)
+    denom = float(np.linalg.norm(f1) * np.linalg.norm(f2))
+    cos = float(f1 @ f2) / denom if denom > 0 else 0.0
+    task_eq = 1.0 if current.context.task == stored.context.task else 0.0
+    kernel = math.exp(-abs(current.context.d_in - stored.context.d_in)
+                      / a.dim_kernel_width)
+    score = a.feature_weight * cos + a.task_weight * task_eq \
+        + a.dim_weight * kernel
+    return min(1.0, max(0.0, score))
+
+
+def _append_everything_lookup(added, current) -> tuple[str, str]:
+    """Lookup as schema 1 did it: over every (session id, problem) ever
+    added, in insertion order, later entries winning ties. Kept as the
+    oracle."""
+    best, best_sim = None, 0.0
+    for session_id, stored in added:
+        sim = _schema_1_similarity(current, stored)
+        if best is None or sim >= best_sim:
+            best, best_sim = session_id, sim
+    return best, float.hex(best_sim)
 
 
 class TestPersistence:
@@ -76,7 +173,7 @@ class TestPersistence:
         path = str(tmp_path / "archive.json")
         sobol_entry(Archive(path))
         payload = json.loads(open(path).read())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert len(payload["entries"]) == 1
 
     def test_corrupt_file_raises_and_is_preserved(self, tmp_path):
@@ -89,10 +186,11 @@ class TestPersistence:
 
     def test_wrong_schema_version_rejected(self, tmp_path):
         path = str(tmp_path / "old.json")
-        with open(path, "w") as fh:
-            json.dump({"schema_version": 99, "entries": []}, fh)
-        with pytest.raises(LoadError):
-            Archive(path)
+        for payload in ({"schema_version": 99, "entries": []}, []):
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+            with pytest.raises(LoadError):
+                Archive(path)
 
     def test_persist_to_unwritable_path_raises(self, tmp_path, ps_g8):
         a = Archive(str(tmp_path / "no_such_dir" / "archive.json"))
@@ -102,46 +200,53 @@ class TestPersistence:
         with pytest.raises(PersistError):
             a.record_session(run_sim_session(SimConfig(iterations=5), seed=0))
         assert a.entries == []
-        assert a._encoded == {}
 
-    def test_failed_replace_leaves_no_temp_file(self, tmp_path, ps_g8,
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, ps_eq3,
                                                 sobol_entry, monkeypatch):
         path = tmp_path / "archive.json"
         a = Archive(str(path))
-        sobol_entry(a, session_id="kept")
+        kept = sobol_entry(a, session_id="kept")
+        a.seed_entry(ps_eq3, canonical_action("Sobol"), 70.0,
+                     session_id="other")
         before = path.read_bytes()
 
         def refuse(src, dst):
             raise OSError("disk full")
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(PersistError):
-            sobol_entry(a, session_id="lost")
+            sobol_entry(a, session_id="lost")   # would replace "kept"
         assert list(tmp_path.glob("*.tmp")) == []
         assert path.read_bytes() == before
-        assert [e.session_id for e in a.entries] == ["kept"]
+        assert [e.session_id for e in a.entries] == ["kept", "other"]
+        assert a.entries[0] is kept
 
-    def test_stamps_are_a_sequence(self, tmp_path, sobol_entry):
+    def test_list_order_is_recency_order(self, tmp_path, ps_eq3, ps_beam,
+                                         sobol_entry):
         path = str(tmp_path / "archive.json")
         a = Archive(path)
-        for k in range(3):
-            sobol_entry(a, session_id=f"s{k}")
-        assert [e.timestamp for e in a.entries] == [0.0, 1.0, 2.0]
-        b = Archive(path)
-        assert sobol_entry(b).timestamp == 3.0
+        sobol_entry(a, session_id="g8")
+        a.seed_entry(ps_eq3, canonical_action("Sobol"), 70.0,
+                     session_id="eq3")
+        a.seed_entry(ps_beam, canonical_action("Sobol"), 80.0,
+                     session_id="beam")
+        assert [e.session_id for e in Archive(path).entries] \
+            == ["g8", "eq3", "beam"]
+        sobol_entry(a, session_id="g8-again")      # replaces "g8"
+        assert [e.session_id for e in Archive(path).entries] \
+            == ["eq3", "beam", "g8-again"]
 
-    def test_clock_stamped_file_loads_in_order(self, tmp_path, sobol_entry):
+    def test_schema_1_file_rejected(self, tmp_path, sobol_entry):
         path = tmp_path / "archive.json"
-        a = Archive(str(path))
-        sobol_entry(a, session_id="first")
-        sobol_entry(a, session_id="second")
+        sobol_entry(Archive(str(path)))
         payload = json.loads(path.read_text())
-        # Files written before sequence stamps carry clock times.
-        payload["entries"][0]["timestamp"] = 1760000002.5
-        payload["entries"][1]["timestamp"] = 1760000001.25
+        # Schema 1 entries carried a sequence stamp and the task.
+        payload["schema_version"] = 1
+        payload["entries"][0].update(timestamp=0.0, task="SA")
         path.write_text(json.dumps(payload))
-        b = Archive(str(path))
-        assert [e.session_id for e in b.entries] == ["second", "first"]
-        assert sobol_entry(b, session_id="third").timestamp == 1760000003.5
+        before = path.read_bytes()
+        with pytest.raises(LoadError):
+            Archive(str(path))
+        assert path.read_bytes() == before
 
     def test_record_session_aggregates_arms(self, tmp_path):
         path = str(tmp_path / "sim.json")
@@ -173,14 +278,28 @@ def _old_writer_bytes(entries) -> bytes:
 
 @pytest.fixture()
 def encode_count(monkeypatch):
+    """Session ids of the entries whose JSON text gets computed, in order."""
     calls = []
-    real = arch._entry_to_json
+    real = ArchiveEntry.json_text.func
 
     def counting(entry):
         calls.append(entry.session_id)
         return real(entry)
-    monkeypatch.setattr(arch, "_entry_to_json", counting)
+    prop = functools.cached_property(counting)
+    prop.__set_name__(ArchiveEntry, "json_text")
+    monkeypatch.setattr(ArchiveEntry, "json_text", prop)
     return calls
+
+
+@pytest.fixture()
+def three_problems(ps_eq3, ps_g8, ps_beam):
+    """seed(archive, k): seed entry ``s<k>`` on the k-th of three problems,
+    cycling, so every fourth call replaces an entry."""
+    def seed(archive, k):
+        ps = (ps_eq3, ps_g8, ps_beam)[k % 3]
+        return archive.seed_entry(ps, canonical_action("Sobol"), 80.0 + k,
+                                  session_id=f"s{k}")
+    return seed
 
 
 class TestEncodeOnce:
@@ -202,47 +321,52 @@ class TestEncodeOnce:
         assert path.read_bytes() == _old_writer_bytes(a.entries)
 
     def test_loaded_then_appended_matches_old_writer(self, tmp_path,
+                                                     three_problems,
                                                      encode_count):
         path = tmp_path / "archive.json"
-        run_sim_sessions(SimConfig(iterations=20), seed=5, n_sessions=2,
-                         archive=Archive(str(path)))
+        a = Archive(str(path))
+        for k in range(2):
+            three_problems(a, k)
         del encode_count[:]
         b = Archive(str(path))
         assert encode_count == []           # loading encodes nothing
         run_sim_sessions(SimConfig(iterations=20), seed=6, n_sessions=1,
-                         archive=b)
-        assert len(b.entries) == 3
-        assert len(encode_count) == 3       # loaded entries, lazily, once
+                         archive=b)         # replaces s1, the g8 entry
+        three_problems(b, 2)
+        assert [e.session_id for e in b.entries] == ["s0", "sim-1", "s2"]
+        # The loaded entry is encoded lazily, once; the replaced one never.
+        assert encode_count == ["s0", "sim-1", "s2"]
         assert path.read_bytes() == _old_writer_bytes(b.entries)
 
-    def test_chain_encodes_each_entry_once(self, tmp_path, encode_count):
+    def test_chain_encodes_each_entry_once(self, tmp_path, three_problems,
+                                           encode_count):
         a = Archive(str(tmp_path / "archive.json"))
-        n = 6
-        run_sim_sessions(SimConfig(iterations=10), seed=1, n_sessions=n,
+        for k in range(7):
+            three_problems(a, k)
+        run_sim_sessions(SimConfig(iterations=10), seed=1, n_sessions=2,
                          archive=a)
-        assert len(encode_count) == n
-        assert sorted(encode_count) == sorted(e.session_id
-                                              for e in a.entries)
+        assert encode_count == [f"s{k}" for k in range(7)] \
+            + ["sim-1", "sim-2"]
+        assert [e.session_id for e in a.entries] == ["s5", "s6", "sim-2"]
 
     def test_outside_edits_to_entries_stay_correct(self, tmp_path,
-                                                   sobol_entry,
+                                                   three_problems,
                                                    encode_count):
         path = tmp_path / "archive.json"
         a = Archive(str(path))
-        for k in range(4):
-            sobol_entry(a, reward=80.0 + k, session_id=f"s{k}")
+        for k in range(3):
+            three_problems(a, k)
         del a.entries[1]
         a.entries.reverse()
         a.persist()
         assert path.read_bytes() == _old_writer_bytes(a.entries)
-        assert len(encode_count) == 4        # nothing encoded twice
+        assert len(encode_count) == 3        # nothing encoded twice
         a.entries.insert(0, ArchiveEntry(**{**asdict(a.entries[0]),
                                             "session_id": "outside",
                                             "per_arm_stats": ()}))
         a.persist()
         assert path.read_bytes() == _old_writer_bytes(a.entries)
-        assert len(encode_count) == 5
-        assert set(id(e) for e in a.entries) == set(a._encoded)
+        assert len(encode_count) == 4
 
 
 class TestWarmStartPlumbing:

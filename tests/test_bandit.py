@@ -69,7 +69,7 @@ class TestPosterior:
         # One observation on the first basis direction: the posterior mean
         # along it is the centered reward shrunk by the ridge prior,
         # ((r - 50)/sigma^2) / (lambda + 1/sigma^2).
-        st_ = bandit.PolicyState("SA")
+        st_ = bandit.PolicyState()
         phi = np.zeros(st_.dim)
         phi[3] = 1.0
         r = 80.0
@@ -81,24 +81,24 @@ class TestPosterior:
     def test_update_commutes_with_weighted_batch(self, ps_g8):
         # Three unit-weight updates equal one weight-3 pseudo-observation.
         phi = bandit.encode_features(ps_g8.context, canonical_action("Sobol"))
-        a = bandit.PolicyState("SA")
+        a = bandit.PolicyState()
         for _ in range(3):
             a.update(phi, 91.0)
-        b = bandit.PolicyState("SA")
+        b = bandit.PolicyState()
         b._absorb(phi.as_array(), 91.0, 3.0)
         np.testing.assert_allclose(a.precision, b.precision)
         np.testing.assert_allclose(a.b_vector, b.b_vector)
 
     def test_nonfinite_reward_rejected(self, ps_g8):
         phi = bandit.encode_features(ps_g8.context, canonical_action("CVM"))
-        st_ = bandit.PolicyState("SA")
+        st_ = bandit.PolicyState()
         with pytest.raises(InvalidReward):
             st_.update(phi, float("nan"))
 
     @hyp_settings(max_examples=30, deadline=None)
     @given(rewards=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20))
     def test_precision_stays_positive_definite(self, ps_g8, rewards):
-        st_ = bandit.PolicyState("SA")
+        st_ = bandit.PolicyState()
         phi = bandit.encode_features(ps_g8.context,
                                      canonical_action("Chatterjee"))
         for r in rewards:
@@ -109,7 +109,7 @@ class TestPosterior:
         assert st_.estimator_counts["Chatterjee"] == len(rewards)
 
     def test_snapshot_round_trip(self, ps_g8):
-        st_ = bandit.PolicyState("SA", exploration_mode="neutral")
+        st_ = bandit.PolicyState(exploration_mode="neutral")
         phi = bandit.encode_features(ps_g8.context, canonical_action("Sobol"))
         st_.update(phi, 77.0, "Sobol")
         again = bandit.PolicyState.from_snapshot(st_.snapshot())
@@ -125,11 +125,11 @@ class TestSelectAction:
 
     def test_empty_feasible_set_raises(self, ps_eq3):
         with pytest.raises(NoFeasibleAction):
-            bandit.select_action(bandit.PolicyState("SA"), ps_eq3, [])
+            bandit.select_action(bandit.PolicyState(), ps_eq3, [])
 
     def test_single_candidate(self, ps_eq3):
         arm = canonical_action("Sobol")
-        decision = bandit.select_action(bandit.PolicyState("SA"), ps_eq3,
+        decision = bandit.select_action(bandit.PolicyState(), ps_eq3,
                                         [arm], rng_seed=0)
         assert decision.action == arm
         assert decision.method_scheme.estimator == "Sobol"
@@ -141,7 +141,7 @@ class TestSelectAction:
         entry = archive.seed_entry(ps_g8, canonical_action("Sobol"), 91.0, 3)
         hits = 0
         for seed in range(40):
-            st_ = bandit.PolicyState("SA", exploration_mode="exploit")
+            st_ = bandit.PolicyState(exploration_mode="exploit")
             st_.warm_start(entry.arm_stats_list(), "close")
             assert st_.exploration_mode == "exploit"
             d = bandit.select_action(st_, ps_g8, self._arms(ps_g8),
@@ -154,9 +154,9 @@ class TestSelectAction:
     def test_weak_warm_start_carries_lower_weight(self, ps_g8):
         archive = Archive()
         entry = archive.seed_entry(ps_g8, canonical_action("Sobol"), 91.0, 3)
-        close = bandit.PolicyState("SA")
+        close = bandit.PolicyState()
         close.warm_start(entry.arm_stats_list(), "close")
-        weak = bandit.PolicyState("SA")
+        weak = bandit.PolicyState()
         weak.warm_start(entry.arm_stats_list(), "weak")
         assert weak.exploration_mode == "neutral"
         phi = bandit.encode_features(ps_g8.context,
@@ -164,7 +164,7 @@ class TestSelectAction:
         assert float(weak.posterior_mean @ phi) \
             < float(close.posterior_mean @ phi)
         with pytest.raises(ValueError):
-            bandit.PolicyState("SA").warm_start(entry.arm_stats_list(),
+            bandit.PolicyState().warm_start(entry.arm_stats_list(),
                                                 "none")
 
     def test_blocked_estimator_avoided(self, ps_eq3):
@@ -172,7 +172,7 @@ class TestSelectAction:
             "required attribute first_order_indices absent",
             None, _zero_breakdown())
         for seed in range(20):
-            d = bandit.select_action(bandit.PolicyState("SA"), ps_eq3,
+            d = bandit.select_action(bandit.PolicyState(), ps_eq3,
                                      self._arms(ps_eq3), diag=diag,
                                      blocked_estimator="Sobol",
                                      rng_seed=seed)
@@ -183,7 +183,7 @@ class TestSelectAction:
         diag = build_diagnostic_scheme(
             "wrong estimator. prescribe estimator CVM.",
             None, _zero_breakdown())
-        d = bandit.select_action(bandit.PolicyState("SA"), ps_eq3,
+        d = bandit.select_action(bandit.PolicyState(), ps_eq3,
                                  self._arms(ps_eq3), diag=diag, rng_seed=0)
         assert d.action.estimator == "CVM"
 
@@ -192,7 +192,7 @@ class TestSelectAction:
             "sampling insufficient at n_samples=1000.",
             None, _zero_breakdown())
         d = bandit.select_action(
-            bandit.PolicyState("SA"), ps_eq3, [canonical_action("CVM")],
+            bandit.PolicyState(), ps_eq3, [canonical_action("CVM")],
             diag=diag, rng_seed=0,
             prev_hyperparams={"n_samples": 1000, "_estimator": "CVM"})
         n = d.method_scheme.hyperparam("n_samples")
@@ -201,13 +201,13 @@ class TestSelectAction:
 
     def test_hyperparams_only_carry_over_same_estimator(self, ps_eq3):
         d = bandit.select_action(
-            bandit.PolicyState("SA"), ps_eq3, [canonical_action("Sobol")],
+            bandit.PolicyState(), ps_eq3, [canonical_action("Sobol")],
             rng_seed=0, prev_hyperparams={"n_samples": 999999,
                                           "_estimator": "CVM"})
         assert d.method_scheme.hyperparam("n_samples") != 999999
 
     def test_novelty_penalty_flagged(self, ps_eq3):
-        st_ = bandit.PolicyState("SA")
+        st_ = bandit.PolicyState()
         phi = bandit.encode_features(ps_eq3.context,
                                      canonical_action("Sobol"))
         for _ in range(5):
@@ -217,7 +217,7 @@ class TestSelectAction:
         assert d.novelty_penalty_applied
 
     def test_deterministic_given_seed(self, ps_eq3):
-        st_ = bandit.PolicyState("SA")
+        st_ = bandit.PolicyState()
         a = bandit.select_action(st_, ps_eq3, self._arms(ps_eq3), rng_seed=42)
         b = bandit.select_action(st_, ps_eq3, self._arms(ps_eq3), rng_seed=42)
         assert a.action == b.action and a.sampled_scores == b.sampled_scores

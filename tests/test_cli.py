@@ -82,7 +82,9 @@ class TestRun:
                                ({"d_out": 2}, "d_out=2"),
                                ({"n_budget": -5}, "budget"),
                                ({"epsilon": 0}, "epsilon"),
-                               ({"dist_family": 5}, "incomplete problem")):
+                               ({"dist_family": 5}, "incomplete problem"),
+                               ({"dist_family": ["Uniform"]},
+                                "dist_family=['Uniform'] but")):
             doc = {**BASE_RUN, "problem": {**EQ3_PROBLEM, **change}}
             cfg = _write(tmp_path, doc)
             code = main(["run", "--config", cfg, "--out", str(tmp_path),

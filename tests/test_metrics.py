@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from driftguard import metrics
 from driftguard.errors import NoData
-from driftguard.simenv import SimConfig, SimRecord, SimTrace, canonical_action
+from driftguard.simenv import SimRecord, SimTrace, canonical_action
 
 
 def _trace(pairs):
@@ -80,64 +79,3 @@ class TestEmpowerment:
         with pytest.raises(NoData):
             metrics.estimate_empowerment(
                 [SimTrace(session_id="x", problem_scheme=None)])
-
-
-class TestRegretCurve:
-    def test_prefix_sums(self):
-        t = _trace([("Sobol", 90.0), ("Morris", 40.0), ("Sobol", 90.0)])
-        assert metrics.regret_curve(t, r_star=90.0) == [0.0, 50.0, 50.0]
-
-    def test_empty_trace(self):
-        assert metrics.regret_curve(
-            SimTrace(session_id="x", problem_scheme=None), 90.0) == []
-
-
-class TestPathDependence:
-    def test_dispersion_example(self):
-        # Two forced starts with per-start best-reward means 90 and 80:
-        # score = var([90, 80]) / mean^2 = 25 / 7225.
-        outcomes = {"Sobol": 90.0, "Morris": 80.0}
-
-        def runner(start, seed):
-            return _trace([(start, outcomes[start])])
-
-        score = metrics.path_dependence(runner, ["Sobol", "Morris"], [0, 1])
-        assert score.score == pytest.approx(25.0 / 7225.0)
-        assert dict(score.per_start_best_rewards) == {
-            "Sobol": (90.0, 90.0), "Morris": (80.0, 80.0)}
-
-    def test_identical_starts_score_zero(self):
-        def runner(start, seed):
-            return _trace([(start, 75.0)])
-
-        score = metrics.path_dependence(runner, ["Sobol", "CVM"], [0])
-        assert score.score == 0.0
-
-    def test_infeasible_start_skipped(self):
-        def runner(start, seed):
-            if start == "Morris":
-                raise RuntimeError("infeasible")
-            return _trace([(start, 80.0)])
-
-        score = metrics.path_dependence(runner, ["Morris", "Sobol"], [0, 1])
-        assert list(dict(score.per_start_best_rewards)) == ["Sobol"]
-
-    def test_no_seeds_raises(self):
-        with pytest.raises(NoData):
-            metrics.path_dependence(lambda s, k: None, ["Sobol"], [])
-
-    def test_all_infeasible_raises(self):
-        def runner(start, seed):
-            raise RuntimeError("no")
-
-        with pytest.raises(NoData):
-            metrics.path_dependence(runner, ["Sobol"], [0])
-
-
-class TestWriteMetrics:
-    def test_canonical_json(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        metrics.write_metrics(str(path), {"b": 1, "a": 2})
-        text = path.read_text()
-        assert json.loads(text) == {"a": 2, "b": 1}
-        assert text.index('"a"') < text.index('"b"')
