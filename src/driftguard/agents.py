@@ -17,7 +17,7 @@ from . import catalog
 from .config import DEFAULTS, Settings
 from .errors import InsufficientSamples, UnknownModel, Unrecoverable
 from .estimators import BenchmarkModel, SAResult, run_estimator
-from .schemes import MethodScheme, ProblemScheme
+from .schemes import N_SAMPLES_RE, MethodScheme, ProblemScheme
 
 DRIFT_KINDS = ("method_swap", "field_corruption", "none")
 
@@ -32,16 +32,10 @@ class AgentMessage:
 @dataclass(frozen=True)
 class ExecutionPlan:
     estimator: str
-    hyperparams: tuple[tuple[str, float], ...]
+    n_samples: int
     output_bindings: tuple[str, ...]
     model_id: str
     seed: int
-
-    def hyperparam(self, name: str, default=None):
-        for key, value in self.hyperparams:
-            if key == name:
-                return value
-        return default
 
 
 @dataclass(frozen=True)
@@ -96,20 +90,20 @@ def render_problem_description(desc: dict) -> str:
 
 
 def render_strategy_text(ms: MethodScheme, flags: tuple[str, ...] = ()) -> str:
-    n = int(ms.hyperparam("n_samples", 0))
     flag_text = ""
     if flags:
         flag_text = " prior violations flagged: " + "; ".join(flags) + "."
     return (f"strategy: apply {ms.estimator} via {ms.library_class} with "
-            f"n_samples={n} using {ms.sampling_scheme} sampling to produce "
-            f"{' and '.join(ms.required_attributes)}. rationale: {_kw(ms.estimator)}."
+            f"n_samples={ms.n_samples} using {ms.sampling_scheme} sampling "
+            f"to produce {' and '.join(ms.required_attributes)}. rationale: "
+            f"{_kw(ms.estimator)}."
             f" budget status {ms.budget_status}, minimum evaluations "
             f"{ms.n_min_value}.{flag_text}")
 
 
 def render_critic_text(ms: MethodScheme) -> str:
     return (f"review: the proposed {ms.estimator} run through "
-            f"{ms.library_class} with n_samples={int(ms.hyperparam('n_samples', 0))}"
+            f"{ms.library_class} with n_samples={ms.n_samples}"
             f" is consistent with the problem scheme. {_kw(ms.estimator)}."
             f" required outputs {' and '.join(ms.required_attributes)} are "
             f"reachable within budget status {ms.budget_status}.")
@@ -122,7 +116,7 @@ def render_study_text(strategy_text: str) -> str:
 
 def render_plan_text(plan: ExecutionPlan) -> str:
     return (f"implementation plan: run {plan.estimator} on model "
-            f"{plan.model_id} with n_samples={int(plan.hyperparam('n_samples', 0))}"
+            f"{plan.model_id} with n_samples={plan.n_samples}"
             f" binding {' and '.join(plan.output_bindings)}. "
             f"{_kw(plan.estimator)}.")
 
@@ -183,9 +177,8 @@ def study_agent(strategy_text: str) -> str:
     return render_study_text(strategy_text)
 
 
-_EST_TOKEN = re.compile(r"\b(Sobol|Chatterjee|CVM|Morris|PCE_SA|"
-                        r"Generalized_Sobol)\b", re.IGNORECASE)
-_N_SAMPLES = re.compile(r"n_samples\s*[=:]\s*(\d+)")
+_EST_TOKEN = re.compile(r"\b(%s)\b" % "|".join(catalog.SA_ESTIMATORS),
+                        re.IGNORECASE)
 
 
 def refactor_agent(report_text: str, model_id: str, seed: int,
@@ -202,14 +195,12 @@ def refactor_agent(report_text: str, model_id: str, seed: int,
                          if e.lower() == token.lower())
     else:
         estimator = fallback.estimator
-    n_match = _N_SAMPLES.search(report_text)
-    n_samples = int(n_match.group(1)) if n_match \
-        else int(fallback.hyperparam("n_samples", 0))
+    n_match = N_SAMPLES_RE.search(report_text)
+    n_samples = int(n_match.group(1)) if n_match else fallback.n_samples
     info = catalog.estimator_info(estimator)
     from .estimators import FIELD_TO_ATTRIBUTE
     bindings = tuple(FIELD_TO_ATTRIBUTE[p] for p in info.produces)
-    return ExecutionPlan(estimator=estimator,
-                         hyperparams=(("n_samples", float(n_samples)),),
+    return ExecutionPlan(estimator=estimator, n_samples=n_samples,
                          output_bindings=bindings,
                          model_id=model_id, seed=seed)
 
@@ -227,7 +218,7 @@ def inspector_check(plan: ExecutionPlan, ms: MethodScheme) -> InspectorVerdict:
         reasons.append("missing required bindings: " + ", ".join(missing))
     info = catalog.estimator_info(plan.estimator) if not reasons else None
     if info is not None:
-        n = int(plan.hyperparam("n_samples", 0))
+        n = plan.n_samples
         d = _plan_dim(plan)
         if d and info.cost(n, d) < info.n_min(d):
             reasons.append(f"n_samples={n} below the estimator minimum")
@@ -244,9 +235,8 @@ def execution_runner(plan: ExecutionPlan, sampling_scheme: str = "MonteCarlo"
                      ) -> SAResult:
     """Run the plan's estimator; raises the estimator's own errors."""
     from .estimators import get_model
-    model = get_model(plan.model_id)
-    n = int(plan.hyperparam("n_samples", 0))
-    return run_estimator(plan.estimator, model, n, plan.seed, sampling_scheme)
+    return run_estimator(plan.estimator, get_model(plan.model_id),
+                         plan.n_samples, plan.seed, sampling_scheme)
 
 
 def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:
@@ -257,9 +247,7 @@ def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:
         d = _plan_dim(plan)
         n_min = info.n_min(d) if d else 10
         new_n = max(n_min // max(info.cost_multiplier(d or 1), 1), 10)
-        params = tuple((k, float(new_n) if k == "n_samples" else v)
-                       for k, v in plan.hyperparams)
-        return replace(plan, hyperparams=params)
+        return replace(plan, n_samples=new_n)
     raise Unrecoverable(f"no patch rule for {type(error).__name__}: {error}")
 
 
@@ -301,9 +289,8 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
                 f"requires first-order variance attribution. this looks "
                 f"like a wrong estimator for the precision target. "
                 f"prescribe estimator {target}.")
-    n = int(ms.hyperparam("n_samples", 0))
     return (f"estimate has not yet reached the precision target; sampling "
-            f"appears insufficient at n_samples={n}. recommend increasing "
+            f"appears insufficient at n_samples={ms.n_samples}. recommend increasing "
             f"the sample size.")
 
 
@@ -346,7 +333,7 @@ def inject_drift(message: AgentMessage, spec: DriftSpec, rng_seed: int,
         return AgentMessage(role=message.role, payload=mutated,
                             free_text=mutated), event
     if spec.kind == "field_corruption":
-        mutated = _N_SAMPLES.sub(f"n_samples={spec.replacement_value}",
+        mutated = N_SAMPLES_RE.sub(f"n_samples={spec.replacement_value}",
                                  str(message.payload))
         event = {"kind": spec.kind, "field": spec.target_field,
                  "to": spec.replacement_value}

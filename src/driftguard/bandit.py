@@ -197,16 +197,17 @@ def select_action(st: PolicyState, ps: ProblemScheme,
                   diag: DiagnosticScheme | None = None,
                   novelty_warning: bool = False,
                   rng_seed: int = 0,
-                  prev_hyperparams: dict | None = None,
-                  blocked_estimator: str = "",
+                  prev: MethodScheme | None = None,
                   settings: Settings = DEFAULTS) -> PolicyDecision:
     """One Thompson-sampled decision over the feasible action set.
 
     Scores are posterior-sample dot-products minus the novelty penalty
     (rho * prior count of the action's estimator, only under a novelty
-    warning) and the block penalty for a diagnostically blocked estimator.
-    A decaying epsilon-greedy overlay replaces the argmax with a uniform
-    pick.  Prescribed estimators and hyperparameters dominate.
+    warning) and the block penalty for ``prev``'s estimator when ``diag``,
+    the diagnosis of that previous scheme, blocks it.  A decaying
+    epsilon-greedy overlay replaces the argmax with a uniform pick.  A
+    prescribed estimator restricts the candidates, and a prescribed sample
+    size dominates the one carried over from ``prev``.
     """
     if not feasible:
         raise NoFeasibleAction("empty feasible action set")
@@ -221,8 +222,8 @@ def select_action(st: PolicyState, ps: ProblemScheme,
         if restricted:
             candidates = restricted
 
-    blocked = blocked_estimator if (diag is not None
-                                    and diag.block_action) else ""
+    blocked = prev.estimator if (prev is not None and diag is not None
+                                 and diag.block_action) else ""
 
     weights = st.sample_weights(rng)
     scored = []
@@ -245,27 +246,20 @@ def select_action(st: PolicyState, ps: ProblemScheme,
     else:
         action = max(scored, key=lambda pair: pair[1])[0]
 
-    # Hyperparameters carry over only when the estimator is unchanged;
-    # diagnostic prescriptions dominate everything.
-    prev = dict(prev_hyperparams or {})
-    hyperparams = {}
-    if prev.pop("_estimator", None) == action.estimator:
-        hyperparams.update(prev)
-    hyperparams.setdefault("n_samples",
-                           default_n_samples(action.estimator, x, settings))
-    if diag is not None:
-        if diag.prescribed_N_factor is not None:
-            hyperparams["n_samples"] = int(hyperparams["n_samples"]
-                                           * diag.prescribed_N_factor)
-        if diag.prescribed_hyperparam:
-            hyperparams.update(dict(diag.prescribed_hyperparam))
+    # Sample size: prescribed, else carried over when the estimator is
+    # unchanged, else the default.
+    if diag is not None and diag.prescribed_n_samples is not None:
+        n_samples = diag.prescribed_n_samples
+    elif prev is not None and prev.estimator == action.estimator:
+        n_samples = prev.n_samples
+    else:
+        n_samples = default_n_samples(action.estimator, x, settings)
     # A size prescribed for a different estimator may undershoot this one's
     # minimum, so clamp up to its per-loop floor.
     info = catalog.estimator_info(action.estimator)
     floor = -(-info.n_min(x.d_in) // info.cost_multiplier(x.d_in))
-    hyperparams["n_samples"] = max(int(hyperparams["n_samples"]), floor)
 
-    ms = build_method_scheme(action, ps, hyperparams)
+    ms = build_method_scheme(action, ps, max(n_samples, floor))
     return PolicyDecision(
         action=action, method_scheme=ms,
         sampled_scores=tuple((_action_key(a), s) for a, s in scored),

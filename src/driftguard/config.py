@@ -24,7 +24,7 @@ class BanditSettings:
     eps_base_exploit: float = 0.1
     eps_base_neutral: float = 0.5
     eps_base_explore_max: float = 1.0
-    safety_factor: float = 2.0        # scales n_min when initializing hyperparams
+    safety_factor: float = 2.0        # scales n_min in the default n_samples
     warm_weight_close: float = 1.0
     warm_weight_weak: float = 0.3
 

@@ -18,7 +18,7 @@ from .config import DEFAULTS, Settings, settings_from_dict
 from .embedding import calibrate_null, shipped_corpus, similarity
 from .errors import DriftguardError, Unrecoverable
 from .estimators import SAResult
-from .schemes import DiagnosticScheme, ProblemScheme, \
+from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
     build_diagnostic_scheme, serialize_scheme
 
 @dataclass(frozen=True)
@@ -107,9 +107,8 @@ class _SessionState:
     policy: bandit.PolicyState
     feasible: list
     prev_strategy_text: str = ""
-    prev_hyperparams: dict | None = None
+    prev_ms: MethodScheme | None = None
     prev_diag: DiagnosticScheme | None = None
-    prev_estimator: str = ""
     prev_obs_by_estimator: dict = field(default_factory=dict)
     prev_reward: float | None = None
     flags: tuple[str, ...] = ()
@@ -147,13 +146,10 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
             candidates = screeners
 
     # (policy) Strategist + CP7 novelty (inverted) + CP2 critic gate.
-    blocked = state.prev_estimator if (state.prev_diag is not None
-                                       and state.prev_diag.block_action) else ""
     decision = bandit.select_action(
         policy, ps, candidates, diag=state.prev_diag,
-        novelty_warning=False, rng_seed=iter_seed,
-        prev_hyperparams=state.prev_hyperparams,
-        blocked_estimator=blocked, settings=st)
+        novelty_warning=False, rng_seed=iter_seed, prev=state.prev_ms,
+        settings=st)
     strategy_text = agents.render_strategy_text(decision.method_scheme,
                                                 state.flags)
     cp7 = manager.evaluate("CP7", similarity(strategy_text,
@@ -165,8 +161,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         decision = bandit.select_action(
             policy, ps, candidates, diag=state.prev_diag,
             novelty_warning=True, rng_seed=iter_seed + 500_000,
-            prev_hyperparams=state.prev_hyperparams,
-            blocked_estimator=blocked, settings=st)
+            prev=state.prev_ms, settings=st)
         strategy_text = agents.render_strategy_text(decision.method_scheme,
                                                     state.flags)
     ms = decision.method_scheme
@@ -181,8 +176,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         decision = bandit.select_action(
             policy, ps, candidates, diag=state.prev_diag,
             novelty_warning=True, rng_seed=iter_seed + 900_000 + retries,
-            prev_hyperparams=state.prev_hyperparams,
-            blocked_estimator=blocked, settings=st)
+            prev=state.prev_ms, settings=st)
         ms, action = decision.method_scheme, decision.action
         strategy_text = agents.render_strategy_text(ms, state.flags)
         critic_text = agents.render_critic_text(ms)
@@ -284,9 +278,8 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     if obs is not None and obs.executed:
         state.prev_obs_by_estimator[plan.estimator] = obs
     state.prev_strategy_text = strategy_text
-    state.prev_hyperparams = dict(ms.hyperparams) | {"_estimator": ms.estimator}
+    state.prev_ms = ms
     state.prev_diag = diag
-    state.prev_estimator = ms.estimator
     state.prev_reward = breakdown.total
 
     return IterationRecord(
@@ -306,8 +299,8 @@ def _failed_record(n, action, events, drift_events, strategy_text,
     diag = DiagnosticScheme(
         convergence_status="failed", bottleneck_dim="integrity",
         reward=0.0, root_cause="none", prescribed_estimator=None,
-        prescribed_N_factor=None, prescribed_hyperparam=None,
-        penalize_action=True, block_action=False, physical_insight=why)
+        prescribed_n_samples=None, penalize_action=True, block_action=False,
+        physical_insight=why)
     return IterationRecord(
         n=n, action=action, plan=None, observation=None,
         reward_total=0.0, reward_components=(0.0, 0.0, 0.0, 0.0),

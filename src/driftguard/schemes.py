@@ -83,13 +83,7 @@ class MethodScheme:
     budget_status: str     # sufficient | tight | infeasible
     library_class: str
     required_attributes: tuple[str, ...]
-    hyperparams: tuple[tuple[str, float], ...]
-
-    def hyperparam(self, name: str, default=None):
-        for key, value in self.hyperparams:
-            if key == name:
-                return value
-        return default
+    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -101,8 +95,7 @@ class DiagnosticScheme:
     reward: float
     root_cause: str            # a cause in _ROOT_CAUSE_RULES, or none
     prescribed_estimator: str | None
-    prescribed_N_factor: float | None
-    prescribed_hyperparam: tuple[tuple[str, float], ...] | None
+    prescribed_n_samples: int | None
     penalize_action: bool
     block_action: bool
     physical_insight: str = ""
@@ -111,8 +104,6 @@ class DiagnosticScheme:
         if self.block_action and self.root_cause not in ("attribute_error",
                                                          "wrong_estimator"):
             raise InvalidProblem("block_action requires attribute/estimator cause")
-        if self.prescribed_N_factor is not None and self.prescribed_N_factor <= 0:
-            raise InvalidProblem("prescribed_N_factor must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +142,11 @@ def build_problem_scheme(desc: dict, settings: Settings = DEFAULTS) -> ProblemSc
 
 
 def build_method_scheme(action: ActionTuple, ps: ProblemScheme,
-                        hyperparams: dict | None = None) -> MethodScheme:
+                        n_samples: int) -> MethodScheme:
     """Method scheme with budget arithmetic derived from the estimator catalog."""
     info = catalog.estimator_info(action.estimator)
     ctx = ps.context
-    hyperparams = dict(hyperparams or {})
     n_min_value = info.n_min(ctx.d_in)
-    n_samples = int(hyperparams.get("n_samples", 0))
     n_cost_actual = info.cost(n_samples, ctx.d_in)
     if n_min_value > ctx.n_budget:
         budget_status = "infeasible"
@@ -174,11 +163,13 @@ def build_method_scheme(action: ActionTuple, ps: ProblemScheme,
         library_class=info.library_class,
         required_attributes=tuple(FIELD_TO_ATTRIBUTE[p]
                                   for p in info.produces),
-        hyperparams=tuple(sorted((k, float(v)) for k, v in hyperparams.items())),
+        n_samples=n_samples,
     )
 
 
-_N_SAMPLES_RE = re.compile(r"n_samples\s*[=:]\s*(\d+)")
+# The sample size as every rendered text states it; the Refactor Agent and
+# the field-corruption drift read and rewrite it with the same pattern.
+N_SAMPLES_RE = re.compile(r"n_samples\s*[=:]\s*(\d+)")
 _PRESCRIBE_RE = re.compile(r"prescribe estimator (\w+)", re.IGNORECASE)
 
 # Ordered first-match rules: (keyword, root_cause).
@@ -222,16 +213,11 @@ def build_diagnostic_scheme(report: str, obs, breakdown,
         except UnknownEstimator:
             prescribed_estimator = None
 
-    prescribed_n_factor = None
-    prescribed_hyperparam = None
-    if root_cause == "insufficient_N":
-        prescribed_n_factor = 2.0
-        n_match = _N_SAMPLES_RE.search(text)
-        if n_match:
-            # Prescribe the already-scaled size so an override and the
-            # factor agree instead of the stale value undoing the increase.
-            scaled = float(n_match.group(1)) * prescribed_n_factor
-            prescribed_hyperparam = (("n_samples", scaled),)
+    # An insufficient sample prescribes twice the size the report states.
+    prescribed_n_samples = None
+    n_match = N_SAMPLES_RE.search(text)
+    if root_cause == "insufficient_N" and n_match:
+        prescribed_n_samples = 2 * int(n_match.group(1))
 
     block = root_cause == "attribute_error"
     if breakdown.total >= settings.r_threshold:
@@ -247,8 +233,7 @@ def build_diagnostic_scheme(report: str, obs, breakdown,
         reward=float(breakdown.total),
         root_cause=root_cause,
         prescribed_estimator=prescribed_estimator,
-        prescribed_N_factor=prescribed_n_factor,
-        prescribed_hyperparam=prescribed_hyperparam,
+        prescribed_n_samples=prescribed_n_samples,
         penalize_action=block or root_cause == "wrong_estimator",
         block_action=block,
         physical_insight=report or "",

@@ -127,7 +127,7 @@ def test_criterion_4_reward_rubric(ps_g8):
     scores exactly 100."""
     g8 = estimators.get_model("g_function_8d")
     action = canonical_action("Sobol")
-    ms = build_method_scheme(action, ps_g8, {"n_samples": 500})
+    ms = build_method_scheme(action, ps_g8, 500)
 
     def obs(**kw):
         fields = dict(estimator="Sobol", s1=g8.analytic_s1,

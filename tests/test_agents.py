@@ -13,7 +13,7 @@ from conftest import EQ3_PROBLEM, G8_PROBLEM
 
 def _ms(ps, estimator="Sobol", n=1000):
     action = ActionTuple("SA", ("MonteCarlo", estimator, "Fixed_N", "Scalar"))
-    return build_method_scheme(action, ps, {"n_samples": n})
+    return build_method_scheme(action, ps, n)
 
 
 class TestGroupA:
@@ -86,7 +86,7 @@ class TestRefactorAgent:
             "strategy: apply CVM with n_samples=2500.", "structural_eq3",
             seed=7, fallback=ms)
         assert plan.estimator == "CVM"
-        assert plan.hyperparam("n_samples") == 2500
+        assert plan.n_samples == 2500
         assert plan.output_bindings == ("first_order_indices",)
         assert plan.seed == 7
 
@@ -95,7 +95,7 @@ class TestRefactorAgent:
         plan = agents.refactor_agent("nothing parseable here",
                                      "structural_eq3", seed=0, fallback=ms)
         assert plan.estimator == "Sobol"
-        assert plan.hyperparam("n_samples") == 1000
+        assert plan.n_samples == 1000
 
     def test_corrupted_text_yields_wrong_plan(self, ps_eq3):
         # The causal link: corrupt prose becomes a concretely wrong plan.
@@ -115,7 +115,7 @@ class TestInspector:
 
     def test_estimator_mismatch_reason(self, ps_eq3):
         ms = _ms(ps_eq3)
-        plan = ExecutionPlan("Morris", (("n_samples", 100.0),),
+        plan = ExecutionPlan("Morris", 100,
                              ("mu_star", "sigma_effects"),
                              "structural_eq3", 0)
         verdict = agents.inspector_check(plan, ms)
@@ -125,7 +125,7 @@ class TestInspector:
 
     def test_undersized_plan_rejected(self, ps_eq3):
         ms = _ms(ps_eq3)
-        plan = ExecutionPlan("Sobol", (("n_samples", 50.0),),
+        plan = ExecutionPlan("Sobol", 50,
                              ("first_order_indices", "total_order_indices"),
                              "structural_eq3", 0)
         verdict = agents.inspector_check(plan, ms)
@@ -135,22 +135,22 @@ class TestInspector:
 
 class TestExecutionAndDebugger:
     def test_runner_executes_plan(self):
-        plan = ExecutionPlan("Chatterjee", (("n_samples", 200.0),),
+        plan = ExecutionPlan("Chatterjee", 200,
                              ("chatterjee_indices",), "structural_eq3", 3)
         obs = agents.execution_runner(plan)
         assert obs.executed and obs.estimator == "Chatterjee"
 
     def test_debugger_patches_sample_size(self):
-        plan = ExecutionPlan("Chatterjee", (("n_samples", 2.0),),
+        plan = ExecutionPlan("Chatterjee", 2,
                              ("chatterjee_indices",), "structural_eq3", 0)
         with pytest.raises(InsufficientSamples) as err:
             agents.execution_runner(plan)
         patched = agents.debugger_fix(plan, err.value)
-        assert patched.hyperparam("n_samples") >= 10
+        assert patched.n_samples >= 10
         assert agents.execution_runner(patched).executed
 
     def test_debugger_unknown_error_unrecoverable(self):
-        plan = ExecutionPlan("Sobol", (("n_samples", 100.0),),
+        plan = ExecutionPlan("Sobol", 100,
                              (), "structural_eq3", 0)
         with pytest.raises(Unrecoverable):
             agents.debugger_fix(plan, RuntimeError("boom"))

@@ -6,7 +6,7 @@ from driftguard import action_space, bandit
 from driftguard.archive import Archive
 from driftguard.config import DEFAULTS
 from driftguard.errors import InvalidReward, NoFeasibleAction
-from driftguard.schemes import build_diagnostic_scheme
+from driftguard.schemes import build_diagnostic_scheme, build_method_scheme
 from driftguard.simenv import canonical_action
 
 
@@ -167,14 +167,19 @@ class TestSelectAction:
             bandit.PolicyState().warm_start(entry.arm_stats_list(),
                                                 "none")
 
+    def _prev(self, ps, estimator, n_samples):
+        return build_method_scheme(canonical_action(estimator), ps,
+                                   n_samples)
+
     def test_blocked_estimator_avoided(self, ps_eq3):
+        # The diagnosis blocks the estimator of the scheme it diagnosed.
         diag = build_diagnostic_scheme(
             "required attribute first_order_indices absent",
             None, _zero_breakdown())
         for seed in range(20):
             d = bandit.select_action(bandit.PolicyState(), ps_eq3,
                                      self._arms(ps_eq3), diag=diag,
-                                     blocked_estimator="Sobol",
+                                     prev=self._prev(ps_eq3, "Sobol", 500),
                                      rng_seed=seed)
             if not d.epsilon_fired:
                 assert d.action.estimator != "Sobol"
@@ -187,24 +192,35 @@ class TestSelectAction:
                                  self._arms(ps_eq3), diag=diag, rng_seed=0)
         assert d.action.estimator == "CVM"
 
-    def test_prescribed_n_factor_scales_and_clamps(self, ps_eq3):
+    def _n_samples(self, ps, estimator, diag=None, prev=None):
+        d = bandit.select_action(
+            bandit.PolicyState(), ps, [canonical_action(estimator)],
+            diag=diag, rng_seed=0, prev=prev)
+        return d.method_scheme.n_samples
+
+    def test_prescribed_n_samples_dominates_and_clamps(self, ps_eq3):
         diag = build_diagnostic_scheme(
             "sampling insufficient at n_samples=1000.",
             None, _zero_breakdown())
-        d = bandit.select_action(
-            bandit.PolicyState(), ps_eq3, [canonical_action("CVM")],
-            diag=diag, rng_seed=0,
-            prev_hyperparams={"n_samples": 1000, "_estimator": "CVM"})
-        n = d.method_scheme.hyperparam("n_samples")
+        prev = self._prev(ps_eq3, "CVM", 1000)
         # Prescribed 2000 is below CVM's single-loop floor 500*(4+2)=3000.
-        assert n == 3000
+        assert self._n_samples(ps_eq3, "CVM", diag, prev) == 3000
+        # Above the floor, the prescription beats the carried-over size.
+        diag = build_diagnostic_scheme(
+            "sampling insufficient at n_samples=2500.",
+            None, _zero_breakdown())
+        prev = self._prev(ps_eq3, "CVM", 4000)
+        assert self._n_samples(ps_eq3, "CVM", diag, prev) == 5000
 
-    def test_hyperparams_only_carry_over_same_estimator(self, ps_eq3):
-        d = bandit.select_action(
-            bandit.PolicyState(), ps_eq3, [canonical_action("Sobol")],
-            rng_seed=0, prev_hyperparams={"n_samples": 999999,
-                                          "_estimator": "CVM"})
-        assert d.method_scheme.hyperparam("n_samples") != 999999
+    def test_n_samples_only_carries_over_same_estimator(self, ps_eq3):
+        default = bandit.default_n_samples("Sobol", ps_eq3.context)
+        other = self._prev(ps_eq3, "CVM", 999999)
+        assert self._n_samples(ps_eq3, "Sobol", prev=other) == default
+        same = self._prev(ps_eq3, "Sobol", 999999)
+        assert self._n_samples(ps_eq3, "Sobol", prev=same) == 999999
+        # Below the floor, a carried-over size is clamped up to it.
+        same = self._prev(ps_eq3, "Sobol", 1)
+        assert self._n_samples(ps_eq3, "Sobol", prev=same) == 500
 
     def test_novelty_penalty_flagged(self, ps_eq3):
         st_ = bandit.PolicyState()

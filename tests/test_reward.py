@@ -10,7 +10,7 @@ from driftguard.schemes import build_method_scheme
 
 def _ms(ps, estimator="Sobol", n_samples=500):
     action = ActionTuple("SA", ("MonteCarlo", estimator, "Fixed_N", "Scalar"))
-    return build_method_scheme(action, ps, {"n_samples": n_samples})
+    return build_method_scheme(action, ps, n_samples)
 
 
 def _obs(model, estimator="Sobol", evals=3000, **kw):

@@ -82,26 +82,22 @@ class TestMethodScheme:
 
     def test_budget_sufficient(self, ps_eq3):
         # Sobol pick-freeze: n=500, d=4 -> cost 3000 = n_min, within 8000.
-        ms = build_method_scheme(self._action("Sobol"), ps_eq3,
-                                 {"n_samples": 500})
+        ms = build_method_scheme(self._action("Sobol"), ps_eq3, 500)
         assert ms.n_min_value == 3000
         assert ms.budget_status == "sufficient"
 
     def test_budget_tight(self, ps_eq3):
         # cost 12000 > budget 8000, but n_min 3000 <= budget.
-        ms = build_method_scheme(self._action("Sobol"), ps_eq3,
-                                 {"n_samples": 2000})
+        ms = build_method_scheme(self._action("Sobol"), ps_eq3, 2000)
         assert ms.budget_status == "tight"
 
     def test_budget_infeasible_when_n_min_exceeds_budget(self):
         ps = build_problem_scheme({**EQ3_PROBLEM, "n_budget": 100})
-        ms = build_method_scheme(self._action("Sobol"), ps,
-                                 {"n_samples": 500})
+        ms = build_method_scheme(self._action("Sobol"), ps, 500)
         assert ms.budget_status == "infeasible"
 
     def test_required_attributes_follow_catalog(self, ps_eq3):
-        ms = build_method_scheme(self._action("Sobol"), ps_eq3,
-                                 {"n_samples": 500})
+        ms = build_method_scheme(self._action("Sobol"), ps_eq3, 500)
         assert set(ms.required_attributes) == {"first_order_indices",
                                                "total_order_indices"}
 
@@ -126,8 +122,12 @@ class TestDiagnosticScheme:
             "sampling appears insufficient at n_samples=1000.",
             None, _breakdown(60.0))
         assert diag.root_cause == "insufficient_N"
-        assert diag.prescribed_N_factor == 2.0
-        assert dict(diag.prescribed_hyperparam)["n_samples"] == 2000.0
+        assert diag.prescribed_n_samples == 2000
+        # A size stated without an insufficiency diagnosis prescribes none.
+        diag = build_diagnostic_scheme(
+            "sobol indices successfully computed at n_samples=1000.",
+            None, _breakdown(90.0))
+        assert diag.prescribed_n_samples is None
 
     def test_degenerate_keyword(self):
         diag = build_diagnostic_scheme("nan entries present; degenerate "
@@ -147,8 +147,7 @@ class TestDiagnosticScheme:
                              bottleneck_dim="integrity", reward=0.0,
                              root_cause="numerical_degeneracy",
                              prescribed_estimator=None,
-                             prescribed_N_factor=None,
-                             prescribed_hyperparam=None,
+                             prescribed_n_samples=None,
                              penalize_action=True, block_action=True,
                              physical_insight="")
 
