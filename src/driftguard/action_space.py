@@ -22,16 +22,13 @@ class ActionTuple:
     ``dims`` is ordered per the dimension catalog, one level per dimension.
     """
 
-    task: str
     dims: tuple[str, ...]
 
     def __post_init__(self):
-        if self.task != "SA":
-            raise ValueError(f"unknown task {self.task!r}")
         expected = len(catalog.SA_DIMENSIONS)
         if len(self.dims) != expected:
             raise ValueError(
-                f"{self.task} actions need {expected} dims, got {len(self.dims)}")
+                f"actions need {expected} dims, got {len(self.dims)}")
         for value, (name, values) in zip(self.dims, catalog.SA_DIMENSIONS):
             if value not in values:
                 raise ValueError(f"{value!r} not in catalog for {name}")
@@ -44,7 +41,7 @@ class ActionTuple:
 def enumerate_actions() -> list[ActionTuple]:
     """Full Cartesian product of the dimension catalog, lexicographic."""
     value_lists = [values for _, values in catalog.SA_DIMENSIONS]
-    return [ActionTuple("SA", dims) for dims in itertools.product(*value_lists)]
+    return [ActionTuple(dims) for dims in itertools.product(*value_lists)]
 
 
 def feasibility_bits(x, settings: Settings = DEFAULTS) -> tuple[bool, ...]:

@@ -6,8 +6,9 @@ returns the most recent of equally similar entries, so an entry with a
 later twin could never be returned: recording a session replaces its
 problem's entry, and the list order is recency order.
 
-The file is a versioned JSON object (schema 2) holding that list; a file of
-any other schema is rejected with ``LoadError``. Entries are immutable and
+The file is a versioned JSON object (schema 3) holding that list; a file of
+any other schema, or whose stored feature vectors or policy snapshot do not
+match ``bandit.feature_dim()``, is rejected with ``LoadError``. Entries are immutable and
 each encodes itself once, on its first write; the file itself is still
 rewritten whole and atomically (temp file + rename), so a crash never leaves
 a torn archive.
@@ -24,11 +25,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import bandit
 from .config import DEFAULTS, Settings
 from .errors import LoadError, PersistError
 from .schemes import DIST_FAMILIES, ProblemScheme
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def problem_features(ps: ProblemScheme) -> tuple[float, ...]:
@@ -150,7 +152,6 @@ class Archive:
                    count: int = 3, session_id: str = "seed") -> ArchiveEntry:
         """Insert a synthetic single-arm entry, e.g. to hand a fresh policy
         a known-good method for a previously solved problem."""
-        from . import bandit   # local import keeps the module graph acyclic
         phi = bandit.encode_features(ps.context, action)
         entry = ArchiveEntry(
             session_id=session_id,
@@ -210,12 +211,19 @@ def _load_entries(path: str) -> list[ArchiveEntry]:
         if not isinstance(payload, dict) \
                 or payload.get("schema_version") != SCHEMA_VERSION:
             raise LoadError(f"unsupported archive schema in {path}")
+        dim = bandit.feature_dim()
         entries = []
         for raw in payload["entries"]:
             arms = tuple((est, ArmStats(count=int(s["count"]),
                                         mean_reward=float(s["mean_reward"]),
                                         phi=tuple(s["phi"])))
                          for est, s in raw["per_arm_stats"])
+            snapshot = raw.get("policy_snapshot")
+            if any(len(s.phi) != dim for _, s in arms) or (snapshot and (
+                    np.shape(snapshot["precision"]) != (dim, dim)
+                    or np.shape(snapshot["b_vector"]) != (dim,))):
+                raise LoadError(f"archive {path} holds features of another "
+                                f"dimension than the policy's {dim}")
             entries.append(ArchiveEntry(
                 session_id=raw["session_id"],
                 d_in=int(raw["d_in"]),
@@ -223,7 +231,7 @@ def _load_entries(path: str) -> list[ArchiveEntry]:
                 best_action=tuple(raw["best_action"]),
                 best_reward=float(raw["best_reward"]),
                 per_arm_stats=arms,
-                policy_snapshot=raw.get("policy_snapshot")))
+                policy_snapshot=snapshot))
         return entries
     except LoadError:
         raise

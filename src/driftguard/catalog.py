@@ -103,14 +103,13 @@ def estimator_info(estimator_id: str) -> EstimatorInfo:
 
 
 # ---------------------------------------------------------------------------
-# Dimension catalog.  Only the estimator dimension is fully named by the
-# method table; the rest are config-declared with shipped defaults.
+# Dimension catalog: only dimensions that change what executes.  The
+# sampling scheme is handed to the estimator run; the estimator levels are
+# the method table's keys.
 
 SA_DIMENSIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("D1_sampling", ("MonteCarlo", "LatinHypercube")),
     ("D2_estimator", tuple(SA_ESTIMATORS)),
-    ("D3_budget", ("Fixed_N", "Staged")),
-    ("D4_output", ("Scalar", "Aggregated")),
 )
 
 

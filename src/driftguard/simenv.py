@@ -26,7 +26,7 @@ SIM_PROBLEM = {"task": "SA", "d_in": 8, "d_out": 1, "n_budget": 15000,
 
 def canonical_action(estimator: str) -> ActionTuple:
     """One representative action tuple per estimator."""
-    return ActionTuple("SA", ("MonteCarlo", estimator, "Fixed_N", "Scalar"))
+    return ActionTuple(("MonteCarlo", estimator))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import pytest
 
-from driftguard import agents
+from driftguard import agents, catalog
 from driftguard.action_space import ActionTuple
 from driftguard.agents import AgentMessage, DriftSpec, ExecutionPlan
 from driftguard.errors import InsufficientSamples, UnknownModel, Unrecoverable
@@ -12,7 +12,7 @@ from conftest import EQ3_PROBLEM, G8_PROBLEM
 
 
 def _ms(ps, estimator="Sobol", n=1000):
-    action = ActionTuple("SA", ("MonteCarlo", estimator, "Fixed_N", "Scalar"))
+    action = ActionTuple(("MonteCarlo", estimator))
     return build_method_scheme(action, ps, n)
 
 
@@ -139,6 +139,17 @@ class TestExecutionAndDebugger:
                              ("chatterjee_indices",), "structural_eq3", 3)
         obs = agents.execution_runner(plan)
         assert obs.executed and obs.estimator == "Chatterjee"
+
+    @pytest.mark.parametrize("estimator, reached", [
+        ("Sobol", True), ("Chatterjee", True), ("CVM", True),
+        ("Morris", False), ("PCE_SA", False), ("Generalized_Sobol", False)])
+    def test_sampling_dimension_reaches_estimator(self, estimator, reached):
+        # The sampling level changes what executes only for the estimators
+        # that draw their own design; the rest ignore it.
+        plan = ExecutionPlan(estimator, 200, (), "g_function_8d", 3)
+        mc, lhs = (agents.execution_runner(plan, scheme).attributes()
+                   for scheme in dict(catalog.SA_DIMENSIONS)["D1_sampling"])
+        assert (mc != lhs) == reached
 
     def test_debugger_patches_sample_size(self):
         plan = ExecutionPlan("Chatterjee", 2,

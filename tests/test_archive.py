@@ -165,7 +165,7 @@ class TestPersistence:
         b = Archive(path)
         assert len(b.entries) == 1
         e = b.entries[0]
-        assert e.best_action == ("MonteCarlo", "Sobol", "Fixed_N", "Scalar")
+        assert e.best_action == ("MonteCarlo", "Sobol")
         assert e.per_arm_stats[0][1].mean_reward == 91.0
         assert arch.similarity(ps_g8, e) == pytest.approx(1.0)
 
@@ -173,7 +173,7 @@ class TestPersistence:
         path = str(tmp_path / "archive.json")
         sobol_entry(Archive(path))
         payload = json.loads(open(path).read())
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert len(payload["entries"]) == 1
 
     def test_corrupt_file_raises_and_is_preserved(self, tmp_path):
@@ -247,6 +247,33 @@ class TestPersistence:
         with pytest.raises(LoadError):
             Archive(str(path))
         assert path.read_bytes() == before
+
+    def test_feature_dimension_mismatch_rejected(self, tmp_path,
+                                                 sobol_entry):
+        # Schema-2 policies had 32 features (two more action dimensions);
+        # a stored vector of any other length than the policy's is refused
+        # at load, not mid-session.
+        path = tmp_path / "archive.json"
+        sobol_entry(Archive(str(path)))
+        good = json.loads(path.read_text())
+        dim = bandit.feature_dim()
+        assert len(good["entries"][0]["per_arm_stats"][0][1]["phi"]) == dim
+        snapshot = bandit.PolicyState().snapshot()
+        bad_phi = json.loads(json.dumps(good))
+        bad_phi["entries"][0]["per_arm_stats"][0][1]["phi"] += [0.0] * 4
+        bad_precision = json.loads(json.dumps(good))
+        bad_precision["entries"][0]["policy_snapshot"] = {
+            **snapshot, "precision": np.eye(32).tolist()}
+        bad_b = json.loads(json.dumps(good))
+        bad_b["entries"][0]["policy_snapshot"] = {
+            **snapshot, "b_vector": [0.0] * 32}
+        for payload in (bad_phi, bad_precision, bad_b):
+            path.write_text(json.dumps(payload))
+            with pytest.raises(LoadError, match="dimension"):
+                Archive(str(path))
+        good["entries"][0]["policy_snapshot"] = snapshot
+        path.write_text(json.dumps(good))
+        assert Archive(str(path)).entries[0].policy_snapshot == snapshot
 
     def test_record_session_aggregates_arms(self, tmp_path):
         path = str(tmp_path / "sim.json")

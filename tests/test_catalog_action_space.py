@@ -45,23 +45,29 @@ class TestCatalog:
 
 class TestActionSpace:
     def test_sa_enumeration_size(self):
-        # 2 sampling x 6 estimators x 2 budget modes x 2 output modes.
+        # 2 sampling schemes x 6 estimators: the two dimensions that change
+        # what executes.
+        assert [name for name, _ in catalog.SA_DIMENSIONS] == [
+            "D1_sampling", "D2_estimator"]
         actions = action_space.enumerate_actions()
-        assert len(actions) == 48
-        assert len(set(actions)) == 48
+        assert len(actions) == 12
+        assert len(set(actions)) == 12
 
     def test_dims_validated(self):
         with pytest.raises(ValueError):
-            ActionTuple("SA", ("MonteCarlo", "Sobol", "Fixed_N"))
+            ActionTuple(("MonteCarlo",))
         with pytest.raises(ValueError):
-            ActionTuple("SA", ("MonteCarlo", "NotAnEstimator",
-                               "Fixed_N", "Scalar"))
-        with pytest.raises(ValueError, match="unknown task"):
-            ActionTuple("UQ", ("MonteCarlo", "Sobol", "Fixed_N", "Scalar"))
+            ActionTuple(("MonteCarlo", "NotAnEstimator"))
+        with pytest.raises(ValueError):
+            ActionTuple(("Sobol", "MonteCarlo"))
+        # The budget and output modes reached no executor and are gone.
+        with pytest.raises(ValueError):
+            ActionTuple(("MonteCarlo", "Sobol", "Fixed_N", "Scalar"))
 
     def test_estimator_property(self):
-        a = ActionTuple("SA", ("LatinHypercube", "CVM", "Staged", "Scalar"))
+        a = ActionTuple(("LatinHypercube", "CVM"))
         assert a.estimator == "CVM"
+        assert a.dims == ("LatinHypercube", "CVM")
 
 
 def _bits(ctx) -> dict[str, bool]:
@@ -81,7 +87,7 @@ _RULES = {
 
 def _walk_feasible(ctx, thr=DEFAULTS.screening_dim_threshold):
     """The per-action walk: every predicate gating an action's estimator
-    must hold, checked for each of the 48 actions."""
+    must hold, checked for each of the 12 actions."""
     feasible = []
     for a in action_space.enumerate_actions():
         violated = [p.id for p in catalog.PREDICATES
@@ -144,8 +150,8 @@ class TestFeasibility:
         only_cvm = tuple(e == "CVM" for e in catalog.SA_ESTIMATORS)
         feasible = action_space.filter_feasible(
             dataclasses.replace(ctx, feasibility_bits=only_cvm))
-        assert len(feasible) == 8
-        assert {a.estimator for a in feasible} == {"CVM"}
+        assert feasible == [ActionTuple(("MonteCarlo", "CVM")),
+                            ActionTuple(("LatinHypercube", "CVM"))]
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(d_in=st.integers(1, 25), budget=st.integers(10, 200000),

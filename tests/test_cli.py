@@ -244,6 +244,29 @@ class TestSessions:
             blobs.append((run_dir / "archive.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_schema_2_archive_is_a_bad_config(self, tmp_path, capsys):
+        # A schema-2 archive, with its 32-long feature vectors, is refused
+        # before any session runs and is left as it was.
+        archive = tmp_path / "archive.json"
+        archive.write_text(json.dumps({"schema_version": 2, "entries": [{
+            "session_id": "old", "d_in": 8, "best_action":
+                ["MonteCarlo", "Sobol", "Fixed_N", "Scalar"],
+            "best_reward": 91.0, "policy_snapshot": None,
+            "problem_features": [0.4, 0.1, 0.69, 1.0, 1.0, 0.0, 0.0,
+                                 0.0, 1.0, 0.0],
+            "per_arm_stats": [["Sobol", {"count": 3, "mean_reward": 91.0,
+                                         "phi": [0.0] * 32}]]}]}))
+        before = archive.read_bytes()
+        doc = {"problem": G8_PROBLEM, "n_max": 1, "output_name": "runs",
+               "archive_path": str(archive),
+               "sessions": [{"session_id": "s1", "seed": 1}]}
+        cfg = _write(tmp_path, doc)
+        assert main(["sessions", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == EXIT_BAD_CONFIG
+        assert "schema" in capsys.readouterr().err
+        assert archive.read_bytes() == before
+        assert not (tmp_path / "s1.trace.jsonl").exists()
+
 
 class TestParser:
     def test_subcommands_and_flags(self):

@@ -9,7 +9,7 @@ from driftguard.schemes import build_method_scheme
 
 
 def _ms(ps, estimator="Sobol", n_samples=500):
-    action = ActionTuple("SA", ("MonteCarlo", estimator, "Fixed_N", "Scalar"))
+    action = ActionTuple(("MonteCarlo", estimator))
     return build_method_scheme(action, ps, n_samples)
 
 
