@@ -290,8 +290,8 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
                 f"like a wrong estimator for the precision target. "
                 f"prescribe estimator {target}.")
     return (f"estimate has not yet reached the precision target; sampling "
-            f"appears insufficient at n_samples={ms.n_samples}. recommend increasing "
-            f"the sample size.")
+            f"appears insufficient at n_samples={ms.n_samples}. recommend "
+            f"increasing the sample size.")
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ def inject_drift(message: AgentMessage, spec: DriftSpec, rng_seed: int,
                             free_text=mutated), event
     if spec.kind == "field_corruption":
         mutated = N_SAMPLES_RE.sub(f"n_samples={spec.replacement_value}",
-                                 str(message.payload))
+                                   str(message.payload))
         event = {"kind": spec.kind, "field": spec.target_field,
                  "to": spec.replacement_value}
         return AgentMessage(role=message.role, payload=mutated,

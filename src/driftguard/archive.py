@@ -8,10 +8,10 @@ problem's entry, and the list order is recency order.
 
 The file is a versioned JSON object (schema 3) holding that list; a file of
 any other schema, or whose stored feature vectors or policy snapshot do not
-match ``bandit.feature_dim()``, is rejected with ``LoadError``. Entries are immutable and
-each encodes itself once, on its first write; the file itself is still
-rewritten whole and atomically (temp file + rename), so a crash never leaves
-a torn archive.
+match ``bandit.feature_dim()``, is rejected with ``LoadError``. Entries are
+immutable and each encodes itself once, on its first write; the file itself
+is still rewritten whole and atomically (temp file + rename), so a crash
+never leaves a torn archive.
 """
 
 from __future__ import annotations

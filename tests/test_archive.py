@@ -250,9 +250,8 @@ class TestPersistence:
 
     def test_feature_dimension_mismatch_rejected(self, tmp_path,
                                                  sobol_entry):
-        # Schema-2 policies had 32 features (two more action dimensions);
-        # a stored vector of any other length than the policy's is refused
-        # at load, not mid-session.
+        # A stored vector whose length is not the policy's (32 under
+        # schema 2) is refused at load, not mid-session.
         path = tmp_path / "archive.json"
         sobol_entry(Archive(str(path)))
         good = json.loads(path.read_text())

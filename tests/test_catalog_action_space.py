@@ -60,7 +60,6 @@ class TestActionSpace:
             ActionTuple(("MonteCarlo", "NotAnEstimator"))
         with pytest.raises(ValueError):
             ActionTuple(("Sobol", "MonteCarlo"))
-        # The budget and output modes reached no executor and are gone.
         with pytest.raises(ValueError):
             ActionTuple(("MonteCarlo", "Sobol", "Fixed_N", "Scalar"))
 
