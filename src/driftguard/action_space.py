@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 from . import catalog
-from .config import DEFAULTS, Settings
 
 
 @dataclass(frozen=True)
@@ -44,15 +43,14 @@ def enumerate_actions() -> list[ActionTuple]:
     return [ActionTuple(dims) for dims in itertools.product(*value_lists)]
 
 
-def feasibility_bits(x, settings: Settings = DEFAULTS) -> tuple[bool, ...]:
+def feasibility_bits(x) -> tuple[bool, ...]:
     """Bitset over the estimator catalog, in catalog order: an estimator is
     feasible when every registered predicate that gates it holds.
 
     The one place the predicates run; intake stores the result on the
     context vector, and everything downstream reads it from there.
     """
-    thr = settings.screening_dim_threshold
-    return tuple(all(p.test(x, thr, info) for p in catalog.PREDICATES
+    return tuple(all(p.test(x, info) for p in catalog.PREDICATES
                      if est in p.applies_to)
                  for est, info in catalog.SA_ESTIMATORS.items())
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import catalog
-from .config import DEFAULTS, Settings
 from .errors import InsufficientSamples, UnknownModel, Unrecoverable
 from .estimators import BenchmarkModel, SAResult, run_estimator
 from .schemes import N_SAMPLES_RE, MethodScheme, ProblemScheme
@@ -136,9 +135,9 @@ def render_observation_text(obs: SAResult) -> str:
 # ---------------------------------------------------------------------------
 # Agent behaviors
 
-def coordinator(desc: dict, settings: Settings = DEFAULTS) -> ProblemScheme:
+def coordinator(desc: dict) -> ProblemScheme:
     from .schemes import build_problem_scheme
-    return build_problem_scheme(desc, settings)
+    return build_problem_scheme(desc)
 
 
 def gatekeeper(ps: ProblemScheme, desc: dict) -> tuple[bool, str]:
@@ -252,10 +251,11 @@ def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:
 
 
 def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
-                   ps: ProblemScheme, settings: Settings = DEFAULTS,
+                   ps: ProblemScheme, r_threshold: float,
                    avoid: frozenset[str] = frozenset()) -> str:
     """Deterministic post-execution review; its wording drives the
-    diagnostic root-cause rules downstream."""
+    diagnostic root-cause rules downstream. A total at or above the
+    session's ``r_threshold`` meets the precision target."""
     if obs is None or not obs.executed:
         return ("execution crashed before producing results; numerical run "
                 "unrecoverable. recommend reviewing the implementation.")
@@ -268,8 +268,7 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
     if obs.nan_count > 0:
         return ("numerical degeneracy: nan entries present in the computed "
                 "indices; the output variance may be degenerate.")
-    converged = breakdown.total >= settings.r_threshold
-    if converged:
+    if breakdown.total >= r_threshold:
         return (f"{ms.estimator} indices successfully computed from "
                 f"{obs.evaluations_used} evaluations; all consistency checks "
                 "passed and the estimate meets the precision target.")

@@ -8,7 +8,8 @@ problem's entry, and the list order is recency order.
 
 The file is a versioned JSON object (schema 3) holding that list; a file of
 any other schema, or whose stored feature vectors or policy snapshot do not
-match ``bandit.feature_dim()``, is rejected with ``LoadError``. Entries are
+match ``bandit.feature_dim()``, or whose problem features are not as long
+as ``problem_features`` makes them, is rejected with ``LoadError``. Entries are
 immutable and each encodes itself once, on its first write; the file itself
 is still rewritten whole and atomically (temp file + rename), so a crash
 never leaves a torn archive.
@@ -26,11 +27,17 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bandit
-from .config import DEFAULTS, Settings
 from .errors import LoadError, PersistError
 from .schemes import DIST_FAMILIES, ProblemScheme
 
 SCHEMA_VERSION = 3
+
+# Weights of the composite similarity: feature cosine, task match and a
+# kernel on the input-dimension gap.
+_FEATURE_WEIGHT = 0.5
+_TASK_WEIGHT = 0.3
+_DIM_WEIGHT = 0.2
+_DIM_KERNEL_WIDTH = 4.0
 
 
 def problem_features(ps: ProblemScheme) -> tuple[float, ...]:
@@ -49,6 +56,9 @@ def problem_features(ps: ProblemScheme) -> tuple[float, ...]:
             1.0 if ps.has_dependence else 0.0,
             1.0 if ps.high_d_in_flag else 0.0,
             1.0 if ps.field_out_flag else 0.0)
+
+
+_N_PROBLEM_FEATURES = 7 + len(DIST_FAMILIES)   # len(problem_features(ps))
 
 
 @dataclass(frozen=True)
@@ -86,26 +96,22 @@ class ArchiveEntry:
         return json.dumps(data, sort_keys=True)
 
 
-def similarity(current: ProblemScheme, entry: ArchiveEntry,
-               settings: Settings = DEFAULTS) -> float:
+def similarity(current: ProblemScheme, entry: ArchiveEntry) -> float:
     """Composite problem similarity in [0, 1]. Every entry is an SA study,
     as every problem is, so the task term always adds its full weight."""
-    a = settings.archive
     f1 = np.asarray(problem_features(current))
     f2 = np.asarray(entry.problem_features)
     denom = float(np.linalg.norm(f1) * np.linalg.norm(f2))
     cos = float(f1 @ f2) / denom if denom > 0 else 0.0
     kernel = math.exp(-abs(current.context.d_in - entry.d_in)
-                      / a.dim_kernel_width)
-    score = a.feature_weight * cos + a.task_weight + a.dim_weight * kernel
+                      / _DIM_KERNEL_WIDTH)
+    score = _FEATURE_WEIGHT * cos + _TASK_WEIGHT + _DIM_WEIGHT * kernel
     return min(1.0, max(0.0, score))
 
 
 class Archive:
-    def __init__(self, path: str | None = None,
-                 settings: Settings = DEFAULTS):
+    def __init__(self, path: str | None = None):
         self.path = path
-        self.settings = settings
         self.entries: list[ArchiveEntry] = []
         if path and os.path.exists(path):
             self.entries = _load_entries(path)
@@ -115,7 +121,7 @@ class Archive:
         """Best entry by composite similarity; ties go to the most recent."""
         best, best_sim = None, 0.0
         for entry in self.entries:   # recency order, later wins ties
-            sim = similarity(current, entry, self.settings)
+            sim = similarity(current, entry)
             if best is None or sim >= best_sim:
                 best, best_sim = entry, sim
         return (best, best_sim) if best is not None else (None, 0.0)
@@ -224,6 +230,10 @@ def _load_entries(path: str) -> list[ArchiveEntry]:
                     or np.shape(snapshot["b_vector"]) != (dim,))):
                 raise LoadError(f"archive {path} holds features of another "
                                 f"dimension than the policy's {dim}")
+            if len(raw["problem_features"]) != _N_PROBLEM_FEATURES:
+                raise LoadError(f"archive {path} holds problem features of "
+                                f"another dimension than "
+                                f"{_N_PROBLEM_FEATURES}")
             entries.append(ArchiveEntry(
                 session_id=raw["session_id"],
                 d_in=int(raw["d_in"]),

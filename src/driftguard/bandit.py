@@ -7,18 +7,26 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import catalog
 from .action_space import ActionTuple
-from .config import DEFAULTS, Settings
 from .errors import InvalidReward, NoFeasibleAction
 from .schemes import DIST_FAMILIES, ContextVector, DiagnosticScheme, \
     MethodScheme, ProblemScheme, build_method_scheme
 
-EXPLORATION_MODES = ("exploit", "neutral", "explore_max")
+_PRIOR_PRECISION = 1.0      # ridge lambda on the linear model
+_NOISE_VARIANCE = 25.0      # rewards live on 0-100
+_REWARD_CENTER = 50.0       # rewards centered before absorption
+_NOVELTY_RHO = 5.0          # penalty per prior pick of the same estimator
+_BLOCK_BETA = 1000.0        # effectively excludes a blocked estimator
+_EPS_GAMMA = 0.6            # decay of the exploration schedule
+_EPS_FLOOR = 0.02
+_EPS_BASE = {"exploit": 0.1, "neutral": 0.5, "explore_max": 1.0}
+_SAFETY_FACTOR = 2.0        # scales n_min in the default n_samples
+_WARM_WEIGHT = {"close": 1.0, "weak": 0.3}
 
 
 @dataclass(frozen=True)
@@ -67,24 +75,18 @@ def _feature_array(x: ContextVector, a: ActionTuple) -> np.ndarray:
     return phi
 
 
-def exploration_schedule(n: int, mode: str,
-                         settings: Settings = DEFAULTS) -> float:
+def exploration_schedule(n: int, mode: str) -> float:
     """Decaying epsilon: base(mode) * gamma^(n-1), floored."""
-    b = settings.bandit
-    base = {"exploit": b.eps_base_exploit,
-            "neutral": b.eps_base_neutral,
-            "explore_max": b.eps_base_explore_max}[mode]
-    return max(b.eps_floor, base * b.eps_gamma ** (n - 1))
+    return max(_EPS_FLOOR, _EPS_BASE[mode] * _EPS_GAMMA ** (n - 1))
 
 
-def default_n_samples(estimator: str, x: ContextVector,
-                      settings: Settings = DEFAULTS) -> int:
+def default_n_samples(estimator: str, x: ContextVector) -> int:
     """Per-loop sample size targeting min(budget, max(safety*n_min, budget/2))
     total evaluations."""
     info = catalog.estimator_info(estimator)
     n_min = info.n_min(x.d_in)
     target = min(x.n_budget,
-                 max(int(settings.bandit.safety_factor * n_min),
+                 max(int(_SAFETY_FACTOR * n_min),
                      x.n_budget // 2))
     return max(2, target // info.cost_multiplier(x.d_in))
 
@@ -95,13 +97,9 @@ class PolicyState:
     Single-writer: only the session orchestrator mutates it.
     """
 
-    def __init__(self, settings: Settings = DEFAULTS,
-                 exploration_mode: str = "explore_max"):
-        self.settings = settings
+    def __init__(self, exploration_mode: str = "explore_max"):
         self.dim = feature_dim()
-        b = settings.bandit
-        self.noise_variance = b.noise_variance
-        self.precision = np.eye(self.dim) * b.prior_precision
+        self.precision = np.eye(self.dim) * _PRIOR_PRECISION
         self.b_vector = np.zeros(self.dim)
         self.iteration = 0
         self.estimator_counts: dict[str, int] = {}
@@ -127,9 +125,9 @@ class PolicyState:
         # unit-variance prior cannot represent 0-100 levels directly, and
         # uncentered updates let the shared features absorb the whole level,
         # collapsing the posterior spread that drives exploration.
-        deviation = reward - self.settings.bandit.reward_center
-        self.precision += weight * np.outer(phi, phi) / self.noise_variance
-        self.b_vector += weight * phi * deviation / self.noise_variance
+        deviation = reward - _REWARD_CENTER
+        self.precision += weight * np.outer(phi, phi) / _NOISE_VARIANCE
+        self.b_vector += weight * phi * deviation / _NOISE_VARIANCE
 
     def update(self, phi: FeatureVector, reward: float,
                estimator: str | None = None) -> None:
@@ -150,8 +148,7 @@ class PolicyState:
         """
         if match not in ("close", "weak"):
             raise ValueError(f"warm_start requires close/weak, got {match!r}")
-        b = self.settings.bandit
-        weight = b.warm_weight_close if match == "close" else b.warm_weight_weak
+        weight = _WARM_WEIGHT[match]
         for phi_values, mean_reward, count in per_arm_stats:
             phi = np.asarray(phi_values, dtype=float)
             self._absorb(phi, float(mean_reward), weight * float(count))
@@ -167,9 +164,8 @@ class PolicyState:
                 "exploration_mode": self.exploration_mode}
 
     @classmethod
-    def from_snapshot(cls, data: dict,
-                      settings: Settings = DEFAULTS) -> "PolicyState":
-        st = cls(settings=settings, exploration_mode=data["exploration_mode"])
+    def from_snapshot(cls, data: dict) -> "PolicyState":
+        st = cls(exploration_mode=data["exploration_mode"])
         st.precision = np.asarray(data["precision"], dtype=float)
         st.b_vector = np.asarray(data["b_vector"], dtype=float)
         st.iteration = int(data["iteration"])
@@ -197,8 +193,7 @@ def select_action(st: PolicyState, ps: ProblemScheme,
                   diag: DiagnosticScheme | None = None,
                   novelty_warning: bool = False,
                   rng_seed: int = 0,
-                  prev: MethodScheme | None = None,
-                  settings: Settings = DEFAULTS) -> PolicyDecision:
+                  prev: MethodScheme | None = None) -> PolicyDecision:
     """One Thompson-sampled decision over the feasible action set.
 
     Scores are posterior-sample dot-products minus the novelty penalty
@@ -212,7 +207,6 @@ def select_action(st: PolicyState, ps: ProblemScheme,
     if not feasible:
         raise NoFeasibleAction("empty feasible action set")
     x = ps.context
-    b = settings.bandit
     rng = np.random.default_rng(rng_seed)
 
     candidates = list(feasible)
@@ -233,13 +227,13 @@ def select_action(st: PolicyState, ps: ProblemScheme,
         if novelty_warning:
             count = st.estimator_counts.get(a.estimator, 0)
             if count:
-                score -= b.novelty_rho * count
+                score -= _NOVELTY_RHO * count
                 novelty_applied = True
         if blocked and a.estimator == blocked:
-            score -= b.block_beta
+            score -= _BLOCK_BETA
         scored.append((a, score))
 
-    eps = exploration_schedule(st.iteration + 1, st.exploration_mode, settings)
+    eps = exploration_schedule(st.iteration + 1, st.exploration_mode)
     fired = bool(rng.random() < eps)
     if fired:
         action = candidates[int(rng.integers(len(candidates)))]
@@ -253,7 +247,7 @@ def select_action(st: PolicyState, ps: ProblemScheme,
     elif prev is not None and prev.estimator == action.estimator:
         n_samples = prev.n_samples
     else:
-        n_samples = default_n_samples(action.estimator, x, settings)
+        n_samples = default_n_samples(action.estimator, x)
     # A size prescribed for a different estimator may undershoot this one's
     # minimum, so clamp up to its per-loop floor.
     info = catalog.estimator_info(action.estimator)

@@ -115,27 +115,32 @@ SA_DIMENSIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 # ---------------------------------------------------------------------------
 # Feasibility predicate registry.  Each entry: (predicate id, estimator ids it
-# gates, test(context, screening_dim_threshold, gated estimator's info) ->
-# bool).  Only ``action_space.feasibility_bits`` runs them, once per
-# estimator at intake.
+# gates, test(context, gated estimator's info) -> bool).  Only
+# ``action_space.feasibility_bits`` runs them, once per estimator at intake.
+
+# From this many inputs on a problem is high-dimensional: Morris screening
+# is feasible, the problem scheme sets ``high_d_in_flag``, and CP0 puts
+# screening first when the archive holds no match.
+SCREENING_DIM_THRESHOLD = 8
+
 
 @dataclass(frozen=True)
 class Predicate:
     id: str
     applies_to: tuple[str, ...]
-    test: Callable  # (context, screening_dim_threshold, EstimatorInfo) -> bool
+    test: Callable  # (context, EstimatorInfo) -> bool
 
 
-def _budget_covers_n_min(ctx, thr, info: EstimatorInfo) -> bool:
+def _budget_covers_n_min(ctx, info: EstimatorInfo) -> bool:
     return ctx.n_budget >= info.n_min(ctx.d_in)
 
 
 PREDICATES: tuple[Predicate, ...] = (
     # Screening interpretation is unreliable below the dimension threshold.
     Predicate("morris_screening_high_dim", ("Morris",),
-              lambda ctx, thr, info: ctx.d_in >= thr),
+              lambda ctx, info: ctx.d_in >= SCREENING_DIM_THRESHOLD),
     Predicate("gen_sobol_multioutput", ("Generalized_Sobol",),
-              lambda ctx, thr, info: ctx.d_out > 1),
+              lambda ctx, info: ctx.d_out > 1),
     # The budget must cover the gated estimator's own n_min: surrogate
     # accuracy for PCE, estimator variance for the pick-freeze/rank methods.
     Predicate("pce_min_samples", ("PCE_SA",), _budget_covers_n_min),

@@ -9,12 +9,24 @@ checkpoint's initial threshold to -1 disables it (unconditional pass).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .config import DEFAULTS, Settings
+from . import catalog
 from .embedding import NullDistribution
 
 DISABLED = -1.0
+
+# Adaptive thresholds.
+_EMA_DECAY = 0.8
+_WARMUP = 3
+_CAP_BONUS = 0.10           # current never exceeds theta0 + cap_bonus
+_STD_MULTIPLIER = 1.0
+_NULL_QUANTILE = 0.95
+
+# CP0 archive-match cutoffs: close warm-starts and exploits, weak
+# warm-starts at reduced weight.
+CP0_CLOSE_CUTOFF = 0.90
+_CP0_WEAK_CUTOFF = 0.70
 
 #: cp_id -> (theta0, theta_min, blocking, inverted, action_on_fail)
 CHECKPOINT_TABLE = {
@@ -78,28 +90,25 @@ class AdaptiveThreshold:
 
     spec: CheckpointSpec
     floor: float
-    settings: Settings = field(default=DEFAULTS, repr=False)
     mean: float = 0.0
     var: float = 0.0
     count: int = 0
 
     def current(self) -> float:
-        th = self.settings.threshold
-        if self.count < th.warmup:
+        if self.count < _WARMUP:
             return self.spec.theta0
-        value = self.mean - th.std_multiplier * math.sqrt(max(self.var, 0.0))
-        ceiling = self.spec.theta0 + th.cap_bonus
+        value = self.mean - _STD_MULTIPLIER * math.sqrt(max(self.var, 0.0))
+        ceiling = self.spec.theta0 + _CAP_BONUS
         # The floor is a safety invariant and dominates the cap: a gate may
         # never relax below the null distribution's upper quantile.
         return max(min(value, ceiling), self.floor)
 
     def observe(self, similarity: float) -> None:
-        th = self.settings.threshold
         if self.count == 0:
             self.mean = similarity
             self.var = 0.0
         else:
-            lam = th.ema_decay
+            lam = _EMA_DECAY
             delta = similarity - self.mean
             self.mean = lam * self.mean + (1.0 - lam) * similarity
             self.var = lam * self.var + (1.0 - lam) * delta * delta
@@ -110,22 +119,16 @@ class CheckpointManager:
     """All eight gates plus their adaptive state."""
 
     def __init__(self, null_dist: NullDistribution,
-                 overrides: dict[str, float] | None = None,
-                 settings: Settings = DEFAULTS):
-        self.settings = settings
-        self.null_dist = null_dist
+                 overrides: dict[str, float] | None = None):
         self.specs: dict[str, CheckpointSpec] = {}
         self.state: dict[str, AdaptiveThreshold] = {}
-        null_floor = null_dist.quantile(settings.threshold.null_quantile)
+        null_floor = null_dist.quantile(_NULL_QUANTILE)
         for cp_id, (t0, tmin, blocking, inverted, action) in CHECKPOINT_TABLE.items():
             theta0 = (overrides or {}).get(cp_id, t0)
             spec = CheckpointSpec(cp_id, theta0, tmin, blocking, inverted, action)
             self.specs[cp_id] = spec
             self.state[cp_id] = AdaptiveThreshold(
-                spec=spec, floor=max(tmin, null_floor), settings=settings)
-
-    def threshold(self, cp_id: str) -> float:
-        return self.state[cp_id].current()
+                spec=spec, floor=max(tmin, null_floor))
 
     def evaluate(self, cp_id: str, similarity: float,
                  retry_count: int = 0) -> CheckpointResult:
@@ -154,17 +157,16 @@ class CheckpointManager:
         exploration mode (close -> exploit, weak -> neutral, else
         explore_max plus screening-first for high-dimensional inputs)."""
         spec = self.specs["CP0"]
-        cp0 = self.settings.cp0
         best_entry, best_sim = None, 0.0
         if not spec.disabled and archive is not None:
             best_entry, best_sim = archive.lookup(ps)
-        if best_sim >= cp0.close_cutoff:
+        if best_sim >= CP0_CLOSE_CUTOFF:
             match, mode = "close", "exploit"
-        elif best_sim >= cp0.weak_cutoff:
+        elif best_sim >= _CP0_WEAK_CUTOFF:
             match, mode = "weak", "neutral"
         else:
             match, mode, best_entry = "none", "explore_max", None
         screening_first = (match == "none"
                            and ps.context.d_in
-                           >= self.settings.screening_dim_threshold)
+                           >= catalog.SCREENING_DIM_THRESHOLD)
         return CP0Result(best_sim, match, best_entry, mode, screening_first)

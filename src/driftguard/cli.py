@@ -3,7 +3,10 @@
 Subcommands: ``run`` (one session), ``ablate`` (condition suite over seeds),
 ``sessions`` (consecutive sessions sharing an archive and a persisted
 policy).  Configuration is a single JSON document; every command is
-reproducible from (config, seeds).
+reproducible from (config, seeds).  A config holds only the keys in
+``_CONFIG_KEYS``; any other top-level key (a typo, or a ``settings``
+block) is a bad configuration.  Tunables are not configurable: each is a
+constant in the module that uses it.
 
 Exit codes: 0 converged or budget exhausted, 1 bad configuration,
 2 session aborted.
@@ -20,7 +23,6 @@ import sys
 
 from .agents import DriftSpec
 from .archive import Archive
-from .config import settings_from_dict
 from .errors import ConfigError, DriftguardError
 from .pipeline import (SessionConfig, SessionTrace, run_ablation_suite,
                        run_session, write_trace)
@@ -33,6 +35,12 @@ SESSION_COLUMNS = ("session_id", "seed", "outcome", "best_reward",
                    "iterations_to_best", "iterations_to_converge",
                    "best_estimator", "cp0_match", "cp0_similarity",
                    "cp0_mode", "cp0_screening_first")
+
+# The top-level keys a config may hold; any other is a bad configuration.
+_CONFIG_KEYS = frozenset({
+    "problem", "n_max", "r_threshold", "seed", "seeds", "session_id",
+    "checkpoint_overrides", "drift", "archive_path", "record_to_archive",
+    "persist_policy", "warm_start", "output_name", "conditions", "sessions"})
 
 
 def _load_config(path: str) -> dict:
@@ -79,6 +87,9 @@ def _checkpoint_overrides(doc: dict) -> dict:
 
 
 def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
+    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     if "problem" not in doc:
         raise ConfigError("config lacks a 'problem' object")
     from .estimators import benchmark_catalog
@@ -89,7 +100,6 @@ def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
         raise ConfigError(f"unknown problem model {model_id!r}")
     if not isinstance(doc.get("archive_path"), (str, type(None))):
         raise ConfigError("archive_path must be a string")
-    settings_from_dict(doc.get("settings") or {})  # before any session runs
     try:
         seed = seed_override if seed_override is not None \
             else int(doc.get("seed", 0))
@@ -103,8 +113,7 @@ def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
             session_id=doc.get("session_id", "session"),
             archive_path=doc.get("archive_path"),
             record_to_archive=bool(doc.get("record_to_archive", True)),
-            persist_policy=bool(doc.get("persist_policy", False)),
-            settings_overrides=doc.get("settings", {}))
+            persist_policy=bool(doc.get("persist_policy", False)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad session config: {exc}") from exc
 

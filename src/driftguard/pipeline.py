@@ -14,12 +14,15 @@ from . import action_space, agents, bandit, reward as reward_mod
 from .agents import AgentMessage, DriftSpec, ExecutionPlan
 from .archive import Archive
 from .checkpoints import CheckpointManager, CheckpointResult
-from .config import DEFAULTS, Settings, settings_from_dict
 from .embedding import calibrate_null, shipped_corpus, similarity
 from .errors import DriftguardError, Unrecoverable
 from .estimators import SAResult
 from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
     build_diagnostic_scheme, serialize_scheme
+
+_RETRY_BUDGET = 3           # per blocking checkpoint
+_MAX_DEBUG_RETRIES = 2
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -33,7 +36,6 @@ class SessionConfig:
     archive_path: str | None = None
     record_to_archive: bool = True
     persist_policy: bool = False
-    settings_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -89,18 +91,11 @@ class SessionTrace:
     abort_reason: str = ""
 
 
-def _settings_for(cfg: SessionConfig) -> Settings:
-    st = settings_from_dict(cfg.settings_overrides) \
-        if cfg.settings_overrides else DEFAULTS
-    return replace(st, n_max=cfg.n_max, r_threshold=cfg.r_threshold)
-
-
 @dataclass
 class _SessionState:
     """Mutable loop state shared across iterations."""
 
     cfg: SessionConfig
-    settings: Settings
     ps: ProblemScheme
     model: object
     manager: CheckpointManager
@@ -133,7 +128,7 @@ def submartingale_flags(prev_reward: float | None, total: float,
 def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     """One loop pass: policy, implementation, execution, evaluation,
     register; returns the complete record."""
-    cfg, st, ps = state.cfg, state.settings, state.ps
+    cfg, ps = state.cfg, state.ps
     manager, policy = state.manager, state.policy
     events: list[CheckpointResult] = []
     drift_events: list = []
@@ -148,8 +143,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     # (policy) Strategist + CP7 novelty (inverted) + CP2 critic gate.
     decision = bandit.select_action(
         policy, ps, candidates, diag=state.prev_diag,
-        novelty_warning=False, rng_seed=iter_seed, prev=state.prev_ms,
-        settings=st)
+        novelty_warning=False, rng_seed=iter_seed, prev=state.prev_ms)
     strategy_text = agents.render_strategy_text(decision.method_scheme,
                                                 state.flags)
     cp7 = manager.evaluate("CP7", similarity(strategy_text,
@@ -161,7 +155,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         decision = bandit.select_action(
             policy, ps, candidates, diag=state.prev_diag,
             novelty_warning=True, rng_seed=iter_seed + 500_000,
-            prev=state.prev_ms, settings=st)
+            prev=state.prev_ms)
         strategy_text = agents.render_strategy_text(decision.method_scheme,
                                                     state.flags)
     ms = decision.method_scheme
@@ -170,22 +164,22 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     critic_text = agents.render_critic_text(ms)
     cp2 = manager.evaluate("CP2", similarity(strategy_text, critic_text))
     events.append(cp2)
-    retries = st.retry_budget
+    retries = _RETRY_BUDGET
     while not cp2.passed and retries > 0:
         retries -= 1
         decision = bandit.select_action(
             policy, ps, candidates, diag=state.prev_diag,
             novelty_warning=True, rng_seed=iter_seed + 900_000 + retries,
-            prev=state.prev_ms, settings=st)
+            prev=state.prev_ms)
         ms, action = decision.method_scheme, decision.action
         strategy_text = agents.render_strategy_text(ms, state.flags)
         critic_text = agents.render_critic_text(ms)
         cp2 = manager.evaluate("CP2", similarity(strategy_text, critic_text),
-                               retry_count=st.retry_budget - retries)
+                               retry_count=_RETRY_BUDGET - retries)
         events.append(cp2)
     if not cp2.passed:
         return _failed_record(n, action, events, drift_events, strategy_text,
-                              "critic rejection budget exhausted", st)
+                              "critic rejection budget exhausted")
 
     # (implementation) Study Agent with CP3 advisory and CP4 blocking gates.
     # Both gates read the same strategy/study similarity.
@@ -196,7 +190,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     events.append(cp4)
     if not cp4.passed:
         return _failed_record(n, action, events, drift_events, strategy_text,
-                              "study comprehension gate exhausted", st)
+                              "study comprehension gate exhausted")
 
     # Drift injection on the Refactor Agent's input copy only.
     strategist_msg = AgentMessage(role="strategist", payload=strategy_text,
@@ -213,13 +207,13 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     # CP5: cosine gate against the original strategy plus the Inspector's
     # structural checklist; one bundle, one toggle.
     cp5_spec = manager.specs["CP5"]
-    retries = st.retry_budget
+    retries = _RETRY_BUDGET
     while not cp5_spec.disabled:
         plan_text = agents.render_plan_text(plan)
         sim5 = similarity(strategy_text, plan_text)
         verdict = agents.inspector_check(plan, ms)
         cp5 = manager.evaluate("CP5", sim5,
-                               retry_count=st.retry_budget - retries)
+                               retry_count=_RETRY_BUDGET - retries)
         if not verdict.approved and cp5.passed:
             cp5 = replace(cp5, verdict="block",
                           failure_action="inspector_reject")
@@ -229,7 +223,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         if retries == 0:
             return _failed_record(n, action, events, drift_events,
                                   strategy_text,
-                                  "inspector rejection budget exhausted", st)
+                                  "inspector rejection budget exhausted")
         retries -= 1
         # Rebuild from the uncorrupted strategy text.
         plan = agents.refactor_agent(strategy_text, ps.model_id,
@@ -238,14 +232,14 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     # (execution) Runner with the Debugger self-healing loop.
     obs: SAResult | None = None
     error: Exception | None = None
-    for attempt in range(st.max_debug_retries + 1):
+    for attempt in range(_MAX_DEBUG_RETRIES + 1):
         try:
             obs = agents.execution_runner(plan, action.dims[0])
             error = None
             break
         except DriftguardError as exc:
             error = exc
-            if attempt == st.max_debug_retries:
+            if attempt == _MAX_DEBUG_RETRIES:
                 break
             try:
                 plan = agents.debugger_fix(plan, exc)
@@ -257,9 +251,9 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     prev_obs = state.prev_obs_by_estimator.get(plan.estimator)
     breakdown = reward_mod.score(
         ms, obs, model=state.model, epsilon=ps.context.epsilon,
-        prev_obs=prev_obs, settings=st)
+        prev_obs=prev_obs)
     advisor_text = agents.advisor_report(
-        ms, obs, breakdown, ps, st,
+        ms, obs, breakdown, ps, cfg.r_threshold,
         avoid=frozenset(state.failed_estimators))
     if obs is not None:
         events.append(manager.evaluate(
@@ -267,7 +261,8 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
                               advisor_text)))
 
     # (register) Diagnosis, submartingale flags, policy update.
-    diag = build_diagnostic_scheme(advisor_text, obs, breakdown, st)
+    diag = build_diagnostic_scheme(advisor_text, obs, breakdown,
+                                   cfg.r_threshold)
     if diag.block_action:
         state.failed_estimators.add(ms.estimator)
     state.flags = submartingale_flags(state.prev_reward, breakdown.total, obs)
@@ -294,7 +289,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
 
 
 def _failed_record(n, action, events, drift_events, strategy_text,
-                   why: str, settings: Settings) -> IterationRecord:
+                   why: str) -> IterationRecord:
     zero = reward_mod.RewardBreakdown(0.0, 0.0, 0.0, 0.0, (why,))
     diag = DiagnosticScheme(
         convergence_status="failed", bottleneck_dim="integrity",
@@ -313,14 +308,13 @@ def run_session(cfg: SessionConfig,
                 archive: Archive | None = None,
                 null_corpus: tuple[str, ...] | None = None) -> SessionTrace:
     """Full session: Group A once, CP0, then the bounded decision loop."""
-    st = _settings_for(cfg)
     corpus = null_corpus or shipped_corpus()
     null_dist = calibrate_null(list(corpus), n_pairs=500, seed=cfg.seed)
-    manager = CheckpointManager(null_dist, cfg.checkpoint_overrides, st)
+    manager = CheckpointManager(null_dist, cfg.checkpoint_overrides)
 
     # Group A: Coordinator -> CP1 -> Gatekeeper -> Model Translator.
     try:
-        ps = agents.coordinator(cfg.problem, st)
+        ps = agents.coordinator(cfg.problem)
     except DriftguardError as exc:
         return _aborted(cfg, None, f"coordinator failed: {exc}")
     desc_text = agents.render_problem_description(cfg.problem)
@@ -339,20 +333,18 @@ def run_session(cfg: SessionConfig,
 
     # CP0: archive match, warm-start, exploration mode.
     if archive is None and cfg.archive_path:
-        archive = Archive(cfg.archive_path, st)
+        archive = Archive(cfg.archive_path)
     cp0 = manager.evaluate_cp0(ps, archive)
-    policy = bandit.PolicyState(settings=st,
-                                exploration_mode=cp0.exploration_mode)
+    policy = bandit.PolicyState(exploration_mode=cp0.exploration_mode)
     if cp0.warm_start is not None:
         entry = cp0.warm_start
         if cfg.persist_policy and entry.policy_snapshot:
-            policy = bandit.PolicyState.from_snapshot(entry.policy_snapshot,
-                                                      st)
+            policy = bandit.PolicyState.from_snapshot(entry.policy_snapshot)
             policy.exploration_mode = cp0.exploration_mode
         else:
             policy.warm_start(entry.arm_stats_list(), cp0.match)
 
-    state = _SessionState(cfg=cfg, settings=st, ps=ps, model=model,
+    state = _SessionState(cfg=cfg, ps=ps, model=model,
                           manager=manager, policy=policy,
                           feasible=action_space.filter_feasible(ps.context),
                           screening_first=cp0.screening_first)

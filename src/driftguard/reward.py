@@ -9,15 +9,43 @@ integrity and accuracy mass tied to the scheme's required outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import DEFAULTS, Settings
 from .errors import InvalidReward
 from .estimators import BenchmarkModel, SAResult
-from .schemes import MethodScheme
 
-_VARIANCE_ATTRS = ("first_order_indices", "total_order_indices")
+if TYPE_CHECKING:   # schemes imports this module for COMPONENT_CAPS
+    from .schemes import MethodScheme
+
+# Sub-rubric splits inside the four capped components.
+_INTEGRITY_EXECUTION = 20.0
+_INTEGRITY_ATTRIBUTES = 10.0
+_INTEGRITY_WARNINGS = 5.0
+_ACCURACY_PRECISION = 20.0
+_ACCURACY_CONSISTENCY_SUM = 8.0
+_ACCURACY_CONSISTENCY_ORDER = 7.0
+_DETAILS_CAP = 15.0
+_OPTIMALITY_CAP = 15.0
+_OPTIMALITY_BUDGET_WEIGHT = 0.6
+_OPTIMALITY_RUNTIME_WEIGHT = 0.4
+_NAN_PENALTY = 5.0
+_NEGATIVE_VARIANCE_PENALTY = 5.0
+_RANK_INVERSION_PENALTY = 3.0
+_WARNING_PENALTY = 2.0
+_CONVERGENCE_TOL = 1e-3     # |S_i^n - S_i^{n-1}| criterion
+
+#: component -> the most it can score (35, 35, 15, 15), in the order the
+#: diagnosis breaks bottleneck ties
+COMPONENT_CAPS = {
+    "integrity": _INTEGRITY_EXECUTION + _INTEGRITY_ATTRIBUTES
+    + _INTEGRITY_WARNINGS,
+    "accuracy": _ACCURACY_PRECISION + _ACCURACY_CONSISTENCY_SUM
+    + _ACCURACY_CONSISTENCY_ORDER,
+    "details": _DETAILS_CAP,
+    "optimality": _OPTIMALITY_CAP,
+}
 
 
 @dataclass(frozen=True)
@@ -48,8 +76,7 @@ def _mae(estimate, reference) -> float:
 def score(ms: MethodScheme, obs: SAResult | None, *,
           model: BenchmarkModel | None = None,
           epsilon: float = 0.05,
-          prev_obs: SAResult | None = None,
-          settings: Settings = DEFAULTS) -> RewardBreakdown:
+          prev_obs: SAResult | None = None) -> RewardBreakdown:
     """Score one observation against its decided method scheme.
 
     A crashed execution (obs None or executed False) zeroes everything but
@@ -57,7 +84,6 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
     warnings, zero the execution sub-score, and void the vacuous-pass rule
     for consistency checks tied to those attributes.
     """
-    r = settings.reward
     executed = obs is not None and obs.executed
 
     if not executed:
@@ -70,10 +96,10 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
     unaddressed = tuple(obs.warnings) + criticals
 
     # Integrity: clean execution, attribute completeness, no critical flags.
-    exec_pts = r.integrity_execution if not missing else 0.0
+    exec_pts = _INTEGRITY_EXECUTION if not missing else 0.0
     frac = 1.0 if not required else (len(required) - len(missing)) / len(required)
-    attr_pts = r.integrity_attributes * frac
-    warn_pts = r.integrity_warnings if not criticals else 0.0
+    attr_pts = _INTEGRITY_ATTRIBUTES * frac
+    warn_pts = _INTEGRITY_WARNINGS if not criticals else 0.0
     integrity = exec_pts + attr_pts + warn_pts
 
     # Accuracy: precision against an analytic reference when one exists for
@@ -83,12 +109,14 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
     s1 = attrs.get("first_order_indices")
     if s1 is not None and model is not None and model.analytic_s1 is not None:
         mae = _mae(np.nan_to_num(np.asarray(s1), nan=1.0), model.analytic_s1)
-        precision = r.accuracy_precision * max(0.0, 1.0 - mae / max(epsilon, 1e-12))
+        precision = _ACCURACY_PRECISION * max(
+            0.0, 1.0 - mae / max(epsilon, 1e-12))
     elif prev_obs is not None and prev_obs.estimator == obs.estimator:
         cur, prev = obs.primary_indices(), prev_obs.primary_indices()
         if cur is not None and prev is not None and len(cur) == len(prev):
             delta = float(np.max(np.abs(np.asarray(cur) - np.asarray(prev))))
-            precision = r.accuracy_precision if delta <= r.convergence_tol else 0.0
+            precision = _ACCURACY_PRECISION \
+                if delta <= _CONVERGENCE_TOL else 0.0
 
     st = attrs.get("total_order_indices")
     sum_required = "first_order_indices" in required
@@ -102,8 +130,8 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
         order_ok = bool(np.all(np.asarray(st) >= np.asarray(s1) - 0.05))
     else:
         order_ok = not order_required
-    consistency = (r.accuracy_consistency_sum if sum_ok else 0.0) \
-        + (r.accuracy_consistency_order if order_ok else 0.0)
+    consistency = (_ACCURACY_CONSISTENCY_SUM if sum_ok else 0.0) \
+        + (_ACCURACY_CONSISTENCY_ORDER if order_ok else 0.0)
     accuracy = precision + consistency
 
     # Details: deductions from a full score.
@@ -113,14 +141,14 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
     if ref is not None and est_vec is not None and len(est_vec) == len(ref) \
             and not np.any(np.isnan(est_vec)):
         rank_inversion = int(np.argmax(est_vec)) != int(np.argmax(ref))
-    details = r.details_cap
+    details = _DETAILS_CAP
     if obs.nan_count > 0:
-        details -= r.nan_penalty
+        details -= _NAN_PENALTY
     if obs.negative_variance_flag:
-        details -= r.negative_variance_penalty
+        details -= _NEGATIVE_VARIANCE_PENALTY
     if rank_inversion:
-        details -= r.rank_inversion_penalty
-    details -= r.warning_penalty * len(unaddressed)
+        details -= _RANK_INVERSION_PENALTY
+    details -= _WARNING_PENALTY * len(unaddressed)
     details = max(0.0, details)
 
     # Optimality: evaluation thrift plus a runtime factor. With no runtime
@@ -130,8 +158,8 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
         eval_part = min(1.0, ms.n_min_value / obs.evaluations_used)
     else:
         eval_part = 0.0
-    optimality = (r.optimality_budget_weight * eval_part
-                  + r.optimality_runtime_weight) * r.optimality_cap
+    optimality = (_OPTIMALITY_BUDGET_WEIGHT * eval_part
+                  + _OPTIMALITY_RUNTIME_WEIGHT) * _OPTIMALITY_CAP
 
     return RewardBreakdown(integrity, accuracy, details, optimality,
                            criticals + tuple(w for w in unaddressed

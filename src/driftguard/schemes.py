@@ -15,13 +15,12 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 from . import action_space, catalog
 from .action_space import ActionTuple
-from .config import DEFAULTS, Settings
 from .errors import InvalidProblem, UnknownEstimator
 from .estimators import FIELD_TO_ATTRIBUTE
+from .reward import COMPONENT_CAPS
 
 TASKS = ("SA",)
 DIST_FAMILIES = ("Uniform", "Normal", "Other")
-REWARD_COMPONENTS = ("integrity", "accuracy", "details", "optimality")
 
 @dataclass(frozen=True)
 class ContextVector:
@@ -109,7 +108,7 @@ class DiagnosticScheme:
 # ---------------------------------------------------------------------------
 # Builders
 
-def build_context_vector(desc: dict, settings: Settings = DEFAULTS) -> ContextVector:
+def build_context_vector(desc: dict) -> ContextVector:
     try:
         d_in = int(desc["d_in"])
         d_out = int(desc["d_out"])
@@ -123,19 +122,19 @@ def build_context_vector(desc: dict, settings: Settings = DEFAULTS) -> ContextVe
     base = ContextVector(d_in=d_in, d_out=d_out, n_budget=n_budget,
                          epsilon=epsilon, task=task, dist_family=dists,
                          multi_output_flag=d_out > 1, feasibility_bits=())
-    bits = action_space.feasibility_bits(base, settings)
+    bits = action_space.feasibility_bits(base)
     return replace(base, feasibility_bits=bits)
 
 
-def build_problem_scheme(desc: dict, settings: Settings = DEFAULTS) -> ProblemScheme:
+def build_problem_scheme(desc: dict) -> ProblemScheme:
     """Structured problem scheme with feasibility pre-computed; deterministic."""
-    ctx = build_context_vector(desc, settings)
+    ctx = build_context_vector(desc)
     return ProblemScheme(
         context=ctx,
         output_class=desc.get("output_class", "scalar" if ctx.d_out == 1 else "vector"),
         model_class=desc.get("model_class", "unknown"),
         has_dependence=bool(desc.get("has_dependence", False)),
-        high_d_in_flag=ctx.d_in >= settings.screening_dim_threshold,
+        high_d_in_flag=ctx.d_in >= catalog.SCREENING_DIM_THRESHOLD,
         field_out_flag=desc.get("output_class") == "field",
         model_id=desc.get("model_id", ""),
     )
@@ -184,8 +183,9 @@ _ROOT_CAUSE_RULES = (
 
 
 def build_diagnostic_scheme(report: str, obs, breakdown,
-                            settings: Settings = DEFAULTS) -> DiagnosticScheme:
-    """Deterministic keyword-pattern diagnosis; pure for fixed inputs."""
+                            r_threshold: float) -> DiagnosticScheme:
+    """Deterministic keyword-pattern diagnosis; pure for fixed inputs. A
+    total at or above the session's ``r_threshold`` is converged."""
     text = (report or "").lower()
     root_cause = "none"
     for keyword, cause in _ROOT_CAUSE_RULES:
@@ -193,17 +193,10 @@ def build_diagnostic_scheme(report: str, obs, breakdown,
             root_cause = cause
             break
 
-    caps = {"integrity": settings.reward.integrity_execution
-            + settings.reward.integrity_attributes
-            + settings.reward.integrity_warnings,
-            "accuracy": settings.reward.accuracy_precision
-            + settings.reward.accuracy_consistency_sum
-            + settings.reward.accuracy_consistency_order,
-            "details": settings.reward.details_cap,
-            "optimality": settings.reward.optimality_cap}
-    ratios = {c: getattr(breakdown, c) / caps[c] for c in REWARD_COMPONENTS}
-    bottleneck = min(REWARD_COMPONENTS, key=lambda c: (ratios[c],
-                                                       REWARD_COMPONENTS.index(c)))
+    # The lowest share of its cap; ties go to the earlier component.
+    ratios = {c: getattr(breakdown, c) / cap
+              for c, cap in COMPONENT_CAPS.items()}
+    bottleneck = min(ratios, key=ratios.get)
 
     prescribed_estimator = None
     match = _PRESCRIBE_RE.search(report or "")
@@ -220,7 +213,7 @@ def build_diagnostic_scheme(report: str, obs, breakdown,
         prescribed_n_samples = 2 * int(n_match.group(1))
 
     block = root_cause == "attribute_error"
-    if breakdown.total >= settings.r_threshold:
+    if breakdown.total >= r_threshold:
         status = "converged"
     elif breakdown.integrity == 0:
         status = "failed"

@@ -14,7 +14,7 @@ import numpy as np
 from . import agents, bandit
 from .action_space import ActionTuple
 from .archive import Archive
-from .config import DEFAULTS, Settings
+from .checkpoints import CP0_CLOSE_CUTOFF
 from .errors import InvalidProblem
 
 # Canonical problem descriptor: the simulated arms are attached to a real
@@ -84,29 +84,25 @@ def _draw_reward(means: dict[str, float], estimator: str, sigma: float,
 
 def run_sim_session(cfg: SimConfig, seed: int,
                     policy: bandit.PolicyState | None = None,
-                    session_id: str = "sim",
-                    settings: Settings = DEFAULTS) -> SimTrace:
+                    session_id: str = "sim") -> SimTrace:
     """One scripted session driven by the real selection policy."""
-    ps = agents.coordinator(SIM_PROBLEM, settings)
+    ps = agents.coordinator(SIM_PROBLEM)
     means = dict(cfg.arm_means)
     arms = [canonical_action(est) for est, _ in cfg.arm_means]
     if policy is None:
-        policy = bandit.PolicyState(settings=settings,
-                                    exploration_mode=cfg.exploration_mode)
+        policy = bandit.PolicyState(exploration_mode=cfg.exploration_mode)
     rng = np.random.default_rng(seed)
     trace = SimTrace(session_id=session_id, problem_scheme=ps)
     prev_estimator = ""
     for n in range(1, cfg.iterations + 1):
         decision = bandit.select_action(policy, ps, arms,
-                                        rng_seed=seed * 100_003 + n,
-                                        settings=settings)
+                                        rng_seed=seed * 100_003 + n)
         if cfg.novelty_gate and decision.action.estimator == prev_estimator:
             # Repeat selection: re-decide once under the novelty penalty,
             # mirroring the inverted-novelty checkpoint in the real loop.
             decision = bandit.select_action(policy, ps, arms,
                                             novelty_warning=True,
-                                            rng_seed=seed * 100_003 + n + 1,
-                                            settings=settings)
+                                            rng_seed=seed * 100_003 + n + 1)
         action = decision.action
         executed = action.estimator
         if cfg.replace_prob > 0 and rng.random() < cfg.replace_prob:
@@ -124,29 +120,26 @@ def run_sim_session(cfg: SimConfig, seed: int,
 
 
 def run_sim_sessions(cfg: SimConfig, seed: int, n_sessions: int = 3,
-                     archive: Archive | None = None,
-                     settings: Settings = DEFAULTS) -> list[SimTrace]:
+                     archive: Archive | None = None) -> list[SimTrace]:
     """Consecutive sessions sharing an archive and a persisted policy.
 
     Session 1 starts cold in maximal exploration; later sessions find a
     close archive match, restore the policy snapshot, and exploit.
     """
     if archive is None:
-        archive = Archive(settings=settings)
-    ps = agents.coordinator(SIM_PROBLEM, settings)
+        archive = Archive()
+    ps = agents.coordinator(SIM_PROBLEM)
     traces = []
     for k in range(1, n_sessions + 1):
         entry, sim = archive.lookup(ps)
-        if entry is not None and sim >= settings.cp0.close_cutoff \
+        if entry is not None and sim >= CP0_CLOSE_CUTOFF \
                 and entry.policy_snapshot:
-            policy = bandit.PolicyState.from_snapshot(entry.policy_snapshot,
-                                                      settings)
+            policy = bandit.PolicyState.from_snapshot(entry.policy_snapshot)
             policy.exploration_mode = "exploit"
         else:
-            policy = bandit.PolicyState(settings=settings,
-                                        exploration_mode="explore_max")
+            policy = bandit.PolicyState(exploration_mode="explore_max")
         trace = run_sim_session(cfg, seed=seed * 7919 + k, policy=policy,
-                                session_id=f"sim-{k}", settings=settings)
+                                session_id=f"sim-{k}")
         archive.record_session(trace)
         traces.append(trace)
     return traces

@@ -2,7 +2,6 @@ import pytest
 
 from driftguard import agents
 from driftguard.checkpoints import CheckpointManager
-from driftguard.config import DEFAULTS
 from driftguard.embedding import calibrate_null, shipped_corpus
 
 EQ3_PROBLEM = {"task": "SA", "d_in": 4, "d_out": 1, "n_budget": 8000,
@@ -25,7 +24,7 @@ def null_dist():
 
 @pytest.fixture()
 def manager(null_dist):
-    return CheckpointManager(null_dist, settings=DEFAULTS)
+    return CheckpointManager(null_dist)
 
 
 @pytest.fixture(scope="session")

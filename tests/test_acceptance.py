@@ -9,12 +9,11 @@ import statistics
 
 import numpy as np
 
-from driftguard import estimators, metrics
+from driftguard import checkpoints, estimators, metrics
 from driftguard.agents import DriftSpec
 from driftguard.archive import Archive
 from driftguard.checkpoints import (CHECKPOINT_TABLE, DISABLED,
                                     CheckpointManager)
-from driftguard.config import DEFAULTS
 from driftguard.embedding import calibrate_null, shipped_corpus
 from driftguard.estimators import SAResult
 from driftguard.pipeline import (SessionConfig, run_session,
@@ -197,7 +196,7 @@ def test_criterion_6_cp0_contrast(null_dist):
 
     archive = Archive()
     archive.seed_entry(ps_beam, canonical_action("Sobol"), 88.0)
-    manager = CheckpointManager(null_dist, settings=DEFAULTS)
+    manager = CheckpointManager(null_dist)
 
     repeat = manager.evaluate_cp0(ps_beam, archive)
     assert repeat.match == "close" and repeat.exploration_mode == "exploit"
@@ -288,19 +287,19 @@ def test_criterion_10_threshold_safety():
     checked = 0
     for seed in (0, 1, 2):
         null = calibrate_null(corpus, n_pairs=500, seed=seed)
-        floor_null = null.quantile(DEFAULTS.threshold.null_quantile)
+        floor_null = null.quantile(checkpoints._NULL_QUANTILE)
         for stream in streams:
-            manager = CheckpointManager(null, settings=DEFAULTS)
+            manager = CheckpointManager(null)
             for cp_id, (t0, t_min, _, inverted, _) in \
                     CHECKPOINT_TABLE.items():
                 if cp_id == "CP0" or inverted:
                     continue
                 for sim in stream:
                     manager.evaluate(cp_id, float(sim))
-                    assert manager.threshold(cp_id) \
+                    assert manager.state[cp_id].current() \
                         >= max(t_min, floor_null) - 1e-12 \
                         or manager.state[cp_id].count \
-                        < DEFAULTS.threshold.warmup
+                        < checkpoints._WARMUP
                 checked += 1
     _report("criterion 10 (threshold safety)",
             f"{checked} gate/stream/calibration combinations kept every "

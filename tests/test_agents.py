@@ -176,21 +176,22 @@ class TestAdvisor:
 
     def test_crash_report(self, ps_eq3):
         text = agents.advisor_report(_ms(ps_eq3), None,
-                                     self._breakdown(0), ps_eq3)
+                                     self._breakdown(0), ps_eq3, 85.0)
         assert "unrecoverable" in text
 
     def test_missing_attribute_report(self, ps_eq3):
         ms = _ms(ps_eq3)                                # requires s1 and st
         obs = SAResult(estimator="Morris", mu_star=(1.0,) * 4,
                        sigma=(0.1,) * 4, evaluations_used=500)
-        text = agents.advisor_report(ms, obs, self._breakdown(20), ps_eq3)
+        text = agents.advisor_report(ms, obs, self._breakdown(20),
+                                     ps_eq3, 85.0)
         assert "required attribute" in text
 
     def test_converged_report(self, ps_eq3):
         obs = SAResult(estimator="Sobol", s1=(0.5, 0.3, 0.1, 0.05),
                        st=(0.6, 0.35, 0.12, 0.06), evaluations_used=6000)
         text = agents.advisor_report(_ms(ps_eq3), obs,
-                                     self._breakdown(92), ps_eq3)
+                                     self._breakdown(92), ps_eq3, 85.0)
         assert "successfully computed" in text
 
     def test_partial_rank_method_prescribes_swap(self, ps_eq3):
@@ -198,7 +199,8 @@ class TestAdvisor:
         obs = SAResult(estimator="Chatterjee",
                        rank_indices=(0.5, 0.3, 0.1, 0.05),
                        evaluations_used=1000)
-        text = agents.advisor_report(ms, obs, self._breakdown(60), ps_eq3)
+        text = agents.advisor_report(ms, obs, self._breakdown(60),
+                                     ps_eq3, 85.0)
         assert "wrong estimator" in text
         assert "prescribe estimator Sobol" in text
 
@@ -208,14 +210,15 @@ class TestAdvisor:
                        rank_indices=(0.5, 0.3, 0.1, 0.05),
                        evaluations_used=1000)
         text = agents.advisor_report(ms, obs, self._breakdown(60), ps_eq3,
-                                     avoid=frozenset({"Sobol"}))
+                                     85.0, avoid=frozenset({"Sobol"}))
         assert "prescribe estimator CVM" in text
 
     def test_partial_real_s1_method_asks_for_more_samples(self, ps_eq3):
         ms = _ms(ps_eq3, estimator="Sobol", n=1000)
         obs = SAResult(estimator="Sobol", s1=(0.5, 0.3, 0.1, 0.05),
                        st=(0.6, 0.35, 0.12, 0.06), evaluations_used=6000)
-        text = agents.advisor_report(ms, obs, self._breakdown(60), ps_eq3)
+        text = agents.advisor_report(ms, obs, self._breakdown(60),
+                                     ps_eq3, 85.0)
         assert "insufficient at n_samples=1000" in text
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from driftguard import archive as arch
 from driftguard import bandit
 from driftguard.archive import Archive, ArchiveEntry
-from driftguard.config import DEFAULTS
 from driftguard.errors import LoadError, PersistError
 from driftguard.simenv import (SimConfig, SimRecord, SimTrace,
                                canonical_action, run_sim_session,
@@ -133,15 +132,14 @@ def _schema_1_features(ps) -> np.ndarray:
 def _schema_1_similarity(current, stored) -> float:
     """archive.similarity as schema 1 computed it, between the problem of
     a lookup and the problem an entry was stored for."""
-    a = DEFAULTS.archive
     f1, f2 = _schema_1_features(current), _schema_1_features(stored)
     denom = float(np.linalg.norm(f1) * np.linalg.norm(f2))
     cos = float(f1 @ f2) / denom if denom > 0 else 0.0
     task_eq = 1.0 if current.context.task == stored.context.task else 0.0
     kernel = math.exp(-abs(current.context.d_in - stored.context.d_in)
-                      / a.dim_kernel_width)
-    score = a.feature_weight * cos + a.task_weight * task_eq \
-        + a.dim_weight * kernel
+                      / arch._DIM_KERNEL_WIDTH)
+    score = arch._FEATURE_WEIGHT * cos + arch._TASK_WEIGHT * task_eq \
+        + arch._DIM_WEIGHT * kernel
     return min(1.0, max(0.0, score))
 
 
@@ -266,7 +264,11 @@ class TestPersistence:
         bad_b = json.loads(json.dumps(good))
         bad_b["entries"][0]["policy_snapshot"] = {
             **snapshot, "b_vector": [0.0] * 32}
-        for payload in (bad_phi, bad_precision, bad_b):
+        # Problem features are 10 long; 11 would fail the next lookup.
+        assert len(good["entries"][0]["problem_features"]) == 10
+        bad_features = json.loads(json.dumps(good))
+        bad_features["entries"][0]["problem_features"] += [0.0]
+        for payload in (bad_phi, bad_precision, bad_b, bad_features):
             path.write_text(json.dumps(payload))
             with pytest.raises(LoadError, match="dimension"):
                 Archive(str(path))

@@ -1,11 +1,11 @@
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from driftguard import action_space, catalog
 from driftguard.action_space import ActionTuple
-from driftguard.config import DEFAULTS
 from driftguard.errors import UnknownEstimator
 from driftguard.schemes import build_context_vector
 
@@ -84,7 +84,7 @@ _RULES = {
 }
 
 
-def _walk_feasible(ctx, thr=DEFAULTS.screening_dim_threshold):
+def _walk_feasible(ctx, thr):
     """The per-action walk: every predicate gating an action's estimator
     must hold, checked for each of the 12 actions."""
     feasible = []
@@ -164,14 +164,13 @@ class TestFeasibility:
         # (500 (d + 2)) minimum, where an off-by-one would show.
         if edge is not None:
             budget = 500 * (d_in + edge) + shift
-        settings = dataclasses.replace(DEFAULTS, screening_dim_threshold=thr)
-        ctx = build_context_vector(
-            {"task": "SA", "d_in": d_in, "d_out": d_out, "n_budget": budget,
-             "dist_family": ["Uniform"] * d_in}, settings)
-        walked = _walk_feasible(ctx, thr)
-        assert action_space.filter_feasible(ctx) == walked
-        walked_estimators = {a.estimator for a in walked}
-        assert ctx.feasibility_bits == tuple(
-            e in walked_estimators for e in catalog.SA_ESTIMATORS)
-        assert ctx.feasibility_bits == action_space.feasibility_bits(
-            ctx, settings)
+        with mock.patch.object(catalog, "SCREENING_DIM_THRESHOLD", thr):
+            ctx = build_context_vector(
+                {"task": "SA", "d_in": d_in, "d_out": d_out,
+                 "n_budget": budget, "dist_family": ["Uniform"] * d_in})
+            walked = _walk_feasible(ctx, thr)
+            assert action_space.filter_feasible(ctx) == walked
+            walked_estimators = {a.estimator for a in walked}
+            assert ctx.feasibility_bits == tuple(
+                e in walked_estimators for e in catalog.SA_ESTIMATORS)
+            assert ctx.feasibility_bits == action_space.feasibility_bits(ctx)

@@ -3,10 +3,10 @@ import dataclasses
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from driftguard import checkpoints
 from driftguard.archive import Archive
 from driftguard.checkpoints import (CHECKPOINT_TABLE, DISABLED,
                                     CheckpointManager)
-from driftguard.config import DEFAULTS
 
 
 EXPECTED_TABLE = {
@@ -63,46 +63,47 @@ class TestEvaluate:
 
 class TestAdaptiveThreshold:
     def test_initial_value_until_warmup(self, manager):
-        assert manager.threshold("CP2") == 0.30
+        assert manager.state["CP2"].current() == 0.30
         manager.evaluate("CP2", 0.9)
         manager.evaluate("CP2", 0.9)
-        assert manager.threshold("CP2") == 0.30   # still inside warmup
+        assert manager.state["CP2"].current() == 0.30   # still inside warmup
 
     def test_adapts_after_warmup(self, manager, null_dist):
         for _ in range(5):
             manager.evaluate("CP2", 0.95)
         # Tight drift-free distribution near 0.95: the gate tightens but is
         # capped at theta0 + bonus, unless the null floor sits higher.
-        floor = max(0.20, null_dist.quantile(DEFAULTS.threshold.null_quantile))
-        assert manager.threshold("CP2") == pytest.approx(
-            max(0.30 + DEFAULTS.threshold.cap_bonus, floor))
+        floor = max(0.20, null_dist.quantile(checkpoints._NULL_QUANTILE))
+        assert manager.state["CP2"].current() == pytest.approx(
+            max(0.30 + checkpoints._CAP_BONUS, floor))
 
     def test_floor_respects_null_quantile(self, manager, null_dist):
         floor = max(CHECKPOINT_TABLE["CP2"][1],
-                    null_dist.quantile(DEFAULTS.threshold.null_quantile))
+                    null_dist.quantile(checkpoints._NULL_QUANTILE))
         for sim in (0.31, 0.30, 0.32, 0.31, 0.30, 0.31, 0.30):
             manager.evaluate("CP2", sim)
-        assert manager.threshold("CP2") >= floor
+        assert manager.state["CP2"].current() >= floor
 
     def test_failures_do_not_adapt(self, manager):
-        before = manager.threshold("CP2")
+        before = manager.state["CP2"].current()
         for _ in range(10):
             manager.evaluate("CP2", 0.01)
-        assert manager.threshold("CP2") == before
+        assert manager.state["CP2"].current() == before
 
     @hyp_settings(max_examples=50, deadline=None)
     @given(sims=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
     def test_threshold_never_below_safety_floor(self, null_dist, sims):
         # Adversarial similarity streams can never drag a gate below
         # max(theta_min, null 95th percentile) nor above theta0 + cap.
-        mgr = CheckpointManager(null_dist, settings=DEFAULTS)
+        mgr = CheckpointManager(null_dist)
         floor = max(CHECKPOINT_TABLE["CP4"][1],
-                    null_dist.quantile(DEFAULTS.threshold.null_quantile))
-        ceiling = CHECKPOINT_TABLE["CP4"][0] + DEFAULTS.threshold.cap_bonus
+                    null_dist.quantile(checkpoints._NULL_QUANTILE))
+        ceiling = CHECKPOINT_TABLE["CP4"][0] + checkpoints._CAP_BONUS
         for sim in sims:
             mgr.evaluate("CP4", sim)
-            if mgr.state["CP4"].count >= DEFAULTS.threshold.warmup:
-                assert floor <= mgr.threshold("CP4") <= max(ceiling, floor)
+            if mgr.state["CP4"].count >= checkpoints._WARMUP:
+                assert floor <= mgr.state["CP4"].current() \
+                    <= max(ceiling, floor)
 
 
 class TestCP0:
@@ -131,8 +132,8 @@ class TestCP0:
         archive = Archive()
         archive.seed_entry(ps_beam, canonical_action("Sobol"), 90.0)
         res = manager.evaluate_cp0(ps_eq3, archive)
-        assert DEFAULTS.cp0.weak_cutoff <= res.similarity \
-            < DEFAULTS.cp0.close_cutoff
+        assert checkpoints._CP0_WEAK_CUTOFF <= res.similarity \
+            < checkpoints.CP0_CLOSE_CUTOFF
         assert res.match == "weak" and res.exploration_mode == "neutral"
 
     def test_disabled_cp0_ignores_archive(self, null_dist, ps_beam):

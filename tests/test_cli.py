@@ -130,12 +130,17 @@ class TestBadConfig:
         cfg = _write(tmp_path, BASE_RUN)
         assert main(["sessions", "--config", cfg]) == EXIT_BAD_CONFIG
 
-    def test_unknown_settings_key(self, tmp_path, capsys):
-        for settings, key in (({"retry_budgett": 2}, "retry_budgett"),
-                              ({"bandit": {"novelty": 1.0}}, "novelty"),
-                              ({"bandit": 3}, "settings.bandit")):
-            cfg = _write(tmp_path, {**BASE_RUN, "settings": settings})
-            assert main(["run", "--config", cfg, "--out", str(tmp_path),
+    def test_unknown_config_key(self, tmp_path, capsys):
+        # Tunables are constants: a settings block, like a typo, is refused
+        # before any session runs.
+        for command, doc, key in (
+                ("run", {**BASE_RUN, "settings": {"retry_budget": 2}},
+                 "settings"),
+                ("run", {**BASE_RUN, "n_maxx": 3}, "n_maxx"),
+                ("sessions", {**BASE_RUN, "sessions": [
+                    {"session_id": "cli-test"}, {"n_maxx": 3}]}, "n_maxx")):
+            cfg = _write(tmp_path, doc)
+            assert main([command, "--config", cfg, "--out", str(tmp_path),
                          "--quiet"]) == EXIT_BAD_CONFIG
             assert key in capsys.readouterr().err
             assert not (tmp_path / "cli-test.trace.jsonl").exists()

@@ -54,6 +54,10 @@ class TestSessionBasics:
         assert trace.outcome == "converged"
         assert trace.iterations_to_converge == len(trace.records)
         assert trace.records[-1].reward_total >= 50.0
+        # The diagnosis and the advisor judge against the session's
+        # threshold, not a default one.
+        assert trace.records[-1].diagnostic.convergence_status == "converged"
+        assert "meets the precision target" in trace.records[-1].advisor_text
 
     def test_aborted_on_unknown_model(self):
         cfg = _cfg(problem={**EQ3_PROBLEM, "model_id": "ghost"})
