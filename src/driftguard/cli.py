@@ -20,12 +20,12 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .agents import DriftSpec
 from .archive import Archive
 from .errors import ConfigError, DriftguardError
-from .pipeline import (SessionConfig, SessionTrace, run_ablation_suite,
-                       run_session, write_trace)
+from .pipeline import SessionConfig, SessionTrace, run_session, write_trace
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -35,8 +35,14 @@ SESSION_COLUMNS = ("session_id", "seed", "outcome", "best_reward",
                    "iterations_to_best", "iterations_to_converge",
                    "best_estimator", "cp0_match", "cp0_similarity",
                    "cp0_mode", "cp0_screening_first")
+ABLATION_COLUMNS = ("condition", "seed", "outcome", "mismatch_count",
+                    "n_iterations", "best_reward", "first_reward",
+                    "iterations_to_converge", "cp_failure_events")
 
 # The top-level keys a config may hold; any other is a bad configuration.
+# The archive is built once per command from the top-level block, so a
+# ``sessions`` entry may not set the keys in ``_TOP_LEVEL_ONLY``.
+_TOP_LEVEL_ONLY = ("archive_path", "warm_start")
 _CONFIG_KEYS = frozenset({
     "problem", "n_max", "r_threshold", "seed", "seeds", "session_id",
     "checkpoint_overrides", "drift", "archive_path", "record_to_archive",
@@ -98,8 +104,6 @@ def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
     if not isinstance(model_id, (str, type(None))) or \
             (model_id and model_id not in benchmark_catalog()):
         raise ConfigError(f"unknown problem model {model_id!r}")
-    if not isinstance(doc.get("archive_path"), (str, type(None))):
-        raise ConfigError("archive_path must be a string")
     try:
         seed = seed_override if seed_override is not None \
             else int(doc.get("seed", 0))
@@ -111,7 +115,6 @@ def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
             drift=_drift_from(doc.get("drift")),
             seed=seed,
             session_id=doc.get("session_id", "session"),
-            archive_path=doc.get("archive_path"),
             record_to_archive=bool(doc.get("record_to_archive", True)),
             persist_policy=bool(doc.get("persist_policy", False)))
     except (TypeError, ValueError) as exc:
@@ -119,9 +122,13 @@ def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
 
 
 def _archive_for(doc: dict, cfg: SessionConfig) -> Archive | None:
-    """Archive from the config path, optionally pre-seeded with one arm."""
-    warm = doc.get("warm_start")
-    archive = Archive(cfg.archive_path) if cfg.archive_path or warm else None
+    """The archive of the config's top-level ``archive_path``, pre-seeded
+    with one arm of ``cfg``'s problem when ``warm_start`` is set; None when
+    neither is.  The only place an archive is built from a config."""
+    path, warm = doc.get("archive_path"), doc.get("warm_start")
+    if not isinstance(path, (str, type(None))):
+        raise ConfigError("archive_path must be a string")
+    archive = Archive(path) if path or warm else None
     if warm:
         from . import action_space, agents
         try:
@@ -180,13 +187,27 @@ def _trace_summary(trace: SessionTrace) -> dict:
             "abort_reason": trace.abort_reason}
 
 
+def _run(cfg: SessionConfig, archive: Archive | None,
+         out: str) -> SessionTrace:
+    """Run one session and write ``<session_id>.trace.jsonl`` under
+    ``out``."""
+    trace = run_session(cfg, archive=archive)
+    write_trace(trace, os.path.join(out, f"{cfg.session_id}.trace.jsonl"))
+    return trace
+
+
+def _write_table(path: str, columns: tuple[str, ...], rows: list) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(columns))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_run(args) -> int:
     doc = _load_config(args.config)
     cfg = _session_config(doc, args.seed_override)
     out = _out_dir(args)
-    trace = run_session(cfg, archive=_archive_for(doc, cfg))
-    trace_path = os.path.join(out, f"{cfg.session_id}.trace.jsonl")
-    write_trace(trace, trace_path)
+    trace = _run(cfg, _archive_for(doc, cfg), out)
     summary = _trace_summary(trace)
     with open(os.path.join(out, f"{cfg.session_id}.summary.json"), "w",
               encoding="utf-8") as fh:
@@ -194,11 +215,13 @@ def cmd_run(args) -> int:
         fh.write("\n")
     _say(args, f"{trace.outcome}: best reward "
                f"{trace.best_reward:.1f} in {len(trace.records)} iterations "
-               f"-> {trace_path}")
+               f"-> {os.path.join(out, cfg.session_id)}.trace.jsonl")
     return EXIT_ABORTED if trace.outcome == "aborted" else EXIT_OK
 
 
 def cmd_ablate(args) -> int:
+    """Each (condition, seed) runs on a fresh archive from the config, so
+    sessions that depend on a warm start stay independent."""
     doc = _load_config(args.config)
     base_cfg = _session_config(doc, None)
     try:
@@ -213,16 +236,31 @@ def cmd_ablate(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad seeds list: {exc}") from exc
     out = _out_dir(args)
-    out_csv = os.path.join(out, _output_name(doc, "ablation") + ".csv")
-    factory = (lambda: _archive_for(doc, base_cfg)) \
-        if doc.get("warm_start") or base_cfg.archive_path else None
-    rows = run_ablation_suite(base_cfg, conditions, seeds, out_csv=out_csv,
-                              archive_factory=factory)
-    for row in rows:
-        _say(args, f"{row['condition']} seed {row['seed']}: "
-                   f"{row['outcome']}, mismatches {row['mismatch_count']}, "
-                   f"best {row['best_reward']}")
-    _say(args, f"wrote {out_csv}")
+    table = os.path.join(out, _output_name(doc, "ablation") + ".csv")
+    rows = []
+    for name, overrides, drift in conditions:
+        for seed in seeds:
+            cfg = replace(base_cfg, checkpoint_overrides=overrides,
+                          drift=drift, seed=seed,
+                          session_id=f"{base_cfg.session_id}-{name}-s{seed}")
+            trace = _run(cfg, _archive_for(doc, cfg), out)
+            row = {"condition": name, "seed": seed,
+                   "outcome": trace.outcome,
+                   "mismatch_count": sum(1 for r in trace.records
+                                         if r.mismatch),
+                   "n_iterations": len(trace.records),
+                   "best_reward": round(trace.best_reward, 2),
+                   "first_reward": round(trace.records[0].reward_total, 2)
+                   if trace.records else 0.0,
+                   "iterations_to_converge": trace.iterations_to_converge,
+                   "cp_failure_events": sum(1 for r in trace.records
+                                            for e in r.checkpoint_events
+                                            if e.verdict != "pass")}
+            rows.append(row)
+            _say(args, f"{name} seed {seed}: {trace.outcome}, mismatches "
+                       f"{row['mismatch_count']}, best {row['best_reward']}")
+    _write_table(table, ABLATION_COLUMNS, rows)
+    _say(args, f"wrote {table}")
     return EXIT_OK
 
 
@@ -237,19 +275,21 @@ def cmd_sessions(args) -> int:
     for k, sdoc in enumerate(session_docs, start=1):
         if not isinstance(sdoc, dict):
             raise ConfigError(f"session entry {k} must be a JSON object")
+        misplaced = [key for key in _TOP_LEVEL_ONLY if key in sdoc]
+        if misplaced:
+            raise ConfigError(f"session entry {k} sets "
+                              f"{', '.join(misplaced)}, which is read at "
+                              "the top level only")
         merged = {**shared, **sdoc}
         merged.setdefault("session_id", f"session-{k}")
         merged.setdefault("persist_policy", True)
         cfgs.append(_session_config(merged, args.seed_override))
     out = _out_dir(args)
     table = os.path.join(out, _output_name(doc, "sessions") + ".csv")
-    archive = Archive(doc["archive_path"]) if doc.get("archive_path") \
-        else Archive()
+    archive = _archive_for(doc, cfgs[0]) or Archive()
     rows, aborted = [], False
     for cfg in cfgs:
-        trace = run_session(cfg, archive=archive)
-        write_trace(trace, os.path.join(out,
-                                        f"{cfg.session_id}.trace.jsonl"))
+        trace = _run(cfg, archive, out)
         aborted = aborted or trace.outcome == "aborted"
         best = max(trace.records, key=lambda r: r.reward_total, default=None)
         itb = next((r.n for r in trace.records
@@ -269,10 +309,7 @@ def cmd_sessions(args) -> int:
         _say(args, f"{cfg.session_id}: {trace.outcome}, best "
                    f"{trace.best_reward:.1f}, cp0 {trace.cp0_match}/"
                    f"{trace.cp0_mode}")
-    with open(table, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(SESSION_COLUMNS))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_table(table, SESSION_COLUMNS, rows)
     _say(args, f"wrote {table}")
     return EXIT_ABORTED if aborted else EXIT_OK
 

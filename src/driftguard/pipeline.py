@@ -1,11 +1,10 @@
 """Session orchestrator: the conceptualization phase, the decision loop with
 every checkpoint wired at its boundary, the self-healing execution loop, and
-the ablation suite driver.
+the trace writer.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -33,7 +32,6 @@ class SessionConfig:
     drift: DriftSpec = field(default_factory=DriftSpec)
     seed: int = 0
     session_id: str = "session"
-    archive_path: str | None = None
     record_to_archive: bool = True
     persist_policy: bool = False
 
@@ -332,8 +330,6 @@ def run_session(cfg: SessionConfig,
         return _aborted(cfg, ps, str(exc))
 
     # CP0: archive match, warm-start, exploration mode.
-    if archive is None and cfg.archive_path:
-        archive = Archive(cfg.archive_path)
     cp0 = manager.evaluate_cp0(ps, archive)
     policy = bandit.PolicyState(exploration_mode=cp0.exploration_mode)
     if cp0.warm_start is not None:
@@ -414,53 +410,3 @@ def write_trace(trace: SessionTrace, path: str) -> None:
                    "diagnostic": json.loads(serialize_scheme(rec.diagnostic)),
                    "advisor_text": rec.advisor_text}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Ablation suite
-
-ABLATION_COLUMNS = ("condition", "seed", "outcome", "mismatch_count",
-                    "n_iterations", "best_reward", "first_reward",
-                    "iterations_to_converge", "cp_failure_events")
-
-
-def run_ablation_suite(base_cfg: SessionConfig,
-                       conditions: list[tuple[str, dict, DriftSpec]],
-                       seeds: list[int],
-                       out_csv: str | None = None,
-                       archive_factory=None) -> list[dict]:
-    """Run each (name, checkpoint overrides, drift) condition over the seed
-    list and summarize mismatch rates, rewards, and convergence.
-
-    ``archive_factory`` builds a fresh archive per session so conditions
-    that depend on a warm start stay independent across seeds.
-    """
-    rows = []
-    for name, overrides, drift in conditions:
-        for seed in seeds:
-            cfg = replace(base_cfg, checkpoint_overrides=overrides,
-                          drift=drift, seed=seed,
-                          session_id=f"{base_cfg.session_id}-{name}-s{seed}")
-            trace = run_session(cfg, archive=archive_factory()
-                                if archive_factory else None)
-            mismatches = sum(1 for r in trace.records if r.mismatch)
-            cp_failures = sum(1 for r in trace.records
-                              for e in r.checkpoint_events
-                              if e.verdict != "pass")
-            rows.append({
-                "condition": name, "seed": seed,
-                "outcome": trace.outcome,
-                "mismatch_count": mismatches,
-                "n_iterations": len(trace.records),
-                "best_reward": round(trace.best_reward, 2),
-                "first_reward": round(trace.records[0].reward_total, 2)
-                if trace.records else 0.0,
-                "iterations_to_converge": trace.iterations_to_converge,
-                "cp_failure_events": cp_failures,
-            })
-    if out_csv is not None:
-        with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(ABLATION_COLUMNS))
-            writer.writeheader()
-            writer.writerows(rows)
-    return rows

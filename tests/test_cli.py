@@ -215,6 +215,24 @@ class TestAblate:
             rows = list(csv.DictReader(fh))
         assert [r["seed"] for r in rows] == ["7"]
 
+    def test_one_trace_per_row(self, tmp_path):
+        with open(os.path.join(CONFIGS, "cp5_swap.json")) as fh:
+            doc = json.load(fh)
+        cfg = _write(tmp_path, {**doc, "seeds": [0, 1]})
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == EXIT_OK
+        with open(tmp_path / "cp5_swap.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        names = {f"cp5-{r['condition']}-s{r['seed']}.trace.jsonl"
+                 for r in rows}
+        assert {p.name for p in tmp_path.glob("*.trace.jsonl")} == names
+        for r in rows:
+            path = tmp_path / f"cp5-{r['condition']}-s{r['seed']}.trace.jsonl"
+            lines = path.read_text().splitlines()
+            assert json.loads(lines[0])["outcome"] == r["outcome"]
+            assert len(lines) == 1 + int(r["n_iterations"])
+
 
 class TestSessions:
     def test_shared_archive_produces_cp0_match(self, tmp_path):
@@ -248,6 +266,35 @@ class TestSessions:
                          "--quiet"]) == EXIT_OK
             blobs.append((run_dir / "archive.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_top_level_warm_start_reaches_first_session(self, tmp_path):
+        with open(os.path.join(CONFIGS, "gfunction_sessions.json")) as fh:
+            doc = json.load(fh)
+        cfg = _write(tmp_path, {**doc, "warm_start": {
+            "estimator": "Sobol", "mean_reward": 91.0, "count": 3}})
+        assert main(["sessions", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == EXIT_OK
+        with open(tmp_path / "gfunction_sessions.csv") as fh:
+            first = next(csv.DictReader(fh))
+        assert first["session_id"] == "gfn-1"
+        assert (first["cp0_match"], first["cp0_mode"]) == ("close", "exploit")
+
+    def test_archive_keys_in_a_session_entry_are_bad_config(self, tmp_path,
+                                                            capsys):
+        # The archive is shared by every session, so only the top level
+        # may say where it lives and what it starts with.
+        for entry in ({"archive_path": str(tmp_path / "archive.json")},
+                      {"warm_start": {"estimator": "Sobol",
+                                      "mean_reward": 91.0}}):
+            doc = {"problem": G8_PROBLEM, "n_max": 1, "sessions": [
+                {"session_id": "s1", "seed": 1},
+                {"session_id": "s2", "seed": 2, **entry}]}
+            cfg = _write(tmp_path, doc)
+            assert main(["sessions", "--config", cfg, "--out", str(tmp_path),
+                         "--quiet"]) == EXIT_BAD_CONFIG
+            assert next(iter(entry)) in capsys.readouterr().err
+            assert not list(tmp_path.glob("*.trace.jsonl"))
+            assert not (tmp_path / "archive.json").exists()
 
     def test_schema_2_archive_is_a_bad_config(self, tmp_path, capsys):
         # A schema-2 archive, with its 32-long feature vectors, is refused

@@ -3,13 +3,12 @@ import json
 
 import pytest
 
-from driftguard import pipeline
+from driftguard import cli
 from driftguard.agents import DriftSpec
 from driftguard.archive import Archive
 from driftguard.checkpoints import DISABLED
 from driftguard.estimators import SAResult
-from driftguard.pipeline import (ABLATION_COLUMNS, SessionConfig,
-                                 run_ablation_suite, run_session,
+from driftguard.pipeline import (SessionConfig, run_session,
                                  submartingale_flags, write_trace)
 from driftguard.simenv import canonical_action
 
@@ -193,40 +192,51 @@ class TestTraceSerialization:
 
 
 class TestAblationSuite:
+    """The ablation grid runs through ``driftguard ablate``."""
+
+    @staticmethod
+    def _ablate(tmp_path, conditions, seeds, **doc):
+        doc = {"problem": EQ3_PROBLEM, "n_max": 3, "output_name": "suite",
+               "seeds": seeds, "conditions": conditions, **doc}
+        config = tmp_path / "suite.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["ablate", "--config", str(config), "--out",
+                         str(tmp_path), "--quiet"]) == cli.EXIT_OK
+        return tmp_path / "suite.csv"
+
     def test_empty_condition_list_writes_header_only_csv(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        rows = run_ablation_suite(_cfg(), [], [1], out_csv=str(path))
-        assert rows == []
+        path = self._ablate(tmp_path, [], [1])
         content = path.read_text().strip().splitlines()
         assert len(content) == 1
-        assert tuple(content[0].split(",")) == ABLATION_COLUMNS
+        assert tuple(content[0].split(",")) == cli.ABLATION_COLUMNS
+        assert not list(tmp_path.glob("*.trace.jsonl"))
 
     def test_rows_cover_conditions_times_seeds(self, tmp_path):
-        drift = DriftSpec(kind="method_swap", replacement_value="Morris",
-                          probability=1.0)
-        conditions = [("off", dict(ALL_OFF), drift), ("on", {}, drift)]
-        path = tmp_path / "suite.csv"
-        rows = run_ablation_suite(_cfg(n_max=2), conditions, [1, 2],
-                                  out_csv=str(path))
+        drift = {"kind": "method_swap", "replacement_value": "Morris",
+                 "probability": 1.0}
+        conditions = [{"name": "off", "checkpoint_overrides": ALL_OFF,
+                       "drift": drift},
+                      {"name": "on", "drift": drift}]
+        path = self._ablate(tmp_path, conditions, [1, 2], n_max=2)
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert {(r["condition"], r["seed"]) for r in rows} == {
-            ("off", 1), ("off", 2), ("on", 1), ("on", 2)}
-        with open(path) as fh:
-            parsed = list(csv.DictReader(fh))
-        assert len(parsed) == 4
-        assert parsed[0]["condition"] == "off"
+            ("off", "1"), ("off", "2"), ("on", "1"), ("on", "2")}
+        assert rows[0]["condition"] == "off"
 
-    def test_archive_factory_gives_fresh_archive_per_session(self, ps_g8):
+    def test_fresh_archive_per_session(self, tmp_path, monkeypatch):
         calls = []
 
-        def factory():
-            a = Archive()
-            a.seed_entry(ps_g8, canonical_action("Sobol"), 91.0)
-            calls.append(a)
-            return a
+        def archive_for(doc, cfg):
+            archive = build(doc, cfg)
+            calls.append(archive)
+            return archive
 
-        run_ablation_suite(_cfg(problem=G8_PROBLEM, n_max=1,
-                                record_to_archive=False),
-                           [("warm", {}, DriftSpec())], [1, 2],
-                           archive_factory=factory)
+        build = cli._archive_for
+        monkeypatch.setattr(cli, "_archive_for", archive_for)
+        self._ablate(tmp_path, [{"name": "warm"}], [1, 2],
+                     problem=G8_PROBLEM, n_max=1, record_to_archive=False,
+                     warm_start={"estimator": "Sobol", "mean_reward": 91.0})
         assert len(calls) == 2 and calls[0] is not calls[1]
+        assert all(a.entries[0].session_id == "seed" for a in calls)
