@@ -22,13 +22,6 @@ DRIFT_KINDS = ("method_swap", "field_corruption", "none")
 
 
 @dataclass(frozen=True)
-class AgentMessage:
-    role: str
-    payload: object
-    free_text: str = ""
-
-
-@dataclass(frozen=True)
 class ExecutionPlan:
     estimator: str
     n_samples: int
@@ -296,46 +289,42 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
 # ---------------------------------------------------------------------------
 # Drift injection
 
-def inject_drift(message: AgentMessage, spec: DriftSpec, rng_seed: int,
-                 iteration: int | None = None
-                 ) -> tuple[AgentMessage, dict | None]:
-    """Adversarial mid-pipeline mutation of a message copy.
+def inject_drift(text: str, spec: DriftSpec, rng_seed: int,
+                 iteration: int | None = None) -> tuple[str, dict | None]:
+    """Adversarial mid-pipeline mutation of the strategy text handed to the
+    Refactor Agent.
 
-    Returns (possibly mutated message, event record or None).  The original
-    message object is never modified.
+    Returns (possibly mutated text, event record or None).
     """
     if spec.kind == "none" or spec.probability == 0.0:
-        return message, None
+        return text, None
     if spec.activation_iteration is not None and iteration is not None \
             and iteration < spec.activation_iteration:
-        return message, None
+        return text, None
     rng = np.random.default_rng(rng_seed)
     if rng.random() >= spec.probability:
-        return message, None
+        return text, None
 
-    if spec.kind == "method_swap" and isinstance(message.payload, str):
-        original = message.payload
-        match = _EST_TOKEN.search(original)
+    if spec.kind == "method_swap":
+        match = _EST_TOKEN.search(text)
         source = match.group(1) if match else ""
         target = spec.replacement_value or "Morris"
         if not source or source == target:
-            return message, None
+            return text, None
         if spec.source_value and source != spec.source_value:
-            return message, None
+            return text, None
         # Swap the rationale vocabulary first, then the name tokens, so the
         # corruption reads like a coherent (but wrong) report rather than a
         # token splice.
-        mutated = original.replace(_kw(source), _kw(target))
+        mutated = text.replace(_kw(source), _kw(target))
         mutated = _EST_TOKEN.sub(target, mutated)
         event = {"kind": spec.kind, "field": spec.target_field,
                  "from": source, "to": target}
-        return AgentMessage(role=message.role, payload=mutated,
-                            free_text=mutated), event
+        return mutated, event
     if spec.kind == "field_corruption":
         mutated = N_SAMPLES_RE.sub(f"n_samples={spec.replacement_value}",
-                                   str(message.payload))
+                                   text)
         event = {"kind": spec.kind, "field": spec.target_field,
                  "to": spec.replacement_value}
-        return AgentMessage(role=message.role, payload=mutated,
-                            free_text=mutated), event
-    return message, None
+        return mutated, event
+    return text, None

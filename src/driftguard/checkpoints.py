@@ -62,7 +62,6 @@ class CheckpointResult:
     threshold: float
     verdict: str                 # pass | block | warn
     failure_action: str = ""     # "" on pass
-    retry_count: int = 0
 
     @property
     def passed(self) -> bool:
@@ -130,13 +129,11 @@ class CheckpointManager:
             self.state[cp_id] = AdaptiveThreshold(
                 spec=spec, floor=max(tmin, null_floor))
 
-    def evaluate(self, cp_id: str, similarity: float,
-                 retry_count: int = 0) -> CheckpointResult:
+    def evaluate(self, cp_id: str, similarity: float) -> CheckpointResult:
         """Gate one similarity value; adapts the threshold on passes."""
         spec = self.specs[cp_id]
         if spec.disabled:
-            return CheckpointResult(cp_id, similarity, DISABLED, "pass",
-                                    retry_count=retry_count)
+            return CheckpointResult(cp_id, similarity, DISABLED, "pass")
         threshold = self.state[cp_id].current()
         if spec.inverted:
             passed = similarity < threshold
@@ -150,7 +147,7 @@ class CheckpointManager:
             verdict = "block" if spec.blocking else "warn"
             action = spec.action_on_fail
         return CheckpointResult(cp_id, similarity, threshold, verdict,
-                                action, retry_count)
+                                action)
 
     def evaluate_cp0(self, ps, archive) -> CP0Result:
         """Match the new problem against the archive and pick an

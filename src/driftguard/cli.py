@@ -2,11 +2,13 @@
 
 Subcommands: ``run`` (one session), ``ablate`` (condition suite over seeds),
 ``sessions`` (consecutive sessions sharing an archive and a persisted
-policy).  Configuration is a single JSON document; every command is
-reproducible from (config, seeds).  A config holds only the keys in
-``_CONFIG_KEYS``; any other top-level key (a typo, or a ``settings``
-block) is a bad configuration.  Tunables are not configurable: each is a
-constant in the module that uses it.
+policy).  Every command takes the same path: config -> ``_archive_for`` ->
+``run_session`` -> ``write_trace`` -> the command's summary or table, so
+each session leaves a ``<session_id>.trace.jsonl``.  Configuration is a
+single JSON document; every command is reproducible from (config, seeds).
+A config holds only the keys in ``_CONFIG_KEYS``; any other top-level key
+(a typo, or a ``settings`` block) is a bad configuration.  Tunables are not
+configurable: each is a constant in the module that uses it.
 
 Exit codes: 0 converged or budget exhausted, 1 bad configuration,
 2 session aborted.

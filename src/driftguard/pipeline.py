@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import action_space, agents, bandit, reward as reward_mod
-from .agents import AgentMessage, DriftSpec, ExecutionPlan
+from .agents import DriftSpec, ExecutionPlan
 from .archive import Archive
 from .checkpoints import CheckpointManager, CheckpointResult
 from .embedding import calibrate_null, shipped_corpus, similarity
@@ -42,10 +42,15 @@ class SessionConfig:
             raise ValueError("r_threshold must lie in (0, 100]")
 
     def digest(self) -> str:
+        """Hash of every field that changes what the session executes or
+        records; the session id only names it."""
         body = json.dumps({"problem": self.problem, "n_max": self.n_max,
                            "r_threshold": self.r_threshold,
                            "checkpoints": self.checkpoint_overrides,
-                           "seed": self.seed}, sort_keys=True)
+                           "drift": asdict(self.drift), "seed": self.seed,
+                           "record_to_archive": self.record_to_archive,
+                           "persist_policy": self.persist_policy},
+                          sort_keys=True)
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
@@ -172,8 +177,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         ms, action = decision.method_scheme, decision.action
         strategy_text = agents.render_strategy_text(ms, state.flags)
         critic_text = agents.render_critic_text(ms)
-        cp2 = manager.evaluate("CP2", similarity(strategy_text, critic_text),
-                               retry_count=_RETRY_BUDGET - retries)
+        cp2 = manager.evaluate("CP2", similarity(strategy_text, critic_text))
         events.append(cp2)
     if not cp2.passed:
         return _failed_record(n, action, events, drift_events, strategy_text,
@@ -191,15 +195,13 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
                               "study comprehension gate exhausted")
 
     # Drift injection on the Refactor Agent's input copy only.
-    strategist_msg = AgentMessage(role="strategist", payload=strategy_text,
-                                  free_text=strategy_text)
-    drifted_msg, event = agents.inject_drift(strategist_msg, cfg.drift,
-                                             rng_seed=iter_seed + 77,
-                                             iteration=n)
+    drifted_text, event = agents.inject_drift(strategy_text, cfg.drift,
+                                              rng_seed=iter_seed + 77,
+                                              iteration=n)
     if event is not None:
         drift_events.append(event)
 
-    plan = agents.refactor_agent(drifted_msg.payload, ps.model_id,
+    plan = agents.refactor_agent(drifted_text, ps.model_id,
                                  seed=iter_seed, fallback=ms)
 
     # CP5: cosine gate against the original strategy plus the Inspector's
@@ -210,8 +212,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         plan_text = agents.render_plan_text(plan)
         sim5 = similarity(strategy_text, plan_text)
         verdict = agents.inspector_check(plan, ms)
-        cp5 = manager.evaluate("CP5", sim5,
-                               retry_count=_RETRY_BUDGET - retries)
+        cp5 = manager.evaluate("CP5", sim5)
         if not verdict.approved and cp5.passed:
             cp5 = replace(cp5, verdict="block",
                           failure_action="inspector_reject")

@@ -2,7 +2,7 @@ import pytest
 
 from driftguard import agents, catalog
 from driftguard.action_space import ActionTuple
-from driftguard.agents import AgentMessage, DriftSpec, ExecutionPlan
+from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.errors import InsufficientSamples, UnknownModel, Unrecoverable
 from driftguard.estimators import SAResult
 from driftguard.reward import RewardBreakdown
@@ -223,62 +223,60 @@ class TestAdvisor:
 
 
 class TestDriftInjection:
-    def _msg(self, ps):
-        ms = _ms(ps)
-        text = agents.render_strategy_text(ms)
-        return AgentMessage(role="strategist", payload=text, free_text=text)
+    def _text(self, ps):
+        return agents.render_strategy_text(_ms(ps))
 
     def test_zero_probability_is_identity(self, ps_eq3):
-        msg = self._msg(ps_eq3)
+        text = self._text(ps_eq3)
         spec = DriftSpec(kind="method_swap", replacement_value="Morris",
                          probability=0.0)
-        out, event = agents.inject_drift(msg, spec, rng_seed=0)
-        assert out is msg and event is None
+        out, event = agents.inject_drift(text, spec, rng_seed=0)
+        assert out is text and event is None
 
     def test_method_swap_rewrites_tokens_and_vocabulary(self, ps_eq3):
-        msg = self._msg(ps_eq3)
+        text = self._text(ps_eq3)
         spec = DriftSpec(kind="method_swap", replacement_value="Morris",
                          probability=1.0)
-        out, event = agents.inject_drift(msg, spec, rng_seed=0)
+        out, event = agents.inject_drift(text, spec, rng_seed=0)
         assert event == {"kind": "method_swap", "field": "estimator",
                          "from": "Sobol", "to": "Morris"}
         import re
         # Standalone name tokens are swapped; compound identifiers like the
         # library class name are left alone.
-        assert not re.search(r"\bSobol\b", out.payload)
-        assert "Morris" in out.payload
-        assert "elementary effects" in out.payload   # swapped rationale
-        assert msg.payload != out.payload            # original untouched
+        assert not re.search(r"\bSobol\b", out)
+        assert "Morris" in out
+        assert "elementary effects" in out           # swapped rationale
+        assert text != out                           # original untouched
 
     def test_source_filter_spares_other_estimators(self, ps_eq3):
-        msg = self._msg(ps_eq3)                      # a Sobol strategy
+        text = self._text(ps_eq3)                    # a Sobol strategy
         spec = DriftSpec(kind="method_swap", source_value="CVM",
                          replacement_value="Morris", probability=1.0)
-        out, event = agents.inject_drift(msg, spec, rng_seed=0)
-        assert event is None and out.payload == msg.payload
+        out, event = agents.inject_drift(text, spec, rng_seed=0)
+        assert event is None and out == text
 
     def test_deterministic_given_seed(self, ps_eq3):
-        msg = self._msg(ps_eq3)
+        text = self._text(ps_eq3)
         spec = DriftSpec(kind="method_swap", replacement_value="Morris",
                          probability=0.5)
-        results = {agents.inject_drift(msg, spec, rng_seed=9)[0].payload
+        results = {agents.inject_drift(text, spec, rng_seed=9)[0]
                    for _ in range(5)}
         assert len(results) == 1
 
     def test_activation_iteration_delays_drift(self, ps_eq3):
-        msg = self._msg(ps_eq3)
+        text = self._text(ps_eq3)
         spec = DriftSpec(kind="method_swap", replacement_value="Morris",
                          probability=1.0, activation_iteration=3)
-        _, early = agents.inject_drift(msg, spec, rng_seed=0, iteration=2)
-        _, late = agents.inject_drift(msg, spec, rng_seed=0, iteration=3)
+        _, early = agents.inject_drift(text, spec, rng_seed=0, iteration=2)
+        _, late = agents.inject_drift(text, spec, rng_seed=0, iteration=3)
         assert early is None and late is not None
 
     def test_field_corruption_rewrites_n_samples(self, ps_eq3):
-        msg = self._msg(ps_eq3)
+        text = self._text(ps_eq3)
         spec = DriftSpec(kind="field_corruption", target_field="n_samples",
                          replacement_value="37", probability=1.0)
-        out, event = agents.inject_drift(msg, spec, rng_seed=0)
-        assert "n_samples=37" in out.payload
+        out, event = agents.inject_drift(text, spec, rng_seed=0)
+        assert "n_samples=37" in out
         assert event["kind"] == "field_corruption"
 
     def test_invalid_spec_rejected(self):

@@ -47,7 +47,3 @@ def test_always_on_hooks_resolve(probes):
                          ("agents", "execution_runner")):
         assert callable(_target(module, "", attr))
 
-
-def test_layers_are_modules(probes):
-    for layer in probes.LAYERS:
-        importlib.import_module(f"driftguard.{layer}")

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -69,6 +70,18 @@ class TestSessionBasics:
         cfg = _cfg(problem={"task": "SA", "d_in": 4})
         trace = run_session(cfg)
         assert trace.outcome == "aborted"
+
+    def test_digest_tells_drift_and_archive_flags_apart(self):
+        # A trace header must show which drift ran and whether the
+        # session recorded to, or restored its policy from, the archive.
+        base = _cfg(seed=1)
+        drift = DriftSpec(kind="method_swap", replacement_value="Morris",
+                          probability=1.0)
+        variants = [base, replace(base, drift=drift),
+                    replace(base, persist_policy=True),
+                    replace(base, record_to_archive=False)]
+        assert len({c.digest() for c in variants}) == len(variants)
+        assert replace(base, session_id="other").digest() == base.digest()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
