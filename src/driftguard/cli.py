@@ -222,8 +222,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    """Each (condition, seed) runs on a fresh archive from the config, so
-    sessions that depend on a warm start stay independent."""
+    """Each (condition, seed) runs on its own archive from ``_archive_for``,
+    so a warm start seeds every session alike."""
     doc = _load_config(args.config)
     base_cfg = _session_config(doc, None)
     try:
