@@ -127,11 +127,14 @@ class Archive:
         return (best, best_sim) if best is not None else (None, 0.0)
 
     def record_session(self, trace) -> ArchiveEntry:
-        """Store an entry aggregated from a finished session and persist."""
+        """Store an entry aggregated from a finished session and persist.
+
+        Only the iterations the policy learned from count: a failed record
+        carries no features and no reward the policy saw."""
         ps = trace.problem_scheme
         arms: dict[str, list[tuple[tuple[float, ...], float]]] = {}
         best_reward, best_action = 0.0, ()
-        for rec in trace.records:
+        for rec in [r for r in trace.records if not r.failed]:
             est = rec.action.estimator
             arms.setdefault(est, []).append((rec.features, rec.reward_total))
             if rec.reward_total >= best_reward:

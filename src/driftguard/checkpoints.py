@@ -1,9 +1,10 @@
 """Semantic checkpoints CP0-CP7: cosine gates with adaptive thresholds.
 
 Each checkpoint compares an embedding similarity against a threshold that
-starts at a calibrated initial value and adapts to the observed, drift-free
-similarity distribution via an exponential moving average.  Setting a
-checkpoint's initial threshold to -1 disables it (unconditional pass).
+starts at the initial value in ``CHECKPOINT_TABLE`` and adapts to the
+observed, drift-free similarity distribution via an exponential moving
+average.  The table is the only source of thresholds: a session may only
+switch a gate off, which sets its threshold to -1 (unconditional pass).
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ _CP0_WEAK_CUTOFF = 0.70
 #: cp_id -> (theta0, theta_min, blocking, inverted, action_on_fail)
 CHECKPOINT_TABLE = {
     "CP0": (0.70, 0.70, False, False, "fresh_exploration"),
-    "CP1": (0.25, 0.15, True, False, "reprompt_coordinator"),
+    "CP1": (0.25, 0.15, True, False, "abort_session"),
     "CP2": (0.30, 0.20, True, False, "critic_reject"),
     "CP3": (0.30, 0.20, False, False, "warn_study_agent"),
-    "CP4": (0.35, 0.25, True, False, "study_agent_retry"),
+    "CP4": (0.35, 0.25, True, False, "fail_iteration"),
     "CP5": (0.35, 0.25, True, False, "inspector_reject"),
     "CP6": (0.30, 0.20, False, False, "warn_advisor"),
     "CP7": (0.35, 0.25, False, True, "warn_strategist"),
@@ -118,12 +119,12 @@ class CheckpointManager:
     """All eight gates plus their adaptive state."""
 
     def __init__(self, null_dist: NullDistribution,
-                 overrides: dict[str, float] | None = None):
+                 disabled: frozenset[str] = frozenset()):
         self.specs: dict[str, CheckpointSpec] = {}
         self.state: dict[str, AdaptiveThreshold] = {}
         null_floor = null_dist.quantile(_NULL_QUANTILE)
         for cp_id, (t0, tmin, blocking, inverted, action) in CHECKPOINT_TABLE.items():
-            theta0 = (overrides or {}).get(cp_id, t0)
+            theta0 = DISABLED if cp_id in disabled else t0
             spec = CheckpointSpec(cp_id, theta0, tmin, blocking, inverted, action)
             self.specs[cp_id] = spec
             self.state[cp_id] = AdaptiveThreshold(

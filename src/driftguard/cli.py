@@ -6,9 +6,10 @@ policy).  Every command takes the same path: config -> ``_archive_for`` ->
 ``run_session`` -> ``write_trace`` -> the command's summary or table, so
 each session leaves a ``<session_id>.trace.jsonl``.  Configuration is a
 single JSON document; every command is reproducible from (config, seeds).
-A config holds only the keys in ``_CONFIG_KEYS``; any other top-level key
-(a typo, or a ``settings`` block) is a bad configuration.  Tunables are not
-configurable: each is a constant in the module that uses it.
+A config and each of its nested blocks hold only the keys ``_KEYS`` lists
+for them; any other key (a typo, or a ``settings`` block) is a bad
+configuration.  Tunables are not configurable: each is a constant in the
+module that uses it, and ``checkpoint_overrides`` may only switch gates off.
 
 Exit codes: 0 converged or budget exhausted, 1 bad configuration,
 2 session aborted.
@@ -22,7 +23,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .agents import DriftSpec
 from .archive import Archive
@@ -41,14 +42,34 @@ ABLATION_COLUMNS = ("condition", "seed", "outcome", "mismatch_count",
                     "n_iterations", "best_reward", "first_reward",
                     "iterations_to_converge", "cp_failure_events")
 
-# The top-level keys a config may hold; any other is a bad configuration.
+# The keys a config and each of its nested blocks may hold; any other is a
+# bad configuration. ``problem`` holds the keys intake reads.
+_KEYS = {
+    "config": frozenset({
+        "problem", "n_max", "r_threshold", "seed", "seeds", "session_id",
+        "checkpoint_overrides", "drift", "archive_path", "record_to_archive",
+        "persist_policy", "warm_start", "output_name", "conditions",
+        "sessions"}),
+    "problem": frozenset({
+        "task", "d_in", "d_out", "n_budget", "epsilon", "model_id",
+        "dist_family", "output_class", "model_class", "has_dependence"}),
+    "drift": frozenset(f.name for f in fields(DriftSpec)),
+    "warm_start": frozenset({"estimator", "mean_reward", "count"}),
+    "condition": frozenset({"name", "checkpoint_overrides", "drift"}),
+}
 # The archive is built once per command from the top-level block, so a
-# ``sessions`` entry may not set the keys in ``_TOP_LEVEL_ONLY``.
-_TOP_LEVEL_ONLY = ("archive_path", "warm_start")
-_CONFIG_KEYS = frozenset({
-    "problem", "n_max", "r_threshold", "seed", "seeds", "session_id",
-    "checkpoint_overrides", "drift", "archive_path", "record_to_archive",
-    "persist_policy", "warm_start", "output_name", "conditions", "sessions"})
+# ``sessions`` entry may not say where it lives or what it starts with.
+_KEYS["session"] = _KEYS["config"] - {"archive_path", "warm_start"}
+
+
+def _check_keys(block: str, doc) -> None:
+    """Reject a ``block`` that is not a JSON object or holds a key that
+    ``_KEYS[block]`` does not list."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{block} must be a JSON object")
+    unknown = sorted(set(doc) - _KEYS[block])
+    if unknown:
+        raise ConfigError(f"a {block} block may not hold {', '.join(unknown)}")
 
 
 def _load_config(path: str) -> dict:
@@ -67,42 +88,21 @@ def _load_config(path: str) -> dict:
 def _drift_from(doc: dict | None) -> DriftSpec:
     if not doc:
         return DriftSpec()
-    if not isinstance(doc, dict):
-        raise ConfigError("drift must be a JSON object")
+    _check_keys("drift", doc)
     try:
-        return DriftSpec(
-            kind=doc.get("kind", "none"),
-            target_field=doc.get("target_field", "estimator"),
-            replacement_value=doc.get("replacement_value", ""),
-            source_value=doc.get("source_value", ""),
-            probability=float(doc.get("probability", 0.0)),
-            activation_iteration=doc.get("activation_iteration"))
+        return DriftSpec(**{**doc, "probability": float(
+            doc.get("probability", 0.0))})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad drift spec: {exc}") from exc
 
 
-def _checkpoint_overrides(doc: dict) -> dict:
-    """The ``checkpoint_overrides`` block: checkpoint id -> initial
-    threshold, -1 disabling the gate."""
-    from .checkpoints import CHECKPOINT_TABLE
-    overrides = doc.get("checkpoint_overrides", {})
-    if overrides is not None and (not isinstance(overrides, dict) or not all(
-            cp in CHECKPOINT_TABLE and isinstance(theta0, (int, float))
-            for cp, theta0 in overrides.items())):
-        raise ConfigError("checkpoint_overrides must map checkpoint ids "
-                          f"({', '.join(CHECKPOINT_TABLE)}) to numbers")
-    return overrides
-
-
 def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    _check_keys("config", doc)
     if "problem" not in doc:
         raise ConfigError("config lacks a 'problem' object")
+    _check_keys("problem", doc["problem"])
     from .estimators import benchmark_catalog
-    model_id = doc["problem"].get("model_id", "") \
-        if isinstance(doc["problem"], dict) else ""
+    model_id = doc["problem"].get("model_id", "")
     if not isinstance(model_id, (str, type(None))) or \
             (model_id and model_id not in benchmark_catalog()):
         raise ConfigError(f"unknown problem model {model_id!r}")
@@ -113,7 +113,7 @@ def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
             problem=doc["problem"],
             n_max=int(doc.get("n_max", 5)),
             r_threshold=float(doc.get("r_threshold", 85.0)),
-            checkpoint_overrides=_checkpoint_overrides(doc),
+            checkpoint_overrides=doc.get("checkpoint_overrides", {}),
             drift=_drift_from(doc.get("drift")),
             seed=seed,
             session_id=doc.get("session_id", "session"),
@@ -133,6 +133,7 @@ def _archive_for(doc: dict, cfg: SessionConfig) -> Archive | None:
     archive = Archive(path) if path or warm else None
     if warm:
         from . import action_space, agents
+        _check_keys("warm_start", warm)
         try:
             estimator = warm["estimator"]
             mean_reward = float(warm["mean_reward"])
@@ -222,45 +223,57 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    """Each (condition, seed) runs on its own archive from ``_archive_for``,
-    so a warm start seeds every session alike."""
+    """Each (condition, seed) runs on its own fresh archive from
+    ``_archive_for``, so a warm start seeds every session alike. An
+    ``archive_path`` would chain the runs through one file, so it is a bad
+    configuration here."""
     doc = _load_config(args.config)
+    if "archive_path" in doc:
+        raise ConfigError("ablate runs every session on a fresh archive; "
+                          "it does not take an archive_path")
     base_cfg = _session_config(doc, None)
-    try:
-        conditions = [(cond["name"], _checkpoint_overrides(cond),
-                       _drift_from(cond.get("drift")))
-                      for cond in doc.get("conditions", [])]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad conditions list: {exc}") from exc
     try:
         seeds = [args.seed_override] if args.seed_override is not None \
             else [int(s) for s in doc.get("seeds", [base_cfg.seed])]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad seeds list: {exc}") from exc
+    conditions = doc.get("conditions", [])
+    if not isinstance(conditions, list):
+        raise ConfigError("conditions must be a list")
+    runs = []
+    for cond in conditions:
+        _check_keys("condition", cond)
+        try:
+            name = cond["name"]
+            cond_cfg = replace(
+                base_cfg, drift=_drift_from(cond.get("drift")),
+                checkpoint_overrides=cond.get("checkpoint_overrides", {}))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"bad condition: {exc}") from exc
+        runs += [(name, replace(
+            cond_cfg, seed=seed,
+            session_id=f"{base_cfg.session_id}-{name}-s{seed}"))
+            for seed in seeds]
     out = _out_dir(args)
     table = os.path.join(out, _output_name(doc, "ablation") + ".csv")
     rows = []
-    for name, overrides, drift in conditions:
-        for seed in seeds:
-            cfg = replace(base_cfg, checkpoint_overrides=overrides,
-                          drift=drift, seed=seed,
-                          session_id=f"{base_cfg.session_id}-{name}-s{seed}")
-            trace = _run(cfg, _archive_for(doc, cfg), out)
-            row = {"condition": name, "seed": seed,
-                   "outcome": trace.outcome,
-                   "mismatch_count": sum(1 for r in trace.records
-                                         if r.mismatch),
-                   "n_iterations": len(trace.records),
-                   "best_reward": round(trace.best_reward, 2),
-                   "first_reward": round(trace.records[0].reward_total, 2)
-                   if trace.records else 0.0,
-                   "iterations_to_converge": trace.iterations_to_converge,
-                   "cp_failure_events": sum(1 for r in trace.records
-                                            for e in r.checkpoint_events
-                                            if e.verdict != "pass")}
-            rows.append(row)
-            _say(args, f"{name} seed {seed}: {trace.outcome}, mismatches "
-                       f"{row['mismatch_count']}, best {row['best_reward']}")
+    for name, cfg in runs:
+        trace = _run(cfg, _archive_for(doc, cfg), out)
+        row = {"condition": name, "seed": cfg.seed,
+               "outcome": trace.outcome,
+               "mismatch_count": sum(1 for r in trace.records
+                                     if r.mismatch),
+               "n_iterations": len(trace.records),
+               "best_reward": round(trace.best_reward, 2),
+               "first_reward": round(trace.records[0].reward_total, 2)
+               if trace.records else 0.0,
+               "iterations_to_converge": trace.iterations_to_converge,
+               "cp_failure_events": sum(1 for r in trace.records
+                                        for e in r.checkpoint_events
+                                        if e.verdict != "pass")}
+        rows.append(row)
+        _say(args, f"{name} seed {cfg.seed}: {trace.outcome}, mismatches "
+                   f"{row['mismatch_count']}, best {row['best_reward']}")
     _write_table(table, ABLATION_COLUMNS, rows)
     _say(args, f"wrote {table}")
     return EXIT_OK
@@ -275,13 +288,7 @@ def cmd_sessions(args) -> int:
     shared = {k: v for k, v in doc.items() if k != "sessions"}
     cfgs = []
     for k, sdoc in enumerate(session_docs, start=1):
-        if not isinstance(sdoc, dict):
-            raise ConfigError(f"session entry {k} must be a JSON object")
-        misplaced = [key for key in _TOP_LEVEL_ONLY if key in sdoc]
-        if misplaced:
-            raise ConfigError(f"session entry {k} sets "
-                              f"{', '.join(misplaced)}, which is read at "
-                              "the top level only")
+        _check_keys("session", sdoc)
         merged = {**shared, **sdoc}
         merged.setdefault("session_id", f"session-{k}")
         merged.setdefault("persist_policy", True)

@@ -1,6 +1,11 @@
 """Session orchestrator: the conceptualization phase, the decision loop with
-every checkpoint wired at its boundary, the self-healing execution loop, and
-the trace writer.
+every checkpoint wired at its boundary, and the trace writer.
+
+One rule heals a blocked step: it gets its one remedy and one more try. A
+CP2 block re-selects, a CP5 block rebuilds the plan from the uncorrupted
+strategy text, and a failed execution gets one Debugger patch; a CP4 block
+has no remedy. A second CP2 or CP5 block, or a CP4 block, ends the
+iteration with a failed record; a second failed execution scores a crash.
 """
 
 from __future__ import annotations
@@ -12,15 +17,13 @@ from dataclasses import asdict, dataclass, field, replace
 from . import action_space, agents, bandit, reward as reward_mod
 from .agents import DriftSpec, ExecutionPlan
 from .archive import Archive
-from .checkpoints import CheckpointManager, CheckpointResult
+from .checkpoints import CHECKPOINT_TABLE, DISABLED, CheckpointManager, \
+    CheckpointResult
 from .embedding import calibrate_null, shipped_corpus, similarity
-from .errors import DriftguardError, Unrecoverable
+from .errors import DriftguardError
 from .estimators import SAResult
 from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
     build_diagnostic_scheme, serialize_scheme
-
-_RETRY_BUDGET = 3           # per blocking checkpoint
-_MAX_DEBUG_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,7 @@ class SessionConfig:
     problem: dict
     n_max: int = 5
     r_threshold: float = 85.0
-    checkpoint_overrides: dict = field(default_factory=dict)  # cp_id -> theta0
+    checkpoint_overrides: dict = field(default_factory=dict)  # cp_id -> -1
     drift: DriftSpec = field(default_factory=DriftSpec)
     seed: int = 0
     session_id: str = "session"
@@ -40,6 +43,12 @@ class SessionConfig:
             raise ValueError("n_max must be >= 1")
         if not 0.0 < self.r_threshold <= 100.0:
             raise ValueError("r_threshold must lie in (0, 100]")
+        # The gate table is the only source of thresholds.
+        if not isinstance(self.checkpoint_overrides, dict) or any(
+                cp not in CHECKPOINT_TABLE or value != DISABLED
+                for cp, value in self.checkpoint_overrides.items()):
+            raise ValueError("checkpoint_overrides may only map a gate id "
+                             "to -1, which switches the gate off")
 
     def digest(self) -> str:
         """Hash of every field that changes what the session executes or
@@ -137,54 +146,44 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     drift_events: list = []
     iter_seed = cfg.seed * 1000 + n
 
-    candidates = state.feasible
-    if state.screening_first and n == 1:
-        screeners = [a for a in candidates if a.estimator == "Morris"]
-        if screeners:
-            candidates = screeners
+    screeners = [a for a in state.feasible if a.estimator == "Morris"] \
+        if state.screening_first and n == 1 else []
+    candidates = screeners or state.feasible
 
-    # (policy) Strategist + CP7 novelty (inverted) + CP2 critic gate.
-    decision = bandit.select_action(
-        policy, ps, candidates, diag=state.prev_diag,
-        novelty_warning=False, rng_seed=iter_seed, prev=state.prev_ms)
-    strategy_text = agents.render_strategy_text(decision.method_scheme,
-                                                state.flags)
+    def select(seed_offset: int):
+        """The Strategist's pick; a re-selection adds the repeat penalty."""
+        decision = bandit.select_action(
+            policy, ps, candidates, diag=state.prev_diag,
+            novelty_warning=seed_offset > 0,
+            rng_seed=iter_seed + seed_offset, prev=state.prev_ms)
+        ms = decision.method_scheme
+        return ms, decision.action, agents.render_strategy_text(ms,
+                                                                state.flags)
+
+    # (policy) Strategist + CP7 novelty (inverted) + CP2 critic gate. A
+    # novelty violation or a critic rejection re-selects once.
+    ms, action, strategy_text = select(0)
     cp7 = manager.evaluate("CP7", similarity(strategy_text,
                                              state.prev_strategy_text)
                            if state.prev_strategy_text else 0.0)
     events.append(cp7)
     if not cp7.passed:
-        # Novelty violation: one re-selection with the repeat penalty on.
-        decision = bandit.select_action(
-            policy, ps, candidates, diag=state.prev_diag,
-            novelty_warning=True, rng_seed=iter_seed + 500_000,
-            prev=state.prev_ms)
-        strategy_text = agents.render_strategy_text(decision.method_scheme,
-                                                    state.flags)
-    ms = decision.method_scheme
-    action = decision.action
-
-    critic_text = agents.render_critic_text(ms)
-    cp2 = manager.evaluate("CP2", similarity(strategy_text, critic_text))
-    events.append(cp2)
-    retries = _RETRY_BUDGET
-    while not cp2.passed and retries > 0:
-        retries -= 1
-        decision = bandit.select_action(
-            policy, ps, candidates, diag=state.prev_diag,
-            novelty_warning=True, rng_seed=iter_seed + 900_000 + retries,
-            prev=state.prev_ms)
-        ms, action = decision.method_scheme, decision.action
-        strategy_text = agents.render_strategy_text(ms, state.flags)
-        critic_text = agents.render_critic_text(ms)
-        cp2 = manager.evaluate("CP2", similarity(strategy_text, critic_text))
+        ms, action, strategy_text = select(500_000)
+    for retry in (False, True):
+        if retry:
+            ms, action, strategy_text = select(900_000)
+        cp2 = manager.evaluate("CP2", similarity(
+            strategy_text, agents.render_critic_text(ms)))
         events.append(cp2)
-    if not cp2.passed:
+        if cp2.passed:
+            break
+    else:
         return _failed_record(n, action, events, drift_events, strategy_text,
-                              "critic rejection budget exhausted")
+                              "critic rejected the re-selection")
 
     # (implementation) Study Agent with CP3 advisory and CP4 blocking gates.
-    # Both gates read the same strategy/study similarity.
+    # Both gates read the same strategy/study similarity. The Study Agent is
+    # deterministic, so a CP4 block has no remedy.
     study_text = agents.study_agent(strategy_text)
     sim_study = similarity(strategy_text, study_text)
     events.append(manager.evaluate("CP3", sim_study))
@@ -192,7 +191,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     events.append(cp4)
     if not cp4.passed:
         return _failed_record(n, action, events, drift_events, strategy_text,
-                              "study comprehension gate exhausted")
+                              "study comprehension gate blocked")
 
     # Drift injection on the Refactor Agent's input copy only.
     drifted_text, event = agents.inject_drift(strategy_text, cfg.drift,
@@ -205,52 +204,41 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
                                  seed=iter_seed, fallback=ms)
 
     # CP5: cosine gate against the original strategy plus the Inspector's
-    # structural checklist; one bundle, one toggle.
-    cp5_spec = manager.specs["CP5"]
-    retries = _RETRY_BUDGET
-    while not cp5_spec.disabled:
-        plan_text = agents.render_plan_text(plan)
-        sim5 = similarity(strategy_text, plan_text)
-        verdict = agents.inspector_check(plan, ms)
-        cp5 = manager.evaluate("CP5", sim5)
-        if not verdict.approved and cp5.passed:
+    # structural checklist; one bundle, one toggle. A block rebuilds the
+    # plan once from the uncorrupted strategy text.
+    for retry in (False, True):
+        if manager.specs["CP5"].disabled:
+            break
+        if retry:
+            plan = agents.refactor_agent(strategy_text, ps.model_id,
+                                         seed=iter_seed, fallback=ms)
+        cp5 = manager.evaluate("CP5", similarity(
+            strategy_text, agents.render_plan_text(plan)))
+        if cp5.passed and not agents.inspector_check(plan, ms).approved:
             cp5 = replace(cp5, verdict="block",
                           failure_action="inspector_reject")
         events.append(cp5)
         if cp5.passed:
             break
-        if retries == 0:
-            return _failed_record(n, action, events, drift_events,
-                                  strategy_text,
-                                  "inspector rejection budget exhausted")
-        retries -= 1
-        # Rebuild from the uncorrupted strategy text.
-        plan = agents.refactor_agent(strategy_text, ps.model_id,
-                                     seed=iter_seed, fallback=ms)
+    else:
+        return _failed_record(n, action, events, drift_events, strategy_text,
+                              "inspector rejected the rebuilt plan")
 
-    # (execution) Runner with the Debugger self-healing loop.
-    obs: SAResult | None = None
-    error: Exception | None = None
-    for attempt in range(_MAX_DEBUG_RETRIES + 1):
+    # (execution) Runner; a failed run gets one Debugger patch and one more
+    # try. A second failure or an unpatchable error is scored as a crash.
+    try:
+        obs = agents.execution_runner(plan, action.dims[0])
+    except DriftguardError as exc:
         try:
+            plan = agents.debugger_fix(plan, exc)
             obs = agents.execution_runner(plan, action.dims[0])
-            error = None
-            break
-        except DriftguardError as exc:
-            error = exc
-            if attempt == _MAX_DEBUG_RETRIES:
-                break
-            try:
-                plan = agents.debugger_fix(plan, exc)
-            except Unrecoverable as dead:
-                error = dead
-                break
+        except DriftguardError:
+            obs = None
 
     # (evaluation) Reward, Advisor, CP6.
-    prev_obs = state.prev_obs_by_estimator.get(plan.estimator)
     breakdown = reward_mod.score(
         ms, obs, model=state.model, epsilon=ps.context.epsilon,
-        prev_obs=prev_obs)
+        prev_obs=state.prev_obs_by_estimator.get(plan.estimator))
     advisor_text = agents.advisor_report(
         ms, obs, breakdown, ps, cfg.r_threshold,
         avoid=frozenset(state.failed_estimators))
@@ -289,7 +277,6 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
 
 def _failed_record(n, action, events, drift_events, strategy_text,
                    why: str) -> IterationRecord:
-    zero = reward_mod.RewardBreakdown(0.0, 0.0, 0.0, 0.0, (why,))
     diag = DiagnosticScheme(
         convergence_status="failed", bottleneck_dim="integrity",
         reward=0.0, root_cause="none", prescribed_estimator=None,
@@ -309,7 +296,7 @@ def run_session(cfg: SessionConfig,
     """Full session: Group A once, CP0, then the bounded decision loop."""
     corpus = null_corpus or shipped_corpus()
     null_dist = calibrate_null(list(corpus), n_pairs=500, seed=cfg.seed)
-    manager = CheckpointManager(null_dist, cfg.checkpoint_overrides)
+    manager = CheckpointManager(null_dist, frozenset(cfg.checkpoint_overrides))
 
     # Group A: Coordinator -> CP1 -> Gatekeeper -> Model Translator.
     try:

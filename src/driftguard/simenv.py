@@ -58,6 +58,7 @@ class SimRecord:
     executed_estimator: str        # after any replacement
     reward_total: float
     features: tuple[float, ...]
+    failed: bool = False           # the policy always learns from a draw
 
 
 @dataclass

@@ -289,6 +289,40 @@ class TestPersistence:
         again = Archive(path)
         assert dict(again.entries[0].per_arm_stats) == arms
 
+    def test_failed_iterations_stay_out_of_the_entry(self, tmp_path,
+                                                     monkeypatch):
+        # A CP2 threshold of 0.6 fails some eq3 iterations. Their records
+        # carry no features, so averaging them in broke the next warm
+        # start and the next load.
+        from collections import Counter
+        from driftguard import checkpoints
+        from driftguard.pipeline import SessionConfig, run_session
+        from conftest import EQ3_PROBLEM
+        monkeypatch.setitem(checkpoints.CHECKPOINT_TABLE, "CP2",
+                            (0.6, 0.20, True, False, "critic_reject"))
+        path = str(tmp_path / "eq3.json")
+        a = Archive(path)
+        first = run_session(SessionConfig(problem=EQ3_PROBLEM, seed=3),
+                            archive=a)
+        learned = [r for r in first.records if not r.failed]
+        assert len(learned) < len(first.records)
+        counts = {est: s.count for est, s in a.entries[-1].per_arm_stats}
+        assert counts == Counter(r.action.estimator for r in learned)
+        second = run_session(SessionConfig(problem=EQ3_PROBLEM, seed=4),
+                             archive=a)
+        assert second.outcome != "aborted"
+        dim = bandit.feature_dim()
+        assert all(len(s.phi) == dim for e in Archive(path).entries
+                   for _, s in e.per_arm_stats)
+        # One failed and one learned iteration of the same estimator.
+        failed_twin = replace(learned[0], failed=True, features=(),
+                              reward_total=0.0)
+        mixed = replace(first, records=[learned[0], failed_twin])
+        entry = Archive().record_session(mixed)
+        assert dict(entry.per_arm_stats)[learned[0].action.estimator] \
+            == arch.ArmStats(count=1, mean_reward=learned[0].reward_total,
+                             phi=learned[0].features)
+
 
 def _old_writer_bytes(entries) -> bytes:
     """The archive writer before entries were encoded once: a deep asdict

@@ -11,10 +11,10 @@ from driftguard.checkpoints import (CHECKPOINT_TABLE, DISABLED,
 
 EXPECTED_TABLE = {
     "CP0": (0.70, 0.70, False, False, "fresh_exploration"),
-    "CP1": (0.25, 0.15, True, False, "reprompt_coordinator"),
+    "CP1": (0.25, 0.15, True, False, "abort_session"),
     "CP2": (0.30, 0.20, True, False, "critic_reject"),
     "CP3": (0.30, 0.20, False, False, "warn_study_agent"),
-    "CP4": (0.35, 0.25, True, False, "study_agent_retry"),
+    "CP4": (0.35, 0.25, True, False, "fail_iteration"),
     "CP5": (0.35, 0.25, True, False, "inspector_reject"),
     "CP6": (0.30, 0.20, False, False, "warn_advisor"),
     "CP7": (0.35, 0.25, False, True, "warn_strategist"),
@@ -56,7 +56,7 @@ class TestEvaluate:
         assert high.verdict == "warn"
 
     def test_disabled_always_passes(self, null_dist):
-        mgr = CheckpointManager(null_dist, overrides={"CP2": DISABLED})
+        mgr = CheckpointManager(null_dist, disabled=frozenset({"CP2"}))
         res = mgr.evaluate("CP2", 0.0)
         assert res.passed and res.threshold == DISABLED
 
@@ -140,6 +140,6 @@ class TestCP0:
         from driftguard.simenv import canonical_action
         archive = Archive()
         archive.seed_entry(ps_beam, canonical_action("Sobol"), 90.0)
-        mgr = CheckpointManager(null_dist, overrides={"CP0": DISABLED})
+        mgr = CheckpointManager(null_dist, disabled=frozenset({"CP0"}))
         res = mgr.evaluate_cp0(ps_beam, archive)
         assert res.match == "none" and res.warm_start is None

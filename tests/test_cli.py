@@ -138,12 +138,27 @@ class TestBadConfig:
                  "settings"),
                 ("run", {**BASE_RUN, "n_maxx": 3}, "n_maxx"),
                 ("sessions", {**BASE_RUN, "sessions": [
-                    {"session_id": "cli-test"}, {"n_maxx": 3}]}, "n_maxx")):
+                    {"session_id": "cli-test"}, {"n_maxx": 3}]}, "n_maxx"),
+                # Nested blocks are checked too.
+                ("run", {**BASE_RUN, "problem": {**EQ3_PROBLEM,
+                                                 "epsilom": 0.1}},
+                 "epsilom"),
+                ("ablate", {**BASE_RUN, "conditions": [
+                    {"name": "on"},
+                    {"name": "cp5_ablated",
+                     "checkpoints_overrides": {"CP5": -1.0}}]},
+                 "checkpoints_overrides"),
+                ("run", {**BASE_RUN, "drift": {"kind": "method_swap",
+                                               "probabilty": 1.0}},
+                 "probabilty"),
+                ("run", {**BASE_RUN, "warm_start": {
+                    "estimator": "Sobol", "mean_reward": 91.0, "cnt": 3}},
+                 "cnt")):
             cfg = _write(tmp_path, doc)
             assert main([command, "--config", cfg, "--out", str(tmp_path),
                          "--quiet"]) == EXIT_BAD_CONFIG
             assert key in capsys.readouterr().err
-            assert not (tmp_path / "cli-test.trace.jsonl").exists()
+            assert not list(tmp_path.glob("*.trace.jsonl"))
 
     def test_config_shape_errors(self, tmp_path):
         ablate = {"problem": EQ3_PROBLEM, "n_max": 1,
@@ -169,10 +184,24 @@ class TestBadConfig:
                 ("run", {**BASE_RUN, "problem": {**EQ3_PROBLEM,
                                                  "model_id": ["x"]}}),
                 ("run", {**BASE_RUN, "warm_start": {
-                    "estimator": "Morris", "mean_reward": 90.0}})):
+                    "estimator": "Morris", "mean_reward": 90.0}}),
+                ("run", {**BASE_RUN, "warm_start": "Sobol"}),
+                ("run", {**BASE_RUN, "problem": "structural_eq3"}),
+                ("ablate", {**ablate, "conditions": {"name": "only"}}),
+                ("ablate", {**ablate, "conditions": [
+                    {"name": "only", "drift": ["method_swap"]}]}),
+                # The gate table is the only source of thresholds: an
+                # override may only switch a gate off.
+                ("run", {**BASE_RUN, "checkpoint_overrides": {"CP2": 0.6}}),
+                ("run", {**BASE_RUN, "checkpoint_overrides": None}),
+                ("ablate", {**ablate, "conditions": [
+                    {"name": "on"},
+                    {"name": "strict", "checkpoint_overrides": {
+                        "CP5": -1.0, "CP2": 0.6}}]})):
             cfg = _write(tmp_path, doc)
             assert main([command, "--config", cfg, "--out", str(tmp_path),
                          "--quiet"]) == EXIT_BAD_CONFIG, doc
+            assert not list(tmp_path.glob("*.trace.jsonl")), doc
 
     def test_internal_error_is_not_a_config_error(self, tmp_path,
                                                   monkeypatch):
@@ -214,6 +243,19 @@ class TestAblate:
         with open(tmp_path / "ablation.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["seed"] for r in rows] == ["7"]
+
+    def test_archive_path_is_a_bad_config(self, tmp_path, capsys):
+        # Each run gets a fresh archive; a file would hand every run the
+        # entries the previous one wrote.
+        doc = {"problem": G8_PROBLEM, "n_max": 1, "seeds": [1, 2],
+               "conditions": [{"name": "only"}],
+               "archive_path": str(tmp_path / "archive.json")}
+        cfg = _write(tmp_path, doc)
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == EXIT_BAD_CONFIG
+        assert "archive_path" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.trace.jsonl"))
+        assert not (tmp_path / "archive.json").exists()
 
     def test_one_trace_per_row(self, tmp_path):
         with open(os.path.join(CONFIGS, "cp5_swap.json")) as fh:

@@ -1,9 +1,9 @@
 """Golden artifacts: the shipped configs must keep writing the same bytes.
 
 Each of the five ``configs/`` runs (plus ``gfunction_sessions`` with an
-archive file) is run in-process and every file it writes is hashed. The
-sha256 table lives next to this file, so any change to an emitted byte
-shows up in the diff of ``golden_artifacts.json``.
+archive file) is run in-process, must exit 0, and every file it writes is
+hashed. The sha256 table lives next to this file, so any change to an
+emitted byte shows up in the diff of ``golden_artifacts.json``.
 
 To regenerate the table after an intended output change:
 
@@ -52,7 +52,9 @@ def artifact_digests(work: str) -> dict[str, str]:
         config = os.path.join(work, f"{run}.json")
         with open(config, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        main([_command(doc), "--config", config, "--out", out, "--quiet"])
+        code = main([_command(doc), "--config", config, "--out", out,
+                     "--quiet"])
+        assert code == 0, f"{run} exited {code}"
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as fh:
                 digests[f"{run}/{name}"] = hashlib.sha256(

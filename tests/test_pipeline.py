@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from driftguard import cli
+from driftguard import agents, cli
 from driftguard.agents import DriftSpec
 from driftguard.archive import Archive
-from driftguard.checkpoints import DISABLED
+from driftguard.checkpoints import CHECKPOINT_TABLE, DISABLED
+from driftguard.errors import InsufficientSamples, UnknownModel
 from driftguard.estimators import SAResult
 from driftguard.pipeline import (SessionConfig, run_session,
                                  submartingale_flags, write_trace)
@@ -16,6 +17,8 @@ from driftguard.simenv import canonical_action
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
 ALL_OFF = {f"CP{i}": DISABLED for i in range(8)}
+NO_SAMPLES = DriftSpec(kind="field_corruption", target_field="n_samples",
+                       replacement_value="1", probability=1.0)
 
 
 def _cfg(problem=EQ3_PROBLEM, **kw):
@@ -154,6 +157,110 @@ class TestCausalChain:
                    if e.cp_id == "CP5" and e.verdict == "block"]
         drifted = [r for r in trace.records if r.drift_events]
         assert drifted and blocked
+
+
+def _block_always(monkeypatch, cp_id):
+    """Raise ``cp_id``'s table threshold above any cosine similarity."""
+    row = CHECKPOINT_TABLE[cp_id]
+    monkeypatch.setitem(CHECKPOINT_TABLE, cp_id, (2.0, *row[1:]))
+
+
+class TestBlockedSteps:
+    """Every exit of ``run_iteration``: a blocked step gets one remedy and
+    one more try; a second block ends the iteration with a failed record."""
+
+    @staticmethod
+    def _first(**kw):
+        kw.setdefault("seed", 1)
+        return run_session(_cfg(n_max=1, **kw)).records[0]
+
+    @staticmethod
+    def _cps(rec, cp_id):
+        return [e for e in rec.checkpoint_events if e.cp_id == cp_id]
+
+    def test_cp2_reselects_once_then_fails(self, monkeypatch):
+        _block_always(monkeypatch, "CP2")
+        rec = self._first()
+        assert [e.verdict for e in self._cps(rec, "CP2")] == ["block"] * 2
+        assert rec.failed and rec.plan is None and rec.features == ()
+        assert rec.advisor_text == "critic rejected the re-selection"
+        assert not self._cps(rec, "CP4")
+
+    def test_cp4_block_has_no_remedy(self, monkeypatch):
+        _block_always(monkeypatch, "CP4")
+        rec = self._first()
+        assert [e.failure_action for e in self._cps(rec, "CP4")] \
+            == ["fail_iteration"]
+        assert rec.failed and rec.plan is None
+        assert rec.advisor_text == "study comprehension gate blocked"
+
+    def test_cp5_rebuilds_once_then_fails(self, monkeypatch):
+        _block_always(monkeypatch, "CP5")
+        rec = self._first()
+        assert [e.verdict for e in self._cps(rec, "CP5")] == ["block"] * 2
+        assert rec.failed and rec.plan is None
+        assert rec.advisor_text == "inspector rejected the rebuilt plan"
+
+    def test_inspector_rejects_a_plan_the_cosine_passes(self):
+        # n_samples=1 reads close to the strategy, but the Inspector finds
+        # it below CVM's minimum; the rebuilt plan restores the strategy's.
+        rec = self._first(drift=NO_SAMPLES)
+        first, second = self._cps(rec, "CP5")
+        assert first.verdict == "block" and first.similarity >= \
+            first.threshold and first.failure_action == "inspector_reject"
+        assert second.passed
+        assert f"n_samples={rec.plan.n_samples} " in rec.strategy_text
+        assert not rec.failed and rec.observation is not None
+
+    def test_debugger_patches_once(self, monkeypatch):
+        patches = []
+        fix = agents.debugger_fix
+
+        def counted_fix(plan, exc):
+            patches.append(exc)
+            return fix(plan, exc)
+        monkeypatch.setattr(agents, "debugger_fix", counted_fix)
+        rec = self._first(drift=NO_SAMPLES,
+                          checkpoint_overrides={"CP5": DISABLED})
+        assert [type(e) for e in patches] == [InsufficientSamples]
+        assert (rec.plan.estimator, rec.plan.n_samples) == ("CVM", 3000)
+        assert rec.observation.evaluations_used == 3000
+        assert not rec.failed
+
+    @pytest.mark.parametrize("error, runs", [
+        (UnknownModel("gone"), 1),           # no patch rule: Unrecoverable
+        (InsufficientSamples("n=1"), 2)])    # patched, then fails again
+    def test_failed_execution_is_scored_as_a_crash(self, monkeypatch,
+                                                   error, runs):
+        calls = []
+
+        def crash(plan, scheme):
+            calls.append(plan)
+            raise error
+        monkeypatch.setattr(agents, "execution_runner", crash)
+        rec = self._first()
+        assert len(calls) == runs
+        assert rec.observation is None and not rec.failed
+        assert rec.advisor_text.startswith("execution crashed")
+        assert rec.reward_total == 0.0 and rec.features
+
+    def test_cp1_block_aborts_the_session(self, monkeypatch):
+        _block_always(monkeypatch, "CP1")
+        trace = run_session(_cfg(seed=1))
+        assert trace.outcome == "aborted" and trace.records == []
+        assert trace.abort_reason == "problem restatement rejected at intake"
+
+    def test_problem_without_model_aborts(self):
+        problem = {k: v for k, v in EQ3_PROBLEM.items() if k != "model_id"}
+        trace = run_session(_cfg(problem=problem, seed=1))
+        assert trace.outcome == "aborted"
+        assert "names no model" in trace.abort_reason
+
+    def test_overrides_only_switch_gates_off(self):
+        for overrides in ({"CP2": 0.6}, {"CP9": DISABLED}, {"CP3": "x"},
+                          {"CP5": True}, ["CP5"]):
+            with pytest.raises(ValueError, match="switches the gate off"):
+                _cfg(checkpoint_overrides=overrides)
 
 
 class TestSubmartingaleFlags:
