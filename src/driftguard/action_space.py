@@ -1,8 +1,8 @@
 """Combinatorial action space of the sensitivity-analysis (SA) task and its
 feasibility filtering; SA is the only task driftguard runs.
 
-Feasibility has a single path: ``feasibility_bits`` evaluates the catalog's
-predicates once per estimator at intake, and ``filter_feasible`` keeps the
+Feasibility has a single path: ``feasibility_bits`` evaluates each catalog
+row's rules once per estimator at intake, and ``filter_feasible`` keeps the
 actions whose estimator bit is set.
 """
 
@@ -45,14 +45,12 @@ def enumerate_actions() -> list[ActionTuple]:
 
 def feasibility_bits(x) -> tuple[bool, ...]:
     """Bitset over the estimator catalog, in catalog order: an estimator is
-    feasible when every registered predicate that gates it holds.
+    feasible when every rule of its catalog row holds.
 
-    The one place the predicates run; intake stores the result on the
-    context vector, and everything downstream reads it from there.
+    The one place the rules run; intake stores the result on the context
+    vector, and everything downstream reads it from there.
     """
-    return tuple(all(p.test(x, info) for p in catalog.PREDICATES
-                     if est in p.applies_to)
-                 for est, info in catalog.SA_ESTIMATORS.items())
+    return tuple(info.feasible(x) for info in catalog.SA_ESTIMATORS.values())
 
 
 def filter_feasible(x) -> list[ActionTuple]:

@@ -8,15 +8,18 @@ gates operate on realistic prose without LLM nondeterminism.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import catalog
 from .errors import InsufficientSamples, UnknownModel, Unrecoverable
-from .estimators import BenchmarkModel, SAResult, run_estimator
-from .schemes import N_SAMPLES_RE, MethodScheme, ProblemScheme
+from .estimators import BenchmarkModel, SAResult, benchmark_catalog, get_model
+from .schemes import N_SAMPLES_RE, MethodScheme, ProblemScheme, \
+    build_problem_scheme
 
 DRIFT_KINDS = ("method_swap", "field_corruption", "none")
 
@@ -40,15 +43,36 @@ class DriftSpec:
     activation_iteration: int | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("drift probability must lie in [0, 1]")
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}")
-        if not all(isinstance(v, str) for v in (
-                self.target_field, self.replacement_value, self.source_value)):
-            raise ValueError("drift field and values must be strings")
-        if not isinstance(self.activation_iteration, (int, type(None))):
-            raise ValueError("activation_iteration must be an integer")
+
+
+@functools.cache
+def _field_types(cls) -> tuple[tuple[str, tuple[type, ...]], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, typing.get_args(hints[f.name]) or (hints[f.name],))
+                 for f in fields(cls))
+
+
+def check_field_types(obj) -> None:
+    """Check every field of the frozen dataclass ``obj`` against its
+    annotation, a class or a union of classes; raises TypeError.
+
+    A float field also takes an int, and stores the equal float. Nothing
+    else is converted, and a bool is never taken as an int."""
+    for name, allowed in _field_types(type(obj)):
+        value = getattr(obj, name)
+        if float in allowed and type(value) is int:
+            # Past the float range this raises OverflowError.
+            object.__setattr__(obj, name, float(value))
+        elif not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed):
+            raise TypeError(f"{name} must be "
+                            f"{' or '.join(t.__name__ for t in allowed)}, "
+                            f"not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +153,6 @@ def render_observation_text(obs: SAResult) -> str:
 # Agent behaviors
 
 def coordinator(desc: dict) -> ProblemScheme:
-    from .schemes import build_problem_scheme
     return build_problem_scheme(desc)
 
 
@@ -138,7 +161,6 @@ def gatekeeper(ps: ProblemScheme, desc: dict) -> tuple[bool, str]:
     dimensions correctly (and its input families, when ``desc``, the
     description ``ps`` was built from, states them), and admit at least one
     feasible estimator."""
-    from .estimators import benchmark_catalog
     if ps.model_id:
         model = benchmark_catalog().get(ps.model_id)
         if model is None:
@@ -159,7 +181,6 @@ def gatekeeper(ps: ProblemScheme, desc: dict) -> tuple[bool, str]:
 
 
 def model_translator(ps: ProblemScheme) -> BenchmarkModel:
-    from .estimators import get_model
     if not ps.model_id:
         raise UnknownModel("problem description names no model")
     return get_model(ps.model_id)
@@ -189,11 +210,9 @@ def refactor_agent(report_text: str, model_id: str, seed: int,
         estimator = fallback.estimator
     n_match = N_SAMPLES_RE.search(report_text)
     n_samples = int(n_match.group(1)) if n_match else fallback.n_samples
-    info = catalog.estimator_info(estimator)
-    from .estimators import FIELD_TO_ATTRIBUTE
-    bindings = tuple(FIELD_TO_ATTRIBUTE[p] for p in info.produces)
     return ExecutionPlan(estimator=estimator, n_samples=n_samples,
-                         output_bindings=bindings,
+                         output_bindings=catalog.estimator_info(
+                             estimator).bindings,
                          model_id=model_id, seed=seed)
 
 
@@ -218,17 +237,16 @@ def inspector_check(plan: ExecutionPlan, ms: MethodScheme) -> InspectorVerdict:
 
 
 def _plan_dim(plan: ExecutionPlan) -> int:
-    from .estimators import benchmark_catalog
     model = benchmark_catalog().get(plan.model_id)
     return model.d_in if model is not None else 0
 
 
 def execution_runner(plan: ExecutionPlan, sampling_scheme: str = "MonteCarlo"
                      ) -> SAResult:
-    """Run the plan's estimator; raises the estimator's own errors."""
-    from .estimators import get_model
-    return run_estimator(plan.estimator, get_model(plan.model_id),
-                         plan.n_samples, plan.seed, sampling_scheme)
+    """Run the plan's estimator through its catalog row; raises the
+    estimator's own errors."""
+    return catalog.estimator_info(plan.estimator).execute(
+        get_model(plan.model_id), plan.n_samples, plan.seed, sampling_scheme)
 
 
 def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:
@@ -249,7 +267,7 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
     """Deterministic post-execution review; its wording drives the
     diagnostic root-cause rules downstream. A total at or above the
     session's ``r_threshold`` meets the precision target."""
-    if obs is None or not obs.executed:
+    if obs is None:
         return ("execution crashed before producing results; numerical run "
                 "unrecoverable. recommend reviewing the implementation.")
     attrs = obs.attributes()

@@ -126,15 +126,20 @@ class Archive:
                 best, best_sim = entry, sim
         return (best, best_sim) if best is not None else (None, 0.0)
 
-    def record_session(self, trace) -> ArchiveEntry:
+    def record_session(self, trace) -> ArchiveEntry | None:
         """Store an entry aggregated from a finished session and persist.
 
         Only the iterations the policy learned from count: a failed record
-        carries no features and no reward the policy saw."""
+        carries no features and no reward the policy saw. A session without
+        such an iteration has nothing to store, so it records and persists
+        nothing and returns None; its problem's entry stays as it was."""
+        learned = [r for r in trace.records if not r.failed]
+        if not learned:
+            return None
         ps = trace.problem_scheme
         arms: dict[str, list[tuple[tuple[float, ...], float]]] = {}
         best_reward, best_action = 0.0, ()
-        for rec in [r for r in trace.records if not r.failed]:
+        for rec in learned:
             est = rec.action.estimator
             arms.setdefault(est, []).append((rec.features, rec.reward_total))
             if rec.reward_total >= best_reward:

@@ -23,11 +23,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
+from . import action_space, agents
 from .agents import DriftSpec
 from .archive import Archive
 from .errors import ConfigError, DriftguardError
+from .estimators import benchmark_catalog
 from .pipeline import SessionConfig, SessionTrace, run_session, write_trace
 
 EXIT_OK = 0
@@ -43,13 +45,13 @@ ABLATION_COLUMNS = ("condition", "seed", "outcome", "mismatch_count",
                     "iterations_to_converge", "cp_failure_events")
 
 # The keys a config and each of its nested blocks may hold; any other is a
-# bad configuration. ``problem`` holds the keys intake reads.
+# bad configuration. A config holds the session settings, the fields of
+# ``SessionConfig``, plus the command-level keys; ``problem`` holds the keys
+# intake reads.
 _KEYS = {
-    "config": frozenset({
-        "problem", "n_max", "r_threshold", "seed", "seeds", "session_id",
-        "checkpoint_overrides", "drift", "archive_path", "record_to_archive",
-        "persist_policy", "warm_start", "output_name", "conditions",
-        "sessions"}),
+    "config": frozenset(f.name for f in fields(SessionConfig)) | {
+        "seeds", "archive_path", "warm_start", "output_name", "conditions",
+        "sessions"},
     "problem": frozenset({
         "task", "d_in", "d_out", "n_budget", "epsilon", "model_id",
         "dist_family", "output_class", "model_class", "has_dependence"}),
@@ -90,36 +92,31 @@ def _drift_from(doc: dict | None) -> DriftSpec:
         return DriftSpec()
     _check_keys("drift", doc)
     try:
-        return DriftSpec(**{**doc, "probability": float(
-            doc.get("probability", 0.0))})
-    except (TypeError, ValueError) as exc:
+        return DriftSpec(**doc)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad drift spec: {exc}") from exc
 
 
 def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
+    """The session settings ``doc`` states, passed through as they are;
+    ``SessionConfig`` supplies the defaults and checks the types."""
     _check_keys("config", doc)
     if "problem" not in doc:
         raise ConfigError("config lacks a 'problem' object")
     _check_keys("problem", doc["problem"])
-    from .estimators import benchmark_catalog
     model_id = doc["problem"].get("model_id", "")
     if not isinstance(model_id, (str, type(None))) or \
             (model_id and model_id not in benchmark_catalog()):
         raise ConfigError(f"unknown problem model {model_id!r}")
+    settings = {f.name: doc[f.name] for f in fields(SessionConfig)
+                if f.name in doc}
+    if "drift" in doc:
+        settings["drift"] = _drift_from(doc["drift"])
+    if seed_override is not None:
+        settings["seed"] = seed_override
     try:
-        seed = seed_override if seed_override is not None \
-            else int(doc.get("seed", 0))
-        return SessionConfig(
-            problem=doc["problem"],
-            n_max=int(doc.get("n_max", 5)),
-            r_threshold=float(doc.get("r_threshold", 85.0)),
-            checkpoint_overrides=doc.get("checkpoint_overrides", {}),
-            drift=_drift_from(doc.get("drift")),
-            seed=seed,
-            session_id=doc.get("session_id", "session"),
-            record_to_archive=bool(doc.get("record_to_archive", True)),
-            persist_policy=bool(doc.get("persist_policy", False)))
-    except (TypeError, ValueError) as exc:
+        return SessionConfig(**settings)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad session config: {exc}") from exc
 
 
@@ -132,21 +129,23 @@ def _archive_for(doc: dict, cfg: SessionConfig) -> Archive | None:
         raise ConfigError("archive_path must be a string")
     archive = Archive(path) if path or warm else None
     if warm:
-        from . import action_space, agents
         _check_keys("warm_start", warm)
         try:
-            estimator = warm["estimator"]
-            mean_reward = float(warm["mean_reward"])
-            count = int(warm.get("count", 3))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad warm_start block: {exc}") from exc
+            estimator, mean_reward = warm["estimator"], warm["mean_reward"]
+        except KeyError as exc:
+            raise ConfigError(f"bad warm_start block: no {exc}") from exc
+        count = warm.get("count", 3)
+        if type(mean_reward) not in (int, float) or type(count) is not int:
+            raise ConfigError("bad warm_start block: mean_reward must be a "
+                              "number and count an integer")
         ps = agents.coordinator(cfg.problem)
         arm = next((a for a in action_space.filter_feasible(ps.context)
                     if a.estimator == estimator), None)
         if arm is None:
             raise ConfigError(f"bad warm_start block: no feasible action "
                               f"runs {estimator!r}")
-        archive.seed_entry(ps, arm, mean_reward=mean_reward, count=count)
+        archive.seed_entry(ps, arm, mean_reward=float(mean_reward),
+                           count=count)
     return archive
 
 
@@ -232,27 +231,27 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablate runs every session on a fresh archive; "
                           "it does not take an archive_path")
     base_cfg = _session_config(doc, None)
-    try:
-        seeds = [args.seed_override] if args.seed_override is not None \
-            else [int(s) for s in doc.get("seeds", [base_cfg.seed])]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad seeds list: {exc}") from exc
+    seeds = [args.seed_override] if args.seed_override is not None \
+        else doc.get("seeds", [base_cfg.seed])
+    if not isinstance(seeds, list):
+        raise ConfigError("seeds must be a list")
     conditions = doc.get("conditions", [])
     if not isinstance(conditions, list):
         raise ConfigError("conditions must be a list")
+    # A condition states its own drift and gate switches; what it leaves
+    # out takes the SessionConfig default, not the top level's value.
+    shared = {k: v for k, v in doc.items()
+              if k not in ("drift", "checkpoint_overrides")}
     runs = []
     for cond in conditions:
         _check_keys("condition", cond)
-        try:
-            name = cond["name"]
-            cond_cfg = replace(
-                base_cfg, drift=_drift_from(cond.get("drift")),
-                checkpoint_overrides=cond.get("checkpoint_overrides", {}))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad condition: {exc}") from exc
-        runs += [(name, replace(
-            cond_cfg, seed=seed,
-            session_id=f"{base_cfg.session_id}-{name}-s{seed}"))
+        if "name" not in cond:
+            raise ConfigError("bad condition: no 'name'")
+        name = cond["name"]
+        own = {k: v for k, v in cond.items() if k != "name"}
+        runs += [(name, _session_config(
+            {**shared, **own, "seed": seed,
+             "session_id": f"{base_cfg.session_id}-{name}-s{seed}"}, None))
             for seed in seeds]
     out = _out_dir(args)
     table = os.path.join(out, _output_name(doc, "ablation") + ".csv")

@@ -51,7 +51,6 @@ class SAResult:
     warnings: tuple[str, ...] = ()
     nan_count: int = 0
     negative_variance_flag: bool = False
-    executed: bool = True
 
     def attributes(self) -> dict[str, tuple[float, ...]]:
         """Populated fields keyed by their plan-binding attribute names."""
@@ -339,7 +338,7 @@ def morris(m: BenchmarkModel, trajectories: int, levels: int = 4,
 # ---------------------------------------------------------------------------
 # Simulated executors (scheme plumbing real, numerics scripted)
 
-def _reference_s1(m: BenchmarkModel, seed: int) -> np.ndarray:
+def _reference_s1(m: BenchmarkModel) -> np.ndarray:
     if m.analytic_s1 is not None:
         return np.asarray(m.analytic_s1, dtype=float)
     # A digest, not hash(): str hashes change with PYTHONHASHSEED.
@@ -353,7 +352,7 @@ def pce_sa_simulated(m: BenchmarkModel, n: int, seed: int) -> SAResult:
     """Scripted spectral-expansion executor: reference indices plus noise."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed ^ 0x5CE)
-    ref = _reference_s1(m, seed)
+    ref = _reference_s1(m)
     # Truncation bias plus sampling noise: the stub mimics an
     # under-resolved expansion rather than a competitive estimator.
     s1 = np.clip(ref + 0.08 + rng.normal(0.0, 0.04, m.d_in), 0.0, 1.0)
@@ -368,7 +367,7 @@ def generalized_sobol_simulated(m: BenchmarkModel, n: int, seed: int) -> SAResul
     """Scripted multi-output aggregate executor."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed ^ 0x6E5)
-    ref = _reference_s1(m, seed)
+    ref = _reference_s1(m)
     s1 = np.clip(ref + rng.normal(0.0, 0.04, m.d_in), 0.0, 1.0)
     st = np.clip(s1 + np.abs(rng.normal(0.03, 0.02, m.d_in)), 0.0, 1.0)
     return SAResult(estimator="Generalized_Sobol", s1=tuple(map(float, s1)),
@@ -482,24 +481,3 @@ def get_model(model_id: str) -> BenchmarkModel:
     if model_id not in catalog:
         raise UnknownModel(f"unknown benchmark model {model_id!r}")
     return catalog[model_id]
-
-
-_EXECUTORS = {
-    "Sobol": lambda m, n, seed, scheme: sobol_saltelli(m, n, seed, scheme),
-    "Chatterjee": lambda m, n, seed, scheme: chatterjee(m, n, seed, scheme),
-    "CVM": lambda m, n, seed, scheme: cvm(m, n, seed, scheme),
-    "Morris": lambda m, n, seed, scheme: morris(
-        m, trajectories=max(2, n), seed=seed),
-    "PCE_SA": lambda m, n, seed, scheme: pce_sa_simulated(m, n, seed),
-    "Generalized_Sobol": lambda m, n, seed, scheme:
-        generalized_sobol_simulated(m, n, seed),
-}
-
-
-def run_estimator(estimator: str, m: BenchmarkModel, n: int, seed: int,
-                  scheme: str = "MonteCarlo") -> SAResult:
-    """Dispatch to the estimator's executor; n is the per-loop sample size
-    (trajectory count for Morris)."""
-    if estimator not in _EXECUTORS:
-        raise UnknownModel(f"no executor for estimator {estimator!r}")
-    return _EXECUTORS[estimator](m, n, seed, scheme)

@@ -15,7 +15,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from . import action_space, agents, bandit, reward as reward_mod
-from .agents import DriftSpec, ExecutionPlan
+from .agents import DriftSpec, ExecutionPlan, check_field_types
 from .archive import Archive
 from .checkpoints import CHECKPOINT_TABLE, DISABLED, CheckpointManager, \
     CheckpointResult
@@ -28,6 +28,9 @@ from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
 
 @dataclass(frozen=True)
 class SessionConfig:
+    """Every session setting with its default and type, which
+    ``__post_init__`` checks; the CLI's config keys are these fields."""
+
     problem: dict
     n_max: int = 5
     r_threshold: float = 85.0
@@ -39,14 +42,14 @@ class SessionConfig:
     persist_policy: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if not 0.0 < self.r_threshold <= 100.0:
             raise ValueError("r_threshold must lie in (0, 100]")
         # The gate table is the only source of thresholds.
-        if not isinstance(self.checkpoint_overrides, dict) or any(
-                cp not in CHECKPOINT_TABLE or value != DISABLED
-                for cp, value in self.checkpoint_overrides.items()):
+        if any(cp not in CHECKPOINT_TABLE or value != DISABLED
+               for cp, value in self.checkpoint_overrides.items()):
             raise ValueError("checkpoint_overrides may only map a gate id "
                              "to -1, which switches the gate off")
 
@@ -248,8 +251,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
                               advisor_text)))
 
     # (register) Diagnosis, submartingale flags, policy update.
-    diag = build_diagnostic_scheme(advisor_text, obs, breakdown,
-                                   cfg.r_threshold)
+    diag = build_diagnostic_scheme(advisor_text, breakdown, cfg.r_threshold)
     if diag.block_action:
         state.failed_estimators.add(ms.estimator)
     state.flags = submartingale_flags(state.prev_reward, breakdown.total, obs)
@@ -257,7 +259,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     phi = bandit.encode_features(ps.context, action)
     policy.update(phi, breakdown.total, action.estimator)
 
-    if obs is not None and obs.executed:
+    if obs is not None:
         state.prev_obs_by_estimator[plan.estimator] = obs
     state.prev_strategy_text = strategy_text
     state.prev_ms = ms
@@ -291,11 +293,10 @@ def _failed_record(n, action, events, drift_events, strategy_text,
 
 
 def run_session(cfg: SessionConfig,
-                archive: Archive | None = None,
-                null_corpus: tuple[str, ...] | None = None) -> SessionTrace:
+                archive: Archive | None = None) -> SessionTrace:
     """Full session: Group A once, CP0, then the bounded decision loop."""
-    corpus = null_corpus or shipped_corpus()
-    null_dist = calibrate_null(list(corpus), n_pairs=500, seed=cfg.seed)
+    null_dist = calibrate_null(list(shipped_corpus()), n_pairs=500,
+                               seed=cfg.seed)
     manager = CheckpointManager(null_dist, frozenset(cfg.checkpoint_overrides))
 
     # Group A: Coordinator -> CP1 -> Gatekeeper -> Model Translator.

@@ -79,14 +79,12 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
           prev_obs: SAResult | None = None) -> RewardBreakdown:
     """Score one observation against its decided method scheme.
 
-    A crashed execution (obs None or executed False) zeroes everything but
-    the warning list.  Missing required attributes synthesize critical
-    warnings, zero the execution sub-score, and void the vacuous-pass rule
-    for consistency checks tied to those attributes.
+    A crashed execution (obs None) zeroes everything but the warning list.
+    Missing required attributes synthesize critical warnings, zero the
+    execution sub-score, and void the vacuous-pass rule for consistency
+    checks tied to those attributes.
     """
-    executed = obs is not None and obs.executed
-
-    if not executed:
+    if obs is None:
         return RewardBreakdown(0.0, 0.0, 0.0, 0.0, ("execution failed",))
 
     attrs = obs.attributes()

@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from . import action_space, catalog
 from .action_space import ActionTuple
 from .errors import InvalidProblem, UnknownEstimator
-from .estimators import FIELD_TO_ATTRIBUTE
 from .reward import COMPONENT_CAPS
 
 TASKS = ("SA",)
@@ -160,8 +159,7 @@ def build_method_scheme(action: ActionTuple, ps: ProblemScheme,
         n_min_value=n_min_value,
         budget_status=budget_status,
         library_class=info.library_class,
-        required_attributes=tuple(FIELD_TO_ATTRIBUTE[p]
-                                  for p in info.produces),
+        required_attributes=info.bindings,
         n_samples=n_samples,
     )
 
@@ -182,7 +180,7 @@ _ROOT_CAUSE_RULES = (
 )
 
 
-def build_diagnostic_scheme(report: str, obs, breakdown,
+def build_diagnostic_scheme(report: str, breakdown,
                             r_threshold: float) -> DiagnosticScheme:
     """Deterministic keyword-pattern diagnosis; pure for fixed inputs. A
     total at or above the session's ``r_threshold`` is converged."""

@@ -1,6 +1,6 @@
 import pytest
 
-from driftguard import agents, catalog
+from driftguard import agents, catalog, estimators
 from driftguard.action_space import ActionTuple
 from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.errors import InsufficientSamples, UnknownModel, Unrecoverable
@@ -138,7 +138,27 @@ class TestExecutionAndDebugger:
         plan = ExecutionPlan("Chatterjee", 200,
                              ("chatterjee_indices",), "structural_eq3", 3)
         obs = agents.execution_runner(plan)
-        assert obs.executed and obs.estimator == "Chatterjee"
+        assert obs.estimator == "Chatterjee"
+        assert obs.evaluations_used == 200
+
+    @pytest.mark.parametrize("estimator, function", [
+        ("Sobol", "sobol_saltelli"), ("Chatterjee", "chatterjee"),
+        ("CVM", "cvm"), ("Morris", "morris")])
+    def test_runner_reaches_a_swapped_estimator(self, estimator, function,
+                                                monkeypatch):
+        # A catalog row looks its function up on the estimators module when
+        # it runs, so a function swapped there is the one that executes.
+        calls = []
+        real = getattr(estimators, function)
+
+        def spy(*args, **kwargs):
+            calls.append(function)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, function, spy)
+        plan = ExecutionPlan(estimator, 200, (), "g_function_8d", 3)
+        assert agents.execution_runner(plan).estimator == estimator
+        assert calls == [function]
 
     @pytest.mark.parametrize("estimator, reached", [
         ("Sobol", True), ("Chatterjee", True), ("CVM", True),
@@ -158,7 +178,8 @@ class TestExecutionAndDebugger:
             agents.execution_runner(plan)
         patched = agents.debugger_fix(plan, err.value)
         assert patched.n_samples >= 10
-        assert agents.execution_runner(patched).executed
+        assert agents.execution_runner(patched).evaluations_used \
+            == patched.n_samples
 
     def test_debugger_unknown_error_unrecoverable(self):
         plan = ExecutionPlan("Sobol", 100,

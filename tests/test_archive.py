@@ -322,6 +322,14 @@ class TestPersistence:
         assert dict(entry.per_arm_stats)[learned[0].action.estimator] \
             == arch.ArmStats(count=1, mean_reward=learned[0].reward_total,
                              phi=learned[0].features)
+        # Only failed iterations: nothing to learn, so the problem's entry
+        # and the file stay as they were.
+        before = list(a.entries)
+        on_disk = (tmp_path / "eq3.json").read_bytes()
+        all_failed = replace(first, records=[failed_twin, failed_twin])
+        assert a.record_session(all_failed) is None
+        assert a.entries == before
+        assert (tmp_path / "eq3.json").read_bytes() == on_disk
 
 
 def _old_writer_bytes(entries) -> bytes:

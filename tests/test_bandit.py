@@ -174,7 +174,7 @@ class TestSelectAction:
         # The diagnosis blocks the estimator of the scheme it diagnosed.
         diag = build_diagnostic_scheme(
             "required attribute first_order_indices absent",
-            None, _zero_breakdown(), 85.0)
+            _zero_breakdown(), 85.0)
         for seed in range(20):
             d = bandit.select_action(bandit.PolicyState(), ps_eq3,
                                      self._arms(ps_eq3), diag=diag,
@@ -186,7 +186,7 @@ class TestSelectAction:
     def test_prescribed_estimator_dominates(self, ps_eq3):
         diag = build_diagnostic_scheme(
             "wrong estimator. prescribe estimator CVM.",
-            None, _zero_breakdown(), 85.0)
+            _zero_breakdown(), 85.0)
         d = bandit.select_action(bandit.PolicyState(), ps_eq3,
                                  self._arms(ps_eq3), diag=diag, rng_seed=0)
         assert d.action.estimator == "CVM"
@@ -200,14 +200,14 @@ class TestSelectAction:
     def test_prescribed_n_samples_dominates_and_clamps(self, ps_eq3):
         diag = build_diagnostic_scheme(
             "sampling insufficient at n_samples=1000.",
-            None, _zero_breakdown(), 85.0)
+            _zero_breakdown(), 85.0)
         prev = self._prev(ps_eq3, "CVM", 1000)
         # Prescribed 2000 is below CVM's single-loop floor 500*(4+2)=3000.
         assert self._n_samples(ps_eq3, "CVM", diag, prev) == 3000
         # Above the floor, the prescription beats the carried-over size.
         diag = build_diagnostic_scheme(
             "sampling insufficient at n_samples=2500.",
-            None, _zero_breakdown(), 85.0)
+            _zero_breakdown(), 85.0)
         prev = self._prev(ps_eq3, "CVM", 4000)
         assert self._n_samples(ps_eq3, "CVM", diag, prev) == 5000
 

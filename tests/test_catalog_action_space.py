@@ -73,28 +73,24 @@ def _bits(ctx) -> dict[str, bool]:
     return dict(zip(catalog.SA_ESTIMATORS, action_space.feasibility_bits(ctx)))
 
 
-# The feasibility rules as the catalog first stated them, one check per
-# predicate id; the oracle below applies them action by action.
+# The feasibility rules as the catalog first stated them, one per
+# estimator; the oracle below applies them action by action.
 _RULES = {
-    "morris_screening_high_dim": lambda ctx, thr: ctx.d_in >= thr,
-    "gen_sobol_multioutput": lambda ctx, thr: ctx.d_out > 1,
-    "pce_min_samples": lambda ctx, thr: ctx.n_budget >= 500 * ctx.d_in,
-    "variance_min_samples":
-        lambda ctx, thr: ctx.n_budget >= 500 * (ctx.d_in + 2),
+    "Sobol": lambda ctx, thr: ctx.n_budget >= 500 * (ctx.d_in + 2),
+    "Chatterjee": lambda ctx, thr: True,
+    "CVM": lambda ctx, thr: ctx.n_budget >= 500 * (ctx.d_in + 2),
+    "Morris": lambda ctx, thr: ctx.d_in >= thr,
+    "PCE_SA": lambda ctx, thr: ctx.n_budget >= 500 * ctx.d_in,
+    "Generalized_Sobol": lambda ctx, thr:
+        ctx.d_out > 1 and ctx.n_budget >= 500 * (ctx.d_in + 2),
 }
 
 
 def _walk_feasible(ctx, thr):
-    """The per-action walk: every predicate gating an action's estimator
-    must hold, checked for each of the 12 actions."""
-    feasible = []
-    for a in action_space.enumerate_actions():
-        violated = [p.id for p in catalog.PREDICATES
-                    if a.estimator in p.applies_to
-                    and not _RULES[p.id](ctx, thr)]
-        if not violated:
-            feasible.append(a)
-    return feasible
+    """The per-action walk: the rule of an action's estimator must hold,
+    checked for each of the 12 actions."""
+    return [a for a in action_space.enumerate_actions()
+            if _RULES[a.estimator](ctx, thr)]
 
 
 class TestFeasibility:
@@ -133,7 +129,7 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("estimator", ["Sobol", "CVM", "PCE_SA"])
     def test_budget_gate_reads_n_min(self, estimator, monkeypatch):
-        # The budget predicates hold no minimum of their own: raising an
+        # The budget rule holds no minimum of its own: raising an
         # estimator's n_min makes it, and only it, infeasible.
         ctx = build_context_vector(EQ3_PROBLEM)
         before = _bits(ctx)
@@ -158,7 +154,7 @@ class TestFeasibility:
            edge=st.sampled_from((None, 0, 2)), shift=st.integers(-1, 1))
     def test_bits_agree_with_reports(self, d_in, budget, d_out, thr, edge,
                                      shift):
-        # Oracle: the per-action predicate walk gives the same feasible
+        # Oracle: the per-action rule walk gives the same feasible
         # actions as filter_feasible, and the same estimators as the bits.
         # ``edge`` puts the budget next to the PCE (500 d) or pick-freeze
         # (500 (d + 2)) minimum, where an off-by-one would show.

@@ -52,6 +52,20 @@ class TestRun:
             blobs.append((out / "cli-test.trace.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_integer_float_settings_write_the_same_trace(self, tmp_path):
+        # A float setting stores a JSON integer as the equal float, so the
+        # config digest in the trace header does not change.
+        drift = {"kind": "method_swap", "replacement_value": "Morris"}
+        blobs = []
+        for k, (threshold, probability) in enumerate(((85.0, 1.0), (85, 1))):
+            doc = {**BASE_RUN, "r_threshold": threshold,
+                   "drift": {**drift, "probability": probability}}
+            out = tmp_path / f"out{k}"
+            assert main(["run", "--config", _write(tmp_path, doc), "--out",
+                         str(out), "--quiet"]) == EXIT_OK
+            blobs.append((out / "cli-test.trace.jsonl").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_seed_override_changes_seed(self, tmp_path):
         cfg = _write(tmp_path, BASE_RUN)
         out = tmp_path / "ovr"
@@ -197,7 +211,18 @@ class TestBadConfig:
                 ("ablate", {**ablate, "conditions": [
                     {"name": "on"},
                     {"name": "strict", "checkpoint_overrides": {
-                        "CP5": -1.0, "CP2": 0.6}}]})):
+                        "CP5": -1.0, "CP2": 0.6}}]}),
+                # A setting holds its own type: nothing is converted, except
+                # that a float setting takes a JSON integer.
+                ("ablate", {**ablate, "seeds": "12"}),
+                ("run", {**BASE_RUN, "n_max": 1.9}),
+                ("run", {**BASE_RUN, "persist_policy": "false"}),
+                ("run", {**BASE_RUN, "drift": {"kind": "method_swap",
+                                               "probability": "1"}}),
+                ("run", {**BASE_RUN, "warm_start": {
+                    "estimator": "Sobol", "mean_reward": 91.0,
+                    "count": 2.7}}),
+                ("run", {**BASE_RUN, "seed": True})):
             cfg = _write(tmp_path, doc)
             assert main([command, "--config", cfg, "--out", str(tmp_path),
                          "--quiet"]) == EXIT_BAD_CONFIG, doc

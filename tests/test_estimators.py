@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm, qmc, rankdata
 
-from driftguard import estimators as est
-from driftguard.errors import InsufficientSamples, UnknownModel
+from driftguard import agents, catalog, estimators as est
+from driftguard.agents import ExecutionPlan
+from driftguard.errors import (InsufficientSamples, UnknownEstimator,
+                               UnknownModel)
 
 
 @pytest.fixture(scope="module")
@@ -293,13 +295,15 @@ class TestSimulatedExecutors:
 
 
 class TestDispatch:
-    def test_run_estimator_routes(self, g8):
-        res = est.run_estimator("Chatterjee", g8, 100, seed=0)
+    def test_catalog_row_routes(self, g8):
+        res = catalog.estimator_info("Chatterjee").execute(
+            g8, 100, 0, "MonteCarlo")
         assert res.estimator == "Chatterjee"
 
     def test_unknown_executor(self, g8):
-        with pytest.raises(UnknownModel):
-            est.run_estimator("Kriging", g8, 100, seed=0)
+        plan = ExecutionPlan("Kriging", 100, (), g8.id, 0)
+        with pytest.raises(UnknownEstimator):
+            agents.execution_runner(plan)
 
     def test_attributes_and_primary_indices(self, g8):
         res = est.morris(g8, trajectories=10, seed=0)

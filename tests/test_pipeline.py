@@ -92,6 +92,29 @@ class TestSessionBasics:
         with pytest.raises(ValueError):
             SessionConfig(problem=EQ3_PROBLEM, r_threshold=0.0)
 
+    def test_settings_hold_their_annotated_types(self):
+        # A float setting stores an int as the equal float, so the digest
+        # does not change; nothing else is converted.
+        cfg = SessionConfig(problem=EQ3_PROBLEM, r_threshold=85,
+                            drift=DriftSpec(probability=1))
+        assert type(cfg.r_threshold) is float
+        assert type(cfg.drift.probability) is float
+        assert cfg.digest() == SessionConfig(
+            problem=EQ3_PROBLEM, r_threshold=85.0,
+            drift=DriftSpec(probability=1.0)).digest()
+        for bad in ({"seed": True}, {"n_max": 2.0}, {"session_id": 5},
+                    {"persist_policy": 1}, {"r_threshold": "85"},
+                    {"drift": {}}, {"problem": None}):
+            with pytest.raises(TypeError):
+                SessionConfig(**{"problem": EQ3_PROBLEM, **bad})
+        for bad in ({"probability": True}, {"replacement_value": 5},
+                    {"activation_iteration": 2.0},
+                    {"activation_iteration": False}):
+            with pytest.raises(TypeError):
+                DriftSpec(**bad)
+        assert DriftSpec(activation_iteration=None).activation_iteration \
+            is None
+
 
 class TestCheckpointWiring:
     def test_all_disabled_still_runs_and_passes(self):
@@ -258,9 +281,11 @@ class TestBlockedSteps:
 
     def test_overrides_only_switch_gates_off(self):
         for overrides in ({"CP2": 0.6}, {"CP9": DISABLED}, {"CP3": "x"},
-                          {"CP5": True}, ["CP5"]):
+                          {"CP5": True}):
             with pytest.raises(ValueError, match="switches the gate off"):
                 _cfg(checkpoint_overrides=overrides)
+        with pytest.raises(TypeError, match="checkpoint_overrides must be"):
+            _cfg(checkpoint_overrides=["CP5"])
 
 
 class TestSubmartingaleFlags:

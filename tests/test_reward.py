@@ -52,8 +52,6 @@ class TestIntegrity:
         b = reward.score(ms_g8, None)
         assert b.total == 0.0
         assert "execution failed" in b.warnings
-        b2 = reward.score(ms_g8, SAResult(estimator="Sobol", executed=False))
-        assert b2.total == 0.0
 
     def test_missing_attribute_synthesizes_warning(self, ps_g8, g8):
         ms = _ms(ps_g8)                                 # requires s1 and st

@@ -105,40 +105,39 @@ class TestDiagnosticScheme:
     def test_attribute_error_blocks(self):
         diag = build_diagnostic_scheme(
             "required attribute first_order_indices absent from the "
-            "observation", None, _breakdown(20.0), 85.0)
+            "observation", _breakdown(20.0), 85.0)
         assert diag.root_cause == "attribute_error"
         assert diag.block_action
 
     def test_wrong_estimator_prescribes(self):
         diag = build_diagnostic_scheme(
             "this looks like a wrong estimator. prescribe estimator CVM.",
-            None, _breakdown(40.0), 85.0)
+            _breakdown(40.0), 85.0)
         assert diag.root_cause == "wrong_estimator"
         assert diag.prescribed_estimator == "CVM"
 
     def test_insufficient_doubles_samples(self):
         diag = build_diagnostic_scheme(
             "sampling appears insufficient at n_samples=1000.",
-            None, _breakdown(60.0), 85.0)
+            _breakdown(60.0), 85.0)
         assert diag.root_cause == "insufficient_N"
         assert diag.prescribed_n_samples == 2000
         # A size stated without an insufficiency diagnosis prescribes none.
         diag = build_diagnostic_scheme(
             "sobol indices successfully computed at n_samples=1000.",
-            None, _breakdown(90.0), 85.0)
+            _breakdown(90.0), 85.0)
         assert diag.prescribed_n_samples is None
 
     def test_degenerate_keyword(self):
         diag = build_diagnostic_scheme("nan entries present; degenerate "
-                                       "variance", None, _breakdown(30.0),
-                                       85.0)
+                                       "variance", _breakdown(30.0), 85.0)
         assert diag.root_cause == "numerical_degeneracy"
 
     def test_keyword_priority_order(self):
         # "attribute" outranks the later keywords when both appear.
         diag = build_diagnostic_scheme(
             "required attribute missing and sampling insufficient",
-            None, _breakdown(10.0), 85.0)
+            _breakdown(10.0), 85.0)
         assert diag.root_cause == "attribute_error"
 
     def test_block_requires_actionable_cause(self):
