@@ -138,6 +138,11 @@ def _archive_for(doc: dict, cfg: SessionConfig) -> Archive | None:
         if type(mean_reward) not in (int, float) or type(count) is not int:
             raise ConfigError("bad warm_start block: mean_reward must be a "
                               "number and count an integer")
+        # NaN fails the comparison; so do infinities and integers too large
+        # for a float.
+        if not abs(mean_reward) <= sys.float_info.max or count < 1:
+            raise ConfigError("bad warm_start block: mean_reward must be "
+                              "finite and count at least 1")
         ps = agents.coordinator(cfg.problem)
         arm = next((a for a in action_space.filter_feasible(ps.context)
                     if a.estimator == estimator), None)

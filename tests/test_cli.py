@@ -346,6 +346,21 @@ class TestSessions:
         assert first["session_id"] == "gfn-1"
         assert (first["cp0_match"], first["cp0_mode"]) == ("close", "exploit")
 
+    def test_warm_start_out_of_range_is_bad_config(self, tmp_path, capsys):
+        # A non-finite mean reward would write NaN into the policy, and a
+        # count below 1 would act as a negative- or zero-weight prior.
+        for mean_reward, count in (("1e400", "3"), ("-1e400", "3"),
+                                   ("NaN", "3"), ("1" + "0" * 400, "3"),
+                                   ("91.0", "-3"), ("91.0", "0")):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(BASE_RUN)[:-1] + (
+                ', "warm_start": {"estimator": "Sobol", "mean_reward": '
+                f'{mean_reward}, "count": {count}}}}}'))
+            assert main(["run", "--config", str(path), "--out",
+                         str(tmp_path), "--quiet"]) == EXIT_BAD_CONFIG
+            assert "warm_start" in capsys.readouterr().err
+            assert not list(tmp_path.glob("*.trace.jsonl"))
+
     def test_archive_keys_in_a_session_entry_are_bad_config(self, tmp_path,
                                                             capsys):
         # The archive is shared by every session, so only the top level

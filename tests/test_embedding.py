@@ -2,6 +2,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -154,11 +156,38 @@ class TestAgainstOracle:
             assert _bits(embedding.cosine(new[i], new[j])) == \
                 _bits(_oracle_cosine(old[i], old[j])), (i, j)
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 123, 99999])
+    @pytest.mark.parametrize("seed", [*range(45), 123, 99999, -1, -2**40,
+                                      2**64 + 1])
     def test_null_samples_shipped_corpus(self, seed):
         corpus = embedding.shipped_corpus()
         assert embedding.calibrate_null(corpus, 500, seed).samples == \
             _oracle_calibrate_null(corpus, 500, seed)
+
+    def test_batched_cosines_all_corpus_pairs_bits(self):
+        corpus = embedding.shipped_corpus()
+        matrix, norms = embedding._corpus_matrix(corpus)
+        first, second = (np.array(k) for k in zip(
+            *itertools.combinations(range(len(corpus)), 2)))
+        assert len(first) == 19_900
+        got = embedding._pair_cosines(matrix, norms, first, second)
+        vectors = [embedding.embed(t) for t in corpus]
+        expected = [embedding.cosine(vectors[i], vectors[j])
+                    for i, j in zip(first.tolist(), second.tolist())]
+        assert [_bits(x) for x in got.tolist()] == \
+            [_bits(x) for x in expected]
+
+    # n <= 21 takes sample's pool branch, n > 21 its set branch; seeds cover
+    # zero, negative and wider-than-64-bit values.
+    @pytest.mark.parametrize("n", [2, 5, 21, 22, 200, 1000])
+    @pytest.mark.parametrize("seed", [0, -3, 2**64 + 9])
+    @pytest.mark.parametrize("n_pairs", [1, 500, 5000])
+    def test_pair_draw_is_sample_stream(self, n, seed, n_pairs):
+        reference = random.Random(seed)
+        expected = [reference.sample(range(n), 2) for _ in range(n_pairs)]
+        first, second = embedding._draw_pairs(random.Random(seed), n,
+                                              n_pairs)
+        assert [list(p) for p in zip(first.tolist(), second.tolist())] == \
+            expected
 
     def test_null_samples_custom_corpus(self):
         corpus = ["sobol indices from pick freeze", "morris screening",
@@ -217,6 +246,7 @@ def test_shipped_sessions_tokenize_each_text_once(tmp_path, monkeypatch):
     """Three sessions share the null corpus and many gate texts; with the
     memo each distinct text is tokenized exactly once per process."""
     embedding.embed.cache_clear()
+    embedding._corpus_matrix.cache_clear()
     calls = Counter()
     real = embedding._tokenize
 
@@ -234,3 +264,19 @@ def test_shipped_sessions_tokenize_each_text_once(tmp_path, monkeypatch):
     assert set(embedding.shipped_corpus()) <= set(calls)
     repeated = {text: n for text, n in calls.items() if n > 1}
     assert not repeated
+
+
+def test_import_embeds_nothing():
+    """Importing the CLI leaves the memo and the corpus matrix cache empty,
+    so no embedding work moves into start-up."""
+    code = ("import driftguard.cli\n"
+            "from driftguard import embedding\n"
+            "print(embedding.embed.cache_info().currsize,"
+            " embedding._corpus_matrix.cache_info().currsize)")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["0", "0"]

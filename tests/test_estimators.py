@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.stats import norm, qmc, rankdata
 
 from driftguard import agents, catalog, estimators as est
@@ -136,6 +137,40 @@ class TestRankBased:
             input_dists=(("Uniform", 0.0, 1.0),) * 2)
         res = est.cvm(flat, 100, seed=0)
         assert res.nan_count == 2
+
+    # Columns rounded to a few levels tie often; NaN columns and signed zeros
+    # tie in ways a plain comparison sort may order differently.
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
+           levels=st.sampled_from([None, 1, 2, 3, 8, 1000]),
+           nans=st.sampled_from([0, 1, 5]), signed_zeros=st.booleans())
+    def test_fast_order_matches_stable_sort(self, seed, n, levels, nans,
+                                            signed_zeros):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        if levels is not None:
+            x = np.round(x * levels) / levels
+        if signed_zeros:
+            x[rng.random(n) < 0.2] = -0.0
+        x[rng.choice(n, size=min(nans, n), replace=False)] = np.nan
+        stable = np.argsort(x, kind="stable")
+        assert np.array_equal(est._stable_order(x), stable)
+        y_ranks = est._midranks(rng.standard_normal(n))
+        r = y_ranks[stable]
+        xi = 1.0 - 3.0 * float(np.abs(np.diff(r)).sum()) / (n * n - 1.0)
+        assert est._xi_statistic(x, y_ranks).hex() == xi.hex()
+
+    @pytest.mark.parametrize("model_id", ["ishigami", "cantilever_beam"])
+    @pytest.mark.parametrize("scheme", ["MonteCarlo", "LatinHypercube"])
+    def test_rank_indices_match_stable_sort(self, model_id, scheme,
+                                            monkeypatch):
+        m = est.get_model(model_id)
+        fast = [est.chatterjee(m, 5000, 3, scheme), est.cvm(m, 5000, 3, scheme)]
+        monkeypatch.setattr(est, "_stable_order",
+                            lambda x: np.argsort(x, kind="stable"))
+        slow = [est.chatterjee(m, 5000, 3, scheme), est.cvm(m, 5000, 3, scheme)]
+        assert [float(v).hex() for v in fast[0].rank_indices + fast[1].s1] == \
+            [float(v).hex() for v in slow[0].rank_indices + slow[1].s1]
 
     def test_minimum_sizes_enforced(self, g8):
         with pytest.raises(InsufficientSamples):
