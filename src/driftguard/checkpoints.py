@@ -1,15 +1,17 @@
-"""Semantic checkpoints CP0-CP7: cosine gates with adaptive thresholds.
+"""Semantic checkpoints CP0-CP7: cosine gates with warmup thresholds.
 
-Each checkpoint compares an embedding similarity against a threshold that
-starts at the initial value in ``CHECKPOINT_TABLE`` and adapts to the
-observed, drift-free similarity distribution via an exponential moving
-average.  The table is the only source of thresholds: a session may only
-switch a gate off, which sets its threshold to -1 (unconditional pass).
+Each checkpoint compares an embedding similarity against a threshold.  A
+gate starts at its initial value in ``CHECKPOINT_TABLE``; once it has passed
+``_WARMUP`` times it tightens to ``theta0 + _CAP_BONUS``, never below its
+floor, the larger of ``theta_min`` and the null distribution's upper
+quantile.  The inverted novelty gate CP7 never counts its passes, so it
+keeps ``theta0``.  The table is the only source of thresholds: a session may
+only switch a gate off, and a switched-off gate passes unconditionally and
+reports the threshold -1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import catalog
@@ -17,11 +19,9 @@ from .embedding import NullDistribution
 
 DISABLED = -1.0
 
-# Adaptive thresholds.
-_EMA_DECAY = 0.8
+# Warmup thresholds.
 _WARMUP = 3
-_CAP_BONUS = 0.10           # current never exceeds theta0 + cap_bonus
-_STD_MULTIPLIER = 1.0
+_CAP_BONUS = 0.10
 _NULL_QUANTILE = 0.95
 
 # CP0 archive-match cutoffs: close warm-starts and exploits, weak
@@ -40,20 +40,6 @@ CHECKPOINT_TABLE = {
     "CP6": (0.30, 0.20, False, False, "warn_advisor"),
     "CP7": (0.35, 0.25, False, True, "warn_strategist"),
 }
-
-
-@dataclass(frozen=True)
-class CheckpointSpec:
-    cp_id: str
-    theta0: float
-    theta_min: float
-    blocking: bool
-    inverted: bool
-    action_on_fail: str
-
-    @property
-    def disabled(self) -> bool:
-        return self.theta0 == DISABLED
 
 
 @dataclass(frozen=True)
@@ -80,83 +66,54 @@ class CP0Result:
 
 @dataclass
 class AdaptiveThreshold:
-    """EMA-tracked threshold for one checkpoint.
+    """One gate's threshold: ``theta0`` until ``count`` reaches
+    ``_WARMUP`` passes, then ``max(theta0 + _CAP_BONUS, floor)``."""
 
-    Until ``warmup`` passing observations have accumulated the initial
-    threshold is used verbatim.  After warmup the threshold is
-    mean - k*std, clamped to [floor, theta0 + cap_bonus] where the floor is
-    the larger of theta_min and the null-distribution's upper quantile.
-    """
-
-    spec: CheckpointSpec
+    theta0: float
     floor: float
-    mean: float = 0.0
-    var: float = 0.0
     count: int = 0
 
     def current(self) -> float:
         if self.count < _WARMUP:
-            return self.spec.theta0
-        value = self.mean - _STD_MULTIPLIER * math.sqrt(max(self.var, 0.0))
-        ceiling = self.spec.theta0 + _CAP_BONUS
-        # The floor is a safety invariant and dominates the cap: a gate may
-        # never relax below the null distribution's upper quantile.
-        return max(min(value, ceiling), self.floor)
-
-    def observe(self, similarity: float) -> None:
-        if self.count == 0:
-            self.mean = similarity
-            self.var = 0.0
-        else:
-            lam = _EMA_DECAY
-            delta = similarity - self.mean
-            self.mean = lam * self.mean + (1.0 - lam) * similarity
-            self.var = lam * self.var + (1.0 - lam) * delta * delta
-        self.count += 1
+            return self.theta0
+        return max(self.theta0 + _CAP_BONUS, self.floor)
 
 
 class CheckpointManager:
-    """All eight gates plus their adaptive state."""
+    """All eight gates plus their pass counts."""
 
     def __init__(self, null_dist: NullDistribution,
                  disabled: frozenset[str] = frozenset()):
-        self.specs: dict[str, CheckpointSpec] = {}
-        self.state: dict[str, AdaptiveThreshold] = {}
+        self.disabled = disabled
         null_floor = null_dist.quantile(_NULL_QUANTILE)
-        for cp_id, (t0, tmin, blocking, inverted, action) in CHECKPOINT_TABLE.items():
-            theta0 = DISABLED if cp_id in disabled else t0
-            spec = CheckpointSpec(cp_id, theta0, tmin, blocking, inverted, action)
-            self.specs[cp_id] = spec
-            self.state[cp_id] = AdaptiveThreshold(
-                spec=spec, floor=max(tmin, null_floor))
+        self.state = {cp_id: AdaptiveThreshold(t0, max(tmin, null_floor))
+                      for cp_id, (t0, tmin, *_) in CHECKPOINT_TABLE.items()}
 
     def evaluate(self, cp_id: str, similarity: float) -> CheckpointResult:
-        """Gate one similarity value; adapts the threshold on passes."""
-        spec = self.specs[cp_id]
-        if spec.disabled:
+        """Gate one similarity value; a pass of a non-inverted gate counts
+        towards its warmup."""
+        if cp_id in self.disabled:
             return CheckpointResult(cp_id, similarity, DISABLED, "pass")
-        threshold = self.state[cp_id].current()
-        if spec.inverted:
+        _, _, blocking, inverted, action = CHECKPOINT_TABLE[cp_id]
+        state = self.state[cp_id]
+        threshold = state.current()
+        if inverted:
             passed = similarity < threshold
         else:
             passed = similarity >= threshold
-        if passed and not spec.inverted:
-            self.state[cp_id].observe(similarity)
         if passed:
-            verdict, action = "pass", ""
-        else:
-            verdict = "block" if spec.blocking else "warn"
-            action = spec.action_on_fail
-        return CheckpointResult(cp_id, similarity, threshold, verdict,
-                                action)
+            if not inverted:
+                state.count += 1
+            return CheckpointResult(cp_id, similarity, threshold, "pass")
+        return CheckpointResult(cp_id, similarity, threshold,
+                                "block" if blocking else "warn", action)
 
     def evaluate_cp0(self, ps, archive) -> CP0Result:
         """Match the new problem against the archive and pick an
         exploration mode (close -> exploit, weak -> neutral, else
         explore_max plus screening-first for high-dimensional inputs)."""
-        spec = self.specs["CP0"]
         best_entry, best_sim = None, 0.0
-        if not spec.disabled and archive is not None:
+        if "CP0" not in self.disabled and archive is not None:
             best_entry, best_sim = archive.lookup(ps)
         if best_sim >= CP0_CLOSE_CUTOFF:
             match, mode = "close", "exploit"

@@ -260,9 +260,10 @@ def cmd_ablate(args) -> int:
             for seed in seeds]
     out = _out_dir(args)
     table = os.path.join(out, _output_name(doc, "ablation") + ".csv")
-    rows = []
+    rows, aborted = [], False
     for name, cfg in runs:
         trace = _run(cfg, _archive_for(doc, cfg), out)
+        aborted = aborted or trace.outcome == "aborted"
         row = {"condition": name, "seed": cfg.seed,
                "outcome": trace.outcome,
                "mismatch_count": sum(1 for r in trace.records
@@ -280,7 +281,7 @@ def cmd_ablate(args) -> int:
                    f"{row['mismatch_count']}, best {row['best_reward']}")
     _write_table(table, ABLATION_COLUMNS, rows)
     _say(args, f"wrote {table}")
-    return EXIT_OK
+    return EXIT_ABORTED if aborted else EXIT_OK
 
 
 def cmd_sessions(args) -> int:

@@ -11,10 +11,11 @@ about 7 MB), so each distinct text is tokenized, hashed and normalized once.
 Every caller of a text shares its vector, so the vector's array is read-only;
 it carries its norm, and a cosine is one dot product.  The shipped corpus is
 read once per process, and ``calibrate_null`` stacks its vectors into one
-matrix on first use.  A session's null calibration is then a handful of numpy
-calls: the seeded pair stream of ``random.Random.sample`` rebuilt from bulk
-``getrandbits`` words, and the pairs' dot products as stacked BLAS dots,
-bit-identical to ``cosine`` pair by pair.  Nothing is embedded at import.
+matrix on first use, outside the memo.  A session's null calibration is then
+a handful of numpy calls: the seeded pair stream of ``random.Random.sample``
+rebuilt from bulk ``getrandbits`` words, and the pairs' dot products as
+stacked BLAS dots, bit-identical to ``cosine`` pair by pair.  Nothing is
+embedded at import.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from .errors import DimensionError, InsufficientCorpus
 
 DIM = 384
-# Distinct texts per benchmark pass are at most ~620 (gate_sweep), corpus
-# included; each memo entry holds a 3 kB array.
+# Distinct texts per benchmark pass are at most ~430 (gate_sweep); the
+# corpus stays out of the memo. Each memo entry holds a 3 kB array.
 MEMO_SIZE = 2048
 _HASH_SEED = b"driftguard-v1"
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -121,9 +122,9 @@ _CHUNK = 32
 
 @functools.lru_cache(maxsize=8)
 def _corpus_matrix(corpus: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The corpus's memoized vectors stacked as rows, and their norms; built
-    on first use, once per corpus."""
-    vectors = [embed(t) for t in corpus]
+    """The corpus's vectors stacked as rows, and their norms; built on first
+    use, once per corpus, and kept out of the ``embed`` memo."""
+    vectors = [embed.__wrapped__(t) for t in corpus]
     matrix = np.stack([v.array for v in vectors])
     norms = np.array([v.norm for v in vectors])
     matrix.flags.writeable = norms.flags.writeable = False

@@ -23,7 +23,7 @@ from .embedding import calibrate_null, shipped_corpus, similarity
 from .errors import DriftguardError
 from .estimators import SAResult
 from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
-    build_diagnostic_scheme, serialize_scheme
+    build_diagnostic_scheme
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     # structural checklist; one bundle, one toggle. A block rebuilds the
     # plan once from the uncorrupted strategy text.
     for retry in (False, True):
-        if manager.specs["CP5"].disabled:
+        if "CP5" in manager.disabled:
             break
         if retry:
             plan = agents.refactor_agent(strategy_text, ps.model_id,
@@ -396,6 +396,7 @@ def write_trace(trace: SessionTrace, path: str) -> None:
                         "failure_action": e.failure_action}
                        for e in rec.checkpoint_events],
                    "drift_events": list(rec.drift_events),
-                   "diagnostic": json.loads(serialize_scheme(rec.diagnostic)),
+                   "diagnostic": {**asdict(rec.diagnostic),
+                                  "__kind__": "DiagnosticScheme"},
                    "advisor_text": rec.advisor_text}
             fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -1,17 +1,15 @@
 """Context vector and the three structured inter-agent scheme types.
 
-All scheme types are immutable values.  ``serialize_scheme`` writes the
-canonical form, compact UTF-8 JSON with sorted keys and a ``__kind__`` tag;
-session traces carry each iteration's diagnostic in that form.  Nothing
-reads schemes back from text.
+All scheme types are immutable values.  Session traces carry each
+iteration's diagnostic as a JSON object of its fields plus a ``__kind__``
+tag; nothing reads schemes back from text.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 from . import action_space, catalog
 from .action_space import ActionTuple
@@ -229,23 +227,3 @@ def build_diagnostic_scheme(report: str, breakdown,
         block_action=block,
         physical_insight=report or "",
     )
-
-
-# ---------------------------------------------------------------------------
-# Canonical serialization: UTF-8 JSON, sorted keys, compact separators.
-
-def _to_jsonable(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        payload = {f.name: _to_jsonable(getattr(value, f.name))
-                   for f in fields(value)}
-        payload["__kind__"] = type(value).__name__
-        return payload
-    if isinstance(value, tuple):
-        return [_to_jsonable(v) for v in value]
-    return value
-
-
-def serialize_scheme(scheme) -> str:
-    """Canonical JSON text: sorted keys, compact separators."""
-    return json.dumps(_to_jsonable(scheme), sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=False)

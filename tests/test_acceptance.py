@@ -275,11 +275,11 @@ def test_criterion_9_bandit_regret():
 
 
 def test_criterion_10_threshold_safety():
-    """Under adversarial similarity streams the adaptive threshold of every
+    """Under adversarial similarity streams the threshold of every
     enabled gate never drops below max(theta_min, null 95th percentile)."""
     corpus = shipped_corpus()
     streams = [
-        [0.99] * 30,                                 # drives the EMA up
+        [0.99] * 30,                                 # passes every time
         [0.31, 0.30, 0.32] * 10,                     # hugs the old minimum
         list(np.linspace(0.95, 0.05, 30)),           # slow degradation
         list(np.abs(np.sin(np.arange(30)))),         # oscillation

@@ -7,7 +7,10 @@ from driftguard import checkpoints
 from driftguard.archive import Archive
 from driftguard.checkpoints import (CHECKPOINT_TABLE, DISABLED,
                                     CheckpointManager)
+from driftguard.embedding import NullDistribution
 
+
+NON_INVERTED = [cp for cp, row in CHECKPOINT_TABLE.items() if not row[3]]
 
 EXPECTED_TABLE = {
     "CP0": (0.70, 0.70, False, False, "fresh_exploration"),
@@ -71,8 +74,8 @@ class TestAdaptiveThreshold:
     def test_adapts_after_warmup(self, manager, null_dist):
         for _ in range(5):
             manager.evaluate("CP2", 0.95)
-        # Tight drift-free distribution near 0.95: the gate tightens but is
-        # capped at theta0 + bonus, unless the null floor sits higher.
+        # After warmup the gate tightens to theta0 + bonus, unless the null
+        # floor sits higher.
         floor = max(0.20, null_dist.quantile(checkpoints._NULL_QUANTILE))
         assert manager.state["CP2"].current() == pytest.approx(
             max(0.30 + checkpoints._CAP_BONUS, floor))
@@ -96,14 +99,33 @@ class TestAdaptiveThreshold:
         # Adversarial similarity streams can never drag a gate below
         # max(theta_min, null 95th percentile) nor above theta0 + cap.
         mgr = CheckpointManager(null_dist)
-        floor = max(CHECKPOINT_TABLE["CP4"][1],
-                    null_dist.quantile(checkpoints._NULL_QUANTILE))
-        ceiling = CHECKPOINT_TABLE["CP4"][0] + checkpoints._CAP_BONUS
-        for sim in sims:
-            mgr.evaluate("CP4", sim)
-            if mgr.state["CP4"].count >= checkpoints._WARMUP:
-                assert floor <= mgr.state["CP4"].current() \
-                    <= max(ceiling, floor)
+        for cp_id in NON_INVERTED:
+            theta0, theta_min = CHECKPOINT_TABLE[cp_id][:2]
+            floor = max(theta_min,
+                        null_dist.quantile(checkpoints._NULL_QUANTILE))
+            ceiling = theta0 + checkpoints._CAP_BONUS
+            for sim in sims:
+                mgr.evaluate(cp_id, sim)
+                if mgr.state[cp_id].count >= checkpoints._WARMUP:
+                    assert floor <= mgr.state[cp_id].current() \
+                        <= max(ceiling, floor)
+
+    @pytest.mark.parametrize("cp_id", NON_INVERTED)
+    def test_post_warmup_threshold_is_the_rule(self, cp_id):
+        # A null floor below every cap: passes just above theta0 still
+        # tighten the gate to theta0 + bonus, not to the passes' level.
+        mgr = CheckpointManager(NullDistribution((0.0, 0.1)))
+        theta0, theta_min = CHECKPOINT_TABLE[cp_id][:2]
+        for _ in range(checkpoints._WARMUP):
+            assert mgr.evaluate(cp_id, theta0 + 0.05).passed
+        assert mgr.state[cp_id].current() == \
+            max(theta0 + checkpoints._CAP_BONUS, theta_min)
+
+    def test_inverted_gate_keeps_theta0(self, manager):
+        for _ in range(10):
+            assert manager.evaluate("CP7", 0.0).passed
+        assert manager.state["CP7"].count == 0
+        assert manager.state["CP7"].current() == CHECKPOINT_TABLE["CP7"][0]
 
 
 class TestCP0:

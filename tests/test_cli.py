@@ -107,6 +107,14 @@ class TestRun:
             summary = json.loads(
                 (tmp_path / "cli-test.summary.json").read_text())
             assert reason in summary["abort_reason"]
+        # ablate exits 2 as well when one of its sessions aborts.
+        doc = {**BASE_RUN, "problem": {**EQ3_PROBLEM, "d_in": 9},
+               "conditions": [{"name": "only"}]}
+        code = main(["ablate", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path), "--quiet"])
+        assert code == EXIT_ABORTED
+        header = (tmp_path / "cli-test-only-s1.trace.jsonl").read_text()
+        assert json.loads(header.splitlines()[0])["outcome"] == "aborted"
 
 
 class TestBadConfig:

@@ -102,7 +102,7 @@ class TestNullCalibration:
 
 # The tuple-based implementation the memoized one replaced, kept as the
 # reference: every similarity must keep its exact bits, because the null
-# quantile sets the adaptive floors that the traces print.
+# quantile sets the gate floors that the traces print.
 
 def _oracle_embed(text: str) -> tuple[float, ...]:
     counts = np.zeros(embedding.DIM, dtype=np.int64)
@@ -215,6 +215,13 @@ class TestMemo:
         info = embedding.embed.cache_info()
         assert info.maxsize == embedding.MEMO_SIZE
         assert info.currsize == embedding.MEMO_SIZE
+
+    def test_calibration_keeps_corpus_out_of_memo(self):
+        # The corpus matrix holds the corpus vectors; the memo holds none.
+        embedding.embed.cache_clear()
+        embedding._corpus_matrix.cache_clear()
+        embedding.calibrate_null(embedding.shipped_corpus(), 500, 0)
+        assert embedding.embed.cache_info().currsize == 0
 
     def test_custom_null_corpus_gets_its_own_distribution(self, monkeypatch):
         # A shipped-corpus session first, so everything it embeds is cached;

@@ -1,4 +1,3 @@
-import json
 
 import pytest
 
@@ -7,7 +6,6 @@ from driftguard.errors import InvalidProblem
 from driftguard.reward import RewardBreakdown
 from driftguard.schemes import (build_context_vector, build_diagnostic_scheme,
                                 build_method_scheme, build_problem_scheme,
-                                serialize_scheme,
                                 DiagnosticScheme)
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
@@ -149,9 +147,3 @@ class TestDiagnosticScheme:
                              prescribed_n_samples=None,
                              penalize_action=True, block_action=True,
                              physical_insight="")
-
-
-class TestSerialization:
-    def test_serialized_form_is_canonical_json(self, ps_eq3):
-        doc = json.loads(serialize_scheme(ps_eq3))
-        assert doc["__kind__"] == "ProblemScheme"
