@@ -15,7 +15,19 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
+# numpy loads these on first use: np.random.default_rng, and np.ma through
+# np.quantile.  Loading them with the package keeps that import out of the
+# first session of a process.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
+# glibc's malloc maps each block above its mmap threshold (128 KiB at start)
+# afresh, page faults included, and raises the threshold to the size of the
+# largest such block freed (mallopt(3)).  Freeing one 8 MiB block up front
+# lets the estimators' numpy temporaries reuse heap pages from the start.
+# An archive_chain benchmark pass forked right after import took about
+# 17 000 minor page faults without it and 3 000 with it (x86-64, glibc).
+np.empty(1 << 20)
 
 from .errors import InsufficientSamples, UnknownModel
 
@@ -25,6 +37,11 @@ _DEGENERATE_VAR = 1e-14
 # evaluated together, so memory is bounded by the block and not by the
 # trajectory count.
 _MORRIS_BLOCK_POINTS = 4096
+
+# Most Normal draws transform() passes to one _ndtri call.  _ndtri holds
+# about a dozen temporaries of its input's size, so memory is bounded by
+# the block and not by the sample size.
+_NDTRI_BLOCK = 8192
 
 # SAResult field -> attribute name an execution plan binds.
 FIELD_TO_ATTRIBUTE = {
@@ -95,19 +112,107 @@ class BenchmarkModel:
         return self.transform(u)
 
     def transform(self, u: np.ndarray) -> np.ndarray:
-        """Map unit-hypercube samples through the inverse CDFs."""
+        """Map unit-hypercube samples through the inverse CDFs.
+
+        Each output column depends only on its own input column.  Normal
+        columns are clipped to [1e-12, 1 - 1e-12] and go through _ndtri
+        together, _NDTRI_BLOCK values per call, scaled by their sd and
+        shifted by their mean.
+        """
         x = np.empty_like(u)
+        normal = []
         for i, dist in enumerate(self.input_dists):
             kind = dist[0]
             if kind == "Uniform":
                 a, b = dist[1], dist[2]
                 x[:, i] = a + (b - a) * u[:, i]
             elif kind == "Normal":
-                mu, sd = dist[1], dist[2]
-                x[:, i] = ndtri(np.clip(u[:, i], 1e-12, 1 - 1e-12)) * sd + mu
+                normal.append(i)
             else:
                 x[:, i] = u[:, i]
+        if normal:
+            mu, sd = np.array([self.input_dists[i][1:] for i in normal]).T
+            rows = max(1, _NDTRI_BLOCK // len(normal))
+            for r in range(0, len(u), rows):
+                block = np.clip(u[r:r + rows, normal], 1e-12, 1 - 1e-12)
+                x[r:r + rows, normal] = _ndtri(block) * sd + mu
         return x
+
+
+# Cephes ndtri (Moshier), the code scipy.special.ndtri runs: the same
+# rational approximations, branch points and operation order, so the same
+# bits.  Its third branch, for y < exp(-32), is left out: transform's clip
+# keeps y >= 1e-12.
+_EXP_M2 = 0.13533528323661269189   # exp(-2)
+_S2PI = 2.50662827463100050242     # sqrt(2 pi)
+# Coefficients from the highest power down; Q polynomials are monic.
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule in Cephes's order; a leading 1.0 gives p1evl's bits."""
+    ans = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _libm_log(v: np.ndarray) -> np.ndarray:
+    """The C library's log, elementwise.
+
+    np.log on floats runs numpy's own SIMD log, which differs from libm in
+    about one value in a few thousand.  The complex log goes to the C library's clog,
+    which returns log(hypot(v, 0)) = log(v) whenever |v| lies outside
+    [0.5, 2).  _ndtri's tail passes it y <= exp(-2) and x >= 2 only.
+    """
+    c = v.astype(complex)
+    np.log(c, out=c)
+    return c.real.copy()
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Inverse standard Normal CDF for p in [1e-12, 1 - 1e-12]."""
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p).ravel()
+    # Central branch, |y - 0.5| < 0.5 - exp(-2), computed everywhere and
+    # overwritten on the tails below.
+    yc = y - 0.5
+    y2 = yc * yc
+    x = y2 * _polevl(y2, _P0)
+    x /= _polevl(y2, _Q0)
+    x *= yc
+    x += yc
+    x *= _S2PI
+    # Tail branch, y <= exp(-2): t = sqrt(-2 log y) lies in [2, 7.44].
+    tail = np.flatnonzero(y <= _EXP_M2)
+    t = _libm_log(y[tail])
+    t *= -2.0
+    np.sqrt(t, out=t)
+    z = 1.0 / t
+    x0 = _libm_log(t)
+    x0 /= t
+    np.subtract(t, x0, out=x0)
+    x1 = z * _polevl(z, _P1)
+    x1 /= _polevl(z, _Q1)
+    x0 -= x1
+    x[tail] = np.where(upper.ravel()[tail], x0, -x0)
+    return x.reshape(p.shape)
 
 
 def _latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,8 +275,14 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
           if scheme == "LatinHypercube" else rng.random((n, d)))
     ub = (_latin_hypercube(n, d, rng)
           if scheme == "LatinHypercube" else rng.random((n, d)))
-    fa = np.asarray(m.evaluate(m.transform(ua)), dtype=float).reshape(n, -1)[:, 0]
-    fb = np.asarray(m.evaluate(m.transform(ub)), dtype=float).reshape(n, -1)[:, 0]
+    # transform maps each column on its own, so a hybrid of xa and xb has
+    # the bits of the transformed unit-space hybrid.  Only xa and xb are
+    # needed from here on; freeing ua and ub lowers the peak memory.
+    xa = m.transform(ua)
+    xb = m.transform(ub)
+    del ua, ub
+    fa = np.asarray(m.evaluate(xa), dtype=float).reshape(n, -1)[:, 0]
+    fb = np.asarray(m.evaluate(xb), dtype=float).reshape(n, -1)[:, 0]
     total = np.concatenate([fa, fb])
     var = float(np.var(total, ddof=1))
     warnings = []
@@ -186,10 +297,9 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
                         nan_count=2 * d, negative_variance_flag=False)
     s1_list, st_list = [], []
     for i in range(d):
-        uabi = ua.copy()
-        uabi[:, i] = ub[:, i]
-        fabi = np.asarray(m.evaluate(m.transform(uabi)),
-                          dtype=float).reshape(n, -1)[:, 0]
+        xabi = xa.copy()
+        xabi[:, i] = xb[:, i]
+        fabi = np.asarray(m.evaluate(xabi), dtype=float).reshape(n, -1)[:, 0]
         v_i = float(np.mean(fb * (fabi - fa)))           # Saltelli 2010
         vt_i = float(np.mean((fa - fabi) ** 2) / 2.0)     # Jansen
         s1_list.append(v_i / var)

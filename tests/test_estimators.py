@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from scipy.special import ndtri
 from scipy.stats import norm, qmc, rankdata
 
 from driftguard import agents, catalog, estimators as est
@@ -106,6 +107,75 @@ class TestSobol:
     def test_too_few_samples(self, g8):
         with pytest.raises(InsufficientSamples):
             est.sobol_saltelli(g8, 1, seed=0)
+
+    @pytest.mark.parametrize("scheme", ["MonteCarlo", "LatinHypercube"])
+    @pytest.mark.parametrize("model_id", sorted(est.benchmark_catalog()))
+    def test_transform_once_matches_per_hybrid_transform(self, model_id,
+                                                         scheme):
+        m = est.get_model(model_id)
+        for n, seed in ((37, 0), (400, 5)):
+            got = est.sobol_saltelli(m, n, seed, scheme)
+            ref = _sobol_per_hybrid(m, n, seed, scheme)
+            assert _fields_bits(got) == _fields_bits(ref)
+
+    def test_transform_once_matches_on_degenerate_output(self):
+        flat = est.BenchmarkModel(
+            id="flat", d_in=2, d_out=1,
+            evaluate=lambda x: np.ones(len(x)),
+            input_dists=(("Normal", 0.0, 1.0), ("Uniform", 0.0, 1.0)))
+        assert (_fields_bits(est.sobol_saltelli(flat, 50, 1))
+                == _fields_bits(_sobol_per_hybrid(flat, 50, 1)))
+
+
+def _fields_bits(res: est.SAResult) -> dict:
+    """Every SAResult field but the wall time, floats as their bit
+    patterns, so NaN equals NaN and -0.0 differs from 0.0."""
+    out = {}
+    for name, value in vars(res).items():
+        if name == "runtime_seconds":
+            continue
+        if isinstance(value, tuple) and value and isinstance(value[0], float):
+            value = np.asarray(value).tobytes()
+        out[name] = value
+    return out
+
+
+def _sobol_per_hybrid(m, n, seed, scheme="MonteCarlo"):
+    """sobol_saltelli as it was before it transformed each sample matrix
+    once: every hybrid is built in unit space and transformed on its own."""
+    rng = np.random.default_rng(seed)
+    d = m.d_in
+    ua = (est._latin_hypercube(n, d, rng)
+          if scheme == "LatinHypercube" else rng.random((n, d)))
+    ub = (est._latin_hypercube(n, d, rng)
+          if scheme == "LatinHypercube" else rng.random((n, d)))
+    fa = np.asarray(m.evaluate(m.transform(ua)), dtype=float).reshape(n, -1)[:, 0]
+    fb = np.asarray(m.evaluate(m.transform(ub)), dtype=float).reshape(n, -1)[:, 0]
+    var = float(np.var(np.concatenate([fa, fb]), ddof=1))
+    warnings = []
+    if var < est._DEGENERATE_VAR:
+        warnings.append("degenerate output variance; indices undefined")
+        return est.SAResult(estimator="Sobol", s1=(float("nan"),) * d,
+                            st=(float("nan"),) * d,
+                            evaluations_used=n * (d + 2),
+                            warnings=tuple(warnings), nan_count=2 * d)
+    s1_list, st_list = [], []
+    for i in range(d):
+        uabi = ua.copy()
+        uabi[:, i] = ub[:, i]
+        fabi = np.asarray(m.evaluate(m.transform(uabi)),
+                          dtype=float).reshape(n, -1)[:, 0]
+        s1_list.append(float(np.mean(fb * (fabi - fa))) / var)
+        st_list.append(float(np.mean((fa - fabi) ** 2) / 2.0) / var)
+    nan_count, negvar = est._nan_stats(s1_list, st_list)
+    if negvar:
+        warnings.append("negative variance contribution detected")
+    if not 0.0 - 0.1 <= sum(s1_list) <= 1.1:
+        warnings.append("first-order indices sum outside tolerance band")
+    return est.SAResult(estimator="Sobol", s1=tuple(s1_list),
+                        st=tuple(st_list), evaluations_used=n * (d + 2),
+                        warnings=tuple(warnings), nan_count=nan_count,
+                        negative_variance_flag=negvar)
 
 
 class TestRankBased:
@@ -275,7 +345,7 @@ def _morris_per_point(m, trajectories, levels=4, seed=0):
 
 
 class TestScipyStatsReplacements:
-    """The numpy/scipy.special stand-ins reproduce scipy.stats exactly."""
+    """The numpy stand-ins reproduce scipy exactly."""
 
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 4), (10, 3), (257, 15)])
     @pytest.mark.parametrize("seed", [0, 1, 12345])
@@ -312,6 +382,37 @@ class TestScipyStatsReplacements:
             assert kind == "Normal"
             ref = norm.ppf(np.clip(u[:, i], 1e-12, 1 - 1e-12), loc=mu, scale=sd)
             assert np.array_equal(x[:, i], ref)
+
+    def test_transform_memory_is_bounded_by_block(self):
+        beam = est.get_model("cantilever_beam")
+        u = np.random.default_rng(5).random((100_000, beam.d_in))
+        tracemalloc.start()
+        try:
+            x = beam.transform(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The output plus one block's temporaries.  A single _ndtri call on
+        # the whole sample holds about a dozen arrays of the output's size.
+        assert peak < x.nbytes + 2 * 2**20
+
+    def test_ndtri_bits_on_clipped_uniforms(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):     # 10 M values, 1 M at a time
+            p = np.clip(rng.random(1_000_000), 1e-12, 1 - 1e-12)
+            assert np.array_equal(est._ndtri(p).view(np.int64),
+                                  ndtri(p).view(np.int64))
+
+    @pytest.mark.parametrize("edge", [
+        est._EXP_M2, 1.0 - est._EXP_M2, 0.5, 1e-12, 1 - 1e-12])
+    def test_ndtri_bits_at_branch_points(self, edge):
+        below, above = [edge], [edge]
+        for _ in range(50):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], 1.0))
+        p = np.array(below[::-1] + above[1:])
+        assert np.array_equal(est._ndtri(p).view(np.int64),
+                              ndtri(p).view(np.int64))
 
 
 class TestSimulatedExecutors:
