@@ -166,16 +166,15 @@ class Archive:
                    count: int = 3, session_id: str = "seed") -> ArchiveEntry:
         """Insert a synthetic single-arm entry, e.g. to hand a fresh policy
         a known-good method for a previously solved problem."""
-        phi = bandit.encode_features(ps.context, action)
+        stats = ArmStats(count=count, mean_reward=mean_reward,
+                         phi=bandit.encode_features(ps.context, action))
         entry = ArchiveEntry(
             session_id=session_id,
             d_in=ps.context.d_in,
             problem_features=problem_features(ps),
             best_action=tuple(action.dims),
             best_reward=mean_reward,
-            per_arm_stats=((action.estimator,
-                            ArmStats(count=count, mean_reward=mean_reward,
-                                     phi=tuple(phi.values))),))
+            per_arm_stats=((action.estimator, stats),))
         return self._add(entry)
 
     def _add(self, entry: ArchiveEntry) -> ArchiveEntry:

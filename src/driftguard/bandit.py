@@ -29,22 +29,14 @@ _SAFETY_FACTOR = 2.0        # scales n_min in the default n_samples
 _WARM_WEIGHT = {"close": 1.0, "weak": 0.3}
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: tuple[float, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
 def feature_dim() -> int:
     onehot = sum(len(levels) for _, levels in catalog.SA_DIMENSIONS)
     return 1 + 7 + onehot + 2 * len(catalog.SA_ESTIMATORS)
 
 
-def encode_features(x: ContextVector, a: ActionTuple) -> FeatureVector:
+def encode_features(x: ContextVector, a: ActionTuple) -> tuple[float, ...]:
     """Deterministic feature map; context block scaled to [0, 1]."""
-    return FeatureVector(tuple(_feature_array(x, a).tolist()))
+    return tuple(_feature_array(x, a).tolist())
 
 
 @functools.lru_cache(maxsize=1024)
@@ -129,12 +121,12 @@ class PolicyState:
         self.precision += weight * np.outer(phi, phi) / _NOISE_VARIANCE
         self.b_vector += weight * phi * deviation / _NOISE_VARIANCE
 
-    def update(self, phi: FeatureVector, reward: float,
+    def update(self, phi: tuple[float, ...], reward: float,
                estimator: str | None = None) -> None:
         """Rank-1 Bayesian update; increments iteration and arm count."""
         if not math.isfinite(reward):
             raise InvalidReward(f"non-finite reward {reward!r}")
-        self._absorb(phi.as_array(), reward, 1.0)
+        self._absorb(np.asarray(phi, dtype=float), reward, 1.0)
         self.iteration += 1
         if estimator:
             self.estimator_counts[estimator] = \

@@ -3,11 +3,13 @@
 Each checkpoint compares an embedding similarity against a threshold.  A
 gate starts at its initial value in ``CHECKPOINT_TABLE``; once it has passed
 ``_WARMUP`` times it tightens to ``theta0 + _CAP_BONUS``, never below its
-floor, the larger of ``theta_min`` and the null distribution's upper
-quantile.  The inverted novelty gate CP7 never counts its passes, so it
-keeps ``theta0``.  The table is the only source of thresholds: a session may
-only switch a gate off, and a switched-off gate passes unconditionally and
-reports the threshold -1.
+floor, the larger of ``theta_min`` and the null floor: the exact 95th
+percentile of the cosines of all pairs of null-corpus lines
+(``embedding.calibrate_null``), the same for every session.  The inverted
+novelty gate CP7 never counts its passes, so it keeps ``theta0``.  The
+table is the only source of thresholds: a session may only switch a gate
+off, and a switched-off gate passes unconditionally and reports the
+threshold -1.
 """
 
 from __future__ import annotations
@@ -15,19 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import catalog
-from .embedding import NullDistribution
 
 DISABLED = -1.0
 
 # Warmup thresholds.
 _WARMUP = 3
 _CAP_BONUS = 0.10
-_NULL_QUANTILE = 0.95
 
-# CP0 archive-match cutoffs: close warm-starts and exploits, weak
-# warm-starts at reduced weight.
+# CP0 archive-match cutoffs: close warm-starts and exploits, weak (the CP0
+# row's theta0) warm-starts at reduced weight.
 CP0_CLOSE_CUTOFF = 0.90
-_CP0_WEAK_CUTOFF = 0.70
 
 #: cp_id -> (theta0, theta_min, blocking, inverted, action_on_fail)
 CHECKPOINT_TABLE = {
@@ -82,10 +81,9 @@ class AdaptiveThreshold:
 class CheckpointManager:
     """All eight gates plus their pass counts."""
 
-    def __init__(self, null_dist: NullDistribution,
+    def __init__(self, null_floor: float,
                  disabled: frozenset[str] = frozenset()):
         self.disabled = disabled
-        null_floor = null_dist.quantile(_NULL_QUANTILE)
         self.state = {cp_id: AdaptiveThreshold(t0, max(tmin, null_floor))
                       for cp_id, (t0, tmin, *_) in CHECKPOINT_TABLE.items()}
 
@@ -117,7 +115,7 @@ class CheckpointManager:
             best_entry, best_sim = archive.lookup(ps)
         if best_sim >= CP0_CLOSE_CUTOFF:
             match, mode = "close", "exploit"
-        elif best_sim >= _CP0_WEAK_CUTOFF:
+        elif best_sim >= CHECKPOINT_TABLE["CP0"][0]:
             match, mode = "weak", "neutral"
         else:
             match, mode, best_entry = "none", "explore_max", None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +63,6 @@ class SAResult:
     mu_star: tuple[float, ...] | None = None
     sigma: tuple[float, ...] | None = None
     evaluations_used: int = 0
-    runtime_seconds: float = 0.0
     warnings: tuple[str, ...] = ()
     nan_count: int = 0
     negative_variance_flag: bool = False
@@ -268,7 +266,6 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
     """
     if n < 2:
         raise InsufficientSamples("pick-freeze requires n >= 2")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     d = m.d_in
     ua = (_latin_hypercube(n, d, rng)
@@ -292,7 +289,6 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
         warnings.append("degenerate output variance; indices undefined")
         return SAResult(estimator="Sobol", s1=s1, st=st,
                         evaluations_used=n * (d + 2),
-                        runtime_seconds=time.perf_counter() - t0,
                         warnings=tuple(warnings),
                         nan_count=2 * d, negative_variance_flag=False)
     s1_list, st_list = [], []
@@ -312,7 +308,6 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
     return SAResult(estimator="Sobol",
                     s1=tuple(s1_list), st=tuple(st_list),
                     evaluations_used=n * (d + 2),
-                    runtime_seconds=time.perf_counter() - t0,
                     warnings=tuple(warnings), nan_count=nan_count,
                     negative_variance_flag=negvar)
 
@@ -346,7 +341,6 @@ def chatterjee(m: BenchmarkModel, n: int, seed: int,
     """
     if n < 10:
         raise InsufficientSamples("chatterjee requires n >= 10")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     x = m.sample_inputs(n, rng, scheme)
     y = np.asarray(m.evaluate(x), dtype=float).reshape(n, -1)[:, 0]
@@ -355,7 +349,6 @@ def chatterjee(m: BenchmarkModel, n: int, seed: int,
     nan_count, _ = _nan_stats(xi)
     return SAResult(estimator="Chatterjee", rank_indices=xi,
                     evaluations_used=n,
-                    runtime_seconds=time.perf_counter() - t0,
                     nan_count=nan_count)
 
 
@@ -370,7 +363,6 @@ def cvm(m: BenchmarkModel, n: int, seed: int,
     """
     if n < 10:
         raise InsufficientSamples("cvm requires n >= 10")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     x = m.sample_inputs(n, rng, scheme)
     y = np.asarray(m.evaluate(x), dtype=float).reshape(n, -1)[:, 0]
@@ -380,7 +372,6 @@ def cvm(m: BenchmarkModel, n: int, seed: int,
     if var < _DEGENERATE_VAR:
         return SAResult(estimator="CVM", s1=(float("nan"),) * m.d_in,
                         evaluations_used=n,
-                        runtime_seconds=time.perf_counter() - t0,
                         warnings=("degenerate output variance",),
                         nan_count=m.d_in)
     s1 = []
@@ -394,7 +385,6 @@ def cvm(m: BenchmarkModel, n: int, seed: int,
         warnings.append("negative variance contribution detected")
     return SAResult(estimator="CVM", s1=tuple(s1),
                     evaluations_used=n,
-                    runtime_seconds=time.perf_counter() - t0,
                     warnings=tuple(warnings), nan_count=nan_count,
                     negative_variance_flag=negvar)
 
@@ -417,7 +407,6 @@ def morris(m: BenchmarkModel, trajectories: int, levels: int = 4,
         raise InsufficientSamples("morris requires >= 2 trajectories")
     if levels < 4 or levels % 2:
         raise InsufficientSamples("levels must be even and >= 4")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     d = m.d_in
     delta = levels / (2.0 * (levels - 1))
@@ -451,7 +440,6 @@ def morris(m: BenchmarkModel, trajectories: int, levels: int = 4,
     nan_count, _ = _nan_stats(mu_star, sigma)
     return SAResult(estimator="Morris", mu_star=mu_star, sigma=sigma,
                     evaluations_used=trajectories * (d + 1),
-                    runtime_seconds=time.perf_counter() - t0,
                     warnings=warnings, nan_count=nan_count)
 
 
@@ -470,7 +458,6 @@ def _reference_s1(m: BenchmarkModel) -> np.ndarray:
 
 def pce_sa_simulated(m: BenchmarkModel, n: int, seed: int) -> SAResult:
     """Scripted spectral-expansion executor: reference indices plus noise."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed ^ 0x5CE)
     ref = _reference_s1(m)
     # Truncation bias plus sampling noise: the stub mimics an
@@ -479,21 +466,18 @@ def pce_sa_simulated(m: BenchmarkModel, n: int, seed: int) -> SAResult:
     st = np.clip(s1 + np.abs(rng.normal(0.02, 0.02, m.d_in)), 0.0, 1.0)
     return SAResult(estimator="PCE_SA", s1=tuple(map(float, s1)),
                     st=tuple(map(float, st)), evaluations_used=n,
-                    runtime_seconds=time.perf_counter() - t0,
                     warnings=("surrogate truncation error not estimated",))
 
 
 def generalized_sobol_simulated(m: BenchmarkModel, n: int, seed: int) -> SAResult:
     """Scripted multi-output aggregate executor."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed ^ 0x6E5)
     ref = _reference_s1(m)
     s1 = np.clip(ref + rng.normal(0.0, 0.04, m.d_in), 0.0, 1.0)
     st = np.clip(s1 + np.abs(rng.normal(0.03, 0.02, m.d_in)), 0.0, 1.0)
     return SAResult(estimator="Generalized_Sobol", s1=tuple(map(float, s1)),
                     st=tuple(map(float, st)),
-                    evaluations_used=n * (m.d_in + 2),
-                    runtime_seconds=time.perf_counter() - t0)
+                    evaluations_used=n * (m.d_in + 2))
 
 
 # ---------------------------------------------------------------------------

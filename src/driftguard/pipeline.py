@@ -271,7 +271,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         reward_total=breakdown.total,
         reward_components=(breakdown.integrity, breakdown.accuracy,
                            breakdown.details, breakdown.optimality),
-        features=phi.values,
+        features=phi,
         checkpoint_events=tuple(events), drift_events=tuple(drift_events),
         diagnostic=diag, strategy_text=strategy_text,
         advisor_text=advisor_text)
@@ -295,9 +295,8 @@ def _failed_record(n, action, events, drift_events, strategy_text,
 def run_session(cfg: SessionConfig,
                 archive: Archive | None = None) -> SessionTrace:
     """Full session: Group A once, CP0, then the bounded decision loop."""
-    null_dist = calibrate_null(list(shipped_corpus()), n_pairs=500,
-                               seed=cfg.seed)
-    manager = CheckpointManager(null_dist, frozenset(cfg.checkpoint_overrides))
+    manager = CheckpointManager(calibrate_null(shipped_corpus()),
+                                frozenset(cfg.checkpoint_overrides))
 
     # Group A: Coordinator -> CP1 -> Gatekeeper -> Model Translator.
     try:

@@ -21,7 +21,7 @@ DIST_FAMILIES = ("Uniform", "Normal", "Other")
 
 @dataclass(frozen=True)
 class ContextVector:
-    """Fixed 8-component problem descriptor conditioning every decision."""
+    """Problem descriptor conditioning every decision."""
 
     d_in: int
     d_out: int
@@ -29,7 +29,6 @@ class ContextVector:
     epsilon: float
     task: str
     dist_family: tuple[str, ...]       # one entry per input
-    multi_output_flag: bool
     feasibility_bits: tuple[bool, ...]  # over the estimator catalog
 
     def __post_init__(self):
@@ -41,8 +40,6 @@ class ContextVector:
             raise InvalidProblem("target precision epsilon must be positive")
         if self.task not in TASKS:
             raise InvalidProblem(f"unknown task {self.task!r}")
-        if self.multi_output_flag != (self.d_out > 1):
-            raise InvalidProblem("multi_output_flag inconsistent with d_out")
 
     @property
     def dist_family_mode(self) -> str:
@@ -118,7 +115,7 @@ def build_context_vector(desc: dict) -> ContextVector:
         raise InvalidProblem(f"incomplete problem description: {exc}") from exc
     base = ContextVector(d_in=d_in, d_out=d_out, n_budget=n_budget,
                          epsilon=epsilon, task=task, dist_family=dists,
-                         multi_output_flag=d_out > 1, feasibility_bits=())
+                         feasibility_bits=())
     bits = action_space.feasibility_bits(base)
     return replace(base, feasibility_bits=bits)
 

@@ -114,7 +114,7 @@ def run_sim_session(cfg: SimConfig, seed: int,
         trace.records.append(SimRecord(n=n, action=action,
                                        executed_estimator=executed,
                                        reward_total=reward,
-                                       features=phi.values))
+                                       features=phi))
         prev_estimator = action.estimator
     trace.policy_snapshot = policy.snapshot()
     return trace

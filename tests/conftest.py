@@ -18,13 +18,13 @@ BEAM_PROBLEM = {"task": "SA", "d_in": 4, "d_out": 1, "n_budget": 12000,
 
 
 @pytest.fixture(scope="session")
-def null_dist():
-    return calibrate_null(shipped_corpus(), n_pairs=500, seed=0)
+def null_floor():
+    return calibrate_null(shipped_corpus())
 
 
 @pytest.fixture()
-def manager(null_dist):
-    return CheckpointManager(null_dist)
+def manager(null_floor):
+    return CheckpointManager(null_floor)
 
 
 @pytest.fixture(scope="session")

@@ -131,8 +131,7 @@ def test_criterion_4_reward_rubric(ps_g8):
     def obs(**kw):
         fields = dict(estimator="Sobol", s1=g8.analytic_s1,
                       st=g8.analytic_st,
-                      evaluations_used=ms.n_min_value,
-                      runtime_seconds=0.01)
+                      evaluations_used=ms.n_min_value)
         fields.update(kw)
         return SAResult(**fields)
 
@@ -184,7 +183,7 @@ def test_criterion_5_submartingale_register():
             "following strategy prompt in a live session")
 
 
-def test_criterion_6_cp0_contrast(null_dist):
+def test_criterion_6_cp0_contrast(null_floor):
     """A repeated problem warm-starts into exploitation; a structurally
     different one gets a cold start with screening-first triage."""
     from driftguard import agents
@@ -196,7 +195,7 @@ def test_criterion_6_cp0_contrast(null_dist):
 
     archive = Archive()
     archive.seed_entry(ps_beam, canonical_action("Sobol"), 88.0)
-    manager = CheckpointManager(null_dist)
+    manager = CheckpointManager(null_floor)
 
     repeat = manager.evaluate_cp0(ps_beam, archive)
     assert repeat.match == "close" and repeat.exploration_mode == "exploit"
@@ -277,7 +276,7 @@ def test_criterion_9_bandit_regret():
 def test_criterion_10_threshold_safety():
     """Under adversarial similarity streams the threshold of every
     enabled gate never drops below max(theta_min, null 95th percentile)."""
-    corpus = shipped_corpus()
+    floor_null = calibrate_null(shipped_corpus())
     streams = [
         [0.99] * 30,                                 # passes every time
         [0.31, 0.30, 0.32] * 10,                     # hugs the old minimum
@@ -285,23 +284,18 @@ def test_criterion_10_threshold_safety():
         list(np.abs(np.sin(np.arange(30)))),         # oscillation
     ]
     checked = 0
-    for seed in (0, 1, 2):
-        null = calibrate_null(corpus, n_pairs=500, seed=seed)
-        floor_null = null.quantile(checkpoints._NULL_QUANTILE)
-        for stream in streams:
-            manager = CheckpointManager(null)
-            for cp_id, (t0, t_min, _, inverted, _) in \
-                    CHECKPOINT_TABLE.items():
-                if cp_id == "CP0" or inverted:
-                    continue
-                for sim in stream:
-                    manager.evaluate(cp_id, float(sim))
-                    assert manager.state[cp_id].current() \
-                        >= max(t_min, floor_null) - 1e-12 \
-                        or manager.state[cp_id].count \
-                        < checkpoints._WARMUP
-                checked += 1
+    for stream in streams:
+        manager = CheckpointManager(floor_null)
+        for cp_id, (t0, t_min, _, inverted, _) in CHECKPOINT_TABLE.items():
+            if cp_id == "CP0" or inverted:
+                continue
+            for sim in stream:
+                manager.evaluate(cp_id, float(sim))
+                assert manager.state[cp_id].current() \
+                    >= max(t_min, floor_null) - 1e-12 \
+                    or manager.state[cp_id].count < checkpoints._WARMUP
+            checked += 1
     _report("criterion 10 (threshold safety)",
-            f"{checked} gate/stream/calibration combinations kept every "
+            f"{checked} gate/stream combinations kept every "
             "post-warmup threshold at or above max(theta_min, null 95th "
             "percentile)")

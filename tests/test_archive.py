@@ -105,7 +105,7 @@ def _trace(ps, estimator: str, reward: float, session_id: str) -> SimTrace:
         trace.records.append(SimRecord(
             n=n, action=action, executed_estimator=est,
             reward_total=reward / n,
-            features=bandit.encode_features(ps.context, action).values))
+            features=bandit.encode_features(ps.context, action)))
     return trace
 
 

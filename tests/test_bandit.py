@@ -12,14 +12,14 @@ from driftguard.simenv import canonical_action
 class TestFeatures:
     def test_injective_over_sa_actions(self, ps_eq3):
         actions = action_space.enumerate_actions()
-        vectors = {bandit.encode_features(ps_eq3.context, a).values
+        vectors = {bandit.encode_features(ps_eq3.context, a)
                    for a in actions}
         assert len(vectors) == len(actions)
 
     def test_dimension_matches(self, ps_eq3):
         phi = bandit.encode_features(ps_eq3.context,
                                      canonical_action("Sobol"))
-        assert len(phi.values) == bandit.feature_dim()
+        assert len(phi) == bandit.feature_dim()
 
     def test_deterministic(self, ps_eq3):
         a = canonical_action("CVM")
@@ -40,7 +40,7 @@ class TestFeatures:
         assert bandit._feature_array.cache_info().misses == len(feasible)
         phi = bandit._feature_array(ps_eq3.context, feasible[0])
         assert tuple(phi.tolist()) == \
-            bandit.encode_features(ps_eq3.context, feasible[0]).values
+            bandit.encode_features(ps_eq3.context, feasible[0])
         with pytest.raises(ValueError):
             phi[0] = 0.0
 
@@ -72,7 +72,7 @@ class TestPosterior:
         phi = np.zeros(st_.dim)
         phi[3] = 1.0
         r = 80.0
-        st_.update(bandit.FeatureVector(tuple(phi)), r)
+        st_.update(tuple(phi), r)
         expected = ((r - 50.0) / 25.0) / (1.0 + 1.0 / 25.0)
         assert st_.posterior_mean[3] == pytest.approx(expected)
         assert st_.posterior_mean[0] == 0.0
@@ -84,7 +84,7 @@ class TestPosterior:
         for _ in range(3):
             a.update(phi, 91.0)
         b = bandit.PolicyState()
-        b._absorb(phi.as_array(), 91.0, 3.0)
+        b._absorb(np.asarray(phi), 91.0, 3.0)
         np.testing.assert_allclose(a.precision, b.precision)
         np.testing.assert_allclose(a.b_vector, b.b_vector)
 
@@ -158,8 +158,8 @@ class TestSelectAction:
         weak = bandit.PolicyState()
         weak.warm_start(entry.arm_stats_list(), "weak")
         assert weak.exploration_mode == "neutral"
-        phi = bandit.encode_features(ps_g8.context,
-                                     canonical_action("Sobol")).as_array()
+        phi = np.asarray(bandit.encode_features(ps_g8.context,
+                                                canonical_action("Sobol")))
         assert float(weak.posterior_mean @ phi) \
             < float(close.posterior_mean @ phi)
         with pytest.raises(ValueError):

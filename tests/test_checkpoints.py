@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
@@ -7,7 +5,6 @@ from driftguard import checkpoints
 from driftguard.archive import Archive
 from driftguard.checkpoints import (CHECKPOINT_TABLE, DISABLED,
                                     CheckpointManager)
-from driftguard.embedding import NullDistribution
 
 
 NON_INVERTED = [cp for cp, row in CHECKPOINT_TABLE.items() if not row[3]]
@@ -58,8 +55,8 @@ class TestEvaluate:
         assert low.passed and not high.passed
         assert high.verdict == "warn"
 
-    def test_disabled_always_passes(self, null_dist):
-        mgr = CheckpointManager(null_dist, disabled=frozenset({"CP2"}))
+    def test_disabled_always_passes(self, null_floor):
+        mgr = CheckpointManager(null_floor, disabled=frozenset({"CP2"}))
         res = mgr.evaluate("CP2", 0.0)
         assert res.passed and res.threshold == DISABLED
 
@@ -71,18 +68,17 @@ class TestAdaptiveThreshold:
         manager.evaluate("CP2", 0.9)
         assert manager.state["CP2"].current() == 0.30   # still inside warmup
 
-    def test_adapts_after_warmup(self, manager, null_dist):
+    def test_adapts_after_warmup(self, manager, null_floor):
         for _ in range(5):
             manager.evaluate("CP2", 0.95)
         # After warmup the gate tightens to theta0 + bonus, unless the null
         # floor sits higher.
-        floor = max(0.20, null_dist.quantile(checkpoints._NULL_QUANTILE))
+        floor = max(0.20, null_floor)
         assert manager.state["CP2"].current() == pytest.approx(
             max(0.30 + checkpoints._CAP_BONUS, floor))
 
-    def test_floor_respects_null_quantile(self, manager, null_dist):
-        floor = max(CHECKPOINT_TABLE["CP2"][1],
-                    null_dist.quantile(checkpoints._NULL_QUANTILE))
+    def test_floor_respects_null_quantile(self, manager, null_floor):
+        floor = max(CHECKPOINT_TABLE["CP2"][1], null_floor)
         for sim in (0.31, 0.30, 0.32, 0.31, 0.30, 0.31, 0.30):
             manager.evaluate("CP2", sim)
         assert manager.state["CP2"].current() >= floor
@@ -95,14 +91,13 @@ class TestAdaptiveThreshold:
 
     @hyp_settings(max_examples=50, deadline=None)
     @given(sims=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
-    def test_threshold_never_below_safety_floor(self, null_dist, sims):
+    def test_threshold_never_below_safety_floor(self, null_floor, sims):
         # Adversarial similarity streams can never drag a gate below
         # max(theta_min, null 95th percentile) nor above theta0 + cap.
-        mgr = CheckpointManager(null_dist)
+        mgr = CheckpointManager(null_floor)
         for cp_id in NON_INVERTED:
             theta0, theta_min = CHECKPOINT_TABLE[cp_id][:2]
-            floor = max(theta_min,
-                        null_dist.quantile(checkpoints._NULL_QUANTILE))
+            floor = max(theta_min, null_floor)
             ceiling = theta0 + checkpoints._CAP_BONUS
             for sim in sims:
                 mgr.evaluate(cp_id, sim)
@@ -114,7 +109,7 @@ class TestAdaptiveThreshold:
     def test_post_warmup_threshold_is_the_rule(self, cp_id):
         # A null floor below every cap: passes just above theta0 still
         # tighten the gate to theta0 + bonus, not to the passes' level.
-        mgr = CheckpointManager(NullDistribution((0.0, 0.1)))
+        mgr = CheckpointManager(0.1)
         theta0, theta_min = CHECKPOINT_TABLE[cp_id][:2]
         for _ in range(checkpoints._WARMUP):
             assert mgr.evaluate(cp_id, theta0 + 0.05).passed
@@ -154,14 +149,14 @@ class TestCP0:
         archive = Archive()
         archive.seed_entry(ps_beam, canonical_action("Sobol"), 90.0)
         res = manager.evaluate_cp0(ps_eq3, archive)
-        assert checkpoints._CP0_WEAK_CUTOFF <= res.similarity \
+        assert CHECKPOINT_TABLE["CP0"][0] <= res.similarity \
             < checkpoints.CP0_CLOSE_CUTOFF
         assert res.match == "weak" and res.exploration_mode == "neutral"
 
-    def test_disabled_cp0_ignores_archive(self, null_dist, ps_beam):
+    def test_disabled_cp0_ignores_archive(self, null_floor, ps_beam):
         from driftguard.simenv import canonical_action
         archive = Archive()
         archive.seed_entry(ps_beam, canonical_action("Sobol"), 90.0)
-        mgr = CheckpointManager(null_dist, disabled=frozenset({"CP0"}))
+        mgr = CheckpointManager(null_floor, disabled=frozenset({"CP0"}))
         res = mgr.evaluate_cp0(ps_beam, archive)
         assert res.match == "none" and res.warm_start is None

@@ -128,12 +128,10 @@ class TestSobol:
 
 
 def _fields_bits(res: est.SAResult) -> dict:
-    """Every SAResult field but the wall time, floats as their bit
-    patterns, so NaN equals NaN and -0.0 differs from 0.0."""
+    """Every SAResult field, floats as their bit patterns, so NaN equals
+    NaN and -0.0 differs from 0.0."""
     out = {}
     for name, value in vars(res).items():
-        if name == "runtime_seconds":
-            continue
         if isinstance(value, tuple) and value and isinstance(value[0], float):
             value = np.asarray(value).tobytes()
         out[name] = value

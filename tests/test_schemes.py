@@ -21,7 +21,7 @@ class TestContextVector:
     def test_happy_path(self):
         ctx = build_context_vector(EQ3_PROBLEM)
         assert (ctx.d_in, ctx.d_out, ctx.n_budget) == (4, 1, 8000)
-        assert ctx.task == "SA" and not ctx.multi_output_flag
+        assert ctx.task == "SA"
         assert ctx.dist_family == ("Uniform",) * 4
 
     def test_missing_field_rejected(self):
