@@ -95,6 +95,9 @@ def similarity(text_a: str, text_b: str) -> float:
 
 
 _NULL_QUANTILE = 0.95
+# Rows per Gram block: 32 x 384 (98 kB) stays under glibc's 128 kB mmap
+# threshold; freeing a bigger array raises it process-wide (+0.8 MB RSS).
+_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=8)
@@ -102,24 +105,29 @@ def calibrate_null(corpus: tuple[str, ...]) -> float:
     """The null floor of ``corpus``: the ``_NULL_QUANTILE`` quantile
     (linear interpolation) of the cosines of all its unordered line pairs.
 
-    Computed once per corpus from one Gram matrix; the corpus's vectors stay
-    out of the ``embed`` memo, and the matrices are freed on return.
+    Computed once per corpus from the Gram matrix of its vectors, block by
+    block; the vectors stay out of the ``embed`` memo.
     """
     n = len(corpus)
     if n < 2:
         raise InsufficientCorpus(f"corpus has {n} entries, need >= 2")
-    matrix, norms = np.empty((n, DIM)), np.empty(n)
-    for k, text in enumerate(corpus):
-        vector = embed.__wrapped__(text)
-        matrix[k], norms[k] = vector.array, vector.norm
-    gram = matrix @ matrix.T
-    del matrix
-    # A zero vector's row and column are exact zeros and stay so.
-    scale = np.outer(norms, norms)
-    np.divide(gram, scale, out=gram, where=scale != 0.0)
-    sims = np.clip(gram[np.triu(np.ones((n, n), dtype=bool), k=1)], -1.0, 1.0)
-    del gram, scale
-    return float(np.quantile(sims, _NULL_QUANTILE, method="linear"))
+    blocks = []
+    for k in range(0, n, _BLOCK):
+        vectors = [embed.__wrapped__(text) for text in corpus[k:k + _BLOCK]]
+        blocks.append((np.stack([v.array for v in vectors]),
+                       np.array([v.norm for v in vectors])))
+    sims = []
+    for i, (a, a_norms) in enumerate(blocks):
+        for b, b_norms in blocks[i:]:
+            dots = a @ b.T
+            # A zero vector's dots are exact zeros and stay so.
+            scale = np.outer(a_norms, b_norms)
+            np.divide(dots, scale, out=dots, where=scale != 0.0)
+            np.clip(dots, -1.0, 1.0, out=dots)
+            sims.append(dots[np.triu(np.ones(dots.shape, dtype=bool), k=1)]
+                        if b is a else dots.ravel())
+    return float(np.quantile(np.concatenate(sims), _NULL_QUANTILE,
+                             method="linear", overwrite_input=True))
 
 
 @functools.cache
