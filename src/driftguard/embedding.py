@@ -114,16 +114,13 @@ def calibrate_null(corpus: tuple[str, ...]) -> float:
     blocks = []
     for k in range(0, n, _BLOCK):
         vectors = [embed.__wrapped__(text) for text in corpus[k:k + _BLOCK]]
+        # A zero vector's dots are exact zeros; norm 1 keeps them so.
         blocks.append((np.stack([v.array for v in vectors]),
-                       np.array([v.norm for v in vectors])))
+                       np.array([v.norm or 1.0 for v in vectors])))
     sims = []
     for i, (a, a_norms) in enumerate(blocks):
         for b, b_norms in blocks[i:]:
-            dots = a @ b.T
-            # A zero vector's dots are exact zeros and stay so.
-            scale = np.outer(a_norms, b_norms)
-            np.divide(dots, scale, out=dots, where=scale != 0.0)
-            np.clip(dots, -1.0, 1.0, out=dots)
+            dots = np.clip(a @ b.T / np.outer(a_norms, b_norms), -1.0, 1.0)
             sims.append(dots[np.triu(np.ones(dots.shape, dtype=bool), k=1)]
                         if b is a else dots.ravel())
     return float(np.quantile(np.concatenate(sims), _NULL_QUANTILE,
