@@ -95,35 +95,38 @@ def similarity(text_a: str, text_b: str) -> float:
 
 
 _NULL_QUANTILE = 0.95
-# Rows per Gram block: 32 x 384 (98 kB) stays under glibc's 128 kB mmap
-# threshold; freeing a bigger array raises it process-wide (+0.8 MB RSS).
+# Rows per Gram block: a 32 x 384 block (98 kB) and its band of the shipped
+# Gram (32 x 200, 51 kB) stay under glibc's 128 kB mmap threshold; freeing a
+# bigger array raises it process-wide (+0.8 MB RSS).
 _BLOCK = 32
 
 
-@functools.lru_cache(maxsize=8)
-def calibrate_null(corpus: tuple[str, ...]) -> float:
-    """The null floor of ``corpus``: the ``_NULL_QUANTILE`` quantile
-    (linear interpolation) of the cosines of all its unordered line pairs.
-
-    Computed once per corpus from the Gram matrix of its vectors, block by
-    block; the vectors stay out of the ``embed`` memo.
-    """
-    n = len(corpus)
-    if n < 2:
-        raise InsufficientCorpus(f"corpus has {n} entries, need >= 2")
+def _all_pair_cosines(corpus: tuple[str, ...]) -> np.ndarray:
+    """Cosines of all unordered line pairs in ``itertools.combinations``
+    order, from the Gram matrix of the corpus vectors, one row block at a
+    time; the vectors stay out of the ``embed`` memo."""
     blocks = []
-    for k in range(0, n, _BLOCK):
+    for k in range(0, len(corpus), _BLOCK):
         vectors = [embed.__wrapped__(text) for text in corpus[k:k + _BLOCK]]
         # A zero vector's dots are exact zeros; norm 1 keeps them so.
         blocks.append((np.stack([v.array for v in vectors]),
                        np.array([v.norm or 1.0 for v in vectors])))
     sims = []
     for i, (a, a_norms) in enumerate(blocks):
-        for b, b_norms in blocks[i:]:
-            dots = np.clip(a @ b.T / np.outer(a_norms, b_norms), -1.0, 1.0)
-            sims.append(dots[np.triu(np.ones(dots.shape, dtype=bool), k=1)]
-                        if b is a else dots.ravel())
-    return float(np.quantile(np.concatenate(sims), _NULL_QUANTILE,
+        dots = np.clip(np.hstack([a @ b.T / np.outer(a_norms, b_norms)
+                                  for b, b_norms in blocks[i:]]), -1.0, 1.0)
+        sims.extend(row[r + 1:] for r, row in enumerate(dots))
+    return np.concatenate(sims)
+
+
+@functools.lru_cache(maxsize=8)
+def calibrate_null(corpus: tuple[str, ...]) -> float:
+    """The null floor of ``corpus``, computed once per corpus: the
+    ``_NULL_QUANTILE`` quantile (linear) of all its pair cosines."""
+    if len(corpus) < 2:
+        raise InsufficientCorpus(f"corpus has {len(corpus)} entries, "
+                                 "need >= 2")
+    return float(np.quantile(_all_pair_cosines(corpus), _NULL_QUANTILE,
                              method="linear", overwrite_input=True))
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -71,11 +72,22 @@ class TestSimilarity:
 
 
 class TestNullCalibration:
-    def test_reproducible(self):
+    def test_sorted_and_reproducible(self):
+        # Each unordered pair counts once, so sorting the lines keeps the
+        # floor; a cache_clear recomputes the same bits.
         corpus = embedding.shipped_corpus()
         first = embedding.calibrate_null(corpus)
         embedding.calibrate_null.cache_clear()
         assert _bits(embedding.calibrate_null(corpus)) == _bits(first)
+        assert _bits(embedding.calibrate_null(tuple(sorted(corpus)))) == \
+            _bits(first)
+
+    def test_quantile_monotone(self, null_floor):
+        # The 95th percentile lies between the median and the top pair, and
+        # at least 95 % of the pairs score no higher.
+        cosines = embedding._all_pair_cosines(embedding.shipped_corpus())
+        assert np.median(cosines) <= null_floor <= cosines.max()
+        assert np.mean(cosines <= null_floor) >= 0.95
 
     def test_unrelated_pairs_score_low(self, null_floor):
         # The 95th percentile of unrelated-pair similarity sits well below
@@ -85,6 +97,10 @@ class TestNullCalibration:
     def test_small_corpus_rejected(self):
         with pytest.raises(InsufficientCorpus):
             embedding.calibrate_null(("only one line",))
+
+    def test_zero_pairs_rejected(self):
+        with pytest.raises(InsufficientCorpus):
+            embedding.calibrate_null(())
 
     def test_shipped_corpus_nonempty(self):
         corpus = embedding.shipped_corpus()
@@ -113,17 +129,25 @@ def _oracle_cosine(u: tuple, v: tuple) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-def _oracle_null_floor(corpus) -> float:
-    """The 95th percentile of ``cosine`` over every unordered pair, one
-    pair at a time."""
+def _per_pair_cosines(corpus) -> np.ndarray:
+    """``cosine`` over every unordered pair, one pair at a time."""
     vectors = [embedding.embed(t) for t in corpus]
-    sims = [embedding.cosine(vectors[i], vectors[j])
-            for i, j in itertools.combinations(range(len(corpus)), 2)]
-    return float(np.quantile(sims, 0.95, method="linear"))
+    return np.array([embedding.cosine(vectors[i], vectors[j]) for i, j in
+                     itertools.combinations(range(len(corpus)), 2)])
+
+
+def _oracle_null_floor(corpus) -> float:
+    return float(np.quantile(_per_pair_cosines(corpus), 0.95,
+                             method="linear"))
 
 
 def _bits(x: float) -> str:
     return float(x).hex()
+
+
+def _within_two_ulp(got, expected) -> bool:
+    return bool(np.all(np.abs(np.asarray(got) - expected)
+                       <= 2 * np.spacing(np.abs(expected))))
 
 
 class TestAgainstOracle:
@@ -155,10 +179,12 @@ class TestAgainstOracle:
         assert _bits(floor) == _bits(_oracle_null_floor(corpus))
         assert floor == 0.5000000000000001
 
-    @pytest.mark.parametrize("seed", [*range(45), 123, 99999, 2**64 + 1])
+    @pytest.mark.parametrize("seed", [*range(45), 123, 99999, -1, -2**40,
+                                      2**64 + 1])
     def test_null_samples_shipped_corpus(self, seed, monkeypatch):
         """A session at any seed gates against the shipped corpus's exact
-        null floor."""
+        null floor; one at a negative seed gets it too, before numpy's
+        generator rejects the seed in the first iteration."""
         floors = []
         real = pipeline.CheckpointManager
 
@@ -167,10 +193,49 @@ class TestAgainstOracle:
             return real(null_floor, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "CheckpointManager", capture)
-        pipeline.run_session(pipeline.SessionConfig(problem=EQ3_PROBLEM,
-                                                    n_max=1, seed=seed))
+        cfg = pipeline.SessionConfig(problem=EQ3_PROBLEM, n_max=1, seed=seed)
+        if seed < 0:
+            with pytest.raises(ValueError, match="non-negative"):
+                pipeline.run_session(cfg)
+        else:
+            pipeline.run_session(cfg)
         assert [_bits(f) for f in floors] == \
             [_bits(_oracle_null_floor(embedding.shipped_corpus()))]
+
+    def test_batched_cosines_all_corpus_pairs_bits(self):
+        # The Gram blocks round some pairs an ulp off the per-pair cosine,
+        # but not the two order statistics the 95th percentile reads.
+        corpus = embedding.shipped_corpus()
+        got = embedding._all_pair_cosines(corpus)
+        expected = _per_pair_cosines(corpus)
+        assert len(got) == 19_900
+        assert _within_two_ulp(got, expected)
+        lo = int(0.95 * (len(got) - 1))
+        assert [_bits(x) for x in np.sort(got)[lo:lo + 2]] == \
+            [_bits(x) for x in np.sort(expected)[lo:lo + 2]]
+
+    # The floor reads every pair; a seeded random.Random.sample stream of
+    # n_pairs pairs checks where each one lands.  n runs below, at and across
+    # the 32-row Gram block; seeds cover zero, negative and wider-than-64-bit
+    # values.  Line 0 is empty (a zero vector).
+    @pytest.mark.parametrize("n", [2, 5, 21, 22, 200, 1000])
+    @pytest.mark.parametrize("seed", [0, -3, 2**64 + 9])
+    @pytest.mark.parametrize("n_pairs", [1, 500, 5000])
+    def test_pair_draw_is_sample_stream(self, n, seed, n_pairs):
+        lines = embedding.shipped_corpus()
+        corpus = ("",) + tuple(f"{lines[k % 200]} {lines[k * 7 % 200]}"
+                               for k in range(n - 1))
+        cosines = embedding._all_pair_cosines(corpus)
+        assert len(cosines) == n * (n - 1) // 2
+        vectors = [embedding.embed(t) for t in corpus]
+        rng = random.Random(seed)
+        for _ in range(n_pairs):
+            i, j = sorted(rng.sample(range(n), 2))
+            # Rows 0..i-1 of the upper triangle hold i * (2n - i - 1) / 2.
+            k = i * (2 * n - i - 1) // 2 + j - i - 1
+            assert _within_two_ulp(cosines[k], embedding.cosine(vectors[i],
+                                                                vectors[j])), \
+                (i, j)
 
     def test_null_samples_custom_corpus(self):
         # A zero-vector line ("") scores 0 against every other line.
