@@ -1,9 +1,9 @@
 """Combinatorial action space of the sensitivity-analysis (SA) task and its
 feasibility filtering; SA is the only task driftguard runs.
 
-Feasibility has a single path: ``feasibility_bits`` evaluates each catalog
-row's rules once per estimator at intake, and ``filter_feasible`` keeps the
-actions whose estimator bit is set.
+Feasibility has a single path: the problem record runs each catalog row's
+rules once, into ``ProblemScheme.feasible_sa_estimators``, and
+``filter_feasible`` keeps the actions whose estimator is in that set.
 """
 
 from __future__ import annotations
@@ -43,19 +43,8 @@ def enumerate_actions() -> list[ActionTuple]:
     return [ActionTuple(dims) for dims in itertools.product(*value_lists)]
 
 
-def feasibility_bits(x) -> tuple[bool, ...]:
-    """Bitset over the estimator catalog, in catalog order: an estimator is
-    feasible when every rule of its catalog row holds.
-
-    The one place the rules run; intake stores the result on the context
-    vector, and everything downstream reads it from there.
-    """
-    return tuple(info.feasible(x) for info in catalog.SA_ESTIMATORS.values())
-
-
-def filter_feasible(x) -> list[ActionTuple]:
+def filter_feasible(ps) -> list[ActionTuple]:
     """Feasible subset of enumerate_actions(), order preserved: the actions
-    whose estimator bit is set in ``x.feasibility_bits``."""
-    feasible = {est for est, ok in zip(catalog.SA_ESTIMATORS,
-                                       x.feasibility_bits) if ok}
+    whose estimator is in ``ps.feasible_sa_estimators``."""
+    feasible = set(ps.feasible_sa_estimators)
     return [a for a in enumerate_actions() if a.estimator in feasible]

@@ -18,8 +18,7 @@ import numpy as np
 from . import catalog
 from .errors import InsufficientSamples, UnknownModel, Unrecoverable
 from .estimators import BenchmarkModel, SAResult, benchmark_catalog, get_model
-from .schemes import N_SAMPLES_RE, MethodScheme, ProblemScheme, \
-    build_problem_scheme
+from .schemes import N_SAMPLES_RE, MethodScheme, ProblemScheme
 
 DRIFT_KINDS = ("method_swap", "field_corruption", "none")
 
@@ -89,12 +88,10 @@ def _kw(estimator: str) -> str:
 
 
 def render_problem_text(ps: ProblemScheme) -> str:
-    ctx = ps.context
-    return (f"{ctx.task} study of model {ps.model_id or 'unnamed'} with "
-            f"{ctx.d_in} uncertain inputs and {ctx.d_out} outputs under "
-            f"{ctx.dist_family_mode} distributions, evaluation budget "
-            f"{ctx.n_budget}, target precision {ctx.epsilon}, output class "
-            f"{ps.output_class}, model class {ps.model_class}")
+    return (f"SA study of model {ps.model_id or 'unnamed'} with "
+            f"{ps.d_in} uncertain inputs and {ps.d_out} outputs under "
+            f"{ps.dist_family_mode} distributions, evaluation budget "
+            f"{ps.n_budget}, target precision {ps.epsilon}")
 
 
 def render_problem_description(desc: dict) -> str:
@@ -109,19 +106,19 @@ def render_strategy_text(ms: MethodScheme, flags: tuple[str, ...] = ()) -> str:
     flag_text = ""
     if flags:
         flag_text = " prior violations flagged: " + "; ".join(flags) + "."
-    return (f"strategy: apply {ms.estimator} via {ms.library_class} with "
-            f"n_samples={ms.n_samples} using {ms.sampling_scheme} sampling "
-            f"to produce {' and '.join(ms.required_attributes)}. rationale: "
-            f"{_kw(ms.estimator)}."
+    return (f"strategy: apply {ms.estimator} via {ms.info.library_class} "
+            f"with n_samples={ms.n_samples} using {ms.info.sampling_scheme} "
+            f"sampling to produce {' and '.join(ms.info.bindings)}. "
+            f"rationale: {ms.info.keywords}."
             f" budget status {ms.budget_status}, minimum evaluations "
             f"{ms.n_min_value}.{flag_text}")
 
 
 def render_critic_text(ms: MethodScheme) -> str:
     return (f"review: the proposed {ms.estimator} run through "
-            f"{ms.library_class} with n_samples={ms.n_samples}"
-            f" is consistent with the problem scheme. {_kw(ms.estimator)}."
-            f" required outputs {' and '.join(ms.required_attributes)} are "
+            f"{ms.info.library_class} with n_samples={ms.n_samples}"
+            f" is consistent with the problem scheme. {ms.info.keywords}."
+            f" required outputs {' and '.join(ms.info.bindings)} are "
             f"reachable within budget status {ms.budget_status}.")
 
 
@@ -152,10 +149,6 @@ def render_observation_text(obs: SAResult) -> str:
 # ---------------------------------------------------------------------------
 # Agent behaviors
 
-def coordinator(desc: dict) -> ProblemScheme:
-    return build_problem_scheme(desc)
-
-
 def gatekeeper(ps: ProblemScheme, desc: dict) -> tuple[bool, str]:
     """Admission check: the problem must bind to a catalog model, state its
     dimensions correctly (and its input families, when ``desc``, the
@@ -165,15 +158,14 @@ def gatekeeper(ps: ProblemScheme, desc: dict) -> tuple[bool, str]:
         model = benchmark_catalog().get(ps.model_id)
         if model is None:
             return False, f"unknown model {ps.model_id!r}"
-        ctx = ps.context
-        if (ctx.d_in, ctx.d_out) != (model.d_in, model.d_out):
-            return False, (f"problem states d_in={ctx.d_in}, d_out="
-                           f"{ctx.d_out} but model {model.id} has d_in="
+        if (ps.d_in, ps.d_out) != (model.d_in, model.d_out):
+            return False, (f"problem states d_in={ps.d_in}, d_out="
+                           f"{ps.d_out} but model {model.id} has d_in="
                            f"{model.d_in}, d_out={model.d_out}")
         if desc.get("dist_family") and \
-                ctx.dist_family != model.dist_families():
+                ps.dist_family != model.dist_families():
             return False, (f"problem states dist_family="
-                           f"{list(ctx.dist_family)} but model {model.id} has "
+                           f"{list(ps.dist_family)} but model {model.id} has "
                            f"{list(model.dist_families())}")
     if not ps.feasible_sa_estimators:
         return False, "no feasible estimator for this problem"
@@ -223,7 +215,7 @@ def inspector_check(plan: ExecutionPlan, ms: MethodScheme) -> InspectorVerdict:
     if plan.estimator != ms.estimator:
         reasons.append(f"estimator mismatch: plan runs {plan.estimator}, "
                        f"scheme requires {ms.estimator}")
-    missing = [a for a in ms.required_attributes
+    missing = [a for a in ms.info.bindings
                if a not in plan.output_bindings]
     if missing:
         reasons.append("missing required bindings: " + ", ".join(missing))
@@ -271,7 +263,7 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
         return ("execution crashed before producing results; numerical run "
                 "unrecoverable. recommend reviewing the implementation.")
     attrs = obs.attributes()
-    missing = [a for a in ms.required_attributes if a not in attrs]
+    missing = [a for a in ms.info.bindings if a not in attrs]
     if missing:
         return ("required attribute " + " and ".join(missing)
                 + " absent from the observation; the executed method does "
@@ -286,8 +278,7 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
     # Partial convergence: advise a method change when the current scheme
     # cannot report first-order variance attribution (or only simulates it)
     # and a real alternative that does is still untried.
-    info = catalog.estimator_info(ms.estimator)
-    needs_swap = "s1" not in info.produces or info.simulated
+    needs_swap = "s1" not in ms.info.produces or ms.info.simulated
     pool = [e for e in ps.feasible_sa_estimators
             if "s1" in catalog.estimator_info(e).produces
             and not catalog.estimator_info(e).simulated
@@ -295,8 +286,8 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
     if needs_swap and pool:
         target = pool[0]
         return (f"indices computed but convergence is partial; the chosen "
-                f"method reports {ms.index_type} measures while the study "
-                f"requires first-order variance attribution. this looks "
+                f"method reports {ms.info.index_type} measures while the "
+                f"study requires first-order variance attribution. this looks "
                 f"like a wrong estimator for the precision target. "
                 f"prescribe estimator {target}.")
     return (f"estimate has not yet reached the precision target; sampling "

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import bandit
+from . import bandit, catalog
 from .errors import LoadError, PersistError
 from .schemes import DIST_FAMILIES, ProblemScheme
 
@@ -41,21 +41,19 @@ _DIM_KERNEL_WIDTH = 4.0
 
 
 def problem_features(ps: ProblemScheme) -> tuple[float, ...]:
-    """Normalized descriptor used for archive similarity."""
-    ctx = ps.context
+    """Normalized descriptor used for archive similarity.  Three slots are
+    constants; schema 3 stores them, and dropping them would change every
+    stored descriptor's cosine."""
     hist = [0.0] * len(DIST_FAMILIES)
-    for d in ctx.dist_family:
-        hist[DIST_FAMILIES.index(d if d in DIST_FAMILIES else "Other")] += 1
+    for d in ps.dist_family:
+        hist[DIST_FAMILIES.index(d)] += 1
     total = max(sum(hist), 1.0)
-    hist = [h / total for h in hist]
-    return (min(1.0, ctx.d_in / 20.0),
-            min(1.0, ctx.d_out / 10.0),
-            min(1.0, math.log10(max(ctx.n_budget, 1)) / 6.0),
-            1.0 if ctx.task == "SA" else 0.0,
-            *hist,
-            1.0 if ps.has_dependence else 0.0,
-            1.0 if ps.high_d_in_flag else 0.0,
-            1.0 if ps.field_out_flag else 0.0)
+    return (*ps.scaled_sizes,
+            1.0,                # task: every problem is SA
+            *(h / total for h in hist),
+            0.0,                # dependent inputs: none
+            1.0 if ps.d_in >= catalog.SCREENING_DIM_THRESHOLD else 0.0,
+            0.0)                # field output: none
 
 
 _N_PROBLEM_FEATURES = 7 + len(DIST_FAMILIES)   # len(problem_features(ps))
@@ -103,7 +101,7 @@ def similarity(current: ProblemScheme, entry: ArchiveEntry) -> float:
     f2 = np.asarray(entry.problem_features)
     denom = float(np.linalg.norm(f1) * np.linalg.norm(f2))
     cos = float(f1 @ f2) / denom if denom > 0 else 0.0
-    kernel = math.exp(-abs(current.context.d_in - entry.d_in)
+    kernel = math.exp(-abs(current.d_in - entry.d_in)
                       / _DIM_KERNEL_WIDTH)
     score = _FEATURE_WEIGHT * cos + _TASK_WEIGHT + _DIM_WEIGHT * kernel
     return min(1.0, max(0.0, score))
@@ -154,7 +152,7 @@ class Archive:
                 phi=tuple(float(v) for v in phis.mean(axis=0)))))
         entry = ArchiveEntry(
             session_id=trace.session_id,
-            d_in=ps.context.d_in,
+            d_in=ps.d_in,
             problem_features=problem_features(ps),
             best_action=tuple(best_action),
             best_reward=best_reward,
@@ -167,10 +165,10 @@ class Archive:
         """Insert a synthetic single-arm entry, e.g. to hand a fresh policy
         a known-good method for a previously solved problem."""
         stats = ArmStats(count=count, mean_reward=mean_reward,
-                         phi=bandit.encode_features(ps.context, action))
+                         phi=bandit.encode_features(ps, action))
         entry = ArchiveEntry(
             session_id=session_id,
-            d_in=ps.context.d_in,
+            d_in=ps.d_in,
             problem_features=problem_features(ps),
             best_action=tuple(action.dims),
             best_reward=mean_reward,

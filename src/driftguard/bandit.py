@@ -14,8 +14,8 @@ import numpy as np
 from . import catalog
 from .action_space import ActionTuple
 from .errors import InvalidReward, NoFeasibleAction
-from .schemes import DIST_FAMILIES, ContextVector, DiagnosticScheme, \
-    MethodScheme, ProblemScheme, build_method_scheme
+from .schemes import DIST_FAMILIES, DiagnosticScheme, MethodScheme, \
+    ProblemScheme, build_method_scheme
 
 _PRIOR_PRECISION = 1.0      # ridge lambda on the linear model
 _NOISE_VARIANCE = 25.0      # rewards live on 0-100
@@ -34,23 +34,19 @@ def feature_dim() -> int:
     return 1 + 7 + onehot + 2 * len(catalog.SA_ESTIMATORS)
 
 
-def encode_features(x: ContextVector, a: ActionTuple) -> tuple[float, ...]:
-    """Deterministic feature map; context block scaled to [0, 1]."""
-    return tuple(_feature_array(x, a).tolist())
+def encode_features(ps: ProblemScheme, a: ActionTuple) -> tuple[float, ...]:
+    """Deterministic feature map; problem block scaled to [0, 1]."""
+    return tuple(_feature_array(ps, a).tolist())
 
 
 @functools.lru_cache(maxsize=1024)
-def _feature_array(x: ContextVector, a: ActionTuple) -> np.ndarray:
-    """encode_features as a read-only array, computed once per (context,
+def _feature_array(ps: ProblemScheme, a: ActionTuple) -> np.ndarray:
+    """encode_features as a read-only array, computed once per (problem,
     action): both are frozen, and selection scores every candidate on every
     call."""
-    scaled_d = min(1.0, x.d_in / 20.0)
-    scaled_logn = min(1.0, math.log10(max(x.n_budget, 1)) / 6.0)
-    context = [scaled_d,
-               min(1.0, x.d_out / 10.0),
-               scaled_logn,
-               min(1.0, x.epsilon)]
-    mode = x.dist_family_mode
+    scaled_d, scaled_out, scaled_logn = ps.scaled_sizes
+    context = [scaled_d, scaled_out, scaled_logn, min(1.0, ps.epsilon)]
+    mode = ps.dist_family_mode
     context.extend(1.0 if mode == m else 0.0 for m in DIST_FAMILIES)
 
     onehot = []
@@ -72,15 +68,14 @@ def exploration_schedule(n: int, mode: str) -> float:
     return max(_EPS_FLOOR, _EPS_BASE[mode] * _EPS_GAMMA ** (n - 1))
 
 
-def default_n_samples(estimator: str, x: ContextVector) -> int:
+def default_n_samples(estimator: str, ps: ProblemScheme) -> int:
     """Per-loop sample size targeting min(budget, max(safety*n_min, budget/2))
     total evaluations."""
     info = catalog.estimator_info(estimator)
-    n_min = info.n_min(x.d_in)
-    target = min(x.n_budget,
-                 max(int(_SAFETY_FACTOR * n_min),
-                     x.n_budget // 2))
-    return max(2, target // info.cost_multiplier(x.d_in))
+    n_min = info.n_min(ps.d_in)
+    target = min(ps.n_budget,
+                 max(int(_SAFETY_FACTOR * n_min), ps.n_budget // 2))
+    return max(2, target // info.cost_multiplier(ps.d_in))
 
 
 class PolicyState:
@@ -198,7 +193,6 @@ def select_action(st: PolicyState, ps: ProblemScheme,
     """
     if not feasible:
         raise NoFeasibleAction("empty feasible action set")
-    x = ps.context
     rng = np.random.default_rng(rng_seed)
 
     candidates = list(feasible)
@@ -215,7 +209,7 @@ def select_action(st: PolicyState, ps: ProblemScheme,
     scored = []
     novelty_applied = False
     for a in candidates:
-        score = float(weights @ _feature_array(x, a))
+        score = float(weights @ _feature_array(ps, a))
         if novelty_warning:
             count = st.estimator_counts.get(a.estimator, 0)
             if count:
@@ -239,11 +233,11 @@ def select_action(st: PolicyState, ps: ProblemScheme,
     elif prev is not None and prev.estimator == action.estimator:
         n_samples = prev.n_samples
     else:
-        n_samples = default_n_samples(action.estimator, x)
+        n_samples = default_n_samples(action.estimator, ps)
     # A size prescribed for a different estimator may undershoot this one's
     # minimum, so clamp up to its per-loop floor.
     info = catalog.estimator_info(action.estimator)
-    floor = -(-info.n_min(x.d_in) // info.cost_multiplier(x.d_in))
+    floor = -(-info.n_min(ps.d_in) // info.cost_multiplier(ps.d_in))
 
     ms = build_method_scheme(action, ps, max(n_samples, floor))
     return PolicyDecision(

@@ -3,13 +3,14 @@ runs: one row per estimator, and the action dimension catalog.
 
 A row is the only description of its estimator: its outputs, cost and
 minimum sample size, the feasibility rules that gate it, its executor and
-the vocabulary the text renderers use.  Intake evaluates each row's rules
-once into the context's feasibility bits; everything downstream reads the
-bits.
+the vocabulary the text renderers use.  Each problem record runs the rules
+once, on its first read of ``feasible_sa_estimators``; a method scheme
+reads the rest of its row through ``info``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,8 +18,8 @@ from . import estimators
 from .errors import UnknownEstimator
 
 # From this many inputs on a problem is high-dimensional: Morris screening
-# is feasible, the problem scheme sets ``high_d_in_flag``, and CP0 puts
-# screening first when the archive holds no match.
+# is feasible, the archive descriptor sets its high-dimension slot, and CP0
+# puts screening first when the archive holds no match.
 SCREENING_DIM_THRESHOLD = 8
 
 
@@ -45,18 +46,18 @@ class EstimatorInfo:
     def cost(self, n_samples: int, d_in: int) -> int:
         return n_samples * self.cost_multiplier(d_in)
 
-    @property
+    @functools.cached_property
     def bindings(self) -> tuple[str, ...]:
         """The attribute names a plan running this estimator binds."""
         return tuple(estimators.FIELD_TO_ATTRIBUTE[p] for p in self.produces)
 
-    def feasible(self, ctx) -> bool:
-        """Whether every feasibility rule of this row holds for the context."""
+    def feasible(self, ps) -> bool:
+        """Whether every feasibility rule of this row holds for ``ps``."""
         return ((not self.high_d_only
-                 or ctx.d_in >= SCREENING_DIM_THRESHOLD)
-                and (not self.multi_output_only or ctx.d_out > 1)
+                 or ps.d_in >= SCREENING_DIM_THRESHOLD)
+                and (not self.multi_output_only or ps.d_out > 1)
                 and (not self.budget_gated
-                     or ctx.n_budget >= self.n_min(ctx.d_in)))
+                     or ps.n_budget >= self.n_min(ps.d_in)))
 
 
 SA_ESTIMATORS: dict[str, EstimatorInfo] = {

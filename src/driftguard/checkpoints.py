@@ -120,6 +120,6 @@ class CheckpointManager:
         else:
             match, mode, best_entry = "none", "explore_max", None
         screening_first = (match == "none"
-                           and ps.context.d_in
+                           and ps.d_in
                            >= catalog.SCREENING_DIM_THRESHOLD)
         return CP0Result(best_sim, match, best_entry, mode, screening_first)

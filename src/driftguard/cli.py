@@ -25,12 +25,13 @@ import os
 import sys
 from dataclasses import fields
 
-from . import action_space, agents
+from . import action_space
 from .agents import DriftSpec
 from .archive import Archive
 from .errors import ConfigError, DriftguardError
 from .estimators import benchmark_catalog
 from .pipeline import SessionConfig, SessionTrace, run_session, write_trace
+from .schemes import build_problem_scheme
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -52,9 +53,8 @@ _KEYS = {
     "config": frozenset(f.name for f in fields(SessionConfig)) | {
         "seeds", "archive_path", "warm_start", "output_name", "conditions",
         "sessions"},
-    "problem": frozenset({
-        "task", "d_in", "d_out", "n_budget", "epsilon", "model_id",
-        "dist_family", "output_class", "model_class", "has_dependence"}),
+    "problem": frozenset({"task", "d_in", "d_out", "n_budget", "epsilon",
+                          "model_id", "dist_family"}),
     "drift": frozenset(f.name for f in fields(DriftSpec)),
     "warm_start": frozenset({"estimator", "mean_reward", "count"}),
     "condition": frozenset({"name", "checkpoint_overrides", "drift"}),
@@ -143,8 +143,8 @@ def _archive_for(doc: dict, cfg: SessionConfig) -> Archive | None:
         if not abs(mean_reward) <= sys.float_info.max or count < 1:
             raise ConfigError("bad warm_start block: mean_reward must be "
                               "finite and count at least 1")
-        ps = agents.coordinator(cfg.problem)
-        arm = next((a for a in action_space.filter_feasible(ps.context)
+        ps = build_problem_scheme(cfg.problem)
+        arm = next((a for a in action_space.filter_feasible(ps)
                     if a.estimator == estimator), None)
         if arm is None:
             raise ConfigError(f"bad warm_start block: no feasible action "

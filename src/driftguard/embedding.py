@@ -68,8 +68,7 @@ class EmbeddingVector:
         object.__setattr__(self, "norm", float(np.linalg.norm(array)))
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def embed(text: str) -> EmbeddingVector:
+def _embed(text: str) -> EmbeddingVector:
     """Embed UTF-8 text; identical text gives the identical, shared vector."""
     counts = np.zeros(DIM, dtype=np.int64)
     for token in _tokenize(text):
@@ -78,6 +77,10 @@ def embed(text: str) -> EmbeddingVector:
     if norm == 0.0:
         return EmbeddingVector(counts)
     return EmbeddingVector(counts / norm)
+
+
+# A wrapper over ``embed`` reaches the memo; the null floor calls _embed.
+embed = functools.lru_cache(maxsize=MEMO_SIZE)(_embed)
 
 
 def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
@@ -107,7 +110,7 @@ def _all_pair_cosines(corpus: tuple[str, ...]) -> np.ndarray:
     time; the vectors stay out of the ``embed`` memo."""
     blocks = []
     for k in range(0, len(corpus), _BLOCK):
-        vectors = [embed.__wrapped__(text) for text in corpus[k:k + _BLOCK]]
+        vectors = [_embed(text) for text in corpus[k:k + _BLOCK]]
         # A zero vector's dots are exact zeros; norm 1 keeps them so.
         blocks.append((np.stack([v.array for v in vectors]),
                        np.array([v.norm or 1.0 for v in vectors])))

@@ -23,7 +23,7 @@ from .embedding import calibrate_null, shipped_corpus, similarity
 from .errors import DriftguardError
 from .estimators import SAResult
 from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
-    build_diagnostic_scheme
+    build_diagnostic_scheme, build_problem_scheme
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class SessionConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.seed < 0:    # numpy generators take no negative seed
+            raise ValueError("seed must be >= 0")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if not 0.0 < self.r_threshold <= 100.0:
@@ -240,7 +242,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
 
     # (evaluation) Reward, Advisor, CP6.
     breakdown = reward_mod.score(
-        ms, obs, model=state.model, epsilon=ps.context.epsilon,
+        ms, obs, model=state.model, epsilon=ps.epsilon,
         prev_obs=state.prev_obs_by_estimator.get(plan.estimator))
     advisor_text = agents.advisor_report(
         ms, obs, breakdown, ps, cfg.r_threshold,
@@ -256,7 +258,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         state.failed_estimators.add(ms.estimator)
     state.flags = submartingale_flags(state.prev_reward, breakdown.total, obs)
 
-    phi = bandit.encode_features(ps.context, action)
+    phi = bandit.encode_features(ps, action)
     policy.update(phi, breakdown.total, action.estimator)
 
     if obs is not None:
@@ -300,7 +302,7 @@ def run_session(cfg: SessionConfig,
 
     # Group A: Coordinator -> CP1 -> Gatekeeper -> Model Translator.
     try:
-        ps = agents.coordinator(cfg.problem)
+        ps = build_problem_scheme(cfg.problem)
     except DriftguardError as exc:
         return _aborted(cfg, None, f"coordinator failed: {exc}")
     desc_text = agents.render_problem_description(cfg.problem)
@@ -330,7 +332,7 @@ def run_session(cfg: SessionConfig,
 
     state = _SessionState(cfg=cfg, ps=ps, model=model,
                           manager=manager, policy=policy,
-                          feasible=action_space.filter_feasible(ps.context),
+                          feasible=action_space.filter_feasible(ps),
                           screening_first=cp0.screening_first)
 
     records = []

@@ -88,7 +88,7 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
         return RewardBreakdown(0.0, 0.0, 0.0, 0.0, ("execution failed",))
 
     attrs = obs.attributes()
-    required = ms.required_attributes
+    required = ms.info.bindings
     missing = tuple(a for a in required if a not in attrs)
     criticals = tuple(f"missing required attribute {a}" for a in missing)
     unaddressed = tuple(obs.warnings) + criticals

@@ -1,35 +1,36 @@
-"""Context vector and the three structured inter-agent scheme types.
-
-All scheme types are immutable values.  Session traces carry each
-iteration's diagnostic as a JSON object of its fields plus a ``__kind__``
-tag; nothing reads schemes back from text.
+"""The problem record and the structured inter-agent scheme types, all
+immutable.  A method scheme holds what a decision chose and reads the rest
+from its catalog row.  Traces carry each diagnostic as a JSON object of its
+fields plus a ``__kind__`` tag; nothing reads schemes back from text.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from . import action_space, catalog
+from . import catalog
 from .action_space import ActionTuple
 from .errors import InvalidProblem, UnknownEstimator
 from .reward import COMPONENT_CAPS
 
-TASKS = ("SA",)
 DIST_FAMILIES = ("Uniform", "Normal", "Other")
 
+
 @dataclass(frozen=True)
-class ContextVector:
-    """Problem descriptor conditioning every decision."""
+class ProblemScheme:
+    """The problem every decision is conditioned on; an SA study, the only
+    task driftguard runs."""
 
     d_in: int
     d_out: int
     n_budget: int
     epsilon: float
-    task: str
     dist_family: tuple[str, ...]       # one entry per input
-    feasibility_bits: tuple[bool, ...]  # over the estimator catalog
+    model_id: str = ""
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
@@ -38,45 +39,40 @@ class ContextVector:
             raise InvalidProblem("evaluation budget must be positive")
         if not self.epsilon > 0:
             raise InvalidProblem("target precision epsilon must be positive")
-        if self.task not in TASKS:
-            raise InvalidProblem(f"unknown task {self.task!r}")
 
     @property
     def dist_family_mode(self) -> str:
         return Counter(self.dist_family).most_common(1)[0][0]
 
+    @functools.cached_property
+    def scaled_sizes(self) -> tuple[float, float, float]:
+        """d_in, d_out and log10 of the budget, each scaled into [0, 1]: the
+        block the policy features and the archive descriptor share."""
+        return (min(1.0, self.d_in / 20.0),
+                min(1.0, self.d_out / 10.0),
+                min(1.0, math.log10(max(self.n_budget, 1)) / 6.0))
 
-@dataclass(frozen=True)
-class ProblemScheme:
-    """Structured problem representation produced once per session."""
-
-    context: ContextVector
-    output_class: str      # scalar | vector | field
-    model_class: str       # additive | multiplicative | mixed | unknown
-    has_dependence: bool
-    high_d_in_flag: bool
-    field_out_flag: bool
-    model_id: str = ""
-
-    @property
+    @functools.cached_property
     def feasible_sa_estimators(self) -> tuple[str, ...]:
-        """Estimators whose bit is set in the context, in catalog order."""
-        return tuple(e for e, ok in zip(catalog.SA_ESTIMATORS,
-                                        self.context.feasibility_bits) if ok)
+        """Estimators whose every catalog rule holds, in catalog order; the
+        one place the rules run."""
+        return tuple(e for e, info in catalog.SA_ESTIMATORS.items()
+                     if info.feasible(self))
 
 
 @dataclass(frozen=True)
 class MethodScheme:
-    """Complete methodological specification attached to a policy decision."""
+    """What a policy decision chose; the estimator's catalog row, ``info``,
+    describes the rest of the method."""
 
     estimator: str
-    index_type: str
-    sampling_scheme: str
+    n_samples: int
     n_min_value: int
     budget_status: str     # sufficient | tight | infeasible
-    library_class: str
-    required_attributes: tuple[str, ...]
-    n_samples: int
+
+    @functools.cached_property
+    def info(self) -> catalog.EstimatorInfo:
+        return catalog.estimator_info(self.estimator)
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,9 @@ class DiagnosticScheme:
 # ---------------------------------------------------------------------------
 # Builders
 
-def build_context_vector(desc: dict) -> ContextVector:
+def build_problem_scheme(desc: dict) -> ProblemScheme:
+    """The problem record of a problem description; deterministic.  A
+    missing or malformed key, or a task other than SA, is InvalidProblem."""
     try:
         d_in = int(desc["d_in"])
         d_out = int(desc["d_out"])
@@ -113,50 +111,26 @@ def build_context_vector(desc: dict) -> ContextVector:
                       for d in desc.get("dist_family") or ("Other",) * d_in)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidProblem(f"incomplete problem description: {exc}") from exc
-    base = ContextVector(d_in=d_in, d_out=d_out, n_budget=n_budget,
-                         epsilon=epsilon, task=task, dist_family=dists,
-                         feasibility_bits=())
-    bits = action_space.feasibility_bits(base)
-    return replace(base, feasibility_bits=bits)
-
-
-def build_problem_scheme(desc: dict) -> ProblemScheme:
-    """Structured problem scheme with feasibility pre-computed; deterministic."""
-    ctx = build_context_vector(desc)
-    return ProblemScheme(
-        context=ctx,
-        output_class=desc.get("output_class", "scalar" if ctx.d_out == 1 else "vector"),
-        model_class=desc.get("model_class", "unknown"),
-        has_dependence=bool(desc.get("has_dependence", False)),
-        high_d_in_flag=ctx.d_in >= catalog.SCREENING_DIM_THRESHOLD,
-        field_out_flag=desc.get("output_class") == "field",
-        model_id=desc.get("model_id", ""),
-    )
+    if task != "SA":
+        raise InvalidProblem(f"unknown task {task!r}")
+    return ProblemScheme(d_in=d_in, d_out=d_out, n_budget=n_budget,
+                         epsilon=epsilon, dist_family=dists,
+                         model_id=desc.get("model_id", ""))
 
 
 def build_method_scheme(action: ActionTuple, ps: ProblemScheme,
                         n_samples: int) -> MethodScheme:
     """Method scheme with budget arithmetic derived from the estimator catalog."""
     info = catalog.estimator_info(action.estimator)
-    ctx = ps.context
-    n_min_value = info.n_min(ctx.d_in)
-    n_cost_actual = info.cost(n_samples, ctx.d_in)
-    if n_min_value > ctx.n_budget:
+    n_min_value = info.n_min(ps.d_in)
+    if n_min_value > ps.n_budget:
         budget_status = "infeasible"
-    elif n_cost_actual > ctx.n_budget:
+    elif info.cost(n_samples, ps.d_in) > ps.n_budget:
         budget_status = "tight"
     else:
         budget_status = "sufficient"
-    return MethodScheme(
-        estimator=action.estimator,
-        index_type=info.index_type,
-        sampling_scheme=info.sampling_scheme,
-        n_min_value=n_min_value,
-        budget_status=budget_status,
-        library_class=info.library_class,
-        required_attributes=info.bindings,
-        n_samples=n_samples,
-    )
+    return MethodScheme(estimator=action.estimator, n_samples=n_samples,
+                        n_min_value=n_min_value, budget_status=budget_status)
 
 
 # The sample size as every rendered text states it; the Refactor Agent and

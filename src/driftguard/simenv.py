@@ -11,11 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import agents, bandit
+from . import bandit
 from .action_space import ActionTuple
 from .archive import Archive
 from .checkpoints import CP0_CLOSE_CUTOFF
 from .errors import InvalidProblem
+from .schemes import build_problem_scheme
 
 # Canonical problem descriptor: the simulated arms are attached to a real
 # problem scheme so feature encoding and archive similarity work unchanged.
@@ -87,7 +88,7 @@ def run_sim_session(cfg: SimConfig, seed: int,
                     policy: bandit.PolicyState | None = None,
                     session_id: str = "sim") -> SimTrace:
     """One scripted session driven by the real selection policy."""
-    ps = agents.coordinator(SIM_PROBLEM)
+    ps = build_problem_scheme(SIM_PROBLEM)
     means = dict(cfg.arm_means)
     arms = [canonical_action(est) for est, _ in cfg.arm_means]
     if policy is None:
@@ -109,7 +110,7 @@ def run_sim_session(cfg: SimConfig, seed: int,
         if cfg.replace_prob > 0 and rng.random() < cfg.replace_prob:
             executed = arms[int(rng.integers(len(arms)))].estimator
         reward = _draw_reward(means, executed, cfg.sigma, rng)
-        phi = bandit.encode_features(ps.context, action)
+        phi = bandit.encode_features(ps, action)
         policy.update(phi, reward, action.estimator)
         trace.records.append(SimRecord(n=n, action=action,
                                        executed_estimator=executed,
@@ -129,7 +130,7 @@ def run_sim_sessions(cfg: SimConfig, seed: int, n_sessions: int = 3,
     """
     if archive is None:
         archive = Archive()
-    ps = agents.coordinator(SIM_PROBLEM)
+    ps = build_problem_scheme(SIM_PROBLEM)
     traces = []
     for k in range(1, n_sessions + 1):
         entry, sim = archive.lookup(ps)

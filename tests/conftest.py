@@ -1,8 +1,8 @@
 import pytest
 
-from driftguard import agents
 from driftguard.checkpoints import CheckpointManager
 from driftguard.embedding import calibrate_null, shipped_corpus
+from driftguard.schemes import build_problem_scheme
 
 EQ3_PROBLEM = {"task": "SA", "d_in": 4, "d_out": 1, "n_budget": 8000,
                "epsilon": 0.05, "model_id": "structural_eq3",
@@ -29,14 +29,14 @@ def manager(null_floor):
 
 @pytest.fixture(scope="session")
 def ps_eq3():
-    return agents.coordinator(EQ3_PROBLEM)
+    return build_problem_scheme(EQ3_PROBLEM)
 
 
 @pytest.fixture(scope="session")
 def ps_g8():
-    return agents.coordinator(G8_PROBLEM)
+    return build_problem_scheme(G8_PROBLEM)
 
 
 @pytest.fixture(scope="session")
 def ps_beam():
-    return agents.coordinator(BEAM_PROBLEM)
+    return build_problem_scheme(BEAM_PROBLEM)

@@ -19,7 +19,7 @@ from driftguard.estimators import SAResult
 from driftguard.pipeline import (SessionConfig, run_session,
                                  submartingale_flags)
 from driftguard.reward import score
-from driftguard.schemes import build_method_scheme
+from driftguard.schemes import build_method_scheme, build_problem_scheme
 from driftguard.simenv import (SimConfig, canonical_action, run_sim_session,
                                run_sim_sessions)
 
@@ -73,8 +73,7 @@ def test_criterion_2_cp5_method_swap_recovery():
                       replacement_value="Morris", probability=1.0)
 
     def run(overrides):
-        from driftguard import agents
-        ps = agents.coordinator(G8_PROBLEM)
+        ps = build_problem_scheme(G8_PROBLEM)
         archive = Archive()
         archive.seed_entry(ps, canonical_action("Sobol"), 91.0, count=3)
         cfg = SessionConfig(problem=G8_PROBLEM, n_max=6, drift=drift,
@@ -186,12 +185,11 @@ def test_criterion_5_submartingale_register():
 def test_criterion_6_cp0_contrast(null_floor):
     """A repeated problem warm-starts into exploitation; a structurally
     different one gets a cold start with screening-first triage."""
-    from driftguard import agents
-    ps_beam = agents.coordinator(BEAM_PROBLEM)
+    ps_beam = build_problem_scheme(BEAM_PROBLEM)
     thermal = {"task": "SA", "d_in": 20, "d_out": 1, "n_budget": 40_000,
                "epsilon": 0.05, "model_id": "thermal_stub",
                "dist_family": ["Uniform"] * 20}
-    ps_thermal = agents.coordinator(thermal)
+    ps_thermal = build_problem_scheme(thermal)
 
     archive = Archive()
     archive.seed_entry(ps_beam, canonical_action("Sobol"), 88.0)

@@ -6,7 +6,7 @@ from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.errors import InsufficientSamples, UnknownModel, Unrecoverable
 from driftguard.estimators import SAResult
 from driftguard.reward import RewardBreakdown
-from driftguard.schemes import build_method_scheme
+from driftguard.schemes import build_method_scheme, build_problem_scheme
 
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
@@ -18,9 +18,9 @@ def _ms(ps, estimator="Sobol", n=1000):
 
 class TestGroupA:
     def test_coordinator_builds_problem_scheme(self):
-        ps = agents.coordinator(EQ3_PROBLEM)
+        ps = build_problem_scheme(EQ3_PROBLEM)
         assert ps.model_id == "structural_eq3"
-        assert ps.context.d_in == 4
+        assert ps.d_in == 4
 
     def test_gatekeeper_admits_known_problem(self, ps_eq3):
         ok, why = agents.gatekeeper(ps_eq3, EQ3_PROBLEM)
@@ -28,14 +28,16 @@ class TestGroupA:
 
     def test_gatekeeper_rejects_unknown_model(self):
         desc = {**EQ3_PROBLEM, "model_id": "ghost"}
-        ok, why = agents.gatekeeper(agents.coordinator(desc), desc)
+        ok, why = agents.gatekeeper(build_problem_scheme(desc), desc)
         assert not ok and "ghost" in why
 
-    def test_gatekeeper_rejects_infeasible_problem(self, ps_eq3):
+    def test_gatekeeper_rejects_infeasible_problem(self, monkeypatch):
+        # Every row screening-only: no estimator is feasible at d_in = 4.
         import dataclasses
-        no_bits = (False,) * len(ps_eq3.context.feasibility_bits)
-        ps = dataclasses.replace(ps_eq3, context=dataclasses.replace(
-            ps_eq3.context, feasibility_bits=no_bits))
+        monkeypatch.setattr(catalog, "SA_ESTIMATORS", {
+            e: dataclasses.replace(info, high_d_only=True)
+            for e, info in catalog.SA_ESTIMATORS.items()})
+        ps = build_problem_scheme(EQ3_PROBLEM)
         assert ps.feasible_sa_estimators == ()
         ok, why = agents.gatekeeper(ps, EQ3_PROBLEM)
         assert not ok and "no feasible estimator" in why
@@ -45,7 +47,7 @@ class TestGroupA:
                                 "d_in=9"),
                                ({"d_out": 2}, "d_out=2")):
             desc = {**EQ3_PROBLEM, **change}
-            ok, why = agents.gatekeeper(agents.coordinator(desc), desc)
+            ok, why = agents.gatekeeper(build_problem_scheme(desc), desc)
             assert not ok and stated in why and "d_in=4, d_out=1" in why
 
     def test_model_translator(self, ps_eq3):
@@ -54,7 +56,8 @@ class TestGroupA:
 
     def test_model_translator_requires_model_id(self):
         import dataclasses
-        ps = dataclasses.replace(agents.coordinator(EQ3_PROBLEM), model_id="")
+        ps = dataclasses.replace(build_problem_scheme(EQ3_PROBLEM),
+                                 model_id="")
         with pytest.raises(UnknownModel):
             agents.model_translator(ps)
 

@@ -105,28 +105,29 @@ def _trace(ps, estimator: str, reward: float, session_id: str) -> SimTrace:
         trace.records.append(SimRecord(
             n=n, action=action, executed_estimator=est,
             reward_total=reward / n,
-            features=bandit.encode_features(ps.context, action)))
+            features=bandit.encode_features(ps, action)))
     return trace
 
 
 def _schema_1_features(ps) -> np.ndarray:
-    """problem_features as schema 1 computed it, with the UQ slot."""
-    ctx = ps.context
+    """problem_features as schema 1 computed it, with the UQ slot. Every
+    problem is an SA study with independent inputs and no field output;
+    from d_in = 8 on it is high-dimensional."""
     families = ("Uniform", "Normal", "Other")
     hist = [0.0, 0.0, 0.0]
-    for d in ctx.dist_family:
+    for d in ps.dist_family:
         hist[families.index(d if d in families else "Other")] += 1
     total = max(sum(hist), 1.0)
     hist = [h / total for h in hist]
-    return np.asarray((min(1.0, ctx.d_in / 20.0),
-                       min(1.0, ctx.d_out / 10.0),
-                       min(1.0, math.log10(max(ctx.n_budget, 1)) / 6.0),
-                       1.0 if ctx.task == "SA" else 0.0,
-                       1.0 if ctx.task == "UQ" else 0.0,
+    return np.asarray((min(1.0, ps.d_in / 20.0),
+                       min(1.0, ps.d_out / 10.0),
+                       min(1.0, math.log10(max(ps.n_budget, 1)) / 6.0),
+                       1.0,
+                       0.0,
                        *hist,
-                       1.0 if ps.has_dependence else 0.0,
-                       1.0 if ps.high_d_in_flag else 0.0,
-                       1.0 if ps.field_out_flag else 0.0))
+                       0.0,
+                       1.0 if ps.d_in >= 8 else 0.0,
+                       0.0))
 
 
 def _schema_1_similarity(current, stored) -> float:
@@ -135,8 +136,8 @@ def _schema_1_similarity(current, stored) -> float:
     f1, f2 = _schema_1_features(current), _schema_1_features(stored)
     denom = float(np.linalg.norm(f1) * np.linalg.norm(f2))
     cos = float(f1 @ f2) / denom if denom > 0 else 0.0
-    task_eq = 1.0 if current.context.task == stored.context.task else 0.0
-    kernel = math.exp(-abs(current.context.d_in - stored.context.d_in)
+    task_eq = 1.0    # both are SA studies
+    kernel = math.exp(-abs(current.d_in - stored.d_in)
                       / arch._DIM_KERNEL_WIDTH)
     score = arch._FEATURE_WEIGHT * cos + arch._TASK_WEIGHT * task_eq \
         + arch._DIM_WEIGHT * kernel

@@ -12,35 +12,35 @@ from driftguard.simenv import canonical_action
 class TestFeatures:
     def test_injective_over_sa_actions(self, ps_eq3):
         actions = action_space.enumerate_actions()
-        vectors = {bandit.encode_features(ps_eq3.context, a)
+        vectors = {bandit.encode_features(ps_eq3, a)
                    for a in actions}
         assert len(vectors) == len(actions)
 
     def test_dimension_matches(self, ps_eq3):
-        phi = bandit.encode_features(ps_eq3.context,
+        phi = bandit.encode_features(ps_eq3,
                                      canonical_action("Sobol"))
         assert len(phi) == bandit.feature_dim()
 
     def test_deterministic(self, ps_eq3):
         a = canonical_action("CVM")
-        assert bandit.encode_features(ps_eq3.context, a) \
-            == bandit.encode_features(ps_eq3.context, a)
+        assert bandit.encode_features(ps_eq3, a) \
+            == bandit.encode_features(ps_eq3, a)
 
     def test_context_sensitivity(self, ps_eq3, ps_g8):
         a = canonical_action("Sobol")
-        assert bandit.encode_features(ps_eq3.context, a) \
-            != bandit.encode_features(ps_g8.context, a)
+        assert bandit.encode_features(ps_eq3, a) \
+            != bandit.encode_features(ps_g8, a)
 
     def test_selection_encodes_each_candidate_once(self, ps_eq3):
-        feasible = action_space.filter_feasible(ps_eq3.context)
+        feasible = action_space.filter_feasible(ps_eq3)
         bandit._feature_array.cache_clear()
         st_ = bandit.PolicyState()
         for seed in range(5):
             bandit.select_action(st_, ps_eq3, feasible, rng_seed=seed)
         assert bandit._feature_array.cache_info().misses == len(feasible)
-        phi = bandit._feature_array(ps_eq3.context, feasible[0])
+        phi = bandit._feature_array(ps_eq3, feasible[0])
         assert tuple(phi.tolist()) == \
-            bandit.encode_features(ps_eq3.context, feasible[0])
+            bandit.encode_features(ps_eq3, feasible[0])
         with pytest.raises(ValueError):
             phi[0] = 0.0
 
@@ -79,7 +79,7 @@ class TestPosterior:
 
     def test_update_commutes_with_weighted_batch(self, ps_g8):
         # Three unit-weight updates equal one weight-3 pseudo-observation.
-        phi = bandit.encode_features(ps_g8.context, canonical_action("Sobol"))
+        phi = bandit.encode_features(ps_g8, canonical_action("Sobol"))
         a = bandit.PolicyState()
         for _ in range(3):
             a.update(phi, 91.0)
@@ -89,7 +89,7 @@ class TestPosterior:
         np.testing.assert_allclose(a.b_vector, b.b_vector)
 
     def test_nonfinite_reward_rejected(self, ps_g8):
-        phi = bandit.encode_features(ps_g8.context, canonical_action("CVM"))
+        phi = bandit.encode_features(ps_g8, canonical_action("CVM"))
         st_ = bandit.PolicyState()
         with pytest.raises(InvalidReward):
             st_.update(phi, float("nan"))
@@ -98,7 +98,7 @@ class TestPosterior:
     @given(rewards=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20))
     def test_precision_stays_positive_definite(self, ps_g8, rewards):
         st_ = bandit.PolicyState()
-        phi = bandit.encode_features(ps_g8.context,
+        phi = bandit.encode_features(ps_g8,
                                      canonical_action("Chatterjee"))
         for r in rewards:
             st_.update(phi, r, "Chatterjee")
@@ -109,7 +109,7 @@ class TestPosterior:
 
     def test_snapshot_round_trip(self, ps_g8):
         st_ = bandit.PolicyState(exploration_mode="neutral")
-        phi = bandit.encode_features(ps_g8.context, canonical_action("Sobol"))
+        phi = bandit.encode_features(ps_g8, canonical_action("Sobol"))
         st_.update(phi, 77.0, "Sobol")
         again = bandit.PolicyState.from_snapshot(st_.snapshot())
         np.testing.assert_allclose(again.precision, st_.precision)
@@ -158,7 +158,7 @@ class TestSelectAction:
         weak = bandit.PolicyState()
         weak.warm_start(entry.arm_stats_list(), "weak")
         assert weak.exploration_mode == "neutral"
-        phi = np.asarray(bandit.encode_features(ps_g8.context,
+        phi = np.asarray(bandit.encode_features(ps_g8,
                                                 canonical_action("Sobol")))
         assert float(weak.posterior_mean @ phi) \
             < float(close.posterior_mean @ phi)
@@ -212,7 +212,7 @@ class TestSelectAction:
         assert self._n_samples(ps_eq3, "CVM", diag, prev) == 5000
 
     def test_n_samples_only_carries_over_same_estimator(self, ps_eq3):
-        default = bandit.default_n_samples("Sobol", ps_eq3.context)
+        default = bandit.default_n_samples("Sobol", ps_eq3)
         other = self._prev(ps_eq3, "CVM", 999999)
         assert self._n_samples(ps_eq3, "Sobol", prev=other) == default
         same = self._prev(ps_eq3, "Sobol", 999999)
@@ -223,7 +223,7 @@ class TestSelectAction:
 
     def test_novelty_penalty_flagged(self, ps_eq3):
         st_ = bandit.PolicyState()
-        phi = bandit.encode_features(ps_eq3.context,
+        phi = bandit.encode_features(ps_eq3,
                                      canonical_action("Sobol"))
         for _ in range(5):
             st_.update(phi, 90.0, "Sobol")
@@ -247,9 +247,9 @@ class TestDefaultNSamples:
     def test_targets_safety_scaled_minimum(self, ps_eq3):
         # Sobol on d=4, budget 8000: target min(8000, max(2*3000, 4000)) =
         # 6000 total evaluations -> 1000 per loop.
-        assert bandit.default_n_samples("Sobol", ps_eq3.context) == 1000
+        assert bandit.default_n_samples("Sobol", ps_eq3) == 1000
 
     def test_morris_uses_trajectory_cost(self, ps_g8):
-        n = bandit.default_n_samples("Morris", ps_g8.context)
-        info_cost = n * (ps_g8.context.d_in + 1)
-        assert info_cost <= ps_g8.context.n_budget
+        n = bandit.default_n_samples("Morris", ps_g8)
+        info_cost = n * (ps_g8.d_in + 1)
+        assert info_cost <= ps_g8.n_budget

@@ -1,4 +1,9 @@
 import dataclasses
+import importlib
+import json
+import os
+import sys
+import types
 from unittest import mock
 
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from driftguard import action_space, catalog
 from driftguard.action_space import ActionTuple
 from driftguard.errors import UnknownEstimator
-from driftguard.schemes import build_context_vector
+from driftguard.schemes import build_problem_scheme
 
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
@@ -69,46 +74,68 @@ class TestActionSpace:
         assert a.dims == ("LatinHypercube", "CVM")
 
 
-def _bits(ctx) -> dict[str, bool]:
-    return dict(zip(catalog.SA_ESTIMATORS, action_space.feasibility_bits(ctx)))
+def _feasible(desc) -> dict[str, bool]:
+    """Estimator -> feasible, read from a freshly built problem record."""
+    ps = build_problem_scheme(desc)
+    return {e: e in ps.feasible_sa_estimators for e in catalog.SA_ESTIMATORS}
 
 
 # The feasibility rules as the catalog first stated them, one per
 # estimator; the oracle below applies them action by action.
 _RULES = {
-    "Sobol": lambda ctx, thr: ctx.n_budget >= 500 * (ctx.d_in + 2),
-    "Chatterjee": lambda ctx, thr: True,
-    "CVM": lambda ctx, thr: ctx.n_budget >= 500 * (ctx.d_in + 2),
-    "Morris": lambda ctx, thr: ctx.d_in >= thr,
-    "PCE_SA": lambda ctx, thr: ctx.n_budget >= 500 * ctx.d_in,
-    "Generalized_Sobol": lambda ctx, thr:
-        ctx.d_out > 1 and ctx.n_budget >= 500 * (ctx.d_in + 2),
+    "Sobol": lambda ps, thr: ps.n_budget >= 500 * (ps.d_in + 2),
+    "Chatterjee": lambda ps, thr: True,
+    "CVM": lambda ps, thr: ps.n_budget >= 500 * (ps.d_in + 2),
+    "Morris": lambda ps, thr: ps.d_in >= thr,
+    "PCE_SA": lambda ps, thr: ps.n_budget >= 500 * ps.d_in,
+    "Generalized_Sobol": lambda ps, thr:
+        ps.d_out > 1 and ps.n_budget >= 500 * (ps.d_in + 2),
 }
 
 
-def _walk_feasible(ctx, thr):
+def _walk_feasible(ps, thr):
     """The per-action walk: the rule of an action's estimator must hold,
     checked for each of the 12 actions."""
     return [a for a in action_space.enumerate_actions()
-            if _RULES[a.estimator](ctx, thr)]
+            if _RULES[a.estimator](ps, thr)]
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "configs")
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "bench")
+
+
+def _shipped_problems() -> dict[str, dict]:
+    """Every problem block of the shipped configs and of the benchmark's
+    workloads, by where it comes from."""
+    problems = {}
+    for name in sorted(os.listdir(CONFIGS)):
+        with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for k, block in enumerate([doc, *doc.get("sessions", [])]):
+            if "problem" in block:
+                problems[f"{name}[{k}]"] = block["problem"]
+    sys.path.insert(0, BENCH)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(BENCH)
+    problems.update({f"bench:{k}": v for k, v in workloads.PROBLEMS.items()})
+    return problems
 
 
 class TestFeasibility:
     def test_morris_needs_high_dimension(self):
-        low = build_context_vector(EQ3_PROBLEM)     # d_in = 4
-        high = build_context_vector(G8_PROBLEM)     # d_in = 8
-        assert not _bits(low)["Morris"]
-        assert _bits(high)["Morris"]
+        assert not _feasible(EQ3_PROBLEM)["Morris"]     # d_in = 4
+        assert _feasible(G8_PROBLEM)["Morris"]          # d_in = 8
 
     def test_generalized_sobol_needs_vector_output(self):
-        scalar = build_context_vector(G8_PROBLEM)
-        vector = build_context_vector({**G8_PROBLEM, "d_out": 3})
-        assert not _bits(scalar)["Generalized_Sobol"]
-        assert _bits(vector)["Generalized_Sobol"]
+        assert not _feasible(G8_PROBLEM)["Generalized_Sobol"]
+        assert _feasible({**G8_PROBLEM, "d_out": 3})["Generalized_Sobol"]
 
     def test_budget_gates(self):
-        starved = build_context_vector({**EQ3_PROBLEM, "n_budget": 1500})
-        flags = _bits(starved)
+        flags = _feasible({**EQ3_PROBLEM, "n_budget": 1500})
         assert not flags["Sobol"]        # needs 500*(4+2)=3000
         assert not flags["PCE_SA"]       # needs 500*4=2000
         assert flags["Chatterjee"]
@@ -121,32 +148,44 @@ class TestFeasibility:
         assert set(ps_g8.feasible_sa_estimators) == {
             "Sobol", "Chatterjee", "CVM", "PCE_SA", "Morris"}
 
-    def test_filter_preserves_order_and_subset(self):
-        ctx = build_context_vector(G8_PROBLEM)
+    def test_filter_preserves_order_and_subset(self, ps_g8):
         everything = action_space.enumerate_actions()
-        feasible = action_space.filter_feasible(ctx)
+        feasible = action_space.filter_feasible(ps_g8)
         assert [a for a in everything if a in set(feasible)] == feasible
 
     @pytest.mark.parametrize("estimator", ["Sobol", "CVM", "PCE_SA"])
     def test_budget_gate_reads_n_min(self, estimator, monkeypatch):
         # The budget rule holds no minimum of its own: raising an
         # estimator's n_min makes it, and only it, infeasible.
-        ctx = build_context_vector(EQ3_PROBLEM)
-        before = _bits(ctx)
+        before = _feasible(EQ3_PROBLEM)
         assert before[estimator]
         monkeypatch.setitem(catalog.SA_ESTIMATORS, estimator,
                             dataclasses.replace(
                                 catalog.SA_ESTIMATORS[estimator],
-                                n_min=lambda d: ctx.n_budget + 1))
-        assert _bits(ctx) == {**before, estimator: False}
+                                n_min=lambda d: EQ3_PROBLEM["n_budget"] + 1))
+        assert _feasible(EQ3_PROBLEM) == {**before, estimator: False}
 
     def test_filter_reads_only_the_bits(self):
-        ctx = build_context_vector(G8_PROBLEM)
-        only_cvm = tuple(e == "CVM" for e in catalog.SA_ESTIMATORS)
-        feasible = action_space.filter_feasible(
-            dataclasses.replace(ctx, feasibility_bits=only_cvm))
-        assert feasible == [ActionTuple(("MonteCarlo", "CVM")),
-                            ActionTuple(("LatinHypercube", "CVM"))]
+        # filter_feasible reads the problem's feasible estimators and
+        # nothing else of it.
+        only_cvm = types.SimpleNamespace(feasible_sa_estimators=("CVM",))
+        assert action_space.filter_feasible(only_cvm) == [
+            ActionTuple(("MonteCarlo", "CVM")),
+            ActionTuple(("LatinHypercube", "CVM"))]
+
+    def test_shipped_problems_feasible_set_is_the_rules(self):
+        problems = _shipped_problems()
+        assert len(problems) >= 10
+        for where, desc in problems.items():
+            ps = build_problem_scheme(desc)
+            rules = tuple(e for e, info in catalog.SA_ESTIMATORS.items()
+                          if info.feasible(ps))
+            assert ps.feasible_sa_estimators == rules, where
+            walked = _walk_feasible(ps, catalog.SCREENING_DIM_THRESHOLD)
+            assert {a.estimator for a in walked} == set(rules), where
+            assert action_space.filter_feasible(ps) == [
+                a for a in action_space.enumerate_actions()
+                if a.estimator in rules], where
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(d_in=st.integers(1, 25), budget=st.integers(10, 200000),
@@ -155,18 +194,18 @@ class TestFeasibility:
     def test_bits_agree_with_reports(self, d_in, budget, d_out, thr, edge,
                                      shift):
         # Oracle: the per-action rule walk gives the same feasible
-        # actions as filter_feasible, and the same estimators as the bits.
-        # ``edge`` puts the budget next to the PCE (500 d) or pick-freeze
-        # (500 (d + 2)) minimum, where an off-by-one would show.
+        # actions as filter_feasible, and the same estimators as the
+        # problem record.  ``edge`` puts the budget next to the PCE (500 d)
+        # or pick-freeze (500 (d + 2)) minimum, where an off-by-one would
+        # show.
         if edge is not None:
             budget = 500 * (d_in + edge) + shift
         with mock.patch.object(catalog, "SCREENING_DIM_THRESHOLD", thr):
-            ctx = build_context_vector(
+            ps = build_problem_scheme(
                 {"task": "SA", "d_in": d_in, "d_out": d_out,
                  "n_budget": budget, "dist_family": ["Uniform"] * d_in})
-            walked = _walk_feasible(ctx, thr)
-            assert action_space.filter_feasible(ctx) == walked
+            walked = _walk_feasible(ps, thr)
+            assert action_space.filter_feasible(ps) == walked
             walked_estimators = {a.estimator for a in walked}
-            assert ctx.feasibility_bits == tuple(
-                e in walked_estimators for e in catalog.SA_ESTIMATORS)
-            assert ctx.feasibility_bits == action_space.feasibility_bits(ctx)
+            assert ps.feasible_sa_estimators == tuple(
+                e for e in catalog.SA_ESTIMATORS if e in walked_estimators)

@@ -236,6 +236,40 @@ class TestBadConfig:
                          "--quiet"]) == EXIT_BAD_CONFIG, doc
             assert not list(tmp_path.glob("*.trace.jsonl")), doc
 
+    def test_problem_class_keys_are_bad_config(self, tmp_path, capsys):
+        # Intake reads exactly these problem keys; the class descriptors it
+        # once took changed nothing that executes.
+        for key, value in (("output_class", "field"),
+                           ("model_class", "additive"),
+                           ("has_dependence", True)):
+            cfg = _write(tmp_path, {**BASE_RUN, "problem": {
+                **EQ3_PROBLEM, key: value}})
+            assert main(["run", "--config", cfg, "--out", str(tmp_path),
+                         "--quiet"]) == EXIT_BAD_CONFIG
+            assert key in capsys.readouterr().err
+            assert not list(tmp_path.glob("*.trace.jsonl"))
+
+    def test_negative_seed_is_bad_config(self, tmp_path, capsys):
+        # Seeds feed numpy generators, which take none below zero; every
+        # command refuses one before its first session.
+        ablate = {**BASE_RUN, "conditions": [{"name": "only"}]}
+        sessions = {**BASE_RUN, "sessions": [{"session_id": "s1"},
+                                             {"session_id": "s2"}]}
+        for command, doc, override in (
+                ("run", BASE_RUN, ["--seed-override", "-1"]),
+                ("run", {**BASE_RUN, "seed": -1099511627776}, []),
+                ("ablate", ablate, ["--seed-override", "-1"]),
+                ("ablate", {**ablate, "seeds": [1, -2]}, []),
+                ("sessions", sessions, ["--seed-override", "-1"]),
+                ("sessions", {**sessions, "sessions": [
+                    {"session_id": "s1"}, {"session_id": "s2", "seed": -3}]},
+                 [])):
+            cfg = _write(tmp_path, doc)
+            assert main([command, "--config", cfg, "--out", str(tmp_path),
+                         "--quiet", *override]) == EXIT_BAD_CONFIG, doc
+            assert "seed must be >= 0" in capsys.readouterr().err
+            assert not list(tmp_path.glob("*.trace.jsonl")), doc
+
     def test_internal_error_is_not_a_config_error(self, tmp_path,
                                                   monkeypatch):
         # A KeyError raised inside a session is a bug, not a bad config.

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -183,8 +184,8 @@ class TestAgainstOracle:
                                       2**64 + 1])
     def test_null_samples_shipped_corpus(self, seed, monkeypatch):
         """A session at any seed gates against the shipped corpus's exact
-        null floor; one at a negative seed gets it too, before numpy's
-        generator rejects the seed in the first iteration."""
+        null floor; a negative seed is a bad config, rejected before any
+        session runs."""
         floors = []
         real = pipeline.CheckpointManager
 
@@ -193,12 +194,13 @@ class TestAgainstOracle:
             return real(null_floor, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "CheckpointManager", capture)
-        cfg = pipeline.SessionConfig(problem=EQ3_PROBLEM, n_max=1, seed=seed)
         if seed < 0:
-            with pytest.raises(ValueError, match="non-negative"):
-                pipeline.run_session(cfg)
-        else:
-            pipeline.run_session(cfg)
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                pipeline.SessionConfig(problem=EQ3_PROBLEM, n_max=1,
+                                       seed=seed)
+            return
+        pipeline.run_session(pipeline.SessionConfig(problem=EQ3_PROBLEM,
+                                                    n_max=1, seed=seed))
         assert [_bits(f) for f in floors] == \
             [_bits(_oracle_null_floor(embedding.shipped_corpus()))]
 
@@ -280,11 +282,23 @@ class TestMemo:
         assert info.maxsize == embedding.MEMO_SIZE
         assert info.currsize == embedding.MEMO_SIZE
 
-    def test_calibration_keeps_corpus_out_of_memo(self):
+    def test_calibration_keeps_corpus_out_of_memo(self, monkeypatch):
         embedding.embed.cache_clear()
         embedding.calibrate_null.cache_clear()
         embedding.calibrate_null(embedding.shipped_corpus())
         assert embedding.embed.cache_info().currsize == 0
+        # A wrapper over the memo, as a profiler installs it, leaves the
+        # corpus out too: its ``__wrapped__`` is the memo itself.
+        memo = embedding.embed
+
+        @functools.wraps(memo)
+        def wrapper(text):
+            return memo(text)
+
+        monkeypatch.setattr(embedding, "embed", wrapper)
+        embedding.calibrate_null.cache_clear()
+        embedding.calibrate_null(embedding.shipped_corpus())
+        assert memo.cache_info().currsize == 0
 
     def test_custom_null_corpus_gets_its_own_distribution(self):
         # The shipped corpus's floor is cached first; another corpus must

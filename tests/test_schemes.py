@@ -1,12 +1,14 @@
 
+import dataclasses
+
 import pytest
 
-from driftguard import action_space
+from driftguard import action_space, catalog
 from driftguard.errors import InvalidProblem
 from driftguard.reward import RewardBreakdown
-from driftguard.schemes import (build_context_vector, build_diagnostic_scheme,
-                                build_method_scheme, build_problem_scheme,
-                                DiagnosticScheme)
+from driftguard.schemes import (build_diagnostic_scheme, build_method_scheme,
+                                build_problem_scheme, DiagnosticScheme,
+                                MethodScheme)
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
 
@@ -17,26 +19,31 @@ def _breakdown(total):
                            max(0.0, total - 85.0), ())
 
 
+# The problem record's intake checks.
 class TestContextVector:
     def test_happy_path(self):
-        ctx = build_context_vector(EQ3_PROBLEM)
-        assert (ctx.d_in, ctx.d_out, ctx.n_budget) == (4, 1, 8000)
-        assert ctx.task == "SA"
-        assert ctx.dist_family == ("Uniform",) * 4
+        ps = build_problem_scheme(EQ3_PROBLEM)
+        assert (ps.d_in, ps.d_out, ps.n_budget, ps.epsilon) == \
+            (4, 1, 8000, 0.05)
+        assert ps.dist_family == ("Uniform",) * 4
+        assert ps.model_id == "structural_eq3"
 
     def test_missing_field_rejected(self):
         with pytest.raises(InvalidProblem):
-            build_context_vector({"task": "SA", "d_in": 4})
+            build_problem_scheme({"task": "SA", "d_in": 4})
+        without_task = {k: v for k, v in EQ3_PROBLEM.items() if k != "task"}
+        with pytest.raises(InvalidProblem, match="incomplete"):
+            build_problem_scheme(without_task)
 
     def test_bad_task_rejected(self):
         # UQ has no executor, so intake rejects it like any unknown task.
         for task in ("XX", "UQ"):
             with pytest.raises(InvalidProblem, match="unknown task"):
-                build_context_vector({**EQ3_PROBLEM, "task": task})
+                build_problem_scheme({**EQ3_PROBLEM, "task": task})
 
     def test_nonpositive_dim_rejected(self):
         with pytest.raises(InvalidProblem):
-            build_context_vector({**EQ3_PROBLEM, "d_in": 0})
+            build_problem_scheme({**EQ3_PROBLEM, "d_in": 0})
 
     def test_nonpositive_budget_or_epsilon_rejected(self):
         for change, reason in (({"n_budget": 0}, "budget"),
@@ -45,12 +52,12 @@ class TestContextVector:
                                ({"epsilon": -0.1}, "epsilon"),
                                ({"epsilon": float("nan")}, "epsilon")):
             with pytest.raises(InvalidProblem, match=reason):
-                build_context_vector({**EQ3_PROBLEM, **change})
+                build_problem_scheme({**EQ3_PROBLEM, **change})
 
     def test_unknown_dist_mapped_to_other(self):
-        ctx = build_context_vector({**EQ3_PROBLEM,
-                                    "dist_family": ["Exotic"] * 4})
-        assert ctx.dist_family == ("Other",) * 4
+        ps = build_problem_scheme({**EQ3_PROBLEM,
+                                   "dist_family": ["Exotic"] * 4})
+        assert ps.dist_family == ("Other",) * 4
 
 
 class TestProblemScheme:
@@ -62,7 +69,6 @@ class TestProblemScheme:
     def test_high_dim_allows_morris(self):
         ps = build_problem_scheme(G8_PROBLEM)
         assert "Morris" in ps.feasible_sa_estimators
-        assert ps.high_d_in_flag
 
     def test_generalized_sobol_needs_vector_output(self):
         ps = build_problem_scheme(EQ3_PROBLEM)
@@ -95,8 +101,16 @@ class TestMethodScheme:
 
     def test_required_attributes_follow_catalog(self, ps_eq3):
         ms = build_method_scheme(self._action("Sobol"), ps_eq3, 500)
-        assert set(ms.required_attributes) == {"first_order_indices",
-                                               "total_order_indices"}
+        assert set(ms.info.bindings) == {"first_order_indices",
+                                         "total_order_indices"}
+
+    def test_holds_only_the_decision(self, ps_eq3):
+        # The rest of the method is its catalog row, read, not copied.
+        assert [f.name for f in dataclasses.fields(MethodScheme)] == [
+            "estimator", "n_samples", "n_min_value", "budget_status"]
+        ms = build_method_scheme(self._action("CVM"), ps_eq3, 500)
+        assert ms.info is catalog.SA_ESTIMATORS["CVM"]
+        assert ms.info.bindings is ms.info.bindings
 
 
 class TestDiagnosticScheme:
