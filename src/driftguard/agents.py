@@ -16,20 +16,26 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import catalog
-from .errors import InsufficientSamples, UnknownModel, Unrecoverable
-from .estimators import BenchmarkModel, SAResult, benchmark_catalog, get_model
+from .errors import InsufficientSamples, Unrecoverable
+from .estimators import SAResult, benchmark_catalog, get_model
 from .schemes import N_SAMPLES_RE, MethodScheme, ProblemScheme
 
-DRIFT_KINDS = ("method_swap", "field_corruption", "none")
+#: drift kind -> the plan field it rewrites
+DRIFT_KINDS = {"method_swap": "estimator", "field_corruption": "n_samples",
+               "none": ""}
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     estimator: str
     n_samples: int
-    output_bindings: tuple[str, ...]
     model_id: str
     seed: int
+
+    @property
+    def output_bindings(self) -> tuple[str, ...]:
+        """The attributes its estimator binds, from the catalog row."""
+        return catalog.estimator_info(self.estimator).bindings
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,10 @@ class DriftSpec:
             raise ValueError("drift probability must lie in [0, 1]")
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}")
+        rewritten = DRIFT_KINDS[self.kind]
+        if rewritten and self.target_field != rewritten:
+            raise ValueError(f"drift kind {self.kind} rewrites {rewritten}, "
+                             f"not {self.target_field!r}")
 
 
 @functools.cache
@@ -153,7 +163,7 @@ def gatekeeper(ps: ProblemScheme, desc: dict) -> tuple[bool, str]:
     """Admission check: the problem must bind to a catalog model, state its
     dimensions correctly (and its input families, when ``desc``, the
     description ``ps`` was built from, states them), and admit at least one
-    feasible estimator."""
+    feasible estimator; a problem that names no model is rejected last."""
     if ps.model_id:
         model = benchmark_catalog().get(ps.model_id)
         if model is None:
@@ -169,17 +179,9 @@ def gatekeeper(ps: ProblemScheme, desc: dict) -> tuple[bool, str]:
                            f"{list(model.dist_families())}")
     if not ps.feasible_sa_estimators:
         return False, "no feasible estimator for this problem"
-    return True, "admitted"
-
-
-def model_translator(ps: ProblemScheme) -> BenchmarkModel:
     if not ps.model_id:
-        raise UnknownModel("problem description names no model")
-    return get_model(ps.model_id)
-
-
-def study_agent(strategy_text: str) -> str:
-    return render_study_text(strategy_text)
+        return False, "problem description names no model"
+    return True, "admitted"
 
 
 _EST_TOKEN = re.compile(r"\b(%s)\b" % "|".join(catalog.SA_ESTIMATORS),
@@ -203,8 +205,6 @@ def refactor_agent(report_text: str, model_id: str, seed: int,
     n_match = N_SAMPLES_RE.search(report_text)
     n_samples = int(n_match.group(1)) if n_match else fallback.n_samples
     return ExecutionPlan(estimator=estimator, n_samples=n_samples,
-                         output_bindings=catalog.estimator_info(
-                             estimator).bindings,
                          model_id=model_id, seed=seed)
 
 

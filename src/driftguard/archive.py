@@ -127,8 +127,8 @@ class Archive:
     def record_session(self, trace) -> ArchiveEntry | None:
         """Store an entry aggregated from a finished session and persist.
 
-        Only the iterations the policy learned from count: a failed record
-        carries no features and no reward the policy saw. A session without
+        Only the iterations the policy learned from count: the policy saw
+        no reward of a failed record. A session without
         such an iteration has nothing to store, so it records and persists
         nothing and returns None; its problem's entry stays as it was."""
         learned = [r for r in trace.records if not r.failed]
@@ -139,7 +139,8 @@ class Archive:
         best_reward, best_action = 0.0, ()
         for rec in learned:
             est = rec.action.estimator
-            arms.setdefault(est, []).append((rec.features, rec.reward_total))
+            arms.setdefault(est, []).append(
+                (bandit.encode_features(ps, rec.action), rec.reward_total))
             if rec.reward_total >= best_reward:
                 best_reward, best_action = rec.reward_total, rec.action.dims
         per_arm = []

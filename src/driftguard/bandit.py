@@ -131,7 +131,8 @@ class PolicyState:
     def warm_start(self, per_arm_stats, match: str) -> None:
         """Replay archived per-arm statistics as weighted pseudo-observations.
 
-        per_arm_stats: iterable of (phi values, mean reward, count).
+        per_arm_stats: iterable of (phi values, mean reward, count). The
+        exploration mode stays as the caller set it.
         """
         if match not in ("close", "weak"):
             raise ValueError(f"warm_start requires close/weak, got {match!r}")
@@ -139,7 +140,6 @@ class PolicyState:
         for phi_values, mean_reward, count in per_arm_stats:
             phi = np.asarray(phi_values, dtype=float)
             self._absorb(phi, float(mean_reward), weight * float(count))
-        self.exploration_mode = "exploit" if match == "close" else "neutral"
 
     # -- persistence -----------------------------------------------------
 

@@ -1,15 +1,14 @@
 """Semantic checkpoints CP0-CP7: cosine gates with warmup thresholds.
 
 Each checkpoint compares an embedding similarity against a threshold.  A
-gate starts at its initial value in ``CHECKPOINT_TABLE``; once it has passed
-``_WARMUP`` times it tightens to ``theta0 + _CAP_BONUS``, never below its
-floor, the larger of ``theta_min`` and the null floor: the exact 95th
-percentile of the cosines of all pairs of null-corpus lines
-(``embedding.calibrate_null``), the same for every session.  The inverted
-novelty gate CP7 never counts its passes, so it keeps ``theta0``.  The
-table is the only source of thresholds: a session may only switch a gate
-off, and a switched-off gate passes unconditionally and reports the
-threshold -1.
+gate starts at its ``theta0`` in ``CHECKPOINT_TABLE``; once it has passed
+``_WARMUP`` times its threshold is ``max(theta0, null floor)``, where the
+null floor is the exact 95th percentile of the cosines of all pairs of
+null-corpus lines (``embedding.calibrate_null``), the same for every
+session.  The inverted novelty gate CP7 never counts its passes, so it
+keeps ``theta0``.  The table is the only source of thresholds: a session
+may only switch a gate off, and a switched-off gate passes unconditionally
+and reports the threshold -1.
 """
 
 from __future__ import annotations
@@ -20,24 +19,23 @@ from . import catalog
 
 DISABLED = -1.0
 
-# Warmup thresholds.
+# Passes a gate keeps its theta0 for.
 _WARMUP = 3
-_CAP_BONUS = 0.10
 
 # CP0 archive-match cutoffs: close warm-starts and exploits, weak (the CP0
 # row's theta0) warm-starts at reduced weight.
 CP0_CLOSE_CUTOFF = 0.90
 
-#: cp_id -> (theta0, theta_min, blocking, inverted, action_on_fail)
+#: cp_id -> (theta0, blocking, inverted, action_on_fail)
 CHECKPOINT_TABLE = {
-    "CP0": (0.70, 0.70, False, False, "fresh_exploration"),
-    "CP1": (0.25, 0.15, True, False, "abort_session"),
-    "CP2": (0.30, 0.20, True, False, "critic_reject"),
-    "CP3": (0.30, 0.20, False, False, "warn_study_agent"),
-    "CP4": (0.35, 0.25, True, False, "fail_iteration"),
-    "CP5": (0.35, 0.25, True, False, "inspector_reject"),
-    "CP6": (0.30, 0.20, False, False, "warn_advisor"),
-    "CP7": (0.35, 0.25, False, True, "warn_strategist"),
+    "CP0": (0.70, False, False, "fresh_exploration"),
+    "CP1": (0.25, True, False, "abort_session"),
+    "CP2": (0.30, True, False, "critic_reject"),
+    "CP3": (0.30, False, False, "warn_study_agent"),
+    "CP4": (0.35, True, False, "fail_iteration"),
+    "CP5": (0.35, True, False, "inspector_reject"),
+    "CP6": (0.30, False, False, "warn_advisor"),
+    "CP7": (0.35, False, True, "warn_strategist"),
 }
 
 
@@ -63,45 +61,30 @@ class CP0Result:
     screening_first: bool
 
 
-@dataclass
-class AdaptiveThreshold:
-    """One gate's threshold: ``theta0`` until ``count`` reaches
-    ``_WARMUP`` passes, then ``max(theta0 + _CAP_BONUS, floor)``."""
-
-    theta0: float
-    floor: float
-    count: int = 0
-
-    def current(self) -> float:
-        if self.count < _WARMUP:
-            return self.theta0
-        return max(self.theta0 + _CAP_BONUS, self.floor)
-
-
 class CheckpointManager:
     """All eight gates plus their pass counts."""
 
     def __init__(self, null_floor: float,
                  disabled: frozenset[str] = frozenset()):
+        self.null_floor = null_floor
         self.disabled = disabled
-        self.state = {cp_id: AdaptiveThreshold(t0, max(tmin, null_floor))
-                      for cp_id, (t0, tmin, *_) in CHECKPOINT_TABLE.items()}
+        self.passes = dict.fromkeys(CHECKPOINT_TABLE, 0)
 
     def evaluate(self, cp_id: str, similarity: float) -> CheckpointResult:
         """Gate one similarity value; a pass of a non-inverted gate counts
         towards its warmup."""
         if cp_id in self.disabled:
             return CheckpointResult(cp_id, similarity, DISABLED, "pass")
-        _, _, blocking, inverted, action = CHECKPOINT_TABLE[cp_id]
-        state = self.state[cp_id]
-        threshold = state.current()
+        theta0, blocking, inverted, action = CHECKPOINT_TABLE[cp_id]
+        threshold = theta0 if self.passes[cp_id] < _WARMUP \
+            else max(theta0, self.null_floor)
         if inverted:
             passed = similarity < threshold
         else:
             passed = similarity >= threshold
         if passed:
             if not inverted:
-                state.count += 1
+                self.passes[cp_id] += 1
             return CheckpointResult(cp_id, similarity, threshold, "pass")
         return CheckpointResult(cp_id, similarity, threshold,
                                 "block" if blocking else "warn", action)

@@ -28,7 +28,7 @@ from dataclasses import fields
 from . import action_space
 from .agents import DriftSpec
 from .archive import Archive
-from .errors import ConfigError, DriftguardError
+from .errors import ConfigError, DriftguardError, InvalidProblem
 from .estimators import benchmark_catalog
 from .pipeline import SessionConfig, SessionTrace, run_session, write_trace
 from .schemes import build_problem_scheme
@@ -143,7 +143,10 @@ def _archive_for(doc: dict, cfg: SessionConfig) -> Archive | None:
         if not abs(mean_reward) <= sys.float_info.max or count < 1:
             raise ConfigError("bad warm_start block: mean_reward must be "
                               "finite and count at least 1")
-        ps = build_problem_scheme(cfg.problem)
+        try:
+            ps = build_problem_scheme(cfg.problem)
+        except InvalidProblem:
+            return archive   # intake rejects the problem: the session aborts
         arm = next((a for a in action_space.filter_feasible(ps)
                     if a.estimator == estimator), None)
         if arm is None:
@@ -162,7 +165,7 @@ def _output_name(doc: dict, default: str) -> str:
 
 
 def _out_dir(args) -> str:
-    out = os.environ.get("DRIFTGUARD_OUT") or args.out or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -187,10 +190,10 @@ def _trace_summary(trace: SessionTrace) -> dict:
             "iterations_to_converge": trace.iterations_to_converge,
             "mismatches": sum(1 for r in trace.records if r.mismatch),
             "checkpoint_events": dict(sorted(cp_counts.items())),
-            "cp0": {"match": trace.cp0_match,
-                    "similarity": trace.cp0_similarity,
-                    "exploration_mode": trace.cp0_mode,
-                    "screening_first": trace.cp0_screening_first},
+            "cp0": {"match": trace.cp0.match,
+                    "similarity": trace.cp0.similarity,
+                    "exploration_mode": trace.cp0.exploration_mode,
+                    "screening_first": trace.cp0.screening_first},
             "abort_reason": trace.abort_reason}
 
 
@@ -306,23 +309,20 @@ def cmd_sessions(args) -> int:
         trace = _run(cfg, archive, out)
         aborted = aborted or trace.outcome == "aborted"
         best = max(trace.records, key=lambda r: r.reward_total, default=None)
-        itb = next((r.n for r in trace.records
-                    if r.reward_total == trace.best_reward), None) \
-            if trace.records else None
         rows.append({"session_id": cfg.session_id, "seed": cfg.seed,
                      "outcome": trace.outcome,
                      "best_reward": round(trace.best_reward, 2),
-                     "iterations_to_best": itb,
+                     "iterations_to_best": best.n if best else None,
                      "iterations_to_converge": trace.iterations_to_converge,
                      "best_estimator": best.action.estimator if best
                      else None,
-                     "cp0_match": trace.cp0_match,
-                     "cp0_similarity": round(trace.cp0_similarity, 3),
-                     "cp0_mode": trace.cp0_mode,
-                     "cp0_screening_first": trace.cp0_screening_first})
+                     "cp0_match": trace.cp0.match,
+                     "cp0_similarity": round(trace.cp0.similarity, 3),
+                     "cp0_mode": trace.cp0.exploration_mode,
+                     "cp0_screening_first": trace.cp0.screening_first})
         _say(args, f"{cfg.session_id}: {trace.outcome}, best "
-                   f"{trace.best_reward:.1f}, cp0 {trace.cp0_match}/"
-                   f"{trace.cp0_mode}")
+                   f"{trace.best_reward:.1f}, cp0 {trace.cp0.match}/"
+                   f"{trace.cp0.exploration_mode}")
     _write_table(table, SESSION_COLUMNS, rows)
     _say(args, f"wrote {table}")
     return EXIT_ABORTED if aborted else EXIT_OK
@@ -341,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
                        help="path to the JSON experiment config")
-        p.add_argument("--out", default=None,
-                       help="output directory (DRIFTGUARD_OUT overrides)")
+        p.add_argument("--out", help="output directory (default: .)")
         p.add_argument("--seed-override", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
         p.set_defaults(handler=handler)

@@ -6,6 +6,9 @@ CP2 block re-selects, a CP5 block rebuilds the plan from the uncorrupted
 strategy text, and a failed execution gets one Debugger patch; a CP4 block
 has no remedy. A second CP2 or CP5 block, or a CP4 block, ends the
 iteration with a failed record; a second failed execution scores a crash.
+
+A record stores each fact once: its advisor text is its diagnosis's
+``physical_insight``, and its policy features follow from its action.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from . import action_space, agents, bandit, reward as reward_mod
 from .agents import DriftSpec, ExecutionPlan, check_field_types
 from .archive import Archive
 from .checkpoints import CHECKPOINT_TABLE, DISABLED, CheckpointManager, \
-    CheckpointResult
+    CheckpointResult, CP0Result
 from .embedding import calibrate_null, shipped_corpus, similarity
 from .errors import DriftguardError
-from .estimators import SAResult
+from .estimators import SAResult, get_model
 from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
     build_diagnostic_scheme, build_problem_scheme
 
@@ -76,12 +79,10 @@ class IterationRecord:
     observation: SAResult | None
     reward_total: float
     reward_components: tuple[float, float, float, float]
-    features: tuple[float, ...]
     checkpoint_events: tuple[CheckpointResult, ...]
     drift_events: tuple
     diagnostic: DiagnosticScheme
     strategy_text: str
-    advisor_text: str
     failed: bool = False
 
     @property
@@ -94,18 +95,18 @@ class IterationRecord:
 @dataclass
 class SessionTrace:
     config: SessionConfig
-    session_id: str
     problem_scheme: ProblemScheme | None
     records: list
     outcome: str        # converged | budget_exhausted | aborted
     best_reward: float
     iterations_to_converge: int | None
-    cp0_match: str = "none"
-    cp0_similarity: float = 0.0
-    cp0_mode: str = "explore_max"
-    cp0_screening_first: bool = False
+    cp0: CP0Result = CP0Result(0.0, "none", None, "explore_max", False)
     policy_snapshot: dict | None = None
     abort_reason: str = ""
+
+    @property
+    def session_id(self) -> str:
+        return self.config.session_id
 
 
 @dataclass
@@ -189,7 +190,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     # (implementation) Study Agent with CP3 advisory and CP4 blocking gates.
     # Both gates read the same strategy/study similarity. The Study Agent is
     # deterministic, so a CP4 block has no remedy.
-    study_text = agents.study_agent(strategy_text)
+    study_text = agents.render_study_text(strategy_text)
     sim_study = similarity(strategy_text, study_text)
     events.append(manager.evaluate("CP3", sim_study))
     cp4 = manager.evaluate("CP4", sim_study)
@@ -258,8 +259,8 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         state.failed_estimators.add(ms.estimator)
     state.flags = submartingale_flags(state.prev_reward, breakdown.total, obs)
 
-    phi = bandit.encode_features(ps, action)
-    policy.update(phi, breakdown.total, action.estimator)
+    policy.update(bandit.encode_features(ps, action), breakdown.total,
+                  action.estimator)
 
     if obs is not None:
         state.prev_obs_by_estimator[plan.estimator] = obs
@@ -273,10 +274,8 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         reward_total=breakdown.total,
         reward_components=(breakdown.integrity, breakdown.accuracy,
                            breakdown.details, breakdown.optimality),
-        features=phi,
         checkpoint_events=tuple(events), drift_events=tuple(drift_events),
-        diagnostic=diag, strategy_text=strategy_text,
-        advisor_text=advisor_text)
+        diagnostic=diag, strategy_text=strategy_text)
 
 
 def _failed_record(n, action, events, drift_events, strategy_text,
@@ -289,9 +288,8 @@ def _failed_record(n, action, events, drift_events, strategy_text,
     return IterationRecord(
         n=n, action=action, plan=None, observation=None,
         reward_total=0.0, reward_components=(0.0, 0.0, 0.0, 0.0),
-        features=(), checkpoint_events=tuple(events),
-        drift_events=tuple(drift_events), diagnostic=diag,
-        strategy_text=strategy_text, advisor_text=why, failed=True)
+        checkpoint_events=tuple(events), drift_events=tuple(drift_events),
+        diagnostic=diag, strategy_text=strategy_text, failed=True)
 
 
 def run_session(cfg: SessionConfig,
@@ -300,7 +298,7 @@ def run_session(cfg: SessionConfig,
     manager = CheckpointManager(calibrate_null(shipped_corpus()),
                                 frozenset(cfg.checkpoint_overrides))
 
-    # Group A: Coordinator -> CP1 -> Gatekeeper -> Model Translator.
+    # Group A: Coordinator -> CP1 -> Gatekeeper -> model lookup.
     try:
         ps = build_problem_scheme(cfg.problem)
     except DriftguardError as exc:
@@ -314,10 +312,7 @@ def run_session(cfg: SessionConfig,
     admitted, why = agents.gatekeeper(ps, cfg.problem)
     if not admitted:
         return _aborted(cfg, ps, why)
-    try:
-        model = agents.model_translator(ps)
-    except DriftguardError as exc:
-        return _aborted(cfg, ps, str(exc))
+    model = get_model(ps.model_id)
 
     # CP0: archive match, warm-start, exploration mode.
     cp0 = manager.evaluate_cp0(ps, archive)
@@ -347,13 +342,9 @@ def run_session(cfg: SessionConfig,
             break
 
     trace = SessionTrace(
-        config=cfg, session_id=cfg.session_id, problem_scheme=ps,
-        records=records, outcome=outcome,
+        config=cfg, problem_scheme=ps, records=records, outcome=outcome,
         best_reward=max((r.reward_total for r in records), default=0.0),
-        iterations_to_converge=iterations_to_converge,
-        cp0_match=cp0.match, cp0_similarity=cp0.similarity,
-        cp0_mode=cp0.exploration_mode,
-        cp0_screening_first=cp0.screening_first,
+        iterations_to_converge=iterations_to_converge, cp0=cp0,
         policy_snapshot=policy.snapshot() if cfg.persist_policy else None)
 
     if archive is not None and cfg.record_to_archive:
@@ -362,10 +353,9 @@ def run_session(cfg: SessionConfig,
 
 
 def _aborted(cfg, ps, why: str) -> SessionTrace:
-    return SessionTrace(config=cfg, session_id=cfg.session_id,
-                        problem_scheme=ps, records=[], outcome="aborted",
-                        best_reward=0.0, iterations_to_converge=None,
-                        abort_reason=why)
+    return SessionTrace(config=cfg, problem_scheme=ps, records=[],
+                        outcome="aborted", best_reward=0.0,
+                        iterations_to_converge=None, abort_reason=why)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +368,8 @@ def write_trace(trace: SessionTrace, path: str) -> None:
                   "outcome": trace.outcome,
                   "best_reward": trace.best_reward,
                   "iterations_to_converge": trace.iterations_to_converge,
-                  "cp0_match": trace.cp0_match,
-                  "cp0_similarity": trace.cp0_similarity}
+                  "cp0_match": trace.cp0.match,
+                  "cp0_similarity": trace.cp0.similarity}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in trace.records:
             row = {"n": rec.n,
@@ -399,5 +389,5 @@ def write_trace(trace: SessionTrace, path: str) -> None:
                    "drift_events": list(rec.drift_events),
                    "diagnostic": {**asdict(rec.diagnostic),
                                   "__kind__": "DiagnosticScheme"},
-                   "advisor_text": rec.advisor_text}
+                   "advisor_text": rec.diagnostic.physical_insight}
             fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -58,7 +58,6 @@ class SimRecord:
     action: ActionTuple            # the policy's selection
     executed_estimator: str        # after any replacement
     reward_total: float
-    features: tuple[float, ...]
     failed: bool = False           # the policy always learns from a draw
 
 
@@ -110,12 +109,11 @@ def run_sim_session(cfg: SimConfig, seed: int,
         if cfg.replace_prob > 0 and rng.random() < cfg.replace_prob:
             executed = arms[int(rng.integers(len(arms)))].estimator
         reward = _draw_reward(means, executed, cfg.sigma, rng)
-        phi = bandit.encode_features(ps, action)
-        policy.update(phi, reward, action.estimator)
+        policy.update(bandit.encode_features(ps, action), reward,
+                      action.estimator)
         trace.records.append(SimRecord(n=n, action=action,
                                        executed_estimator=executed,
-                                       reward_total=reward,
-                                       features=phi))
+                                       reward_total=reward))
         prev_estimator = action.estimator
     trace.policy_snapshot = policy.snapshot()
     return trace

@@ -273,7 +273,8 @@ def test_criterion_9_bandit_regret():
 
 def test_criterion_10_threshold_safety():
     """Under adversarial similarity streams the threshold of every
-    enabled gate never drops below max(theta_min, null 95th percentile)."""
+    enabled gate never drops below the null 95th percentile after
+    warmup."""
     floor_null = calibrate_null(shipped_corpus())
     streams = [
         [0.99] * 30,                                 # passes every time
@@ -284,16 +285,14 @@ def test_criterion_10_threshold_safety():
     checked = 0
     for stream in streams:
         manager = CheckpointManager(floor_null)
-        for cp_id, (t0, t_min, _, inverted, _) in CHECKPOINT_TABLE.items():
+        for cp_id, (_, _, inverted, _) in CHECKPOINT_TABLE.items():
             if cp_id == "CP0" or inverted:
                 continue
             for sim in stream:
-                manager.evaluate(cp_id, float(sim))
-                assert manager.state[cp_id].current() \
-                    >= max(t_min, floor_null) - 1e-12 \
-                    or manager.state[cp_id].count < checkpoints._WARMUP
+                warm = manager.passes[cp_id] >= checkpoints._WARMUP
+                threshold = manager.evaluate(cp_id, float(sim)).threshold
+                assert threshold >= floor_null - 1e-12 or not warm
             checked += 1
     _report("criterion 10 (threshold safety)",
             f"{checked} gate/stream combinations kept every "
-            "post-warmup threshold at or above max(theta_min, null 95th "
-            "percentile)")
+            "post-warmup threshold at or above the null 95th percentile")

@@ -3,7 +3,7 @@ import pytest
 from driftguard import agents, catalog, estimators
 from driftguard.action_space import ActionTuple
 from driftguard.agents import DriftSpec, ExecutionPlan
-from driftguard.errors import InsufficientSamples, UnknownModel, Unrecoverable
+from driftguard.errors import InsufficientSamples, Unrecoverable
 from driftguard.estimators import SAResult
 from driftguard.reward import RewardBreakdown
 from driftguard.schemes import build_method_scheme, build_problem_scheme
@@ -50,16 +50,20 @@ class TestGroupA:
             ok, why = agents.gatekeeper(build_problem_scheme(desc), desc)
             assert not ok and stated in why and "d_in=4, d_out=1" in why
 
-    def test_model_translator(self, ps_eq3):
-        model = agents.model_translator(ps_eq3)
-        assert model.id == "structural_eq3"
+    def test_gatekeeper_rejects_problem_naming_no_model(self):
+        desc = {k: v for k, v in EQ3_PROBLEM.items() if k != "model_id"}
+        ok, why = agents.gatekeeper(build_problem_scheme(desc), desc)
+        assert not ok and why == "problem description names no model"
 
-    def test_model_translator_requires_model_id(self):
+    def test_gatekeeper_checks_feasibility_before_the_model(self,
+                                                            monkeypatch):
         import dataclasses
-        ps = dataclasses.replace(build_problem_scheme(EQ3_PROBLEM),
-                                 model_id="")
-        with pytest.raises(UnknownModel):
-            agents.model_translator(ps)
+        monkeypatch.setattr(catalog, "SA_ESTIMATORS", {
+            e: dataclasses.replace(info, high_d_only=True)
+            for e, info in catalog.SA_ESTIMATORS.items()})
+        desc = {k: v for k, v in EQ3_PROBLEM.items() if k != "model_id"}
+        ok, why = agents.gatekeeper(build_problem_scheme(desc), desc)
+        assert not ok and why == "no feasible estimator for this problem"
 
 
 class TestRenderers:
@@ -118,9 +122,7 @@ class TestInspector:
 
     def test_estimator_mismatch_reason(self, ps_eq3):
         ms = _ms(ps_eq3)
-        plan = ExecutionPlan("Morris", 100,
-                             ("mu_star", "sigma_effects"),
-                             "structural_eq3", 0)
+        plan = ExecutionPlan("Morris", 100, "structural_eq3", 0)
         verdict = agents.inspector_check(plan, ms)
         assert not verdict.approved
         assert any("estimator mismatch" in r for r in verdict.reasons)
@@ -128,9 +130,7 @@ class TestInspector:
 
     def test_undersized_plan_rejected(self, ps_eq3):
         ms = _ms(ps_eq3)
-        plan = ExecutionPlan("Sobol", 50,
-                             ("first_order_indices", "total_order_indices"),
-                             "structural_eq3", 0)
+        plan = ExecutionPlan("Sobol", 50, "structural_eq3", 0)
         verdict = agents.inspector_check(plan, ms)
         assert any("below the estimator minimum" in r
                    for r in verdict.reasons)
@@ -138,8 +138,7 @@ class TestInspector:
 
 class TestExecutionAndDebugger:
     def test_runner_executes_plan(self):
-        plan = ExecutionPlan("Chatterjee", 200,
-                             ("chatterjee_indices",), "structural_eq3", 3)
+        plan = ExecutionPlan("Chatterjee", 200, "structural_eq3", 3)
         obs = agents.execution_runner(plan)
         assert obs.estimator == "Chatterjee"
         assert obs.evaluations_used == 200
@@ -159,7 +158,7 @@ class TestExecutionAndDebugger:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimators, function, spy)
-        plan = ExecutionPlan(estimator, 200, (), "g_function_8d", 3)
+        plan = ExecutionPlan(estimator, 200, "g_function_8d", 3)
         assert agents.execution_runner(plan).estimator == estimator
         assert calls == [function]
 
@@ -169,14 +168,13 @@ class TestExecutionAndDebugger:
     def test_sampling_dimension_reaches_estimator(self, estimator, reached):
         # The sampling level changes what executes only for the estimators
         # that draw their own design; the rest ignore it.
-        plan = ExecutionPlan(estimator, 200, (), "g_function_8d", 3)
+        plan = ExecutionPlan(estimator, 200, "g_function_8d", 3)
         mc, lhs = (agents.execution_runner(plan, scheme).attributes()
                    for scheme in dict(catalog.SA_DIMENSIONS)["D1_sampling"])
         assert (mc != lhs) == reached
 
     def test_debugger_patches_sample_size(self):
-        plan = ExecutionPlan("Chatterjee", 2,
-                             ("chatterjee_indices",), "structural_eq3", 0)
+        plan = ExecutionPlan("Chatterjee", 2, "structural_eq3", 0)
         with pytest.raises(InsufficientSamples) as err:
             agents.execution_runner(plan)
         patched = agents.debugger_fix(plan, err.value)
@@ -185,8 +183,7 @@ class TestExecutionAndDebugger:
             == patched.n_samples
 
     def test_debugger_unknown_error_unrecoverable(self):
-        plan = ExecutionPlan("Sobol", 100,
-                             (), "structural_eq3", 0)
+        plan = ExecutionPlan("Sobol", 100, "structural_eq3", 0)
         with pytest.raises(Unrecoverable):
             agents.debugger_fix(plan, RuntimeError("boom"))
 
@@ -301,7 +298,15 @@ class TestDriftInjection:
                          replacement_value="37", probability=1.0)
         out, event = agents.inject_drift(text, spec, rng_seed=0)
         assert "n_samples=37" in out
-        assert event["kind"] == "field_corruption"
+        assert event == {"kind": "field_corruption", "field": "n_samples",
+                         "to": "37"}
+
+    @pytest.mark.parametrize("kind, field", [
+        ("field_corruption", "estimator"), ("method_swap", "n_samples"),
+        ("method_swap", "seed")])
+    def test_target_field_must_name_the_rewritten_field(self, kind, field):
+        with pytest.raises(ValueError, match="rewrites"):
+            DriftSpec(kind=kind, target_field=field, probability=1.0)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

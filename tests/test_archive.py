@@ -104,8 +104,7 @@ def _trace(ps, estimator: str, reward: float, session_id: str) -> SimTrace:
         action = canonical_action(est)
         trace.records.append(SimRecord(
             n=n, action=action, executed_estimator=est,
-            reward_total=reward / n,
-            features=bandit.encode_features(ps, action)))
+            reward_total=reward / n))
     return trace
 
 
@@ -292,15 +291,14 @@ class TestPersistence:
 
     def test_failed_iterations_stay_out_of_the_entry(self, tmp_path,
                                                      monkeypatch):
-        # A CP2 threshold of 0.6 fails some eq3 iterations. Their records
-        # carry no features, so averaging them in broke the next warm
-        # start and the next load.
+        # A CP2 threshold of 0.68 fails some eq3 iterations. The policy
+        # learned nothing from them, so they stay out of the entry.
         from collections import Counter
         from driftguard import checkpoints
         from driftguard.pipeline import SessionConfig, run_session
         from conftest import EQ3_PROBLEM
         monkeypatch.setitem(checkpoints.CHECKPOINT_TABLE, "CP2",
-                            (0.6, 0.20, True, False, "critic_reject"))
+                            (0.68, True, False, "critic_reject"))
         path = str(tmp_path / "eq3.json")
         a = Archive(path)
         first = run_session(SessionConfig(problem=EQ3_PROBLEM, seed=3),
@@ -316,13 +314,13 @@ class TestPersistence:
         assert all(len(s.phi) == dim for e in Archive(path).entries
                    for _, s in e.per_arm_stats)
         # One failed and one learned iteration of the same estimator.
-        failed_twin = replace(learned[0], failed=True, features=(),
-                              reward_total=0.0)
+        failed_twin = replace(learned[0], failed=True, reward_total=0.0)
         mixed = replace(first, records=[learned[0], failed_twin])
         entry = Archive().record_session(mixed)
         assert dict(entry.per_arm_stats)[learned[0].action.estimator] \
             == arch.ArmStats(count=1, mean_reward=learned[0].reward_total,
-                             phi=learned[0].features)
+                             phi=bandit.encode_features(
+                                 first.problem_scheme, learned[0].action))
         # Only failed iterations: nothing to learn, so the problem's entry
         # and the file stay as they were.
         before = list(a.entries)

@@ -157,7 +157,9 @@ class TestSelectAction:
         close.warm_start(entry.arm_stats_list(), "close")
         weak = bandit.PolicyState()
         weak.warm_start(entry.arm_stats_list(), "weak")
-        assert weak.exploration_mode == "neutral"
+        # The replay leaves the exploration mode as the caller set it.
+        assert weak.exploration_mode == close.exploration_mode \
+            == "explore_max"
         phi = np.asarray(bandit.encode_features(ps_g8,
                                                 canonical_action("Sobol")))
         assert float(weak.posterior_mean @ phi) \

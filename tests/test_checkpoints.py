@@ -7,17 +7,17 @@ from driftguard.checkpoints import (CHECKPOINT_TABLE, DISABLED,
                                     CheckpointManager)
 
 
-NON_INVERTED = [cp for cp, row in CHECKPOINT_TABLE.items() if not row[3]]
+NON_INVERTED = [cp for cp, row in CHECKPOINT_TABLE.items() if not row[2]]
 
 EXPECTED_TABLE = {
-    "CP0": (0.70, 0.70, False, False, "fresh_exploration"),
-    "CP1": (0.25, 0.15, True, False, "abort_session"),
-    "CP2": (0.30, 0.20, True, False, "critic_reject"),
-    "CP3": (0.30, 0.20, False, False, "warn_study_agent"),
-    "CP4": (0.35, 0.25, True, False, "fail_iteration"),
-    "CP5": (0.35, 0.25, True, False, "inspector_reject"),
-    "CP6": (0.30, 0.20, False, False, "warn_advisor"),
-    "CP7": (0.35, 0.25, False, True, "warn_strategist"),
+    "CP0": (0.70, False, False, "fresh_exploration"),
+    "CP1": (0.25, True, False, "abort_session"),
+    "CP2": (0.30, True, False, "critic_reject"),
+    "CP3": (0.30, False, False, "warn_study_agent"),
+    "CP4": (0.35, True, False, "fail_iteration"),
+    "CP5": (0.35, True, False, "inspector_reject"),
+    "CP6": (0.30, False, False, "warn_advisor"),
+    "CP7": (0.35, False, True, "warn_strategist"),
 }
 
 
@@ -26,11 +26,11 @@ class TestTable:
         assert CHECKPOINT_TABLE == EXPECTED_TABLE
 
     def test_blocking_set(self):
-        blocking = {cp for cp, row in CHECKPOINT_TABLE.items() if row[2]}
+        blocking = {cp for cp, row in CHECKPOINT_TABLE.items() if row[1]}
         assert blocking == {"CP1", "CP2", "CP4", "CP5"}
 
     def test_only_novelty_gate_inverted(self):
-        inverted = {cp for cp, row in CHECKPOINT_TABLE.items() if row[3]}
+        inverted = {cp for cp, row in CHECKPOINT_TABLE.items() if row[2]}
         assert inverted == {"CP7"}
 
 
@@ -62,65 +62,60 @@ class TestEvaluate:
 
 
 class TestAdaptiveThreshold:
-    def test_initial_value_until_warmup(self, manager):
-        assert manager.state["CP2"].current() == 0.30
-        manager.evaluate("CP2", 0.9)
-        manager.evaluate("CP2", 0.9)
-        assert manager.state["CP2"].current() == 0.30   # still inside warmup
+    def test_initial_value_until_warmup(self, manager, null_floor):
+        thresholds = [manager.evaluate("CP2", 0.9).threshold
+                      for _ in range(checkpoints._WARMUP + 1)]
+        assert thresholds == [0.30] * checkpoints._WARMUP \
+            + [max(0.30, null_floor)]
 
     def test_adapts_after_warmup(self, manager, null_floor):
-        for _ in range(5):
-            manager.evaluate("CP2", 0.95)
-        # After warmup the gate tightens to theta0 + bonus, unless the null
-        # floor sits higher.
-        floor = max(0.20, null_floor)
-        assert manager.state["CP2"].current() == pytest.approx(
-            max(0.30 + checkpoints._CAP_BONUS, floor))
+        results = [manager.evaluate("CP2", 0.95) for _ in range(5)]
+        # After warmup the gate rises to the null floor, unless its theta0
+        # sits higher.
+        assert results[-1].threshold == max(0.30, null_floor)
 
     def test_floor_respects_null_quantile(self, manager, null_floor):
-        floor = max(CHECKPOINT_TABLE["CP2"][1], null_floor)
-        for sim in (0.31, 0.30, 0.32, 0.31, 0.30, 0.31, 0.30):
-            manager.evaluate("CP2", sim)
-        assert manager.state["CP2"].current() >= floor
+        results = [manager.evaluate("CP2", sim)
+                   for sim in (0.31, 0.30, 0.32, 0.31, 0.30, 0.31, 0.30)]
+        assert all(r.threshold >= null_floor
+                   for r in results[checkpoints._WARMUP:])
 
     def test_failures_do_not_adapt(self, manager):
-        before = manager.state["CP2"].current()
-        for _ in range(10):
-            manager.evaluate("CP2", 0.01)
-        assert manager.state["CP2"].current() == before
+        results = [manager.evaluate("CP2", 0.01) for _ in range(10)]
+        assert {r.threshold for r in results} == {0.30}
+        assert manager.passes["CP2"] == 0
 
     @hyp_settings(max_examples=50, deadline=None)
     @given(sims=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
     def test_threshold_never_below_safety_floor(self, null_floor, sims):
-        # Adversarial similarity streams can never drag a gate below
-        # max(theta_min, null 95th percentile) nor above theta0 + cap.
+        # Adversarial similarity streams can never move a gate off its rule:
+        # theta0 during warmup, then max(theta0, null 95th percentile).
         mgr = CheckpointManager(null_floor)
         for cp_id in NON_INVERTED:
-            theta0, theta_min = CHECKPOINT_TABLE[cp_id][:2]
-            floor = max(theta_min, null_floor)
-            ceiling = theta0 + checkpoints._CAP_BONUS
+            theta0 = CHECKPOINT_TABLE[cp_id][0]
             for sim in sims:
-                mgr.evaluate(cp_id, sim)
-                if mgr.state[cp_id].count >= checkpoints._WARMUP:
-                    assert floor <= mgr.state[cp_id].current() \
-                        <= max(ceiling, floor)
+                warm = mgr.passes[cp_id] >= checkpoints._WARMUP
+                assert mgr.evaluate(cp_id, sim).threshold \
+                    == (max(theta0, null_floor) if warm else theta0)
 
     @pytest.mark.parametrize("cp_id", NON_INVERTED)
     def test_post_warmup_threshold_is_the_rule(self, cp_id):
-        # A null floor below every cap: passes just above theta0 still
-        # tighten the gate to theta0 + bonus, not to the passes' level.
-        mgr = CheckpointManager(0.1)
-        theta0, theta_min = CHECKPOINT_TABLE[cp_id][:2]
-        for _ in range(checkpoints._WARMUP):
-            assert mgr.evaluate(cp_id, theta0 + 0.05).passed
-        assert mgr.state[cp_id].current() == \
-            max(theta0 + checkpoints._CAP_BONUS, theta_min)
+        # Passes just above theta0 move the gate to max(theta0, null
+        # floor), not to the passes' level: theta0 under a low floor, the
+        # floor under a high one.
+        theta0 = CHECKPOINT_TABLE[cp_id][0]
+        for null_floor in (0.1, 0.6):
+            mgr = CheckpointManager(null_floor)
+            for _ in range(checkpoints._WARMUP):
+                assert mgr.evaluate(cp_id, theta0 + 0.05).passed
+            assert mgr.evaluate(cp_id, theta0 + 0.05).threshold \
+                == max(theta0, null_floor)
 
     def test_inverted_gate_keeps_theta0(self, manager):
-        for _ in range(10):
-            assert manager.evaluate("CP7", 0.0).passed
-        assert manager.state["CP7"].count == 0
-        assert manager.state["CP7"].current() == CHECKPOINT_TABLE["CP7"][0]
+        results = [manager.evaluate("CP7", 0.0) for _ in range(10)]
+        assert all(r.passed for r in results)
+        assert manager.passes["CP7"] == 0
+        assert {r.threshold for r in results} == {CHECKPOINT_TABLE["CP7"][0]}
 
 
 class TestCP0:

@@ -21,11 +21,6 @@ def _write(tmp_path, doc, name="config.json"):
     return str(path)
 
 
-@pytest.fixture(autouse=True)
-def _no_env_out(monkeypatch):
-    monkeypatch.delenv("DRIFTGUARD_OUT", raising=False)
-
-
 BASE_RUN = {"problem": EQ3_PROBLEM, "n_max": 2, "seed": 1,
             "session_id": "cli-test"}
 
@@ -73,14 +68,13 @@ class TestRun:
               "--seed-override", "99"])
         assert (out / "cli-test.trace.jsonl").exists()
 
-    def test_env_var_overrides_out(self, tmp_path, monkeypatch):
+    def test_empty_out_writes_to_the_working_directory(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cfg = _write(tmp_path, BASE_RUN)
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv("DRIFTGUARD_OUT", str(env_dir))
-        main(["run", "--config", cfg, "--out", str(tmp_path / "ignored"),
-              "--quiet"])
-        assert (env_dir / "cli-test.trace.jsonl").exists()
-        assert not (tmp_path / "ignored").exists()
+        assert main(["run", "--config", cfg, "--out", "", "--quiet"]) \
+            == EXIT_OK
+        assert (tmp_path / "cli-test.trace.jsonl").exists()
 
     def test_quiet_suppresses_output(self, tmp_path, capsys):
         cfg = _write(tmp_path, BASE_RUN)
@@ -115,6 +109,23 @@ class TestRun:
         assert code == EXIT_ABORTED
         header = (tmp_path / "cli-test-only-s1.trace.jsonl").read_text()
         assert json.loads(header.splitlines()[0])["outcome"] == "aborted"
+
+    @pytest.mark.parametrize("warm_start", [
+        None, {"estimator": "Sobol", "mean_reward": 91.0}])
+    def test_invalid_problem_exits_2_with_or_without_warm_start(
+            self, tmp_path, warm_start):
+        # The warm start is seeded from the problem only when intake could
+        # build it; an invalid problem is left for intake to reject.
+        with open(os.path.join(CONFIGS, "beam.json")) as fh:
+            doc = json.load(fh)
+        doc["problem"]["n_budget"] = 0
+        if warm_start:
+            doc["warm_start"] = warm_start
+        code = main(["run", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path), "--quiet"])
+        assert code == EXIT_ABORTED
+        summary = json.loads((tmp_path / "beam.summary.json").read_text())
+        assert "budget must be positive" in summary["abort_reason"]
 
 
 class TestBadConfig:
@@ -202,6 +213,10 @@ class TestBadConfig:
                 ("run", {**BASE_RUN, "drift": "method_swap"}),
                 ("run", {**BASE_RUN, "drift": {"kind": "method_swap",
                                                "activation_iteration": "2"}}),
+                # A drift spec names the field its kind rewrites.
+                ("run", {**BASE_RUN, "drift": {"kind": "field_corruption",
+                                               "replacement_value": "1",
+                                               "probability": 1.0}}),
                 ("run", {**BASE_RUN, "archive_path": 5}),
                 ("run", {**BASE_RUN, "problem": {**EQ3_PROBLEM,
                                                  "model_id": ["x"]}}),

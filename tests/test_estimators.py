@@ -435,7 +435,7 @@ class TestDispatch:
         assert res.estimator == "Chatterjee"
 
     def test_unknown_executor(self, g8):
-        plan = ExecutionPlan("Kriging", 100, (), g8.id, 0)
+        plan = ExecutionPlan("Kriging", 100, g8.id, 0)
         with pytest.raises(UnknownEstimator):
             agents.execution_runner(plan)
 

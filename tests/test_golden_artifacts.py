@@ -62,15 +62,13 @@ def artifact_digests(work: str) -> dict[str, str]:
     return digests
 
 
-def test_shipped_configs_write_golden_bytes(tmp_path, monkeypatch):
-    monkeypatch.delenv("DRIFTGUARD_OUT", raising=False)
+def test_shipped_configs_write_golden_bytes(tmp_path):
     with open(TABLE, encoding="utf-8") as fh:
         expected = json.load(fh)
     assert artifact_digests(str(tmp_path)) == expected
 
 
 if __name__ == "__main__":
-    os.environ.pop("DRIFTGUARD_OUT", None)
     with tempfile.TemporaryDirectory() as work:
         json.dump(artifact_digests(work), sys.stdout, indent=2,
                   sort_keys=True)

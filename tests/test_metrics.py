@@ -13,8 +13,7 @@ def _trace(pairs):
     t = SimTrace(session_id="t", problem_scheme=None)
     for n, (est, r) in enumerate(pairs, start=1):
         t.records.append(SimRecord(n=n, action=canonical_action(est),
-                                   executed_estimator=est, reward_total=r,
-                                   features=()))
+                                   executed_estimator=est, reward_total=r))
     return t
 
 

@@ -1,16 +1,17 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from driftguard import agents, cli
-from driftguard.agents import DriftSpec
+from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.archive import Archive
 from driftguard.checkpoints import CHECKPOINT_TABLE, DISABLED
 from driftguard.errors import InsufficientSamples, UnknownModel
 from driftguard.estimators import SAResult
-from driftguard.pipeline import (SessionConfig, run_session,
+from driftguard.pipeline import (IterationRecord, SessionConfig,
+                                 SessionTrace, run_session,
                                  submartingale_flags, write_trace)
 from driftguard.simenv import canonical_action
 
@@ -34,7 +35,6 @@ class TestSessionBasics:
         rec = trace.records[0]
         assert rec.n == 1
         assert rec.action.estimator in trace.problem_scheme.feasible_sa_estimators
-        assert len(rec.features) > 0
 
     def test_deterministic_given_seed(self, tmp_path):
         paths = []
@@ -60,7 +60,8 @@ class TestSessionBasics:
         # The diagnosis and the advisor judge against the session's
         # threshold, not a default one.
         assert trace.records[-1].diagnostic.convergence_status == "converged"
-        assert "meets the precision target" in trace.records[-1].advisor_text
+        assert "meets the precision target" \
+            in trace.records[-1].diagnostic.physical_insight
 
     def test_aborted_on_unknown_model(self):
         cfg = _cfg(problem={**EQ3_PROBLEM, "model_id": "ghost"})
@@ -68,6 +69,8 @@ class TestSessionBasics:
         assert trace.outcome == "aborted"
         assert "ghost" in trace.abort_reason
         assert trace.records == []
+        assert (trace.cp0.match, trace.cp0.exploration_mode) \
+            == ("none", "explore_max")
 
     def test_aborted_on_bad_problem(self):
         cfg = _cfg(problem={"task": "SA", "d_in": 4})
@@ -135,7 +138,7 @@ class TestCheckpointWiring:
 
     def test_screening_first_on_high_dim_cold_start(self):
         trace = run_session(_cfg(problem=G8_PROBLEM, seed=4))
-        assert trace.cp0_screening_first
+        assert trace.cp0.screening_first
         assert trace.records[0].action.estimator == "Morris"
 
     def test_warm_start_skips_screening(self, ps_g8):
@@ -143,9 +146,9 @@ class TestCheckpointWiring:
         archive.seed_entry(ps_g8, canonical_action("Sobol"), 91.0)
         trace = run_session(_cfg(problem=G8_PROBLEM, seed=4,
                                  record_to_archive=False), archive=archive)
-        assert trace.cp0_match == "close"
-        assert trace.cp0_mode == "exploit"
-        assert not trace.cp0_screening_first
+        assert trace.cp0.match == "close"
+        assert trace.cp0.exploration_mode == "exploit"
+        assert not trace.cp0.screening_first
         assert trace.records[0].action.estimator == "Sobol"
 
 
@@ -205,8 +208,9 @@ class TestBlockedSteps:
         _block_always(monkeypatch, "CP2")
         rec = self._first()
         assert [e.verdict for e in self._cps(rec, "CP2")] == ["block"] * 2
-        assert rec.failed and rec.plan is None and rec.features == ()
-        assert rec.advisor_text == "critic rejected the re-selection"
+        assert rec.failed and rec.plan is None
+        assert rec.diagnostic.physical_insight \
+            == "critic rejected the re-selection"
         assert not self._cps(rec, "CP4")
 
     def test_cp4_block_has_no_remedy(self, monkeypatch):
@@ -215,14 +219,16 @@ class TestBlockedSteps:
         assert [e.failure_action for e in self._cps(rec, "CP4")] \
             == ["fail_iteration"]
         assert rec.failed and rec.plan is None
-        assert rec.advisor_text == "study comprehension gate blocked"
+        assert rec.diagnostic.physical_insight \
+            == "study comprehension gate blocked"
 
     def test_cp5_rebuilds_once_then_fails(self, monkeypatch):
         _block_always(monkeypatch, "CP5")
         rec = self._first()
         assert [e.verdict for e in self._cps(rec, "CP5")] == ["block"] * 2
         assert rec.failed and rec.plan is None
-        assert rec.advisor_text == "inspector rejected the rebuilt plan"
+        assert rec.diagnostic.physical_insight \
+            == "inspector rejected the rebuilt plan"
 
     def test_inspector_rejects_a_plan_the_cosine_passes(self):
         # n_samples=1 reads close to the strategy, but the Inspector finds
@@ -264,8 +270,9 @@ class TestBlockedSteps:
         rec = self._first()
         assert len(calls) == runs
         assert rec.observation is None and not rec.failed
-        assert rec.advisor_text.startswith("execution crashed")
-        assert rec.reward_total == 0.0 and rec.features
+        assert rec.diagnostic.physical_insight.startswith(
+            "execution crashed")
+        assert rec.reward_total == 0.0
 
     def test_cp1_block_aborts_the_session(self, monkeypatch):
         _block_always(monkeypatch, "CP1")
@@ -334,6 +341,23 @@ class TestTraceSerialization:
         row = json.loads(lines[1])
         assert {"n", "action", "mismatch", "reward", "checkpoint_events",
                 "diagnostic"} <= set(row)
+        assert row["advisor_text"] \
+            == trace.records[0].diagnostic.physical_insight
+
+    def test_records_hold_each_fact_once(self):
+        # Derived facts are properties, not fields: a plan's bindings come
+        # from its catalog row, a trace's id from its config, and a record's
+        # advisor text and policy features from its diagnosis and action.
+        assert [f.name for f in fields(ExecutionPlan)] \
+            == ["estimator", "n_samples", "model_id", "seed"]
+        assert [f.name for f in fields(IterationRecord)] == [
+            "n", "action", "plan", "observation", "reward_total",
+            "reward_components", "checkpoint_events", "drift_events",
+            "diagnostic", "strategy_text", "failed"]
+        assert [f.name for f in fields(SessionTrace)] == [
+            "config", "problem_scheme", "records", "outcome", "best_reward",
+            "iterations_to_converge", "cp0", "policy_snapshot",
+            "abort_reason"]
 
 
 class TestAblationSuite:
