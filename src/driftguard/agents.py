@@ -3,7 +3,8 @@ the Inspector's structural checklist, and the Debugger's patch rules.
 
 Generated "code" is a structured ExecutionPlan; every checkpoint text is
 rendered from structured state by a deterministic pretty-printer, so cosine
-gates operate on realistic prose without LLM nondeterminism.
+gates operate on realistic prose without LLM nondeterminism.  The Advisor
+hands over a diagnosis record; only the Refactor Agent and drift read text.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import catalog
+from . import catalog, schemes
 from .errors import InsufficientSamples, Unrecoverable
 from .estimators import SAResult, benchmark_catalog, get_model
-from .schemes import N_SAMPLES_RE, MethodScheme, ProblemScheme
+from .schemes import MethodScheme, ProblemScheme
 
 #: drift kind -> the plan field it rewrites
 DRIFT_KINDS = {"method_swap": "estimator", "field_corruption": "n_samples",
@@ -186,6 +187,9 @@ def gatekeeper(ps: ProblemScheme, desc: dict) -> tuple[bool, str]:
 
 _EST_TOKEN = re.compile(r"\b(%s)\b" % "|".join(catalog.SA_ESTIMATORS),
                         re.IGNORECASE)
+# The sample size as every rendered text states it; the Refactor Agent and
+# the field-corruption drift read and rewrite it with the same pattern.
+_N_SAMPLES_RE = re.compile(r"n_samples\s*[=:]\s*(\d+)")
 
 
 def refactor_agent(report_text: str, model_id: str, seed: int,
@@ -202,7 +206,7 @@ def refactor_agent(report_text: str, model_id: str, seed: int,
                          if e.lower() == token.lower())
     else:
         estimator = fallback.estimator
-    n_match = N_SAMPLES_RE.search(report_text)
+    n_match = _N_SAMPLES_RE.search(report_text)
     n_samples = int(n_match.group(1)) if n_match else fallback.n_samples
     return ExecutionPlan(estimator=estimator, n_samples=n_samples,
                          model_id=model_id, seed=seed)
@@ -219,18 +223,15 @@ def inspector_check(plan: ExecutionPlan, ms: MethodScheme) -> InspectorVerdict:
                if a not in plan.output_bindings]
     if missing:
         reasons.append("missing required bindings: " + ", ".join(missing))
-    info = catalog.estimator_info(plan.estimator) if not reasons else None
-    if info is not None:
-        n = plan.n_samples
-        d = _plan_dim(plan)
-        if d and info.cost(n, d) < info.n_min(d):
-            reasons.append(f"n_samples={n} below the estimator minimum")
+    if not reasons and plan.n_samples < _min_samples(plan):
+        reasons.append(f"n_samples={plan.n_samples} below the estimator "
+                       "minimum")
     return InspectorVerdict(approved=not reasons, reasons=tuple(reasons))
 
 
-def _plan_dim(plan: ExecutionPlan) -> int:
-    model = benchmark_catalog().get(plan.model_id)
-    return model.d_in if model is not None else 0
+def _min_samples(plan: ExecutionPlan) -> int:
+    return catalog.estimator_info(plan.estimator).min_samples(
+        get_model(plan.model_id).d_in)
 
 
 def execution_runner(plan: ExecutionPlan, sampling_scheme: str = "MonteCarlo"
@@ -245,36 +246,40 @@ def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:
     """Rule-table patches: known error classes map to field patches;
     anything else is unrecoverable."""
     if isinstance(error, InsufficientSamples):
-        info = catalog.estimator_info(plan.estimator)
-        d = _plan_dim(plan)
-        n_min = info.n_min(d) if d else 10
-        new_n = max(n_min // max(info.cost_multiplier(d or 1), 1), 10)
-        return replace(plan, n_samples=new_n)
+        return replace(plan, n_samples=_min_samples(plan))
     raise Unrecoverable(f"no patch rule for {type(error).__name__}: {error}")
 
 
 def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
                    ps: ProblemScheme, r_threshold: float,
-                   avoid: frozenset[str] = frozenset()) -> str:
-    """Deterministic post-execution review; its wording drives the
-    diagnostic root-cause rules downstream. A total at or above the
-    session's ``r_threshold`` meets the precision target."""
+                   avoid: frozenset[str] = frozenset()
+                   ) -> schemes.DiagnosticScheme:
+    """Deterministic post-execution review.  Each branch states its root
+    cause and prescription, and its prose becomes the diagnosis's
+    ``physical_insight``.  A total at or above the session's
+    ``r_threshold`` meets the precision target."""
+    diagnosis = functools.partial(schemes.build_diagnostic_scheme,
+                                  breakdown=breakdown, r_threshold=r_threshold)
     if obs is None:
-        return ("execution crashed before producing results; numerical run "
-                "unrecoverable. recommend reviewing the implementation.")
+        return diagnosis("execution crashed before producing results; "
+                         "numerical run unrecoverable. recommend reviewing "
+                         "the implementation.", "numerical_degeneracy")
     attrs = obs.attributes()
     missing = [a for a in ms.info.bindings if a not in attrs]
     if missing:
-        return ("required attribute " + " and ".join(missing)
-                + " absent from the observation; the executed method does "
-                "not produce the outputs the scheme demands.")
+        return diagnosis("required attribute " + " and ".join(missing)
+                         + " absent from the observation; the executed "
+                         "method does not produce the outputs the scheme "
+                         "demands.", "attribute_error")
     if obs.nan_count > 0:
-        return ("numerical degeneracy: nan entries present in the computed "
-                "indices; the output variance may be degenerate.")
+        return diagnosis("numerical degeneracy: nan entries present in the "
+                         "computed indices; the output variance may be "
+                         "degenerate.", "numerical_degeneracy")
     if breakdown.total >= r_threshold:
-        return (f"{ms.estimator} indices successfully computed from "
-                f"{obs.evaluations_used} evaluations; all consistency checks "
-                "passed and the estimate meets the precision target.")
+        return diagnosis(f"{ms.estimator} indices successfully computed "
+                         f"from {obs.evaluations_used} evaluations; all "
+                         "consistency checks passed and the estimate meets "
+                         "the precision target.", "none")
     # Partial convergence: advise a method change when the current scheme
     # cannot report first-order variance attribution (or only simulates it)
     # and a real alternative that does is still untried.
@@ -285,14 +290,17 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
             and e not in avoid and e != ms.estimator]
     if needs_swap and pool:
         target = pool[0]
-        return (f"indices computed but convergence is partial; the chosen "
-                f"method reports {ms.info.index_type} measures while the "
-                f"study requires first-order variance attribution. this looks "
-                f"like a wrong estimator for the precision target. "
-                f"prescribe estimator {target}.")
-    return (f"estimate has not yet reached the precision target; sampling "
-            f"appears insufficient at n_samples={ms.n_samples}. recommend "
-            f"increasing the sample size.")
+        return diagnosis(
+            f"indices computed but convergence is partial; the chosen "
+            f"method reports {ms.info.index_type} measures while the study "
+            f"requires first-order variance attribution. this looks like a "
+            f"wrong estimator for the precision target. prescribe estimator "
+            f"{target}.", "wrong_estimator", prescribed_estimator=target)
+    return diagnosis(f"estimate has not yet reached the precision target; "
+                     f"sampling appears insufficient at n_samples="
+                     f"{ms.n_samples}. recommend increasing the sample "
+                     f"size.", "insufficient_N",
+                     prescribed_n_samples=2 * ms.n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +339,7 @@ def inject_drift(text: str, spec: DriftSpec, rng_seed: int,
                  "from": source, "to": target}
         return mutated, event
     if spec.kind == "field_corruption":
-        mutated = N_SAMPLES_RE.sub(f"n_samples={spec.replacement_value}",
+        mutated = _N_SAMPLES_RE.sub(f"n_samples={spec.replacement_value}",
                                    text)
         event = {"kind": spec.kind, "field": spec.target_field,
                  "to": spec.replacement_value}

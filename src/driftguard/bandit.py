@@ -236,9 +236,7 @@ def select_action(st: PolicyState, ps: ProblemScheme,
         n_samples = default_n_samples(action.estimator, ps)
     # A size prescribed for a different estimator may undershoot this one's
     # minimum, so clamp up to its per-loop floor.
-    info = catalog.estimator_info(action.estimator)
-    floor = -(-info.n_min(ps.d_in) // info.cost_multiplier(ps.d_in))
-
+    floor = catalog.estimator_info(action.estimator).min_samples(ps.d_in)
     ms = build_method_scheme(action, ps, max(n_samples, floor))
     return PolicyDecision(
         action=action, method_scheme=ms,

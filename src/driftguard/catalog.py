@@ -46,6 +46,10 @@ class EstimatorInfo:
     def cost(self, n_samples: int, d_in: int) -> int:
         return n_samples * self.cost_multiplier(d_in)
 
+    def min_samples(self, d_in: int) -> int:
+        """The per-loop sample floor: fewest samples costing ``n_min``."""
+        return -(-self.n_min(d_in) // self.cost_multiplier(d_in))
+
     @functools.cached_property
     def bindings(self) -> tuple[str, ...]:
         """The attribute names a plan running this estimator binds."""

@@ -268,16 +268,10 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
         raise InsufficientSamples("pick-freeze requires n >= 2")
     rng = np.random.default_rng(seed)
     d = m.d_in
-    ua = (_latin_hypercube(n, d, rng)
-          if scheme == "LatinHypercube" else rng.random((n, d)))
-    ub = (_latin_hypercube(n, d, rng)
-          if scheme == "LatinHypercube" else rng.random((n, d)))
     # transform maps each column on its own, so a hybrid of xa and xb has
-    # the bits of the transformed unit-space hybrid.  Only xa and xb are
-    # needed from here on; freeing ua and ub lowers the peak memory.
-    xa = m.transform(ua)
-    xb = m.transform(ub)
-    del ua, ub
+    # the bits of the transformed unit-space hybrid.
+    xa = m.sample_inputs(n, rng, scheme)
+    xb = m.sample_inputs(n, rng, scheme)
     fa = np.asarray(m.evaluate(xa), dtype=float).reshape(n, -1)[:, 0]
     fb = np.asarray(m.evaluate(xb), dtype=float).reshape(n, -1)[:, 0]
     total = np.concatenate([fa, fb])

@@ -7,8 +7,8 @@ strategy text, and a failed execution gets one Debugger patch; a CP4 block
 has no remedy. A second CP2 or CP5 block, or a CP4 block, ends the
 iteration with a failed record; a second failed execution scores a crash.
 
-A record stores each fact once: its advisor text is its diagnosis's
-``physical_insight``, and its policy features follow from its action.
+The Advisor hands over the diagnosis, whose prose CP6 reads. A record
+stores each fact once: its policy features follow from its action.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .embedding import calibrate_null, shipped_corpus, similarity
 from .errors import DriftguardError
 from .estimators import SAResult, get_model
 from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
-    build_diagnostic_scheme, build_problem_scheme
+    build_problem_scheme
 
 
 @dataclass(frozen=True)
@@ -245,16 +245,14 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     breakdown = reward_mod.score(
         ms, obs, model=state.model, epsilon=ps.epsilon,
         prev_obs=state.prev_obs_by_estimator.get(plan.estimator))
-    advisor_text = agents.advisor_report(
-        ms, obs, breakdown, ps, cfg.r_threshold,
-        avoid=frozenset(state.failed_estimators))
+    diag = agents.advisor_report(ms, obs, breakdown, ps, cfg.r_threshold,
+                                 avoid=frozenset(state.failed_estimators))
     if obs is not None:
         events.append(manager.evaluate(
             "CP6", similarity(agents.render_observation_text(obs),
-                              advisor_text)))
+                              diag.physical_insight)))
 
-    # (register) Diagnosis, submartingale flags, policy update.
-    diag = build_diagnostic_scheme(advisor_text, breakdown, cfg.r_threshold)
+    # (register) Blocked estimators, submartingale flags, policy update.
     if diag.block_action:
         state.failed_estimators.add(ms.estimator)
     state.flags = submartingale_flags(state.prev_reward, breakdown.total, obs)

@@ -1,6 +1,7 @@
 """The problem record and the structured inter-agent scheme types, all
 immutable.  A method scheme holds what a decision chose and reads the rest
-from its catalog row.  Traces carry each diagnostic as a JSON object of its
+from its catalog row, and a diagnosis takes its cause and prescription
+from the Advisor.  Traces carry each diagnostic as a JSON object of its
 fields plus a ``__kind__`` tag; nothing reads schemes back from text.
 """
 
@@ -8,13 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 
 from . import catalog
 from .action_space import ActionTuple
-from .errors import InvalidProblem, UnknownEstimator
+from .errors import InvalidProblem
 from .reward import COMPONENT_CAPS
 
 DIST_FAMILIES = ("Uniform", "Normal", "Other")
@@ -82,7 +82,7 @@ class DiagnosticScheme:
     convergence_status: str    # converged | partial | failed
     bottleneck_dim: str
     reward: float
-    root_cause: str            # a cause in _ROOT_CAUSE_RULES, or none
+    root_cause: str            # as the Advisor's branch states it
     prescribed_estimator: str | None
     prescribed_n_samples: int | None
     penalize_action: bool
@@ -133,51 +133,18 @@ def build_method_scheme(action: ActionTuple, ps: ProblemScheme,
                         n_min_value=n_min_value, budget_status=budget_status)
 
 
-# The sample size as every rendered text states it; the Refactor Agent and
-# the field-corruption drift read and rewrite it with the same pattern.
-N_SAMPLES_RE = re.compile(r"n_samples\s*[=:]\s*(\d+)")
-_PRESCRIBE_RE = re.compile(r"prescribe estimator (\w+)", re.IGNORECASE)
-
-# Ordered first-match rules: (keyword, root_cause).
-_ROOT_CAUSE_RULES = (
-    ("attribute", "attribute_error"),
-    ("wrong estimator", "wrong_estimator"),
-    ("insufficient", "insufficient_N"),
-    ("degenerate", "numerical_degeneracy"),
-    ("nan", "numerical_degeneracy"),
-    ("numerical", "numerical_degeneracy"),
-)
-
-
-def build_diagnostic_scheme(report: str, breakdown,
-                            r_threshold: float) -> DiagnosticScheme:
-    """Deterministic keyword-pattern diagnosis; pure for fixed inputs. A
-    total at or above the session's ``r_threshold`` is converged."""
-    text = (report or "").lower()
-    root_cause = "none"
-    for keyword, cause in _ROOT_CAUSE_RULES:
-        if keyword in text:
-            root_cause = cause
-            break
-
+def build_diagnostic_scheme(report: str, root_cause: str, breakdown,
+                            r_threshold: float,
+                            prescribed_estimator: str | None = None,
+                            prescribed_n_samples: int | None = None
+                            ) -> DiagnosticScheme:
+    """The diagnosis of a review stating its cause and prescription: adds
+    the bottleneck, status, reward and actions.  A total at or above the
+    session's ``r_threshold`` is converged."""
     # The lowest share of its cap; ties go to the earlier component.
     ratios = {c: getattr(breakdown, c) / cap
               for c, cap in COMPONENT_CAPS.items()}
     bottleneck = min(ratios, key=ratios.get)
-
-    prescribed_estimator = None
-    match = _PRESCRIBE_RE.search(report or "")
-    if match:
-        try:
-            prescribed_estimator = catalog.estimator_info(match.group(1)).id
-        except UnknownEstimator:
-            prescribed_estimator = None
-
-    # An insufficient sample prescribes twice the size the report states.
-    prescribed_n_samples = None
-    n_match = N_SAMPLES_RE.search(text)
-    if root_cause == "insufficient_N" and n_match:
-        prescribed_n_samples = 2 * int(n_match.group(1))
 
     block = root_cause == "attribute_error"
     if breakdown.total >= r_threshold:
@@ -196,5 +163,5 @@ def build_diagnostic_scheme(report: str, breakdown,
         prescribed_n_samples=prescribed_n_samples,
         penalize_action=block or root_cause == "wrong_estimator",
         block_action=block,
-        physical_insight=report or "",
+        physical_insight=report,
     )

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from driftguard import agents, catalog, estimators
@@ -6,7 +8,8 @@ from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.errors import InsufficientSamples, Unrecoverable
 from driftguard.estimators import SAResult
 from driftguard.reward import RewardBreakdown
-from driftguard.schemes import build_method_scheme, build_problem_scheme
+from driftguard.schemes import (build_diagnostic_scheme, build_method_scheme,
+                                build_problem_scheme)
 
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
@@ -182,65 +185,151 @@ class TestExecutionAndDebugger:
         assert agents.execution_runner(patched).evaluations_used \
             == patched.n_samples
 
+    @pytest.mark.parametrize("estimator", sorted(catalog.SA_ESTIMATORS))
+    def test_debugger_patch_passes_the_inspector(self, estimator):
+        # The Debugger patches to the one floor the Inspector checks.
+        for model in estimators.benchmark_catalog().values():
+            ps = build_problem_scheme({"task": "SA", "model_id": model.id,
+                                       "d_in": model.d_in,
+                                       "d_out": model.d_out,
+                                       "n_budget": 10_000})
+            ms = _ms(ps, estimator, n=2)
+            plan = ExecutionPlan(estimator, 2, model.id, 0)
+            patched = agents.debugger_fix(plan, InsufficientSamples("low"))
+            assert not agents.inspector_check(plan, ms).approved
+            assert agents.inspector_check(patched, ms).approved
+            assert patched.n_samples == catalog.estimator_info(
+                estimator).min_samples(model.d_in)
+
     def test_debugger_unknown_error_unrecoverable(self):
         plan = ExecutionPlan("Sobol", 100, "structural_eq3", 0)
         with pytest.raises(Unrecoverable):
             agents.debugger_fix(plan, RuntimeError("boom"))
 
 
+# The keyword parse that once read the diagnosis back out of the Advisor's
+# prose, kept as an oracle: every branch must state what it would find.
+_ROOT_CAUSE_RULES = (
+    ("attribute", "attribute_error"),
+    ("wrong estimator", "wrong_estimator"),
+    ("insufficient", "insufficient_N"),
+    ("degenerate", "numerical_degeneracy"),
+    ("nan", "numerical_degeneracy"),
+    ("numerical", "numerical_degeneracy"),
+)
+
+
+def _keyword_diagnosis(report, breakdown, r_threshold):
+    text = report.lower()
+    cause = next((c for k, c in _ROOT_CAUSE_RULES if k in text), "none")
+    match = re.search(r"prescribe estimator (\w+)", report, re.IGNORECASE)
+    estimator = None
+    if match and match.group(1) in catalog.SA_ESTIMATORS:
+        estimator = match.group(1)
+    n_match = re.search(r"n_samples\s*[=:]\s*(\d+)", text)
+    n_samples = 2 * int(n_match.group(1)) \
+        if cause == "insufficient_N" and n_match else None
+    return build_diagnostic_scheme(report, cause, breakdown, r_threshold,
+                                   estimator, n_samples)
+
+
+def _breakdown(total):
+    return RewardBreakdown(min(total, 35.0), max(0.0, min(total - 35.0, 35.0)),
+                           max(0.0, min(total - 70.0, 15.0)),
+                           max(0.0, total - 85.0), ())
+
+
+_SOBOL_OBS = SAResult(estimator="Sobol", s1=(0.5, 0.3, 0.1, 0.05),
+                      st=(0.6, 0.35, 0.12, 0.06), evaluations_used=6000)
+_RANK_OBS = SAResult(estimator="Chatterjee",
+                     rank_indices=(0.5, 0.3, 0.1, 0.05), evaluations_used=1000)
+_MORRIS_OBS = SAResult(estimator="Morris", mu_star=(1.0,) * 4,
+                       sigma=(0.1,) * 4, evaluations_used=500)
+_NAN_OBS = SAResult(estimator="Sobol", s1=(float("nan"),) * 4,
+                    st=(float("nan"),) * 4, evaluations_used=6000,
+                    nan_count=8)
+
+# name -> (estimator, observation, total, avoid)
+_ADVISOR_BRANCHES = {
+    "crash": ("Sobol", None, 0.0, ()),
+    "missing_attribute": ("Sobol", _MORRIS_OBS, 20.0, ()),
+    "nan": ("Sobol", _NAN_OBS, 30.0, ()),
+    "converged": ("Sobol", _SOBOL_OBS, 92.0, ()),
+    "swap": ("Chatterjee", _RANK_OBS, 60.0, ()),
+    "swap_with_avoid": ("Chatterjee", _RANK_OBS, 60.0, ("Sobol",)),
+    "insufficient_samples": ("Sobol", _SOBOL_OBS, 60.0, ()),
+}
+
+
+def _produced_obs(estimator):
+    produces = catalog.estimator_info(estimator).produces
+    return SAResult(estimator=estimator, evaluations_used=1000,
+                    **{f: (0.5, 0.3, 0.1, 0.05) for f in produces})
+
+
 class TestAdvisor:
-    def _breakdown(self, total):
-        return RewardBreakdown(min(total, 35.0),
-                               max(0.0, min(total - 35.0, 35.0)),
-                               max(0.0, min(total - 70.0, 15.0)),
-                               max(0.0, total - 85.0), ())
+    def _diagnose(self, ps, name):
+        estimator, obs, total, avoid = _ADVISOR_BRANCHES[name]
+        return agents.advisor_report(_ms(ps, estimator), obs,
+                                     _breakdown(total), ps, 85.0,
+                                     avoid=frozenset(avoid))
 
     def test_crash_report(self, ps_eq3):
-        text = agents.advisor_report(_ms(ps_eq3), None,
-                                     self._breakdown(0), ps_eq3, 85.0)
-        assert "unrecoverable" in text
+        diag = self._diagnose(ps_eq3, "crash")
+        assert "unrecoverable" in diag.physical_insight
+        assert diag.root_cause == "numerical_degeneracy"
+        assert diag.convergence_status == "failed"
+        assert not diag.penalize_action
 
     def test_missing_attribute_report(self, ps_eq3):
-        ms = _ms(ps_eq3)                                # requires s1 and st
-        obs = SAResult(estimator="Morris", mu_star=(1.0,) * 4,
-                       sigma=(0.1,) * 4, evaluations_used=500)
-        text = agents.advisor_report(ms, obs, self._breakdown(20),
-                                     ps_eq3, 85.0)
-        assert "required attribute" in text
+        diag = self._diagnose(ps_eq3, "missing_attribute")  # Sobol needs s1
+        assert "required attribute" in diag.physical_insight
+        assert diag.root_cause == "attribute_error"
+        assert diag.block_action and diag.penalize_action
 
     def test_converged_report(self, ps_eq3):
-        obs = SAResult(estimator="Sobol", s1=(0.5, 0.3, 0.1, 0.05),
-                       st=(0.6, 0.35, 0.12, 0.06), evaluations_used=6000)
-        text = agents.advisor_report(_ms(ps_eq3), obs,
-                                     self._breakdown(92), ps_eq3, 85.0)
-        assert "successfully computed" in text
+        diag = self._diagnose(ps_eq3, "converged")
+        assert "successfully computed" in diag.physical_insight
+        assert diag.root_cause == "none"
+        assert diag.convergence_status == "converged"
+        assert diag.prescribed_estimator is diag.prescribed_n_samples is None
 
     def test_partial_rank_method_prescribes_swap(self, ps_eq3):
-        ms = _ms(ps_eq3, estimator="Chatterjee")        # no s1 output
-        obs = SAResult(estimator="Chatterjee",
-                       rank_indices=(0.5, 0.3, 0.1, 0.05),
-                       evaluations_used=1000)
-        text = agents.advisor_report(ms, obs, self._breakdown(60),
-                                     ps_eq3, 85.0)
-        assert "wrong estimator" in text
-        assert "prescribe estimator Sobol" in text
+        diag = self._diagnose(ps_eq3, "swap")               # no s1 output
+        assert "wrong estimator" in diag.physical_insight
+        assert "prescribe estimator Sobol" in diag.physical_insight
+        assert diag.root_cause == "wrong_estimator"
+        assert diag.prescribed_estimator == "Sobol"
+        assert diag.penalize_action and not diag.block_action
 
     def test_avoid_list_redirects_prescription(self, ps_eq3):
-        ms = _ms(ps_eq3, estimator="Chatterjee")
-        obs = SAResult(estimator="Chatterjee",
-                       rank_indices=(0.5, 0.3, 0.1, 0.05),
-                       evaluations_used=1000)
-        text = agents.advisor_report(ms, obs, self._breakdown(60), ps_eq3,
-                                     85.0, avoid=frozenset({"Sobol"}))
-        assert "prescribe estimator CVM" in text
+        diag = self._diagnose(ps_eq3, "swap_with_avoid")
+        assert "prescribe estimator CVM" in diag.physical_insight
+        assert diag.prescribed_estimator == "CVM"
 
     def test_partial_real_s1_method_asks_for_more_samples(self, ps_eq3):
-        ms = _ms(ps_eq3, estimator="Sobol", n=1000)
-        obs = SAResult(estimator="Sobol", s1=(0.5, 0.3, 0.1, 0.05),
-                       st=(0.6, 0.35, 0.12, 0.06), evaluations_used=6000)
-        text = agents.advisor_report(ms, obs, self._breakdown(60),
-                                     ps_eq3, 85.0)
-        assert "insufficient at n_samples=1000" in text
+        diag = self._diagnose(ps_eq3, "insufficient_samples")
+        assert "insufficient at n_samples=1000" in diag.physical_insight
+        assert diag.root_cause == "insufficient_N"
+        assert diag.prescribed_n_samples == 2000
+        assert diag.prescribed_estimator is None
+
+    @pytest.mark.parametrize("name", sorted(_ADVISOR_BRANCHES))
+    def test_branch_states_what_its_prose_says(self, ps_eq3, name):
+        diag = self._diagnose(ps_eq3, name)
+        total = _ADVISOR_BRANCHES[name][2]
+        assert diag == _keyword_diagnosis(diag.physical_insight,
+                                          _breakdown(total), 85.0)
+
+    @pytest.mark.parametrize("total", [60.0, 92.0])
+    @pytest.mark.parametrize("estimator", sorted(catalog.SA_ESTIMATORS))
+    def test_estimator_review_states_what_its_prose_says(
+            self, ps_eq3, estimator, total):
+        diag = agents.advisor_report(_ms(ps_eq3, estimator),
+                                     _produced_obs(estimator),
+                                     _breakdown(total), ps_eq3, 85.0)
+        assert diag == _keyword_diagnosis(diag.physical_insight,
+                                          _breakdown(total), 85.0)
 
 
 class TestDriftInjection:

@@ -176,7 +176,7 @@ class TestSelectAction:
         # The diagnosis blocks the estimator of the scheme it diagnosed.
         diag = build_diagnostic_scheme(
             "required attribute first_order_indices absent",
-            _zero_breakdown(), 85.0)
+            "attribute_error", _zero_breakdown(), 85.0)
         for seed in range(20):
             d = bandit.select_action(bandit.PolicyState(), ps_eq3,
                                      self._arms(ps_eq3), diag=diag,
@@ -187,8 +187,8 @@ class TestSelectAction:
 
     def test_prescribed_estimator_dominates(self, ps_eq3):
         diag = build_diagnostic_scheme(
-            "wrong estimator. prescribe estimator CVM.",
-            _zero_breakdown(), 85.0)
+            "wrong estimator. prescribe estimator CVM.", "wrong_estimator",
+            _zero_breakdown(), 85.0, prescribed_estimator="CVM")
         d = bandit.select_action(bandit.PolicyState(), ps_eq3,
                                  self._arms(ps_eq3), diag=diag, rng_seed=0)
         assert d.action.estimator == "CVM"
@@ -201,15 +201,15 @@ class TestSelectAction:
 
     def test_prescribed_n_samples_dominates_and_clamps(self, ps_eq3):
         diag = build_diagnostic_scheme(
-            "sampling insufficient at n_samples=1000.",
-            _zero_breakdown(), 85.0)
+            "sampling insufficient at n_samples=1000.", "insufficient_N",
+            _zero_breakdown(), 85.0, prescribed_n_samples=2000)
         prev = self._prev(ps_eq3, "CVM", 1000)
         # Prescribed 2000 is below CVM's single-loop floor 500*(4+2)=3000.
         assert self._n_samples(ps_eq3, "CVM", diag, prev) == 3000
         # Above the floor, the prescription beats the carried-over size.
         diag = build_diagnostic_scheme(
-            "sampling insufficient at n_samples=2500.",
-            _zero_breakdown(), 85.0)
+            "sampling insufficient at n_samples=2500.", "insufficient_N",
+            _zero_breakdown(), 85.0, prescribed_n_samples=5000)
         prev = self._prev(ps_eq3, "CVM", 4000)
         assert self._n_samples(ps_eq3, "CVM", diag, prev) == 5000
 

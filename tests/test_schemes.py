@@ -117,40 +117,35 @@ class TestDiagnosticScheme:
     def test_attribute_error_blocks(self):
         diag = build_diagnostic_scheme(
             "required attribute first_order_indices absent from the "
-            "observation", _breakdown(20.0), 85.0)
+            "observation", "attribute_error", _breakdown(20.0), 85.0)
         assert diag.root_cause == "attribute_error"
-        assert diag.block_action
+        assert diag.block_action and diag.penalize_action
+        assert diag.convergence_status == "partial"
 
     def test_wrong_estimator_prescribes(self):
         diag = build_diagnostic_scheme(
             "this looks like a wrong estimator. prescribe estimator CVM.",
-            _breakdown(40.0), 85.0)
+            "wrong_estimator", _breakdown(40.0), 85.0,
+            prescribed_estimator="CVM")
         assert diag.root_cause == "wrong_estimator"
         assert diag.prescribed_estimator == "CVM"
+        assert diag.penalize_action and not diag.block_action
 
     def test_insufficient_doubles_samples(self):
         diag = build_diagnostic_scheme(
             "sampling appears insufficient at n_samples=1000.",
-            _breakdown(60.0), 85.0)
+            "insufficient_N", _breakdown(60.0), 85.0,
+            prescribed_n_samples=2000)
         assert diag.root_cause == "insufficient_N"
         assert diag.prescribed_n_samples == 2000
-        # A size stated without an insufficiency diagnosis prescribes none.
+        assert not diag.penalize_action
+        # The builder reads nothing out of the prose: a size it states is
+        # no prescription.
         diag = build_diagnostic_scheme(
             "sobol indices successfully computed at n_samples=1000.",
-            _breakdown(90.0), 85.0)
+            "none", _breakdown(90.0), 85.0)
         assert diag.prescribed_n_samples is None
-
-    def test_degenerate_keyword(self):
-        diag = build_diagnostic_scheme("nan entries present; degenerate "
-                                       "variance", _breakdown(30.0), 85.0)
-        assert diag.root_cause == "numerical_degeneracy"
-
-    def test_keyword_priority_order(self):
-        # "attribute" outranks the later keywords when both appear.
-        diag = build_diagnostic_scheme(
-            "required attribute missing and sampling insufficient",
-            _breakdown(10.0), 85.0)
-        assert diag.root_cause == "attribute_error"
+        assert diag.convergence_status == "converged"
 
     def test_block_requires_actionable_cause(self):
         with pytest.raises(Exception):
