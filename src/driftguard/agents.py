@@ -308,8 +308,8 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
 
 def inject_drift(text: str, spec: DriftSpec, rng_seed: int,
                  iteration: int | None = None) -> tuple[str, dict | None]:
-    """Adversarial mid-pipeline mutation of the strategy text handed to the
-    Refactor Agent.
+    """Adversarial mid-pipeline mutation of the Study Agent's text handed to
+    the Refactor Agent.
 
     Returns (possibly mutated text, event record or None).
     """

@@ -1,15 +1,18 @@
 """Command-line entry point.
 
-Subcommands: ``run`` (one session), ``ablate`` (condition suite over seeds),
-``sessions`` (consecutive sessions sharing an archive and a persisted
-policy).  Every command takes the same path: config -> ``_archive_for`` ->
-``run_session`` -> ``write_trace`` -> the command's summary or table, so
-each session leaves a ``<session_id>.trace.jsonl``.  Configuration is a
-single JSON document; every command is reproducible from (config, seeds).
-A config and each of its nested blocks hold only the keys ``_KEYS`` lists
-for them; any other key (a typo, or a ``settings`` block) is a bad
-configuration.  Tunables are not configurable: each is a constant in the
-module that uses it, and ``checkpoint_overrides`` may only switch gates off.
+Every command runs a slice of one experiment grid: a config expands into
+cells, one per (condition, seed), each holding a chain of sessions that
+share the cell's archive.  ``run`` is the 1 x 1 x 1 case, ``ablate`` is
+conditions x seeds x 1 and ``sessions`` is 1 x 1 x K.  Each session goes
+through ``run_session`` and ``write_trace``, so it leaves a
+``<session_id>.trace.jsonl``; the command then writes its summary or table.
+Configuration is a single JSON document; every command is reproducible from
+(config, seeds).  ``_COMMANDS`` lists the keys each command's config may
+hold and ``_KEYS`` those of each nested block; any other key (a typo, a
+``settings`` block, a grid key the command does not run) is a bad
+configuration, and so are two sessions with one id.  Tunables are not
+configurable: each is a constant in the module that uses it, and
+``checkpoint_overrides`` may only switch gates off.
 
 Exit codes: 0 converged or budget exhausted, 1 bad configuration,
 2 session aborted.
@@ -23,7 +26,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
 
 from . import action_space
 from .agents import DriftSpec
@@ -45,23 +49,63 @@ ABLATION_COLUMNS = ("condition", "seed", "outcome", "mismatch_count",
                     "n_iterations", "best_reward", "first_reward",
                     "iterations_to_converge", "cp_failure_events")
 
-# The keys a config and each of its nested blocks may hold; any other is a
-# bad configuration. A config holds the session settings, the fields of
-# ``SessionConfig``, plus the command-level keys; ``problem`` holds the keys
-# intake reads.
+
+def _best(trace: SessionTrace):
+    return max(trace.records, key=lambda r: r.reward_total, default=None)
+
+
+# Each table column as a function of a session's trace. ``condition``, the
+# name of the session's grid cell, is the one column a trace does not hold.
+_COLUMNS = {
+    "session_id": lambda t: t.session_id,
+    "seed": lambda t: t.config.seed,
+    "outcome": lambda t: t.outcome,
+    "best_reward": lambda t: round(t.best_reward, 2),
+    "first_reward": lambda t: round(t.records[0].reward_total, 2)
+    if t.records else 0.0,
+    "n_iterations": lambda t: len(t.records),
+    "iterations_to_best": lambda t: _best(t).n if t.records else None,
+    "iterations_to_converge": lambda t: t.iterations_to_converge,
+    "best_estimator": lambda t: _best(t).action.estimator if t.records
+    else None,
+    "mismatch_count": lambda t: sum(1 for r in t.records if r.mismatch),
+    "cp_failure_events": lambda t: sum(1 for r in t.records
+                                       for e in r.checkpoint_events
+                                       if e.verdict != "pass"),
+    "cp0_match": lambda t: t.cp0.match,
+    "cp0_similarity": lambda t: round(t.cp0.similarity, 3),
+    "cp0_mode": lambda t: t.cp0.exploration_mode,
+    "cp0_screening_first": lambda t: t.cp0.screening_first,
+}
+
+# The keys each nested block may hold; any other is a bad configuration. A
+# ``sessions`` entry holds only session settings, the fields of
+# ``SessionConfig``; ``problem`` holds the keys intake reads.
 _KEYS = {
-    "config": frozenset(f.name for f in fields(SessionConfig)) | {
-        "seeds", "archive_path", "warm_start", "output_name", "conditions",
-        "sessions"},
+    "session": frozenset(f.name for f in fields(SessionConfig)),
     "problem": frozenset({"task", "d_in", "d_out", "n_budget", "epsilon",
                           "model_id", "dist_family"}),
     "drift": frozenset(f.name for f in fields(DriftSpec)),
     "warm_start": frozenset({"estimator", "mean_reward", "count"}),
     "condition": frozenset({"name", "checkpoint_overrides", "drift"}),
 }
-# The archive is built once per command from the top-level block, so a
-# ``sessions`` entry may not say where it lives or what it starts with.
-_KEYS["session"] = _KEYS["config"] - {"archive_path", "warm_start"}
+# Per command: the keys its config may hold at the top level, the grid list
+# it requires, and its output, a table's default name and columns or (None)
+# a summary per session. Beside the session settings, ``archive_path`` and
+# ``warm_start`` say what each cell's archive holds; ``conditions``,
+# ``seeds`` and ``sessions`` are the grid's axes. An ablate condition states
+# its own drift and gate switches, and each ablate cell runs on a fresh
+# archive, so no file may chain them.
+_COMMANDS = {
+    "run": (_KEYS["session"] | {"archive_path", "warm_start"},
+            None, None, ()),
+    "ablate": ((_KEYS["session"] - {"drift", "checkpoint_overrides"})
+               | {"warm_start", "conditions", "seeds", "output_name"},
+               "conditions", "ablation", ABLATION_COLUMNS),
+    "sessions": (_KEYS["session"] | {"archive_path", "warm_start",
+                                     "sessions", "output_name"},
+                 "sessions", "sessions", SESSION_COLUMNS),
+}
 
 
 def _check_keys(block: str, doc) -> None:
@@ -97,37 +141,93 @@ def _drift_from(doc: dict | None) -> DriftSpec:
         raise ConfigError(f"bad drift spec: {exc}") from exc
 
 
-def _session_config(doc: dict, seed_override: int | None) -> SessionConfig:
-    """The session settings ``doc`` states, passed through as they are;
+def _session_config(settings: dict) -> SessionConfig:
+    """The session ``settings`` state, passed through as they are;
     ``SessionConfig`` supplies the defaults and checks the types."""
-    _check_keys("config", doc)
-    if "problem" not in doc:
+    if "problem" not in settings:
         raise ConfigError("config lacks a 'problem' object")
-    _check_keys("problem", doc["problem"])
-    model_id = doc["problem"].get("model_id", "")
+    _check_keys("problem", settings["problem"])
+    model_id = settings["problem"].get("model_id", "")
     if not isinstance(model_id, (str, type(None))) or \
             (model_id and model_id not in benchmark_catalog()):
         raise ConfigError(f"unknown problem model {model_id!r}")
-    settings = {f.name: doc[f.name] for f in fields(SessionConfig)
-                if f.name in doc}
-    if "drift" in doc:
-        settings["drift"] = _drift_from(doc["drift"])
-    if seed_override is not None:
-        settings["seed"] = seed_override
+    if "drift" in settings:
+        settings = {**settings, "drift": _drift_from(settings["drift"])}
     try:
         return SessionConfig(**settings)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad session config: {exc}") from exc
 
 
-def _archive_for(doc: dict, cfg: SessionConfig) -> Archive | None:
-    """The archive of the config's top-level ``archive_path``, pre-seeded
-    with one arm of ``cfg``'s problem when ``warm_start`` is set; None when
-    neither is.  The only place an archive is built from a config."""
+def _axis(doc: dict, key: str, default: list) -> list:
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list")
+    return value
+
+
+def _grid(command: str, doc: dict,
+          seed_override: int | None) -> list[tuple]:
+    """Expand ``doc`` into its cells, one per (condition, seed), each as
+    (condition name, archive, chain of session configs).
+
+    A session takes the top-level settings, then its condition's, its
+    cell's seed and its ``sessions`` entry's, each over the one before.
+    ``--seed-override`` stands for ``"seeds": [n]`` and is every session's
+    seed.  Every check runs here, before any session."""
+    keys, axis, _, _ = _COMMANDS[command]
+    refused = sorted(set(doc) - keys)
+    if refused:
+        raise ConfigError(f"{command} does not take {', '.join(refused)}")
+    if axis and axis not in doc:
+        raise ConfigError(f"{command} needs a '{axis}' list")
+    if not isinstance(doc.get("output_name", ""), str):
+        raise ConfigError("output_name must be a string")
+    pinned = {} if seed_override is None else {"seed": seed_override}
+    seeds = [seed_override] if pinned else \
+        _axis(doc, "seeds", [doc.get("seed", SessionConfig.seed)])
+    entries = _axis(doc, "sessions", [{}])
+    shared = {k: v for k, v in doc.items() if k in _KEYS["session"]}
+    if "problem" in shared:   # checked even when an empty grid runs nothing
+        _session_config({**shared, **pinned})
+    chains = []
+    for cond in _axis(doc, "conditions", [{}]):
+        _check_keys("condition", cond)
+        if "conditions" in doc and "name" not in cond:
+            raise ConfigError("bad condition: no 'name'")
+        own = {k: v for k, v in cond.items() if k != "name"}
+        for seed in seeds:
+            chain = []
+            for k, entry in enumerate(entries, start=1):
+                _check_keys("session", entry)
+                cfg = _session_config({
+                    "session_id": f"session-{k}" if "sessions" in doc
+                    else SessionConfig.session_id,
+                    **shared, **own, "seed": seed, **entry, **pinned})
+                if "conditions" in doc:
+                    cfg = replace(cfg, session_id=f"{cfg.session_id}-"
+                                  f"{cond['name']}-s{cfg.seed}")
+                chain.append(cfg)
+            chains.append((cond.get("name"), chain))
+    ids = Counter(cfg.session_id for _, chain in chains for cfg in chain)
+    repeated = sorted(i for i, n in ids.items() if n > 1)
+    if repeated:
+        raise ConfigError(f"session id {', '.join(repeated)} names more than "
+                          "one session; each session writes its own trace")
+    return [(name, _archive_for(doc, chain), chain)
+            for name, chain in chains if chain]
+
+
+def _archive_for(doc: dict, chain: list) -> Archive | None:
+    """The archive a cell's chain of sessions shares: the config's
+    top-level ``archive_path``, pre-seeded with one arm of the first
+    session's problem when ``warm_start`` is set. Without either, a chain of
+    more than one session shares an in-memory archive and a single session
+    runs with none.  The only place an archive is built from a config."""
     path, warm = doc.get("archive_path"), doc.get("warm_start")
     if not isinstance(path, (str, type(None))):
         raise ConfigError("archive_path must be a string")
-    archive = Archive(path) if path or warm else None
+    archive = Archive(path) if path or warm or len(chain) > 1 else None
     if warm:
         _check_keys("warm_start", warm)
         try:
@@ -144,7 +244,7 @@ def _archive_for(doc: dict, cfg: SessionConfig) -> Archive | None:
             raise ConfigError("bad warm_start block: mean_reward must be "
                               "finite and count at least 1")
         try:
-            ps = build_problem_scheme(cfg.problem)
+            ps = build_problem_scheme(chain[0].problem)
         except InvalidProblem:
             return archive   # intake rejects the problem: the session aborts
         arm = next((a for a in action_space.filter_feasible(ps)
@@ -157,38 +257,21 @@ def _archive_for(doc: dict, cfg: SessionConfig) -> Archive | None:
     return archive
 
 
-def _output_name(doc: dict, default: str) -> str:
-    name = doc.get("output_name", default)
-    if not isinstance(name, str):
-        raise ConfigError("output_name must be a string")
-    return name
-
-
-def _out_dir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
 
 
 def _trace_summary(trace: SessionTrace) -> dict:
-    best = max(trace.records, key=lambda r: r.reward_total, default=None)
-    cp_counts: dict[str, int] = {}
-    for rec in trace.records:
-        for e in rec.checkpoint_events:
-            key = f"{e.cp_id}_{e.verdict}"
-            cp_counts[key] = cp_counts.get(key, 0) + 1
+    cp_counts = Counter(f"{e.cp_id}_{e.verdict}" for r in trace.records
+                        for e in r.checkpoint_events)
     return {"session_id": trace.session_id,
             "outcome": trace.outcome,
             "best_reward": trace.best_reward,
-            "best_estimator": best.action.estimator if best else None,
+            "best_estimator": _COLUMNS["best_estimator"](trace),
             "iterations": len(trace.records),
             "iterations_to_converge": trace.iterations_to_converge,
-            "mismatches": sum(1 for r in trace.records if r.mismatch),
+            "mismatches": _COLUMNS["mismatch_count"](trace),
             "checkpoint_events": dict(sorted(cp_counts.items())),
             "cp0": {"match": trace.cp0.match,
                     "similarity": trace.cp0.similarity,
@@ -206,125 +289,38 @@ def _run(cfg: SessionConfig, archive: Archive | None,
     return trace
 
 
-def _write_table(path: str, columns: tuple[str, ...], rows: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def cmd_run(args) -> int:
+def _command(args) -> int:
+    """Run every session of the config's grid, cell by cell, and write the
+    command's output."""
     doc = _load_config(args.config)
-    cfg = _session_config(doc, args.seed_override)
-    out = _out_dir(args)
-    trace = _run(cfg, _archive_for(doc, cfg), out)
-    summary = _trace_summary(trace)
-    with open(os.path.join(out, f"{cfg.session_id}.summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _say(args, f"{trace.outcome}: best reward "
-               f"{trace.best_reward:.1f} in {len(trace.records)} iterations "
-               f"-> {os.path.join(out, cfg.session_id)}.trace.jsonl")
-    return EXIT_ABORTED if trace.outcome == "aborted" else EXIT_OK
-
-
-def cmd_ablate(args) -> int:
-    """Each (condition, seed) runs on its own fresh archive from
-    ``_archive_for``, so a warm start seeds every session alike. An
-    ``archive_path`` would chain the runs through one file, so it is a bad
-    configuration here."""
-    doc = _load_config(args.config)
-    if "archive_path" in doc:
-        raise ConfigError("ablate runs every session on a fresh archive; "
-                          "it does not take an archive_path")
-    base_cfg = _session_config(doc, None)
-    seeds = [args.seed_override] if args.seed_override is not None \
-        else doc.get("seeds", [base_cfg.seed])
-    if not isinstance(seeds, list):
-        raise ConfigError("seeds must be a list")
-    conditions = doc.get("conditions", [])
-    if not isinstance(conditions, list):
-        raise ConfigError("conditions must be a list")
-    # A condition states its own drift and gate switches; what it leaves
-    # out takes the SessionConfig default, not the top level's value.
-    shared = {k: v for k, v in doc.items()
-              if k not in ("drift", "checkpoint_overrides")}
-    runs = []
-    for cond in conditions:
-        _check_keys("condition", cond)
-        if "name" not in cond:
-            raise ConfigError("bad condition: no 'name'")
-        name = cond["name"]
-        own = {k: v for k, v in cond.items() if k != "name"}
-        runs += [(name, _session_config(
-            {**shared, **own, "seed": seed,
-             "session_id": f"{base_cfg.session_id}-{name}-s{seed}"}, None))
-            for seed in seeds]
-    out = _out_dir(args)
-    table = os.path.join(out, _output_name(doc, "ablation") + ".csv")
+    _, _, table, columns = _COMMANDS[args.command]
+    cells = _grid(args.command, doc, args.seed_override)
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
     rows, aborted = [], False
-    for name, cfg in runs:
-        trace = _run(cfg, _archive_for(doc, cfg), out)
-        aborted = aborted or trace.outcome == "aborted"
-        row = {"condition": name, "seed": cfg.seed,
-               "outcome": trace.outcome,
-               "mismatch_count": sum(1 for r in trace.records
-                                     if r.mismatch),
-               "n_iterations": len(trace.records),
-               "best_reward": round(trace.best_reward, 2),
-               "first_reward": round(trace.records[0].reward_total, 2)
-               if trace.records else 0.0,
-               "iterations_to_converge": trace.iterations_to_converge,
-               "cp_failure_events": sum(1 for r in trace.records
-                                        for e in r.checkpoint_events
-                                        if e.verdict != "pass")}
-        rows.append(row)
-        _say(args, f"{name} seed {cfg.seed}: {trace.outcome}, mismatches "
-                   f"{row['mismatch_count']}, best {row['best_reward']}")
-    _write_table(table, ABLATION_COLUMNS, rows)
-    _say(args, f"wrote {table}")
-    return EXIT_ABORTED if aborted else EXIT_OK
-
-
-def cmd_sessions(args) -> int:
-    doc = _load_config(args.config)
-    session_docs = doc.get("sessions")
-    if not session_docs or not isinstance(session_docs, list):
-        raise ConfigError("sessions command needs a non-empty 'sessions' "
-                          "list")
-    shared = {k: v for k, v in doc.items() if k != "sessions"}
-    cfgs = []
-    for k, sdoc in enumerate(session_docs, start=1):
-        _check_keys("session", sdoc)
-        merged = {**shared, **sdoc}
-        merged.setdefault("session_id", f"session-{k}")
-        merged.setdefault("persist_policy", True)
-        cfgs.append(_session_config(merged, args.seed_override))
-    out = _out_dir(args)
-    table = os.path.join(out, _output_name(doc, "sessions") + ".csv")
-    archive = _archive_for(doc, cfgs[0]) or Archive()
-    rows, aborted = [], False
-    for cfg in cfgs:
-        trace = _run(cfg, archive, out)
-        aborted = aborted or trace.outcome == "aborted"
-        best = max(trace.records, key=lambda r: r.reward_total, default=None)
-        rows.append({"session_id": cfg.session_id, "seed": cfg.seed,
-                     "outcome": trace.outcome,
-                     "best_reward": round(trace.best_reward, 2),
-                     "iterations_to_best": best.n if best else None,
-                     "iterations_to_converge": trace.iterations_to_converge,
-                     "best_estimator": best.action.estimator if best
-                     else None,
-                     "cp0_match": trace.cp0.match,
-                     "cp0_similarity": round(trace.cp0.similarity, 3),
-                     "cp0_mode": trace.cp0.exploration_mode,
-                     "cp0_screening_first": trace.cp0.screening_first})
-        _say(args, f"{cfg.session_id}: {trace.outcome}, best "
-                   f"{trace.best_reward:.1f}, cp0 {trace.cp0.match}/"
-                   f"{trace.cp0.exploration_mode}")
-    _write_table(table, SESSION_COLUMNS, rows)
-    _say(args, f"wrote {table}")
+    for condition, archive, chain in cells:
+        for cfg in chain:
+            trace = _run(cfg, archive, out)
+            aborted = aborted or trace.outcome == "aborted"
+            _say(args, f"{cfg.session_id}: {trace.outcome}, best reward "
+                       f"{trace.best_reward:.1f} in {len(trace.records)} "
+                       "iterations")
+            if table:
+                rows.append({c: condition if c == "condition"
+                             else _COLUMNS[c](trace) for c in columns})
+            else:
+                with open(os.path.join(out, f"{cfg.session_id}.summary.json"),
+                          "w", encoding="utf-8") as fh:
+                    json.dump(_trace_summary(trace), fh, sort_keys=True,
+                              indent=2)
+                    fh.write("\n")
+    if table:
+        path = os.path.join(out, f"{doc.get('output_name', table)}.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(columns))
+            writer.writeheader()
+            writer.writerows(rows)
+        _say(args, f"wrote {path}")
     return EXIT_ABORTED if aborted else EXIT_OK
 
 
@@ -336,22 +332,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="driftguard",
         description="Checkpoint-guarded sensitivity-analysis orchestrator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (("run", cmd_run), ("ablate", cmd_ablate),
-                          ("sessions", cmd_sessions)):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
                        help="path to the JSON experiment config")
         p.add_argument("--out", help="output directory (default: .)")
         p.add_argument("--seed-override", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
-        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _command(args)
     except DriftguardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

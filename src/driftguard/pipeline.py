@@ -199,8 +199,9 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         return _failed_record(n, action, events, drift_events, strategy_text,
                               "study comprehension gate blocked")
 
-    # Drift injection on the Refactor Agent's input copy only.
-    drifted_text, event = agents.inject_drift(strategy_text, cfg.drift,
+    # The Refactor Agent reads the Study Agent's output; drift corrupts its
+    # copy only, after CP1-CP4 and CP7 have run.
+    drifted_text, event = agents.inject_drift(study_text, cfg.drift,
                                               rng_seed=iter_seed + 77,
                                               iteration=n)
     if event is not None:

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from driftguard.cli import (EXIT_ABORTED, EXIT_BAD_CONFIG, EXIT_OK,
-                            build_parser, main)
+from driftguard.cli import (_COMMANDS, _KEYS, EXIT_ABORTED, EXIT_BAD_CONFIG,
+                            EXIT_OK, SESSION_COLUMNS, build_parser, main)
 
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
@@ -23,6 +23,27 @@ def _write(tmp_path, doc, name="config.json"):
 
 BASE_RUN = {"problem": EQ3_PROBLEM, "n_max": 2, "seed": 1,
             "session_id": "cli-test"}
+
+# A valid config per command, and a well-formed value for each key that some
+# command takes, so a refusal can only be for the key itself.
+VALID = {"run": BASE_RUN,
+         "ablate": {**BASE_RUN, "n_max": 1, "conditions": [{"name": "only"}]},
+         "sessions": {**BASE_RUN, "n_max": 1,
+                      "sessions": [{"session_id": "s1"}]}}
+VALUES = {"seeds": [1, 2], "conditions": [{"name": "only"}],
+          "sessions": [{"session_id": "s2"}], "output_name": "table",
+          "archive_path": "archive.json",
+          "warm_start": {"estimator": "Sobol", "mean_reward": 91.0},
+          "checkpoint_overrides": {"CP5": -1.0},
+          "drift": {"kind": "method_swap", "replacement_value": "Morris"}}
+ALL_KEYS = frozenset().union(*(keys for keys, *_ in _COMMANDS.values()))
+# Every (command, key it does not honour, where the key sits): the top level
+# of the command's config, or a ``sessions`` entry, which holds only session
+# settings.
+REFUSED = sorted(
+    [(command, key, "top") for command, (keys, *_) in _COMMANDS.items()
+     for key in ALL_KEYS - keys]
+    + [("sessions", key, "entry") for key in ALL_KEYS - _KEYS["session"]])
 
 
 class TestRun:
@@ -193,6 +214,49 @@ class TestBadConfig:
             assert key in capsys.readouterr().err
             assert not list(tmp_path.glob("*.trace.jsonl"))
 
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_each_command_runs_its_valid_config(self, tmp_path, command):
+        assert main([command, "--config", _write(tmp_path, VALID[command]),
+                     "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command,key,where", REFUSED)
+    def test_key_a_command_does_not_honour(self, tmp_path, monkeypatch,
+                                           capsys, command, key, where):
+        # A key means one thing in every command that takes it; a command
+        # that would not act on it refuses it before any session runs.
+        monkeypatch.chdir(tmp_path)
+        doc = VALID[command]
+        value = VALUES.get(key, 1)
+        if where == "top":
+            doc = {**doc, key: value}
+        else:
+            doc = {**doc, "sessions": [{"session_id": "s1", key: value}]}
+        assert main([command, "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path), "--quiet"]) == EXIT_BAD_CONFIG
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.trace.jsonl"))
+        assert not (tmp_path / "archive.json").exists()
+
+    def test_duplicate_session_ids_are_bad_config(self, tmp_path, capsys):
+        # A second session with one id would overwrite the first's trace.
+        sessions = {"problem": G8_PROBLEM, "n_max": 1}
+        for command, doc, repeated in (
+                ("sessions", {**sessions, "session_id": "x",
+                              "sessions": [{"seed": 1}, {"seed": 2}]}, "x"),
+                ("sessions", {**sessions, "sessions": [
+                    {"session_id": "a"}, {"session_id": "b"},
+                    {"session_id": "a"}]}, "a"),
+                ("ablate", {**sessions, "session_id": "y", "seeds": [1, 1],
+                            "conditions": [{"name": "only"}]}, "y-only-s1"),
+                ("ablate", {**sessions, "session_id": "y", "seeds": [1],
+                            "conditions": [{"name": "c"}, {"name": "c"}]},
+                 "y-c-s1")):
+            assert main([command, "--config", _write(tmp_path, doc), "--out",
+                         str(tmp_path), "--quiet"]) == EXIT_BAD_CONFIG, doc
+            assert f"session id {repeated} " in capsys.readouterr().err
+            assert not list(tmp_path.glob("*.trace.jsonl")), doc
+            assert not list(tmp_path.glob("*.csv")), doc
+
     def test_config_shape_errors(self, tmp_path):
         ablate = {"problem": EQ3_PROBLEM, "n_max": 1,
                   "conditions": [{"name": "only"}]}
@@ -205,6 +269,8 @@ class TestBadConfig:
                 ("ablate", {**ablate, "conditions": [{}]}),
                 ("ablate", {**ablate, "conditions": ["only"]}),
                 ("ablate", {**ablate, "output_name": 5}),
+                ("ablate", {**ablate, "conditions": [], "problem": {
+                    **EQ3_PROBLEM, "model_id": "ghost"}}),
                 ("sessions", {**BASE_RUN, "sessions": [1, 2]}),
                 ("sessions", {**BASE_RUN, "sessions": {"s1": {}}}),
                 ("run", {**BASE_RUN, "warm_start": {"estimator": "Sobol"}}),
@@ -376,6 +442,30 @@ class TestSessions:
         assert rows[1]["cp0_mode"] == "exploit"
         assert (tmp_path / "s1.trace.jsonl").exists()
         assert (tmp_path / "s2.trace.jsonl").exists()
+
+    def test_empty_session_list_writes_header_only_csv(self, tmp_path):
+        # An empty grid list runs nothing, as an empty ablate condition
+        # list does.
+        doc = {"problem": G8_PROBLEM, "sessions": []}
+        assert main(["sessions", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path), "--quiet"]) == EXIT_OK
+        assert (tmp_path / "sessions.csv").read_text().splitlines() == [
+            ",".join(SESSION_COLUMNS)]
+        assert not list(tmp_path.glob("*.trace.jsonl"))
+
+    def test_persist_policy_defaults_to_false(self, tmp_path):
+        # A policy carries over only when a config says so.
+        digests = []
+        for k, flag in enumerate(({}, {"persist_policy": False})):
+            out = tmp_path / f"out{k}"
+            doc = {"problem": G8_PROBLEM, "n_max": 1, **flag,
+                   "sessions": [{"session_id": "s1", "seed": 1}]}
+            assert main(["sessions", "--config",
+                         _write(tmp_path, doc, name=f"config{k}.json"),
+                         "--out", str(out), "--quiet"]) == EXIT_OK
+            header = (out / "s1.trace.jsonl").read_text().splitlines()[0]
+            digests.append(json.loads(header)["config_digest"])
+        assert digests[0] == digests[1]
 
     def test_archive_bytes_are_reproducible(self, tmp_path):
         with open(os.path.join(CONFIGS, "gfunction_sessions.json")) as fh:

@@ -184,6 +184,21 @@ class TestCausalChain:
         drifted = [r for r in trace.records if r.drift_events]
         assert drifted and blocked
 
+    def test_refactor_agent_reads_the_study_text(self, monkeypatch):
+        # The chain runs strategy -> study -> refactor: the Refactor Agent
+        # builds its plan from the Study Agent's rendering.
+        received = []
+        real = agents.refactor_agent
+
+        def refactor(report_text, *args, **kwargs):
+            received.append(report_text)
+            return real(report_text, *args, **kwargs)
+
+        monkeypatch.setattr(agents, "refactor_agent", refactor)
+        trace = run_session(_cfg(seed=1, n_max=1))
+        study_text = agents.render_study_text(trace.records[0].strategy_text)
+        assert received[0] == study_text != trace.records[0].strategy_text
+
 
 def _block_always(monkeypatch, cp_id):
     """Raise ``cp_id``'s table threshold above any cosine similarity."""
