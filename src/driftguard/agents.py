@@ -263,9 +263,8 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
     if obs is None:
         return diagnosis("execution crashed before producing results; "
                          "numerical run unrecoverable. recommend reviewing "
-                         "the implementation.", "numerical_degeneracy")
-    attrs = obs.attributes()
-    missing = [a for a in ms.info.bindings if a not in attrs]
+                         "the implementation.", "execution_failed")
+    missing = [a for a in ms.info.bindings if getattr(obs, a) is None]
     if missing:
         return diagnosis("required attribute " + " and ".join(missing)
                          + " absent from the observation; the executed "
@@ -283,12 +282,12 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
     # Partial convergence: advise a method change when the current scheme
     # cannot report first-order variance attribution (or only simulates it)
     # and a real alternative that does is still untried.
-    needs_swap = "s1" not in ms.info.produces or ms.info.simulated
+    def real_first_order(info: catalog.EstimatorInfo) -> bool:
+        return "first_order_indices" in info.bindings and not info.simulated
     pool = [e for e in ps.feasible_sa_estimators
-            if "s1" in catalog.estimator_info(e).produces
-            and not catalog.estimator_info(e).simulated
+            if real_first_order(catalog.estimator_info(e))
             and e not in avoid and e != ms.estimator]
-    if needs_swap and pool:
+    if pool and not real_first_order(ms.info):
         target = pool[0]
         return diagnosis(
             f"indices computed but convergence is partial; the chosen "

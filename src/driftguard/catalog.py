@@ -10,7 +10,6 @@ reads the rest of its row through ``info``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +26,7 @@ SCREENING_DIM_THRESHOLD = 8
 class EstimatorInfo:
     id: str
     index_type: str                 # variance_based | rank_based | screening
-    produces: tuple[str, ...]       # SAResult fields it fills
+    bindings: tuple[str, ...]       # the SAResult index vectors it fills
     sampling_scheme: str
     n_min: Callable[[int], int]     # minimum evaluations for d_in inputs
     cost_multiplier: Callable[[int], int]  # evaluations per sample
@@ -50,11 +49,6 @@ class EstimatorInfo:
         """The per-loop sample floor: fewest samples costing ``n_min``."""
         return -(-self.n_min(d_in) // self.cost_multiplier(d_in))
 
-    @functools.cached_property
-    def bindings(self) -> tuple[str, ...]:
-        """The attribute names a plan running this estimator binds."""
-        return tuple(estimators.FIELD_TO_ATTRIBUTE[p] for p in self.produces)
-
     def feasible(self, ps) -> bool:
         """Whether every feasibility rule of this row holds for ``ps``."""
         return ((not self.high_d_only
@@ -72,7 +66,8 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
         # methods.
         EstimatorInfo(
             id="Sobol", index_type="variance_based",
-            produces=("s1", "st"), sampling_scheme="pick-freeze",
+            bindings=("first_order_indices", "total_order_indices"),
+            sampling_scheme="pick-freeze",
             n_min=lambda d: 500 * (d + 2), cost_multiplier=lambda d: d + 2,
             execute=lambda m, n, seed, scheme: estimators.sobol_saltelli(
                 m, n, seed, scheme),
@@ -82,7 +77,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
         ),
         EstimatorInfo(
             id="Chatterjee", index_type="rank_based",
-            produces=("rank_indices",), sampling_scheme="single-loop",
+            bindings=("chatterjee_indices",), sampling_scheme="single-loop",
             n_min=lambda d: 10, cost_multiplier=lambda d: 1,
             execute=lambda m, n, seed, scheme: estimators.chatterjee(
                 m, n, seed, scheme),
@@ -92,7 +87,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
         ),
         EstimatorInfo(
             id="CVM", index_type="rank_based",
-            produces=("s1",), sampling_scheme="single-loop",
+            bindings=("first_order_indices",), sampling_scheme="single-loop",
             n_min=lambda d: 500 * (d + 2), cost_multiplier=lambda d: 1,
             execute=lambda m, n, seed, scheme: estimators.cvm(
                 m, n, seed, scheme),
@@ -105,7 +100,8 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
         # reach the walk.
         EstimatorInfo(
             id="Morris", index_type="screening",
-            produces=("mu_star", "sigma"), sampling_scheme="trajectories",
+            bindings=("mu_star", "sigma_effects"),
+            sampling_scheme="trajectories",
             n_min=lambda d: 10 * (d + 1), cost_multiplier=lambda d: d + 1,
             execute=lambda m, n, seed, scheme: estimators.morris(
                 m, trajectories=max(2, n), seed=seed),
@@ -115,7 +111,8 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
         ),
         EstimatorInfo(
             id="PCE_SA", index_type="variance_based",
-            produces=("s1", "st"), sampling_scheme="regression",
+            bindings=("first_order_indices", "total_order_indices"),
+            sampling_scheme="regression",
             n_min=lambda d: 500 * d, cost_multiplier=lambda d: 1,
             execute=lambda m, n, seed, scheme: estimators.pce_sa_simulated(
                 m, n, seed),
@@ -126,7 +123,8 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
         ),
         EstimatorInfo(
             id="Generalized_Sobol", index_type="variance_based",
-            produces=("s1", "st"), sampling_scheme="pick-freeze",
+            bindings=("first_order_indices", "total_order_indices"),
+            sampling_scheme="pick-freeze",
             n_min=lambda d: 500 * (d + 2), cost_multiplier=lambda d: d + 2,
             execute=lambda m, n, seed, scheme:
                 estimators.generalized_sobol_simulated(m, n, seed),

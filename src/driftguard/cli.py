@@ -131,9 +131,8 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _drift_from(doc: dict | None) -> DriftSpec:
-    if not doc:
-        return DriftSpec()
+def _drift_from(doc) -> DriftSpec:
+    """The drift a ``drift`` object states; ``{}`` states none."""
     _check_keys("drift", doc)
     try:
         return DriftSpec(**doc)

@@ -5,6 +5,8 @@ Chatterjee rank correlation, a Cramer-von Mises rank variant, and Morris
 winding-stairs screening.  Spectral (PCE_SA) and multi-output
 (Generalized_Sobol) executors are simulated: they return analytic reference
 indices perturbed by seeded noise, while their scheme plumbing stays real.
+Every run returns an ``SAResult``, whose index vectors carry the one name
+that plans, texts and the catalog use for them.
 """
 
 from __future__ import annotations
@@ -42,44 +44,35 @@ _MORRIS_BLOCK_POINTS = 4096
 # the block and not by the sample size.
 _NDTRI_BLOCK = 8192
 
-# SAResult field -> attribute name an execution plan binds.
-FIELD_TO_ATTRIBUTE = {
-    "s1": "first_order_indices",
-    "st": "total_order_indices",
-    "rank_indices": "chatterjee_indices",
-    "mu_star": "mu_star",
-    "sigma": "sigma_effects",
-}
-
-
 @dataclass(frozen=True)
 class SAResult:
-    """Observation produced by one estimator run."""
+    """Observation produced by one estimator run.  Each index vector is
+    named as plans bind it and as its catalog row lists it."""
 
     estimator: str
-    s1: tuple[float, ...] | None = None
-    st: tuple[float, ...] | None = None
-    rank_indices: tuple[float, ...] | None = None
+    first_order_indices: tuple[float, ...] | None = None
+    total_order_indices: tuple[float, ...] | None = None
+    chatterjee_indices: tuple[float, ...] | None = None
     mu_star: tuple[float, ...] | None = None
-    sigma: tuple[float, ...] | None = None
+    sigma_effects: tuple[float, ...] | None = None
     evaluations_used: int = 0
     warnings: tuple[str, ...] = ()
     nan_count: int = 0
     negative_variance_flag: bool = False
 
     def attributes(self) -> dict[str, tuple[float, ...]]:
-        """Populated fields keyed by their plan-binding attribute names."""
-        out = {}
-        for fld, attr in FIELD_TO_ATTRIBUTE.items():
-            value = getattr(self, fld)
-            if value is not None:
-                out[attr] = value
-        return out
+        """The index vectors it holds, by name, in field order."""
+        return {name: value for name, value in (
+            ("first_order_indices", self.first_order_indices),
+            ("total_order_indices", self.total_order_indices),
+            ("chatterjee_indices", self.chatterjee_indices),
+            ("mu_star", self.mu_star),
+            ("sigma_effects", self.sigma_effects)) if value is not None}
 
     def primary_indices(self) -> tuple[float, ...] | None:
         """The vector used for convergence comparisons, if any."""
-        for fld in ("s1", "rank_indices", "mu_star"):
-            value = getattr(self, fld)
+        for value in (self.first_order_indices, self.chatterjee_indices,
+                      self.mu_star):
             if value is not None:
                 return value
         return None
@@ -278,10 +271,10 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
     var = float(np.var(total, ddof=1))
     warnings = []
     if var < _DEGENERATE_VAR:
-        s1 = (float("nan"),) * d
-        st = (float("nan"),) * d
+        undefined = (float("nan"),) * d
         warnings.append("degenerate output variance; indices undefined")
-        return SAResult(estimator="Sobol", s1=s1, st=st,
+        return SAResult(estimator="Sobol", first_order_indices=undefined,
+                        total_order_indices=undefined,
                         evaluations_used=n * (d + 2),
                         warnings=tuple(warnings),
                         nan_count=2 * d, negative_variance_flag=False)
@@ -300,7 +293,8 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
     if not 0.0 - 0.1 <= sum(s1_list) <= 1.1:
         warnings.append("first-order indices sum outside tolerance band")
     return SAResult(estimator="Sobol",
-                    s1=tuple(s1_list), st=tuple(st_list),
+                    first_order_indices=tuple(s1_list),
+                    total_order_indices=tuple(st_list),
                     evaluations_used=n * (d + 2),
                     warnings=tuple(warnings), nan_count=nan_count,
                     negative_variance_flag=negvar)
@@ -341,7 +335,7 @@ def chatterjee(m: BenchmarkModel, n: int, seed: int,
     y_ranks = _midranks(y)
     xi = tuple(_xi_statistic(x[:, i], y_ranks) for i in range(m.d_in))
     nan_count, _ = _nan_stats(xi)
-    return SAResult(estimator="Chatterjee", rank_indices=xi,
+    return SAResult(estimator="Chatterjee", chatterjee_indices=xi,
                     evaluations_used=n,
                     nan_count=nan_count)
 
@@ -364,7 +358,8 @@ def cvm(m: BenchmarkModel, n: int, seed: int,
     var = float(np.var(y, ddof=1))
     warnings = []
     if var < _DEGENERATE_VAR:
-        return SAResult(estimator="CVM", s1=(float("nan"),) * m.d_in,
+        return SAResult(estimator="CVM",
+                        first_order_indices=(float("nan"),) * m.d_in,
                         evaluations_used=n,
                         warnings=("degenerate output variance",),
                         nan_count=m.d_in)
@@ -377,7 +372,7 @@ def cvm(m: BenchmarkModel, n: int, seed: int,
     nan_count, negvar = _nan_stats(s1)
     if negvar:
         warnings.append("negative variance contribution detected")
-    return SAResult(estimator="CVM", s1=tuple(s1),
+    return SAResult(estimator="CVM", first_order_indices=tuple(s1),
                     evaluations_used=n,
                     warnings=tuple(warnings), nan_count=nan_count,
                     negative_variance_flag=negvar)
@@ -432,7 +427,7 @@ def morris(m: BenchmarkModel, trajectories: int, levels: int = 4,
     mu_star = tuple(float(np.mean(np.abs(e))) for e in effects)
     sigma = tuple(float(np.std(e, ddof=1)) for e in effects)
     nan_count, _ = _nan_stats(mu_star, sigma)
-    return SAResult(estimator="Morris", mu_star=mu_star, sigma=sigma,
+    return SAResult(estimator="Morris", mu_star=mu_star, sigma_effects=sigma,
                     evaluations_used=trajectories * (d + 1),
                     warnings=warnings, nan_count=nan_count)
 
@@ -458,8 +453,10 @@ def pce_sa_simulated(m: BenchmarkModel, n: int, seed: int) -> SAResult:
     # under-resolved expansion rather than a competitive estimator.
     s1 = np.clip(ref + 0.08 + rng.normal(0.0, 0.04, m.d_in), 0.0, 1.0)
     st = np.clip(s1 + np.abs(rng.normal(0.02, 0.02, m.d_in)), 0.0, 1.0)
-    return SAResult(estimator="PCE_SA", s1=tuple(map(float, s1)),
-                    st=tuple(map(float, st)), evaluations_used=n,
+    return SAResult(estimator="PCE_SA",
+                    first_order_indices=tuple(map(float, s1)),
+                    total_order_indices=tuple(map(float, st)),
+                    evaluations_used=n,
                     warnings=("surrogate truncation error not estimated",))
 
 
@@ -469,8 +466,9 @@ def generalized_sobol_simulated(m: BenchmarkModel, n: int, seed: int) -> SAResul
     ref = _reference_s1(m)
     s1 = np.clip(ref + rng.normal(0.0, 0.04, m.d_in), 0.0, 1.0)
     st = np.clip(s1 + np.abs(rng.normal(0.03, 0.02, m.d_in)), 0.0, 1.0)
-    return SAResult(estimator="Generalized_Sobol", s1=tuple(map(float, s1)),
-                    st=tuple(map(float, st)),
+    return SAResult(estimator="Generalized_Sobol",
+                    first_order_indices=tuple(map(float, s1)),
+                    total_order_indices=tuple(map(float, st)),
                     evaluations_used=n * (m.d_in + 2))
 
 

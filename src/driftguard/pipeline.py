@@ -1,11 +1,14 @@
 """Session orchestrator: the conceptualization phase, the decision loop with
 every checkpoint wired at its boundary, and the trace writer.
 
-One rule heals a blocked step: it gets its one remedy and one more try. A
-CP2 block re-selects, a CP5 block rebuilds the plan from the uncorrupted
-strategy text, and a failed execution gets one Debugger patch; a CP4 block
-has no remedy. A second CP2 or CP5 block, or a CP4 block, ends the
-iteration with a failed record; a second failed execution scores a crash.
+Every gate of an iteration goes through one call, which records its event;
+a switched-off gate passes and reports the threshold -1 like any other, and
+CP5's Inspector is off together with CP5. One rule heals a blocked step:
+gate, remedy, gate again. A CP2 block re-selects, a CP5 block rebuilds the
+plan from the uncorrupted strategy text, and a failed execution gets one
+Debugger patch; a CP4 block has no remedy. A second CP2 or CP5 block, or a
+CP4 block, ends the iteration with a failed record; a second failed
+execution scores a crash. A CP7 novelty warning re-selects once.
 
 The Advisor hands over the diagnosis, whose prose CP6 reads. A record
 stores each fact once: its policy features follow from its action.
@@ -166,38 +169,53 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         return ms, decision.action, agents.render_strategy_text(ms,
                                                                 state.flags)
 
+    def gate(cp_id: str, sim: float,
+             plan: ExecutionPlan | None = None) -> bool:
+        """Evaluate one hand-off and record its event; whether it passed.
+        CP5 hands over its plan for the Inspector, who is off with CP5."""
+        result = manager.evaluate(cp_id, sim)
+        if plan is not None and result.passed and \
+                result.threshold != DISABLED and \
+                not agents.inspector_check(plan, ms).approved:
+            result = replace(result, verdict="block",
+                             failure_action="inspector_reject")
+        events.append(result)
+        return result.passed
+
+    def failed(why: str) -> IterationRecord:
+        """The record of an iteration that a gate ended before execution."""
+        diag = DiagnosticScheme(
+            convergence_status="failed", bottleneck_dim="integrity",
+            reward=0.0, root_cause="none", prescribed_estimator=None,
+            prescribed_n_samples=None, penalize_action=True,
+            block_action=False, physical_insight=why)
+        return IterationRecord(
+            n=n, action=action, plan=None, observation=None,
+            reward_total=0.0, reward_components=(0.0, 0.0, 0.0, 0.0),
+            checkpoint_events=tuple(events),
+            drift_events=tuple(drift_events), diagnostic=diag,
+            strategy_text=strategy_text, failed=True)
+
     # (policy) Strategist + CP7 novelty (inverted) + CP2 critic gate. A
-    # novelty violation or a critic rejection re-selects once.
+    # novelty warning re-selects once, and so does a critic block.
     ms, action, strategy_text = select(0)
-    cp7 = manager.evaluate("CP7", similarity(strategy_text,
-                                             state.prev_strategy_text)
-                           if state.prev_strategy_text else 0.0)
-    events.append(cp7)
-    if not cp7.passed:
+    if not gate("CP7", similarity(strategy_text, state.prev_strategy_text)):
         ms, action, strategy_text = select(500_000)
-    for retry in (False, True):
-        if retry:
-            ms, action, strategy_text = select(900_000)
-        cp2 = manager.evaluate("CP2", similarity(
-            strategy_text, agents.render_critic_text(ms)))
-        events.append(cp2)
-        if cp2.passed:
-            break
-    else:
-        return _failed_record(n, action, events, drift_events, strategy_text,
-                              "critic rejected the re-selection")
+    if not gate("CP2", similarity(strategy_text,
+                                  agents.render_critic_text(ms))):
+        ms, action, strategy_text = select(900_000)
+        if not gate("CP2", similarity(strategy_text,
+                                      agents.render_critic_text(ms))):
+            return failed("critic rejected the re-selection")
 
     # (implementation) Study Agent with CP3 advisory and CP4 blocking gates.
     # Both gates read the same strategy/study similarity. The Study Agent is
     # deterministic, so a CP4 block has no remedy.
     study_text = agents.render_study_text(strategy_text)
     sim_study = similarity(strategy_text, study_text)
-    events.append(manager.evaluate("CP3", sim_study))
-    cp4 = manager.evaluate("CP4", sim_study)
-    events.append(cp4)
-    if not cp4.passed:
-        return _failed_record(n, action, events, drift_events, strategy_text,
-                              "study comprehension gate blocked")
+    gate("CP3", sim_study)
+    if not gate("CP4", sim_study):
+        return failed("study comprehension gate blocked")
 
     # The Refactor Agent reads the Study Agent's output; drift corrupts its
     # copy only, after CP1-CP4 and CP7 have run.
@@ -207,29 +225,18 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     if event is not None:
         drift_events.append(event)
 
-    plan = agents.refactor_agent(drifted_text, ps.model_id,
-                                 seed=iter_seed, fallback=ms)
-
     # CP5: cosine gate against the original strategy plus the Inspector's
     # structural checklist; one bundle, one toggle. A block rebuilds the
     # plan once from the uncorrupted strategy text.
-    for retry in (False, True):
-        if "CP5" in manager.disabled:
-            break
-        if retry:
-            plan = agents.refactor_agent(strategy_text, ps.model_id,
-                                         seed=iter_seed, fallback=ms)
-        cp5 = manager.evaluate("CP5", similarity(
-            strategy_text, agents.render_plan_text(plan)))
-        if cp5.passed and not agents.inspector_check(plan, ms).approved:
-            cp5 = replace(cp5, verdict="block",
-                          failure_action="inspector_reject")
-        events.append(cp5)
-        if cp5.passed:
-            break
-    else:
-        return _failed_record(n, action, events, drift_events, strategy_text,
-                              "inspector rejected the rebuilt plan")
+    plan = agents.refactor_agent(drifted_text, ps.model_id,
+                                 seed=iter_seed, fallback=ms)
+    if not gate("CP5", similarity(strategy_text,
+                                  agents.render_plan_text(plan)), plan):
+        plan = agents.refactor_agent(strategy_text, ps.model_id,
+                                     seed=iter_seed, fallback=ms)
+        if not gate("CP5", similarity(strategy_text,
+                                      agents.render_plan_text(plan)), plan):
+            return failed("inspector rejected the rebuilt plan")
 
     # (execution) Runner; a failed run gets one Debugger patch and one more
     # try. A second failure or an unpatchable error is scored as a crash.
@@ -249,9 +256,8 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     diag = agents.advisor_report(ms, obs, breakdown, ps, cfg.r_threshold,
                                  avoid=frozenset(state.failed_estimators))
     if obs is not None:
-        events.append(manager.evaluate(
-            "CP6", similarity(agents.render_observation_text(obs),
-                              diag.physical_insight)))
+        gate("CP6", similarity(agents.render_observation_text(obs),
+                               diag.physical_insight))
 
     # (register) Blocked estimators, submartingale flags, policy update.
     if diag.block_action:
@@ -275,20 +281,6 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
                            breakdown.details, breakdown.optimality),
         checkpoint_events=tuple(events), drift_events=tuple(drift_events),
         diagnostic=diag, strategy_text=strategy_text)
-
-
-def _failed_record(n, action, events, drift_events, strategy_text,
-                   why: str) -> IterationRecord:
-    diag = DiagnosticScheme(
-        convergence_status="failed", bottleneck_dim="integrity",
-        reward=0.0, root_cause="none", prescribed_estimator=None,
-        prescribed_n_samples=None, penalize_action=True, block_action=False,
-        physical_insight=why)
-    return IterationRecord(
-        n=n, action=action, plan=None, observation=None,
-        reward_total=0.0, reward_components=(0.0, 0.0, 0.0, 0.0),
-        checkpoint_events=tuple(events), drift_events=tuple(drift_events),
-        diagnostic=diag, strategy_text=strategy_text, failed=True)
 
 
 def run_session(cfg: SessionConfig,

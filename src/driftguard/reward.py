@@ -87,9 +87,8 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
     if obs is None:
         return RewardBreakdown(0.0, 0.0, 0.0, 0.0, ("execution failed",))
 
-    attrs = obs.attributes()
     required = ms.info.bindings
-    missing = tuple(a for a in required if a not in attrs)
+    missing = tuple(a for a in required if getattr(obs, a) is None)
     criticals = tuple(f"missing required attribute {a}" for a in missing)
     unaddressed = tuple(obs.warnings) + criticals
 
@@ -104,7 +103,7 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
     # the produced index type, else binary self-convergence; plus structural
     # consistency of the index vectors.
     precision = 0.0
-    s1 = attrs.get("first_order_indices")
+    s1 = obs.first_order_indices
     if s1 is not None and model is not None and model.analytic_s1 is not None:
         mae = _mae(np.nan_to_num(np.asarray(s1), nan=1.0), model.analytic_s1)
         precision = _ACCURACY_PRECISION * max(
@@ -116,7 +115,7 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
             precision = _ACCURACY_PRECISION \
                 if delta <= _CONVERGENCE_TOL else 0.0
 
-    st = attrs.get("total_order_indices")
+    st = obs.total_order_indices
     sum_required = "first_order_indices" in required
     order_required = sum_required and "total_order_indices" in required
     if s1 is not None and not np.any(np.isnan(s1)):

@@ -106,7 +106,7 @@ def test_criterion_3_gfunction_numerics():
     assert n * (m.d_in + 2) <= 50_000
     for seed in range(5):
         res = estimators.sobol_saltelli(m, n, seed, scheme="LatinHypercube")
-        assert all(res.s1[i] < 0.01 for i in inert)
+        assert all(res.first_order_indices[i] < 0.01 for i in inert)
     cost = None
     for seed in range(5):
         res = estimators.morris(m, trajectories=200, seed=seed)
@@ -128,8 +128,8 @@ def test_criterion_4_reward_rubric(ps_g8):
     ms = build_method_scheme(action, ps_g8, 500)
 
     def obs(**kw):
-        fields = dict(estimator="Sobol", s1=g8.analytic_s1,
-                      st=g8.analytic_st,
+        fields = dict(estimator="Sobol", first_order_indices=g8.analytic_s1,
+                      total_order_indices=g8.analytic_st,
                       evaluations_used=ms.n_min_value)
         fields.update(kw)
         return SAResult(**fields)
@@ -146,7 +146,8 @@ def test_criterion_4_reward_rubric(ps_g8):
                          epsilon=0.1).details == 5.0
     swapped = list(g8.analytic_s1)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    inv = score(ms, obs(s1=tuple(swapped)), model=g8, epsilon=0.1)
+    inv = score(ms, obs(first_order_indices=tuple(swapped)), model=g8,
+                epsilon=0.1)
     assert inv.rank_inversion and clean - inv.details == 3.0
     warned = score(ms, obs(warnings=("unlabeled axis",)), model=g8,
                    epsilon=0.1)

@@ -210,6 +210,7 @@ class TestExecutionAndDebugger:
 # The keyword parse that once read the diagnosis back out of the Advisor's
 # prose, kept as an oracle: every branch must state what it would find.
 _ROOT_CAUSE_RULES = (
+    ("crashed", "execution_failed"),
     ("attribute", "attribute_error"),
     ("wrong estimator", "wrong_estimator"),
     ("insufficient", "insufficient_N"),
@@ -239,15 +240,19 @@ def _breakdown(total):
                            max(0.0, total - 85.0), ())
 
 
-_SOBOL_OBS = SAResult(estimator="Sobol", s1=(0.5, 0.3, 0.1, 0.05),
-                      st=(0.6, 0.35, 0.12, 0.06), evaluations_used=6000)
+_SOBOL_OBS = SAResult(estimator="Sobol",
+                      first_order_indices=(0.5, 0.3, 0.1, 0.05),
+                      total_order_indices=(0.6, 0.35, 0.12, 0.06),
+                      evaluations_used=6000)
 _RANK_OBS = SAResult(estimator="Chatterjee",
-                     rank_indices=(0.5, 0.3, 0.1, 0.05), evaluations_used=1000)
+                     chatterjee_indices=(0.5, 0.3, 0.1, 0.05),
+                     evaluations_used=1000)
 _MORRIS_OBS = SAResult(estimator="Morris", mu_star=(1.0,) * 4,
-                       sigma=(0.1,) * 4, evaluations_used=500)
-_NAN_OBS = SAResult(estimator="Sobol", s1=(float("nan"),) * 4,
-                    st=(float("nan"),) * 4, evaluations_used=6000,
-                    nan_count=8)
+                       sigma_effects=(0.1,) * 4, evaluations_used=500)
+_NAN_OBS = SAResult(estimator="Sobol",
+                    first_order_indices=(float("nan"),) * 4,
+                    total_order_indices=(float("nan"),) * 4,
+                    evaluations_used=6000, nan_count=8)
 
 # name -> (estimator, observation, total, avoid)
 _ADVISOR_BRANCHES = {
@@ -262,9 +267,9 @@ _ADVISOR_BRANCHES = {
 
 
 def _produced_obs(estimator):
-    produces = catalog.estimator_info(estimator).produces
+    bindings = catalog.estimator_info(estimator).bindings
     return SAResult(estimator=estimator, evaluations_used=1000,
-                    **{f: (0.5, 0.3, 0.1, 0.05) for f in produces})
+                    **{f: (0.5, 0.3, 0.1, 0.05) for f in bindings})
 
 
 class TestAdvisor:
@@ -277,7 +282,7 @@ class TestAdvisor:
     def test_crash_report(self, ps_eq3):
         diag = self._diagnose(ps_eq3, "crash")
         assert "unrecoverable" in diag.physical_insight
-        assert diag.root_cause == "numerical_degeneracy"
+        assert diag.root_cause == "execution_failed"
         assert diag.convergence_status == "failed"
         assert not diag.penalize_action
 

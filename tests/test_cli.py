@@ -179,6 +179,21 @@ class TestBadConfig:
                                      "probability": 2.0}}
         cfg = _write(tmp_path, doc)
         assert main(["run", "--config", cfg]) == EXIT_BAD_CONFIG
+        # A drift that is not an object is refused before any session, as
+        # a non-object checkpoint_overrides is; only {} states no drift.
+        out = tmp_path / "out"
+        for value in (False, 0, "", [], None):
+            cfg = _write(tmp_path, {**BASE_RUN, "drift": value})
+            assert main(["run", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == EXIT_BAD_CONFIG, value
+            assert not out.exists(), value
+        traces = []
+        for k, extra in enumerate(({}, {"drift": {}})):
+            cfg = _write(tmp_path, {**BASE_RUN, **extra})
+            assert main(["run", "--config", cfg, "--out", str(out / str(k)),
+                         "--quiet"]) == EXIT_OK
+            traces.append((out / str(k) / "cli-test.trace.jsonl").read_bytes())
+        assert traces[0] == traces[1]
 
     def test_sessions_requires_session_list(self, tmp_path):
         cfg = _write(tmp_path, BASE_RUN)

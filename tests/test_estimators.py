@@ -78,21 +78,25 @@ class TestSobol:
         res = est.sobol_saltelli(g8, 4000, seed=0)
         assert res.estimator == "Sobol"
         assert res.evaluations_used == 4000 * 10
-        mae = np.mean(np.abs(np.asarray(res.s1) - g8.analytic_s1))
+        mae = np.mean(np.abs(np.asarray(res.first_order_indices)
+                             - g8.analytic_s1))
         assert mae < 0.02
 
     def test_jansen_total_dominates_first(self, g8):
         res = est.sobol_saltelli(g8, 4000, seed=3)
-        assert all(t >= s - 0.05 for s, t in zip(res.s1, res.st))
+        assert all(t >= s - 0.05 for s, t in zip(res.first_order_indices,
+                                                 res.total_order_indices))
 
     def test_deterministic_per_seed(self, g8):
         a = est.sobol_saltelli(g8, 500, seed=11)
         b = est.sobol_saltelli(g8, 500, seed=11)
-        assert a.s1 == b.s1 and a.st == b.st
+        assert a.first_order_indices == b.first_order_indices
+        assert a.total_order_indices == b.total_order_indices
 
     def test_lhs_scheme_supported(self, g8):
         res = est.sobol_saltelli(g8, 1000, seed=0, scheme="LatinHypercube")
-        mae = np.mean(np.abs(np.asarray(res.s1) - g8.analytic_s1))
+        mae = np.mean(np.abs(np.asarray(res.first_order_indices)
+                             - g8.analytic_s1))
         assert mae < 0.05
 
     def test_degenerate_output_flagged(self):
@@ -153,8 +157,9 @@ def _sobol_per_hybrid(m, n, seed, scheme="MonteCarlo"):
     warnings = []
     if var < est._DEGENERATE_VAR:
         warnings.append("degenerate output variance; indices undefined")
-        return est.SAResult(estimator="Sobol", s1=(float("nan"),) * d,
-                            st=(float("nan"),) * d,
+        return est.SAResult(estimator="Sobol",
+                            first_order_indices=(float("nan"),) * d,
+                            total_order_indices=(float("nan"),) * d,
                             evaluations_used=n * (d + 2),
                             warnings=tuple(warnings), nan_count=2 * d)
     s1_list, st_list = [], []
@@ -170,8 +175,10 @@ def _sobol_per_hybrid(m, n, seed, scheme="MonteCarlo"):
         warnings.append("negative variance contribution detected")
     if not 0.0 - 0.1 <= sum(s1_list) <= 1.1:
         warnings.append("first-order indices sum outside tolerance band")
-    return est.SAResult(estimator="Sobol", s1=tuple(s1_list),
-                        st=tuple(st_list), evaluations_used=n * (d + 2),
+    return est.SAResult(estimator="Sobol",
+                        first_order_indices=tuple(s1_list),
+                        total_order_indices=tuple(st_list),
+                        evaluations_used=n * (d + 2),
                         warnings=tuple(warnings), nan_count=nan_count,
                         negative_variance_flag=negvar)
 
@@ -179,7 +186,7 @@ def _sobol_per_hybrid(m, n, seed, scheme="MonteCarlo"):
 class TestRankBased:
     def test_chatterjee_orders_inputs(self, g8):
         res = est.chatterjee(g8, 5000, seed=0)
-        xi = np.asarray(res.rank_indices)
+        xi = np.asarray(res.chatterjee_indices)
         # a = (0, 1, 4.5, 9, 99...): influence strictly decays.
         assert xi[0] > xi[1] > xi[2] > xi[3]
         assert res.evaluations_used == 5000
@@ -190,12 +197,13 @@ class TestRankBased:
             evaluate=lambda x: x[:, 0],
             input_dists=(("Uniform", 0.0, 1.0),) * 2)
         res = est.chatterjee(m, 4000, seed=0)
-        assert res.rank_indices[0] > 0.9
-        assert abs(res.rank_indices[1]) < 0.1
+        assert res.chatterjee_indices[0] > 0.9
+        assert abs(res.chatterjee_indices[1]) < 0.1
 
     def test_cvm_matches_analytic_s1(self, g8):
         res = est.cvm(g8, 20_000, seed=0)
-        mae = np.mean(np.abs(np.asarray(res.s1) - g8.analytic_s1))
+        mae = np.mean(np.abs(np.asarray(res.first_order_indices)
+                             - g8.analytic_s1))
         assert mae < 0.03
 
     def test_cvm_degenerate_variance(self):
@@ -237,8 +245,10 @@ class TestRankBased:
         monkeypatch.setattr(est, "_stable_order",
                             lambda x: np.argsort(x, kind="stable"))
         slow = [est.chatterjee(m, 5000, 3, scheme), est.cvm(m, 5000, 3, scheme)]
-        assert [float(v).hex() for v in fast[0].rank_indices + fast[1].s1] == \
-            [float(v).hex() for v in slow[0].rank_indices + slow[1].s1]
+        assert [float(v).hex() for v in fast[0].chatterjee_indices
+                + fast[1].first_order_indices] == \
+            [float(v).hex() for v in slow[0].chatterjee_indices
+             + slow[1].first_order_indices]
 
     def test_minimum_sizes_enforced(self, g8):
         with pytest.raises(InsufficientSamples):
@@ -258,7 +268,7 @@ class TestMorris:
     def test_deterministic_per_seed(self, g8):
         a = est.morris(g8, trajectories=20, seed=5)
         b = est.morris(g8, trajectories=20, seed=5)
-        assert a.mu_star == b.mu_star and a.sigma == b.sigma
+        assert a.mu_star == b.mu_star and a.sigma_effects == b.sigma_effects
 
     def test_guards(self, g8):
         with pytest.raises(InsufficientSamples):
@@ -276,7 +286,7 @@ class TestMorris:
                 got = est.morris(m, trajectories=r, seed=seed)
                 ref = _morris_per_point(m, r, seed=seed)
                 assert got.mu_star == ref.mu_star, (seed, r)
-                assert got.sigma == ref.sigma, (seed, r)
+                assert got.sigma_effects == ref.sigma_effects, (seed, r)
                 assert got.evaluations_used == ref.evaluations_used
                 assert got.nan_count == ref.nan_count
                 assert got.warnings == ref.warnings
@@ -286,7 +296,8 @@ class TestMorris:
         m = est.get_model("structural_eq3")
         got = est.morris(m, trajectories=5, levels=levels, seed=3)
         ref = _morris_per_point(m, 5, levels=levels, seed=3)
-        assert (got.mu_star, got.sigma) == (ref.mu_star, ref.sigma)
+        assert (got.mu_star, got.sigma_effects) == \
+            (ref.mu_star, ref.sigma_effects)
 
     def test_peak_memory_set_by_block_not_trajectories(self):
         m = est.get_model("thermal_stub")
@@ -337,7 +348,8 @@ def _morris_per_point(m, trajectories, levels=4, seed=0):
     sigma = tuple(float(np.std(e, ddof=1)) if len(e) > 1 else 0.0
                   for e in effects)
     nan_count, _ = est._nan_stats(mu_star, sigma)
-    return est.SAResult(estimator="Morris", mu_star=mu_star, sigma=sigma,
+    return est.SAResult(estimator="Morris", mu_star=mu_star,
+                        sigma_effects=sigma,
                         evaluations_used=n_evals, warnings=tuple(warnings),
                         nan_count=nan_count)
 
@@ -418,12 +430,14 @@ class TestSimulatedExecutors:
         res = est.pce_sa_simulated(g8, 2000, seed=0)
         assert res.estimator == "PCE_SA"
         assert res.warnings                      # truncation warning present
-        bias = np.mean(np.asarray(res.s1) - g8.analytic_s1)
+        bias = np.mean(np.asarray(res.first_order_indices)
+                       - g8.analytic_s1)
         assert bias > 0.03                       # deliberately under-resolved
 
     def test_generalized_sobol_near_reference(self, g8):
         res = est.generalized_sobol_simulated(g8, 1000, seed=0)
-        mae = np.mean(np.abs(np.asarray(res.s1) - g8.analytic_s1))
+        mae = np.mean(np.abs(np.asarray(res.first_order_indices)
+                             - g8.analytic_s1))
         assert mae < 0.1
         assert res.evaluations_used == 1000 * 10
 
@@ -444,3 +458,7 @@ class TestDispatch:
         attrs = res.attributes()
         assert set(attrs) == {"mu_star", "sigma_effects"}
         assert res.primary_indices() == res.mu_star
+        # One table of outputs: every row fills exactly what it lists.
+        for row in catalog.SA_ESTIMATORS.values():
+            res = row.execute(g8, 200, 0, "MonteCarlo")
+            assert tuple(res.attributes()) == row.bindings, row.id

@@ -136,6 +136,32 @@ class TestCheckpointWiring:
             if rec.observation is not None:
                 assert "CP6" in cps
 
+    @pytest.mark.parametrize("overrides", [ALL_OFF, {"CP5": DISABLED}],
+                             ids=["all_off", "cp5_off"])
+    def test_switched_off_gates_report(self, overrides, monkeypatch):
+        # A switched-off gate, CP5 included, passes once per hand-off and
+        # reports -1 with the cosine it saw; the Inspector is off with CP5.
+        def inspector(plan, ms):
+            raise AssertionError("the Inspector ran with CP5 off")
+        monkeypatch.setattr(agents, "inspector_check", inspector)
+        trace = run_session(_cfg(checkpoint_overrides=dict(overrides),
+                                 seed=1, n_max=5,
+                                 drift=DriftSpec(kind="method_swap",
+                                                 replacement_value="Morris",
+                                                 probability=1.0)))
+        assert trace.records
+        for rec in trace.records:
+            assert not rec.failed
+            gates = ["CP7", "CP2", "CP3", "CP4", "CP5"] \
+                + ["CP6"] * (rec.observation is not None)
+            off = [e for e in rec.checkpoint_events if e.cp_id in overrides]
+            assert [e.cp_id for e in off] == \
+                [cp for cp in gates if cp in overrides]
+            assert all(e.passed and e.threshold == DISABLED for e in off)
+            cp5, = (e for e in off if e.cp_id == "CP5")
+            if rec.mismatch:   # the drifted plan ran undefended
+                assert cp5.similarity < CHECKPOINT_TABLE["CP5"][0]
+
     def test_screening_first_on_high_dim_cold_start(self):
         trace = run_session(_cfg(problem=G8_PROBLEM, seed=4))
         assert trace.cp0.screening_first
@@ -320,7 +346,7 @@ class TestSubmartingaleFlags:
         assert submartingale_flags(None, 10.0, None) == ()
 
     def test_negative_variance_flagged(self):
-        obs = SAResult(estimator="Sobol", s1=(-0.2,),
+        obs = SAResult(estimator="Sobol", first_order_indices=(-0.2,),
                        negative_variance_flag=True)
         flags = submartingale_flags(None, 70.0, obs)
         assert "negative variance contribution observed" in flags

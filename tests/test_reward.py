@@ -14,8 +14,10 @@ def _ms(ps, estimator="Sobol", n_samples=500):
 
 
 def _obs(model, estimator="Sobol", evals=3000, **kw):
-    fields = dict(estimator=estimator, s1=model.analytic_s1,
-                  st=model.analytic_st, evaluations_used=evals)
+    fields = dict(estimator=estimator,
+                  first_order_indices=model.analytic_s1,
+                  total_order_indices=model.analytic_st,
+                  evaluations_used=evals)
     fields.update(kw)
     return SAResult(**fields)
 
@@ -55,14 +57,15 @@ class TestIntegrity:
     def test_missing_attribute_synthesizes_warning(self, ps_g8, g8):
         ms = _ms(ps_g8)                                 # requires s1 and st
         obs = SAResult(estimator="Morris", mu_star=(1.0,) * 8,
-                       sigma=(0.1,) * 8, evaluations_used=900)
+                       sigma_effects=(0.1,) * 8, evaluations_used=900)
         b = reward.score(ms, obs, model=g8, epsilon=0.1)
         assert b.integrity == 0.0                       # exec+attrs+warn all lost
         assert any("missing required attribute" in w for w in b.warnings)
 
     def test_partial_attributes_prorated(self, ps_g8, g8):
         ms = _ms(ps_g8)
-        obs = _obs(g8, st=None, evals=ms.n_min_value)   # s1 present, st missing
+        # first-order indices present, total-order missing
+        obs = _obs(g8, total_order_indices=None, evals=ms.n_min_value)
         b = reward.score(ms, obs, model=g8, epsilon=0.1)
         assert b.integrity == pytest.approx(5.0)        # 10 * 1/2 attr credit
 
@@ -71,8 +74,8 @@ class TestAccuracy:
     def test_precision_scales_with_mae(self, ms_g8, g8):
         perfect = reward.score(ms_g8, _obs(g8), model=g8, epsilon=0.1)
         off = np.asarray(g8.analytic_s1) + 0.02
-        biased = reward.score(ms_g8, _obs(g8, s1=tuple(off)), model=g8,
-                              epsilon=0.1)
+        biased = reward.score(ms_g8, _obs(g8, first_order_indices=tuple(off)),
+                              model=g8, epsilon=0.1)
         assert perfect.accuracy > biased.accuracy
         # MAE 0.02 against epsilon 0.1 costs 20% of the 20-point block.
         assert biased.accuracy == pytest.approx(perfect.accuracy - 4.0)
@@ -84,18 +87,20 @@ class TestAccuracy:
         prev = _obs(g8)
         same = reward.score(ms, _obs(g8), model=None, prev_obs=prev)
         drifted = reward.score(
-            ms, _obs(g8, s1=tuple(np.asarray(g8.analytic_s1) + 0.01)),
+            ms, _obs(g8, first_order_indices=tuple(
+                np.asarray(g8.analytic_s1) + 0.01)),
             model=None, prev_obs=prev)
         assert same.accuracy - drifted.accuracy == pytest.approx(20.0)
 
     def test_consistency_sum_band(self, ms_g8, g8):
-        bad = _obs(g8, s1=(0.5,) * 8)                   # sums to 4.0
+        bad = _obs(g8, first_order_indices=(0.5,) * 8)  # sums to 4.0
         b = reward.score(ms_g8, bad, model=g8, epsilon=0.1)
         good = reward.score(ms_g8, _obs(g8), model=g8, epsilon=0.1)
         assert good.accuracy - b.accuracy >= 8.0
 
     def test_consistency_order_check(self, ms_g8, g8):
-        inverted = _obs(g8, st=tuple(s - 0.2 for s in g8.analytic_s1))
+        inverted = _obs(g8, total_order_indices=tuple(
+            s - 0.2 for s in g8.analytic_s1))
         b = reward.score(ms_g8, inverted, model=g8, epsilon=0.1)
         good = reward.score(ms_g8, _obs(g8), model=g8, epsilon=0.1)
         assert good.accuracy - b.accuracy == pytest.approx(7.0)
@@ -115,8 +120,8 @@ class TestDetails:
     def test_rank_inversion_penalty(self, ms_g8, g8):
         swapped = list(g8.analytic_s1)
         swapped[0], swapped[1] = swapped[1], swapped[0]
-        b = reward.score(ms_g8, _obs(g8, s1=tuple(swapped)), model=g8,
-                         epsilon=0.1)
+        b = reward.score(ms_g8, _obs(g8, first_order_indices=tuple(swapped)),
+                         model=g8, epsilon=0.1)
         assert b.rank_inversion
         assert b.details == pytest.approx(15.0 - 3.0)
 

@@ -17,8 +17,8 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "driftguard")
 
-MAX_LINES = 3244
-MAX_PUBLIC_NAMES = 116
+MAX_LINES = 3229
+MAX_PUBLIC_NAMES = 115
 
 
 def _modules() -> list[str]:
