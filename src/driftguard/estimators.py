@@ -215,9 +215,7 @@ def _latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """
     child = rng.spawn(1)[0]
     jitter = child.uniform(size=(n, d))
-    perms = np.tile(np.arange(1, n + 1), (d, 1))
-    for row in perms:
-        child.shuffle(row)
+    perms = child.permuted(np.tile(np.arange(1, n + 1), (d, 1)), axis=1)
     return (perms.T - jitter) / n
 
 
@@ -381,26 +379,26 @@ def cvm(m: BenchmarkModel, n: int, seed: int,
 # ---------------------------------------------------------------------------
 # Morris screening
 
-def morris(m: BenchmarkModel, trajectories: int, levels: int = 4,
-           seed: int = 0) -> SAResult:
-    """Morris elementary effects via winding-stairs trajectories.
+def morris(m: BenchmarkModel, trajectories: int, seed: int = 0) -> SAResult:
+    """Morris elementary effects via winding-stairs trajectories on a
+    4-level grid, step delta = 2/3; cost is trajectories*(d_in+1)
+    evaluations.
 
-    Grid step is delta = levels / (2*(levels-1)); cost is
-    trajectories*(d_in+1) evaluations.  Each trajectory draws its base
-    point, then its step order.  Whole trajectories are evaluated in
-    blocks of at most _MORRIS_BLOCK_POINTS points, one model call per
-    block; as a model evaluates each row on its own, the result has the
-    same bits as evaluating point by point.
+    The seed spawns two streams: one draws every base point, the other
+    every step order, each in trajectory order.  Whole trajectories are
+    evaluated in blocks of at most _MORRIS_BLOCK_POINTS points, one model
+    call per block; as each stream is drawn block after block and a model
+    evaluates each row on its own, the result does not depend on the block
+    size and has the same bits as evaluating point by point.
     """
     if trajectories < 2:
         raise InsufficientSamples("morris requires >= 2 trajectories")
-    if levels < 4 or levels % 2:
-        raise InsufficientSamples("levels must be even and >= 4")
-    rng = np.random.default_rng(seed)
+    base_rng, order_rng = np.random.default_rng(seed).spawn(2)
     d = m.d_in
-    delta = levels / (2.0 * (levels - 1))
-    grid = np.arange(levels) / (levels - 1)
-    low = grid[grid + delta <= 1.0 + 1e-12]
+    # The grid is 0, 1/3, 2/3, 1; a base is one of the two levels a step of
+    # delta stays on, and base + delta <= 1.0 holds exactly, so each step is up.
+    delta = 2 / 3
+    low = np.array([0.0, 1 / 3])
     warnings = ("single-input screening is pointless",) if d == 1 else ()
     # Row i holds input i's effects in trajectory order, contiguous, so the
     # mean and std below sum in the same order as over a per-input list.
@@ -409,13 +407,8 @@ def morris(m: BenchmarkModel, trajectories: int, levels: int = 4,
     steps = np.arange(d + 1)[:, None]
     for start in range(0, trajectories, per_block):
         k = min(per_block, trajectories - start)
-        base = np.empty((k, d))
-        order = np.empty((k, d), dtype=np.intp)
-        for t in range(k):
-            base[t] = rng.choice(low, size=d)
-            order[t] = rng.permutation(d)
-        # base + delta <= 1.0 holds in floating point for every base in low
-        # (checked for every even levels up to 20 000), so each step is up.
+        base = low[base_rng.integers(low.size, size=(k, d))]
+        order = order_rng.permuted(np.tile(np.arange(d), (k, 1)), axis=1)
         stepped = base + delta
         # Point j of a trajectory has moved the first j inputs of its order.
         moved = np.argsort(order, axis=1)[:, None, :] < steps
