@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import functools
 import re
-import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import catalog, schemes
 from .errors import InsufficientSamples, Unrecoverable
 from .estimators import SAResult, benchmark_catalog, get_model
-from .schemes import MethodScheme, ProblemScheme
+from .schemes import MethodScheme, ProblemScheme, check_field_types
 
 #: drift kind -> the plan field it rewrites
 DRIFT_KINDS = {"method_swap": "estimator", "field_corruption": "n_samples",
@@ -58,31 +57,6 @@ class DriftSpec:
         if rewritten and self.target_field != rewritten:
             raise ValueError(f"drift kind {self.kind} rewrites {rewritten}, "
                              f"not {self.target_field!r}")
-
-
-@functools.cache
-def _field_types(cls) -> tuple[tuple[str, tuple[type, ...]], ...]:
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, typing.get_args(hints[f.name]) or (hints[f.name],))
-                 for f in fields(cls))
-
-
-def check_field_types(obj) -> None:
-    """Check every field of the frozen dataclass ``obj`` against its
-    annotation, a class or a union of classes; raises TypeError.
-
-    A float field also takes an int, and stores the equal float. Nothing
-    else is converted, and a bool is never taken as an int."""
-    for name, allowed in _field_types(type(obj)):
-        value = getattr(obj, name)
-        if float in allowed and type(value) is int:
-            # Past the float range this raises OverflowError.
-            object.__setattr__(obj, name, float(value))
-        elif not isinstance(value, allowed) or (
-                isinstance(value, bool) and bool not in allowed):
-            raise TypeError(f"{name} must be "
-                            f"{' or '.join(t.__name__ for t in allowed)}, "
-                            f"not {type(value).__name__}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ cells, one per (condition, seed), each holding a chain of sessions that
 share the cell's archive.  ``run`` is the 1 x 1 x 1 case, ``ablate`` is
 conditions x seeds x 1 and ``sessions`` is 1 x 1 x K.  Each session goes
 through ``run_session`` and ``write_trace``, so it leaves a
-``<session_id>.trace.jsonl``; the command then writes its summary or table.
+``<session_id>.trace.jsonl`` whose header holds the session's facts. ``run``
+writes that header as its summary, and a table row holds the header's
+unrounded values on the table's columns.
 Configuration is a single JSON document; every command is reproducible from
 (config, seeds).  ``_COMMANDS`` lists the keys each command's config may
 hold and ``_KEYS`` those of each nested block; any other key (a typo, a
@@ -34,13 +36,15 @@ from .agents import DriftSpec
 from .archive import Archive
 from .errors import ConfigError, DriftguardError, InvalidProblem
 from .estimators import benchmark_catalog
-from .pipeline import SessionConfig, SessionTrace, run_session, write_trace
+from .pipeline import SessionConfig, run_session, write_trace
 from .schemes import build_problem_scheme
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
 EXIT_ABORTED = 2
 
+# Each table's columns: session facts, as ``write_trace`` returns them, and
+# ``condition``, the name of the session's grid cell, which no trace holds.
 SESSION_COLUMNS = ("session_id", "seed", "outcome", "best_reward",
                    "iterations_to_best", "iterations_to_converge",
                    "best_estimator", "cp0_match", "cp0_similarity",
@@ -49,34 +53,6 @@ ABLATION_COLUMNS = ("condition", "seed", "outcome", "mismatch_count",
                     "n_iterations", "best_reward", "first_reward",
                     "iterations_to_converge", "cp_failure_events")
 
-
-def _best(trace: SessionTrace):
-    return max(trace.records, key=lambda r: r.reward_total, default=None)
-
-
-# Each table column as a function of a session's trace. ``condition``, the
-# name of the session's grid cell, is the one column a trace does not hold.
-_COLUMNS = {
-    "session_id": lambda t: t.session_id,
-    "seed": lambda t: t.config.seed,
-    "outcome": lambda t: t.outcome,
-    "best_reward": lambda t: round(t.best_reward, 2),
-    "first_reward": lambda t: round(t.records[0].reward_total, 2)
-    if t.records else 0.0,
-    "n_iterations": lambda t: len(t.records),
-    "iterations_to_best": lambda t: _best(t).n if t.records else None,
-    "iterations_to_converge": lambda t: t.iterations_to_converge,
-    "best_estimator": lambda t: _best(t).action.estimator if t.records
-    else None,
-    "mismatch_count": lambda t: sum(1 for r in t.records if r.mismatch),
-    "cp_failure_events": lambda t: sum(1 for r in t.records
-                                       for e in r.checkpoint_events
-                                       if e.verdict != "pass"),
-    "cp0_match": lambda t: t.cp0.match,
-    "cp0_similarity": lambda t: round(t.cp0.similarity, 3),
-    "cp0_mode": lambda t: t.cp0.exploration_mode,
-    "cp0_screening_first": lambda t: t.cp0.screening_first,
-}
 
 # The keys each nested block may hold; any other is a bad configuration. A
 # ``sessions`` entry holds only session settings, the fields of
@@ -142,7 +118,8 @@ def _drift_from(doc) -> DriftSpec:
 
 def _session_config(settings: dict) -> SessionConfig:
     """The session ``settings`` state, passed through as they are;
-    ``SessionConfig`` supplies the defaults and checks the types."""
+    ``SessionConfig`` and the problem record supply the defaults and check
+    the types."""
     if "problem" not in settings:
         raise ConfigError("config lacks a 'problem' object")
     _check_keys("problem", settings["problem"])
@@ -150,6 +127,10 @@ def _session_config(settings: dict) -> SessionConfig:
     if not isinstance(model_id, (str, type(None))) or \
             (model_id and model_id not in benchmark_catalog()):
         raise ConfigError(f"unknown problem model {model_id!r}")
+    try:   # a mistyped problem field is a ConfigError
+        build_problem_scheme(settings["problem"])
+    except InvalidProblem:
+        pass   # intake rejects the problem: the session aborts
     if "drift" in settings:
         settings = {**settings, "drift": _drift_from(settings["drift"])}
     try:
@@ -261,31 +242,11 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _trace_summary(trace: SessionTrace) -> dict:
-    cp_counts = Counter(f"{e.cp_id}_{e.verdict}" for r in trace.records
-                        for e in r.checkpoint_events)
-    return {"session_id": trace.session_id,
-            "outcome": trace.outcome,
-            "best_reward": trace.best_reward,
-            "best_estimator": _COLUMNS["best_estimator"](trace),
-            "iterations": len(trace.records),
-            "iterations_to_converge": trace.iterations_to_converge,
-            "mismatches": _COLUMNS["mismatch_count"](trace),
-            "checkpoint_events": dict(sorted(cp_counts.items())),
-            "cp0": {"match": trace.cp0.match,
-                    "similarity": trace.cp0.similarity,
-                    "exploration_mode": trace.cp0.exploration_mode,
-                    "screening_first": trace.cp0.screening_first},
-            "abort_reason": trace.abort_reason}
-
-
-def _run(cfg: SessionConfig, archive: Archive | None,
-         out: str) -> SessionTrace:
+def _run(cfg: SessionConfig, archive: Archive | None, out: str) -> dict:
     """Run one session and write ``<session_id>.trace.jsonl`` under
-    ``out``."""
-    trace = run_session(cfg, archive=archive)
-    write_trace(trace, os.path.join(out, f"{cfg.session_id}.trace.jsonl"))
-    return trace
+    ``out``; returns the session's facts, the trace header."""
+    return write_trace(run_session(cfg, archive=archive),
+                       os.path.join(out, f"{cfg.session_id}.trace.jsonl"))
 
 
 def _command(args) -> int:
@@ -299,19 +260,18 @@ def _command(args) -> int:
     rows, aborted = [], False
     for condition, archive, chain in cells:
         for cfg in chain:
-            trace = _run(cfg, archive, out)
-            aborted = aborted or trace.outcome == "aborted"
-            _say(args, f"{cfg.session_id}: {trace.outcome}, best reward "
-                       f"{trace.best_reward:.1f} in {len(trace.records)} "
-                       "iterations")
+            facts = _run(cfg, archive, out)
+            aborted = aborted or facts["outcome"] == "aborted"
+            _say(args, f"{cfg.session_id}: {facts['outcome']}, best reward "
+                       f"{facts['best_reward']:.1f} in "
+                       f"{facts['n_iterations']} iterations")
             if table:
-                rows.append({c: condition if c == "condition"
-                             else _COLUMNS[c](trace) for c in columns})
+                rows.append({c: condition if c == "condition" else facts[c]
+                             for c in columns})
             else:
                 with open(os.path.join(out, f"{cfg.session_id}.summary.json"),
                           "w", encoding="utf-8") as fh:
-                    json.dump(_trace_summary(trace), fh, sort_keys=True,
-                              indent=2)
+                    json.dump(facts, fh, sort_keys=True, indent=2)
                     fh.write("\n")
     if table:
         path = os.path.join(out, f"{doc.get('output_name', table)}.csv")

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 from . import action_space, agents, bandit, reward as reward_mod
-from .agents import DriftSpec, ExecutionPlan, check_field_types
+from .agents import DriftSpec, ExecutionPlan
 from .archive import Archive
 from .checkpoints import CHECKPOINT_TABLE, DISABLED, CheckpointManager, \
     CheckpointResult, CP0Result
@@ -29,7 +30,7 @@ from .embedding import calibrate_null, shipped_corpus, similarity
 from .errors import DriftguardError
 from .estimators import SAResult, get_model
 from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
-    build_problem_scheme
+    build_problem_scheme, check_field_types
 
 
 @dataclass(frozen=True)
@@ -350,17 +351,45 @@ def _aborted(cfg, ps, why: str) -> SessionTrace:
 
 
 # ---------------------------------------------------------------------------
-# Trace serialization (JSONL: header line, then one record per line)
+# Trace serialization (JSONL: a header line of the session's facts, then
+# one record per line). Each fact is a function of the trace; this one table
+# feeds the header, and through it the CLI's summary and every CSV row.
+_FACTS = {
+    "session_id": lambda t: t.session_id,
+    "config_digest": lambda t: t.config.digest(),
+    "seed": lambda t: t.config.seed,
+    "outcome": lambda t: t.outcome,
+    "abort_reason": lambda t: t.abort_reason,
+    "best_reward": lambda t: t.best_reward,
+    "first_reward": lambda t: t.records[0].reward_total if t.records
+    else 0.0,
+    "n_iterations": lambda t: len(t.records),
+    "iterations_to_best": lambda t: next(
+        (r.n for r in t.records if r.reward_total == t.best_reward), None),
+    "iterations_to_converge": lambda t: t.iterations_to_converge,
+    "best_estimator": lambda t: next(
+        (r.action.estimator for r in t.records
+         if r.reward_total == t.best_reward), None),
+    "mismatch_count": lambda t: sum(r.mismatch for r in t.records),
+    "cp_failure_events": lambda t: sum(e.verdict != "pass" for r in t.records
+                                       for e in r.checkpoint_events),
+    "checkpoint_events": lambda t: dict(sorted(Counter(
+        f"{e.cp_id}_{e.verdict}" for r in t.records
+        for e in r.checkpoint_events).items())),
+    "cp0_match": lambda t: t.cp0.match,
+    "cp0_similarity": lambda t: t.cp0.similarity,
+    "cp0_mode": lambda t: t.cp0.exploration_mode,
+    "cp0_screening_first": lambda t: t.cp0.screening_first,
+    # The archive entry CP0 matched, if any; a configured warm start's is
+    # "seed".
+    "cp0_source": lambda t: getattr(t.cp0.warm_start, "session_id", None),
+}
 
-def write_trace(trace: SessionTrace, path: str) -> None:
+
+def write_trace(trace: SessionTrace, path: str) -> dict:
+    """Write ``trace`` to ``path``; returns its header of session facts."""
+    header = {name: fact(trace) for name, fact in _FACTS.items()}
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"session_id": trace.session_id,
-                  "config_digest": trace.config.digest(),
-                  "outcome": trace.outcome,
-                  "best_reward": trace.best_reward,
-                  "iterations_to_converge": trace.iterations_to_converge,
-                  "cp0_match": trace.cp0.match,
-                  "cp0_similarity": trace.cp0.similarity}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in trace.records:
             row = {"n": rec.n,
@@ -379,6 +408,6 @@ def write_trace(trace: SessionTrace, path: str) -> None:
                        for e in rec.checkpoint_events],
                    "drift_events": list(rec.drift_events),
                    "diagnostic": {**asdict(rec.diagnostic),
-                                  "__kind__": "DiagnosticScheme"},
-                   "advisor_text": rec.diagnostic.physical_insight}
+                                  "__kind__": "DiagnosticScheme"}}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+    return header

@@ -9,15 +9,41 @@ from __future__ import annotations
 
 import functools
 import math
+import typing
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from . import catalog
 from .action_space import ActionTuple
-from .errors import InvalidProblem
+from .errors import ConfigError, InvalidProblem
 from .reward import COMPONENT_CAPS
 
 DIST_FAMILIES = ("Uniform", "Normal", "Other")
+
+
+@functools.cache
+def _field_types(cls) -> tuple[tuple[str, tuple[type, ...]], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, typing.get_args(hints[f.name]) or (hints[f.name],))
+                 for f in fields(cls))
+
+
+def check_field_types(obj) -> None:
+    """Check every field of the frozen dataclass ``obj`` against its
+    annotation, a class or a union of classes; raises TypeError.
+
+    A float field also takes an int, and stores the equal float. Nothing
+    else is converted, and a bool is never taken as an int."""
+    for name, allowed in _field_types(type(obj)):
+        value = getattr(obj, name)
+        if float in allowed and type(value) is int:
+            # Past the float range this raises OverflowError.
+            object.__setattr__(obj, name, float(value))
+        elif not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed):
+            raise TypeError(f"{name} must be "
+                            f"{' or '.join(t.__name__ for t in allowed)}, "
+                            f"not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -29,10 +55,14 @@ class ProblemScheme:
     d_out: int
     n_budget: int
     epsilon: float
-    dist_family: tuple[str, ...]       # one entry per input
-    model_id: str = ""
+    dist_family: tuple                 # one DIST_FAMILIES name per input
+    model_id: str | None = ""
 
     def __post_init__(self):
+        try:
+            check_field_types(self)
+        except (TypeError, OverflowError) as exc:
+            raise ConfigError(f"bad problem: {exc}") from exc
         if self.d_in < 1 or self.d_out < 1:
             raise InvalidProblem("dimensionality must be positive")
         if self.n_budget < 1:
@@ -100,22 +130,23 @@ class DiagnosticScheme:
 
 def build_problem_scheme(desc: dict) -> ProblemScheme:
     """The problem record of a problem description; deterministic.  A
-    missing or malformed key, or a task other than SA, is InvalidProblem."""
+    mistyped field is a ConfigError, as a mistyped session setting is; a
+    missing key, a task other than SA or a bad value is InvalidProblem."""
     try:
-        d_in = int(desc["d_in"])
-        d_out = int(desc["d_out"])
-        n_budget = int(desc["n_budget"])
-        epsilon = float(desc.get("epsilon", 0.05))
         task = desc["task"]
         dists = tuple(d if d in DIST_FAMILIES else "Other"
-                      for d in desc.get("dist_family") or ("Other",) * d_in)
-    except (KeyError, TypeError, ValueError) as exc:
+                      for d in desc.get("dist_family") or ())
+        ps = ProblemScheme(d_in=desc["d_in"], d_out=desc["d_out"],
+                           n_budget=desc["n_budget"],
+                           epsilon=desc.get("epsilon", 0.05),
+                           dist_family=dists,
+                           model_id=desc.get("model_id", ""))
+    except (KeyError, TypeError) as exc:
         raise InvalidProblem(f"incomplete problem description: {exc}") from exc
     if task != "SA":
         raise InvalidProblem(f"unknown task {task!r}")
-    return ProblemScheme(d_in=d_in, d_out=d_out, n_budget=n_budget,
-                         epsilon=epsilon, dist_family=dists,
-                         model_id=desc.get("model_id", ""))
+    # Without ``dist_family`` every input is Other.
+    return ps if dists else replace(ps, dist_family=("Other",) * ps.d_in)
 
 
 def build_method_scheme(action: ActionTuple, ps: ProblemScheme,

@@ -56,7 +56,7 @@ class TestRun:
         assert trace.exists() and summary.exists()
         doc = json.loads(summary.read_text())
         assert doc["outcome"] in ("converged", "budget_exhausted")
-        assert doc["iterations"] >= 1
+        assert doc["n_iterations"] >= 1
         assert "best reward" in capsys.readouterr().out
 
     def test_deterministic_outputs(self, tmp_path):
@@ -326,7 +326,17 @@ class TestBadConfig:
                 ("run", {**BASE_RUN, "warm_start": {
                     "estimator": "Sobol", "mean_reward": 91.0,
                     "count": 2.7}}),
-                ("run", {**BASE_RUN, "seed": True})):
+                ("run", {**BASE_RUN, "seed": True}),
+                # So does a problem's number: nothing is truncated or parsed.
+                # A well-typed but inconsistent problem aborts its session.
+                *(("run", {**BASE_RUN, "problem": {**EQ3_PROBLEM, **bad}})
+                  for bad in ({"d_in": 4.7}, {"d_in": "4"}, {"d_in": True},
+                              {"n_budget": 8000.9}, {"epsilon": "0.05"})),
+                ("ablate", {**ablate, "problem": {**EQ3_PROBLEM,
+                                                  "d_out": 1.0}}),
+                ("sessions", {**BASE_RUN, "sessions": [
+                    {"session_id": "s1"}, {"session_id": "s2", "problem": {
+                        **EQ3_PROBLEM, "n_budget": "8000"}}]})):
             cfg = _write(tmp_path, doc)
             assert main([command, "--config", cfg, "--out", str(tmp_path),
                          "--quiet"]) == EXIT_BAD_CONFIG, doc
@@ -633,3 +643,76 @@ def test_trace_bytes_do_not_depend_on_hash_seed(tmp_path):
             timeout=120, check=True)
         blobs.append((out / "beam.trace.jsonl").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def _command_of(doc: dict) -> str:
+    if "sessions" in doc:
+        return "sessions"
+    return "ablate" if "conditions" in doc else "run"
+
+
+def _header(path) -> dict:
+    return json.loads(path.read_text().splitlines()[0])
+
+
+class TestSessionFacts:
+    """A trace header holds every fact of its session; ``run``'s summary
+    and every table row are read from it."""
+
+    @pytest.mark.parametrize("name", sorted(
+        n[:-len(".json")] for n in os.listdir(CONFIGS)))
+    def test_outputs_are_the_trace_header(self, tmp_path, name):
+        with open(os.path.join(CONFIGS, f"{name}.json")) as fh:
+            doc = json.load(fh)
+        command = _command_of(doc)
+        assert main([command, "--config", os.path.join(CONFIGS,
+                                                       f"{name}.json"),
+                     "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        if command == "run":
+            summary = json.loads(
+                (tmp_path / f"{doc['session_id']}.summary.json").read_text())
+            assert summary == _header(
+                tmp_path / f"{doc['session_id']}.trace.jsonl")
+            return
+        with open(tmp_path / f"{doc['output_name']}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(list(tmp_path.glob("*.trace.jsonl")))
+        for row in rows:
+            sid = row.get("session_id") or \
+                f"{doc['session_id']}-{row['condition']}-s{row['seed']}"
+            header = _header(tmp_path / f"{sid}.trace.jsonl")
+            # A cell holds the header's value as the csv module writes it:
+            # str(), unrounded, and empty for null.
+            assert {c: v for c, v in row.items() if c != "condition"} == {
+                c: "" if header[c] is None else str(header[c])
+                for c in row if c != "condition"}
+
+    def test_aborted_session_header_holds_its_reason(self, tmp_path):
+        problem = {**EQ3_PROBLEM, "n_budget": 0}
+        for command, doc, sid in (
+                ("sessions", {**BASE_RUN, "output_name": "runs",
+                              "sessions": [{"session_id": "s1",
+                                            "problem": problem}]}, "s1"),
+                ("ablate", {**BASE_RUN, "problem": problem,
+                            "conditions": [{"name": "only"}]},
+                 "cli-test-only-s1")):
+            assert main([command, "--config", _write(tmp_path, doc),
+                         "--out", str(tmp_path), "--quiet"]) == EXIT_ABORTED
+            header = _header(tmp_path / f"{sid}.trace.jsonl")
+            assert header["outcome"] == "aborted"
+            assert "budget must be positive" in header["abort_reason"]
+
+    def test_warm_start_shows_as_cp0_source(self, tmp_path):
+        # The header names the archive entry CP0 matched; a configured warm
+        # start is the entry "seed".
+        with open(os.path.join(CONFIGS, "beam.json")) as fh:
+            doc = json.load(fh)
+        sources = []
+        for k, extra in enumerate(({}, {"warm_start": {
+                "estimator": "Sobol", "mean_reward": 91.0}})):
+            out = tmp_path / f"out{k}"
+            assert main(["run", "--config",
+                         _write(tmp_path, {**doc, **extra}), "--out",
+                         str(out), "--quiet"]) == EXIT_OK
+            sources.append(_header(out / "beam.trace.jsonl")["cp0_source"])
+        assert sources == [None, "seed"]

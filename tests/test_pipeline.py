@@ -77,6 +77,13 @@ class TestSessionBasics:
         trace = run_session(cfg)
         assert trace.outcome == "aborted"
 
+    def test_aborted_on_a_mistyped_problem_number(self):
+        # Intake converts no number: a float d_in aborts the session rather
+        # than running a truncated problem.
+        trace = run_session(_cfg(problem={**EQ3_PROBLEM, "d_in": 4.7}))
+        assert trace.outcome == "aborted"
+        assert "d_in must be int, not float" in trace.abort_reason
+
     def test_digest_tells_drift_and_archive_flags_apart(self):
         # A trace header must show which drift ran and whether the
         # session recorded to, or restored its policy from, the archive.
@@ -382,7 +389,7 @@ class TestTraceSerialization:
         row = json.loads(lines[1])
         assert {"n", "action", "mismatch", "reward", "checkpoint_events",
                 "diagnostic"} <= set(row)
-        assert row["advisor_text"] \
+        assert row["diagnostic"]["physical_insight"] \
             == trace.records[0].diagnostic.physical_insight
 
     def test_records_hold_each_fact_once(self):

@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 
 from driftguard import action_space, catalog
-from driftguard.errors import InvalidProblem
+from driftguard.errors import ConfigError, InvalidProblem
 from driftguard.reward import RewardBreakdown
 from driftguard.schemes import (build_diagnostic_scheme, build_method_scheme,
                                 build_problem_scheme, DiagnosticScheme,
@@ -53,6 +53,23 @@ class TestContextVector:
                                ({"epsilon": float("nan")}, "epsilon")):
             with pytest.raises(InvalidProblem, match=reason):
                 build_problem_scheme({**EQ3_PROBLEM, **change})
+
+    def test_numbers_hold_their_own_types(self):
+        # Nothing is converted: an int field takes no bool, float or str,
+        # and a float field takes an int as the equal float.
+        for change in ({"d_in": 4.7}, {"d_in": 4.0}, {"d_in": "4"},
+                       {"d_in": True}, {"d_out": 1.0}, {"n_budget": 8000.9},
+                       {"epsilon": "0.05"}, {"epsilon": True},
+                       {"epsilon": 10 ** 400}):
+            with pytest.raises(ConfigError, match="bad problem"):
+                build_problem_scheme({**EQ3_PROBLEM, **change})
+        ps = build_problem_scheme({**EQ3_PROBLEM, "epsilon": 1})
+        assert ps.epsilon == 1.0 and type(ps.epsilon) is float
+
+    def test_missing_dist_family_is_other_per_input(self):
+        ps = build_problem_scheme({k: v for k, v in EQ3_PROBLEM.items()
+                                   if k != "dist_family"})
+        assert ps.dist_family == ("Other",) * 4
 
     def test_unknown_dist_mapped_to_other(self):
         ps = build_problem_scheme({**EQ3_PROBLEM,

@@ -17,7 +17,7 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "driftguard")
 
-MAX_LINES = 3222
+MAX_LINES = 3216
 MAX_PUBLIC_NAMES = 115
 
 
