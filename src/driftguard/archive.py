@@ -22,13 +22,13 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bandit, catalog
 from .errors import LoadError, PersistError
-from .schemes import DIST_FAMILIES, ProblemScheme
+from .schemes import DIST_FAMILIES, ProblemScheme, to_json
 
 SCHEMA_VERSION = 3
 
@@ -85,13 +85,9 @@ class ArchiveEntry:
 
     @functools.cached_property
     def json_text(self) -> str:
-        """The entry as JSON text, keys sorted, via the C encoder; computed
-        on the first write and reused by every later one."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["per_arm_stats"] = [
-            [est, {f.name: getattr(stats, f.name) for f in fields(stats)}]
-            for est, stats in self.per_arm_stats]
-        return json.dumps(data, sort_keys=True)
+        """The entry as JSON text, computed on the first write and reused
+        by every later one."""
+        return to_json(self)
 
 
 def similarity(current: ProblemScheme, entry: ArchiveEntry) -> float:

@@ -29,7 +29,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 from . import action_space
 from .agents import DriftSpec
@@ -37,7 +37,7 @@ from .archive import Archive
 from .errors import ConfigError, DriftguardError, InvalidProblem
 from .estimators import benchmark_catalog
 from .pipeline import SessionConfig, run_session, write_trace
-from .schemes import build_problem_scheme
+from .schemes import build_problem_scheme, check_field_types
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -54,6 +54,22 @@ ABLATION_COLUMNS = ("condition", "seed", "outcome", "mismatch_count",
                     "iterations_to_converge", "cp_failure_events")
 
 
+@dataclass(frozen=True)
+class _WarmStart:
+    """A ``warm_start`` block: the one arm of the first session's problem
+    that a cell's archive is seeded with."""
+
+    estimator: str
+    mean_reward: float
+    count: int = 3
+
+    def __post_init__(self):
+        check_field_types(self)
+        # NaN fails the comparison; so do infinities.
+        if not abs(self.mean_reward) <= sys.float_info.max or self.count < 1:
+            raise ValueError("mean_reward must be finite and count at least 1")
+
+
 # The keys each nested block may hold; any other is a bad configuration. A
 # ``sessions`` entry holds only session settings, the fields of
 # ``SessionConfig``; ``problem`` holds the keys intake reads.
@@ -62,7 +78,7 @@ _KEYS = {
     "problem": frozenset({"task", "d_in", "d_out", "n_budget", "epsilon",
                           "model_id", "dist_family"}),
     "drift": frozenset(f.name for f in fields(DriftSpec)),
-    "warm_start": frozenset({"estimator", "mean_reward", "count"}),
+    "warm_start": frozenset(f.name for f in fields(_WarmStart)),
     "condition": frozenset({"name", "checkpoint_overrides", "drift"}),
 }
 # Per command: the keys its config may hold at the top level, the grid list
@@ -211,29 +227,20 @@ def _archive_for(doc: dict, chain: list) -> Archive | None:
     if warm:
         _check_keys("warm_start", warm)
         try:
-            estimator, mean_reward = warm["estimator"], warm["mean_reward"]
-        except KeyError as exc:
-            raise ConfigError(f"bad warm_start block: no {exc}") from exc
-        count = warm.get("count", 3)
-        if type(mean_reward) not in (int, float) or type(count) is not int:
-            raise ConfigError("bad warm_start block: mean_reward must be a "
-                              "number and count an integer")
-        # NaN fails the comparison; so do infinities and integers too large
-        # for a float.
-        if not abs(mean_reward) <= sys.float_info.max or count < 1:
-            raise ConfigError("bad warm_start block: mean_reward must be "
-                              "finite and count at least 1")
+            warm = _WarmStart(**warm)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad warm_start block: {exc}") from exc
         try:
             ps = build_problem_scheme(chain[0].problem)
         except InvalidProblem:
             return archive   # intake rejects the problem: the session aborts
         arm = next((a for a in action_space.filter_feasible(ps)
-                    if a.estimator == estimator), None)
+                    if a.estimator == warm.estimator), None)
         if arm is None:
             raise ConfigError(f"bad warm_start block: no feasible action "
-                              f"runs {estimator!r}")
-        archive.seed_entry(ps, arm, mean_reward=float(mean_reward),
-                           count=count)
+                              f"runs {warm.estimator!r}")
+        archive.seed_entry(ps, arm, mean_reward=warm.mean_reward,
+                           count=warm.count)
     return archive
 
 

@@ -17,9 +17,8 @@ stores each fact once: its policy features follow from its action.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from . import action_space, agents, bandit, reward as reward_mod
 from .agents import DriftSpec, ExecutionPlan
@@ -30,7 +29,7 @@ from .embedding import calibrate_null, shipped_corpus, similarity
 from .errors import DriftguardError
 from .estimators import SAResult, get_model
 from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
-    build_problem_scheme, check_field_types
+    build_problem_scheme, check_field_types, to_json
 
 
 @dataclass(frozen=True)
@@ -63,16 +62,17 @@ class SessionConfig:
                              "to -1, which switches the gate off")
 
     def digest(self) -> str:
-        """Hash of every field that changes what the session executes or
-        records; the session id only names it."""
-        body = json.dumps({"problem": self.problem, "n_max": self.n_max,
-                           "r_threshold": self.r_threshold,
-                           "checkpoints": self.checkpoint_overrides,
-                           "drift": asdict(self.drift), "seed": self.seed,
-                           "record_to_archive": self.record_to_archive,
-                           "persist_policy": self.persist_policy},
-                          sort_keys=True)
-        return hashlib.sha256(body.encode()).hexdigest()[:16]
+        """Hash of every field but the session id, which only names the
+        session.  The problem counts as the record it builds, so two ways
+        of writing one problem hash alike; one that does not build counts
+        as written, under a key no record has."""
+        try:
+            problem = build_problem_scheme(self.problem)
+        except DriftguardError:
+            problem = {"unbuilt": self.problem}
+        body = {**vars(self), "problem": problem}
+        del body["session_id"]
+        return hashlib.sha256(to_json(body).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -352,8 +352,9 @@ def _aborted(cfg, ps, why: str) -> SessionTrace:
 
 # ---------------------------------------------------------------------------
 # Trace serialization (JSONL: a header line of the session's facts, then
-# one record per line). Each fact is a function of the trace; this one table
-# feeds the header, and through it the CLI's summary and every CSV row.
+# one line per record, its fields under their own names plus the derived
+# ``mismatch``). Each fact is a function of the trace; this one table feeds
+# the header, and through it the CLI's summary and every CSV row.
 _FACTS = {
     "session_id": lambda t: t.session_id,
     "config_digest": lambda t: t.config.digest(),
@@ -390,24 +391,7 @@ def write_trace(trace: SessionTrace, path: str) -> dict:
     """Write ``trace`` to ``path``; returns its header of session facts."""
     header = {name: fact(trace) for name, fact in _FACTS.items()}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(to_json(header) + "\n")
         for rec in trace.records:
-            row = {"n": rec.n,
-                   "action": list(rec.action.dims),
-                   "estimator_planned": rec.action.estimator,
-                   "estimator_executed": rec.plan.estimator if rec.plan
-                   else None,
-                   "mismatch": rec.mismatch,
-                   "reward": rec.reward_total,
-                   "reward_components": list(rec.reward_components),
-                   "failed": rec.failed,
-                   "checkpoint_events": [
-                       {"cp": e.cp_id, "similarity": e.similarity,
-                        "threshold": e.threshold, "verdict": e.verdict,
-                        "failure_action": e.failure_action}
-                       for e in rec.checkpoint_events],
-                   "drift_events": list(rec.drift_events),
-                   "diagnostic": {**asdict(rec.diagnostic),
-                                  "__kind__": "DiagnosticScheme"}}
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(to_json({**vars(rec), "mismatch": rec.mismatch}) + "\n")
     return header

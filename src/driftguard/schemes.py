@@ -1,13 +1,13 @@
 """The problem record and the structured inter-agent scheme types, all
 immutable.  A method scheme holds what a decision chose and reads the rest
 from its catalog row, and a diagnosis takes its cause and prescription
-from the Advisor.  Traces carry each diagnostic as a JSON object of its
-fields plus a ``__kind__`` tag; nothing reads schemes back from text.
+from the Advisor.  Nothing reads schemes back from text.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import typing
 from collections import Counter
@@ -32,18 +32,29 @@ def check_field_types(obj) -> None:
     """Check every field of the frozen dataclass ``obj`` against its
     annotation, a class or a union of classes; raises TypeError.
 
-    A float field also takes an int, and stores the equal float. Nothing
-    else is converted, and a bool is never taken as an int."""
+    A float field also takes an int, and stores the equal float; an int
+    past the float range raises OverflowError. Either error names the
+    field. Nothing else is converted, and a bool is never taken as an int."""
     for name, allowed in _field_types(type(obj)):
         value = getattr(obj, name)
         if float in allowed and type(value) is int:
-            # Past the float range this raises OverflowError.
-            object.__setattr__(obj, name, float(value))
+            try:
+                object.__setattr__(obj, name, float(value))
+            except OverflowError:
+                raise OverflowError(f"{name} overflows a float") from None
         elif not isinstance(value, allowed) or (
                 isinstance(value, bool) and bool not in allowed):
             raise TypeError(f"{name} must be "
                             f"{' or '.join(t.__name__ for t in allowed)}, "
                             f"not {type(value).__name__}")
+
+
+def to_json(obj) -> str:
+    """``obj`` as JSON text, keys sorted, via the C encoder; a dataclass is
+    written as its own fields, one level at a time.  Trace rows, archive
+    entries and the config digest are all written through it."""
+    return json.dumps(obj, sort_keys=True, default=lambda o: {
+        f.name: getattr(o, f.name) for f in fields(o)})
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,25 @@ class TestSessionBasics:
         assert len({c.digest() for c in variants}) == len(variants)
         assert replace(base, session_id="other").digest() == base.digest()
 
+    def test_digest_hashes_the_built_problem(self):
+        # Two ways of writing one problem build one record and run one
+        # session, so they share a digest; a problem that does not build
+        # is hashed as written, and its aborted session still gets one.
+        def without(key):
+            return {k: v for k, v in EQ3_PROBLEM.items() if k != key}
+
+        for a, b in (({**EQ3_PROBLEM, "epsilon": 1},
+                      {**EQ3_PROBLEM, "epsilon": 1.0}),
+                     (without("epsilon"), {**EQ3_PROBLEM, "epsilon": 0.05}),
+                     (without("dist_family"),
+                      {**EQ3_PROBLEM, "dist_family": ["Other"] * 4})):
+            assert _cfg(problem=a).digest() == _cfg(problem=b).digest()
+        aborted = [_cfg(problem={**EQ3_PROBLEM, "d_in": d}).digest()
+                   for d in (4.7, 0, 4)]
+        assert len(set(aborted)) == 3
+        # Without its task the same keys do not build, and hash apart.
+        assert _cfg(problem=without("task")).digest() != _cfg().digest()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SessionConfig(problem=EQ3_PROBLEM, n_max=0)
@@ -387,10 +406,34 @@ class TestTraceSerialization:
         assert header["outcome"] == trace.outcome
         assert len(lines) == 1 + len(trace.records)
         row = json.loads(lines[1])
-        assert {"n", "action", "mismatch", "reward", "checkpoint_events",
+        assert {"n", "action", "mismatch", "reward_total", "checkpoint_events",
                 "diagnostic"} <= set(row)
         assert row["diagnostic"]["physical_insight"] \
             == trace.records[0].diagnostic.physical_insight
+
+    def test_row_is_the_record(self, tmp_path, monkeypatch):
+        # A row is its record's fields under their own names plus the
+        # derived mismatch, so the plan's sample count and seed and the
+        # evaluations used reach the trace without a second schema.
+        path = tmp_path / "trace.jsonl"
+
+        def rows(trace):
+            write_trace(trace, str(path))
+            return [json.loads(line)
+                    for line in path.read_text().splitlines()[1:]]
+
+        names = {f.name for f in fields(IterationRecord)} | {"mismatch"}
+        trace = run_session(_cfg(seed=1))
+        for rec, row in zip(trace.records, rows(trace), strict=True):
+            assert set(row) == names
+            assert row["plan"]["n_samples"] == rec.plan.n_samples
+            assert row["plan"]["seed"] == rec.plan.seed == 1 * 1000 + rec.n
+            assert row["observation"]["evaluations_used"] \
+                == rec.observation.evaluations_used > 0
+        _block_always(monkeypatch, "CP4")
+        [row] = rows(run_session(_cfg(seed=1, n_max=1)))
+        assert set(row) == names and row["failed"]
+        assert row["plan"] is None and row["observation"] is None
 
     def test_records_hold_each_fact_once(self):
         # Derived facts are properties, not fields: a plan's bindings come

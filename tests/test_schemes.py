@@ -5,6 +5,7 @@ import pytest
 
 from driftguard import action_space, catalog
 from driftguard.errors import ConfigError, InvalidProblem
+from driftguard.pipeline import SessionConfig
 from driftguard.reward import RewardBreakdown
 from driftguard.schemes import (build_diagnostic_scheme, build_method_scheme,
                                 build_problem_scheme, DiagnosticScheme,
@@ -65,6 +66,11 @@ class TestContextVector:
                 build_problem_scheme({**EQ3_PROBLEM, **change})
         ps = build_problem_scheme({**EQ3_PROBLEM, "epsilon": 1})
         assert ps.epsilon == 1.0 and type(ps.epsilon) is float
+        # An int past the float range is refused under its field's name.
+        with pytest.raises(ConfigError, match="epsilon overflows a float"):
+            build_problem_scheme({**EQ3_PROBLEM, "epsilon": 10 ** 400})
+        with pytest.raises(OverflowError, match="r_threshold"):
+            SessionConfig(problem=EQ3_PROBLEM, r_threshold=10 ** 400)
 
     def test_missing_dist_family_is_other_per_input(self):
         ps = build_problem_scheme({k: v for k, v in EQ3_PROBLEM.items()

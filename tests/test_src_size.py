@@ -17,8 +17,8 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "driftguard")
 
-MAX_LINES = 3216
-MAX_PUBLIC_NAMES = 115
+MAX_LINES = 3214
+MAX_PUBLIC_NAMES = 116
 
 
 def _modules() -> list[str]:
