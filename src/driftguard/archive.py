@@ -158,7 +158,7 @@ class Archive:
         return self._add(entry)
 
     def seed_entry(self, ps: ProblemScheme, action, mean_reward: float,
-                   count: int = 3, session_id: str = "seed") -> ArchiveEntry:
+                   count: int, session_id: str = "seed") -> ArchiveEntry:
         """Insert a synthetic single-arm entry, e.g. to hand a fresh policy
         a known-good method for a previously solved problem."""
         stats = ArmStats(count=count, mean_reward=mean_reward,

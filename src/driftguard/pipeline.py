@@ -187,9 +187,9 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         """The record of an iteration that a gate ended before execution."""
         diag = DiagnosticScheme(
             convergence_status="failed", bottleneck_dim="integrity",
-            reward=0.0, root_cause="none", prescribed_estimator=None,
-            prescribed_n_samples=None, penalize_action=True,
-            block_action=False, physical_insight=why)
+            root_cause="none", prescribed_estimator=None,
+            prescribed_n_samples=None, block_action=False,
+            physical_insight=why)
         return IterationRecord(
             n=n, action=action, plan=None, observation=None,
             reward_total=0.0, reward_components=(0.0, 0.0, 0.0, 0.0),

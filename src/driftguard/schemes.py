@@ -122,11 +122,9 @@ class DiagnosticScheme:
 
     convergence_status: str    # converged | partial | failed
     bottleneck_dim: str
-    reward: float
     root_cause: str            # as the Advisor's branch states it
     prescribed_estimator: str | None
     prescribed_n_samples: int | None
-    penalize_action: bool
     block_action: bool
     physical_insight: str = ""
 
@@ -181,7 +179,7 @@ def build_diagnostic_scheme(report: str, root_cause: str, breakdown,
                             prescribed_n_samples: int | None = None
                             ) -> DiagnosticScheme:
     """The diagnosis of a review stating its cause and prescription: adds
-    the bottleneck, status, reward and actions.  A total at or above the
+    the bottleneck, the status and whether to block.  A total at or above the
     session's ``r_threshold`` is converged."""
     # The lowest share of its cap; ties go to the earlier component.
     ratios = {c: getattr(breakdown, c) / cap
@@ -199,11 +197,9 @@ def build_diagnostic_scheme(report: str, root_cause: str, breakdown,
     return DiagnosticScheme(
         convergence_status=status,
         bottleneck_dim=bottleneck,
-        reward=float(breakdown.total),
         root_cause=root_cause,
         prescribed_estimator=prescribed_estimator,
         prescribed_n_samples=prescribed_n_samples,
-        penalize_action=block or root_cause == "wrong_estimator",
         block_action=block,
         physical_insight=report,
     )

@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bandit
-from .action_space import ActionTuple
-from .archive import Archive
-from .checkpoints import CP0_CLOSE_CUTOFF
-from .errors import InvalidProblem
-from .schemes import build_problem_scheme
+from driftguard import bandit
+from driftguard.action_space import ActionTuple
+from driftguard.archive import Archive
+from driftguard.checkpoints import CP0_CLOSE_CUTOFF
+from driftguard.errors import InvalidProblem
+from driftguard.schemes import build_problem_scheme
 
 # Canonical problem descriptor: the simulated arms are attached to a real
 # problem scheme so feature encoding and archive similarity work unchanged.

@@ -20,10 +20,10 @@ from driftguard.pipeline import (SessionConfig, run_session,
                                  submartingale_flags)
 from driftguard.reward import score
 from driftguard.schemes import build_method_scheme, build_problem_scheme
-from driftguard.simenv import (SimConfig, canonical_action, run_sim_session,
-                               run_sim_sessions)
 
 from conftest import BEAM_PROBLEM, EQ3_PROBLEM, G8_PROBLEM
+from simenv import (SimConfig, canonical_action, run_sim_session,
+                    run_sim_sessions)
 
 ALL_OFF = {f"CP{i}": DISABLED for i in range(8)}
 
@@ -193,7 +193,7 @@ def test_criterion_6_cp0_contrast(null_floor):
     ps_thermal = build_problem_scheme(thermal)
 
     archive = Archive()
-    archive.seed_entry(ps_beam, canonical_action("Sobol"), 88.0)
+    archive.seed_entry(ps_beam, canonical_action("Sobol"), 88.0, 3)
     manager = CheckpointManager(null_floor)
 
     repeat = manager.evaluate_cp0(ps_beam, archive)

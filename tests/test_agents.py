@@ -284,13 +284,12 @@ class TestAdvisor:
         assert "unrecoverable" in diag.physical_insight
         assert diag.root_cause == "execution_failed"
         assert diag.convergence_status == "failed"
-        assert not diag.penalize_action
 
     def test_missing_attribute_report(self, ps_eq3):
         diag = self._diagnose(ps_eq3, "missing_attribute")  # Sobol needs s1
         assert "required attribute" in diag.physical_insight
         assert diag.root_cause == "attribute_error"
-        assert diag.block_action and diag.penalize_action
+        assert diag.block_action
 
     def test_converged_report(self, ps_eq3):
         diag = self._diagnose(ps_eq3, "converged")
@@ -305,7 +304,7 @@ class TestAdvisor:
         assert "prescribe estimator Sobol" in diag.physical_insight
         assert diag.root_cause == "wrong_estimator"
         assert diag.prescribed_estimator == "Sobol"
-        assert diag.penalize_action and not diag.block_action
+        assert not diag.block_action
 
     def test_avoid_list_redirects_prescription(self, ps_eq3):
         diag = self._diagnose(ps_eq3, "swap_with_avoid")

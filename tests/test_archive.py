@@ -13,9 +13,9 @@ from driftguard import archive as arch
 from driftguard import bandit
 from driftguard.archive import Archive, ArchiveEntry
 from driftguard.errors import LoadError, PersistError
-from driftguard.simenv import (SimConfig, SimRecord, SimTrace,
-                               canonical_action, run_sim_session,
-                               run_sim_sessions)
+
+from simenv import (SimConfig, SimRecord, SimTrace, canonical_action,
+                    run_sim_session, run_sim_sessions)
 
 
 @pytest.fixture()
@@ -50,9 +50,9 @@ class TestLookup:
 
     def test_best_entry_wins(self, ps_eq3, ps_g8):
         a = Archive()
-        a.seed_entry(ps_eq3, canonical_action("Sobol"), 70.0,
+        a.seed_entry(ps_eq3, canonical_action("Sobol"), 70.0, 3,
                      session_id="low-d")
-        a.seed_entry(ps_g8, canonical_action("Sobol"), 91.0,
+        a.seed_entry(ps_g8, canonical_action("Sobol"), 91.0, 3,
                      session_id="high-d")
         entry, sim = a.lookup(ps_g8)
         assert entry.session_id == "high-d"
@@ -87,8 +87,8 @@ class TestLookup:
                 entry = a.record_session(
                     _trace(ps, estimator, reward, f"rec-{k}"))
             else:
-                entry = a.seed_entry(ps, canonical_action(estimator), reward,
-                                     session_id=f"seed-{k}")
+                entry = a.seed_entry(ps, canonical_action(estimator),
+                                     reward, 3, session_id=f"seed-{k}")
             every.append((entry.session_id, ps))
             assert len(a.entries) == len({id(p) for _, p in every})
             for query in problems:
@@ -193,7 +193,7 @@ class TestPersistence:
     def test_persist_to_unwritable_path_raises(self, tmp_path, ps_g8):
         a = Archive(str(tmp_path / "no_such_dir" / "archive.json"))
         with pytest.raises(PersistError):
-            a.seed_entry(ps_g8, canonical_action("Sobol"), 90.0)
+            a.seed_entry(ps_g8, canonical_action("Sobol"), 90.0, 3)
         assert a.entries == []            # rolled back, as documented
         with pytest.raises(PersistError):
             a.record_session(run_sim_session(SimConfig(iterations=5), seed=0))
@@ -204,7 +204,7 @@ class TestPersistence:
         path = tmp_path / "archive.json"
         a = Archive(str(path))
         kept = sobol_entry(a, session_id="kept")
-        a.seed_entry(ps_eq3, canonical_action("Sobol"), 70.0,
+        a.seed_entry(ps_eq3, canonical_action("Sobol"), 70.0, 3,
                      session_id="other")
         before = path.read_bytes()
 
@@ -223,9 +223,9 @@ class TestPersistence:
         path = str(tmp_path / "archive.json")
         a = Archive(path)
         sobol_entry(a, session_id="g8")
-        a.seed_entry(ps_eq3, canonical_action("Sobol"), 70.0,
+        a.seed_entry(ps_eq3, canonical_action("Sobol"), 70.0, 3,
                      session_id="eq3")
-        a.seed_entry(ps_beam, canonical_action("Sobol"), 80.0,
+        a.seed_entry(ps_beam, canonical_action("Sobol"), 80.0, 3,
                      session_id="beam")
         assert [e.session_id for e in Archive(path).entries] \
             == ["g8", "eq3", "beam"]
@@ -366,7 +366,7 @@ def three_problems(ps_eq3, ps_g8, ps_beam):
     cycling, so every fourth call replaces an entry."""
     def seed(archive, k):
         ps = (ps_eq3, ps_g8, ps_beam)[k % 3]
-        return archive.seed_entry(ps, canonical_action("Sobol"), 80.0 + k,
+        return archive.seed_entry(ps, canonical_action("Sobol"), 80.0 + k, 3,
                                   session_id=f"s{k}")
     return seed
 
@@ -383,7 +383,7 @@ class TestEncodeOnce:
     def test_seed_entries_match_old_writer(self, tmp_path, ps_eq3, ps_g8):
         path = tmp_path / "archive.json"
         a = Archive(str(path))
-        a.seed_entry(ps_eq3, canonical_action("Sobol"), 70.0,
+        a.seed_entry(ps_eq3, canonical_action("Sobol"), 70.0, 3,
                      session_id="low-d")
         a.seed_entry(ps_g8, canonical_action("Morris"), 91.5, count=4,
                      session_id="high-d")

@@ -6,7 +6,8 @@ from driftguard import action_space, bandit
 from driftguard.archive import Archive
 from driftguard.errors import InvalidReward, NoFeasibleAction
 from driftguard.schemes import build_diagnostic_scheme, build_method_scheme
-from driftguard.simenv import canonical_action
+
+from simenv import canonical_action
 
 
 class TestFeatures:

@@ -130,9 +130,9 @@ class TestCP0:
         assert res.match == "none" and not res.screening_first
 
     def test_close_match_exploits(self, manager, ps_beam):
-        from driftguard.simenv import canonical_action
+        from simenv import canonical_action
         archive = Archive()
-        archive.seed_entry(ps_beam, canonical_action("Sobol"), 90.0)
+        archive.seed_entry(ps_beam, canonical_action("Sobol"), 90.0, 3)
         res = manager.evaluate_cp0(ps_beam, archive)
         assert res.similarity == pytest.approx(1.0)
         assert res.match == "close" and res.exploration_mode == "exploit"
@@ -140,18 +140,18 @@ class TestCP0:
 
     def test_related_problem_is_weak_match(self, manager, ps_eq3, ps_beam):
         # Same task/dimension but Normal vs Uniform inputs: weak similarity.
-        from driftguard.simenv import canonical_action
+        from simenv import canonical_action
         archive = Archive()
-        archive.seed_entry(ps_beam, canonical_action("Sobol"), 90.0)
+        archive.seed_entry(ps_beam, canonical_action("Sobol"), 90.0, 3)
         res = manager.evaluate_cp0(ps_eq3, archive)
         assert CHECKPOINT_TABLE["CP0"][0] <= res.similarity \
             < checkpoints.CP0_CLOSE_CUTOFF
         assert res.match == "weak" and res.exploration_mode == "neutral"
 
     def test_disabled_cp0_ignores_archive(self, null_floor, ps_beam):
-        from driftguard.simenv import canonical_action
+        from simenv import canonical_action
         archive = Archive()
-        archive.seed_entry(ps_beam, canonical_action("Sobol"), 90.0)
+        archive.seed_entry(ps_beam, canonical_action("Sobol"), 90.0, 3)
         mgr = CheckpointManager(null_floor, disabled=frozenset({"CP0"}))
         res = mgr.evaluate_cp0(ps_beam, archive)
         assert res.match == "none" and res.warm_start is None

@@ -5,7 +5,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from driftguard import metrics
 from driftguard.errors import NoData
-from driftguard.simenv import SimRecord, SimTrace, canonical_action
+
+from simenv import SimRecord, SimTrace, canonical_action
 
 
 def _trace(pairs):

@@ -13,9 +13,9 @@ from driftguard.estimators import SAResult
 from driftguard.pipeline import (IterationRecord, SessionConfig,
                                  SessionTrace, run_session,
                                  submartingale_flags, write_trace)
-from driftguard.simenv import canonical_action
 
 from conftest import EQ3_PROBLEM, G8_PROBLEM
+from simenv import canonical_action
 
 ALL_OFF = {f"CP{i}": DISABLED for i in range(8)}
 NO_SAMPLES = DriftSpec(kind="field_corruption", target_field="n_samples",
@@ -195,7 +195,7 @@ class TestCheckpointWiring:
 
     def test_warm_start_skips_screening(self, ps_g8):
         archive = Archive()
-        archive.seed_entry(ps_g8, canonical_action("Sobol"), 91.0)
+        archive.seed_entry(ps_g8, canonical_action("Sobol"), 91.0, 3)
         trace = run_session(_cfg(problem=G8_PROBLEM, seed=4,
                                  record_to_archive=False), archive=archive)
         assert trace.cp0.match == "close"

@@ -142,7 +142,7 @@ class TestDiagnosticScheme:
             "required attribute first_order_indices absent from the "
             "observation", "attribute_error", _breakdown(20.0), 85.0)
         assert diag.root_cause == "attribute_error"
-        assert diag.block_action and diag.penalize_action
+        assert diag.block_action
         assert diag.convergence_status == "partial"
 
     def test_wrong_estimator_prescribes(self):
@@ -152,7 +152,7 @@ class TestDiagnosticScheme:
             prescribed_estimator="CVM")
         assert diag.root_cause == "wrong_estimator"
         assert diag.prescribed_estimator == "CVM"
-        assert diag.penalize_action and not diag.block_action
+        assert not diag.block_action
 
     def test_insufficient_doubles_samples(self):
         diag = build_diagnostic_scheme(
@@ -161,7 +161,6 @@ class TestDiagnosticScheme:
             prescribed_n_samples=2000)
         assert diag.root_cause == "insufficient_N"
         assert diag.prescribed_n_samples == 2000
-        assert not diag.penalize_action
         # The builder reads nothing out of the prose: a size it states is
         # no prescription.
         diag = build_diagnostic_scheme(
@@ -171,11 +170,10 @@ class TestDiagnosticScheme:
         assert diag.convergence_status == "converged"
 
     def test_block_requires_actionable_cause(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidProblem):
             DiagnosticScheme(convergence_status="failed",
-                             bottleneck_dim="integrity", reward=0.0,
+                             bottleneck_dim="integrity",
                              root_cause="numerical_degeneracy",
                              prescribed_estimator=None,
                              prescribed_n_samples=None,
-                             penalize_action=True, block_action=True,
-                             physical_insight="")
+                             block_action=True, physical_insight="")

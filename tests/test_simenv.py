@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from driftguard import simenv
 from driftguard.archive import Archive
 from driftguard.errors import InvalidProblem
-from driftguard.simenv import SimConfig, run_sim_session, run_sim_sessions
+
+from simenv import SimConfig, run_sim_session, run_sim_sessions
 
 
 class TestSimConfig:

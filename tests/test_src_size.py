@@ -8,17 +8,26 @@ binds at top level (functions, classes and assigned names, found with
 
 A change that must grow ``src/`` raises the bound here in the same diff
 and says why in CHANGES.md.  A change that shrinks it may lower the bound.
+
+A module that no session loads is an API only tests call, so a fresh
+``import driftguard.cli`` must load every module but the named exceptions.
 """
 
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "driftguard")
 
-MAX_LINES = 3214
-MAX_PUBLIC_NAMES = 116
+MAX_LINES = 3065
+MAX_PUBLIC_NAMES = 109
+
+# Modules that ``cli`` does not load yet: ROADMAP item 9 wires ``metrics``
+# into the CLI.
+NOT_LOADED_BY_CLI = {"metrics"}
 
 
 def _modules() -> list[str]:
@@ -59,3 +68,17 @@ def test_public_names_within_bound():
     assert len(names) <= MAX_PUBLIC_NAMES, (
         f"src/driftguard has {len(names)} public top-level names, over the "
         f"bound {MAX_PUBLIC_NAMES}")
+
+
+def test_cli_loads_every_module():
+    # A fresh interpreter, so modules that pytest or other tests import
+    # cannot stand in for the CLI's own imports.
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, driftguard.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(SRC)},
+        capture_output=True, text=True, check=True).stdout.split()
+    modules = {os.path.basename(p)[:-3] for p in _modules()}
+    missing = {m for m in modules - NOT_LOADED_BY_CLI - {"__init__"}
+               if f"driftguard.{m}" not in loaded}
+    assert not missing, f"import driftguard.cli leaves out {sorted(missing)}"
