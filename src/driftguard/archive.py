@@ -1,18 +1,18 @@
 """Cross-session archive backing warm-starts and anomaly recognition.
 
-The archive holds the latest entry per problem key ``(problem_features,
-d_in)``. Those two fields are all that ``similarity`` reads, and a lookup
-returns the most recent of equally similar entries, so an entry with a
-later twin could never be returned: recording a session replaces its
-problem's entry, and the list order is recency order.
+Each entry stores its problem, and the archive holds the latest entry per
+problem key ``(problem_features, d_in)``. The key is all that ``similarity``
+reads, and a lookup returns the most recent of equally similar entries, so
+an entry with a later twin could never be returned: recording a session
+replaces its problem's entry, and the list order is recency order.
 
-The file is a versioned JSON object (schema 3) holding that list; a file of
-any other schema, or whose stored feature vectors or policy snapshot do not
-match ``bandit.feature_dim()``, or whose problem features are not as long
-as ``problem_features`` makes them, is rejected with ``LoadError``. Entries are
-immutable and each encodes itself once, on its first write; the file itself
-is still rewritten whole and atomically (temp file + rename), so a crash
-never leaves a torn archive.
+The file is a versioned JSON object (schema 4) holding that list. Loading
+rebuilds each problem, arm and policy snapshot through its own constructor,
+which checks it; a file of any other schema, or with a record its
+constructor refuses, is rejected with ``LoadError``. Entries are immutable
+and each encodes itself once, on its first write; the file itself is still
+rewritten whole and atomically (temp file + rename), so a crash never leaves
+a torn archive.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bandit, catalog
-from .errors import LoadError, PersistError
-from .schemes import DIST_FAMILIES, ProblemScheme, to_json
+from .errors import DriftguardError, LoadError, PersistError
+from .schemes import DIST_FAMILIES, ProblemScheme, check_field_types, to_json
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # Weights of the composite similarity: feature cosine, task match and a
 # kernel on the input-dimension gap.
@@ -42,8 +42,7 @@ _DIM_KERNEL_WIDTH = 4.0
 
 def problem_features(ps: ProblemScheme) -> tuple[float, ...]:
     """Normalized descriptor used for archive similarity.  Three slots are
-    constants; schema 3 stores them, and dropping them would change every
-    stored descriptor's cosine."""
+    constants; dropping them would change every descriptor's cosine."""
     hist = [0.0] * len(DIST_FAMILIES)
     for d in ps.dist_family:
         hist[DIST_FAMILIES.index(d)] += 1
@@ -56,14 +55,20 @@ def problem_features(ps: ProblemScheme) -> tuple[float, ...]:
             0.0)                # field output: none
 
 
-_N_PROBLEM_FEATURES = 7 + len(DIST_FAMILIES)   # len(problem_features(ps))
-
-
 @dataclass(frozen=True)
 class ArmStats:
     count: int
     mean_reward: float
-    phi: tuple[float, ...]         # feature vector replayed on warm-start
+    phi: tuple                     # feature vector replayed on warm-start
+
+    def __post_init__(self):
+        check_field_types(self)
+        # NaN fails isfinite; a non-number raises TypeError.
+        if self.count < 1 or len(self.phi) != bandit.feature_dim() or not \
+                all(map(math.isfinite, (self.mean_reward, *self.phi))):
+            raise ValueError("an arm needs a count of at least 1, a finite "
+                             "mean reward and finite features of the "
+                             "policy's dimension")
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,7 @@ class ArchiveEntry:
     """One finished (or seeded) session."""
 
     session_id: str
-    d_in: int
-    problem_features: tuple[float, ...]
-    best_action: tuple[str, ...]
-    best_reward: float
+    problem: ProblemScheme
     per_arm_stats: tuple[tuple[str, ArmStats], ...]
     policy_snapshot: dict | None = None
 
@@ -90,15 +92,14 @@ class ArchiveEntry:
         return to_json(self)
 
 
-def similarity(current: ProblemScheme, entry: ArchiveEntry) -> float:
-    """Composite problem similarity in [0, 1]. Every entry is an SA study,
-    as every problem is, so the task term always adds its full weight."""
-    f1 = np.asarray(problem_features(current))
-    f2 = np.asarray(entry.problem_features)
+def similarity(a: ProblemScheme, b: ProblemScheme) -> float:
+    """Composite similarity of two problems in [0, 1]. Every problem is an
+    SA study, so the task term always adds its full weight."""
+    f1 = np.asarray(problem_features(a))
+    f2 = np.asarray(problem_features(b))
     denom = float(np.linalg.norm(f1) * np.linalg.norm(f2))
     cos = float(f1 @ f2) / denom if denom > 0 else 0.0
-    kernel = math.exp(-abs(current.d_in - entry.d_in)
-                      / _DIM_KERNEL_WIDTH)
+    kernel = math.exp(-abs(a.d_in - b.d_in) / _DIM_KERNEL_WIDTH)
     score = _FEATURE_WEIGHT * cos + _TASK_WEIGHT + _DIM_WEIGHT * kernel
     return min(1.0, max(0.0, score))
 
@@ -115,10 +116,10 @@ class Archive:
         """Best entry by composite similarity; ties go to the most recent."""
         best, best_sim = None, 0.0
         for entry in self.entries:   # recency order, later wins ties
-            sim = similarity(current, entry)
+            sim = similarity(current, entry.problem)
             if best is None or sim >= best_sim:
                 best, best_sim = entry, sim
-        return (best, best_sim) if best is not None else (None, 0.0)
+        return best, best_sim
 
     def record_session(self, trace) -> ArchiveEntry | None:
         """Store an entry aggregated from a finished session and persist.
@@ -132,13 +133,9 @@ class Archive:
             return None
         ps = trace.problem_scheme
         arms: dict[str, list[tuple[tuple[float, ...], float]]] = {}
-        best_reward, best_action = 0.0, ()
         for rec in learned:
-            est = rec.action.estimator
-            arms.setdefault(est, []).append(
+            arms.setdefault(rec.action.estimator, []).append(
                 (bandit.encode_features(ps, rec.action), rec.reward_total))
-            if rec.reward_total >= best_reward:
-                best_reward, best_action = rec.reward_total, rec.action.dims
         per_arm = []
         for est, obs_list in sorted(arms.items()):
             phis = np.asarray([phi for phi, _ in obs_list], dtype=float)
@@ -147,15 +144,10 @@ class Archive:
                 count=len(obs_list),
                 mean_reward=float(np.mean(rewards)),
                 phi=tuple(float(v) for v in phis.mean(axis=0)))))
-        entry = ArchiveEntry(
-            session_id=trace.session_id,
-            d_in=ps.d_in,
-            problem_features=problem_features(ps),
-            best_action=tuple(best_action),
-            best_reward=best_reward,
+        return self._add(ArchiveEntry(
+            session_id=trace.session_id, problem=ps,
             per_arm_stats=tuple(per_arm),
-            policy_snapshot=trace.policy_snapshot)
-        return self._add(entry)
+            policy_snapshot=trace.policy_snapshot))
 
     def seed_entry(self, ps: ProblemScheme, action, mean_reward: float,
                    count: int, session_id: str = "seed") -> ArchiveEntry:
@@ -163,22 +155,17 @@ class Archive:
         a known-good method for a previously solved problem."""
         stats = ArmStats(count=count, mean_reward=mean_reward,
                          phi=bandit.encode_features(ps, action))
-        entry = ArchiveEntry(
-            session_id=session_id,
-            d_in=ps.d_in,
-            problem_features=problem_features(ps),
-            best_action=tuple(action.dims),
-            best_reward=mean_reward,
-            per_arm_stats=((action.estimator, stats),))
-        return self._add(entry)
+        return self._add(ArchiveEntry(
+            session_id=session_id, problem=ps,
+            per_arm_stats=((action.estimator, stats),)))
 
     def _add(self, entry: ArchiveEntry) -> ArchiveEntry:
         """Replace the entry of the same problem, append and persist; a
         failed write restores the previous list, replaced entry included."""
-        key = (entry.problem_features, entry.d_in)
+        key = problem_features(entry.problem), entry.problem.d_in
         previous = self.entries
-        self.entries = [e for e in previous
-                        if (e.problem_features, e.d_in) != key]
+        self.entries = [e for e in previous if key != (
+            problem_features(e.problem), e.problem.d_in)]
         self.entries.append(entry)
         if self.path:
             try:
@@ -212,40 +199,31 @@ class Archive:
             raise PersistError(f"archive write failed: {exc}") from exc
 
 
+def _tuple_arrays(obj: dict) -> dict:
+    """A JSON object with its array values as tuples, as the records
+    annotate their sequence fields."""
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}
+
+
 def _load_entries(path: str) -> list[ArchiveEntry]:
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_hook=_tuple_arrays)
         if not isinstance(payload, dict) \
                 or payload.get("schema_version") != SCHEMA_VERSION:
-            raise LoadError(f"unsupported archive schema in {path}")
-        dim = bandit.feature_dim()
+            raise ValueError("unsupported archive schema")
         entries = []
         for raw in payload["entries"]:
-            arms = tuple((est, ArmStats(count=int(s["count"]),
-                                        mean_reward=float(s["mean_reward"]),
-                                        phi=tuple(s["phi"])))
+            arms = tuple((est, ArmStats(**s))
                          for est, s in raw["per_arm_stats"])
-            snapshot = raw.get("policy_snapshot")
-            if any(len(s.phi) != dim for _, s in arms) or (snapshot and (
-                    np.shape(snapshot["precision"]) != (dim, dim)
-                    or np.shape(snapshot["b_vector"]) != (dim,))):
-                raise LoadError(f"archive {path} holds features of another "
-                                f"dimension than the policy's {dim}")
-            if len(raw["problem_features"]) != _N_PROBLEM_FEATURES:
-                raise LoadError(f"archive {path} holds problem features of "
-                                f"another dimension than "
-                                f"{_N_PROBLEM_FEATURES}")
+            snapshot = raw["policy_snapshot"]
+            if snapshot:
+                bandit.PolicyState.from_snapshot(snapshot)   # checks it
             entries.append(ArchiveEntry(
                 session_id=raw["session_id"],
-                d_in=int(raw["d_in"]),
-                problem_features=tuple(raw["problem_features"]),
-                best_action=tuple(raw["best_action"]),
-                best_reward=float(raw["best_reward"]),
-                per_arm_stats=arms,
-                policy_snapshot=snapshot))
+                problem=ProblemScheme(**raw["problem"]),
+                per_arm_stats=arms, policy_snapshot=snapshot))
         return entries
-    except LoadError:
-        raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            DriftguardError) as exc:
         raise LoadError(f"cannot load archive {path}: {exc}") from exc

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import catalog
 from .action_space import ActionTuple
-from .errors import InvalidReward, NoFeasibleAction
+from .errors import DimensionError, InvalidReward, NoFeasibleAction
 from .schemes import DIST_FAMILIES, DiagnosticScheme, MethodScheme, \
     ProblemScheme, build_method_scheme
 
@@ -147,17 +147,26 @@ class PolicyState:
         return {"precision": self.precision.tolist(),
                 "b_vector": self.b_vector.tolist(),
                 "iteration": self.iteration,
-                "estimator_counts": dict(self.estimator_counts),
-                "exploration_mode": self.exploration_mode}
+                "estimator_counts": dict(self.estimator_counts)}
 
     @classmethod
-    def from_snapshot(cls, data: dict) -> "PolicyState":
-        st = cls(exploration_mode=data["exploration_mode"])
+    def from_snapshot(cls, data: dict,
+                      exploration_mode: str = "explore_max") -> "PolicyState":
+        """The policy ``data`` holds, in ``exploration_mode``; raises
+        DimensionError or ValueError (LinAlgError is one) on a bad snapshot."""
+        st = cls(exploration_mode)
         st.precision = np.asarray(data["precision"], dtype=float)
         st.b_vector = np.asarray(data["b_vector"], dtype=float)
+        if st.precision.shape != (st.dim, st.dim) \
+                or st.b_vector.shape != (st.dim,):
+            raise DimensionError(f"policy snapshot of another dimension "
+                                 f"than the policy's {st.dim}")
+        if not np.isfinite(np.append(st.precision, st.b_vector)).all():
+            raise ValueError("policy snapshot holds a non-finite value")
+        st.cholesky()
         st.iteration = int(data["iteration"])
-        st.estimator_counts = {k: int(v)
-                               for k, v in data["estimator_counts"].items()}
+        st.estimator_counts = {
+            k: int(v) for k, v in dict(data["estimator_counts"]).items()}
         return st
 
 

@@ -37,7 +37,8 @@ from .archive import Archive
 from .errors import ConfigError, DriftguardError, InvalidProblem
 from .estimators import benchmark_catalog
 from .pipeline import SessionConfig, run_session, write_trace
-from .schemes import build_problem_scheme, check_field_types
+from .schemes import ProblemScheme, build_problem_scheme, \
+    check_field_types
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -72,11 +73,11 @@ class _WarmStart:
 
 # The keys each nested block may hold; any other is a bad configuration. A
 # ``sessions`` entry holds only session settings, the fields of
-# ``SessionConfig``; ``problem`` holds the keys intake reads.
+# ``SessionConfig``; ``problem`` holds the fields of ``ProblemScheme`` and
+# the task, the keys intake reads.
 _KEYS = {
     "session": frozenset(f.name for f in fields(SessionConfig)),
-    "problem": frozenset({"task", "d_in", "d_out", "n_budget", "epsilon",
-                          "model_id", "dist_family"}),
+    "problem": frozenset(f.name for f in fields(ProblemScheme)) | {"task"},
     "drift": frozenset(f.name for f in fields(DriftSpec)),
     "warm_start": frozenset(f.name for f in fields(_WarmStart)),
     "condition": frozenset({"name", "checkpoint_overrides", "drift"}),

@@ -312,8 +312,8 @@ def run_session(cfg: SessionConfig,
     if cp0.warm_start is not None:
         entry = cp0.warm_start
         if cfg.persist_policy and entry.policy_snapshot:
-            policy = bandit.PolicyState.from_snapshot(entry.policy_snapshot)
-            policy.exploration_mode = cp0.exploration_mode
+            policy = bandit.PolicyState.from_snapshot(entry.policy_snapshot,
+                                                      cp0.exploration_mode)
         else:
             policy.warm_start(entry.arm_stats_list(), cp0.match)
 

@@ -80,6 +80,9 @@ class ProblemScheme:
             raise InvalidProblem("evaluation budget must be positive")
         if not self.epsilon > 0:
             raise InvalidProblem("target precision epsilon must be positive")
+        if not all(d in DIST_FAMILIES for d in self.dist_family):
+            raise InvalidProblem(f"a distribution family is not one of "
+                                 f"{', '.join(DIST_FAMILIES)}")
 
     @property
     def dist_family_mode(self) -> str:

@@ -134,8 +134,8 @@ def run_sim_sessions(cfg: SimConfig, seed: int, n_sessions: int = 3,
         entry, sim = archive.lookup(ps)
         if entry is not None and sim >= CP0_CLOSE_CUTOFF \
                 and entry.policy_snapshot:
-            policy = bandit.PolicyState.from_snapshot(entry.policy_snapshot)
-            policy.exploration_mode = "exploit"
+            policy = bandit.PolicyState.from_snapshot(entry.policy_snapshot,
+                                                      "exploit")
         else:
             policy = bandit.PolicyState(exploration_mode="explore_max")
         trace = run_sim_session(cfg, seed=seed * 7919 + k, policy=policy,

@@ -13,6 +13,8 @@ from driftguard import archive as arch
 from driftguard import bandit
 from driftguard.archive import Archive, ArchiveEntry
 from driftguard.errors import LoadError, PersistError
+from driftguard.estimators import benchmark_catalog
+from driftguard.schemes import build_problem_scheme
 
 from simenv import (SimConfig, SimRecord, SimTrace, canonical_action,
                     run_sim_session, run_sim_sessions)
@@ -30,18 +32,19 @@ class TestSimilarity:
     def test_identical_problem_scores_one(self, ps_g8, sobol_entry):
         a = Archive()
         entry = sobol_entry(a)
-        assert arch.similarity(ps_g8, entry) == pytest.approx(1.0)
+        assert arch.similarity(ps_g8, entry.problem) == pytest.approx(1.0)
 
     def test_bounded(self, ps_eq3, ps_g8, ps_beam, sobol_entry):
         a = Archive()
         entry = sobol_entry(a)
         for ps in (ps_eq3, ps_g8, ps_beam):
-            assert 0.0 <= arch.similarity(ps, entry) <= 1.0
+            assert 0.0 <= arch.similarity(ps, entry.problem) <= 1.0
 
     def test_dimension_kernel_decays(self, ps_eq3, ps_g8, sobol_entry):
         a = Archive()
         entry = sobol_entry(a)          # built from the d_in=8 problem
-        assert arch.similarity(ps_g8, entry) > arch.similarity(ps_eq3, entry)
+        assert arch.similarity(ps_g8, entry.problem) \
+            > arch.similarity(ps_eq3, entry.problem)
 
 
 class TestLookup:
@@ -61,16 +64,19 @@ class TestLookup:
     def test_tie_goes_to_most_recent(self, ps_g8, sobol_entry):
         a = Archive()
         sobol_entry(a, session_id="older")
-        seeded = sobol_entry(a, session_id="newer")
+        sobol_entry(a, session_id="newer")
         entry, _ = a.lookup(ps_g8)
         assert entry.session_id == "newer"
-        # Two problems whose d_in lie 2 below and 2 above the query's tie
-        # exactly.
-        a.entries = [replace(seeded, session_id="below", d_in=6),
-                     replace(seeded, session_id="above", d_in=10)]
-        assert a.lookup(ps_g8)[0].session_id == "above"
+        # A query with half its inputs Uniform and half Normal ties exactly
+        # between g8 with every input Uniform and with every input Normal,
+        # two problems with an entry each.
+        query = replace(ps_g8, dist_family=("Uniform",) * 4 + ("Normal",) * 4)
+        a.seed_entry(replace(ps_g8, dist_family=("Normal",) * 8),
+                     canonical_action("Sobol"), 91.0, 3, session_id="normal")
+        assert [e.session_id for e in a.entries] == ["newer", "normal"]
+        assert a.lookup(query)[0].session_id == "normal"
         a.entries.reverse()
-        assert a.lookup(ps_g8)[0].session_id == "below"
+        assert a.lookup(query)[0].session_id == "newer"
 
     @hyp_settings(max_examples=40, deadline=None)
     @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 2),
@@ -163,15 +169,15 @@ class TestPersistence:
         b = Archive(path)
         assert len(b.entries) == 1
         e = b.entries[0]
-        assert e.best_action == ("MonteCarlo", "Sobol")
+        assert e.problem == ps_g8
         assert e.per_arm_stats[0][1].mean_reward == 91.0
-        assert arch.similarity(ps_g8, e) == pytest.approx(1.0)
+        assert arch.similarity(ps_g8, e.problem) == pytest.approx(1.0)
 
     def test_file_is_versioned_json(self, tmp_path, sobol_entry):
         path = str(tmp_path / "archive.json")
         sobol_entry(Archive(path))
         payload = json.loads(open(path).read())
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert len(payload["entries"]) == 1
 
     def test_corrupt_file_raises_and_is_preserved(self, tmp_path):
@@ -233,6 +239,25 @@ class TestPersistence:
         assert [e.session_id for e in Archive(path).entries] \
             == ["eq3", "beam", "g8-again"]
 
+    def test_schema_3_file_rejected(self, tmp_path, sobol_entry, ps_g8):
+        # Schema 3 entries stored a descriptor of their problem, its d_in
+        # and the best action and reward, and no problem.
+        path = tmp_path / "archive.json"
+        sobol_entry(Archive(str(path)))
+        payload = json.loads(path.read_text())
+        payload["schema_version"] = 3
+        entry = payload["entries"][0]
+        del entry["problem"]
+        entry.update(d_in=8, problem_features=list(
+            arch.problem_features(ps_g8)), best_action=["MonteCarlo",
+                                                        "Sobol"],
+                     best_reward=91.0)
+        path.write_text(json.dumps(payload))
+        before = path.read_bytes()
+        with pytest.raises(LoadError, match="schema"):
+            Archive(str(path))
+        assert path.read_bytes() == before
+
     def test_schema_1_file_rejected(self, tmp_path, sobol_entry):
         path = tmp_path / "archive.json"
         sobol_entry(Archive(str(path)))
@@ -264,17 +289,14 @@ class TestPersistence:
         bad_b = json.loads(json.dumps(good))
         bad_b["entries"][0]["policy_snapshot"] = {
             **snapshot, "b_vector": [0.0] * 32}
-        # Problem features are 10 long; 11 would fail the next lookup.
-        assert len(good["entries"][0]["problem_features"]) == 10
-        bad_features = json.loads(json.dumps(good))
-        bad_features["entries"][0]["problem_features"] += [0.0]
-        for payload in (bad_phi, bad_precision, bad_b, bad_features):
+        for payload in (bad_phi, bad_precision, bad_b):
             path.write_text(json.dumps(payload))
             with pytest.raises(LoadError, match="dimension"):
                 Archive(str(path))
         good["entries"][0]["policy_snapshot"] = snapshot
         path.write_text(json.dumps(good))
-        assert Archive(str(path)).entries[0].policy_snapshot == snapshot
+        loaded = Archive(str(path)).entries[0].policy_snapshot
+        assert json.loads(json.dumps(loaded)) == snapshot
 
     def test_record_session_aggregates_arms(self, tmp_path):
         path = str(tmp_path / "sim.json")
@@ -285,7 +307,7 @@ class TestPersistence:
         assert set(arms) <= {"Sobol", "Morris"}
         total = sum(s.count for s in arms.values())
         assert total == 30
-        assert entry.best_reward == pytest.approx(trace.best_reward)
+        assert entry.problem is trace.problem_scheme
         again = Archive(path)
         assert dict(again.entries[0].per_arm_stats) == arms
 
@@ -430,12 +452,32 @@ class TestEncodeOnce:
         a.persist()
         assert path.read_bytes() == _old_writer_bytes(a.entries)
         assert len(encode_count) == 3        # nothing encoded twice
-        a.entries.insert(0, ArchiveEntry(**{**asdict(a.entries[0]),
-                                            "session_id": "outside",
-                                            "per_arm_stats": ()}))
+        a.entries.insert(0, replace(a.entries[0], session_id="outside",
+                                    per_arm_stats=()))
         a.persist()
         assert path.read_bytes() == _old_writer_bytes(a.entries)
         assert len(encode_count) == 4
+
+
+class TestReload:
+    def test_reloaded_lookup_matches_in_memory(self, tmp_path):
+        # An entry stores its problem and the descriptor is recomputed from
+        # it, so a reloaded archive scores every query to the same bits.
+        problems = [build_problem_scheme({
+            "task": "SA", "model_id": m.id, "d_in": m.d_in, "d_out": m.d_out,
+            "n_budget": 12_345, "epsilon": 0.05,
+            "dist_family": list(m.dist_families())})
+            for m in benchmark_catalog().values()]
+        for k, stored in enumerate(problems):
+            path = str(tmp_path / f"archive-{k}.json")
+            in_memory = Archive(path)
+            in_memory.seed_entry(stored, canonical_action("Sobol"), 80.0, 3)
+            reloaded = Archive(path)
+            assert reloaded.entries[0].problem == stored
+            for query in problems:
+                hexes = {float.hex(a.lookup(query)[1])
+                         for a in (in_memory, reloaded)}
+                assert hexes == {float.hex(arch.similarity(query, stored))}
 
 
 class TestWarmStartPlumbing:

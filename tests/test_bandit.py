@@ -112,10 +112,13 @@ class TestPosterior:
         st_ = bandit.PolicyState(exploration_mode="neutral")
         phi = bandit.encode_features(ps_g8, canonical_action("Sobol"))
         st_.update(phi, 77.0, "Sobol")
-        again = bandit.PolicyState.from_snapshot(st_.snapshot())
+        # The snapshot holds no exploration mode: the restoring session
+        # sets its own.
+        assert "exploration_mode" not in st_.snapshot()
+        again = bandit.PolicyState.from_snapshot(st_.snapshot(), "exploit")
         np.testing.assert_allclose(again.precision, st_.precision)
         np.testing.assert_allclose(again.b_vector, st_.b_vector)
-        assert again.exploration_mode == "neutral"
+        assert again.exploration_mode == "exploit"
         assert again.estimator_counts == {"Sobol": 1}
 
 

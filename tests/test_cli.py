@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -572,6 +573,50 @@ class TestSessions:
         assert "schema" in capsys.readouterr().err
         assert archive.read_bytes() == before
         assert not (tmp_path / "s1.trace.jsonl").exists()
+
+
+# A field of an archive entry, as a path into its JSON, a bad value for it,
+# and whether the next session restores the policy snapshot. Without the
+# check on load, each would crash that session, skew its scores or run on a
+# corrupt policy.
+BAD_RECORDS = {
+    "negative count": (("per_arm_stats", 0, 1, "count"), -300, False),
+    "NaN mean reward": (("per_arm_stats", 0, 1, "mean_reward"), math.nan,
+                        False),
+    "NaN precision": (("policy_snapshot", "precision", 0, 0), math.nan,
+                      True),
+    "precision not positive definite": (
+        ("policy_snapshot", "precision", 0, 0), -1.0, True),
+    "unknown distribution family": (("problem", "dist_family", 0),
+                                    "LogNormal", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_bad_archive_record_is_a_bad_config(tmp_path, capsys, case):
+    # One g8 session writes an entry with a policy snapshot; the entry,
+    # with one bad value, is refused before the next session runs and the
+    # file is left as it was.
+    archive = tmp_path / "archive.json"
+    doc = {**BASE_RUN, "problem": G8_PROBLEM, "n_max": 1,
+           "persist_policy": True, "archive_path": str(archive)}
+    assert main(["run", "--config", _write(tmp_path, doc), "--out",
+                 str(tmp_path / "first"), "--quiet"]) == EXIT_OK
+    payload = json.loads(archive.read_text())
+    (*where, last), value, persist = BAD_RECORDS[case]
+    target = payload["entries"][0]
+    for key in where:
+        target = target[key]
+    target[last] = value
+    archive.write_text(json.dumps(payload))
+    before = archive.read_bytes()
+    cfg = _write(tmp_path, {**doc, "persist_policy": persist})
+    out = tmp_path / "second"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == EXIT_BAD_CONFIG
+    assert "cannot load archive" in capsys.readouterr().err
+    assert archive.read_bytes() == before
+    assert not out.exists()
 
 
 class TestParser:

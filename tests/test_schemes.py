@@ -81,6 +81,9 @@ class TestContextVector:
         ps = build_problem_scheme({**EQ3_PROBLEM,
                                    "dist_family": ["Exotic"] * 4})
         assert ps.dist_family == ("Other",) * 4
+        # The record itself takes only the names intake maps to.
+        with pytest.raises(InvalidProblem, match="distribution family"):
+            dataclasses.replace(ps, dist_family=("Exotic",) * 4)
 
 
 class TestProblemScheme:
