@@ -9,7 +9,6 @@ hands over a diagnosis record; only the Refactor Agent and drift read text.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, replace
 
@@ -32,11 +31,6 @@ class ExecutionPlan:
     model_id: str
     seed: int
 
-    @property
-    def output_bindings(self) -> tuple[str, ...]:
-        """The attributes its estimator binds, from the catalog row."""
-        return catalog.estimator_info(self.estimator).bindings
-
 
 @dataclass(frozen=True)
 class DriftSpec:
@@ -57,12 +51,15 @@ class DriftSpec:
         if rewritten and self.target_field != rewritten:
             raise ValueError(f"drift kind {self.kind} rewrites {rewritten}, "
                              f"not {self.target_field!r}")
-
-
-@dataclass(frozen=True)
-class InspectorVerdict:
-    approved: bool
-    reasons: tuple[str, ...] = ()
+        # A drift writes what the Refactor Agent can read back.
+        named = {self.replacement_value, self.source_value} - {""}
+        if self.kind == "method_swap" and \
+                not named <= catalog.SA_ESTIMATORS.keys():
+            raise ValueError("a method swap names catalog estimators: "
+                             + ", ".join(catalog.SA_ESTIMATORS))
+        if self.kind == "field_corruption" and \
+                not re.fullmatch("[1-9][0-9]*", self.replacement_value):
+            raise ValueError("a field corruption writes a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +110,10 @@ def render_study_text(strategy_text: str) -> str:
 
 
 def render_plan_text(plan: ExecutionPlan) -> str:
+    info = catalog.estimator_info(plan.estimator)
     return (f"implementation plan: run {plan.estimator} on model "
             f"{plan.model_id} with n_samples={plan.n_samples}"
-            f" binding {' and '.join(plan.output_bindings)}. "
-            f"{_kw(plan.estimator)}.")
+            f" binding {' and '.join(info.bindings)}. {info.keywords}.")
 
 
 def render_observation_text(obs: SAResult) -> str:
@@ -166,41 +163,32 @@ _EST_TOKEN = re.compile(r"\b(%s)\b" % "|".join(catalog.SA_ESTIMATORS),
 _N_SAMPLES_RE = re.compile(r"n_samples\s*[=:]\s*(\d+)")
 
 
-def refactor_agent(report_text: str, model_id: str, seed: int,
-                   fallback: MethodScheme) -> ExecutionPlan:
+def refactor_agent(report_text: str, model_id: str,
+                   seed: int) -> ExecutionPlan:
     """Build the execution plan from the received report text.
 
     The estimator and sample size are parsed back out of the prose; this is
-    where upstream text corruption becomes a concrete wrong plan.
+    where upstream text corruption becomes a concrete wrong plan.  Every
+    report states both, and a drift rewrites them only to a catalog
+    estimator or a positive sample size.
     """
-    match = _EST_TOKEN.search(report_text)
-    if match:
-        token = match.group(1)
-        estimator = next(e for e in catalog.SA_ESTIMATORS
-                         if e.lower() == token.lower())
-    else:
-        estimator = fallback.estimator
-    n_match = _N_SAMPLES_RE.search(report_text)
-    n_samples = int(n_match.group(1)) if n_match else fallback.n_samples
+    token = _EST_TOKEN.search(report_text).group(1).lower()
+    estimator = next(e for e in catalog.SA_ESTIMATORS if e.lower() == token)
+    n_samples = int(_N_SAMPLES_RE.search(report_text).group(1))
     return ExecutionPlan(estimator=estimator, n_samples=n_samples,
                          model_id=model_id, seed=seed)
 
 
-def inspector_check(plan: ExecutionPlan, ms: MethodScheme) -> InspectorVerdict:
+def inspector_check(plan: ExecutionPlan, ms: MethodScheme) -> tuple[str, ...]:
     """Structural checklist audit of the assembled plan against the decided
-    method scheme."""
-    reasons = []
+    method scheme: the reasons it rejects the plan, none if it approves.
+    A plan that runs the scheme's estimator binds the scheme's outputs."""
     if plan.estimator != ms.estimator:
-        reasons.append(f"estimator mismatch: plan runs {plan.estimator}, "
-                       f"scheme requires {ms.estimator}")
-    missing = [a for a in ms.info.bindings
-               if a not in plan.output_bindings]
-    if missing:
-        reasons.append("missing required bindings: " + ", ".join(missing))
-    if not reasons and plan.n_samples < _min_samples(plan):
-        reasons.append(f"n_samples={plan.n_samples} below the estimator "
-                       "minimum")
-    return InspectorVerdict(approved=not reasons, reasons=tuple(reasons))
+        return (f"estimator mismatch: plan runs {plan.estimator}, "
+                f"scheme requires {ms.estimator}",)
+    if plan.n_samples < _min_samples(plan):
+        return (f"n_samples={plan.n_samples} below the estimator minimum",)
+    return ()
 
 
 def _min_samples(plan: ExecutionPlan) -> int:
@@ -232,8 +220,7 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
     cause and prescription, and its prose becomes the diagnosis's
     ``physical_insight``.  A total at or above the session's
     ``r_threshold`` meets the precision target."""
-    diagnosis = functools.partial(schemes.build_diagnostic_scheme,
-                                  breakdown=breakdown, r_threshold=r_threshold)
+    diagnosis = schemes.build_diagnostic_scheme
     if obs is None:
         return diagnosis("execution crashed before producing results; "
                          "numerical run unrecoverable. recommend reviewing "

@@ -77,13 +77,11 @@ class ArchiveEntry:
 
     session_id: str
     problem: ProblemScheme
-    per_arm_stats: tuple[tuple[str, ArmStats], ...]
+    per_arm_stats: tuple               # (estimator, ArmStats) pairs
     policy_snapshot: dict | None = None
 
-    def arm_stats_list(self):
-        """(phi, mean reward, count) triples for PolicyState.warm_start."""
-        return [(stats.phi, stats.mean_reward, stats.count)
-                for _, stats in self.per_arm_stats]
+    def __post_init__(self):
+        check_field_types(self)
 
     @functools.cached_property
     def json_text(self) -> str:

@@ -129,17 +129,16 @@ class PolicyState:
         self.cholesky()  # positive-definiteness guard
 
     def warm_start(self, per_arm_stats, match: str) -> None:
-        """Replay archived per-arm statistics as weighted pseudo-observations.
-
-        per_arm_stats: iterable of (phi values, mean reward, count). The
-        exploration mode stays as the caller set it.
+        """Replay an archive entry's ``(estimator, ArmStats)`` pairs as
+        weighted pseudo-observations.  The exploration mode stays as the
+        caller set it.
         """
         if match not in ("close", "weak"):
             raise ValueError(f"warm_start requires close/weak, got {match!r}")
         weight = _WARM_WEIGHT[match]
-        for phi_values, mean_reward, count in per_arm_stats:
-            phi = np.asarray(phi_values, dtype=float)
-            self._absorb(phi, float(mean_reward), weight * float(count))
+        for _, stats in per_arm_stats:
+            self._absorb(np.asarray(stats.phi, dtype=float),
+                         stats.mean_reward, weight * stats.count)
 
     # -- persistence -----------------------------------------------------
 
@@ -164,9 +163,13 @@ class PolicyState:
         if not np.isfinite(np.append(st.precision, st.b_vector)).all():
             raise ValueError("policy snapshot holds a non-finite value")
         st.cholesky()
-        st.iteration = int(data["iteration"])
-        st.estimator_counts = {
-            k: int(v) for k, v in dict(data["estimator_counts"]).items()}
+        st.iteration = data["iteration"]
+        st.estimator_counts = dict(data["estimator_counts"])
+        # Counts are ints; a bool is an int to Python but no count.
+        if type(st.iteration) is not int or st.iteration < 0 or any(
+                type(c) is not int or c < 1
+                for c in st.estimator_counts.values()):
+            raise ValueError("policy snapshot holds a bad count")
         return st
 
 

@@ -26,7 +26,8 @@ _WARMUP = 3
 # row's theta0) warm-starts at reduced weight.
 CP0_CLOSE_CUTOFF = 0.90
 
-#: cp_id -> (theta0, blocking, inverted, action_on_fail)
+#: cp_id -> (theta0, blocking, inverted, action_on_fail); a gate event
+#: that did not pass names its action through this table
 CHECKPOINT_TABLE = {
     "CP0": (0.70, False, False, "fresh_exploration"),
     "CP1": (0.25, True, False, "abort_session"),
@@ -45,7 +46,8 @@ class CheckpointResult:
     similarity: float
     threshold: float
     verdict: str                 # pass | block | warn
-    failure_action: str = ""     # "" on pass
+    # The Inspector's reasons when it blocks CP5; a cosine block has none.
+    reasons: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -75,7 +77,7 @@ class CheckpointManager:
         towards its warmup."""
         if cp_id in self.disabled:
             return CheckpointResult(cp_id, similarity, DISABLED, "pass")
-        theta0, blocking, inverted, action = CHECKPOINT_TABLE[cp_id]
+        theta0, blocking, inverted, _ = CHECKPOINT_TABLE[cp_id]
         threshold = theta0 if self.passes[cp_id] < _WARMUP \
             else max(theta0, self.null_floor)
         if inverted:
@@ -87,7 +89,7 @@ class CheckpointManager:
                 self.passes[cp_id] += 1
             return CheckpointResult(cp_id, similarity, threshold, "pass")
         return CheckpointResult(cp_id, similarity, threshold,
-                                "block" if blocking else "warn", action)
+                                "block" if blocking else "warn")
 
     def evaluate_cp0(self, ps, archive) -> CP0Result:
         """Match the new problem against the archive and pick an

@@ -1,17 +1,19 @@
 """Session orchestrator: the conceptualization phase, the decision loop with
 every checkpoint wired at its boundary, and the trace writer.
 
-Every gate of an iteration goes through one call, which records its event;
-a switched-off gate passes and reports the threshold -1 like any other, and
-CP5's Inspector is off together with CP5. One rule heals a blocked step:
-gate, remedy, gate again. A CP2 block re-selects, a CP5 block rebuilds the
-plan from the uncorrupted strategy text, and a failed execution gets one
-Debugger patch; a CP4 block has no remedy. A second CP2 or CP5 block, or a
-CP4 block, ends the iteration with a failed record; a second failed
-execution scores a crash. A CP7 novelty warning re-selects once.
+Every gate of an iteration goes through one call, which records its event; a
+switched-off gate passes and reports the threshold -1 like any other, and
+CP5's Inspector is off with CP5; an Inspector block records its reasons. One
+rule heals a blocked step: gate, remedy, gate again. A CP2 block re-selects,
+a CP5 block rebuilds the plan from the uncorrupted strategy text, and a
+failed execution gets one Debugger patch; a CP4 block has no remedy. A
+second CP2 or CP5 block, or a CP4 block, ends the iteration with a failed
+record; a second failed execution scores a crash. A CP7 novelty warning
+re-selects once.
 
-The Advisor hands over the diagnosis, whose prose CP6 reads. A record
-stores each fact once: its policy features follow from its action.
+The Advisor hands over the diagnosis, whose prose CP6 reads. Each fact has
+one home: a record holds its reward breakdown and a trace its records, and
+totals, failures and the outcome are read from them.
 """
 
 from __future__ import annotations
@@ -81,13 +83,20 @@ class IterationRecord:
     action: object
     plan: ExecutionPlan | None
     observation: SAResult | None
-    reward_total: float
-    reward_components: tuple[float, float, float, float]
+    reward: reward_mod.RewardBreakdown
     checkpoint_events: tuple[CheckpointResult, ...]
     drift_events: tuple
     diagnostic: DiagnosticScheme
     strategy_text: str
-    failed: bool = False
+
+    @property
+    def reward_total(self) -> float:
+        return self.reward.total
+
+    @property
+    def failed(self) -> bool:
+        """A gate ended the iteration; the policy saw no reward."""
+        return self.plan is None
 
     @property
     def mismatch(self) -> bool:
@@ -101,9 +110,6 @@ class SessionTrace:
     config: SessionConfig
     problem_scheme: ProblemScheme | None
     records: list
-    outcome: str        # converged | budget_exhausted | aborted
-    best_reward: float
-    iterations_to_converge: int | None
     cp0: CP0Result = CP0Result(0.0, "none", None, "explore_max", False)
     policy_snapshot: dict | None = None
     abort_reason: str = ""
@@ -111,6 +117,25 @@ class SessionTrace:
     @property
     def session_id(self) -> str:
         return self.config.session_id
+
+    @property
+    def outcome(self) -> str:
+        """converged | budget_exhausted | aborted; a session stops at its
+        first record that reaches the threshold."""
+        if self.abort_reason:
+            return "aborted"
+        if self.records and \
+                self.records[-1].reward_total >= self.config.r_threshold:
+            return "converged"
+        return "budget_exhausted"
+
+    @property
+    def best_reward(self) -> float:
+        return max((r.reward_total for r in self.records), default=0.0)
+
+    @property
+    def iterations_to_converge(self) -> int | None:
+        return len(self.records) if self.outcome == "converged" else None
 
 
 @dataclass
@@ -177,25 +202,20 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
         result = manager.evaluate(cp_id, sim)
         if plan is not None and result.passed and \
                 result.threshold != DISABLED and \
-                not agents.inspector_check(plan, ms).approved:
-            result = replace(result, verdict="block",
-                             failure_action="inspector_reject")
+                (reasons := agents.inspector_check(plan, ms)):
+            result = replace(result, verdict="block", reasons=reasons)
         events.append(result)
         return result.passed
 
     def failed(why: str) -> IterationRecord:
         """The record of an iteration that a gate ended before execution."""
-        diag = DiagnosticScheme(
-            convergence_status="failed", bottleneck_dim="integrity",
-            root_cause="none", prescribed_estimator=None,
-            prescribed_n_samples=None, block_action=False,
-            physical_insight=why)
         return IterationRecord(
             n=n, action=action, plan=None, observation=None,
-            reward_total=0.0, reward_components=(0.0, 0.0, 0.0, 0.0),
+            reward=reward_mod.RewardBreakdown(0.0, 0.0, 0.0, 0.0, ()),
             checkpoint_events=tuple(events),
-            drift_events=tuple(drift_events), diagnostic=diag,
-            strategy_text=strategy_text, failed=True)
+            drift_events=tuple(drift_events),
+            diagnostic=DiagnosticScheme("none", None, None, why),
+            strategy_text=strategy_text)
 
     # (policy) Strategist + CP7 novelty (inverted) + CP2 critic gate. A
     # novelty warning re-selects once, and so does a critic block.
@@ -229,12 +249,11 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     # CP5: cosine gate against the original strategy plus the Inspector's
     # structural checklist; one bundle, one toggle. A block rebuilds the
     # plan once from the uncorrupted strategy text.
-    plan = agents.refactor_agent(drifted_text, ps.model_id,
-                                 seed=iter_seed, fallback=ms)
+    plan = agents.refactor_agent(drifted_text, ps.model_id, seed=iter_seed)
     if not gate("CP5", similarity(strategy_text,
                                   agents.render_plan_text(plan)), plan):
         plan = agents.refactor_agent(strategy_text, ps.model_id,
-                                     seed=iter_seed, fallback=ms)
+                                     seed=iter_seed)
         if not gate("CP5", similarity(strategy_text,
                                       agents.render_plan_text(plan)), plan):
             return failed("inspector rejected the rebuilt plan")
@@ -276,10 +295,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     state.prev_reward = breakdown.total
 
     return IterationRecord(
-        n=n, action=action, plan=plan, observation=obs,
-        reward_total=breakdown.total,
-        reward_components=(breakdown.integrity, breakdown.accuracy,
-                           breakdown.details, breakdown.optimality),
+        n=n, action=action, plan=plan, observation=obs, reward=breakdown,
         checkpoint_events=tuple(events), drift_events=tuple(drift_events),
         diagnostic=diag, strategy_text=strategy_text)
 
@@ -315,7 +331,7 @@ def run_session(cfg: SessionConfig,
             policy = bandit.PolicyState.from_snapshot(entry.policy_snapshot,
                                                       cp0.exploration_mode)
         else:
-            policy.warm_start(entry.arm_stats_list(), cp0.match)
+            policy.warm_start(entry.per_arm_stats, cp0.match)
 
     state = _SessionState(cfg=cfg, ps=ps, model=model,
                           manager=manager, policy=policy,
@@ -323,20 +339,13 @@ def run_session(cfg: SessionConfig,
                           screening_first=cp0.screening_first)
 
     records = []
-    outcome = "budget_exhausted"
-    iterations_to_converge = None
     for n in range(1, cfg.n_max + 1):
-        rec = run_iteration(state, n)
-        records.append(rec)
-        if rec.reward_total >= cfg.r_threshold:
-            outcome = "converged"
-            iterations_to_converge = n
+        records.append(run_iteration(state, n))
+        if records[-1].reward_total >= cfg.r_threshold:
             break
 
     trace = SessionTrace(
-        config=cfg, problem_scheme=ps, records=records, outcome=outcome,
-        best_reward=max((r.reward_total for r in records), default=0.0),
-        iterations_to_converge=iterations_to_converge, cp0=cp0,
+        config=cfg, problem_scheme=ps, records=records, cp0=cp0,
         policy_snapshot=policy.snapshot() if cfg.persist_policy else None)
 
     if archive is not None and cfg.record_to_archive:
@@ -345,16 +354,15 @@ def run_session(cfg: SessionConfig,
 
 
 def _aborted(cfg, ps, why: str) -> SessionTrace:
-    return SessionTrace(config=cfg, problem_scheme=ps, records=[],
-                        outcome="aborted", best_reward=0.0,
-                        iterations_to_converge=None, abort_reason=why)
+    return SessionTrace(cfg, ps, [], abort_reason=why)
 
 
 # ---------------------------------------------------------------------------
 # Trace serialization (JSONL: a header line of the session's facts, then
 # one line per record, its fields under their own names plus the derived
-# ``mismatch``). Each fact is a function of the trace; this one table feeds
-# the header, and through it the CLI's summary and every CSV row.
+# ``mismatch`` and ``reward_total``). Each fact is a function of the trace;
+# this one table feeds the header, and through it the CLI's summary and
+# every CSV row.
 _FACTS = {
     "session_id": lambda t: t.session_id,
     "config_digest": lambda t: t.config.digest(),
@@ -393,5 +401,6 @@ def write_trace(trace: SessionTrace, path: str) -> dict:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json(header) + "\n")
         for rec in trace.records:
-            fh.write(to_json({**vars(rec), "mismatch": rec.mismatch}) + "\n")
+            fh.write(to_json({**vars(rec), "mismatch": rec.mismatch,
+                              "reward_total": rec.reward_total}) + "\n")
     return header

@@ -9,15 +9,12 @@ integrity and accuracy mass tied to the scheme's required outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidReward
 from .estimators import BenchmarkModel, SAResult
-
-if TYPE_CHECKING:   # schemes imports this module for COMPONENT_CAPS
-    from .schemes import MethodScheme
+from .schemes import MethodScheme
 
 # Sub-rubric splits inside the four capped components.
 _INTEGRITY_EXECUTION = 20.0
@@ -35,17 +32,6 @@ _NEGATIVE_VARIANCE_PENALTY = 5.0
 _RANK_INVERSION_PENALTY = 3.0
 _WARNING_PENALTY = 2.0
 _CONVERGENCE_TOL = 1e-3     # |S_i^n - S_i^{n-1}| criterion
-
-#: component -> the most it can score (35, 35, 15, 15), in the order the
-#: diagnosis breaks bottleneck ties
-COMPONENT_CAPS = {
-    "integrity": _INTEGRITY_EXECUTION + _INTEGRITY_ATTRIBUTES
-    + _INTEGRITY_WARNINGS,
-    "accuracy": _ACCURACY_PRECISION + _ACCURACY_CONSISTENCY_SUM
-    + _ACCURACY_CONSISTENCY_ORDER,
-    "details": _DETAILS_CAP,
-    "optimality": _OPTIMALITY_CAP,
-}
 
 
 @dataclass(frozen=True)

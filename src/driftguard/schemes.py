@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields, replace
 from . import catalog
 from .action_space import ActionTuple
 from .errors import ConfigError, InvalidProblem
-from .reward import COMPONENT_CAPS
 
 DIST_FAMILIES = ("Uniform", "Normal", "Other")
 
@@ -121,20 +120,19 @@ class MethodScheme:
 
 @dataclass(frozen=True)
 class DiagnosticScheme:
-    """Machine-readable diagnosis closing each iteration."""
+    """Machine-readable diagnosis closing each iteration; its status and
+    bottleneck are read from the reward the record holds."""
 
-    convergence_status: str    # converged | partial | failed
-    bottleneck_dim: str
     root_cause: str            # as the Advisor's branch states it
     prescribed_estimator: str | None
     prescribed_n_samples: int | None
-    block_action: bool
     physical_insight: str = ""
 
-    def __post_init__(self):
-        if self.block_action and self.root_cause not in ("attribute_error",
-                                                         "wrong_estimator"):
-            raise InvalidProblem("block_action requires attribute/estimator cause")
+    @property
+    def block_action(self) -> bool:
+        """Whether the next decision avoids the diagnosed estimator: only
+        when that estimator cannot produce the outputs its scheme needs."""
+        return self.root_cause == "attribute_error"
 
 
 # ---------------------------------------------------------------------------
@@ -176,33 +174,10 @@ def build_method_scheme(action: ActionTuple, ps: ProblemScheme,
                         n_min_value=n_min_value, budget_status=budget_status)
 
 
-def build_diagnostic_scheme(report: str, root_cause: str, breakdown,
-                            r_threshold: float,
+def build_diagnostic_scheme(report: str, root_cause: str,
                             prescribed_estimator: str | None = None,
                             prescribed_n_samples: int | None = None
                             ) -> DiagnosticScheme:
-    """The diagnosis of a review stating its cause and prescription: adds
-    the bottleneck, the status and whether to block.  A total at or above the
-    session's ``r_threshold`` is converged."""
-    # The lowest share of its cap; ties go to the earlier component.
-    ratios = {c: getattr(breakdown, c) / cap
-              for c, cap in COMPONENT_CAPS.items()}
-    bottleneck = min(ratios, key=ratios.get)
-
-    block = root_cause == "attribute_error"
-    if breakdown.total >= r_threshold:
-        status = "converged"
-    elif breakdown.integrity == 0:
-        status = "failed"
-    else:
-        status = "partial"
-
-    return DiagnosticScheme(
-        convergence_status=status,
-        bottleneck_dim=bottleneck,
-        root_cause=root_cause,
-        prescribed_estimator=prescribed_estimator,
-        prescribed_n_samples=prescribed_n_samples,
-        block_action=block,
-        physical_insight=report,
-    )
+    """The diagnosis of a review stating its cause and prescription."""
+    return DiagnosticScheme(root_cause, prescribed_estimator,
+                            prescribed_n_samples, report)

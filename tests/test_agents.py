@@ -94,25 +94,17 @@ class TestRefactorAgent:
         ms = _ms(ps_eq3)
         plan = agents.refactor_agent(
             "strategy: apply CVM with n_samples=2500.", "structural_eq3",
-            seed=7, fallback=ms)
-        assert plan.estimator == "CVM"
-        assert plan.n_samples == 2500
-        assert plan.output_bindings == ("first_order_indices",)
-        assert plan.seed == 7
-
-    def test_falls_back_to_scheme(self, ps_eq3):
-        ms = _ms(ps_eq3)
-        plan = agents.refactor_agent("nothing parseable here",
-                                     "structural_eq3", seed=0, fallback=ms)
-        assert plan.estimator == "Sobol"
-        assert plan.n_samples == 1000
+            seed=7)
+        assert plan == ExecutionPlan("CVM", 2500, "structural_eq3", 7)
+        # The plan's bindings are its estimator's catalog row.
+        assert "binding first_order_indices." \
+            in agents.render_plan_text(plan)
 
     def test_corrupted_text_yields_wrong_plan(self, ps_eq3):
         # The causal link: corrupt prose becomes a concretely wrong plan.
         ms = _ms(ps_eq3)
         text = agents.render_strategy_text(ms).replace("Sobol", "Morris")
-        plan = agents.refactor_agent(text, "structural_eq3", seed=0,
-                                     fallback=ms)
+        plan = agents.refactor_agent(text, "structural_eq3", seed=0)
         assert plan.estimator == "Morris"
 
 
@@ -120,23 +112,21 @@ class TestInspector:
     def test_approves_faithful_plan(self, ps_eq3):
         ms = _ms(ps_eq3)
         plan = agents.refactor_agent(agents.render_strategy_text(ms),
-                                     "structural_eq3", seed=0, fallback=ms)
-        assert agents.inspector_check(plan, ms).approved
+                                     "structural_eq3", seed=0)
+        assert agents.inspector_check(plan, ms) == ()
 
     def test_estimator_mismatch_reason(self, ps_eq3):
         ms = _ms(ps_eq3)
         plan = ExecutionPlan("Morris", 100, "structural_eq3", 0)
-        verdict = agents.inspector_check(plan, ms)
-        assert not verdict.approved
-        assert any("estimator mismatch" in r for r in verdict.reasons)
-        assert any("missing required bindings" in r for r in verdict.reasons)
+        # The bindings follow from the estimator: a mismatch is one reason.
+        assert agents.inspector_check(plan, ms) == (
+            "estimator mismatch: plan runs Morris, scheme requires Sobol",)
 
     def test_undersized_plan_rejected(self, ps_eq3):
         ms = _ms(ps_eq3)
         plan = ExecutionPlan("Sobol", 50, "structural_eq3", 0)
-        verdict = agents.inspector_check(plan, ms)
-        assert any("below the estimator minimum" in r
-                   for r in verdict.reasons)
+        assert agents.inspector_check(plan, ms) == (
+            "n_samples=50 below the estimator minimum",)
 
 
 class TestExecutionAndDebugger:
@@ -196,8 +186,8 @@ class TestExecutionAndDebugger:
             ms = _ms(ps, estimator, n=2)
             plan = ExecutionPlan(estimator, 2, model.id, 0)
             patched = agents.debugger_fix(plan, InsufficientSamples("low"))
-            assert not agents.inspector_check(plan, ms).approved
-            assert agents.inspector_check(patched, ms).approved
+            assert agents.inspector_check(plan, ms)
+            assert agents.inspector_check(patched, ms) == ()
             assert patched.n_samples == catalog.estimator_info(
                 estimator).min_samples(model.d_in)
 
@@ -220,7 +210,7 @@ _ROOT_CAUSE_RULES = (
 )
 
 
-def _keyword_diagnosis(report, breakdown, r_threshold):
+def _keyword_diagnosis(report):
     text = report.lower()
     cause = next((c for k, c in _ROOT_CAUSE_RULES if k in text), "none")
     match = re.search(r"prescribe estimator (\w+)", report, re.IGNORECASE)
@@ -230,8 +220,7 @@ def _keyword_diagnosis(report, breakdown, r_threshold):
     n_match = re.search(r"n_samples\s*[=:]\s*(\d+)", text)
     n_samples = 2 * int(n_match.group(1)) \
         if cause == "insufficient_N" and n_match else None
-    return build_diagnostic_scheme(report, cause, breakdown, r_threshold,
-                                   estimator, n_samples)
+    return build_diagnostic_scheme(report, cause, estimator, n_samples)
 
 
 def _breakdown(total):
@@ -283,7 +272,6 @@ class TestAdvisor:
         diag = self._diagnose(ps_eq3, "crash")
         assert "unrecoverable" in diag.physical_insight
         assert diag.root_cause == "execution_failed"
-        assert diag.convergence_status == "failed"
 
     def test_missing_attribute_report(self, ps_eq3):
         diag = self._diagnose(ps_eq3, "missing_attribute")  # Sobol needs s1
@@ -295,7 +283,6 @@ class TestAdvisor:
         diag = self._diagnose(ps_eq3, "converged")
         assert "successfully computed" in diag.physical_insight
         assert diag.root_cause == "none"
-        assert diag.convergence_status == "converged"
         assert diag.prescribed_estimator is diag.prescribed_n_samples is None
 
     def test_partial_rank_method_prescribes_swap(self, ps_eq3):
@@ -321,9 +308,7 @@ class TestAdvisor:
     @pytest.mark.parametrize("name", sorted(_ADVISOR_BRANCHES))
     def test_branch_states_what_its_prose_says(self, ps_eq3, name):
         diag = self._diagnose(ps_eq3, name)
-        total = _ADVISOR_BRANCHES[name][2]
-        assert diag == _keyword_diagnosis(diag.physical_insight,
-                                          _breakdown(total), 85.0)
+        assert diag == _keyword_diagnosis(diag.physical_insight)
 
     @pytest.mark.parametrize("total", [60.0, 92.0])
     @pytest.mark.parametrize("estimator", sorted(catalog.SA_ESTIMATORS))
@@ -332,8 +317,7 @@ class TestAdvisor:
         diag = agents.advisor_report(_ms(ps_eq3, estimator),
                                      _produced_obs(estimator),
                                      _breakdown(total), ps_eq3, 85.0)
-        assert diag == _keyword_diagnosis(diag.physical_insight,
-                                          _breakdown(total), 85.0)
+        assert diag == _keyword_diagnosis(diag.physical_insight)
 
 
 class TestDriftInjection:
@@ -400,6 +384,23 @@ class TestDriftInjection:
     def test_target_field_must_name_the_rewritten_field(self, kind, field):
         with pytest.raises(ValueError, match="rewrites"):
             DriftSpec(kind=kind, target_field=field, probability=1.0)
+
+    @pytest.mark.parametrize("kind, value", [
+        ("method_swap", "Sobl"), ("method_swap", "sobol"),
+        ("field_corruption", "lots"), ("field_corruption", ""),
+        ("field_corruption", "0"), ("field_corruption", "-5"),
+        ("field_corruption", "1.5"), ("field_corruption", " 7"),
+        ("field_corruption", "\u0663")])     # an Arabic-Indic three
+    def test_drift_writes_only_what_a_plan_reads(self, kind, value):
+        # A swap names a catalog estimator and a corruption a positive
+        # sample size, so the Refactor Agent always reads a plan back.
+        field = agents.DRIFT_KINDS[kind]
+        with pytest.raises(ValueError, match="a (method swap|field corr)"):
+            DriftSpec(kind=kind, target_field=field, replacement_value=value,
+                      probability=1.0)
+        if kind == "method_swap":
+            with pytest.raises(ValueError, match="catalog estimators"):
+                DriftSpec(kind=kind, source_value=value, probability=1.0)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

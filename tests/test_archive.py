@@ -14,6 +14,7 @@ from driftguard import bandit
 from driftguard.archive import Archive, ArchiveEntry
 from driftguard.errors import LoadError, PersistError
 from driftguard.estimators import benchmark_catalog
+from driftguard.reward import RewardBreakdown
 from driftguard.schemes import build_problem_scheme
 
 from simenv import (SimConfig, SimRecord, SimTrace, canonical_action,
@@ -336,7 +337,8 @@ class TestPersistence:
         assert all(len(s.phi) == dim for e in Archive(path).entries
                    for _, s in e.per_arm_stats)
         # One failed and one learned iteration of the same estimator.
-        failed_twin = replace(learned[0], failed=True, reward_total=0.0)
+        failed_twin = replace(learned[0], plan=None, reward=RewardBreakdown(
+            0.0, 0.0, 0.0, 0.0, ()))
         mixed = replace(first, records=[learned[0], failed_twin])
         entry = Archive().record_session(mixed)
         assert dict(entry.per_arm_stats)[learned[0].action.estimator] \
@@ -481,11 +483,11 @@ class TestReload:
 
 
 class TestWarmStartPlumbing:
-    def test_arm_stats_list_shape(self, ps_g8, sobol_entry):
+    def test_per_arm_stats_shape(self, ps_g8, sobol_entry):
+        # The warm start replays the entry's own (estimator, ArmStats)
+        # pairs.
         entry = sobol_entry(Archive())
-        stats = entry.arm_stats_list()
-        assert len(stats) == 1
-        phi, mean_reward, count = stats[0]
-        assert mean_reward == 91.0 and count == 3
-        from driftguard import bandit
-        assert len(phi) == bandit.feature_dim()
+        [(estimator, stats)] = entry.per_arm_stats
+        assert estimator == "Sobol"
+        assert stats.mean_reward == 91.0 and stats.count == 3
+        assert len(stats.phi) == bandit.feature_dim()

@@ -145,7 +145,7 @@ class TestSelectAction:
         hits = 0
         for seed in range(40):
             st_ = bandit.PolicyState(exploration_mode="exploit")
-            st_.warm_start(entry.arm_stats_list(), "close")
+            st_.warm_start(entry.per_arm_stats, "close")
             assert st_.exploration_mode == "exploit"
             d = bandit.select_action(st_, ps_g8, self._arms(ps_g8),
                                      rng_seed=seed)
@@ -158,9 +158,9 @@ class TestSelectAction:
         archive = Archive()
         entry = archive.seed_entry(ps_g8, canonical_action("Sobol"), 91.0, 3)
         close = bandit.PolicyState()
-        close.warm_start(entry.arm_stats_list(), "close")
+        close.warm_start(entry.per_arm_stats, "close")
         weak = bandit.PolicyState()
-        weak.warm_start(entry.arm_stats_list(), "weak")
+        weak.warm_start(entry.per_arm_stats, "weak")
         # The replay leaves the exploration mode as the caller set it.
         assert weak.exploration_mode == close.exploration_mode \
             == "explore_max"
@@ -169,8 +169,7 @@ class TestSelectAction:
         assert float(weak.posterior_mean @ phi) \
             < float(close.posterior_mean @ phi)
         with pytest.raises(ValueError):
-            bandit.PolicyState().warm_start(entry.arm_stats_list(),
-                                                "none")
+            bandit.PolicyState().warm_start(entry.per_arm_stats, "none")
 
     def _prev(self, ps, estimator, n_samples):
         return build_method_scheme(canonical_action(estimator), ps,
@@ -180,7 +179,7 @@ class TestSelectAction:
         # The diagnosis blocks the estimator of the scheme it diagnosed.
         diag = build_diagnostic_scheme(
             "required attribute first_order_indices absent",
-            "attribute_error", _zero_breakdown(), 85.0)
+            "attribute_error")
         for seed in range(20):
             d = bandit.select_action(bandit.PolicyState(), ps_eq3,
                                      self._arms(ps_eq3), diag=diag,
@@ -192,7 +191,7 @@ class TestSelectAction:
     def test_prescribed_estimator_dominates(self, ps_eq3):
         diag = build_diagnostic_scheme(
             "wrong estimator. prescribe estimator CVM.", "wrong_estimator",
-            _zero_breakdown(), 85.0, prescribed_estimator="CVM")
+            prescribed_estimator="CVM")
         d = bandit.select_action(bandit.PolicyState(), ps_eq3,
                                  self._arms(ps_eq3), diag=diag, rng_seed=0)
         assert d.action.estimator == "CVM"
@@ -206,14 +205,14 @@ class TestSelectAction:
     def test_prescribed_n_samples_dominates_and_clamps(self, ps_eq3):
         diag = build_diagnostic_scheme(
             "sampling insufficient at n_samples=1000.", "insufficient_N",
-            _zero_breakdown(), 85.0, prescribed_n_samples=2000)
+            prescribed_n_samples=2000)
         prev = self._prev(ps_eq3, "CVM", 1000)
         # Prescribed 2000 is below CVM's single-loop floor 500*(4+2)=3000.
         assert self._n_samples(ps_eq3, "CVM", diag, prev) == 3000
         # Above the floor, the prescription beats the carried-over size.
         diag = build_diagnostic_scheme(
             "sampling insufficient at n_samples=2500.", "insufficient_N",
-            _zero_breakdown(), 85.0, prescribed_n_samples=5000)
+            prescribed_n_samples=5000)
         prev = self._prev(ps_eq3, "CVM", 4000)
         assert self._n_samples(ps_eq3, "CVM", diag, prev) == 5000
 
@@ -242,11 +241,6 @@ class TestSelectAction:
         a = bandit.select_action(st_, ps_eq3, self._arms(ps_eq3), rng_seed=42)
         b = bandit.select_action(st_, ps_eq3, self._arms(ps_eq3), rng_seed=42)
         assert a.action == b.action and a.sampled_scores == b.sampled_scores
-
-
-def _zero_breakdown():
-    from driftguard.reward import RewardBreakdown
-    return RewardBreakdown(0.0, 0.0, 0.0, 0.0, ())
 
 
 class TestDefaultNSamples:

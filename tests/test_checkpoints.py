@@ -37,17 +37,19 @@ class TestTable:
 class TestEvaluate:
     def test_pass_above_threshold(self, manager):
         res = manager.evaluate("CP2", 0.9)
-        assert res.verdict == "pass" and res.failure_action == ""
+        assert res.verdict == "pass" and res.reasons == ()
 
     def test_block_below_threshold(self, manager):
         res = manager.evaluate("CP2", 0.05)
-        assert res.verdict == "block"
-        assert res.failure_action == "critic_reject"
+        # Only the Inspector gives reasons; a gate's failure action is
+        # its table row's.
+        assert (res.verdict, res.reasons) == ("block", ())
+        assert CHECKPOINT_TABLE[res.cp_id][3] == "critic_reject"
 
     def test_warn_for_nonblocking(self, manager):
         res = manager.evaluate("CP3", 0.05)
-        assert res.verdict == "warn"
-        assert res.failure_action == "warn_study_agent"
+        assert (res.verdict, res.reasons) == ("warn", ())
+        assert CHECKPOINT_TABLE[res.cp_id][3] == "warn_study_agent"
 
     def test_inverted_gate_passes_low_similarity(self, manager):
         low = manager.evaluate("CP7", 0.05)

@@ -180,10 +180,17 @@ class TestBadConfig:
                                      "probability": 2.0}}
         cfg = _write(tmp_path, doc)
         assert main(["run", "--config", cfg]) == EXIT_BAD_CONFIG
-        # A drift that is not an object is refused before any session, as
-        # a non-object checkpoint_overrides is; only {} states no drift.
+        # A drift that is not an object, or that writes what no plan can
+        # read back, is refused before any session, as a non-object
+        # checkpoint_overrides is; only {} states no drift.
         out = tmp_path / "out"
-        for value in (False, 0, "", [], None):
+        for value in (False, 0, "", [], None,
+                      {"kind": "method_swap", "replacement_value": "Sobl",
+                       "probability": 1.0},
+                      {"kind": "method_swap", "source_value": "Sobl",
+                       "probability": 1.0},
+                      {"kind": "field_corruption", "target_field": "n_samples",
+                       "replacement_value": "lots", "probability": 1.0}):
             cfg = _write(tmp_path, {**BASE_RUN, "drift": value})
             assert main(["run", "--config", cfg, "--out", str(out),
                          "--quiet"]) == EXIT_BAD_CONFIG, value
@@ -589,6 +596,14 @@ BAD_RECORDS = {
         ("policy_snapshot", "precision", 0, 0), -1.0, True),
     "unknown distribution family": (("problem", "dist_family", 0),
                                     "LogNormal", False),
+    "negative policy iteration": (("policy_snapshot", "iteration"), -100,
+                                  True),
+    "bool policy iteration": (("policy_snapshot", "iteration"), True, True),
+    "zero arm count": (("policy_snapshot", "estimator_counts", "Sobol"), 0,
+                       True),
+    "float arm count": (("policy_snapshot", "estimator_counts", "Sobol"),
+                        2.0, True),
+    "numeric session id": (("session_id",), 5, False),
 }
 
 

@@ -7,7 +7,10 @@ emitted byte shows up in the diff of ``golden_artifacts.json``.
 
 To regenerate the table after an intended output change:
 
-    PYTHONPATH=src python tests/test_golden_artifacts.py > tests/golden_artifacts.json
+    PYTHONPATH=src python tests/test_golden_artifacts.py
+
+rewrites it in place and lists on stderr every key that was added, removed
+or changed against the table it replaced.
 """
 
 import hashlib
@@ -68,8 +71,32 @@ def test_shipped_configs_write_golden_bytes(tmp_path):
     assert artifact_digests(str(tmp_path)) == expected
 
 
+def changed_keys(old: dict, new: dict) -> list[str]:
+    """One line per key that ``new`` adds, removes or changes."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            lines.append(f"added {key}")
+        elif key not in new:
+            lines.append(f"removed {key}")
+        elif old[key] != new[key]:
+            lines.append(f"changed {key}")
+    return lines
+
+
+def test_changed_keys_names_each_difference():
+    old = {"a": "1", "b": "2", "c": "3"}
+    new = {"a": "1", "b": "9", "d": "4"}
+    assert changed_keys(old, new) == ["changed b", "removed c", "added d"]
+
+
 if __name__ == "__main__":
+    with open(TABLE, encoding="utf-8") as fh:
+        checked_in = json.load(fh)
     with tempfile.TemporaryDirectory() as work:
-        json.dump(artifact_digests(work), sys.stdout, indent=2,
-                  sort_keys=True)
-    sys.stdout.write("\n")
+        digests = artifact_digests(work)
+    with open(TABLE, "w", encoding="utf-8") as fh:
+        json.dump(digests, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for line in changed_keys(checked_in, digests):
+        print(line, file=sys.stderr)

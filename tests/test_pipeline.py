@@ -7,12 +7,14 @@ import pytest
 from driftguard import agents, cli
 from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.archive import Archive
-from driftguard.checkpoints import CHECKPOINT_TABLE, DISABLED
+from driftguard.checkpoints import CHECKPOINT_TABLE, DISABLED, \
+    CheckpointResult
 from driftguard.errors import InsufficientSamples, UnknownModel
 from driftguard.estimators import SAResult
 from driftguard.pipeline import (IterationRecord, SessionConfig,
                                  SessionTrace, run_session,
                                  submartingale_flags, write_trace)
+from driftguard.schemes import DiagnosticScheme
 
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 from simenv import canonical_action
@@ -57,9 +59,9 @@ class TestSessionBasics:
         assert trace.outcome == "converged"
         assert trace.iterations_to_converge == len(trace.records)
         assert trace.records[-1].reward_total >= 50.0
-        # The diagnosis and the advisor judge against the session's
-        # threshold, not a default one.
-        assert trace.records[-1].diagnostic.convergence_status == "converged"
+        assert trace.best_reward == trace.records[-1].reward_total
+        # The advisor judges against the session's threshold, not a
+        # default one.
         assert "meets the precision target" \
             in trace.records[-1].diagnostic.physical_insight
 
@@ -283,8 +285,8 @@ class TestBlockedSteps:
     def test_cp4_block_has_no_remedy(self, monkeypatch):
         _block_always(monkeypatch, "CP4")
         rec = self._first()
-        assert [e.failure_action for e in self._cps(rec, "CP4")] \
-            == ["fail_iteration"]
+        assert [(e.verdict, e.reasons) for e in self._cps(rec, "CP4")] \
+            == [("block", ())]
         assert rec.failed and rec.plan is None
         assert rec.diagnostic.physical_insight \
             == "study comprehension gate blocked"
@@ -303,7 +305,8 @@ class TestBlockedSteps:
         rec = self._first(drift=NO_SAMPLES)
         first, second = self._cps(rec, "CP5")
         assert first.verdict == "block" and first.similarity >= \
-            first.threshold and first.failure_action == "inspector_reject"
+            first.threshold
+        assert first.reasons == ("n_samples=1 below the estimator minimum",)
         assert second.passed
         assert f"n_samples={rec.plan.n_samples} " in rec.strategy_text
         assert not rec.failed and rec.observation is not None
@@ -413,8 +416,9 @@ class TestTraceSerialization:
 
     def test_row_is_the_record(self, tmp_path, monkeypatch):
         # A row is its record's fields under their own names plus the
-        # derived mismatch, so the plan's sample count and seed and the
-        # evaluations used reach the trace without a second schema.
+        # derived mismatch and reward total, so the plan's sample count and
+        # seed, the evaluations used and the reward's warnings reach the
+        # trace without a second schema.
         path = tmp_path / "trace.jsonl"
 
         def rows(trace):
@@ -422,7 +426,8 @@ class TestTraceSerialization:
             return [json.loads(line)
                     for line in path.read_text().splitlines()[1:]]
 
-        names = {f.name for f in fields(IterationRecord)} | {"mismatch"}
+        names = {f.name for f in fields(IterationRecord)} \
+            | {"mismatch", "reward_total"}
         trace = run_session(_cfg(seed=1))
         for rec, row in zip(trace.records, rows(trace), strict=True):
             assert set(row) == names
@@ -430,25 +435,52 @@ class TestTraceSerialization:
             assert row["plan"]["seed"] == rec.plan.seed == 1 * 1000 + rec.n
             assert row["observation"]["evaluations_used"] \
                 == rec.observation.evaluations_used > 0
+            assert row["reward"]["warnings"] == list(rec.reward.warnings)
+            assert row["reward_total"] == rec.reward_total
         _block_always(monkeypatch, "CP4")
         [row] = rows(run_session(_cfg(seed=1, n_max=1)))
-        assert set(row) == names and row["failed"]
+        # A failed record is one without a plan, and it scores nothing.
+        assert set(row) == names and row["reward_total"] == 0.0
         assert row["plan"] is None and row["observation"] is None
 
     def test_records_hold_each_fact_once(self):
         # Derived facts are properties, not fields: a plan's bindings come
-        # from its catalog row, a trace's id from its config, and a record's
-        # advisor text and policy features from its diagnosis and action.
+        # from its catalog row, a trace's id, outcome and best reward from
+        # its config and records, a record's total and failure from its
+        # reward and plan, a diagnosis's block from its cause, and a gate
+        # event's failure action from the gate table.
         assert [f.name for f in fields(ExecutionPlan)] \
             == ["estimator", "n_samples", "model_id", "seed"]
         assert [f.name for f in fields(IterationRecord)] == [
-            "n", "action", "plan", "observation", "reward_total",
-            "reward_components", "checkpoint_events", "drift_events",
-            "diagnostic", "strategy_text", "failed"]
+            "n", "action", "plan", "observation", "reward",
+            "checkpoint_events", "drift_events", "diagnostic",
+            "strategy_text"]
         assert [f.name for f in fields(SessionTrace)] == [
-            "config", "problem_scheme", "records", "outcome", "best_reward",
-            "iterations_to_converge", "cp0", "policy_snapshot",
+            "config", "problem_scheme", "records", "cp0", "policy_snapshot",
             "abort_reason"]
+        assert [f.name for f in fields(DiagnosticScheme)] == [
+            "root_cause", "prescribed_estimator", "prescribed_n_samples",
+            "physical_insight"]
+        assert [f.name for f in fields(CheckpointResult)] == [
+            "cp_id", "similarity", "threshold", "verdict", "reasons"]
+
+    def test_cp5_events_carry_the_inspectors_reasons(self, tmp_path,
+                                                      monkeypatch):
+        # The Inspector's block writes its reasons into the trace event; a
+        # cosine block has none.
+        path = tmp_path / "trace.jsonl"
+
+        def cp5_events(cfg):
+            write_trace(run_session(cfg), str(path))
+            row = json.loads(path.read_text().splitlines()[1])
+            return [(e["verdict"], e["reasons"])
+                    for e in row["checkpoint_events"] if e["cp_id"] == "CP5"]
+
+        assert cp5_events(_cfg(seed=1, n_max=1, drift=NO_SAMPLES)) == [
+            ("block", ["n_samples=1 below the estimator minimum"]),
+            ("pass", [])]
+        _block_always(monkeypatch, "CP5")
+        assert cp5_events(_cfg(seed=1, n_max=1)) == [("block", [])] * 2
 
 
 class TestAblationSuite:

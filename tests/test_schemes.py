@@ -6,18 +6,10 @@ import pytest
 from driftguard import action_space, catalog
 from driftguard.errors import ConfigError, InvalidProblem
 from driftguard.pipeline import SessionConfig
-from driftguard.reward import RewardBreakdown
 from driftguard.schemes import (build_diagnostic_scheme, build_method_scheme,
                                 build_problem_scheme, DiagnosticScheme,
                                 MethodScheme)
 from conftest import EQ3_PROBLEM, G8_PROBLEM
-
-
-def _breakdown(total):
-    # integrity-heavy split with the requested total, for diagnosis tests
-    return RewardBreakdown(min(total, 35.0), max(0.0, min(total - 35.0, 35.0)),
-                           max(0.0, min(total - 70.0, 15.0)),
-                           max(0.0, total - 85.0), ())
 
 
 # The problem record's intake checks.
@@ -143,16 +135,14 @@ class TestDiagnosticScheme:
     def test_attribute_error_blocks(self):
         diag = build_diagnostic_scheme(
             "required attribute first_order_indices absent from the "
-            "observation", "attribute_error", _breakdown(20.0), 85.0)
+            "observation", "attribute_error")
         assert diag.root_cause == "attribute_error"
         assert diag.block_action
-        assert diag.convergence_status == "partial"
 
     def test_wrong_estimator_prescribes(self):
         diag = build_diagnostic_scheme(
             "this looks like a wrong estimator. prescribe estimator CVM.",
-            "wrong_estimator", _breakdown(40.0), 85.0,
-            prescribed_estimator="CVM")
+            "wrong_estimator", prescribed_estimator="CVM")
         assert diag.root_cause == "wrong_estimator"
         assert diag.prescribed_estimator == "CVM"
         assert not diag.block_action
@@ -160,23 +150,23 @@ class TestDiagnosticScheme:
     def test_insufficient_doubles_samples(self):
         diag = build_diagnostic_scheme(
             "sampling appears insufficient at n_samples=1000.",
-            "insufficient_N", _breakdown(60.0), 85.0,
-            prescribed_n_samples=2000)
+            "insufficient_N", prescribed_n_samples=2000)
         assert diag.root_cause == "insufficient_N"
         assert diag.prescribed_n_samples == 2000
         # The builder reads nothing out of the prose: a size it states is
         # no prescription.
         diag = build_diagnostic_scheme(
             "sobol indices successfully computed at n_samples=1000.",
-            "none", _breakdown(90.0), 85.0)
+            "none")
         assert diag.prescribed_n_samples is None
-        assert diag.convergence_status == "converged"
 
-    def test_block_requires_actionable_cause(self):
-        with pytest.raises(InvalidProblem):
-            DiagnosticScheme(convergence_status="failed",
-                             bottleneck_dim="integrity",
-                             root_cause="numerical_degeneracy",
-                             prescribed_estimator=None,
-                             prescribed_n_samples=None,
-                             block_action=True, physical_insight="")
+    def test_block_follows_the_cause(self):
+        # Only an estimator that cannot bind its scheme's outputs is
+        # blocked; the flag is read from the cause, not stored beside it.
+        assert [f.name for f in dataclasses.fields(DiagnosticScheme)] == [
+            "root_cause", "prescribed_estimator", "prescribed_n_samples",
+            "physical_insight"]
+        for cause in ("attribute_error", "wrong_estimator", "insufficient_N",
+                      "numerical_degeneracy", "execution_failed", "none"):
+            diag = DiagnosticScheme(cause, None, None)
+            assert diag.block_action == (cause == "attribute_error")
