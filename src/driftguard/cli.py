@@ -12,9 +12,9 @@ Configuration is a single JSON document; every command is reproducible from
 (config, seeds).  ``_COMMANDS`` lists the keys each command's config may
 hold and ``_KEYS`` those of each nested block; any other key (a typo, a
 ``settings`` block, a grid key the command does not run) is a bad
-configuration, and so are two sessions with one id.  Tunables are not
-configurable: each is a constant in the module that uses it, and
-``checkpoint_overrides`` may only switch gates off.
+configuration, and so are two sessions with one id and an id that is not
+a plain file name.  Tunables are not configurable: each is a constant in the
+module that uses it, and ``checkpoint_overrides`` may only switch gates off.
 
 Exit codes: 0 converged or budget exhausted, 1 bad configuration,
 2 session aborted.
@@ -211,6 +211,11 @@ def _grid(command: str, doc: dict,
     if repeated:
         raise ConfigError(f"session id {', '.join(repeated)} names more than "
                           "one session; each session writes its own trace")
+    unplain = sorted(i for i in ids
+                     if not i or {"/", "\0", os.sep, os.altsep} & set(i))
+    if unplain:
+        raise ConfigError(f"session id {', '.join(map(repr, unplain))} is "
+                          "not a plain file name under --out")
     return [(name, _archive_for(doc, chain), chain)
             for name, chain in chains if chain]
 

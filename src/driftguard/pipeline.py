@@ -12,8 +12,9 @@ record; a second failed execution scores a crash. A CP7 novelty warning
 re-selects once.
 
 The Advisor hands over the diagnosis, whose prose CP6 reads. Each fact has
-one home: a record holds its reward breakdown and a trace its records, and
-totals, failures and the outcome are read from them.
+one home: a record holds its method scheme and reward breakdown, and a trace
+its records. Totals, failures, the outcome and the earlier decisions that
+the loop reads are all read from the records.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class SessionConfig:
 class IterationRecord:
     n: int
     action: object
+    method: MethodScheme
     plan: ExecutionPlan | None
     observation: SAResult | None
     reward: reward_mod.RewardBreakdown
@@ -138,30 +140,10 @@ class SessionTrace:
         return len(self.records) if self.outcome == "converged" else None
 
 
-@dataclass
-class _SessionState:
-    """Mutable loop state shared across iterations."""
-
-    cfg: SessionConfig
-    ps: ProblemScheme
-    model: object
-    manager: CheckpointManager
-    policy: bandit.PolicyState
-    feasible: list
-    prev_strategy_text: str = ""
-    prev_ms: MethodScheme | None = None
-    prev_diag: DiagnosticScheme | None = None
-    prev_obs_by_estimator: dict = field(default_factory=dict)
-    prev_reward: float | None = None
-    flags: tuple[str, ...] = ()
-    screening_first: bool = False
-    failed_estimators: set = field(default_factory=set)
-
-
 def submartingale_flags(prev_reward: float | None, total: float,
                         obs: SAResult | None) -> tuple[str, ...]:
-    """Violation flags for the reward register: the loop expects rewards to
-    be non-decreasing in expectation, so any drop is surfaced to the next
+    """Violation flags of the last learned reward: the loop expects rewards
+    to be non-decreasing in expectation, so any drop is surfaced to the next
     strategy prompt together with numerical red flags."""
     flags = []
     if prev_reward is not None and total < prev_reward:
@@ -172,28 +154,36 @@ def submartingale_flags(prev_reward: float | None, total: float,
     return tuple(flags)
 
 
-def run_iteration(state: _SessionState, n: int) -> IterationRecord:
-    """One loop pass: policy, implementation, execution, evaluation,
-    register; returns the complete record."""
-    cfg, ps = state.cfg, state.ps
-    manager, policy = state.manager, state.policy
+def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
+                  manager: CheckpointManager,
+                  feasible: list) -> IterationRecord:
+    """One loop pass: policy, implementation, execution, evaluation; returns
+    the complete record. What earlier passes decided is read from the
+    trace's records that the policy learned from, those no gate ended."""
+    cfg, ps = trace.config, trace.problem_scheme
+    n = len(trace.records) + 1
+    learned = [r for r in trace.records if not r.failed]
+    last = learned[-1] if learned else None
     events: list[CheckpointResult] = []
     drift_events: list = []
     iter_seed = cfg.seed * 1000 + n
 
-    screeners = [a for a in state.feasible if a.estimator == "Morris"] \
-        if state.screening_first and n == 1 else []
-    candidates = screeners or state.feasible
+    screeners = [a for a in feasible if a.estimator == "Morris"] \
+        if trace.cp0.screening_first and n == 1 else []
+    candidates = screeners or feasible
+    flags = submartingale_flags(
+        learned[-2].reward_total if len(learned) > 1 else None,
+        last.reward_total, last.observation) if last else ()
 
     def select(seed_offset: int):
         """The Strategist's pick; a re-selection adds the repeat penalty."""
         decision = bandit.select_action(
-            policy, ps, candidates, diag=state.prev_diag,
+            policy, ps, candidates, diag=last.diagnostic if last else None,
             novelty_warning=seed_offset > 0,
-            rng_seed=iter_seed + seed_offset, prev=state.prev_ms)
+            rng_seed=iter_seed + seed_offset,
+            prev=last.method if last else None)
         ms = decision.method_scheme
-        return ms, decision.action, agents.render_strategy_text(ms,
-                                                                state.flags)
+        return ms, decision.action, agents.render_strategy_text(ms, flags)
 
     def gate(cp_id: str, sim: float,
              plan: ExecutionPlan | None = None) -> bool:
@@ -210,7 +200,7 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     def failed(why: str) -> IterationRecord:
         """The record of an iteration that a gate ended before execution."""
         return IterationRecord(
-            n=n, action=action, plan=None, observation=None,
+            n=n, action=action, method=ms, plan=None, observation=None,
             reward=reward_mod.RewardBreakdown(0.0, 0.0, 0.0, 0.0, ()),
             checkpoint_events=tuple(events),
             drift_events=tuple(drift_events),
@@ -220,7 +210,8 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
     # (policy) Strategist + CP7 novelty (inverted) + CP2 critic gate. A
     # novelty warning re-selects once, and so does a critic block.
     ms, action, strategy_text = select(0)
-    if not gate("CP7", similarity(strategy_text, state.prev_strategy_text)):
+    if not gate("CP7", similarity(strategy_text,
+                                  last.strategy_text if last else "")):
         ms, action, strategy_text = select(500_000)
     if not gate("CP2", similarity(strategy_text,
                                   agents.render_critic_text(ms))):
@@ -271,33 +262,25 @@ def run_iteration(state: _SessionState, n: int) -> IterationRecord:
 
     # (evaluation) Reward, Advisor, CP6.
     breakdown = reward_mod.score(
-        ms, obs, model=state.model, epsilon=ps.epsilon,
-        prev_obs=state.prev_obs_by_estimator.get(plan.estimator))
-    diag = agents.advisor_report(ms, obs, breakdown, ps, cfg.r_threshold,
-                                 avoid=frozenset(state.failed_estimators))
+        ms, obs, model=get_model(ps.model_id), epsilon=ps.epsilon,
+        prev_obs=next((r.observation for r in reversed(learned)
+                       if r.observation is not None
+                       and r.plan.estimator == plan.estimator), None))
+    diag = agents.advisor_report(
+        ms, obs, breakdown, ps, cfg.r_threshold,
+        avoid=frozenset(r.action.estimator for r in learned
+                        if r.diagnostic.block_action))
     if obs is not None:
         gate("CP6", similarity(agents.render_observation_text(obs),
                                diag.physical_insight))
 
-    # (register) Blocked estimators, submartingale flags, policy update.
-    if diag.block_action:
-        state.failed_estimators.add(ms.estimator)
-    state.flags = submartingale_flags(state.prev_reward, breakdown.total, obs)
-
     policy.update(bandit.encode_features(ps, action), breakdown.total,
                   action.estimator)
-
-    if obs is not None:
-        state.prev_obs_by_estimator[plan.estimator] = obs
-    state.prev_strategy_text = strategy_text
-    state.prev_ms = ms
-    state.prev_diag = diag
-    state.prev_reward = breakdown.total
-
     return IterationRecord(
-        n=n, action=action, plan=plan, observation=obs, reward=breakdown,
-        checkpoint_events=tuple(events), drift_events=tuple(drift_events),
-        diagnostic=diag, strategy_text=strategy_text)
+        n=n, action=action, method=ms, plan=plan, observation=obs,
+        reward=breakdown, checkpoint_events=tuple(events),
+        drift_events=tuple(drift_events), diagnostic=diag,
+        strategy_text=strategy_text)
 
 
 def run_session(cfg: SessionConfig,
@@ -306,7 +289,7 @@ def run_session(cfg: SessionConfig,
     manager = CheckpointManager(calibrate_null(shipped_corpus()),
                                 frozenset(cfg.checkpoint_overrides))
 
-    # Group A: Coordinator -> CP1 -> Gatekeeper -> model lookup.
+    # Group A: Coordinator -> CP1 -> Gatekeeper, who binds the model.
     try:
         ps = build_problem_scheme(cfg.problem)
     except DriftguardError as exc:
@@ -320,7 +303,6 @@ def run_session(cfg: SessionConfig,
     admitted, why = agents.gatekeeper(ps, cfg.problem)
     if not admitted:
         return _aborted(cfg, ps, why)
-    model = get_model(ps.model_id)
 
     # CP0: archive match, warm-start, exploration mode.
     cp0 = manager.evaluate_cp0(ps, archive)
@@ -333,20 +315,14 @@ def run_session(cfg: SessionConfig,
         else:
             policy.warm_start(entry.per_arm_stats, cp0.match)
 
-    state = _SessionState(cfg=cfg, ps=ps, model=model,
-                          manager=manager, policy=policy,
-                          feasible=action_space.filter_feasible(ps),
-                          screening_first=cp0.screening_first)
-
-    records = []
-    for n in range(1, cfg.n_max + 1):
-        records.append(run_iteration(state, n))
-        if records[-1].reward_total >= cfg.r_threshold:
+    trace = SessionTrace(config=cfg, problem_scheme=ps, records=[], cp0=cp0)
+    feasible = action_space.filter_feasible(ps)
+    for _ in range(cfg.n_max):
+        trace.records.append(run_iteration(trace, policy, manager, feasible))
+        if trace.outcome == "converged":
             break
-
-    trace = SessionTrace(
-        config=cfg, problem_scheme=ps, records=records, cp0=cp0,
-        policy_snapshot=policy.snapshot() if cfg.persist_policy else None)
+    if cfg.persist_policy:
+        trace.policy_snapshot = policy.snapshot()
 
     if archive is not None and cfg.record_to_archive:
         archive.record_session(trace)

@@ -280,6 +280,23 @@ class TestBadConfig:
             assert not list(tmp_path.glob("*.trace.jsonl")), doc
             assert not list(tmp_path.glob("*.csv")), doc
 
+    @pytest.mark.parametrize("session_id", ["../escaped", "sub/x", "",
+                                            "nul\0id"])
+    def test_session_id_must_be_a_plain_file_name(self, tmp_path, capsys,
+                                                  session_id):
+        # The id names the session's trace and summary under --out, so an
+        # id with a separator would write outside it, or fail only after
+        # the session ran.
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path, {
+            **BASE_RUN, "session_id": session_id}), "--out", str(out),
+            "--quiet"]) == EXIT_BAD_CONFIG
+        assert f"session id {session_id!r} is not a plain file name" \
+            in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.trace.jsonl"))
+        assert not list(tmp_path.rglob("*.summary.json"))
+
     def test_config_shape_errors(self, tmp_path):
         ablate = {"problem": EQ3_PROBLEM, "n_max": 1,
                   "conditions": [{"name": "only"}]}

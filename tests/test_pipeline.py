@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from driftguard import agents, cli
+from driftguard import action_space, agents, bandit, cli, pipeline, reward
 from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.archive import Archive
 from driftguard.checkpoints import CHECKPOINT_TABLE, DISABLED, \
@@ -12,7 +12,7 @@ from driftguard.checkpoints import CHECKPOINT_TABLE, DISABLED, \
 from driftguard.errors import InsufficientSamples, UnknownModel
 from driftguard.estimators import SAResult
 from driftguard.pipeline import (IterationRecord, SessionConfig,
-                                 SessionTrace, run_session,
+                                 SessionTrace, run_iteration, run_session,
                                  submartingale_flags, write_trace)
 from driftguard.schemes import DiagnosticScheme
 
@@ -365,6 +365,86 @@ class TestBlockedSteps:
             _cfg(checkpoint_overrides=["CP5"])
 
 
+class TestLoopReadsItsRecords:
+    """``run_iteration`` reads what earlier iterations decided from the
+    trace's records that the policy learned from, not from its last one."""
+
+    @staticmethod
+    def _next(records, ps, manager, feasible=None):
+        """The record ``run_iteration`` appends to a trace of ``records``."""
+        trace = SessionTrace(_cfg(seed=1), ps, list(records))
+        return run_iteration(trace, bandit.PolicyState(), manager,
+                             feasible or action_space.filter_feasible(ps))
+
+    def test_a_failed_record_hands_over_nothing(self, monkeypatch, ps_eq3,
+                                                manager):
+        # The Debugger's patch runs CVM at 3000 samples where the scheme
+        # decided 6000; a CP4 block then ends the next iteration.
+        learned = run_session(_cfg(seed=1, n_max=1, drift=NO_SAMPLES,
+                                   checkpoint_overrides={"CP5": DISABLED})
+                              ).records[0]
+        assert (learned.method.n_samples, learned.plan.n_samples) \
+            == (6000, 3000)
+        _block_always(monkeypatch, "CP4")
+        failed = replace(run_session(_cfg(seed=2, n_max=1)).records[0], n=2)
+        assert failed.failed
+        assert failed.strategy_text != learned.strategy_text
+        assert failed.method != learned.method
+        assert failed.diagnostic != learned.diagnostic
+
+        compared, decided = [], []
+        real_similarity, real_select = pipeline.similarity, \
+            bandit.select_action
+
+        def spy_similarity(a, b):
+            compared.append(b)
+            return real_similarity(a, b)
+
+        def spy_select(*args, **kwargs):
+            decided.append(kwargs)
+            return real_select(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "similarity", spy_similarity)
+        monkeypatch.setattr(bandit, "select_action", spy_select)
+        self._next([learned, failed], ps_eq3, manager)
+        # CP7 compares the new strategy with the learned record's text.
+        assert compared[0] == learned.strategy_text
+        assert decided[0]["diag"] == learned.diagnostic
+        assert decided[0]["prev"] == learned.method
+        assert decided[0]["prev"].n_samples == 6000
+
+    def test_a_crash_keeps_the_earlier_reward_reference(self, monkeypatch,
+                                                        ps_eq3, manager):
+        # A crashed run is learned from (plan set, observation None) but
+        # has nothing to compare with, so the reward's reference stays the
+        # last observation of the executed estimator.
+        cfg = _cfg(seed=1, n_max=1)
+        observed = run_session(cfg).records[0]
+
+        def crash(plan, scheme):
+            raise UnknownModel("gone")
+        with monkeypatch.context() as m:
+            m.setattr(agents, "execution_runner", crash)
+            crashed = replace(run_session(cfg).records[0], n=2)
+        assert not crashed.failed and crashed.observation is None
+        estimator = observed.plan.estimator
+        assert crashed.plan.estimator == estimator
+
+        references = []
+        real_score = reward.score
+
+        def spy_score(*args, prev_obs, **kwargs):
+            references.append(prev_obs)
+            return real_score(*args, prev_obs=prev_obs, **kwargs)
+
+        monkeypatch.setattr(reward, "score", spy_score)
+        same = [a for a in action_space.filter_feasible(ps_eq3)
+                if a.estimator == estimator]
+        rec = self._next([observed, crashed], ps_eq3, manager, same)
+        assert rec.plan.estimator == estimator
+        assert references == [observed.observation]
+
+
 class TestSubmartingaleFlags:
     def test_regression_flagged(self):
         flags = submartingale_flags(64.2, 60.8, None)
@@ -416,9 +496,9 @@ class TestTraceSerialization:
 
     def test_row_is_the_record(self, tmp_path, monkeypatch):
         # A row is its record's fields under their own names plus the
-        # derived mismatch and reward total, so the plan's sample count and
-        # seed, the evaluations used and the reward's warnings reach the
-        # trace without a second schema.
+        # derived mismatch and reward total, so the decided and the planned
+        # sample count, the plan's seed, the evaluations used and the
+        # reward's warnings reach the trace without a second schema.
         path = tmp_path / "trace.jsonl"
 
         def rows(trace):
@@ -431,6 +511,8 @@ class TestTraceSerialization:
         trace = run_session(_cfg(seed=1))
         for rec, row in zip(trace.records, rows(trace), strict=True):
             assert set(row) == names
+            assert row["method"]["n_samples"] == rec.method.n_samples
+            assert row["method"]["estimator"] == rec.action.estimator
             assert row["plan"]["n_samples"] == rec.plan.n_samples
             assert row["plan"]["seed"] == rec.plan.seed == 1 * 1000 + rec.n
             assert row["observation"]["evaluations_used"] \
@@ -439,9 +521,11 @@ class TestTraceSerialization:
             assert row["reward_total"] == rec.reward_total
         _block_always(monkeypatch, "CP4")
         [row] = rows(run_session(_cfg(seed=1, n_max=1)))
-        # A failed record is one without a plan, and it scores nothing.
+        # A failed record is one without a plan, and it scores nothing; it
+        # still writes the method scheme its iteration decided.
         assert set(row) == names and row["reward_total"] == 0.0
         assert row["plan"] is None and row["observation"] is None
+        assert row["method"]["estimator"] == row["action"]["dims"][1]
 
     def test_records_hold_each_fact_once(self):
         # Derived facts are properties, not fields: a plan's bindings come
@@ -452,7 +536,7 @@ class TestTraceSerialization:
         assert [f.name for f in fields(ExecutionPlan)] \
             == ["estimator", "n_samples", "model_id", "seed"]
         assert [f.name for f in fields(IterationRecord)] == [
-            "n", "action", "plan", "observation", "reward",
+            "n", "action", "method", "plan", "observation", "reward",
             "checkpoint_events", "drift_events", "diagnostic",
             "strategy_text"]
         assert [f.name for f in fields(SessionTrace)] == [
