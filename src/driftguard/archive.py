@@ -132,8 +132,9 @@ class Archive:
         ps = trace.problem_scheme
         arms: dict[str, list[tuple[tuple[float, ...], float]]] = {}
         for rec in learned:
-            arms.setdefault(rec.action.estimator, []).append(
-                (bandit.encode_features(ps, rec.action), rec.reward_total))
+            arms.setdefault(rec.method.estimator, []).append(
+                (bandit.encode_features(ps, rec.method.action),
+                 rec.reward_total))
         per_arm = []
         for est, obs_list in sorted(arms.items()):
             phis = np.asarray([phi for phi, _ in obs_list], dtype=float)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,35 +172,21 @@ class PolicyState:
         return st
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
-    action: ActionTuple
-    method_scheme: MethodScheme
-    sampled_scores: tuple[tuple[str, float], ...]  # (action key, score)
-    novelty_penalty_applied: bool
-    epsilon: float
-    epsilon_fired: bool
-
-
-def _action_key(a: ActionTuple) -> str:
-    return "|".join(a.dims)
-
-
 def select_action(st: PolicyState, ps: ProblemScheme,
                   feasible: list[ActionTuple],
                   diag: DiagnosticScheme | None = None,
                   novelty_warning: bool = False,
                   rng_seed: int = 0,
-                  prev: MethodScheme | None = None) -> PolicyDecision:
-    """One Thompson-sampled decision over the feasible action set.
+                  prev: MethodScheme | None = None) -> MethodScheme:
+    """The method scheme of one Thompson-sampled pick among ``feasible``.
 
     Scores are posterior-sample dot-products minus the novelty penalty
     (rho * prior count of the action's estimator, only under a novelty
     warning) and the block penalty for ``prev``'s estimator when ``diag``,
     the diagnosis of that previous scheme, blocks it.  A decaying
-    epsilon-greedy overlay replaces the argmax with a uniform pick.  A
-    prescribed estimator restricts the candidates, and a prescribed sample
-    size dominates the one carried over from ``prev``.
+    epsilon-greedy overlay replaces the argmax with a uniform pick that
+    ignores both penalties.  A prescribed estimator restricts the candidates,
+    and a prescribed sample size beats the one carried over from ``prev``.
     """
     if not feasible:
         raise NoFeasibleAction("empty feasible action set")
@@ -219,21 +204,16 @@ def select_action(st: PolicyState, ps: ProblemScheme,
 
     weights = st.sample_weights(rng)
     scored = []
-    novelty_applied = False
     for a in candidates:
         score = float(weights @ _feature_array(ps, a))
         if novelty_warning:
-            count = st.estimator_counts.get(a.estimator, 0)
-            if count:
-                score -= _NOVELTY_RHO * count
-                novelty_applied = True
+            score -= _NOVELTY_RHO * st.estimator_counts.get(a.estimator, 0)
         if blocked and a.estimator == blocked:
             score -= _BLOCK_BETA
         scored.append((a, score))
 
     eps = exploration_schedule(st.iteration + 1, st.exploration_mode)
-    fired = bool(rng.random() < eps)
-    if fired:
+    if rng.random() < eps:
         action = candidates[int(rng.integers(len(candidates)))]
     else:
         action = max(scored, key=lambda pair: pair[1])[0]
@@ -249,9 +229,4 @@ def select_action(st: PolicyState, ps: ProblemScheme,
     # A size prescribed for a different estimator may undershoot this one's
     # minimum, so clamp up to its per-loop floor.
     floor = catalog.estimator_info(action.estimator).min_samples(ps.d_in)
-    ms = build_method_scheme(action, ps, max(n_samples, floor))
-    return PolicyDecision(
-        action=action, method_scheme=ms,
-        sampled_scores=tuple((_action_key(a), s) for a, s in scored),
-        novelty_penalty_applied=novelty_applied,
-        epsilon=eps, epsilon_fired=fired)
+    return build_method_scheme(action, ps, max(n_samples, floor))

@@ -9,12 +9,12 @@ through ``run_session`` and ``write_trace``, so it leaves a
 writes that header as its summary, and a table row holds the header's
 unrounded values on the table's columns.
 Configuration is a single JSON document; every command is reproducible from
-(config, seeds).  ``_COMMANDS`` lists the keys each command's config may
-hold and ``_KEYS`` those of each nested block; any other key (a typo, a
-``settings`` block, a grid key the command does not run) is a bad
-configuration, and so are two sessions with one id and an id that is not
-a plain file name.  Tunables are not configurable: each is a constant in the
-module that uses it, and ``checkpoint_overrides`` may only switch gates off.
+(config, seeds).  ``_COMMANDS`` lists the keys each command's config may hold
+and ``_KEYS`` those of each nested block; any other key (a typo, a ``settings``
+block, a grid key the command does not run) is a bad configuration, and so are
+two sessions with one id and an id or ``output_name`` that is not a plain file
+name.  Tunables are not configurable: each is a constant in the module that
+uses it, and ``checkpoint_overrides`` may only switch gates off.
 
 Exit codes: 0 converged or budget exhausted, 1 bad configuration,
 2 session aborted.
@@ -211,11 +211,14 @@ def _grid(command: str, doc: dict,
     if repeated:
         raise ConfigError(f"session id {', '.join(repeated)} names more than "
                           "one session; each session writes its own trace")
-    unplain = sorted(i for i in ids
-                     if not i or {"/", "\0", os.sep, os.altsep} & set(i))
-    if unplain:
-        raise ConfigError(f"session id {', '.join(map(repr, unplain))} is "
-                          "not a plain file name under --out")
+    # Each session id, and a table's output_name, names a file under --out.
+    output_name = [doc["output_name"]] if "output_name" in doc else []
+    for what, names in (("session id", ids), ("output_name", output_name)):
+        unplain = sorted(n for n in names
+                         if not n or {"/", "\0", os.sep, os.altsep} & set(n))
+        if unplain:
+            raise ConfigError(f"{what} {', '.join(map(repr, unplain))} is "
+                              "not a plain file name under --out")
     return [(name, _archive_for(doc, chain), chain)
             for name, chain in chains if chain]
 

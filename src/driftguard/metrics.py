@@ -61,12 +61,12 @@ def estimate_empowerment(traces, bins: int = 10,
     recs = _records(traces)
     lo, hi = value_range
     width = (hi - lo) / bins
-    estimators = sorted({r.action.estimator for r in recs})
+    estimators = sorted({r.method.estimator for r in recs})
     index = {e: i for i, e in enumerate(estimators)}
     pairs = []
     for r in recs:
         o = min(bins - 1, max(0, int((r.reward_total - lo) / width)))
-        pairs.append((index[r.action.estimator], o))
+        pairs.append((index[r.method.estimator], o))
     return EmpowermentEstimate(mi_bits=mutual_information_bits(pairs),
                                n_traces=len(list(traces)),
                                action_support=len(estimators),

@@ -81,7 +81,6 @@ class SessionConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     n: int
-    action: object
     method: MethodScheme
     plan: ExecutionPlan | None
     observation: SAResult | None
@@ -104,7 +103,7 @@ class IterationRecord:
     def mismatch(self) -> bool:
         """Action-plan estimator divergence at execution time; derived."""
         return (self.plan is not None
-                and self.plan.estimator != self.action.estimator)
+                and self.plan.estimator != self.method.estimator)
 
 
 @dataclass
@@ -177,13 +176,11 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
 
     def select(seed_offset: int):
         """The Strategist's pick; a re-selection adds the repeat penalty."""
-        decision = bandit.select_action(
+        ms = bandit.select_action(
             policy, ps, candidates, diag=last.diagnostic if last else None,
-            novelty_warning=seed_offset > 0,
-            rng_seed=iter_seed + seed_offset,
+            novelty_warning=seed_offset > 0, rng_seed=iter_seed + seed_offset,
             prev=last.method if last else None)
-        ms = decision.method_scheme
-        return ms, decision.action, agents.render_strategy_text(ms, flags)
+        return ms, agents.render_strategy_text(ms, flags)
 
     def gate(cp_id: str, sim: float,
              plan: ExecutionPlan | None = None) -> bool:
@@ -200,7 +197,7 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
     def failed(why: str) -> IterationRecord:
         """The record of an iteration that a gate ended before execution."""
         return IterationRecord(
-            n=n, action=action, method=ms, plan=None, observation=None,
+            n=n, method=ms, plan=None, observation=None,
             reward=reward_mod.RewardBreakdown(0.0, 0.0, 0.0, 0.0, ()),
             checkpoint_events=tuple(events),
             drift_events=tuple(drift_events),
@@ -209,13 +206,13 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
 
     # (policy) Strategist + CP7 novelty (inverted) + CP2 critic gate. A
     # novelty warning re-selects once, and so does a critic block.
-    ms, action, strategy_text = select(0)
+    ms, strategy_text = select(0)
     if not gate("CP7", similarity(strategy_text,
                                   last.strategy_text if last else "")):
-        ms, action, strategy_text = select(500_000)
+        ms, strategy_text = select(500_000)
     if not gate("CP2", similarity(strategy_text,
                                   agents.render_critic_text(ms))):
-        ms, action, strategy_text = select(900_000)
+        ms, strategy_text = select(900_000)
         if not gate("CP2", similarity(strategy_text,
                                       agents.render_critic_text(ms))):
             return failed("critic rejected the re-selection")
@@ -252,11 +249,11 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
     # (execution) Runner; a failed run gets one Debugger patch and one more
     # try. A second failure or an unpatchable error is scored as a crash.
     try:
-        obs = agents.execution_runner(plan, action.dims[0])
+        obs = agents.execution_runner(plan, ms.action.dims[0])
     except DriftguardError as exc:
         try:
             plan = agents.debugger_fix(plan, exc)
-            obs = agents.execution_runner(plan, action.dims[0])
+            obs = agents.execution_runner(plan, ms.action.dims[0])
         except DriftguardError:
             obs = None
 
@@ -268,16 +265,16 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
                        and r.plan.estimator == plan.estimator), None))
     diag = agents.advisor_report(
         ms, obs, breakdown, ps, cfg.r_threshold,
-        avoid=frozenset(r.action.estimator for r in learned
+        avoid=frozenset(r.method.estimator for r in learned
                         if r.diagnostic.block_action))
     if obs is not None:
         gate("CP6", similarity(agents.render_observation_text(obs),
                                diag.physical_insight))
 
-    policy.update(bandit.encode_features(ps, action), breakdown.total,
-                  action.estimator)
+    policy.update(bandit.encode_features(ps, ms.action), breakdown.total,
+                  ms.estimator)
     return IterationRecord(
-        n=n, action=action, method=ms, plan=plan, observation=obs,
+        n=n, method=ms, plan=plan, observation=obs,
         reward=breakdown, checkpoint_events=tuple(events),
         drift_events=tuple(drift_events), diagnostic=diag,
         strategy_text=strategy_text)
@@ -353,7 +350,7 @@ _FACTS = {
         (r.n for r in t.records if r.reward_total == t.best_reward), None),
     "iterations_to_converge": lambda t: t.iterations_to_converge,
     "best_estimator": lambda t: next(
-        (r.action.estimator for r in t.records
+        (r.method.estimator for r in t.records
          if r.reward_total == t.best_reward), None),
     "mismatch_count": lambda t: sum(r.mismatch for r in t.records),
     "cp_failure_events": lambda t: sum(e.verdict != "pass" for r in t.records

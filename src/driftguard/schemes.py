@@ -105,13 +105,17 @@ class ProblemScheme:
 
 @dataclass(frozen=True)
 class MethodScheme:
-    """What a policy decision chose; the estimator's catalog row, ``info``,
-    describes the rest of the method."""
+    """What a policy decision chose: the action and its sample size; the
+    estimator's catalog row, ``info``, describes the rest of the method."""
 
-    estimator: str
+    action: ActionTuple
     n_samples: int
     n_min_value: int
     budget_status: str     # sufficient | tight | infeasible
+
+    @property
+    def estimator(self) -> str:
+        return self.action.estimator
 
     @functools.cached_property
     def info(self) -> catalog.EstimatorInfo:
@@ -170,7 +174,7 @@ def build_method_scheme(action: ActionTuple, ps: ProblemScheme,
         budget_status = "tight"
     else:
         budget_status = "sufficient"
-    return MethodScheme(estimator=action.estimator, n_samples=n_samples,
+    return MethodScheme(action=action, n_samples=n_samples,
                         n_min_value=n_min_value, budget_status=budget_status)
 
 

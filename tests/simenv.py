@@ -16,7 +16,8 @@ from driftguard.action_space import ActionTuple
 from driftguard.archive import Archive
 from driftguard.checkpoints import CP0_CLOSE_CUTOFF
 from driftguard.errors import InvalidProblem
-from driftguard.schemes import build_problem_scheme
+from driftguard.schemes import MethodScheme, ProblemScheme, \
+    build_method_scheme, build_problem_scheme
 
 # Canonical problem descriptor: the simulated arms are attached to a real
 # problem scheme so feature encoding and archive similarity work unchanged.
@@ -28,6 +29,13 @@ SIM_PROBLEM = {"task": "SA", "d_in": 8, "d_out": 1, "n_budget": 15000,
 def canonical_action(estimator: str) -> ActionTuple:
     """One representative action tuple per estimator."""
     return ActionTuple(("MonteCarlo", estimator))
+
+
+def canonical_method(estimator: str, ps: ProblemScheme) -> MethodScheme:
+    """The method scheme of ``canonical_action(estimator)`` on ``ps`` at
+    the policy's default sample size."""
+    return build_method_scheme(canonical_action(estimator), ps,
+                               bandit.default_n_samples(estimator, ps))
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,7 @@ class SimRecord:
     analysis helpers and the archive accept either."""
 
     n: int
-    action: ActionTuple            # the policy's selection
+    method: MethodScheme           # the policy's selection
     executed_estimator: str        # after any replacement
     reward_total: float
     failed: bool = False           # the policy always learns from a draw
@@ -96,25 +104,23 @@ def run_sim_session(cfg: SimConfig, seed: int,
     trace = SimTrace(session_id=session_id, problem_scheme=ps)
     prev_estimator = ""
     for n in range(1, cfg.iterations + 1):
-        decision = bandit.select_action(policy, ps, arms,
-                                        rng_seed=seed * 100_003 + n)
-        if cfg.novelty_gate and decision.action.estimator == prev_estimator:
+        ms = bandit.select_action(policy, ps, arms,
+                                  rng_seed=seed * 100_003 + n)
+        if cfg.novelty_gate and ms.estimator == prev_estimator:
             # Repeat selection: re-decide once under the novelty penalty,
             # mirroring the inverted-novelty checkpoint in the real loop.
-            decision = bandit.select_action(policy, ps, arms,
-                                            novelty_warning=True,
-                                            rng_seed=seed * 100_003 + n + 1)
-        action = decision.action
-        executed = action.estimator
+            ms = bandit.select_action(policy, ps, arms, novelty_warning=True,
+                                      rng_seed=seed * 100_003 + n + 1)
+        executed = ms.estimator
         if cfg.replace_prob > 0 and rng.random() < cfg.replace_prob:
             executed = arms[int(rng.integers(len(arms)))].estimator
         reward = _draw_reward(means, executed, cfg.sigma, rng)
-        policy.update(bandit.encode_features(ps, action), reward,
-                      action.estimator)
-        trace.records.append(SimRecord(n=n, action=action,
+        policy.update(bandit.encode_features(ps, ms.action), reward,
+                      ms.estimator)
+        trace.records.append(SimRecord(n=n, method=ms,
                                        executed_estimator=executed,
                                        reward_total=reward))
-        prev_estimator = action.estimator
+        prev_estimator = ms.estimator
     trace.policy_snapshot = policy.snapshot()
     return trace
 

@@ -259,7 +259,7 @@ def test_criterion_9_bandit_regret():
     early, late = [], []
     for seed in range(50):
         trace = run_sim_session(cfg, seed=seed)
-        regrets = [80.0 - r.reward_total if r.action.estimator != "Sobol"
+        regrets = [80.0 - r.reward_total if r.method.estimator != "Sobol"
                    else 0.0 for r in trace.records]
         early.append(float(np.mean(regrets[:20])))
         late.append(float(np.mean(regrets[-20:])))

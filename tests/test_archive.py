@@ -18,7 +18,7 @@ from driftguard.reward import RewardBreakdown
 from driftguard.schemes import build_problem_scheme
 
 from simenv import (SimConfig, SimRecord, SimTrace, canonical_action,
-                    run_sim_session, run_sim_sessions)
+                    canonical_method, run_sim_session, run_sim_sessions)
 
 
 @pytest.fixture()
@@ -108,9 +108,8 @@ def _trace(ps, estimator: str, reward: float, session_id: str) -> SimTrace:
     """A finished two-iteration session on ``ps``."""
     trace = SimTrace(session_id=session_id, problem_scheme=ps)
     for n, est in enumerate((estimator, "Sobol"), start=1):
-        action = canonical_action(est)
         trace.records.append(SimRecord(
-            n=n, action=action, executed_estimator=est,
+            n=n, method=canonical_method(est, ps), executed_estimator=est,
             reward_total=reward / n))
     return trace
 
@@ -329,7 +328,7 @@ class TestPersistence:
         learned = [r for r in first.records if not r.failed]
         assert len(learned) < len(first.records)
         counts = {est: s.count for est, s in a.entries[-1].per_arm_stats}
-        assert counts == Counter(r.action.estimator for r in learned)
+        assert counts == Counter(r.method.estimator for r in learned)
         second = run_session(SessionConfig(problem=EQ3_PROBLEM, seed=4),
                              archive=a)
         assert second.outcome != "aborted"
@@ -341,10 +340,11 @@ class TestPersistence:
             0.0, 0.0, 0.0, 0.0, ()))
         mixed = replace(first, records=[learned[0], failed_twin])
         entry = Archive().record_session(mixed)
-        assert dict(entry.per_arm_stats)[learned[0].action.estimator] \
+        assert dict(entry.per_arm_stats)[learned[0].method.estimator] \
             == arch.ArmStats(count=1, mean_reward=learned[0].reward_total,
                              phi=bandit.encode_features(
-                                 first.problem_scheme, learned[0].action))
+                                 first.problem_scheme,
+                                 learned[0].method.action))
         # Only failed iterations: nothing to learn, so the problem's entry
         # and the file stay as they were.
         before = list(a.entries)

@@ -11,6 +11,7 @@ from driftguard.cli import (_COMMANDS, _KEYS, EXIT_ABORTED, EXIT_BAD_CONFIG,
                             EXIT_OK, SESSION_COLUMNS, build_parser, main)
 
 from conftest import EQ3_PROBLEM, G8_PROBLEM
+from test_golden_artifacts import TABLE as GOLDEN_TABLE
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "configs")
@@ -296,6 +297,20 @@ class TestBadConfig:
         assert not out.exists()
         assert not list(tmp_path.rglob("*.trace.jsonl"))
         assert not list(tmp_path.rglob("*.summary.json"))
+
+    @pytest.mark.parametrize("output_name", ["../escaped_table", "sub/x", ""])
+    def test_output_name_must_be_a_plain_file_name(self, tmp_path, capsys,
+                                                   output_name):
+        # The name names the table under --out, so it takes the session
+        # id's check, and nothing runs or is written in --out or beside it.
+        out = tmp_path / "out"
+        config = _write(tmp_path, {**VALID["ablate"],
+                                   "output_name": output_name})
+        assert main(["ablate", "--config", config, "--out", str(out),
+                     "--quiet"]) == EXIT_BAD_CONFIG
+        assert f"output_name {output_name!r} is not a plain file name" \
+            in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [tmp_path / "config.json"]
 
     def test_config_shape_errors(self, tmp_path):
         ablate = {"problem": EQ3_PROBLEM, "n_max": 1,
@@ -707,19 +722,21 @@ def test_session_imports_no_numpy_or_scipy_module(tmp_path):
 
 
 def test_trace_bytes_do_not_depend_on_hash_seed(tmp_path):
-    # Simulated PCE_SA/Generalized_Sobol references are seeded from the
-    # model id; that seed must be the same in every interpreter.
-    blobs = []
+    # Every artifact of the shipped configs, traces, summaries, tables and
+    # the archive, must be the golden bytes in every interpreter: simulated
+    # PCE_SA/Generalized_Sobol references are seeded from the model id, and
+    # nothing written may follow a set's hash order.
+    with open(GOLDEN_TABLE, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    script = ("import json, sys, test_golden_artifacts as g\n"
+              "print(json.dumps(g.artifact_digests(sys.argv[1])))\n")
     for hash_seed in ("1", "2"):
-        out = tmp_path / f"hash{hash_seed}"
-        subprocess.run(
-            [sys.executable, "-m", "driftguard.cli", "run", "--config",
-             os.path.join(CONFIGS, "beam.json"), "--out", str(out),
-             "--quiet"],
-            env=_src_env(PYTHONHASHSEED=hash_seed), capture_output=True,
-            timeout=120, check=True)
-        blobs.append((out / "beam.trace.jsonl").read_bytes())
-    assert blobs[0] == blobs[1]
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / f"hash{hash_seed}")],
+            cwd=os.path.dirname(GOLDEN_TABLE),
+            env=_src_env(PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, timeout=120, check=True)
+        assert json.loads(out.stdout) == golden, hash_seed
 
 
 def _command_of(doc: dict) -> str:

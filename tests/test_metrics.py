@@ -6,14 +6,17 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from driftguard import metrics
 from driftguard.errors import NoData
 
-from simenv import SimRecord, SimTrace, canonical_action
+from driftguard.schemes import build_problem_scheme
+
+from simenv import SIM_PROBLEM, SimRecord, SimTrace, canonical_method
 
 
 def _trace(pairs):
     """SimTrace from (estimator, reward) tuples."""
+    ps = build_problem_scheme(SIM_PROBLEM)
     t = SimTrace(session_id="t", problem_scheme=None)
     for n, (est, r) in enumerate(pairs, start=1):
-        t.records.append(SimRecord(n=n, action=canonical_action(est),
+        t.records.append(SimRecord(n=n, method=canonical_method(est, ps),
                                    executed_estimator=est, reward_total=r))
     return t
 

@@ -36,7 +36,7 @@ class TestSessionBasics:
         assert 1 <= len(trace.records) <= 3
         rec = trace.records[0]
         assert rec.n == 1
-        assert rec.action.estimator in trace.problem_scheme.feasible_sa_estimators
+        assert rec.method.estimator in trace.problem_scheme.feasible_sa_estimators
 
     def test_deterministic_given_seed(self, tmp_path):
         paths = []
@@ -193,7 +193,7 @@ class TestCheckpointWiring:
     def test_screening_first_on_high_dim_cold_start(self):
         trace = run_session(_cfg(problem=G8_PROBLEM, seed=4))
         assert trace.cp0.screening_first
-        assert trace.records[0].action.estimator == "Morris"
+        assert trace.records[0].method.estimator == "Morris"
 
     def test_warm_start_skips_screening(self, ps_g8):
         archive = Archive()
@@ -203,7 +203,7 @@ class TestCheckpointWiring:
         assert trace.cp0.match == "close"
         assert trace.cp0.exploration_mode == "exploit"
         assert not trace.cp0.screening_first
-        assert trace.records[0].action.estimator == "Sobol"
+        assert trace.records[0].method.estimator == "Sobol"
 
 
 class TestCausalChain:
@@ -222,7 +222,7 @@ class TestCausalChain:
         assert mismatched
         rec = mismatched[0]
         assert rec.plan.estimator == "Morris"
-        assert rec.action.estimator != "Morris"
+        assert rec.method.estimator != "Morris"
         assert rec.drift_events                      # cause recorded
         assert rec.reward_total < 50                 # outcome corrupted
 
@@ -489,7 +489,7 @@ class TestTraceSerialization:
         assert header["outcome"] == trace.outcome
         assert len(lines) == 1 + len(trace.records)
         row = json.loads(lines[1])
-        assert {"n", "action", "mismatch", "reward_total", "checkpoint_events",
+        assert {"n", "method", "mismatch", "reward_total", "checkpoint_events",
                 "diagnostic"} <= set(row)
         assert row["diagnostic"]["physical_insight"] \
             == trace.records[0].diagnostic.physical_insight
@@ -512,7 +512,8 @@ class TestTraceSerialization:
         for rec, row in zip(trace.records, rows(trace), strict=True):
             assert set(row) == names
             assert row["method"]["n_samples"] == rec.method.n_samples
-            assert row["method"]["estimator"] == rec.action.estimator
+            assert row["method"]["action"]["dims"] \
+                == list(rec.method.action.dims)
             assert row["plan"]["n_samples"] == rec.plan.n_samples
             assert row["plan"]["seed"] == rec.plan.seed == 1 * 1000 + rec.n
             assert row["observation"]["evaluations_used"] \
@@ -522,10 +523,12 @@ class TestTraceSerialization:
         _block_always(monkeypatch, "CP4")
         [row] = rows(run_session(_cfg(seed=1, n_max=1)))
         # A failed record is one without a plan, and it scores nothing; it
-        # still writes the method scheme its iteration decided.
+        # still writes the method scheme its iteration decided, the action
+        # included.
         assert set(row) == names and row["reward_total"] == 0.0
         assert row["plan"] is None and row["observation"] is None
-        assert row["method"]["estimator"] == row["action"]["dims"][1]
+        assert set(row["method"]) == {"action", "n_samples", "n_min_value",
+                                      "budget_status"}
 
     def test_records_hold_each_fact_once(self):
         # Derived facts are properties, not fields: a plan's bindings come
@@ -536,7 +539,7 @@ class TestTraceSerialization:
         assert [f.name for f in fields(ExecutionPlan)] \
             == ["estimator", "n_samples", "model_id", "seed"]
         assert [f.name for f in fields(IterationRecord)] == [
-            "n", "action", "method", "plan", "observation", "reward",
+            "n", "method", "plan", "observation", "reward",
             "checkpoint_events", "drift_events", "diagnostic",
             "strategy_text"]
         assert [f.name for f in fields(SessionTrace)] == [

@@ -125,8 +125,9 @@ class TestMethodScheme:
     def test_holds_only_the_decision(self, ps_eq3):
         # The rest of the method is its catalog row, read, not copied.
         assert [f.name for f in dataclasses.fields(MethodScheme)] == [
-            "estimator", "n_samples", "n_min_value", "budget_status"]
+            "action", "n_samples", "n_min_value", "budget_status"]
         ms = build_method_scheme(self._action("CVM"), ps_eq3, 500)
+        assert ms.action == self._action("CVM") and ms.estimator == "CVM"
         assert ms.info is catalog.SA_ESTIMATORS["CVM"]
         assert ms.info.bindings is ms.info.bindings
 

@@ -25,8 +25,8 @@ class TestSimSession:
     def test_deterministic(self):
         a = run_sim_session(SimConfig(iterations=50), seed=3)
         b = run_sim_session(SimConfig(iterations=50), seed=3)
-        assert [(r.action.estimator, r.reward_total) for r in a.records] \
-            == [(r.action.estimator, r.reward_total) for r in b.records]
+        assert [(r.method.estimator, r.reward_total) for r in a.records] \
+            == [(r.method.estimator, r.reward_total) for r in b.records]
 
     def test_rewards_clipped(self):
         trace = run_sim_session(SimConfig(iterations=100, sigma=60.0), seed=0)
@@ -36,23 +36,23 @@ class TestSimSession:
         cfg = SimConfig(iterations=120, novelty_gate=False)
         trace = run_sim_session(cfg, seed=1)
         late = trace.records[60:]
-        frac = np.mean([r.action.estimator == "Sobol" for r in late])
+        frac = np.mean([r.method.estimator == "Sobol" for r in late])
         assert frac > 0.8
 
     def test_novelty_gate_forces_alternation(self):
         gated = run_sim_session(SimConfig(iterations=100), seed=2)
-        repeats = sum(a.action.estimator == b.action.estimator
+        repeats = sum(a.method.estimator == b.method.estimator
                       for a, b in zip(gated.records, gated.records[1:]))
         free = run_sim_session(SimConfig(iterations=100, novelty_gate=False),
                                seed=2)
-        free_repeats = sum(a.action.estimator == b.action.estimator
+        free_repeats = sum(a.method.estimator == b.method.estimator
                            for a, b in zip(free.records, free.records[1:]))
         assert repeats < free_repeats
 
     def test_replacement_decouples_execution(self):
         trace = run_sim_session(SimConfig(iterations=200, replace_prob=1.0,
                                           novelty_gate=False), seed=0)
-        swapped = sum(r.executed_estimator != r.action.estimator
+        swapped = sum(r.executed_estimator != r.method.estimator
                       for r in trace.records)
         assert swapped > 50          # roughly half under a uniform draw
 
