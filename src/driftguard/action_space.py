@@ -1,5 +1,6 @@
-"""Combinatorial action space of the sensitivity-analysis (SA) task and its
-feasibility filtering; SA is the only task driftguard runs.
+"""Action space of the sensitivity-analysis (SA) task, the only task
+driftguard runs: an action names a sampling level of ``SAMPLING_LEVELS``
+and an estimator of ``SA_ESTIMATORS``, both in ``catalog``.
 
 Feasibility has a single path: the problem record runs each catalog row's
 rules once, into ``ProblemScheme.feasible_sa_estimators``, and
@@ -8,7 +9,6 @@ rules once, into ``ProblemScheme.feasible_sa_estimators``, and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import catalog
@@ -16,31 +16,21 @@ from . import catalog
 
 @dataclass(frozen=True)
 class ActionTuple:
-    """One point in the combinatorial method space: a complete pipeline.
+    """One point in the method space: a complete pipeline."""
 
-    ``dims`` is ordered per the dimension catalog, one level per dimension.
-    """
-
-    dims: tuple[str, ...]
+    sampling: str
+    estimator: str
 
     def __post_init__(self):
-        expected = len(catalog.SA_DIMENSIONS)
-        if len(self.dims) != expected:
-            raise ValueError(
-                f"actions need {expected} dims, got {len(self.dims)}")
-        for value, (name, values) in zip(self.dims, catalog.SA_DIMENSIONS):
-            if value not in values:
-                raise ValueError(f"{value!r} not in catalog for {name}")
-
-    @property
-    def estimator(self) -> str:
-        return self.dims[1]
+        if self.sampling not in catalog.SAMPLING_LEVELS \
+                or self.estimator not in catalog.SA_ESTIMATORS:
+            raise ValueError(f"{self} is not in the catalog")
 
 
 def enumerate_actions() -> list[ActionTuple]:
-    """Full Cartesian product of the dimension catalog, lexicographic."""
-    value_lists = [values for _, values in catalog.SA_DIMENSIONS]
-    return [ActionTuple(dims) for dims in itertools.product(*value_lists)]
+    """Every action, sampling-major, each choice in catalog order."""
+    return [ActionTuple(s, e) for s in catalog.SAMPLING_LEVELS
+            for e in catalog.SA_ESTIMATORS]
 
 
 def filter_feasible(ps) -> list[ActionTuple]:

@@ -196,12 +196,11 @@ def _min_samples(plan: ExecutionPlan) -> int:
         get_model(plan.model_id).d_in)
 
 
-def execution_runner(plan: ExecutionPlan, sampling_scheme: str = "MonteCarlo"
-                     ) -> SAResult:
-    """Run the plan's estimator through its catalog row; raises the
-    estimator's own errors."""
+def execution_runner(plan: ExecutionPlan, sampling: str) -> SAResult:
+    """Run the plan's estimator through its catalog row at the action's
+    sampling level; raises the estimator's own errors."""
     return catalog.estimator_info(plan.estimator).execute(
-        get_model(plan.model_id), plan.n_samples, plan.seed, sampling_scheme)
+        get_model(plan.model_id), plan.n_samples, plan.seed, sampling)
 
 
 def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:
@@ -212,14 +211,14 @@ def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:
     raise Unrecoverable(f"no patch rule for {type(error).__name__}: {error}")
 
 
-def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
-                   ps: ProblemScheme, r_threshold: float,
-                   avoid: frozenset[str] = frozenset()
+def advisor_report(ms: MethodScheme, plan: ExecutionPlan,
+                   obs: SAResult | None, breakdown, ps: ProblemScheme,
+                   r_threshold: float, avoid: frozenset[str] = frozenset()
                    ) -> schemes.DiagnosticScheme:
-    """Deterministic post-execution review.  Each branch states its root
-    cause and prescription, and its prose becomes the diagnosis's
-    ``physical_insight``.  A total at or above the session's
-    ``r_threshold`` meets the precision target."""
+    """Deterministic post-execution review of the decided scheme and the
+    plan that ran.  Each branch states its root cause and prescription, and
+    its prose becomes the diagnosis's ``physical_insight``.  A total at or
+    above the session's ``r_threshold`` meets the precision target."""
     diagnosis = schemes.build_diagnostic_scheme
     if obs is None:
         return diagnosis("execution crashed before producing results; "
@@ -258,9 +257,9 @@ def advisor_report(ms: MethodScheme, obs: SAResult | None, breakdown,
             f"{target}.", "wrong_estimator", prescribed_estimator=target)
     return diagnosis(f"estimate has not yet reached the precision target; "
                      f"sampling appears insufficient at n_samples="
-                     f"{ms.n_samples}. recommend increasing the sample "
+                     f"{plan.n_samples}. recommend increasing the sample "
                      f"size.", "insufficient_N",
-                     prescribed_n_samples=2 * ms.n_samples)
+                     prescribed_n_samples=2 * plan.n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ _WARM_WEIGHT = {"close": 1.0, "weak": 0.3}
 
 
 def feature_dim() -> int:
-    onehot = sum(len(levels) for _, levels in catalog.SA_DIMENSIONS)
+    onehot = len(catalog.SAMPLING_LEVELS) + len(catalog.SA_ESTIMATORS)
     return 1 + 7 + onehot + 2 * len(catalog.SA_ESTIMATORS)
 
 
@@ -48,9 +48,8 @@ def _feature_array(ps: ProblemScheme, a: ActionTuple) -> np.ndarray:
     mode = ps.dist_family_mode
     context.extend(1.0 if mode == m else 0.0 for m in DIST_FAMILIES)
 
-    onehot = []
-    for (_, levels), level in zip(catalog.SA_DIMENSIONS, a.dims):
-        onehot.extend(1.0 if level == lv else 0.0 for lv in levels)
+    onehot = [float(a.sampling == s) for s in catalog.SAMPLING_LEVELS]
+    onehot += [float(a.estimator == e) for e in catalog.SA_ESTIMATORS]
 
     interaction = []
     for est in catalog.SA_ESTIMATORS:

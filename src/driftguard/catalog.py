@@ -1,5 +1,5 @@
 """Method catalog for sensitivity analysis (SA), the only task driftguard
-runs: one row per estimator, and the action dimension catalog.
+runs: one row per estimator, and the sampling levels an action may choose.
 
 A row is the only description of its estimator: its outputs, cost and
 minimum sample size, the feasibility rules that gate it, its executor and
@@ -144,12 +144,4 @@ def estimator_info(estimator_id: str) -> EstimatorInfo:
     return info
 
 
-# ---------------------------------------------------------------------------
-# Dimension catalog: only dimensions that change what executes.  The
-# sampling scheme is handed to the estimator run; the estimator levels are
-# the method table's keys.
-
-SA_DIMENSIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("D1_sampling", ("MonteCarlo", "LatinHypercube")),
-    ("D2_estimator", tuple(SA_ESTIMATORS)),
-)
+SAMPLING_LEVELS = ("MonteCarlo", "LatinHypercube")  # an action's sampling

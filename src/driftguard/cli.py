@@ -11,10 +11,10 @@ unrounded values on the table's columns.
 Configuration is a single JSON document; every command is reproducible from
 (config, seeds).  ``_COMMANDS`` lists the keys each command's config may hold
 and ``_KEYS`` those of each nested block; any other key (a typo, a ``settings``
-block, a grid key the command does not run) is a bad configuration, and so are
-two sessions with one id and an id or ``output_name`` that is not a plain file
-name.  Tunables are not configurable: each is a constant in the module that
-uses it, and ``checkpoint_overrides`` may only switch gates off.
+block, a grid key the command does not run) is a bad configuration, as are a
+repeated session id, an id or ``output_name`` that is not a plain file name and
+an ``--out`` that is not a directory.  Tunables are not configurable: each is a
+constant in its module, and ``checkpoint_overrides`` may only switch gates off.
 
 Exit codes: 0 converged or budget exhausted, 1 bad configuration,
 2 session aborted.
@@ -272,7 +272,10 @@ def _command(args) -> int:
     _, _, table, columns = _COMMANDS[args.command]
     cells = _grid(args.command, doc, args.seed_override)
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:   # a file, or a path under one
+        raise ConfigError(f"--out cannot be a directory: {exc}") from exc
     rows, aborted = [], False
     for condition, archive, chain in cells:
         for cfg in chain:

@@ -249,11 +249,11 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
     # (execution) Runner; a failed run gets one Debugger patch and one more
     # try. A second failure or an unpatchable error is scored as a crash.
     try:
-        obs = agents.execution_runner(plan, ms.action.dims[0])
+        obs = agents.execution_runner(plan, ms.action.sampling)
     except DriftguardError as exc:
         try:
             plan = agents.debugger_fix(plan, exc)
-            obs = agents.execution_runner(plan, ms.action.dims[0])
+            obs = agents.execution_runner(plan, ms.action.sampling)
         except DriftguardError:
             obs = None
 
@@ -264,7 +264,7 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
                        if r.observation is not None
                        and r.plan.estimator == plan.estimator), None))
     diag = agents.advisor_report(
-        ms, obs, breakdown, ps, cfg.r_threshold,
+        ms, plan, obs, breakdown, ps, cfg.r_threshold,
         avoid=frozenset(r.method.estimator for r in learned
                         if r.diagnostic.block_action))
     if obs is not None:

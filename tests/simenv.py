@@ -28,7 +28,7 @@ SIM_PROBLEM = {"task": "SA", "d_in": 8, "d_out": 1, "n_budget": 15000,
 
 def canonical_action(estimator: str) -> ActionTuple:
     """One representative action tuple per estimator."""
-    return ActionTuple(("MonteCarlo", estimator))
+    return ActionTuple("MonteCarlo", estimator)
 
 
 def canonical_method(estimator: str, ps: ProblemScheme) -> MethodScheme:

@@ -15,7 +15,7 @@ from conftest import EQ3_PROBLEM, G8_PROBLEM
 
 
 def _ms(ps, estimator="Sobol", n=1000):
-    action = ActionTuple(("MonteCarlo", estimator))
+    action = ActionTuple("MonteCarlo", estimator)
     return build_method_scheme(action, ps, n)
 
 
@@ -132,7 +132,7 @@ class TestInspector:
 class TestExecutionAndDebugger:
     def test_runner_executes_plan(self):
         plan = ExecutionPlan("Chatterjee", 200, "structural_eq3", 3)
-        obs = agents.execution_runner(plan)
+        obs = agents.execution_runner(plan, "MonteCarlo")
         assert obs.estimator == "Chatterjee"
         assert obs.evaluations_used == 200
 
@@ -152,7 +152,8 @@ class TestExecutionAndDebugger:
 
         monkeypatch.setattr(estimators, function, spy)
         plan = ExecutionPlan(estimator, 200, "g_function_8d", 3)
-        assert agents.execution_runner(plan).estimator == estimator
+        obs = agents.execution_runner(plan, "MonteCarlo")
+        assert obs.estimator == estimator
         assert calls == [function]
 
     @pytest.mark.parametrize("estimator, reached", [
@@ -163,17 +164,17 @@ class TestExecutionAndDebugger:
         # that draw their own design; the rest ignore it.
         plan = ExecutionPlan(estimator, 200, "g_function_8d", 3)
         mc, lhs = (agents.execution_runner(plan, scheme).attributes()
-                   for scheme in dict(catalog.SA_DIMENSIONS)["D1_sampling"])
+                   for scheme in catalog.SAMPLING_LEVELS)
         assert (mc != lhs) == reached
 
     def test_debugger_patches_sample_size(self):
         plan = ExecutionPlan("Chatterjee", 2, "structural_eq3", 0)
         with pytest.raises(InsufficientSamples) as err:
-            agents.execution_runner(plan)
+            agents.execution_runner(plan, "MonteCarlo")
         patched = agents.debugger_fix(plan, err.value)
         assert patched.n_samples >= 10
-        assert agents.execution_runner(patched).evaluations_used \
-            == patched.n_samples
+        obs = agents.execution_runner(patched, "MonteCarlo")
+        assert obs.evaluations_used == patched.n_samples
 
     @pytest.mark.parametrize("estimator", sorted(catalog.SA_ESTIMATORS))
     def test_debugger_patch_passes_the_inspector(self, estimator):
@@ -261,11 +262,15 @@ def _produced_obs(estimator):
                     **{f: (0.5, 0.3, 0.1, 0.05) for f in bindings})
 
 
+def _plan(ps, estimator="Sobol", n=1000):
+    return ExecutionPlan(estimator, n, ps.model_id, 0)
+
+
 class TestAdvisor:
     def _diagnose(self, ps, name):
         estimator, obs, total, avoid = _ADVISOR_BRANCHES[name]
-        return agents.advisor_report(_ms(ps, estimator), obs,
-                                     _breakdown(total), ps, 85.0,
+        return agents.advisor_report(_ms(ps, estimator), _plan(ps, estimator),
+                                     obs, _breakdown(total), ps, 85.0,
                                      avoid=frozenset(avoid))
 
     def test_crash_report(self, ps_eq3):
@@ -305,6 +310,24 @@ class TestAdvisor:
         assert diag.prescribed_n_samples == 2000
         assert diag.prescribed_estimator is None
 
+    def test_prescribes_from_the_plan_that_ran(self, ps_eq3):
+        # A Debugger patch ran 3000 samples where the scheme decided 6000:
+        # the prescription doubles the run's size, not the decided one.
+        diag = agents.advisor_report(_ms(ps_eq3, "Sobol", 6000),
+                                     _plan(ps_eq3, "Sobol", 3000), _SOBOL_OBS,
+                                     _breakdown(60.0), ps_eq3, 85.0)
+        assert "insufficient at n_samples=3000" in diag.physical_insight
+        assert diag.prescribed_n_samples == 6000
+        assert diag == _keyword_diagnosis(diag.physical_insight)
+
+    def test_attribute_check_reads_the_decided_scheme(self, ps_eq3):
+        # The scheme decided Sobol; a swapped plan ran Chatterjee, whose
+        # observation lacks the first-order indices the scheme demands.
+        diag = agents.advisor_report(_ms(ps_eq3, "Sobol"),
+                                     _plan(ps_eq3, "Chatterjee"), _RANK_OBS,
+                                     _breakdown(60.0), ps_eq3, 85.0)
+        assert diag.root_cause == "attribute_error"
+
     @pytest.mark.parametrize("name", sorted(_ADVISOR_BRANCHES))
     def test_branch_states_what_its_prose_says(self, ps_eq3, name):
         diag = self._diagnose(ps_eq3, name)
@@ -315,6 +338,7 @@ class TestAdvisor:
     def test_estimator_review_states_what_its_prose_says(
             self, ps_eq3, estimator, total):
         diag = agents.advisor_report(_ms(ps_eq3, estimator),
+                                     _plan(ps_eq3, estimator),
                                      _produced_obs(estimator),
                                      _breakdown(total), ps_eq3, 85.0)
         assert diag == _keyword_diagnosis(diag.physical_insight)

@@ -9,10 +9,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from driftguard import action_space, catalog
+from driftguard import action_space, bandit, catalog
 from driftguard.action_space import ActionTuple
 from driftguard.errors import UnknownEstimator
-from driftguard.schemes import build_problem_scheme
+from driftguard.schemes import DIST_FAMILIES, build_problem_scheme
 
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
@@ -48,30 +48,69 @@ class TestCatalog:
         assert simulated == {"PCE_SA", "Generalized_Sobol"}
 
 
+# The two choice lists in catalog order, restated for the oracles below.
+_LEVELS = ("MonteCarlo", "LatinHypercube")
+_ESTIMATORS = ("Sobol", "Chatterjee", "CVM", "Morris", "PCE_SA",
+               "Generalized_Sobol")
+
+
 class TestActionSpace:
     def test_sa_enumeration_size(self):
-        # 2 sampling schemes x 6 estimators: the two dimensions that change
+        # 2 sampling levels x 6 estimators: the two choices that change
         # what executes.
-        assert [name for name, _ in catalog.SA_DIMENSIONS] == [
-            "D1_sampling", "D2_estimator"]
+        assert catalog.SAMPLING_LEVELS == ("MonteCarlo", "LatinHypercube")
         actions = action_space.enumerate_actions()
         assert len(actions) == 12
         assert len(set(actions)) == 12
 
+    def test_enumeration_is_sampling_major_in_catalog_order(self):
+        # The epsilon draw indexes this list, so its order is part of every
+        # session's outcome.
+        pairs = [(s, e) for s in _LEVELS for e in _ESTIMATORS]
+        assert [(a.sampling, a.estimator)
+                for a in action_space.enumerate_actions()] == pairs
+
     def test_dims_validated(self):
-        with pytest.raises(ValueError):
-            ActionTuple(("MonteCarlo",))
-        with pytest.raises(ValueError):
-            ActionTuple(("MonteCarlo", "NotAnEstimator"))
-        with pytest.raises(ValueError):
-            ActionTuple(("Sobol", "MonteCarlo"))
-        with pytest.raises(ValueError):
-            ActionTuple(("MonteCarlo", "Sobol", "Fixed_N", "Scalar"))
+        for sampling, estimator in (("Stratified", "Sobol"),
+                                    ("MonteCarlo", "NotAnEstimator"),
+                                    ("Sobol", "MonteCarlo")):
+            with pytest.raises(ValueError, match="not in the catalog"):
+                ActionTuple(sampling, estimator)
+        with pytest.raises(TypeError):
+            ActionTuple("MonteCarlo", "Sobol", "Fixed_N")
 
     def test_estimator_property(self):
-        a = ActionTuple(("LatinHypercube", "CVM"))
-        assert a.estimator == "CVM"
-        assert a.dims == ("LatinHypercube", "CVM")
+        a = ActionTuple("LatinHypercube", "CVM")
+        assert (a.sampling, a.estimator) == ("LatinHypercube", "CVM")
+        assert a == ActionTuple(sampling="LatinHypercube", estimator="CVM")
+        assert [f.name for f in dataclasses.fields(a)] == [
+            "sampling", "estimator"]
+
+
+def _features_oracle(ps, a):
+    """The feature map as the policy first stated it: bias, the problem
+    block, then one-hots over the sampling levels and the estimators, then
+    two interactions per estimator, every list in catalog order."""
+    scaled_d, scaled_out, scaled_logn = ps.scaled_sizes
+    phi = [1.0, scaled_d, scaled_out, scaled_logn, min(1.0, ps.epsilon)]
+    phi += [1.0 if ps.dist_family_mode == m else 0.0 for m in DIST_FAMILIES]
+    phi += [1.0 if a.sampling == s else 0.0 for s in _LEVELS]
+    phi += [1.0 if a.estimator == e else 0.0 for e in _ESTIMATORS]
+    for e in _ESTIMATORS:
+        hit = 1.0 if a.estimator == e else 0.0
+        phi += [hit * scaled_d, hit * scaled_logn]
+    return tuple(phi)
+
+
+class TestFeatures:
+    @pytest.mark.parametrize("problem", [EQ3_PROBLEM, G8_PROBLEM],
+                             ids=["eq3", "g8"])
+    def test_every_action_encodes_as_the_oracle(self, problem):
+        ps = build_problem_scheme(problem)
+        for a in action_space.enumerate_actions():
+            phi = bandit.encode_features(ps, a)
+            assert phi == _features_oracle(ps, a), a
+            assert len(phi) == bandit.feature_dim()
 
 
 def _feasible(desc) -> dict[str, bool]:
@@ -170,8 +209,8 @@ class TestFeasibility:
         # nothing else of it.
         only_cvm = types.SimpleNamespace(feasible_sa_estimators=("CVM",))
         assert action_space.filter_feasible(only_cvm) == [
-            ActionTuple(("MonteCarlo", "CVM")),
-            ActionTuple(("LatinHypercube", "CVM"))]
+            ActionTuple("MonteCarlo", "CVM"),
+            ActionTuple("LatinHypercube", "CVM")]
 
     def test_shipped_problems_feasible_set_is_the_rules(self):
         problems = _shipped_problems()

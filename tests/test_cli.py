@@ -312,6 +312,21 @@ class TestBadConfig:
             in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [tmp_path / "config.json"]
 
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_must_be_a_directory(self, tmp_path, capsys, under):
+        # An --out that is a file, or a path under one, is a bad
+        # configuration: no session runs and nothing is written.
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        config = _write(tmp_path, VALID["run"])
+        out = taken / under if under else taken
+        assert main(["run", "--config", config, "--out", str(out),
+                     "--quiet"]) == EXIT_BAD_CONFIG
+        assert "cannot be a directory" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "config.json",
+                                               taken]
+
     def test_config_shape_errors(self, tmp_path):
         ablate = {"problem": EQ3_PROBLEM, "n_max": 1,
                   "conditions": [{"name": "only"}]}

@@ -413,6 +413,19 @@ class TestLoopReadsItsRecords:
         assert decided[0]["prev"] == learned.method
         assert decided[0]["prev"].n_samples == 6000
 
+    def test_the_advisor_prescribes_from_the_plan_that_ran(self):
+        # The Debugger's patch runs CVM at 3000 samples where the scheme
+        # decided 6000, and the estimate falls short: the diagnosis states
+        # the size that ran and doubles it.
+        [rec] = run_session(_cfg(seed=1, n_max=1, drift=NO_SAMPLES,
+                                 checkpoint_overrides={"CP5": DISABLED})
+                            ).records
+        assert (rec.method.n_samples, rec.plan.n_samples) == (6000, 3000)
+        assert rec.diagnostic.root_cause == "insufficient_N"
+        assert "insufficient at n_samples=3000" \
+            in rec.diagnostic.physical_insight
+        assert rec.diagnostic.prescribed_n_samples == 6000
+
     def test_a_crash_keeps_the_earlier_reward_reference(self, monkeypatch,
                                                         ps_eq3, manager):
         # A crashed run is learned from (plan set, observation None) but
@@ -512,8 +525,9 @@ class TestTraceSerialization:
         for rec, row in zip(trace.records, rows(trace), strict=True):
             assert set(row) == names
             assert row["method"]["n_samples"] == rec.method.n_samples
-            assert row["method"]["action"]["dims"] \
-                == list(rec.method.action.dims)
+            assert row["method"]["action"] == {
+                "sampling": rec.method.action.sampling,
+                "estimator": rec.method.action.estimator}
             assert row["plan"]["n_samples"] == rec.plan.n_samples
             assert row["plan"]["seed"] == rec.plan.seed == 1 * 1000 + rec.n
             assert row["observation"]["evaluations_used"] \

@@ -99,7 +99,7 @@ class TestProblemScheme:
 
 class TestMethodScheme:
     def _action(self, estimator):
-        return action_space.ActionTuple(("MonteCarlo", estimator))
+        return action_space.ActionTuple("MonteCarlo", estimator)
 
     def test_budget_sufficient(self, ps_eq3):
         # Sobol pick-freeze: n=500, d=4 -> cost 3000 = n_min, within 8000.
