@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import catalog, schemes
-from .errors import InsufficientSamples, Unrecoverable
-from .estimators import SAResult, benchmark_catalog, get_model
+from .errors import InsufficientSamples
+from .estimators import SAResult, get_model
 from .schemes import MethodScheme, ProblemScheme, check_field_types
 
 #: drift kind -> the plan field it rewrites
@@ -70,17 +70,16 @@ def _kw(estimator: str) -> str:
 
 
 def render_problem_text(ps: ProblemScheme) -> str:
-    return (f"SA study of model {ps.model_id or 'unnamed'} with "
+    return (f"SA study of model {ps.model_id} with "
             f"{ps.d_in} uncertain inputs and {ps.d_out} outputs under "
             f"{ps.dist_family_mode} distributions, evaluation budget "
             f"{ps.n_budget}, target precision {ps.epsilon}")
 
 
 def render_problem_description(desc: dict) -> str:
-    return (f"{desc.get('task', 'SA')} study of model "
-            f"{desc.get('model_id', 'unnamed')} with {desc.get('d_in')} "
-            f"uncertain inputs and {desc.get('d_out')} outputs, evaluation "
-            f"budget {desc.get('n_budget')}, target precision "
+    return (f"{desc['task']} study of model {desc['model_id']} with "
+            f"{desc['d_in']} uncertain inputs and {desc['d_out']} outputs, "
+            f"evaluation budget {desc['n_budget']}, target precision "
             f"{desc.get('epsilon', 0.05)}")
 
 
@@ -131,31 +130,6 @@ def render_observation_text(obs: SAResult) -> str:
 # ---------------------------------------------------------------------------
 # Agent behaviors
 
-def gatekeeper(ps: ProblemScheme, desc: dict) -> tuple[bool, str]:
-    """Admission check: the problem must bind to a catalog model, state its
-    dimensions correctly (and its input families, when ``desc``, the
-    description ``ps`` was built from, states them), and admit at least one
-    feasible estimator; a problem that names no model is rejected last."""
-    if ps.model_id:
-        model = benchmark_catalog().get(ps.model_id)
-        if model is None:
-            return False, f"unknown model {ps.model_id!r}"
-        if (ps.d_in, ps.d_out) != (model.d_in, model.d_out):
-            return False, (f"problem states d_in={ps.d_in}, d_out="
-                           f"{ps.d_out} but model {model.id} has d_in="
-                           f"{model.d_in}, d_out={model.d_out}")
-        if desc.get("dist_family") and \
-                ps.dist_family != model.dist_families():
-            return False, (f"problem states dist_family="
-                           f"{list(ps.dist_family)} but model {model.id} has "
-                           f"{list(model.dist_families())}")
-    if not ps.feasible_sa_estimators:
-        return False, "no feasible estimator for this problem"
-    if not ps.model_id:
-        return False, "problem description names no model"
-    return True, "admitted"
-
-
 _EST_TOKEN = re.compile(r"\b(%s)\b" % "|".join(catalog.SA_ESTIMATORS),
                         re.IGNORECASE)
 # The sample size as every rendered text states it; the Refactor Agent and
@@ -204,11 +178,11 @@ def execution_runner(plan: ExecutionPlan, sampling: str) -> SAResult:
 
 
 def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:
-    """Rule-table patches: known error classes map to field patches;
-    anything else is unrecoverable."""
+    """Rule-table patches: known error classes map to field patches; an
+    error with no rule is raised again as it is."""
     if isinstance(error, InsufficientSamples):
         return replace(plan, n_samples=_min_samples(plan))
-    raise Unrecoverable(f"no patch rule for {type(error).__name__}: {error}")
+    raise error
 
 
 def advisor_report(ms: MethodScheme, plan: ExecutionPlan,

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import catalog
 from .action_space import ActionTuple
-from .errors import DimensionError, InvalidReward, NoFeasibleAction
+from .errors import DimensionError, InvalidReward
 from .schemes import DIST_FAMILIES, DiagnosticScheme, MethodScheme, \
     ProblemScheme, build_method_scheme
 
@@ -187,8 +187,6 @@ def select_action(st: PolicyState, ps: ProblemScheme,
     ignores both penalties.  A prescribed estimator restricts the candidates,
     and a prescribed sample size beats the one carried over from ``prev``.
     """
-    if not feasible:
-        raise NoFeasibleAction("empty feasible action set")
     rng = np.random.default_rng(rng_seed)
 
     candidates = list(feasible)

@@ -103,8 +103,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             bindings=("mu_star", "sigma_effects"),
             sampling_scheme="trajectories",
             n_min=lambda d: 10 * (d + 1), cost_multiplier=lambda d: d + 1,
-            execute=lambda m, n, seed, scheme: estimators.morris(
-                m, trajectories=max(2, n), seed=seed),
+            execute=lambda m, n, seed, scheme: estimators.morris(m, n, seed),
             library_class="MorrisSensitivity", high_d_only=True,
             keywords=("morris elementary effects screening trajectories "
                       "mu star sigma winding stairs grid levels"),

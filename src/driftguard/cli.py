@@ -35,7 +35,6 @@ from . import action_space
 from .agents import DriftSpec
 from .archive import Archive
 from .errors import ConfigError, DriftguardError, InvalidProblem
-from .estimators import benchmark_catalog
 from .pipeline import SessionConfig, run_session, write_trace
 from .schemes import ProblemScheme, build_problem_scheme, \
     check_field_types
@@ -140,14 +139,10 @@ def _session_config(settings: dict) -> SessionConfig:
     if "problem" not in settings:
         raise ConfigError("config lacks a 'problem' object")
     _check_keys("problem", settings["problem"])
-    model_id = settings["problem"].get("model_id", "")
-    if not isinstance(model_id, (str, type(None))) or \
-            (model_id and model_id not in benchmark_catalog()):
-        raise ConfigError(f"unknown problem model {model_id!r}")
-    try:   # a mistyped problem field is a ConfigError
+    try:   # a mistyped field or an unknown model is a bad configuration
         build_problem_scheme(settings["problem"])
     except InvalidProblem:
-        pass   # intake rejects the problem: the session aborts
+        pass   # intake refuses the problem: the session aborts
     if "drift" in settings:
         settings = {**settings, "drift": _drift_from(settings["drift"])}
     try:
@@ -242,7 +237,7 @@ def _archive_for(doc: dict, chain: list) -> Archive | None:
         try:
             ps = build_problem_scheme(chain[0].problem)
         except InvalidProblem:
-            return archive   # intake rejects the problem: the session aborts
+            return archive   # intake refuses the problem: the session aborts
         arm = next((a for a in action_space.filter_feasible(ps)
                     if a.estimator == warm.estimator), None)
         if arm is None:

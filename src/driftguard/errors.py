@@ -6,7 +6,8 @@ class DriftguardError(Exception):
 
 
 class InvalidProblem(DriftguardError):
-    """Problem description is missing or carries degenerate fields."""
+    """Intake refuses the problem description: a missing key or a bad
+    value, or a problem its model or the method catalog cannot run."""
 
 
 class UnknownEstimator(DriftguardError):
@@ -33,16 +34,8 @@ class InsufficientSamples(DriftguardError):
     """Sample size below the estimator's hard minimum."""
 
 
-class NoFeasibleAction(DriftguardError):
-    """The feasible action set handed to the policy is empty."""
-
-
 class InvalidReward(DriftguardError):
     """Reward is non-finite or outside the accepted range."""
-
-
-class Unrecoverable(DriftguardError):
-    """Debugger has no patch rule for this execution error class."""
 
 
 class PersistError(DriftguardError):

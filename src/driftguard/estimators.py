@@ -94,7 +94,7 @@ class BenchmarkModel:
         return tuple(d[0] for d in self.input_dists)
 
     def sample_inputs(self, n: int, rng: np.random.Generator,
-                      scheme: str = "MonteCarlo") -> np.ndarray:
+                      scheme: str) -> np.ndarray:
         """n x d_in physical-space sample under the model's input laws."""
         if scheme == "LatinHypercube":
             u = _latin_hypercube(n, self.d_in, rng)
@@ -249,7 +249,7 @@ def _nan_stats(*vectors) -> tuple[int, bool]:
 # Sobol pick-freeze
 
 def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
-                   scheme: str = "MonteCarlo") -> SAResult:
+                   scheme: str) -> SAResult:
     """First-order (Saltelli 2010) and total-order (Jansen) Sobol indices.
 
     Cost is n*(d_in + 2) model evaluations over two independent sample
@@ -319,7 +319,7 @@ def _xi_statistic(x: np.ndarray, y_ranks: np.ndarray) -> float:
 
 
 def chatterjee(m: BenchmarkModel, n: int, seed: int,
-               scheme: str = "MonteCarlo") -> SAResult:
+               scheme: str) -> SAResult:
     """Chatterjee's xi for every input from a single n-sample design.
 
     Ties are broken by midranks; small-sample values may be slightly
@@ -338,8 +338,7 @@ def chatterjee(m: BenchmarkModel, n: int, seed: int,
                     nan_count=nan_count)
 
 
-def cvm(m: BenchmarkModel, n: int, seed: int,
-        scheme: str = "MonteCarlo") -> SAResult:
+def cvm(m: BenchmarkModel, n: int, seed: int, scheme: str) -> SAResult:
     """Rank-based first-order indices from a single n-sample design.
 
     Sorting by each input and correlating neighboring outputs estimates
@@ -379,7 +378,7 @@ def cvm(m: BenchmarkModel, n: int, seed: int,
 # ---------------------------------------------------------------------------
 # Morris screening
 
-def morris(m: BenchmarkModel, trajectories: int, seed: int = 0) -> SAResult:
+def morris(m: BenchmarkModel, trajectories: int, seed: int) -> SAResult:
     """Morris elementary effects via winding-stairs trajectories on a
     4-level grid, step delta = 2/3; cost is trajectories*(d_in+1)
     evaluations.

@@ -1,5 +1,6 @@
-"""Session orchestrator: the conceptualization phase, the decision loop with
-every checkpoint wired at its boundary, and the trace writer.
+"""Session orchestrator: intake (``build_problem_scheme`` admits the problem
+or refuses it with a typed error, then CP1), the decision loop with every
+checkpoint wired at its boundary, and the trace writer.
 
 Every gate of an iteration goes through one call, which records its event; a
 switched-off gate passes and reports the threshold -1 like any other, and
@@ -282,11 +283,11 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
 
 def run_session(cfg: SessionConfig,
                 archive: Archive | None = None) -> SessionTrace:
-    """Full session: Group A once, CP0, then the bounded decision loop."""
+    """Full session: intake once, CP0, then the bounded decision loop."""
     manager = CheckpointManager(calibrate_null(shipped_corpus()),
                                 frozenset(cfg.checkpoint_overrides))
 
-    # Group A: Coordinator -> CP1 -> Gatekeeper, who binds the model.
+    # Intake: the Coordinator admits the problem, then CP1 reads it.
     try:
         ps = build_problem_scheme(cfg.problem)
     except DriftguardError as exc:
@@ -297,9 +298,6 @@ def run_session(cfg: SessionConfig,
     if not cp1.passed:
         # The coordinator is deterministic; retries cannot change the text.
         return _aborted(cfg, ps, "problem restatement rejected at intake")
-    admitted, why = agents.gatekeeper(ps, cfg.problem)
-    if not admitted:
-        return _aborted(cfg, ps, why)
 
     # CP0: archive match, warm-start, exploration mode.
     cp0 = manager.evaluate_cp0(ps, archive)

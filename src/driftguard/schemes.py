@@ -1,4 +1,5 @@
-"""The problem record and the structured inter-agent scheme types, all
+"""The problem record, which ``build_problem_scheme``, intake's one step,
+admits or refuses, and the structured inter-agent scheme types, all
 immutable.  A method scheme holds what a decision chose and reads the rest
 from its catalog row, and a diagnosis takes its cause and prescription
 from the Advisor.  Nothing reads schemes back from text.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 from . import catalog
 from .action_space import ActionTuple
 from .errors import ConfigError, InvalidProblem
+from .estimators import get_model
 
 DIST_FAMILIES = ("Uniform", "Normal", "Other")
 
@@ -143,24 +145,43 @@ class DiagnosticScheme:
 # Builders
 
 def build_problem_scheme(desc: dict) -> ProblemScheme:
-    """The problem record of a problem description; deterministic.  A
-    mistyped field is a ConfigError, as a mistyped session setting is; a
-    missing key, a task other than SA or a bad value is InvalidProblem."""
+    """The problem record of a problem description, if intake admits it;
+    deterministic, and the one place a problem is admitted or refused.
+
+    The first failed check refuses it: a missing key, a mistyped field
+    (ConfigError, as for a session setting), a bad value, a task other than
+    SA, a model the catalog lacks (UnknownModel), sizes or stated input
+    families that are not the model's, no feasible estimator, and last no
+    model.  Every other refusal than the two named is InvalidProblem."""
     try:
         task = desc["task"]
-        dists = tuple(d if d in DIST_FAMILIES else "Other"
-                      for d in desc.get("dist_family") or ())
         ps = ProblemScheme(d_in=desc["d_in"], d_out=desc["d_out"],
                            n_budget=desc["n_budget"],
                            epsilon=desc.get("epsilon", 0.05),
-                           dist_family=dists,
+                           dist_family=tuple(desc.get("dist_family") or ()),
                            model_id=desc.get("model_id", ""))
     except (KeyError, TypeError) as exc:
         raise InvalidProblem(f"incomplete problem description: {exc}") from exc
     if task != "SA":
         raise InvalidProblem(f"unknown task {task!r}")
+    if ps.model_id:
+        model = get_model(ps.model_id)
+        if (ps.d_in, ps.d_out) != (model.d_in, model.d_out):
+            raise InvalidProblem(f"problem states d_in={ps.d_in}, d_out="
+                                 f"{ps.d_out} but model {model.id} has d_in="
+                                 f"{model.d_in}, d_out={model.d_out}")
+        if ps.dist_family and ps.dist_family != model.dist_families():
+            raise InvalidProblem(f"problem states dist_family="
+                                 f"{list(ps.dist_family)} but model {model.id}"
+                                 f" has {list(model.dist_families())}")
     # Without ``dist_family`` every input is Other.
-    return ps if dists else replace(ps, dist_family=("Other",) * ps.d_in)
+    if not ps.dist_family:
+        ps = replace(ps, dist_family=("Other",) * ps.d_in)
+    if not ps.feasible_sa_estimators:
+        raise InvalidProblem("no feasible estimator for this problem")
+    if not ps.model_id:
+        raise InvalidProblem("problem description names no model")
+    return ps
 
 
 def build_method_scheme(action: ActionTuple, ps: ProblemScheme,

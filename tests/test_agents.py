@@ -5,7 +5,7 @@ import pytest
 from driftguard import agents, catalog, estimators
 from driftguard.action_space import ActionTuple
 from driftguard.agents import DriftSpec, ExecutionPlan
-from driftguard.errors import InsufficientSamples, Unrecoverable
+from driftguard.errors import InsufficientSamples
 from driftguard.estimators import SAResult
 from driftguard.reward import RewardBreakdown
 from driftguard.schemes import (build_diagnostic_scheme, build_method_scheme,
@@ -24,49 +24,6 @@ class TestGroupA:
         ps = build_problem_scheme(EQ3_PROBLEM)
         assert ps.model_id == "structural_eq3"
         assert ps.d_in == 4
-
-    def test_gatekeeper_admits_known_problem(self, ps_eq3):
-        ok, why = agents.gatekeeper(ps_eq3, EQ3_PROBLEM)
-        assert ok and why == "admitted"
-
-    def test_gatekeeper_rejects_unknown_model(self):
-        desc = {**EQ3_PROBLEM, "model_id": "ghost"}
-        ok, why = agents.gatekeeper(build_problem_scheme(desc), desc)
-        assert not ok and "ghost" in why
-
-    def test_gatekeeper_rejects_infeasible_problem(self, monkeypatch):
-        # Every row screening-only: no estimator is feasible at d_in = 4.
-        import dataclasses
-        monkeypatch.setattr(catalog, "SA_ESTIMATORS", {
-            e: dataclasses.replace(info, high_d_only=True)
-            for e, info in catalog.SA_ESTIMATORS.items()})
-        ps = build_problem_scheme(EQ3_PROBLEM)
-        assert ps.feasible_sa_estimators == ()
-        ok, why = agents.gatekeeper(ps, EQ3_PROBLEM)
-        assert not ok and "no feasible estimator" in why
-
-    def test_gatekeeper_rejects_dimensions_the_model_lacks(self):
-        for change, stated in (({"d_in": 9, "dist_family": ["Uniform"] * 9},
-                                "d_in=9"),
-                               ({"d_out": 2}, "d_out=2")):
-            desc = {**EQ3_PROBLEM, **change}
-            ok, why = agents.gatekeeper(build_problem_scheme(desc), desc)
-            assert not ok and stated in why and "d_in=4, d_out=1" in why
-
-    def test_gatekeeper_rejects_problem_naming_no_model(self):
-        desc = {k: v for k, v in EQ3_PROBLEM.items() if k != "model_id"}
-        ok, why = agents.gatekeeper(build_problem_scheme(desc), desc)
-        assert not ok and why == "problem description names no model"
-
-    def test_gatekeeper_checks_feasibility_before_the_model(self,
-                                                            monkeypatch):
-        import dataclasses
-        monkeypatch.setattr(catalog, "SA_ESTIMATORS", {
-            e: dataclasses.replace(info, high_d_only=True)
-            for e, info in catalog.SA_ESTIMATORS.items()})
-        desc = {k: v for k, v in EQ3_PROBLEM.items() if k != "model_id"}
-        ok, why = agents.gatekeeper(build_problem_scheme(desc), desc)
-        assert not ok and why == "no feasible estimator for this problem"
 
 
 class TestRenderers:
@@ -193,9 +150,12 @@ class TestExecutionAndDebugger:
                 estimator).min_samples(model.d_in)
 
     def test_debugger_unknown_error_unrecoverable(self):
+        # An error with no patch rule is raised again as it is.
         plan = ExecutionPlan("Sobol", 100, "structural_eq3", 0)
-        with pytest.raises(Unrecoverable):
-            agents.debugger_fix(plan, RuntimeError("boom"))
+        error = RuntimeError("boom")
+        with pytest.raises(RuntimeError) as raised:
+            agents.debugger_fix(plan, error)
+        assert raised.value is error
 
 
 # The keyword parse that once read the diagnosis back out of the Advisor's

@@ -4,7 +4,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from driftguard import action_space, bandit
 from driftguard.archive import Archive
-from driftguard.errors import InvalidReward, NoFeasibleAction
+from driftguard.errors import InvalidReward
 from driftguard.schemes import build_diagnostic_scheme, build_method_scheme
 
 from simenv import canonical_action
@@ -125,10 +125,6 @@ class TestPosterior:
 class TestSelectAction:
     def _arms(self, ps):
         return [canonical_action(e) for e in ps.feasible_sa_estimators]
-
-    def test_empty_feasible_set_raises(self, ps_eq3):
-        with pytest.raises(NoFeasibleAction):
-            bandit.select_action(bandit.PolicyState(), ps_eq3, [])
 
     def test_single_candidate(self, ps_eq3):
         arm = canonical_action("Sobol")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from driftguard import catalog
 from driftguard.cli import (_COMMANDS, _KEYS, EXIT_ABORTED, EXIT_BAD_CONFIG,
                             EXIT_OK, SESSION_COLUMNS, build_parser, main)
 
@@ -149,6 +151,22 @@ class TestRun:
         assert code == EXIT_ABORTED
         summary = json.loads((tmp_path / "beam.summary.json").read_text())
         assert "budget must be positive" in summary["abort_reason"]
+
+    def test_infeasible_problem_with_warm_start_exits_2(self, tmp_path,
+                                                        monkeypatch):
+        # Intake refuses a problem no estimator can run, so its warm start
+        # seeds nothing and the session aborts, as any refused problem's.
+        monkeypatch.setattr(catalog, "SA_ESTIMATORS", {
+            e: dataclasses.replace(info, high_d_only=True)
+            for e, info in catalog.SA_ESTIMATORS.items()})
+        doc = {**BASE_RUN, "warm_start": {"estimator": "Sobol",
+                                          "mean_reward": 91.0}}
+        code = main(["run", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path), "--quiet"])
+        assert code == EXIT_ABORTED
+        summary = json.loads((tmp_path / "cli-test.summary.json").read_text())
+        assert summary["abort_reason"] == ("coordinator failed: no feasible "
+                                           "estimator for this problem")
 
 
 class TestBadConfig:

@@ -61,21 +61,22 @@ class TestBenchmarkCatalog:
         # Independent oracle for S2: E[Y|X2] = a sin^2(x2) + const, so
         # V2 = a^2/8 against the MC total variance.
         rng = np.random.default_rng(1)
-        y = ishigami.evaluate(ishigami.sample_inputs(300_000, rng))
+        x = ishigami.sample_inputs(300_000, rng, "MonteCarlo")
+        y = ishigami.evaluate(x)
         s2_oracle = (7.0 ** 2 / 8.0) / float(np.var(y, ddof=1))
         assert s2_oracle == pytest.approx(ishigami.analytic_s1[1], abs=0.01)
 
     def test_normal_transform_moments(self):
         beam = est.get_model("cantilever_beam")
         rng = np.random.default_rng(2)
-        x = beam.sample_inputs(100_000, rng)
+        x = beam.sample_inputs(100_000, rng, "MonteCarlo")
         assert float(np.mean(x[:, 0])) == pytest.approx(1000.0, abs=2.0)
         assert float(np.std(x[:, 0])) == pytest.approx(100.0, rel=0.02)
 
 
 class TestSobol:
     def test_matches_analytic(self, g8):
-        res = est.sobol_saltelli(g8, 4000, seed=0)
+        res = est.sobol_saltelli(g8, 4000, seed=0, scheme="MonteCarlo")
         assert res.estimator == "Sobol"
         assert res.evaluations_used == 4000 * 10
         mae = np.mean(np.abs(np.asarray(res.first_order_indices)
@@ -83,13 +84,13 @@ class TestSobol:
         assert mae < 0.02
 
     def test_jansen_total_dominates_first(self, g8):
-        res = est.sobol_saltelli(g8, 4000, seed=3)
+        res = est.sobol_saltelli(g8, 4000, seed=3, scheme="MonteCarlo")
         assert all(t >= s - 0.05 for s, t in zip(res.first_order_indices,
                                                  res.total_order_indices))
 
     def test_deterministic_per_seed(self, g8):
-        a = est.sobol_saltelli(g8, 500, seed=11)
-        b = est.sobol_saltelli(g8, 500, seed=11)
+        a = est.sobol_saltelli(g8, 500, seed=11, scheme="MonteCarlo")
+        b = est.sobol_saltelli(g8, 500, seed=11, scheme="MonteCarlo")
         assert a.first_order_indices == b.first_order_indices
         assert a.total_order_indices == b.total_order_indices
 
@@ -104,13 +105,13 @@ class TestSobol:
             id="flat", d_in=3, d_out=1,
             evaluate=lambda x: np.ones(len(x)),
             input_dists=(("Uniform", 0.0, 1.0),) * 3)
-        res = est.sobol_saltelli(flat, 100, seed=0)
+        res = est.sobol_saltelli(flat, 100, seed=0, scheme="MonteCarlo")
         assert res.nan_count == 6
         assert "degenerate" in res.warnings[0]
 
     def test_too_few_samples(self, g8):
         with pytest.raises(InsufficientSamples):
-            est.sobol_saltelli(g8, 1, seed=0)
+            est.sobol_saltelli(g8, 1, seed=0, scheme="MonteCarlo")
 
     @pytest.mark.parametrize("scheme", ["MonteCarlo", "LatinHypercube"])
     @pytest.mark.parametrize("model_id", sorted(est.benchmark_catalog()))
@@ -127,7 +128,7 @@ class TestSobol:
             id="flat", d_in=2, d_out=1,
             evaluate=lambda x: np.ones(len(x)),
             input_dists=(("Normal", 0.0, 1.0), ("Uniform", 0.0, 1.0)))
-        assert (_fields_bits(est.sobol_saltelli(flat, 50, 1))
+        assert (_fields_bits(est.sobol_saltelli(flat, 50, 1, "MonteCarlo"))
                 == _fields_bits(_sobol_per_hybrid(flat, 50, 1)))
 
 
@@ -185,7 +186,7 @@ def _sobol_per_hybrid(m, n, seed, scheme="MonteCarlo"):
 
 class TestRankBased:
     def test_chatterjee_orders_inputs(self, g8):
-        res = est.chatterjee(g8, 5000, seed=0)
+        res = est.chatterjee(g8, 5000, seed=0, scheme="MonteCarlo")
         xi = np.asarray(res.chatterjee_indices)
         # a = (0, 1, 4.5, 9, 99...): influence strictly decays.
         assert xi[0] > xi[1] > xi[2] > xi[3]
@@ -196,12 +197,12 @@ class TestRankBased:
             id="first_only", d_in=2, d_out=1,
             evaluate=lambda x: x[:, 0],
             input_dists=(("Uniform", 0.0, 1.0),) * 2)
-        res = est.chatterjee(m, 4000, seed=0)
+        res = est.chatterjee(m, 4000, seed=0, scheme="MonteCarlo")
         assert res.chatterjee_indices[0] > 0.9
         assert abs(res.chatterjee_indices[1]) < 0.1
 
     def test_cvm_matches_analytic_s1(self, g8):
-        res = est.cvm(g8, 20_000, seed=0)
+        res = est.cvm(g8, 20_000, seed=0, scheme="MonteCarlo")
         mae = np.mean(np.abs(np.asarray(res.first_order_indices)
                              - g8.analytic_s1))
         assert mae < 0.03
@@ -211,7 +212,7 @@ class TestRankBased:
             id="flat2", d_in=2, d_out=1,
             evaluate=lambda x: np.zeros(len(x)),
             input_dists=(("Uniform", 0.0, 1.0),) * 2)
-        res = est.cvm(flat, 100, seed=0)
+        res = est.cvm(flat, 100, seed=0, scheme="MonteCarlo")
         assert res.nan_count == 2
 
     # Columns rounded to a few levels tie often; NaN columns and signed zeros
@@ -252,9 +253,9 @@ class TestRankBased:
 
     def test_minimum_sizes_enforced(self, g8):
         with pytest.raises(InsufficientSamples):
-            est.chatterjee(g8, 9, seed=0)
+            est.chatterjee(g8, 9, seed=0, scheme="MonteCarlo")
         with pytest.raises(InsufficientSamples):
-            est.cvm(g8, 9, seed=0)
+            est.cvm(g8, 9, seed=0, scheme="MonteCarlo")
 
 
 class TestMorris:
@@ -272,7 +273,7 @@ class TestMorris:
 
     def test_guards(self, g8):
         with pytest.raises(InsufficientSamples):
-            est.morris(g8, trajectories=1)
+            est.morris(g8, trajectories=1, seed=0)
 
     @pytest.mark.parametrize("model_id", ["structural_eq3", "g_function_15d",
                                           "thermal_stub", "cantilever_beam"])

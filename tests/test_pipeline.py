@@ -69,7 +69,8 @@ class TestSessionBasics:
         cfg = _cfg(problem={**EQ3_PROBLEM, "model_id": "ghost"})
         trace = run_session(cfg)
         assert trace.outcome == "aborted"
-        assert "ghost" in trace.abort_reason
+        assert trace.abort_reason \
+            == "coordinator failed: unknown benchmark model 'ghost'"
         assert trace.records == []
         assert (trace.cp0.match, trace.cp0.exploration_mode) \
             == ("none", "explore_max")
@@ -109,8 +110,14 @@ class TestSessionBasics:
                       {**EQ3_PROBLEM, "epsilon": 1.0}),
                      (without("epsilon"), {**EQ3_PROBLEM, "epsilon": 0.05}),
                      (without("dist_family"),
-                      {**EQ3_PROBLEM, "dist_family": ["Other"] * 4})):
+                      {**EQ3_PROBLEM, "dist_family": []})):
             assert _cfg(problem=a).digest() == _cfg(problem=b).digest()
+        # Stating Other on every input is not leaving the families out:
+        # intake refuses families the model lacks, so that spelling is
+        # hashed as written.
+        other = {**EQ3_PROBLEM, "dist_family": ["Other"] * 4}
+        assert _cfg(problem=other).digest() \
+            != _cfg(problem=without("dist_family")).digest()
         aborted = [_cfg(problem={**EQ3_PROBLEM, "d_in": d}).digest()
                    for d in (4.7, 0, 4)]
         assert len(set(aborted)) == 3
@@ -326,8 +333,27 @@ class TestBlockedSteps:
         assert rec.observation.evaluations_used == 3000
         assert not rec.failed
 
+    def test_debugger_patches_a_morris_plan_below_two_trajectories(
+            self, monkeypatch):
+        # Morris runs the plan's trajectories as they are: one trajectory
+        # fails like any undersized plan and gets the Debugger's patch to
+        # the floor, 10 trajectories, not a silent second trajectory.
+        patches = []
+        fix = agents.debugger_fix
+
+        def counted_fix(plan, exc):
+            patches.append(exc)
+            return fix(plan, exc)
+        monkeypatch.setattr(agents, "debugger_fix", counted_fix)
+        rec = self._first(problem=G8_PROBLEM, drift=NO_SAMPLES,
+                          checkpoint_overrides={"CP5": DISABLED})
+        assert rec.method.estimator == "Morris"
+        assert [type(e) for e in patches] == [InsufficientSamples]
+        assert rec.plan.n_samples == 10
+        assert rec.observation.evaluations_used == 10 * (8 + 1)
+
     @pytest.mark.parametrize("error, runs", [
-        (UnknownModel("gone"), 1),           # no patch rule: Unrecoverable
+        (UnknownModel("gone"), 1),           # no patch rule: raised again
         (InsufficientSamples("n=1"), 2)])    # patched, then fails again
     def test_failed_execution_is_scored_as_a_crash(self, monkeypatch,
                                                    error, runs):

@@ -4,11 +4,11 @@ import dataclasses
 import pytest
 
 from driftguard import action_space, catalog
-from driftguard.errors import ConfigError, InvalidProblem
+from driftguard.errors import ConfigError, InvalidProblem, UnknownModel
 from driftguard.pipeline import SessionConfig
 from driftguard.schemes import (build_diagnostic_scheme, build_method_scheme,
                                 build_problem_scheme, DiagnosticScheme,
-                                MethodScheme)
+                                MethodScheme, ProblemScheme)
 from conftest import EQ3_PROBLEM, G8_PROBLEM
 
 
@@ -69,13 +69,76 @@ class TestContextVector:
                                    if k != "dist_family"})
         assert ps.dist_family == ("Other",) * 4
 
-    def test_unknown_dist_mapped_to_other(self):
-        ps = build_problem_scheme({**EQ3_PROBLEM,
-                                   "dist_family": ["Exotic"] * 4})
-        assert ps.dist_family == ("Other",) * 4
-        # The record itself takes only the names intake maps to.
+    def test_unknown_dist_family_refused(self):
+        # A family name outside DIST_FAMILIES is refused, not read as Other,
+        # and the record itself takes none either.
         with pytest.raises(InvalidProblem, match="distribution family"):
-            dataclasses.replace(ps, dist_family=("Exotic",) * 4)
+            build_problem_scheme({**EQ3_PROBLEM,
+                                  "dist_family": ["Exotic"] * 4})
+        with pytest.raises(InvalidProblem, match="distribution family"):
+            ProblemScheme(d_in=4, d_out=1, n_budget=8000, epsilon=0.05,
+                          dist_family=("Exotic",) * 4,
+                          model_id="structural_eq3")
+
+
+def _screening_only(monkeypatch):
+    """Make every catalog row screening-only: at d_in = 4 no estimator is
+    feasible."""
+    monkeypatch.setattr(catalog, "SA_ESTIMATORS", {
+        e: dataclasses.replace(info, high_d_only=True)
+        for e, info in catalog.SA_ESTIMATORS.items()})
+
+
+# Intake admits a problem only when it binds to a catalog model with the
+# model's sizes (and input families, when it states them) and admits at
+# least one feasible estimator; a problem naming no model is refused last.
+class TestAdmission:
+    def test_admits_known_problem(self, ps_eq3):
+        assert build_problem_scheme(EQ3_PROBLEM) == ps_eq3
+
+    def test_refuses_unknown_model(self):
+        with pytest.raises(UnknownModel, match="'ghost'"):
+            build_problem_scheme({**EQ3_PROBLEM, "model_id": "ghost"})
+
+    def test_refuses_infeasible_problem(self, monkeypatch):
+        _screening_only(monkeypatch)
+        with pytest.raises(InvalidProblem, match="no feasible estimator"):
+            build_problem_scheme(EQ3_PROBLEM)
+
+    def test_refuses_dimensions_the_model_lacks(self):
+        for change, stated in (({"d_in": 9, "dist_family": ["Uniform"] * 9},
+                                "d_in=9"),
+                               ({"d_out": 2}, "d_out=2")):
+            with pytest.raises(InvalidProblem) as refused:
+                build_problem_scheme({**EQ3_PROBLEM, **change})
+            assert stated in str(refused.value)
+            assert "d_in=4, d_out=1" in str(refused.value)
+
+    def test_refuses_input_families_the_model_lacks(self):
+        # A stated family list is compared with the model's as it is; only
+        # an unstated one stands for Other on every input.
+        for families in (["Other"] * 4, ["Normal"] * 4, ["Uniform"] * 3):
+            with pytest.raises(InvalidProblem,
+                               match=r"but model structural_eq3 has "
+                                     r"\['Uniform', 'Uniform'"):
+                build_problem_scheme({**EQ3_PROBLEM,
+                                      "dist_family": families})
+
+    def test_refuses_problem_naming_no_model(self):
+        for model_id in ("", None):
+            with pytest.raises(InvalidProblem,
+                               match="^problem description names no model$"):
+                build_problem_scheme({**EQ3_PROBLEM, "model_id": model_id})
+        without = {k: v for k, v in EQ3_PROBLEM.items() if k != "model_id"}
+        with pytest.raises(InvalidProblem, match="names no model"):
+            build_problem_scheme(without)
+
+    def test_checks_feasibility_before_the_model(self, monkeypatch):
+        _screening_only(monkeypatch)
+        without = {k: v for k, v in EQ3_PROBLEM.items() if k != "model_id"}
+        with pytest.raises(InvalidProblem,
+                           match="^no feasible estimator for this problem$"):
+            build_problem_scheme(without)
 
 
 class TestProblemScheme:
