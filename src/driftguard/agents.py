@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import catalog, schemes
-from .errors import InsufficientSamples
+from .errors import InsufficientSamples, OverBudget
 from .estimators import SAResult, get_model
 from .schemes import MethodScheme, ProblemScheme, check_field_types
 
@@ -156,32 +156,43 @@ def refactor_agent(report_text: str, model_id: str,
 def inspector_check(plan: ExecutionPlan, ms: MethodScheme) -> tuple[str, ...]:
     """Structural checklist audit of the assembled plan against the decided
     method scheme: the reasons it rejects the plan, none if it approves.
-    A plan that runs the scheme's estimator binds the scheme's outputs."""
+    A plan that runs the scheme's estimator binds the scheme's outputs, and
+    one that runs the scheme's sample size lies between the estimator's
+    floor and the budget's cap, because the decision clamped it there."""
     if plan.estimator != ms.estimator:
         return (f"estimator mismatch: plan runs {plan.estimator}, "
                 f"scheme requires {ms.estimator}",)
-    if plan.n_samples < _min_samples(plan):
-        return (f"n_samples={plan.n_samples} below the estimator minimum",)
+    if plan.n_samples != ms.n_samples:
+        return (f"n_samples mismatch: plan runs {plan.n_samples}, "
+                f"scheme decides {ms.n_samples}",)
     return ()
 
 
-def _min_samples(plan: ExecutionPlan) -> int:
-    return catalog.estimator_info(plan.estimator).min_samples(
-        get_model(plan.model_id).d_in)
-
-
-def execution_runner(plan: ExecutionPlan, sampling: str) -> SAResult:
+def execution_runner(plan: ExecutionPlan, sampling: str,
+                     n_budget: int) -> SAResult:
     """Run the plan's estimator through its catalog row at the action's
-    sampling level; raises the estimator's own errors."""
-    return catalog.estimator_info(plan.estimator).execute(
-        get_model(plan.model_id), plan.n_samples, plan.seed, sampling)
+    sampling level; raises OverBudget, before any model evaluation, when
+    the plan costs more than ``n_budget``, and else the estimator's own
+    errors."""
+    info = catalog.estimator_info(plan.estimator)
+    model = get_model(plan.model_id)
+    cost = info.cost(plan.n_samples, model.d_in)
+    if cost > n_budget:
+        raise OverBudget(f"n_samples={plan.n_samples} costs {cost} "
+                         f"evaluations, over the budget {n_budget}", n_budget)
+    return info.execute(model, plan.n_samples, plan.seed, sampling)
 
 
 def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:
-    """Rule-table patches: known error classes map to field patches; an
-    error with no rule is raised again as it is."""
+    """Rule-table patches: an undersized plan gets the estimator's floor,
+    an oversized one the largest size its budget pays for; an error with
+    no rule is raised again as it is."""
+    info = catalog.estimator_info(plan.estimator)
+    d_in = get_model(plan.model_id).d_in
     if isinstance(error, InsufficientSamples):
-        return replace(plan, n_samples=_min_samples(plan))
+        return replace(plan, n_samples=info.min_samples(d_in))
+    if isinstance(error, OverBudget):
+        return replace(plan, n_samples=info.max_samples(d_in, error.n_budget))
     raise error
 
 

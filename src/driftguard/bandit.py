@@ -185,7 +185,8 @@ def select_action(st: PolicyState, ps: ProblemScheme,
     the diagnosis of that previous scheme, blocks it.  A decaying
     epsilon-greedy overlay replaces the argmax with a uniform pick that
     ignores both penalties.  A prescribed estimator restricts the candidates,
-    and a prescribed sample size beats the one carried over from ``prev``.
+    and a prescribed sample size beats the one carried over from ``prev``;
+    either is clamped to the estimator's floor and the budget's cap.
     """
     rng = np.random.default_rng(rng_seed)
 
@@ -223,7 +224,10 @@ def select_action(st: PolicyState, ps: ProblemScheme,
         n_samples = prev.n_samples
     else:
         n_samples = default_n_samples(action.estimator, ps)
-    # A size prescribed for a different estimator may undershoot this one's
-    # minimum, so clamp up to its per-loop floor.
-    floor = catalog.estimator_info(action.estimator).min_samples(ps.d_in)
-    return build_method_scheme(action, ps, max(n_samples, floor))
+    # A size prescribed for a different estimator, or an escalating one,
+    # may leave this one's range, so clamp it between the per-loop floor
+    # and the largest size the budget pays for.
+    info = catalog.estimator_info(action.estimator)
+    n_samples = min(max(n_samples, info.min_samples(ps.d_in)),
+                    info.max_samples(ps.d_in, ps.n_budget))
+    return build_method_scheme(action, ps, n_samples)

@@ -35,10 +35,10 @@ class EstimatorInfo:
     # the module is the one that runs.
     execute: Callable
     library_class: str
-    # Feasibility rules; every rule a row sets must hold.
+    # Feasibility rules a row may set, on top of the budget rule every row
+    # has; every rule a row sets must hold.
     high_d_only: bool = False       # d_in >= SCREENING_DIM_THRESHOLD
     multi_output_only: bool = False  # d_out > 1
-    budget_gated: bool = False      # n_budget >= n_min(d_in)
     simulated: bool = False
     keywords: str = ""              # vocabulary used by the text renderers
 
@@ -49,21 +49,27 @@ class EstimatorInfo:
         """The per-loop sample floor: fewest samples costing ``n_min``."""
         return -(-self.n_min(d_in) // self.cost_multiplier(d_in))
 
+    def max_samples(self, d_in: int, n_budget: int) -> int:
+        """The per-loop sample cap: most samples costing at most
+        ``n_budget``."""
+        return n_budget // self.cost_multiplier(d_in)
+
     def feasible(self, ps) -> bool:
         """Whether every feasibility rule of this row holds for ``ps``."""
-        return ((not self.high_d_only
-                 or ps.d_in >= SCREENING_DIM_THRESHOLD)
-                and (not self.multi_output_only or ps.d_out > 1)
-                and (not self.budget_gated
-                     or ps.n_budget >= self.n_min(ps.d_in)))
+        return (ps.n_budget >= self.n_min(ps.d_in)
+                and (not self.high_d_only
+                     or ps.d_in >= SCREENING_DIM_THRESHOLD)
+                and (not self.multi_output_only or ps.d_out > 1))
 
 
 SA_ESTIMATORS: dict[str, EstimatorInfo] = {
     e.id: e
     for e in [
-        # The budget gates below cover each estimator's own n_min: surrogate
+        # A row is feasible only when the budget covers its n_min: surrogate
         # accuracy for PCE, estimator variance for the pick-freeze and rank
-        # methods.
+        # methods, ten runs for Chatterjee and ten trajectories for Morris.
+        # Every n_min is a multiple of its cost_multiplier, so on a feasible
+        # row the sample cap is never below the floor.
         EstimatorInfo(
             id="Sobol", index_type="variance_based",
             bindings=("first_order_indices", "total_order_indices"),
@@ -71,7 +77,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             n_min=lambda d: 500 * (d + 2), cost_multiplier=lambda d: d + 2,
             execute=lambda m, n, seed, scheme: estimators.sobol_saltelli(
                 m, n, seed, scheme),
-            library_class="SobolSensitivity", budget_gated=True,
+            library_class="SobolSensitivity",
             keywords=("sobol variance decomposition saltelli pick freeze "
                       "first order total order indices jansen"),
         ),
@@ -91,7 +97,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             n_min=lambda d: 500 * (d + 2), cost_multiplier=lambda d: 1,
             execute=lambda m, n, seed, scheme: estimators.cvm(
                 m, n, seed, scheme),
-            library_class="CramerVonMisesSensitivity", budget_gated=True,
+            library_class="CramerVonMisesSensitivity",
             keywords=("cramer von mises rank statistic moment free "
                       "empirical distribution indices"),
         ),
@@ -115,8 +121,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             n_min=lambda d: 500 * d, cost_multiplier=lambda d: 1,
             execute=lambda m, n, seed, scheme: estimators.pce_sa_simulated(
                 m, n, seed),
-            library_class="PCESensitivity", budget_gated=True,
-            simulated=True,
+            library_class="PCESensitivity", simulated=True,
             keywords=("polynomial chaos expansion surrogate spectral "
                       "coefficients regression sobol analytic"),
         ),
@@ -128,7 +133,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             execute=lambda m, n, seed, scheme:
                 estimators.generalized_sobol_simulated(m, n, seed),
             library_class="GeneralizedSobolSensitivity",
-            multi_output_only=True, budget_gated=True, simulated=True,
+            multi_output_only=True, simulated=True,
             keywords=("generalized sobol vector valued multi output "
                       "aggregated variance contributions"),
         ),

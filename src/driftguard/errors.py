@@ -34,6 +34,16 @@ class InsufficientSamples(DriftguardError):
     """Sample size below the estimator's hard minimum."""
 
 
+class OverBudget(DriftguardError):
+    """A plan would spend more model evaluations than its problem's
+    ``n_budget``; raised before any evaluation, and carries the budget that
+    the Debugger's patch fits."""
+
+    def __init__(self, message: str, n_budget: int):
+        super().__init__(message)
+        self.n_budget = n_budget
+
+
 class InvalidReward(DriftguardError):
     """Reward is non-finite or outside the accepted range."""
 

@@ -12,6 +12,11 @@ second CP2 or CP5 block, or a CP4 block, ends the iteration with a failed
 record; a second failed execution scores a crash. A CP7 novelty warning
 re-selects once.
 
+``n_budget`` limits each executed plan: the policy clamps a sample size
+between the estimator's floor and the budget's cap, the Inspector holds the
+plan to it, and the runner refuses a costlier plan before any model
+evaluation, which the Debugger patches to the cap.
+
 The Advisor hands over the diagnosis, whose prose CP6 reads. Each fact has
 one home: a record holds its method scheme and reward breakdown, and a trace
 its records. Totals, failures, the outcome and the earlier decisions that
@@ -250,11 +255,12 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
     # (execution) Runner; a failed run gets one Debugger patch and one more
     # try. A second failure or an unpatchable error is scored as a crash.
     try:
-        obs = agents.execution_runner(plan, ms.action.sampling)
+        obs = agents.execution_runner(plan, ms.action.sampling, ps.n_budget)
     except DriftguardError as exc:
         try:
             plan = agents.debugger_fix(plan, exc)
-            obs = agents.execution_runner(plan, ms.action.sampling)
+            obs = agents.execution_runner(plan, ms.action.sampling,
+                                          ps.n_budget)
         except DriftguardError:
             obs = None
 

@@ -1,11 +1,13 @@
+import inspect
 import re
+from dataclasses import replace
 
 import pytest
 
 from driftguard import agents, catalog, estimators
 from driftguard.action_space import ActionTuple
 from driftguard.agents import DriftSpec, ExecutionPlan
-from driftguard.errors import InsufficientSamples
+from driftguard.errors import InsufficientSamples, OverBudget
 from driftguard.estimators import SAResult
 from driftguard.reward import RewardBreakdown
 from driftguard.schemes import (build_diagnostic_scheme, build_method_scheme,
@@ -83,13 +85,23 @@ class TestInspector:
         ms = _ms(ps_eq3)
         plan = ExecutionPlan("Sobol", 50, "structural_eq3", 0)
         assert agents.inspector_check(plan, ms) == (
-            "n_samples=50 below the estimator minimum",)
+            "n_samples mismatch: plan runs 50, scheme decides 1000",)
+
+    @pytest.mark.parametrize("n_samples", [999, 1001, 100_000])
+    def test_plan_off_the_decided_size_rejected(self, ps_eq3, n_samples):
+        # The decided size lies between the floor and the budget's cap, so
+        # the plan must run it: any other size, oversized or within that
+        # range, is a mismatch.
+        ms = _ms(ps_eq3)
+        plan = ExecutionPlan("Sobol", n_samples, "structural_eq3", 0)
+        assert agents.inspector_check(plan, ms) == (
+            f"n_samples mismatch: plan runs {n_samples}, scheme decides 1000",)
 
 
 class TestExecutionAndDebugger:
     def test_runner_executes_plan(self):
         plan = ExecutionPlan("Chatterjee", 200, "structural_eq3", 3)
-        obs = agents.execution_runner(plan, "MonteCarlo")
+        obs = agents.execution_runner(plan, "MonteCarlo", 10_000)
         assert obs.estimator == "Chatterjee"
         assert obs.evaluations_used == 200
 
@@ -109,7 +121,7 @@ class TestExecutionAndDebugger:
 
         monkeypatch.setattr(estimators, function, spy)
         plan = ExecutionPlan(estimator, 200, "g_function_8d", 3)
-        obs = agents.execution_runner(plan, "MonteCarlo")
+        obs = agents.execution_runner(plan, "MonteCarlo", 10_000)
         assert obs.estimator == estimator
         assert calls == [function]
 
@@ -120,34 +132,81 @@ class TestExecutionAndDebugger:
         # The sampling level changes what executes only for the estimators
         # that draw their own design; the rest ignore it.
         plan = ExecutionPlan(estimator, 200, "g_function_8d", 3)
-        mc, lhs = (agents.execution_runner(plan, scheme).attributes()
-                   for scheme in catalog.SAMPLING_LEVELS)
+        mc, lhs = (agents.execution_runner(plan, s, 10_000).attributes()
+                   for s in catalog.SAMPLING_LEVELS)
         assert (mc != lhs) == reached
 
     def test_debugger_patches_sample_size(self):
         plan = ExecutionPlan("Chatterjee", 2, "structural_eq3", 0)
         with pytest.raises(InsufficientSamples) as err:
-            agents.execution_runner(plan, "MonteCarlo")
+            agents.execution_runner(plan, "MonteCarlo", 10_000)
         patched = agents.debugger_fix(plan, err.value)
         assert patched.n_samples >= 10
-        obs = agents.execution_runner(patched, "MonteCarlo")
+        obs = agents.execution_runner(patched, "MonteCarlo", 10_000)
         assert obs.evaluations_used == patched.n_samples
 
     @pytest.mark.parametrize("estimator", sorted(catalog.SA_ESTIMATORS))
     def test_debugger_patch_passes_the_inspector(self, estimator):
-        # The Debugger patches to the one floor the Inspector checks.
+        # The Debugger patches to the one floor that a decision clamps up
+        # to and the Inspector then holds the plan to.
         for model in estimators.benchmark_catalog().values():
             ps = build_problem_scheme({"task": "SA", "model_id": model.id,
                                        "d_in": model.d_in,
                                        "d_out": model.d_out,
                                        "n_budget": 10_000})
-            ms = _ms(ps, estimator, n=2)
+            floor = catalog.estimator_info(estimator).min_samples(model.d_in)
+            ms = _ms(ps, estimator, n=floor)
             plan = ExecutionPlan(estimator, 2, model.id, 0)
             patched = agents.debugger_fix(plan, InsufficientSamples("low"))
             assert agents.inspector_check(plan, ms)
             assert agents.inspector_check(patched, ms) == ()
-            assert patched.n_samples == catalog.estimator_info(
-                estimator).min_samples(model.d_in)
+            assert patched.n_samples == floor
+
+    def test_runner_takes_the_budget_with_no_default(self):
+        budget = inspect.signature(agents.execution_runner).parameters[
+            "n_budget"]
+        assert budget.default is inspect.Parameter.empty
+
+    @pytest.mark.parametrize("estimator", sorted(catalog.SA_ESTIMATORS))
+    def test_runner_refuses_an_oversized_plan_before_evaluating(
+            self, estimator, monkeypatch):
+        # One sample over the cap is refused before the model sees a
+        # single row; the cap itself runs within the budget.
+        model = estimators.get_model("g_function_8d")
+        rows = []
+
+        def evaluate(x):
+            rows.append(len(x))
+            return model.evaluate(x)
+        monkeypatch.setattr(agents, "get_model", lambda model_id: replace(
+            model, evaluate=evaluate))
+        info = catalog.estimator_info(estimator)
+        cap = info.max_samples(8, 10_000)
+        plan = ExecutionPlan(estimator, cap + 1, model.id, 0)
+        with pytest.raises(OverBudget) as err:
+            agents.execution_runner(plan, "MonteCarlo", 10_000)
+        assert err.value.n_budget == 10_000
+        assert rows == []
+        obs = agents.execution_runner(replace(plan, n_samples=cap),
+                                      "MonteCarlo", 10_000)
+        assert obs.evaluations_used == info.cost(cap, 8) <= 10_000
+
+    @pytest.mark.parametrize("estimator", sorted(catalog.SA_ESTIMATORS))
+    def test_debugger_patches_an_oversized_plan_to_the_budget(self,
+                                                              estimator):
+        # The patch is the largest size the budget pays for, and on a
+        # budget that makes the row feasible it is at least the floor.
+        info = catalog.estimator_info(estimator)
+        for model in estimators.benchmark_catalog().values():
+            plan = ExecutionPlan(estimator, 10**9, model.id, 0)
+            for budget in (info.n_min(model.d_in), 8000, 12_345):
+                patched = agents.debugger_fix(plan,
+                                              OverBudget("over", budget))
+                n = patched.n_samples
+                assert info.cost(n, model.d_in) <= budget \
+                    < info.cost(n + 1, model.d_in)
+                if budget >= info.n_min(model.d_in):
+                    assert n >= info.min_samples(model.d_in)
 
     def test_debugger_unknown_error_unrecoverable(self):
         # An error with no patch rule is raised again as it is.

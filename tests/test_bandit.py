@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from driftguard import action_space, bandit
+from driftguard import action_space, bandit, catalog
 from driftguard.archive import Archive
 from driftguard.errors import InvalidReward
-from driftguard.schemes import build_diagnostic_scheme, build_method_scheme
+from driftguard.estimators import benchmark_catalog, get_model
+from driftguard.schemes import build_diagnostic_scheme, build_method_scheme, \
+    build_problem_scheme
 
 from simenv import canonical_action
 
@@ -221,13 +223,50 @@ class TestSelectAction:
 
     def test_n_samples_only_carries_over_same_estimator(self, ps_eq3):
         default = bandit.default_n_samples("Sobol", ps_eq3)
-        other = self._prev(ps_eq3, "CVM", 999999)
+        other = self._prev(ps_eq3, "CVM", 1200)
         assert self._n_samples(ps_eq3, "Sobol", prev=other) == default
-        same = self._prev(ps_eq3, "Sobol", 999999)
-        assert self._n_samples(ps_eq3, "Sobol", prev=same) == 999999
+        same = self._prev(ps_eq3, "Sobol", 1200)
+        assert self._n_samples(ps_eq3, "Sobol", prev=same) == 1200
         # Below the floor, a carried-over size is clamped up to it.
         same = self._prev(ps_eq3, "Sobol", 1)
         assert self._n_samples(ps_eq3, "Sobol", prev=same) == 500
+
+    def test_sizes_above_the_budget_decide_the_cap(self, ps_eq3):
+        # eq3's budget 8000 pays for 8000 // (4 + 2) = 1333 Sobol samples
+        # and 8000 CVM samples; a carried-over or prescribed size above
+        # that is decided at the cap.
+        same = self._prev(ps_eq3, "Sobol", 999999)
+        assert self._n_samples(ps_eq3, "Sobol", prev=same) == 1333
+        diag = build_diagnostic_scheme(
+            "sampling insufficient at n_samples=5000.", "insufficient_N",
+            prescribed_n_samples=10_000)
+        assert self._n_samples(ps_eq3, "Sobol", diag, same) == 1333
+        assert self._n_samples(ps_eq3, "CVM", diag) == 8000
+
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(model_id=st.sampled_from(sorted(benchmark_catalog())),
+           budget=st.integers(10, 10**7), size=st.integers(1, 10**9))
+    def test_decided_size_lies_within_floor_and_budget(self, model_id,
+                                                       budget, size):
+        # Whatever the source of the size, default, carried over or
+        # prescribed, a decision on any feasible estimator lies between
+        # its floor and the budget's cap, and so costs at most the budget.
+        model = get_model(model_id)
+        ps = build_problem_scheme({"task": "SA", "model_id": model_id,
+                                   "d_in": model.d_in, "d_out": model.d_out,
+                                   "n_budget": budget})
+        diag = build_diagnostic_scheme("sampling insufficient.",
+                                       "insufficient_N",
+                                       prescribed_n_samples=size)
+        for estimator in ps.feasible_sa_estimators:
+            info = catalog.estimator_info(estimator)
+            prev = self._prev(ps, estimator, size)
+            for n in (self._n_samples(ps, estimator),
+                      self._n_samples(ps, estimator, prev=prev),
+                      self._n_samples(ps, estimator, diag, prev)):
+                assert info.min_samples(model.d_in) <= n \
+                    <= budget // info.cost_multiplier(model.d_in)
+                assert info.cost(n, model.d_in) <= budget
 
     def test_novelty_penalty_flagged(self, ps_eq3):
         st_ = bandit.PolicyState()

@@ -11,7 +11,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from driftguard import action_space, bandit, catalog
 from driftguard.action_space import ActionTuple
-from driftguard.errors import DriftguardError, UnknownEstimator
+from driftguard.errors import DriftguardError, InvalidProblem, \
+    UnknownEstimator
 from driftguard.schemes import DIST_FAMILIES, ProblemScheme, \
     build_problem_scheme
 
@@ -120,13 +121,14 @@ def _feasible(desc) -> dict[str, bool]:
     return {e: e in ps.feasible_sa_estimators for e in catalog.SA_ESTIMATORS}
 
 
-# The feasibility rules as the catalog first stated them, one per
-# estimator; the oracle below applies them action by action.
+# The feasibility rules written out, one per estimator; the oracle below
+# applies them action by action.  Every row is budget-gated.
 _RULES = {
     "Sobol": lambda ps, thr: ps.n_budget >= 500 * (ps.d_in + 2),
-    "Chatterjee": lambda ps, thr: True,
+    "Chatterjee": lambda ps, thr: ps.n_budget >= 10,
     "CVM": lambda ps, thr: ps.n_budget >= 500 * (ps.d_in + 2),
-    "Morris": lambda ps, thr: ps.d_in >= thr,
+    "Morris": lambda ps, thr:
+        ps.d_in >= thr and ps.n_budget >= 10 * (ps.d_in + 1),
     "PCE_SA": lambda ps, thr: ps.n_budget >= 500 * ps.d_in,
     "Generalized_Sobol": lambda ps, thr:
         ps.d_out > 1 and ps.n_budget >= 500 * (ps.d_in + 2),
@@ -201,7 +203,26 @@ class TestFeasibility:
         feasible = action_space.filter_feasible(ps_g8)
         assert [a for a in everything if a in set(feasible)] == feasible
 
-    @pytest.mark.parametrize("estimator", ["Sobol", "CVM", "PCE_SA"])
+    def test_budget_under_every_minimum_is_refused(self):
+        # Chatterjee's ten runs are the smallest minimum of any row.
+        assert _feasible({**EQ3_PROBLEM, "n_budget": 10}) == {
+            e: e == "Chatterjee" for e in catalog.SA_ESTIMATORS}
+        with pytest.raises(InvalidProblem,
+                           match="no feasible estimator for this problem"):
+            build_problem_scheme({**EQ3_PROBLEM, "n_budget": 9})
+
+    @pytest.mark.parametrize("estimator", catalog.SA_ESTIMATORS)
+    def test_n_min_is_a_multiple_of_the_cost(self, estimator):
+        # So on a feasible row the budget's sample cap is never below the
+        # floor.
+        info = catalog.SA_ESTIMATORS[estimator]
+        for d_in in range(1, 30):
+            assert info.n_min(d_in) % info.cost_multiplier(d_in) == 0
+            assert info.max_samples(d_in, info.n_min(d_in)) \
+                == info.min_samples(d_in)
+
+    @pytest.mark.parametrize("estimator", ["Sobol", "Chatterjee", "CVM",
+                                           "PCE_SA"])
     def test_budget_gate_reads_n_min(self, estimator, monkeypatch):
         # The budget rule holds no minimum of its own: raising an
         # estimator's n_min makes it, and only it, infeasible.
@@ -245,18 +266,22 @@ class TestFeasibility:
                 if a.estimator in rules], where
 
     @hyp_settings(max_examples=60, deadline=None)
-    @given(d_in=st.integers(1, 25), budget=st.integers(10, 200000),
+    @given(d_in=st.integers(1, 25), budget=st.integers(1, 200000),
            d_out=st.integers(1, 5), thr=st.integers(1, 12),
-           edge=st.sampled_from((None, 0, 2)), shift=st.integers(-1, 1))
+           edge=st.sampled_from((None, "pce", "pick_freeze", "chatterjee",
+                                 "morris")),
+           shift=st.integers(-1, 1))
     def test_bits_agree_with_reports(self, d_in, budget, d_out, thr, edge,
                                      shift):
         # Oracle: the per-action rule walk gives the same feasible
         # actions as filter_feasible, and the same estimators as the
-        # problem record.  ``edge`` puts the budget next to the PCE (500 d)
-        # or pick-freeze (500 (d + 2)) minimum, where an off-by-one would
-        # show.
+        # problem record.  ``edge`` puts the budget next to the PCE (500 d),
+        # pick-freeze (500 (d + 2)), Chatterjee (10) or Morris (10 (d + 1))
+        # minimum, where an off-by-one would show.
         if edge is not None:
-            budget = 500 * (d_in + edge) + shift
+            budget = {"pce": 500 * d_in, "pick_freeze": 500 * (d_in + 2),
+                      "chatterjee": 10, "morris": 10 * (d_in + 1)}[edge] \
+                + shift
         # Most of these problems bind no catalog model, so intake would
         # refuse them; the record is built directly.
         with mock.patch.object(catalog, "SCREENING_DIM_THRESHOLD", thr):

@@ -114,6 +114,8 @@ class TestRun:
                                ({"d_in": 9}, "d_in=9"),
                                ({"d_out": 2}, "d_out=2"),
                                ({"n_budget": -5}, "budget"),
+                               # Under every row's minimum (Chatterjee's 10)
+                               ({"n_budget": 9}, "no feasible estimator"),
                                ({"epsilon": 0}, "epsilon"),
                                ({"dist_family": 5}, "incomplete problem"),
                                ({"dist_family": ["Uniform"]},

@@ -457,7 +457,7 @@ class TestDispatch:
     def test_unknown_executor(self, g8):
         plan = ExecutionPlan("Kriging", 100, g8.id, 0)
         with pytest.raises(UnknownEstimator):
-            agents.execution_runner(plan, "MonteCarlo")
+            agents.execution_runner(plan, "MonteCarlo", 10_000)
 
     def test_attributes_and_primary_indices(self, g8):
         res = est.morris(g8, trajectories=10, seed=0)

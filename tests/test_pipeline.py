@@ -9,7 +9,8 @@ from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.archive import Archive
 from driftguard.checkpoints import CHECKPOINT_TABLE, DISABLED, \
     CheckpointResult
-from driftguard.errors import InsufficientSamples, UnknownModel
+from driftguard.errors import InsufficientSamples, OverBudget, \
+    UnknownModel
 from driftguard.estimators import SAResult
 from driftguard.pipeline import (IterationRecord, SessionConfig,
                                  SessionTrace, run_iteration, run_session,
@@ -22,6 +23,7 @@ from simenv import canonical_action
 ALL_OFF = {f"CP{i}": DISABLED for i in range(8)}
 NO_SAMPLES = DriftSpec(kind="field_corruption", target_field="n_samples",
                        replacement_value="1", probability=1.0)
+OVERSIZED = replace(NO_SAMPLES, replacement_value="100000")
 
 
 def _cfg(problem=EQ3_PROBLEM, **kw):
@@ -308,12 +310,13 @@ class TestBlockedSteps:
 
     def test_inspector_rejects_a_plan_the_cosine_passes(self):
         # n_samples=1 reads close to the strategy, but the Inspector finds
-        # it below CVM's minimum; the rebuilt plan restores the strategy's.
+        # it off the decided size; the rebuilt plan restores the strategy's.
         rec = self._first(drift=NO_SAMPLES)
         first, second = self._cps(rec, "CP5")
         assert first.verdict == "block" and first.similarity >= \
             first.threshold
-        assert first.reasons == ("n_samples=1 below the estimator minimum",)
+        assert first.reasons == (
+            "n_samples mismatch: plan runs 1, scheme decides 6000",)
         assert second.passed
         assert f"n_samples={rec.plan.n_samples} " in rec.strategy_text
         assert not rec.failed and rec.observation is not None
@@ -331,6 +334,36 @@ class TestBlockedSteps:
         assert [type(e) for e in patches] == [InsufficientSamples]
         assert (rec.plan.estimator, rec.plan.n_samples) == ("CVM", 3000)
         assert rec.observation.evaluations_used == 3000
+        assert not rec.failed
+
+    def test_inspector_blocks_an_oversized_plan(self):
+        # CVM on eq3 decides 6000 samples; a corruption to 100 000 is
+        # blocked at CP5 and the rebuilt plan runs the decided size.
+        rec = self._first(drift=OVERSIZED)
+        first, second = self._cps(rec, "CP5")
+        assert first.reasons == (
+            "n_samples mismatch: plan runs 100000, scheme decides 6000",)
+        assert second.passed
+        assert (rec.plan.estimator, rec.plan.n_samples) == ("CVM", 6000)
+        assert rec.observation.evaluations_used == 6000
+
+    def test_debugger_patches_an_oversized_plan_to_the_budget(
+            self, monkeypatch):
+        # With CP5 off the oversized plan reaches the runner, which refuses
+        # it before any evaluation; the Debugger's patch spends the whole
+        # budget and no more.
+        patches = []
+        fix = agents.debugger_fix
+
+        def counted_fix(plan, exc):
+            patches.append(exc)
+            return fix(plan, exc)
+        monkeypatch.setattr(agents, "debugger_fix", counted_fix)
+        rec = self._first(drift=OVERSIZED,
+                          checkpoint_overrides={"CP5": DISABLED})
+        assert [type(e) for e in patches] == [OverBudget]
+        assert (rec.plan.estimator, rec.plan.n_samples) == ("CVM", 8000)
+        assert rec.observation.evaluations_used == 8000
         assert not rec.failed
 
     def test_debugger_patches_a_morris_plan_below_two_trajectories(
@@ -359,7 +392,7 @@ class TestBlockedSteps:
                                                    error, runs):
         calls = []
 
-        def crash(plan, scheme):
+        def crash(plan, scheme, n_budget):
             calls.append(plan)
             raise error
         monkeypatch.setattr(agents, "execution_runner", crash)
@@ -460,7 +493,7 @@ class TestLoopReadsItsRecords:
         cfg = _cfg(seed=1, n_max=1)
         observed = run_session(cfg).records[0]
 
-        def crash(plan, scheme):
+        def crash(plan, scheme, n_budget):
             raise UnknownModel("gone")
         with monkeypatch.context() as m:
             m.setattr(agents, "execution_runner", crash)
@@ -604,7 +637,8 @@ class TestTraceSerialization:
                     for e in row["checkpoint_events"] if e["cp_id"] == "CP5"]
 
         assert cp5_events(_cfg(seed=1, n_max=1, drift=NO_SAMPLES)) == [
-            ("block", ["n_samples=1 below the estimator minimum"]),
+            ("block",
+             ["n_samples mismatch: plan runs 1, scheme decides 6000"]),
             ("pass", [])]
         _block_always(monkeypatch, "CP5")
         assert cp5_events(_cfg(seed=1, n_max=1)) == [("block", [])] * 2

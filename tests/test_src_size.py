@@ -22,8 +22,8 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "driftguard")
 
-MAX_LINES = 2937
-MAX_PUBLIC_NAMES = 103
+MAX_LINES = 2973
+MAX_PUBLIC_NAMES = 104
 
 # Modules that ``cli`` does not load yet: ROADMAP item 9 wires ``metrics``
 # into the CLI.
