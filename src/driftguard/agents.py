@@ -16,7 +16,7 @@ import numpy as np
 
 from . import catalog, schemes
 from .errors import InsufficientSamples, OverBudget
-from .estimators import SAResult, get_model
+from .estimators import Design, SAResult, get_model
 from .schemes import MethodScheme, ProblemScheme, check_field_types
 
 #: drift kind -> the plan field it rewrites
@@ -168,19 +168,25 @@ def inspector_check(plan: ExecutionPlan, ms: MethodScheme) -> tuple[str, ...]:
     return ()
 
 
-def execution_runner(plan: ExecutionPlan, sampling: str,
-                     n_budget: int) -> SAResult:
+def execution_runner(plan: ExecutionPlan, sampling: str, n_budget: int,
+                     designs: dict) -> SAResult:
     """Run the plan's estimator through its catalog row at the action's
     sampling level; raises OverBudget, before any model evaluation, when
     the plan costs more than ``n_budget``, and else the estimator's own
-    errors."""
+    errors.  ``designs`` is the session's, one per sampling scheme and level
+    (Morris's walk ignores the level; a Latin hypercube does not nest, so
+    each size has its own), and the result counts the evaluations run."""
     info = catalog.estimator_info(plan.estimator)
     model = get_model(plan.model_id)
     cost = info.cost(plan.n_samples, model.d_in)
     if cost > n_budget:
         raise OverBudget(f"n_samples={plan.n_samples} costs {cost} "
                          f"evaluations, over the budget {n_budget}", n_budget)
-    return info.execute(model, plan.n_samples, plan.seed, sampling)
+    level = "" if info.sampling_scheme == "trajectories" else sampling
+    key = (info.sampling_scheme, level,
+           plan.n_samples if level == "LatinHypercube" else 0)
+    return info.execute(model, plan.n_samples, plan.seed, sampling,
+                        designs.setdefault(key, Design()))
 
 
 def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:

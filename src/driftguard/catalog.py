@@ -30,9 +30,10 @@ class EstimatorInfo:
     sampling_scheme: str
     n_min: Callable[[int], int]     # minimum evaluations for d_in inputs
     cost_multiplier: Callable[[int], int]  # evaluations per sample
-    # (model, n, seed, sampling scheme) -> SAResult.  Each executor looks
-    # its ``estimators`` function up when called, so a function swapped on
-    # the module is the one that runs.
+    # (model, n, seed, sampling scheme, session design) -> SAResult.  Each
+    # executor looks its ``estimators`` function up when called, so a
+    # function swapped on the module is the one that runs.  The simulated
+    # rows ignore the design.
     execute: Callable
     library_class: str
     # Feasibility rules a row may set, on top of the budget rule every row
@@ -75,8 +76,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             bindings=("first_order_indices", "total_order_indices"),
             sampling_scheme="pick-freeze",
             n_min=lambda d: 500 * (d + 2), cost_multiplier=lambda d: d + 2,
-            execute=lambda m, n, seed, scheme: estimators.sobol_saltelli(
-                m, n, seed, scheme),
+            execute=lambda *args: estimators.sobol_saltelli(*args),
             library_class="SobolSensitivity",
             keywords=("sobol variance decomposition saltelli pick freeze "
                       "first order total order indices jansen"),
@@ -85,8 +85,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             id="Chatterjee", index_type="rank_based",
             bindings=("chatterjee_indices",), sampling_scheme="single-loop",
             n_min=lambda d: 10, cost_multiplier=lambda d: 1,
-            execute=lambda m, n, seed, scheme: estimators.chatterjee(
-                m, n, seed, scheme),
+            execute=lambda *args: estimators.chatterjee(*args),
             library_class="ChatterjeeSensitivity",
             keywords=("chatterjee rank correlation coefficient moment free "
                       "xi nonparametric distribution free"),
@@ -95,8 +94,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             id="CVM", index_type="rank_based",
             bindings=("first_order_indices",), sampling_scheme="single-loop",
             n_min=lambda d: 500 * (d + 2), cost_multiplier=lambda d: 1,
-            execute=lambda m, n, seed, scheme: estimators.cvm(
-                m, n, seed, scheme),
+            execute=lambda *args: estimators.cvm(*args),
             library_class="CramerVonMisesSensitivity",
             keywords=("cramer von mises rank statistic moment free "
                       "empirical distribution indices"),
@@ -109,7 +107,8 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             bindings=("mu_star", "sigma_effects"),
             sampling_scheme="trajectories",
             n_min=lambda d: 10 * (d + 1), cost_multiplier=lambda d: d + 1,
-            execute=lambda m, n, seed, scheme: estimators.morris(m, n, seed),
+            execute=lambda m, n, seed, scheme, design: estimators.morris(
+                m, n, seed, design),
             library_class="MorrisSensitivity", high_d_only=True,
             keywords=("morris elementary effects screening trajectories "
                       "mu star sigma winding stairs grid levels"),
@@ -119,8 +118,8 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             bindings=("first_order_indices", "total_order_indices"),
             sampling_scheme="regression",
             n_min=lambda d: 500 * d, cost_multiplier=lambda d: 1,
-            execute=lambda m, n, seed, scheme: estimators.pce_sa_simulated(
-                m, n, seed),
+            execute=lambda m, n, seed, scheme, design:
+                estimators.pce_sa_simulated(m, n, seed),
             library_class="PCESensitivity", simulated=True,
             keywords=("polynomial chaos expansion surrogate spectral "
                       "coefficients regression sobol analytic"),
@@ -130,7 +129,7 @@ SA_ESTIMATORS: dict[str, EstimatorInfo] = {
             bindings=("first_order_indices", "total_order_indices"),
             sampling_scheme="pick-freeze",
             n_min=lambda d: 500 * (d + 2), cost_multiplier=lambda d: d + 2,
-            execute=lambda m, n, seed, scheme:
+            execute=lambda m, n, seed, scheme, design:
                 estimators.generalized_sobol_simulated(m, n, seed),
             library_class="GeneralizedSobolSensitivity",
             multi_output_only=True, simulated=True,

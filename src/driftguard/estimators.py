@@ -6,7 +6,9 @@ winding-stairs screening.  Spectral (PCE_SA) and multi-output
 (Generalized_Sobol) executors are simulated: they return analytic reference
 indices perturbed by seeded noise, while their scheme plumbing stays real.
 Every run returns an ``SAResult``, whose index vectors carry the one name
-that plans, texts and the catalog use for them.
+that plans, texts and the catalog use for them.  A session keeps one
+``Design`` per sampling scheme and level, so a real estimator evaluates only
+the rows its design lacks, and ``evaluations_used`` counts those.
 """
 
 from __future__ import annotations
@@ -245,42 +247,75 @@ def _nan_stats(*vectors) -> tuple[int, bool]:
     return nan_count, negvar
 
 
+def _output(m: BenchmarkModel, x: np.ndarray) -> np.ndarray:
+    """The model's first output at each row of ``x``."""
+    return np.asarray(m.evaluate(x), dtype=float).reshape(len(x), -1)[:, 0]
+
+
+@dataclass
+class Design:
+    """A session's sample for one sampling scheme and level.  The first run
+    opens its streams from that run's seed and draws what a direct call
+    draws; a later run at n reads the first n rows, and draws and evaluates
+    only those the design lacks by continuing the streams.  Each array
+    holds one sample per position of its last axis."""
+
+    streams: object = None
+    rows: tuple = ()
+
+    def take(self, n: int, seed: int, draw,
+             open_streams=np.random.default_rng) -> tuple[tuple, int]:
+        """The first n rows, and how many of them this call evaluated."""
+        held = self.rows[0].shape[-1] if self.rows else 0
+        self.streams = self.streams or open_streams(seed)
+        if n > held:
+            new = draw(self.streams, n - held)
+            self.rows = tuple(np.concatenate(pair, axis=-1)
+                              for pair in zip(self.rows, new)) or new
+        return tuple(r[..., :n] for r in self.rows), max(0, n - held)
+
+
 # ---------------------------------------------------------------------------
 # Sobol pick-freeze
 
-def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
-                   scheme: str) -> SAResult:
+def sobol_saltelli(m: BenchmarkModel, n: int, seed: int, scheme: str,
+                   design: Design | None = None) -> SAResult:
     """First-order (Saltelli 2010) and total-order (Jansen) Sobol indices.
 
     Cost is n*(d_in + 2) model evaluations over two independent sample
-    matrices plus d_in hybrids.
+    matrices plus d_in hybrids.  A design's next block draws xa and then
+    xb from its one stream, as its first block did.
     """
     if n < 2:
         raise InsufficientSamples("pick-freeze requires n >= 2")
-    rng = np.random.default_rng(seed)
     d = m.d_in
-    # transform maps each column on its own, so a hybrid of xa and xb has
-    # the bits of the transformed unit-space hybrid.
-    xa = m.sample_inputs(n, rng, scheme)
-    xb = m.sample_inputs(n, rng, scheme)
-    fa = np.asarray(m.evaluate(xa), dtype=float).reshape(n, -1)[:, 0]
-    fb = np.asarray(m.evaluate(xb), dtype=float).reshape(n, -1)[:, 0]
-    total = np.concatenate([fa, fb])
-    var = float(np.var(total, ddof=1))
+
+    def draw(rng, k):
+        # transform maps each column on its own, so a hybrid of xa and xb
+        # has the bits of the transformed unit-space hybrid.
+        xa = m.sample_inputs(k, rng, scheme)
+        xb = m.sample_inputs(k, rng, scheme)
+        f = np.empty((d + 2, k))
+        f[0], f[1] = _output(m, xa), _output(m, xb)
+        for i in range(d):
+            xabi = xa.copy()
+            xabi[:, i] = xb[:, i]
+            f[2 + i] = _output(m, xabi)
+        return (f,)
+    (f,), evaluated = (design or Design()).take(n, seed, draw)
+    fa, fb = f[:2]
+    var = float(np.var(np.concatenate([fa, fb]), ddof=1))
     warnings = []
     if var < _DEGENERATE_VAR:
         undefined = (float("nan"),) * d
         warnings.append("degenerate output variance; indices undefined")
         return SAResult(estimator="Sobol", first_order_indices=undefined,
                         total_order_indices=undefined,
-                        evaluations_used=n * (d + 2),
+                        evaluations_used=evaluated * (d + 2),
                         warnings=tuple(warnings),
                         nan_count=2 * d, negative_variance_flag=False)
     s1_list, st_list = [], []
-    for i in range(d):
-        xabi = xa.copy()
-        xabi[:, i] = xb[:, i]
-        fabi = np.asarray(m.evaluate(xabi), dtype=float).reshape(n, -1)[:, 0]
+    for fabi in f[2:]:
         v_i = float(np.mean(fb * (fabi - fa)))           # Saltelli 2010
         vt_i = float(np.mean((fa - fabi) ** 2) / 2.0)     # Jansen
         s1_list.append(v_i / var)
@@ -293,7 +328,7 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int,
     return SAResult(estimator="Sobol",
                     first_order_indices=tuple(s1_list),
                     total_order_indices=tuple(st_list),
-                    evaluations_used=n * (d + 2),
+                    evaluations_used=evaluated * (d + 2),
                     warnings=tuple(warnings), nan_count=nan_count,
                     negative_variance_flag=negvar)
 
@@ -318,8 +353,18 @@ def _xi_statistic(x: np.ndarray, y_ranks: np.ndarray) -> float:
     return 1.0 - 3.0 * float(np.abs(np.diff(r)).sum()) / (n * n - 1.0)
 
 
-def chatterjee(m: BenchmarkModel, n: int, seed: int,
-               scheme: str) -> SAResult:
+def _single_loop(m: BenchmarkModel, n: int, seed: int, scheme: str,
+                 design: Design | None) -> tuple[tuple, int]:
+    """The first n rows of the single-loop sample that Chatterjee and CVM
+    share, (each input's values, the outputs), and the rows evaluated."""
+    def draw(rng, k):
+        x = m.sample_inputs(k, rng, scheme)
+        return x.T, _output(m, x)
+    return (design or Design()).take(n, seed, draw)
+
+
+def chatterjee(m: BenchmarkModel, n: int, seed: int, scheme: str,
+               design: Design | None = None) -> SAResult:
     """Chatterjee's xi for every input from a single n-sample design.
 
     Ties are broken by midranks; small-sample values may be slightly
@@ -327,18 +372,17 @@ def chatterjee(m: BenchmarkModel, n: int, seed: int,
     """
     if n < 10:
         raise InsufficientSamples("chatterjee requires n >= 10")
-    rng = np.random.default_rng(seed)
-    x = m.sample_inputs(n, rng, scheme)
-    y = np.asarray(m.evaluate(x), dtype=float).reshape(n, -1)[:, 0]
+    (x, y), evaluated = _single_loop(m, n, seed, scheme, design)
     y_ranks = _midranks(y)
-    xi = tuple(_xi_statistic(x[:, i], y_ranks) for i in range(m.d_in))
+    xi = tuple(_xi_statistic(column, y_ranks) for column in x)
     nan_count, _ = _nan_stats(xi)
     return SAResult(estimator="Chatterjee", chatterjee_indices=xi,
-                    evaluations_used=n,
+                    evaluations_used=evaluated,
                     nan_count=nan_count)
 
 
-def cvm(m: BenchmarkModel, n: int, seed: int, scheme: str) -> SAResult:
+def cvm(m: BenchmarkModel, n: int, seed: int, scheme: str,
+        design: Design | None = None) -> SAResult:
     """Rank-based first-order indices from a single n-sample design.
 
     Sorting by each input and correlating neighboring outputs estimates
@@ -348,29 +392,26 @@ def cvm(m: BenchmarkModel, n: int, seed: int, scheme: str) -> SAResult:
     """
     if n < 10:
         raise InsufficientSamples("cvm requires n >= 10")
-    rng = np.random.default_rng(seed)
-    x = m.sample_inputs(n, rng, scheme)
-    y = np.asarray(m.evaluate(x), dtype=float).reshape(n, -1)[:, 0]
+    (x, y), evaluated = _single_loop(m, n, seed, scheme, design)
     mean = float(np.mean(y))
     var = float(np.var(y, ddof=1))
     warnings = []
     if var < _DEGENERATE_VAR:
         return SAResult(estimator="CVM",
                         first_order_indices=(float("nan"),) * m.d_in,
-                        evaluations_used=n,
+                        evaluations_used=evaluated,
                         warnings=("degenerate output variance",),
                         nan_count=m.d_in)
     s1 = []
-    for i in range(m.d_in):
-        order = _stable_order(x[:, i])
-        ys = y[order]
+    for column in x:
+        ys = y[_stable_order(column)]
         v_i = float(np.mean(ys[:-1] * ys[1:])) - mean * mean
         s1.append(v_i / var)
     nan_count, negvar = _nan_stats(s1)
     if negvar:
         warnings.append("negative variance contribution detected")
     return SAResult(estimator="CVM", first_order_indices=tuple(s1),
-                    evaluations_used=n,
+                    evaluations_used=evaluated,
                     warnings=tuple(warnings), nan_count=nan_count,
                     negative_variance_flag=negvar)
 
@@ -378,7 +419,8 @@ def cvm(m: BenchmarkModel, n: int, seed: int, scheme: str) -> SAResult:
 # ---------------------------------------------------------------------------
 # Morris screening
 
-def morris(m: BenchmarkModel, trajectories: int, seed: int) -> SAResult:
+def morris(m: BenchmarkModel, trajectories: int, seed: int,
+           design: Design | None = None) -> SAResult:
     """Morris elementary effects via winding-stairs trajectories on a
     4-level grid, step delta = 2/3; cost is trajectories*(d_in+1)
     evaluations.
@@ -388,39 +430,44 @@ def morris(m: BenchmarkModel, trajectories: int, seed: int) -> SAResult:
     evaluated in blocks of at most _MORRIS_BLOCK_POINTS points, one model
     call per block; as each stream is drawn block after block and a model
     evaluates each row on its own, the result does not depend on the block
-    size and has the same bits as evaluating point by point.
+    size and has the same bits as evaluating point by point.  For the same
+    reason a design extends by continuing both streams.
     """
     if trajectories < 2:
         raise InsufficientSamples("morris requires >= 2 trajectories")
-    base_rng, order_rng = np.random.default_rng(seed).spawn(2)
     d = m.d_in
     # The grid is 0, 1/3, 2/3, 1; a base is one of the two levels a step of
     # delta stays on, and base + delta <= 1.0 holds exactly, so each step is up.
     delta = 2 / 3
     low = np.array([0.0, 1 / 3])
     warnings = ("single-input screening is pointless",) if d == 1 else ()
-    # Row i holds input i's effects in trajectory order, contiguous, so the
-    # mean and std below sum in the same order as over a per-input list.
-    effects = np.empty((d, trajectories))
     per_block = max(1, _MORRIS_BLOCK_POINTS // (d + 1))
     steps = np.arange(d + 1)[:, None]
-    for start in range(0, trajectories, per_block):
-        k = min(per_block, trajectories - start)
-        base = low[base_rng.integers(low.size, size=(k, d))]
-        order = order_rng.permuted(np.tile(np.arange(d), (k, 1)), axis=1)
-        stepped = base + delta
-        # Point j of a trajectory has moved the first j inputs of its order.
-        moved = np.argsort(order, axis=1)[:, None, :] < steps
-        points = np.where(moved, stepped[:, None, :], base[:, None, :])
-        y = np.asarray(m.evaluate(m.transform(points.reshape(-1, d))),
-                       dtype=float).reshape(k * (d + 1), -1)[:, 0]
-        effects[order, np.arange(start, start + k)[:, None]] = (
-            np.diff(y.reshape(k, d + 1), axis=1) / delta)
+
+    def draw(streams, count):
+        # Row i holds input i's effects in trajectory order, contiguous, so
+        # the mean and std below sum in the order of a per-input list.
+        base_rng, order_rng = streams
+        effects = np.empty((d, count))
+        for start in range(0, count, per_block):
+            k = min(per_block, count - start)
+            base = low[base_rng.integers(low.size, size=(k, d))]
+            order = order_rng.permuted(np.tile(np.arange(d), (k, 1)), axis=1)
+            stepped = base + delta
+            # Point j has moved the first j inputs of its trajectory's order.
+            moved = np.argsort(order, axis=1)[:, None, :] < steps
+            points = np.where(moved, stepped[:, None, :], base[:, None, :])
+            y = _output(m, m.transform(points.reshape(-1, d)))
+            effects[order, np.arange(start, start + k)[:, None]] = (
+                np.diff(y.reshape(k, d + 1), axis=1) / delta)
+        return (effects,)
+    (effects,), evaluated = (design or Design()).take(
+        trajectories, seed, draw, lambda s: np.random.default_rng(s).spawn(2))
     mu_star = tuple(float(np.mean(np.abs(e))) for e in effects)
     sigma = tuple(float(np.std(e, ddof=1)) for e in effects)
     nan_count, _ = _nan_stats(mu_star, sigma)
     return SAResult(estimator="Morris", mu_star=mu_star, sigma_effects=sigma,
-                    evaluations_used=trajectories * (d + 1),
+                    evaluations_used=evaluated * (d + 1),
                     warnings=warnings, nan_count=nan_count)
 
 

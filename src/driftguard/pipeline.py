@@ -15,7 +15,10 @@ re-selects once.
 ``n_budget`` limits each executed plan: the policy clamps a sample size
 between the estimator's floor and the budget's cap, the Inspector holds the
 plan to it, and the runner refuses a costlier plan before any model
-evaluation, which the Debugger patches to the cap.
+evaluation, which the Debugger patches to the cap.  A session keeps one
+design per sampling scheme and level, so a rerun evaluates only the rows
+its design lacks; ``observation.evaluations_used`` counts the evaluations
+executed, and the reward, the Advisor and CP6 read the plan's cost.
 
 The Advisor hands over the diagnosis, whose prose CP6 reads. Each fact has
 one home: a record holds its method scheme and reward breakdown, and a trace
@@ -29,7 +32,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from . import action_space, agents, bandit, reward as reward_mod
+from . import action_space, agents, bandit, catalog, reward as reward_mod
 from .agents import DriftSpec, ExecutionPlan
 from .archive import Archive
 from .checkpoints import CHECKPOINT_TABLE, DISABLED, CheckpointManager, \
@@ -120,6 +123,8 @@ class SessionTrace:
     cp0: CP0Result = CP0Result(0.0, "none", None, "explore_max", False)
     policy_snapshot: dict | None = None
     abort_reason: str = ""
+    # The session's designs, by sampling scheme and level; never written.
+    designs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def session_id(self) -> str:
@@ -157,6 +162,14 @@ def submartingale_flags(prev_reward: float | None, total: float,
     if obs is not None and obs.negative_variance_flag:
         flags.append("negative variance contribution observed")
     return tuple(flags)
+
+
+def _at_plan_cost(plan: ExecutionPlan,
+                  obs: SAResult | None) -> SAResult | None:
+    """``obs`` counting the evaluations its estimate rests on, the plan's
+    cost: a run a design served scores what the same estimate scores fresh."""
+    return obs and replace(obs, evaluations_used=catalog.estimator_info(
+        plan.estimator).cost(plan.n_samples, get_model(plan.model_id).d_in))
 
 
 def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
@@ -255,27 +268,30 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
     # (execution) Runner; a failed run gets one Debugger patch and one more
     # try. A second failure or an unpatchable error is scored as a crash.
     try:
-        obs = agents.execution_runner(plan, ms.action.sampling, ps.n_budget)
+        obs = agents.execution_runner(plan, ms.action.sampling, ps.n_budget,
+                                      trace.designs)
     except DriftguardError as exc:
         try:
             plan = agents.debugger_fix(plan, exc)
             obs = agents.execution_runner(plan, ms.action.sampling,
-                                          ps.n_budget)
+                                          ps.n_budget, trace.designs)
         except DriftguardError:
             obs = None
 
-    # (evaluation) Reward, Advisor, CP6.
+    # (evaluation) Reward, Advisor, CP6, on the estimate at its plan's cost.
+    estimate = _at_plan_cost(plan, obs)
     breakdown = reward_mod.score(
-        ms, obs, model=get_model(ps.model_id), epsilon=ps.epsilon,
-        prev_obs=next((r.observation for r in reversed(learned)
+        ms, estimate, model=get_model(ps.model_id), epsilon=ps.epsilon,
+        prev_obs=next((_at_plan_cost(r.plan, r.observation)
+                       for r in reversed(learned)
                        if r.observation is not None
                        and r.plan.estimator == plan.estimator), None))
     diag = agents.advisor_report(
-        ms, plan, obs, breakdown, ps, cfg.r_threshold,
+        ms, plan, estimate, breakdown, ps, cfg.r_threshold,
         avoid=frozenset(r.method.estimator for r in learned
                         if r.diagnostic.block_action))
     if obs is not None:
-        gate("CP6", similarity(agents.render_observation_text(obs),
+        gate("CP6", similarity(agents.render_observation_text(estimate),
                                diag.physical_insight))
 
     policy.update(bandit.encode_features(ps, ms.action), breakdown.total,

@@ -65,6 +65,7 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
           prev_obs: SAResult | None = None) -> RewardBreakdown:
     """Score one observation against its decided method scheme.
 
+    ``evaluations_used`` is read as the evaluations an estimate rests on.
     A crashed execution (obs None) zeroes everything but the warning list.
     Missing required attributes synthesize critical warnings, zero the
     execution sub-score, and void the vacuous-pass rule for consistency
@@ -85,16 +86,17 @@ def score(ms: MethodScheme, obs: SAResult | None, *,
     warn_pts = _INTEGRITY_WARNINGS if not criticals else 0.0
     integrity = exec_pts + attr_pts + warn_pts
 
-    # Accuracy: precision against an analytic reference when one exists for
-    # the produced index type, else binary self-convergence; plus structural
-    # consistency of the index vectors.
+    # Accuracy: precision against an analytic reference for the produced
+    # index type, else binary self-convergence on more evaluations than the
+    # last estimate's; plus structural consistency of the index vectors.
     precision = 0.0
     s1 = obs.first_order_indices
     if s1 is not None and model is not None and model.analytic_s1 is not None:
         mae = _mae(np.nan_to_num(np.asarray(s1), nan=1.0), model.analytic_s1)
         precision = _ACCURACY_PRECISION * max(
             0.0, 1.0 - mae / max(epsilon, 1e-12))
-    elif prev_obs is not None and prev_obs.estimator == obs.estimator:
+    elif prev_obs is not None and prev_obs.estimator == obs.estimator \
+            and obs.evaluations_used > prev_obs.evaluations_used:
         cur, prev = obs.primary_indices(), prev_obs.primary_indices()
         if cur is not None and prev is not None and len(cur) == len(prev):
             delta = float(np.max(np.abs(np.asarray(cur) - np.asarray(prev))))

@@ -101,7 +101,7 @@ class TestInspector:
 class TestExecutionAndDebugger:
     def test_runner_executes_plan(self):
         plan = ExecutionPlan("Chatterjee", 200, "structural_eq3", 3)
-        obs = agents.execution_runner(plan, "MonteCarlo", 10_000)
+        obs = agents.execution_runner(plan, "MonteCarlo", 10_000, {})
         assert obs.estimator == "Chatterjee"
         assert obs.evaluations_used == 200
 
@@ -121,7 +121,7 @@ class TestExecutionAndDebugger:
 
         monkeypatch.setattr(estimators, function, spy)
         plan = ExecutionPlan(estimator, 200, "g_function_8d", 3)
-        obs = agents.execution_runner(plan, "MonteCarlo", 10_000)
+        obs = agents.execution_runner(plan, "MonteCarlo", 10_000, {})
         assert obs.estimator == estimator
         assert calls == [function]
 
@@ -132,17 +132,17 @@ class TestExecutionAndDebugger:
         # The sampling level changes what executes only for the estimators
         # that draw their own design; the rest ignore it.
         plan = ExecutionPlan(estimator, 200, "g_function_8d", 3)
-        mc, lhs = (agents.execution_runner(plan, s, 10_000).attributes()
+        mc, lhs = (agents.execution_runner(plan, s, 10_000, {}).attributes()
                    for s in catalog.SAMPLING_LEVELS)
         assert (mc != lhs) == reached
 
     def test_debugger_patches_sample_size(self):
         plan = ExecutionPlan("Chatterjee", 2, "structural_eq3", 0)
         with pytest.raises(InsufficientSamples) as err:
-            agents.execution_runner(plan, "MonteCarlo", 10_000)
+            agents.execution_runner(plan, "MonteCarlo", 10_000, {})
         patched = agents.debugger_fix(plan, err.value)
         assert patched.n_samples >= 10
-        obs = agents.execution_runner(patched, "MonteCarlo", 10_000)
+        obs = agents.execution_runner(patched, "MonteCarlo", 10_000, {})
         assert obs.evaluations_used == patched.n_samples
 
     @pytest.mark.parametrize("estimator", sorted(catalog.SA_ESTIMATORS))
@@ -184,11 +184,11 @@ class TestExecutionAndDebugger:
         cap = info.max_samples(8, 10_000)
         plan = ExecutionPlan(estimator, cap + 1, model.id, 0)
         with pytest.raises(OverBudget) as err:
-            agents.execution_runner(plan, "MonteCarlo", 10_000)
+            agents.execution_runner(plan, "MonteCarlo", 10_000, {})
         assert err.value.n_budget == 10_000
         assert rows == []
         obs = agents.execution_runner(replace(plan, n_samples=cap),
-                                      "MonteCarlo", 10_000)
+                                      "MonteCarlo", 10_000, {})
         assert obs.evaluations_used == info.cost(cap, 8) <= 10_000
 
     @pytest.mark.parametrize("estimator", sorted(catalog.SA_ESTIMATORS))

@@ -505,6 +505,32 @@ class TestAblate:
         assert not list(tmp_path.glob("*.trace.jsonl"))
         assert not (tmp_path / "archive.json").exists()
 
+    def test_a_cell_writes_the_bytes_of_its_own_run(self, tmp_path):
+        # Designs live and die with their session: a grid whose two
+        # conditions run the same session at one seed writes, for the
+        # later cell, the bytes that session writes alone.
+        grid = {"problem": EQ3_PROBLEM, "n_max": 5, "seeds": [1],
+                "session_id": "iso", "record_to_archive": False,
+                "conditions": [{"name": "first"}, {"name": "later"}]}
+        assert main(["ablate", "--config", _write(tmp_path, grid), "--out",
+                     str(tmp_path / "grid"), "--quiet"]) == EXIT_OK
+        alone = {"problem": EQ3_PROBLEM, "n_max": 5, "seed": 1,
+                 "session_id": "iso-later-s1", "record_to_archive": False}
+        assert main(["run", "--config", _write(tmp_path, alone, "run.json"),
+                     "--out", str(tmp_path / "run"), "--quiet"]) == EXIT_OK
+        name = "iso-later-s1.trace.jsonl"
+        cell = (tmp_path / "grid" / name).read_bytes()
+        assert cell == (tmp_path / "run" / name).read_bytes()
+        assert cell.replace(b"later", b"first") \
+            == (tmp_path / "grid" / "iso-first-s1.trace.jsonl").read_bytes()
+        # The session reruns a design: one run executes fewer evaluations
+        # than its plan costs.
+        rows = [json.loads(line) for line in cell.splitlines()[1:]]
+        assert any(row["observation"]["evaluations_used"]
+                   < catalog.estimator_info(row["plan"]["estimator"]).cost(
+                       row["plan"]["n_samples"], EQ3_PROBLEM["d_in"])
+                   for row in rows if row["observation"])
+
     def test_one_trace_per_row(self, tmp_path):
         with open(os.path.join(CONFIGS, "cp5_swap.json")) as fh:
             doc = json.load(fh)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,6 +153,12 @@ def _sobol_per_hybrid(m, n, seed, scheme="MonteCarlo"):
           if scheme == "LatinHypercube" else rng.random((n, d)))
     ub = (est._latin_hypercube(n, d, rng)
           if scheme == "LatinHypercube" else rng.random((n, d)))
+    return _sobol_from_unit(m, ua, ub)
+
+
+def _sobol_from_unit(m, ua, ub):
+    """The per-hybrid Sobol estimate on the unit-space matrices ua and ub."""
+    n, d = ua.shape
     fa = np.asarray(m.evaluate(m.transform(ua)), dtype=float).reshape(n, -1)[:, 0]
     fb = np.asarray(m.evaluate(m.transform(ub)), dtype=float).reshape(n, -1)[:, 0]
     var = float(np.var(np.concatenate([fa, fb]), ddof=1))
@@ -360,6 +367,156 @@ def _morris_per_point(m, trajectories, seed=0):
                         nan_count=nan_count)
 
 
+# A session keeps one design per sampling scheme and level: Chatterjee and
+# CVM share the single-loop one, Sobol has pick-freeze and Morris
+# trajectories, whose walk ignores the level.  The oracles below run plans
+# through the runner with one session's designs and count the rows the
+# model evaluates.
+_DIRECT = {"Sobol": est.sobol_saltelli, "Chatterjee": est.chatterjee,
+           "CVM": est.cvm,
+           "Morris": lambda m, n, seed, scheme: est.morris(m, n, seed)}
+_DESIGN_MODEL = "cantilever_beam"   # Normal inputs: transform runs _ndtri
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """The model the runner executes, and the rows of each evaluate call."""
+    model = est.get_model(_DESIGN_MODEL)
+    rows = []
+
+    def evaluate(x):
+        rows.append(len(x))
+        return model.evaluate(x)
+    monkeypatch.setattr(agents, "get_model", lambda model_id: replace(
+        model, evaluate=evaluate))
+    return model, rows
+
+
+def _run(designs, estimator, n, seed, level):
+    plan = ExecutionPlan(estimator, n, _DESIGN_MODEL, seed)
+    return agents.execution_runner(plan, level, 10 ** 7, designs)
+
+
+def _estimate_bits(res):
+    """Every field but the evaluations the run executed."""
+    return _fields_bits(replace(res, evaluations_used=0))
+
+
+def _per_sample(estimator):
+    return catalog.estimator_info(estimator).cost_multiplier(4)
+
+
+def _sobol_stream(n_first, n, seed, d=4):
+    """xa and xb of a Monte Carlo pick-freeze design opened at n_first rows
+    and extended to n: each block draws xa and then xb from one stream."""
+    rng = np.random.default_rng(seed)
+    blocks = [(rng.random((k, d)), rng.random((k, d)))
+              for k in (n_first, n - n_first) if k]
+    return (np.concatenate([a for a, _ in blocks]),
+            np.concatenate([b for _, b in blocks]))
+
+
+class TestSessionDesigns:
+    @pytest.mark.parametrize("level", catalog.SAMPLING_LEVELS)
+    @pytest.mark.parametrize("estimator", sorted(_DIRECT))
+    def test_first_run_is_the_direct_call(self, counted, estimator, level):
+        model, rows = counted
+        got = _run({}, estimator, 300, 11, level)
+        assert _fields_bits(got) == _fields_bits(
+            _DIRECT[estimator](model, 300, 11, level))
+        assert sum(rows) == got.evaluations_used \
+            == 300 * _per_sample(estimator)
+
+    @pytest.mark.parametrize("first, then, levels", [
+        ("Chatterjee", "Chatterjee", ("MonteCarlo", "MonteCarlo")),
+        ("Chatterjee", "CVM", ("MonteCarlo", "MonteCarlo")),
+        ("CVM", "Chatterjee", ("MonteCarlo", "MonteCarlo")),
+        ("Morris", "Morris", ("MonteCarlo", "MonteCarlo")),
+        ("Morris", "Morris", ("LatinHypercube", "MonteCarlo"))])
+    def test_a_larger_run_continues_the_stream(self, counted, first, then,
+                                               levels):
+        # Only the missing rows are evaluated, and the estimate is the
+        # direct call at the larger size from the opening seed.
+        model, rows = counted
+        designs = {}
+        _run(designs, first, 120, 5, levels[0])
+        rows.clear()
+        got = _run(designs, then, 300, 6, levels[1])
+        assert sum(rows) == got.evaluations_used \
+            == (300 - 120) * _per_sample(then)
+        assert _estimate_bits(got) == _estimate_bits(
+            _DIRECT[then](model, 300, 5, levels[1]))
+
+    def test_a_larger_sobol_run_adds_a_block(self, counted):
+        model, rows = counted
+        designs = {}
+        _run(designs, "Sobol", 120, 5, "MonteCarlo")
+        rows.clear()
+        got = _run(designs, "Sobol", 300, 6, "MonteCarlo")
+        assert sum(rows) == got.evaluations_used == (300 - 120) * 6
+        assert _estimate_bits(got) == _estimate_bits(
+            _sobol_from_unit(model, *_sobol_stream(120, 300, 5)))
+
+    @pytest.mark.parametrize("estimator", sorted(_DIRECT))
+    def test_a_run_within_the_rows_held_evaluates_nothing(self, counted,
+                                                          estimator):
+        model, rows = counted
+        designs = {}
+        first = _run(designs, estimator, 300, 5, "MonteCarlo")
+        rows.clear()
+        again = _run(designs, estimator, 300, 6, "MonteCarlo")
+        fewer = _run(designs, estimator, 150, 7, "MonteCarlo")
+        assert rows == [] and again.evaluations_used == 0 \
+            and fewer.evaluations_used == 0
+        assert _estimate_bits(again) == _estimate_bits(first)
+        if estimator == "Sobol":
+            xa, xb = _sobol_stream(300, 300, 5)
+            reference = _sobol_from_unit(model, xa[:150], xb[:150])
+        else:
+            reference = _DIRECT[estimator](model, 150, 5, "MonteCarlo")
+        assert _estimate_bits(fewer) == _estimate_bits(reference)
+
+    @pytest.mark.parametrize("first, then", [
+        ("Sobol", "Sobol"), ("Chatterjee", "CVM"), ("CVM", "CVM")])
+    def test_a_latin_hypercube_is_served_only_at_its_size(self, counted,
+                                                          first, then):
+        # A Latin hypercube does not nest: another size draws its own from
+        # its plan's seed, and each size keeps serving its own.
+        model, rows = counted
+        designs = {}
+        opened = _run(designs, first, 200, 5, "LatinHypercube")
+        rows.clear()
+        same = _run(designs, then, 200, 6, "LatinHypercube")
+        assert rows == [] and same.evaluations_used == 0
+        assert _estimate_bits(same) == _estimate_bits(
+            _DIRECT[then](model, 200, 5, "LatinHypercube"))
+        for n, seed in ((300, 7), (100, 8)):
+            rows.clear()
+            other = _run(designs, then, n, seed, "LatinHypercube")
+            assert sum(rows) == other.evaluations_used \
+                == n * _per_sample(then)
+            assert _fields_bits(other) == _fields_bits(
+                _DIRECT[then](model, n, seed, "LatinHypercube"))
+        rows.clear()
+        assert _estimate_bits(_run(designs, first, 200, 9,
+                                   "LatinHypercube")) \
+            == _estimate_bits(opened)
+        assert rows == []
+
+    def test_simulated_rows_leave_the_design_to_the_first_real_run(
+            self, counted):
+        # Generalized_Sobol shares Sobol's sampling scheme but draws
+        # nothing, so the Sobol run after it opens the design from its own
+        # seed.
+        model, rows = counted
+        designs = {}
+        _run(designs, "Generalized_Sobol", 200, 5, "MonteCarlo")
+        assert rows == []
+        got = _run(designs, "Sobol", 200, 6, "MonteCarlo")
+        assert _fields_bits(got) == _fields_bits(
+            est.sobol_saltelli(model, 200, 6, "MonteCarlo"))
+
+
 class TestScipyStatsReplacements:
     """The numpy stand-ins reproduce scipy exactly."""
 
@@ -451,13 +608,13 @@ class TestSimulatedExecutors:
 class TestDispatch:
     def test_catalog_row_routes(self, g8):
         res = catalog.estimator_info("Chatterjee").execute(
-            g8, 100, 0, "MonteCarlo")
+            g8, 100, 0, "MonteCarlo", est.Design())
         assert res.estimator == "Chatterjee"
 
     def test_unknown_executor(self, g8):
         plan = ExecutionPlan("Kriging", 100, g8.id, 0)
         with pytest.raises(UnknownEstimator):
-            agents.execution_runner(plan, "MonteCarlo", 10_000)
+            agents.execution_runner(plan, "MonteCarlo", 10_000, {})
 
     def test_attributes_and_primary_indices(self, g8):
         res = est.morris(g8, trajectories=10, seed=0)
@@ -466,5 +623,5 @@ class TestDispatch:
         assert res.primary_indices() == res.mu_star
         # One table of outputs: every row fills exactly what it lists.
         for row in catalog.SA_ESTIMATORS.values():
-            res = row.execute(g8, 200, 0, "MonteCarlo")
+            res = row.execute(g8, 200, 0, "MonteCarlo", est.Design())
             assert tuple(res.attributes()) == row.bindings, row.id

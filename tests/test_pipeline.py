@@ -4,7 +4,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from driftguard import action_space, agents, bandit, cli, pipeline, reward
+from driftguard import action_space, agents, bandit, catalog, cli, pipeline, \
+    reward
 from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.archive import Archive
 from driftguard.checkpoints import CHECKPOINT_TABLE, DISABLED, \
@@ -17,7 +18,7 @@ from driftguard.pipeline import (IterationRecord, SessionConfig,
                                  submartingale_flags, write_trace)
 from driftguard.schemes import DiagnosticScheme
 
-from conftest import EQ3_PROBLEM, G8_PROBLEM
+from conftest import BEAM_PROBLEM, EQ3_PROBLEM, G8_PROBLEM
 from simenv import canonical_action
 
 ALL_OFF = {f"CP{i}": DISABLED for i in range(8)}
@@ -392,7 +393,7 @@ class TestBlockedSteps:
                                                    error, runs):
         calls = []
 
-        def crash(plan, scheme, n_budget):
+        def crash(plan, scheme, n_budget, designs):
             calls.append(plan)
             raise error
         monkeypatch.setattr(agents, "execution_runner", crash)
@@ -493,7 +494,7 @@ class TestLoopReadsItsRecords:
         cfg = _cfg(seed=1, n_max=1)
         observed = run_session(cfg).records[0]
 
-        def crash(plan, scheme, n_budget):
+        def crash(plan, scheme, n_budget, designs):
             raise UnknownModel("gone")
         with monkeypatch.context() as m:
             m.setattr(agents, "execution_runner", crash)
@@ -515,6 +516,54 @@ class TestLoopReadsItsRecords:
         rec = self._next([observed, crashed], ps_eq3, manager, same)
         assert rec.plan.estimator == estimator
         assert references == [observed.observation]
+
+
+class TestSessionDesigns:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("problem", [BEAM_PROBLEM, EQ3_PROBLEM],
+                             ids=["beam", "eq3"])
+    def test_evaluations_used_are_the_rows_evaluated(self, monkeypatch,
+                                                     problem, seed):
+        # A session evaluates each row of a design once: the real
+        # estimators' evaluations_used add up to the rows its model
+        # evaluated, and every plan costs at most the budget.
+        rows = []
+        real_model = agents.get_model
+
+        def counted(model_id):
+            model = real_model(model_id)
+
+            def evaluate(x):
+                rows.append(len(x))
+                return model.evaluate(x)
+            return replace(model, evaluate=evaluate)
+        monkeypatch.setattr(agents, "get_model", counted)
+        trace = run_session(_cfg(problem, n_max=5, seed=seed))
+        executed = [(catalog.estimator_info(r.plan.estimator), r)
+                    for r in trace.records if r.observation is not None]
+        assert sum(r.observation.evaluations_used for info, r in executed
+                   if not info.simulated) == sum(rows)
+        costs = [info.cost(r.plan.n_samples, problem["d_in"])
+                 for info, r in executed]
+        assert max(costs) <= problem["n_budget"]
+        assert all(r.observation.evaluations_used <= cost
+                   for (_, r), cost in zip(executed, costs))
+
+
+    def test_a_served_run_scores_its_estimate_at_the_plan_cost(self):
+        # eq3 at seed 1 reruns Sobol at 1000 samples on the 1333 its design
+        # holds: the run executes nothing, and the reward's thrift reads
+        # the 6000 evaluations its estimate rests on.
+        trace = run_session(_cfg(n_max=5, seed=1))
+        served = [r for r in trace.records if r.observation is not None
+                  and r.observation.evaluations_used == 0]
+        assert [(r.plan.estimator, r.plan.n_samples) for r in served] \
+            == [("Sobol", 1000)]
+        [rec] = served
+        fresh = reward.score(rec.method, replace(rec.observation,
+                                                 evaluations_used=6000))
+        assert rec.reward.optimality == fresh.optimality > 0.4 * 15
+        assert "0 evaluations" not in rec.diagnostic.physical_insight
 
 
 class TestSubmartingaleFlags:
@@ -581,6 +630,7 @@ class TestTraceSerialization:
         names = {f.name for f in fields(IterationRecord)} \
             | {"mismatch", "reward_total"}
         trace = run_session(_cfg(seed=1))
+        opened = set()
         for rec, row in zip(trace.records, rows(trace), strict=True):
             assert set(row) == names
             assert row["method"]["n_samples"] == rec.method.n_samples
@@ -590,7 +640,14 @@ class TestTraceSerialization:
             assert row["plan"]["n_samples"] == rec.plan.n_samples
             assert row["plan"]["seed"] == rec.plan.seed == 1 * 1000 + rec.n
             assert row["observation"]["evaluations_used"] \
-                == rec.observation.evaluations_used > 0
+                == rec.observation.evaluations_used
+            # A run that a design served executes none; the first run of
+            # each sampling scheme and level executes its whole plan.
+            design = (catalog.estimator_info(rec.plan.estimator)
+                      .sampling_scheme, rec.method.action.sampling)
+            if design not in opened:
+                assert rec.observation.evaluations_used > 0
+            opened.add(design)
             assert row["reward"]["warnings"] == list(rec.reward.warnings)
             assert row["reward_total"] == rec.reward_total
         _block_always(monkeypatch, "CP4")
@@ -617,7 +674,7 @@ class TestTraceSerialization:
             "strategy_text"]
         assert [f.name for f in fields(SessionTrace)] == [
             "config", "problem_scheme", "records", "cp0", "policy_snapshot",
-            "abort_reason"]
+            "abort_reason", "designs"]
         assert [f.name for f in fields(DiagnosticScheme)] == [
             "root_cause", "prescribed_estimator", "prescribed_n_samples",
             "physical_insight"]

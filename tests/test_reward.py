@@ -81,16 +81,30 @@ class TestAccuracy:
         assert biased.accuracy == pytest.approx(perfect.accuracy - 4.0)
 
     def test_binary_precision_without_reference(self, ps_g8, g8):
-        # No analytic reference: same-estimator repeat within tolerance
-        # earns the full precision block.
+        # No analytic reference: a same-estimator estimate on more
+        # evaluations than its reference, within tolerance of it, earns the
+        # full precision block.
         ms = _ms(ps_g8)
-        prev = _obs(g8)
+        prev = _obs(g8, evals=1500)
         same = reward.score(ms, _obs(g8), model=None, prev_obs=prev)
         drifted = reward.score(
             ms, _obs(g8, first_order_indices=tuple(
                 np.asarray(g8.analytic_s1) + 0.01)),
             model=None, prev_obs=prev)
         assert same.accuracy - drifted.accuracy == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("evals", [3000, 1500])
+    def test_no_precision_credit_on_as_few_evaluations(self, ps_g8, g8,
+                                                       evals):
+        # A rerun that a design serves at the reference's size returns the
+        # reference itself, and one at a smaller size a subset of it:
+        # neither agreement is evidence of convergence.
+        ms = _ms(ps_g8)
+        credited = reward.score(ms, _obs(g8), model=None,
+                                prev_obs=_obs(g8, evals=1500))
+        plain = reward.score(ms, _obs(g8, evals=evals), model=None,
+                             prev_obs=_obs(g8))
+        assert credited.accuracy - plain.accuracy == pytest.approx(20.0)
 
     def test_consistency_sum_band(self, ms_g8, g8):
         bad = _obs(g8, first_order_indices=(0.5,) * 8)  # sums to 4.0

@@ -22,8 +22,8 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "driftguard")
 
-MAX_LINES = 2973
-MAX_PUBLIC_NAMES = 104
+MAX_LINES = 3043
+MAX_PUBLIC_NAMES = 105
 
 # Modules that ``cli`` does not load yet: ROADMAP item 9 wires ``metrics``
 # into the CLI.
