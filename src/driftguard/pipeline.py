@@ -1,5 +1,5 @@
-"""Session orchestrator: intake (``build_problem_scheme`` admits the problem
-or refuses it with a typed error, then CP1), the decision loop with every
+"""Session orchestrator: a config that admits its problem once, intake (a
+refusal aborts, CP1 reads the record), the decision loop with every
 checkpoint wired at its boundary, and the trace writer.
 
 Every gate of an iteration goes through one call, which records its event; a
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import action_space, agents, bandit, catalog, reward as reward_mod
 from .agents import DriftSpec, ExecutionPlan
@@ -38,7 +38,7 @@ from .archive import Archive
 from .checkpoints import CHECKPOINT_TABLE, DISABLED, CheckpointManager, \
     CheckpointResult, CP0Result
 from .embedding import calibrate_null, shipped_corpus, similarity
-from .errors import DriftguardError
+from .errors import DriftguardError, InvalidProblem
 from .estimators import SAResult, get_model
 from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
     build_problem_scheme, check_field_types, to_json
@@ -47,7 +47,10 @@ from .schemes import DiagnosticScheme, MethodScheme, ProblemScheme, \
 @dataclass(frozen=True)
 class SessionConfig:
     """Every session setting with its default and type, which
-    ``__post_init__`` checks; the CLI's config keys are these fields."""
+    ``__post_init__`` checks; the CLI's config keys are these fields.  It
+    admits the problem once, refusing the config for a mistyped field or an
+    unknown model; ``problem_scheme`` is the record, or ``refusal`` the
+    InvalidProblem that aborts the session, and neither is a field."""
 
     problem: dict
     n_max: int = 5
@@ -72,18 +75,20 @@ class SessionConfig:
                for cp, value in self.checkpoint_overrides.items()):
             raise ValueError("checkpoint_overrides may only map a gate id "
                              "to -1, which switches the gate off")
+        try:
+            scheme, refusal = build_problem_scheme(self.problem), None
+        except InvalidProblem as exc:
+            scheme, refusal = None, exc
+        object.__setattr__(self, "problem_scheme", scheme)
+        object.__setattr__(self, "refusal", refusal)
 
     def digest(self) -> str:
-        """Hash of every field but the session id, which only names the
-        session.  The problem counts as the record it builds, so two ways
-        of writing one problem hash alike; one that does not build counts
-        as written, under a key no record has."""
-        try:
-            problem = build_problem_scheme(self.problem)
-        except DriftguardError:
-            problem = {"unbuilt": self.problem}
-        body = {**vars(self), "problem": problem}
-        del body["session_id"]
+        """Hash of every field but the session id, which names the session.
+        The problem counts as its admitted record, which two spellings of it
+        share, or if refused as written, under a key no record has."""
+        body = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "session_id"}
+        body["problem"] = self.problem_scheme or {"unbuilt": self.problem}
         return hashlib.sha256(to_json(body).encode()).hexdigest()[:16]
 
 
@@ -305,21 +310,18 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
 
 def run_session(cfg: SessionConfig,
                 archive: Archive | None = None) -> SessionTrace:
-    """Full session: intake once, CP0, then the bounded decision loop."""
+    """Full session: intake, CP0, then the bounded decision loop."""
     manager = CheckpointManager(calibrate_null(shipped_corpus()),
                                 frozenset(cfg.checkpoint_overrides))
 
-    # Intake: the Coordinator admits the problem, then CP1 reads it.
-    try:
-        ps = build_problem_scheme(cfg.problem)
-    except DriftguardError as exc:
-        return _aborted(cfg, None, f"coordinator failed: {exc}")
+    if (ps := cfg.problem_scheme) is None:   # intake refused the problem
+        return _aborted(cfg, f"coordinator failed: {cfg.refusal}")
     desc_text = agents.render_problem_description(cfg.problem)
     cp1 = manager.evaluate("CP1", similarity(desc_text,
                                              agents.render_problem_text(ps)))
     if not cp1.passed:
         # The coordinator is deterministic; retries cannot change the text.
-        return _aborted(cfg, ps, "problem restatement rejected at intake")
+        return _aborted(cfg, "problem restatement rejected at intake")
 
     # CP0: archive match, warm-start, exploration mode.
     cp0 = manager.evaluate_cp0(ps, archive)
@@ -346,8 +348,8 @@ def run_session(cfg: SessionConfig,
     return trace
 
 
-def _aborted(cfg, ps, why: str) -> SessionTrace:
-    return SessionTrace(cfg, ps, [], abort_reason=why)
+def _aborted(cfg, why: str) -> SessionTrace:
+    return SessionTrace(cfg, cfg.problem_scheme, [], abort_reason=why)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,6 @@ class MethodScheme:
     action: ActionTuple
     n_samples: int
     n_min_value: int
-    budget_status: str     # sufficient | tight | infeasible
 
     @property
     def estimator(self) -> str:
@@ -186,17 +185,10 @@ def build_problem_scheme(desc: dict) -> ProblemScheme:
 
 def build_method_scheme(action: ActionTuple, ps: ProblemScheme,
                         n_samples: int) -> MethodScheme:
-    """Method scheme with budget arithmetic derived from the estimator catalog."""
+    """Method scheme with its floor of evaluations from the estimator catalog."""
     info = catalog.estimator_info(action.estimator)
-    n_min_value = info.n_min(ps.d_in)
-    if n_min_value > ps.n_budget:
-        budget_status = "infeasible"
-    elif info.cost(n_samples, ps.d_in) > ps.n_budget:
-        budget_status = "tight"
-    else:
-        budget_status = "sufficient"
     return MethodScheme(action=action, n_samples=n_samples,
-                        n_min_value=n_min_value, budget_status=budget_status)
+                        n_min_value=info.n_min(ps.d_in))
 
 
 def build_diagnostic_scheme(report: str, root_cause: str,

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from driftguard import catalog
+from driftguard import catalog, schemes
 from driftguard.cli import (_COMMANDS, _KEYS, EXIT_ABORTED, EXIT_BAD_CONFIG,
                             EXIT_OK, SESSION_COLUMNS, build_parser, main)
 
@@ -810,6 +810,12 @@ def _header(path) -> dict:
     return json.loads(path.read_text().splitlines()[0])
 
 
+# Problem admissions per shipped config: one per session, plus one for a
+# top-level ``problem``.
+ADMISSIONS = {"beam": 2, "beam_thermal_cp0": 3, "cp5_swap": 3,
+              "eq3_ablation": 7, "gfunction_sessions": 4}
+
+
 class TestSessionFacts:
     """A trace header holds every fact of its session; ``run``'s summary
     and every table row are read from it."""
@@ -841,6 +847,34 @@ class TestSessionFacts:
             assert {c: v for c, v in row.items() if c != "condition"} == {
                 c: "" if header[c] is None else str(header[c])
                 for c in row if c != "condition"}
+
+    @pytest.mark.parametrize("name", sorted(
+        n[:-len(".json")] for n in os.listdir(CONFIGS)))
+    def test_each_session_admits_its_problem_once(self, tmp_path,
+                                                  monkeypatch, name):
+        # A session's config admits its problem when it is built; the
+        # grid, the warm start, the session and the trace header read that
+        # record.  A top-level problem is admitted once more, so that it is
+        # checked before any session runs.
+        admitted = []
+        original = schemes.build_problem_scheme
+
+        def counted(desc):
+            admitted.append(desc)
+            return original(desc)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("driftguard") and \
+                    vars(module).get("build_problem_scheme") is original:
+                monkeypatch.setattr(module, "build_problem_scheme", counted)
+        path = os.path.join(CONFIGS, f"{name}.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert main([_command_of(doc), "--config", path, "--out",
+                     str(tmp_path), "--quiet"]) == EXIT_OK
+        sessions = len(list(tmp_path.glob("*.trace.jsonl")))
+        assert len(admitted) == ADMISSIONS[name] \
+            == sessions + ("problem" in doc)
 
     def test_aborted_session_header_holds_its_reason(self, tmp_path):
         problem = {**EQ3_PROBLEM, "n_budget": 0}

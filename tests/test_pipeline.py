@@ -10,13 +10,13 @@ from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.archive import Archive
 from driftguard.checkpoints import CHECKPOINT_TABLE, DISABLED, \
     CheckpointResult
-from driftguard.errors import InsufficientSamples, OverBudget, \
-    UnknownModel
+from driftguard.errors import ConfigError, InsufficientSamples, \
+    OverBudget, UnknownModel
 from driftguard.estimators import SAResult
 from driftguard.pipeline import (IterationRecord, SessionConfig,
                                  SessionTrace, run_iteration, run_session,
                                  submartingale_flags, write_trace)
-from driftguard.schemes import DiagnosticScheme
+from driftguard.schemes import DiagnosticScheme, build_problem_scheme
 
 from conftest import BEAM_PROBLEM, EQ3_PROBLEM, G8_PROBLEM
 from simenv import canonical_action
@@ -69,26 +69,37 @@ class TestSessionBasics:
             in trace.records[-1].diagnostic.physical_insight
 
     def test_aborted_on_unknown_model(self):
-        cfg = _cfg(problem={**EQ3_PROBLEM, "model_id": "ghost"})
-        trace = run_session(cfg)
-        assert trace.outcome == "aborted"
-        assert trace.abort_reason \
-            == "coordinator failed: unknown benchmark model 'ghost'"
-        assert trace.records == []
-        assert (trace.cp0.match, trace.cp0.exploration_mode) \
-            == ("none", "explore_max")
+        # An unknown model refuses the config itself, before any session.
+        with pytest.raises(UnknownModel,
+                           match="unknown benchmark model 'ghost'"):
+            _cfg(problem={**EQ3_PROBLEM, "model_id": "ghost"})
 
     def test_aborted_on_bad_problem(self):
         cfg = _cfg(problem={"task": "SA", "d_in": 4})
+        assert cfg.problem_scheme is None
         trace = run_session(cfg)
         assert trace.outcome == "aborted"
+        assert trace.abort_reason == f"coordinator failed: {cfg.refusal}"
+        assert "incomplete problem description" in trace.abort_reason
+        assert trace.records == [] and trace.problem_scheme is None
+        assert (trace.cp0.match, trace.cp0.exploration_mode) \
+            == ("none", "explore_max")
 
     def test_aborted_on_a_mistyped_problem_number(self):
-        # Intake converts no number: a float d_in aborts the session rather
+        # Intake converts no number: a float d_in refuses the config rather
         # than running a truncated problem.
-        trace = run_session(_cfg(problem={**EQ3_PROBLEM, "d_in": 4.7}))
-        assert trace.outcome == "aborted"
-        assert "d_in must be int, not float" in trace.abort_reason
+        with pytest.raises(ConfigError, match="d_in must be int, not float"):
+            _cfg(problem={**EQ3_PROBLEM, "d_in": 4.7})
+
+    def test_config_holds_its_admitted_problem(self):
+        # The record is admitted once, when the config is built; it is not
+        # a field, so no setting, comparison or digest sees it twice.
+        cfg = _cfg()
+        assert cfg.problem_scheme == build_problem_scheme(EQ3_PROBLEM)
+        assert cfg.refusal is None
+        assert {"problem_scheme", "refusal"}.isdisjoint(
+            f.name for f in fields(cfg))
+        assert run_session(cfg).problem_scheme is cfg.problem_scheme
 
     def test_digest_tells_drift_and_archive_flags_apart(self):
         # A trace header must show which drift ran and whether the
@@ -121,8 +132,8 @@ class TestSessionBasics:
         other = {**EQ3_PROBLEM, "dist_family": ["Other"] * 4}
         assert _cfg(problem=other).digest() \
             != _cfg(problem=without("dist_family")).digest()
-        aborted = [_cfg(problem={**EQ3_PROBLEM, "d_in": d}).digest()
-                   for d in (4.7, 0, 4)]
+        aborted = [_cfg(problem={**EQ3_PROBLEM, **bad}).digest()
+                   for bad in ({"n_budget": 5}, {"d_in": 0}, {})]
         assert len(set(aborted)) == 3
         # Without its task the same keys do not build, and hash apart.
         assert _cfg(problem=without("task")).digest() != _cfg().digest()
@@ -657,8 +668,7 @@ class TestTraceSerialization:
         # included.
         assert set(row) == names and row["reward_total"] == 0.0
         assert row["plan"] is None and row["observation"] is None
-        assert set(row["method"]) == {"action", "n_samples", "n_min_value",
-                                      "budget_status"}
+        assert set(row["method"]) == {"action", "n_samples", "n_min_value"}
 
     def test_records_hold_each_fact_once(self):
         # Derived facts are properties, not fields: a plan's bindings come

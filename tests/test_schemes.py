@@ -164,31 +164,17 @@ class TestMethodScheme:
     def _action(self, estimator):
         return action_space.ActionTuple("MonteCarlo", estimator)
 
-    def test_budget_sufficient(self, ps_eq3):
-        # Sobol pick-freeze: n=500, d=4 -> cost 3000 = n_min, within 8000.
-        ms = build_method_scheme(self._action("Sobol"), ps_eq3, 500)
-        assert ms.n_min_value == 3000
-        assert ms.budget_status == "sufficient"
-
-    def test_budget_tight(self, ps_eq3):
-        # cost 12000 > budget 8000, but n_min 3000 <= budget.
-        ms = build_method_scheme(self._action("Sobol"), ps_eq3, 2000)
-        assert ms.budget_status == "tight"
-
-    def test_budget_infeasible_when_n_min_exceeds_budget(self):
-        ps = build_problem_scheme({**EQ3_PROBLEM, "n_budget": 100})
-        ms = build_method_scheme(self._action("Sobol"), ps, 500)
-        assert ms.budget_status == "infeasible"
-
     def test_required_attributes_follow_catalog(self, ps_eq3):
         ms = build_method_scheme(self._action("Sobol"), ps_eq3, 500)
+        # Sobol pick-freeze's floor: 500 samples at d + 2 = 6 evaluations.
+        assert ms.n_min_value == 3000
         assert set(ms.info.bindings) == {"first_order_indices",
                                          "total_order_indices"}
 
     def test_holds_only_the_decision(self, ps_eq3):
         # The rest of the method is its catalog row, read, not copied.
         assert [f.name for f in dataclasses.fields(MethodScheme)] == [
-            "action", "n_samples", "n_min_value", "budget_status"]
+            "action", "n_samples", "n_min_value"]
         ms = build_method_scheme(self._action("CVM"), ps_eq3, 500)
         assert ms.action == self._action("CVM") and ms.estimator == "CVM"
         assert ms.info is catalog.SA_ESTIMATORS["CVM"]
