@@ -69,20 +69,6 @@ def _kw(estimator: str) -> str:
     return catalog.estimator_info(estimator).keywords
 
 
-def render_problem_text(ps: ProblemScheme) -> str:
-    return (f"SA study of model {ps.model_id} with "
-            f"{ps.d_in} uncertain inputs and {ps.d_out} outputs under "
-            f"{ps.dist_family_mode} distributions, evaluation budget "
-            f"{ps.n_budget}, target precision {ps.epsilon}")
-
-
-def render_problem_description(desc: dict) -> str:
-    return (f"{desc['task']} study of model {desc['model_id']} with "
-            f"{desc['d_in']} uncertain inputs and {desc['d_out']} outputs, "
-            f"evaluation budget {desc['n_budget']}, target precision "
-            f"{desc.get('epsilon', 0.05)}")
-
-
 def render_strategy_text(ms: MethodScheme, flags: tuple[str, ...] = ()) -> str:
     flag_text = ""
     if flags:

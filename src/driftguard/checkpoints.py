@@ -9,6 +9,9 @@ session.  The inverted novelty gate CP7 never counts its passes, so it
 keeps ``theta0``.  The table is the only source of thresholds: a session
 may only switch a gate off, and a switched-off gate passes unconditionally
 and reports the threshold -1.
+
+CP1 is intake: ``SessionConfig``'s typed admission of the problem, with no
+cosine; a refusal aborts the session with ``coordinator failed: ...``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ CP0_CLOSE_CUTOFF = 0.90
 #: that did not pass names its action through this table
 CHECKPOINT_TABLE = {
     "CP0": (0.70, False, False, "fresh_exploration"),
+    # Never evaluated; the row stays only so overrides naming CP1 load.
     "CP1": (0.25, True, False, "abort_session"),
     "CP2": (0.30, True, False, "critic_reject"),
     "CP3": (0.30, False, False, "warn_study_agent"),
@@ -64,7 +68,7 @@ class CP0Result:
 
 
 class CheckpointManager:
-    """All eight gates plus their pass counts."""
+    """The table's gates plus their pass counts."""
 
     def __init__(self, null_floor: float,
                  disabled: frozenset[str] = frozenset()):

@@ -1,6 +1,6 @@
-"""Session orchestrator: a config that admits its problem once, intake (a
-refusal aborts, CP1 reads the record), the decision loop with every
-checkpoint wired at its boundary, and the trace writer.
+"""Session orchestrator: a config that admits its problem once (intake; a
+refusal aborts the session), the decision loop with every checkpoint wired
+at its boundary, and the trace writer.
 
 Every gate of an iteration goes through one call, which records its event; a
 switched-off gate passes and reports the threshold -1 like any other, and
@@ -123,7 +123,6 @@ class IterationRecord:
 @dataclass
 class SessionTrace:
     config: SessionConfig
-    problem_scheme: ProblemScheme | None
     records: list
     cp0: CP0Result = CP0Result(0.0, "none", None, "explore_max", False)
     policy_snapshot: dict | None = None
@@ -134,6 +133,10 @@ class SessionTrace:
     @property
     def session_id(self) -> str:
         return self.config.session_id
+
+    @property
+    def problem_scheme(self) -> ProblemScheme | None:
+        return self.config.problem_scheme
 
     @property
     def outcome(self) -> str:
@@ -251,7 +254,7 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
         return failed("study comprehension gate blocked")
 
     # The Refactor Agent reads the Study Agent's output; drift corrupts its
-    # copy only, after CP1-CP4 and CP7 have run.
+    # copy only, after CP2-CP4 and CP7 have run.
     drifted_text, event = agents.inject_drift(study_text, cfg.drift,
                                               rng_seed=iter_seed + 77,
                                               iteration=n)
@@ -310,18 +313,13 @@ def run_iteration(trace: SessionTrace, policy: bandit.PolicyState,
 
 def run_session(cfg: SessionConfig,
                 archive: Archive | None = None) -> SessionTrace:
-    """Full session: intake, CP0, then the bounded decision loop."""
+    """Full session: CP0, then the bounded decision loop; a refused problem
+    aborts."""
+    if (ps := cfg.problem_scheme) is None:
+        return SessionTrace(cfg, [], abort_reason="coordinator failed: "
+                            f"{cfg.refusal}")
     manager = CheckpointManager(calibrate_null(shipped_corpus()),
                                 frozenset(cfg.checkpoint_overrides))
-
-    if (ps := cfg.problem_scheme) is None:   # intake refused the problem
-        return _aborted(cfg, f"coordinator failed: {cfg.refusal}")
-    desc_text = agents.render_problem_description(cfg.problem)
-    cp1 = manager.evaluate("CP1", similarity(desc_text,
-                                             agents.render_problem_text(ps)))
-    if not cp1.passed:
-        # The coordinator is deterministic; retries cannot change the text.
-        return _aborted(cfg, "problem restatement rejected at intake")
 
     # CP0: archive match, warm-start, exploration mode.
     cp0 = manager.evaluate_cp0(ps, archive)
@@ -334,7 +332,7 @@ def run_session(cfg: SessionConfig,
         else:
             policy.warm_start(entry.per_arm_stats, cp0.match)
 
-    trace = SessionTrace(config=cfg, problem_scheme=ps, records=[], cp0=cp0)
+    trace = SessionTrace(config=cfg, records=[], cp0=cp0)
     feasible = action_space.filter_feasible(ps)
     for _ in range(cfg.n_max):
         trace.records.append(run_iteration(trace, policy, manager, feasible))
@@ -346,10 +344,6 @@ def run_session(cfg: SessionConfig,
     if archive is not None and cfg.record_to_archive:
         archive.record_session(trace)
     return trace
-
-
-def _aborted(cfg, why: str) -> SessionTrace:
-    return SessionTrace(cfg, cfg.problem_scheme, [], abort_reason=why)
 
 
 # ---------------------------------------------------------------------------

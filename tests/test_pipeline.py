@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from dataclasses import fields, replace
 
 import pytest
@@ -9,7 +10,7 @@ from driftguard import action_space, agents, bandit, catalog, cli, pipeline, \
 from driftguard.agents import DriftSpec, ExecutionPlan
 from driftguard.archive import Archive
 from driftguard.checkpoints import CHECKPOINT_TABLE, DISABLED, \
-    CheckpointResult
+    CheckpointManager, CheckpointResult
 from driftguard.errors import ConfigError, InsufficientSamples, \
     OverBudget, UnknownModel
 from driftguard.estimators import SAResult
@@ -30,6 +31,17 @@ OVERSIZED = replace(NO_SAMPLES, replacement_value="100000")
 def _cfg(problem=EQ3_PROBLEM, **kw):
     kw.setdefault("n_max", 3)
     return SessionConfig(problem=problem, **kw)
+
+
+def _eq3_full_checkpoints():
+    """``configs/eq3_ablation.json``'s full_checkpoints session at seed 1,
+    as the CLI builds it."""
+    doc = cli._load_config(os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs",
+        "eq3_ablation.json"))
+    (cfg,), = (chain for name, _, chain in cli._grid("ablate", doc, 1)
+               if name == "full_checkpoints")
+    return cfg
 
 
 class TestSessionBasics:
@@ -210,6 +222,46 @@ class TestCheckpointWiring:
             cp5, = (e for e in off if e.cp_id == "CP5")
             if rec.mismatch:   # the drifted plan ran undefended
                 assert cp5.similarity < CHECKPOINT_TABLE["CP5"][0]
+
+    def test_intake_evaluates_no_gate(self, monkeypatch):
+        # Intake is the config's admission of its problem: a session's
+        # first evaluated gate is iteration 1's CP7, and every evaluated
+        # gate is a record's event.
+        seen = []
+        evaluate = CheckpointManager.evaluate
+
+        def spy(self, cp_id, sim):
+            seen.append(cp_id)
+            return evaluate(self, cp_id, sim)
+        monkeypatch.setattr(CheckpointManager, "evaluate", spy)
+        trace = run_session(_cfg(seed=1))
+        assert seen[0] == "CP7"
+        assert seen == [e.cp_id for r in trace.records
+                        for e in r.checkpoint_events]
+
+    def test_cp1_override_changes_no_byte(self, tmp_path):
+        # Switching CP1 off, as eq3_ablation's no_checkpoints condition
+        # does, still loads and writes the same trace; only the header's
+        # config digest, which hashes the overrides, differs.
+        cfg = _eq3_full_checkpoints()
+        path = tmp_path / "trace.jsonl"
+
+        def written(overrides):
+            run = replace(cfg, checkpoint_overrides=overrides)
+            write_trace(run_session(run), str(path))
+            return path.read_text().replace(run.digest(), "<digest>")
+        assert written({"CP1": DISABLED}) == written({})
+
+    def test_every_gate_row_writes_an_event(self, tmp_path):
+        # A full-checkpoint session writes an event for every gate table
+        # row but CP0, whose facts the header holds, and CP1, the config's
+        # admission; a gate the loop stops evaluating fails here.
+        path = tmp_path / "trace.jsonl"
+        write_trace(run_session(_eq3_full_checkpoints()), str(path))
+        _, *rows = path.read_text().splitlines()
+        assert {e["cp_id"] for row in rows
+                for e in json.loads(row)["checkpoint_events"]} \
+            == CHECKPOINT_TABLE.keys() - {"CP0", "CP1"}
 
     def test_screening_first_on_high_dim_cold_start(self):
         trace = run_session(_cfg(problem=G8_PROBLEM, seed=4))
@@ -415,12 +467,6 @@ class TestBlockedSteps:
             "execution crashed")
         assert rec.reward_total == 0.0
 
-    def test_cp1_block_aborts_the_session(self, monkeypatch):
-        _block_always(monkeypatch, "CP1")
-        trace = run_session(_cfg(seed=1))
-        assert trace.outcome == "aborted" and trace.records == []
-        assert trace.abort_reason == "problem restatement rejected at intake"
-
     def test_problem_without_model_aborts(self):
         problem = {k: v for k, v in EQ3_PROBLEM.items() if k != "model_id"}
         trace = run_session(_cfg(problem=problem, seed=1))
@@ -443,7 +489,7 @@ class TestLoopReadsItsRecords:
     @staticmethod
     def _next(records, ps, manager, feasible=None):
         """The record ``run_iteration`` appends to a trace of ``records``."""
-        trace = SessionTrace(_cfg(seed=1), ps, list(records))
+        trace = SessionTrace(_cfg(seed=1), list(records))
         return run_iteration(trace, bandit.PolicyState(), manager,
                              feasible or action_space.filter_feasible(ps))
 
@@ -672,10 +718,10 @@ class TestTraceSerialization:
 
     def test_records_hold_each_fact_once(self):
         # Derived facts are properties, not fields: a plan's bindings come
-        # from its catalog row, a trace's id, outcome and best reward from
-        # its config and records, a record's total and failure from its
-        # reward and plan, a diagnosis's block from its cause, and a gate
-        # event's failure action from the gate table.
+        # from its catalog row, a trace's id, problem, outcome and best
+        # reward from its config and records, a record's total and failure
+        # from its reward and plan, a diagnosis's block from its cause, and
+        # a gate event's failure action from the gate table.
         assert [f.name for f in fields(ExecutionPlan)] \
             == ["estimator", "n_samples", "model_id", "seed"]
         assert [f.name for f in fields(IterationRecord)] == [
@@ -683,8 +729,11 @@ class TestTraceSerialization:
             "checkpoint_events", "drift_events", "diagnostic",
             "strategy_text"]
         assert [f.name for f in fields(SessionTrace)] == [
-            "config", "problem_scheme", "records", "cp0", "policy_snapshot",
-            "abort_reason", "designs"]
+            "config", "records", "cp0", "policy_snapshot", "abort_reason",
+            "designs"]
+        cfg = _cfg(seed=1)
+        trace = SessionTrace(cfg, [])
+        assert trace.problem_scheme is cfg.problem_scheme
         assert [f.name for f in fields(DiagnosticScheme)] == [
             "root_cause", "prescribed_estimator", "prescribed_n_samples",
             "physical_insight"]
