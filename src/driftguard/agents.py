@@ -160,20 +160,30 @@ def execution_runner(plan: ExecutionPlan, sampling: str, n_budget: int,
     """Run the plan's estimator through its catalog row at the action's
     sampling level; raises OverBudget, before any model evaluation, when
     the plan costs more than ``n_budget``, and else the estimator's own
-    errors.  ``designs`` is the session's, one per sampling scheme and level
-    (Morris's walk ignores the level; a Latin hypercube does not nest, so
-    each size has its own), and the result counts the evaluations run."""
+    errors.  ``designs`` is the session's: one Monte Carlo sample that
+    Chatterjee, CVM and Sobol read, Morris's trajectories (its walk
+    ignores the level), and per sampling scheme a list of Latin hypercubes,
+    of which a run reads one holding its size as a layer, else the first
+    that nests it, else a new one.  The result counts the evaluations
+    run."""
     info = catalog.estimator_info(plan.estimator)
     model = get_model(plan.model_id)
-    cost = info.cost(plan.n_samples, model.d_in)
+    n = plan.n_samples
+    cost = info.cost(n, model.d_in)
     if cost > n_budget:
-        raise OverBudget(f"n_samples={plan.n_samples} costs {cost} "
-                         f"evaluations, over the budget {n_budget}", n_budget)
-    level = "" if info.sampling_scheme == "trajectories" else sampling
-    key = (info.sampling_scheme, level,
-           plan.n_samples if level == "LatinHypercube" else 0)
-    return info.execute(model, plan.n_samples, plan.seed, sampling,
-                        designs.setdefault(key, Design()))
+        raise OverBudget(f"n_samples={n} costs {cost} evaluations, over the "
+                         f"budget {n_budget}", n_budget)
+    key = "trajectories" if info.sampling_scheme == "trajectories" \
+        else sampling
+    if key != "LatinHypercube":
+        design = designs.setdefault(key, Design())
+    else:
+        nested = designs.setdefault((info.sampling_scheme, sampling), [])
+        if not any(d.nests(n) for d in nested):
+            nested.append(Design())
+        design = min((d for d in nested if d.nests(n)),
+                     key=lambda d: n not in d.layers)
+    return info.execute(model, n, plan.seed, sampling, design)
 
 
 def debugger_fix(plan: ExecutionPlan, error: Exception) -> ExecutionPlan:

@@ -32,8 +32,9 @@ class EstimatorInfo:
     cost_multiplier: Callable[[int], int]  # evaluations per sample
     # (model, n, seed, sampling scheme, session design) -> SAResult.  Each
     # executor looks its ``estimators`` function up when called, so a
-    # function swapped on the module is the one that runs.  The simulated
-    # rows ignore the design.
+    # function swapped on the module is the one that runs.  At Monte Carlo
+    # the single-loop and pick-freeze rows read one design; the simulated
+    # rows ignore it.
     execute: Callable
     library_class: str
     # Feasibility rules a row may set, on top of the budget rule every row

@@ -7,8 +7,10 @@ winding-stairs screening.  Spectral (PCE_SA) and multi-output
 indices perturbed by seeded noise, while their scheme plumbing stays real.
 Every run returns an ``SAResult``, whose index vectors carry the one name
 that plans, texts and the catalog use for them.  A session keeps one
-``Design`` per sampling scheme and level, so a real estimator evaluates only
-the rows its design lacks, and ``evaluations_used`` counts those.
+Monte Carlo ``Design``, whose rows Chatterjee, CVM and Sobol's base matrices
+all read, Morris's trajectories, and nested Latin hypercubes per sampling
+scheme, so a real estimator evaluates only the rows its design lacks, and
+``evaluations_used`` counts those.
 """
 
 from __future__ import annotations
@@ -94,15 +96,6 @@ class BenchmarkModel:
 
     def dist_families(self) -> tuple[str, ...]:
         return tuple(d[0] for d in self.input_dists)
-
-    def sample_inputs(self, n: int, rng: np.random.Generator,
-                      scheme: str) -> np.ndarray:
-        """n x d_in physical-space sample under the model's input laws."""
-        if scheme == "LatinHypercube":
-            u = _latin_hypercube(n, self.d_in, rng)
-        else:
-            u = rng.random((n, self.d_in))
-        return self.transform(u)
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         """Map unit-hypercube samples through the inverse CDFs.
@@ -252,27 +245,65 @@ def _output(m: BenchmarkModel, x: np.ndarray) -> np.ndarray:
     return np.asarray(m.evaluate(x), dtype=float).reshape(len(x), -1)[:, 0]
 
 
+def _unit_rows(held: np.ndarray | None, k: int, d: int,
+               rng: np.random.Generator, scheme: str) -> np.ndarray:
+    """k x d unit points after ``held`` (d x n, or None) at ``scheme``.
+
+    Monte Carlo points continue rng's stream.  A Latin hypercube with none
+    held is ``_latin_hypercube(k, d, rng)``; else, for k a multiple of n,
+    each column takes the strata of the (n + k)-point grid that held's
+    points leave empty, shuffled and jittered, so that all n + k points
+    form a Latin hypercube (Qian 2009).
+    """
+    if scheme != "LatinHypercube":
+        return rng.random((k, d))
+    if held is None:
+        return _latin_hypercube(k, d, rng)
+    m = held.shape[1] + k
+    free = np.ones((d, m), dtype=bool)
+    free[np.arange(d)[:, None], (held * m).astype(int)] = False
+    jitter = rng.uniform(size=(k, d))
+    perms = rng.permuted(np.nonzero(free)[1].reshape(d, k) + 1, axis=1)
+    return (perms.T - jitter) / m
+
+
 @dataclass
 class Design:
-    """A session's sample for one sampling scheme and level.  The first run
-    opens its streams from that run's seed and draws what a direct call
-    draws; a later run at n reads the first n rows, and draws and evaluates
-    only those the design lacks by continuing the streams.  Each array
-    holds one sample per position of its last axis."""
+    """A session's sample at one sampling level.  The first run opens its
+    streams from that run's seed and draws what a direct call draws; each
+    array of ``rows`` holds one sample per position of its last axis, and
+    ``layers`` lists the sizes it was drawn to.  A later run at n reads the
+    first n rows, and draws and evaluates only those the design lacks:
+    Monte Carlo rows and Morris trajectories continue the streams, and a
+    Latin hypercube, read only at a size it ``nests``, fills the strata its
+    rows leave empty, so its prefix at every layer is a Latin hypercube.
+    ``pairs`` holds Sobol's pick-freeze rows on a Monte Carlo sample."""
 
     streams: object = None
     rows: tuple = ()
+    layers: list = field(default_factory=list)
+    pairs: Design | None = None
+
+    def nests(self, n: int) -> bool:
+        """Whether a Latin hypercube run at n reads this design: n is a
+        layer or a multiple of the largest, or nothing is drawn yet."""
+        return not self.layers or n in self.layers \
+            or n % self.layers[-1] == 0
 
     def take(self, n: int, seed: int, draw,
              open_streams=np.random.default_rng) -> tuple[tuple, int]:
-        """The first n rows, and how many of them this call evaluated."""
-        held = self.rows[0].shape[-1] if self.rows else 0
+        """The first n rows, and the evaluations this call ran:
+        ``draw(streams, k)`` returns the k rows after those held and the
+        evaluations it ran."""
+        held = self.layers[-1] if self.layers else 0
         self.streams = self.streams or open_streams(seed)
-        if n > held:
-            new = draw(self.streams, n - held)
-            self.rows = tuple(np.concatenate(pair, axis=-1)
-                              for pair in zip(self.rows, new)) or new
-        return tuple(r[..., :n] for r in self.rows), max(0, n - held)
+        if n <= held:
+            return tuple(r[..., :n] for r in self.rows), 0
+        new, evaluated = draw(self.streams, n - held)
+        self.rows = tuple(np.concatenate(pair, axis=-1)
+                          for pair in zip(self.rows, new)) or new
+        self.layers.append(n)
+        return self.rows, evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -283,26 +314,42 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int, scheme: str,
     """First-order (Saltelli 2010) and total-order (Jansen) Sobol indices.
 
     Cost is n*(d_in + 2) model evaluations over two independent sample
-    matrices plus d_in hybrids.  A design's next block draws xa and then
-    xb from its one stream, as its first block did.
+    matrices plus d_in hybrids.  Each block of k pairs takes xa and then
+    xb, k rows each: on a Monte Carlo design the sample's next 2k rows,
+    which a direct call draws from its one stream, and on a Latin
+    hypercube two designs that nest together.
     """
     if n < 2:
         raise InsufficientSamples("pick-freeze requires n >= 2")
     d = m.d_in
+    design = design or Design()
+    lhs = scheme == "LatinHypercube"
+    pairs = design
+    if not lhs:
+        pairs = design.pairs = design.pairs or Design()
 
     def draw(rng, k):
         # transform maps each column on its own, so a hybrid of xa and xb
         # has the bits of the transformed unit-space hybrid.
-        xa = m.sample_inputs(k, rng, scheme)
-        xb = m.sample_inputs(k, rng, scheme)
         f = np.empty((d + 2, k))
-        f[0], f[1] = _output(m, xa), _output(m, xb)
+        if lhs:
+            ua, ub = (_unit_rows(held, k, d, rng, scheme)
+                      for held in design.rows[1:] or (None, None))
+            xa, xb = m.transform(ua), m.transform(ub)
+            f[0], f[1] = _output(m, xa), _output(m, xb)
+            units, evaluated = (ua.T, ub.T), 2 * k
+        else:
+            start = 2 * (pairs.layers[-1] if pairs.layers else 0)
+            (x, y), evaluated = _single_loop(m, start + 2 * k, seed, scheme,
+                                             design)
+            xa, xb = x[:, start:start + k].T, x[:, start + k:].T
+            f[0], f[1], units = y[start:start + k], y[start + k:], ()
         for i in range(d):
             xabi = xa.copy()
             xabi[:, i] = xb[:, i]
             f[2 + i] = _output(m, xabi)
-        return (f,)
-    (f,), evaluated = (design or Design()).take(n, seed, draw)
+        return (f,) + units, evaluated + d * k
+    (f, *_), evaluated = pairs.take(n, seed, draw)
     fa, fb = f[:2]
     var = float(np.var(np.concatenate([fa, fb]), ddof=1))
     warnings = []
@@ -311,7 +358,7 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int, scheme: str,
         warnings.append("degenerate output variance; indices undefined")
         return SAResult(estimator="Sobol", first_order_indices=undefined,
                         total_order_indices=undefined,
-                        evaluations_used=evaluated * (d + 2),
+                        evaluations_used=evaluated,
                         warnings=tuple(warnings),
                         nan_count=2 * d, negative_variance_flag=False)
     s1_list, st_list = [], []
@@ -328,7 +375,7 @@ def sobol_saltelli(m: BenchmarkModel, n: int, seed: int, scheme: str,
     return SAResult(estimator="Sobol",
                     first_order_indices=tuple(s1_list),
                     total_order_indices=tuple(st_list),
-                    evaluations_used=evaluated * (d + 2),
+                    evaluations_used=evaluated,
                     warnings=tuple(warnings), nan_count=nan_count,
                     negative_variance_flag=negvar)
 
@@ -356,11 +403,17 @@ def _xi_statistic(x: np.ndarray, y_ranks: np.ndarray) -> float:
 def _single_loop(m: BenchmarkModel, n: int, seed: int, scheme: str,
                  design: Design | None) -> tuple[tuple, int]:
     """The first n rows of the single-loop sample that Chatterjee and CVM
-    share, (each input's values, the outputs), and the rows evaluated."""
+    share, (each input's values, the outputs), and the evaluations run.  The
+    design also holds the unit points, which a Latin hypercube nests."""
+    design = design or Design()
+
     def draw(rng, k):
-        x = m.sample_inputs(k, rng, scheme)
-        return x.T, _output(m, x)
-    return (design or Design()).take(n, seed, draw)
+        u = _unit_rows(design.rows[2] if design.rows else None, k, m.d_in,
+                       rng, scheme)
+        x = m.transform(u)
+        return (x.T, _output(m, x), u.T), k
+    rows, evaluated = design.take(n, seed, draw)
+    return rows[:2], evaluated
 
 
 def chatterjee(m: BenchmarkModel, n: int, seed: int, scheme: str,
@@ -460,14 +513,14 @@ def morris(m: BenchmarkModel, trajectories: int, seed: int,
             y = _output(m, m.transform(points.reshape(-1, d)))
             effects[order, np.arange(start, start + k)[:, None]] = (
                 np.diff(y.reshape(k, d + 1), axis=1) / delta)
-        return (effects,)
+        return (effects,), count * (d + 1)
     (effects,), evaluated = (design or Design()).take(
         trajectories, seed, draw, lambda s: np.random.default_rng(s).spawn(2))
     mu_star = tuple(float(np.mean(np.abs(e))) for e in effects)
     sigma = tuple(float(np.std(e, ddof=1)) for e in effects)
     nan_count, _ = _nan_stats(mu_star, sigma)
     return SAResult(estimator="Morris", mu_star=mu_star, sigma_effects=sigma,
-                    evaluations_used=evaluated * (d + 1),
+                    evaluations_used=evaluated,
                     warnings=warnings, nan_count=nan_count)
 
 

@@ -16,9 +16,10 @@ re-selects once.
 between the estimator's floor and the budget's cap, the Inspector holds the
 plan to it, and the runner refuses a costlier plan before any model
 evaluation, which the Debugger patches to the cap.  A session keeps one
-design per sampling scheme and level, so a rerun evaluates only the rows
-its design lacks; ``observation.evaluations_used`` counts the evaluations
-executed, and the reward, the Advisor and CP6 read the plan's cost.
+Monte Carlo sample that Chatterjee, CVM and Sobol read, and nested Latin
+hypercubes, so a run evaluates only the rows its design lacks;
+``observation.evaluations_used`` counts the evaluations executed, and the
+reward, the Advisor and CP6 read the plan's cost.
 
 The Advisor hands over the diagnosis, whose prose CP6 reads. Each fact has
 one home: a record holds its method scheme and reward breakdown, and a trace
@@ -127,7 +128,8 @@ class SessionTrace:
     cp0: CP0Result = CP0Result(0.0, "none", None, "explore_max", False)
     policy_snapshot: dict | None = None
     abort_reason: str = ""
-    # The session's designs, by sampling scheme and level; never written.
+    # The session's designs: its one Monte Carlo sample, Morris's
+    # trajectories and its nested Latin hypercubes; never written.
     designs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property

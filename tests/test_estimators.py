@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ class TestBenchmarkCatalog:
         # Independent oracle for S2: E[Y|X2] = a sin^2(x2) + const, so
         # V2 = a^2/8 against the MC total variance.
         rng = np.random.default_rng(1)
-        x = ishigami.sample_inputs(300_000, rng, "MonteCarlo")
+        x = ishigami.transform(rng.random((300_000, 3)))
         y = ishigami.evaluate(x)
         s2_oracle = (7.0 ** 2 / 8.0) / float(np.var(y, ddof=1))
         assert s2_oracle == pytest.approx(ishigami.analytic_s1[1], abs=0.01)
@@ -70,7 +71,7 @@ class TestBenchmarkCatalog:
     def test_normal_transform_moments(self):
         beam = est.get_model("cantilever_beam")
         rng = np.random.default_rng(2)
-        x = beam.sample_inputs(100_000, rng, "MonteCarlo")
+        x = beam.transform(rng.random((100_000, 4)))
         assert float(np.mean(x[:, 0])) == pytest.approx(1000.0, abs=2.0)
         assert float(np.std(x[:, 0])) == pytest.approx(100.0, rel=0.02)
 
@@ -367,9 +368,9 @@ def _morris_per_point(m, trajectories, seed=0):
                         nan_count=nan_count)
 
 
-# A session keeps one design per sampling scheme and level: Chatterjee and
-# CVM share the single-loop one, Sobol has pick-freeze and Morris
-# trajectories, whose walk ignores the level.  The oracles below run plans
+# A session keeps one Monte Carlo sample, which Chatterjee, CVM and Sobol's
+# base matrices read, Morris's trajectories, whose walk ignores the level,
+# and nested Latin hypercubes per sampling scheme.  The oracles below run plans
 # through the runner with one session's designs and count the rows the
 # model evaluates.
 _DIRECT = {"Sobol": est.sobol_saltelli, "Chatterjee": est.chatterjee,
@@ -480,8 +481,9 @@ class TestSessionDesigns:
         ("Sobol", "Sobol"), ("Chatterjee", "CVM"), ("CVM", "CVM")])
     def test_a_latin_hypercube_is_served_only_at_its_size(self, counted,
                                                           first, then):
-        # A Latin hypercube does not nest: another size draws its own from
-        # its plan's seed, and each size keeps serving its own.
+        # A size that is neither a layer of a Latin hypercube nor a multiple
+        # of its largest draws its own from its plan's seed, and each design
+        # keeps serving its own size.
         model, rows = counted
         designs = {}
         opened = _run(designs, first, 200, 5, "LatinHypercube")
@@ -515,6 +517,108 @@ class TestSessionDesigns:
         got = _run(designs, "Sobol", 200, 6, "MonteCarlo")
         assert _fields_bits(got) == _fields_bits(
             est.sobol_saltelli(model, 200, 6, "MonteCarlo"))
+
+    @pytest.mark.parametrize("model_id", ["ishigami", "cantilever_beam"])
+    @pytest.mark.parametrize("runs", [
+        (("Sobol", 200), ("CVM", 300)),
+        (("Chatterjee", 300), ("Sobol", 200), ("Sobol", 400))],
+        ids=["sobol-cvm", "chatterjee-sobol-sobol"])
+    def test_one_monte_carlo_sample_serves_every_estimator(
+            self, monkeypatch, model_id, runs):
+        # Sobol's next block of k pairs takes the sample's next 2k rows, k
+        # for xa and then k for xb, so every run reads the stream of the
+        # seed that opened the sample, 5, and evaluates only the rows the
+        # sample lacks plus Sobol's hybrids.
+        model = est.get_model(model_id)
+        rows = []
+
+        def evaluate(x):
+            rows.append(len(x))
+            return model.evaluate(x)
+        monkeypatch.setattr(agents, "get_model", lambda model_id: replace(
+            model, evaluate=evaluate))
+        designs, used, held, pairs = {}, 0, 0, 0
+        for seed, (estimator, n) in enumerate(runs, start=5):
+            got = _run(designs, estimator, n, seed, "MonteCarlo")
+            sobol = estimator == "Sobol"
+            if sobol and not pairs:
+                ref = est.sobol_saltelli(model, n, 5, "MonteCarlo")
+            elif sobol:
+                ref = _sobol_from_unit(
+                    model, *_sobol_stream(pairs, n, 5, model.d_in))
+            else:
+                ref = _DIRECT[estimator](model, n, 5, "MonteCarlo")
+            assert _estimate_bits(got) == _estimate_bits(ref)
+            need = 2 * n if sobol else n
+            assert got.evaluations_used == max(0, need - held) \
+                + sobol * model.d_in * (n - pairs)
+            held, pairs = max(held, need), n if sobol else pairs
+            used += got.evaluations_used
+        assert used == sum(rows)
+
+
+def _unit_model(d, inputs):
+    """A d-input model on [0, 1]^d, whose inputs are its unit points; each
+    evaluate call appends its inputs to ``inputs``."""
+    def evaluate(x):
+        inputs.append(x.copy())
+        return x.sum(axis=1) + x[:, 0] * x[:, -1]
+    return est.BenchmarkModel(id="unit", d_in=d, d_out=1, evaluate=evaluate,
+                              input_dists=(("Uniform", 0.0, 1.0),) * d)
+
+
+class TestNestedLatinHypercube:
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(n=st.integers(10, 40), c=st.sampled_from([2, 3, 4]),
+           again=st.sampled_from([2, 3, 4]), d=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1),
+           estimator=st.sampled_from(["Chatterjee", "CVM", "Sobol"]))
+    def test_a_chain_nests(self, n, c, again, d, seed, estimator):
+        # A chain opens at n and extends to c*n and again*c*n: every layer's
+        # prefix is a Latin hypercube, the first run is the direct call, an
+        # extension evaluates only its new rows, a layer is read without an
+        # evaluation, and any other size opens its own design.
+        inputs = []
+        model = _unit_model(d, inputs)
+        per_sample = catalog.estimator_info(estimator).cost_multiplier(d)
+        designs = {}
+
+        def run(size, run_seed):
+            inputs.clear()
+            plan = ExecutionPlan(estimator, size, "unit", run_seed)
+            with mock.patch.object(agents, "get_model", lambda _: model):
+                res = agents.execution_runner(plan, "LatinHypercube",
+                                              10 ** 9, designs)
+            assert sum(map(len, inputs)) == res.evaluations_used
+            return res
+
+        first = run(n, seed)
+        # xa and then xb for Sobol, the one sample for the others.
+        matrices = inputs[:2 if estimator == "Sobol" else 1]
+        assert np.array_equal(matrices[0], est._latin_hypercube(
+            n, d, np.random.default_rng(seed)))
+        assert _fields_bits(first) == _fields_bits(
+            _DIRECT[estimator](model, n, seed, "LatinHypercube"))
+        layers = [n, c * n, again * c * n]
+        for held, size in zip(layers, layers[1:]):
+            assert run(size, seed + 1).evaluations_used \
+                == (size - held) * per_sample
+            matrices = [np.concatenate([old, new]) for old, new
+                        in zip(matrices, inputs)]
+        for points in matrices:
+            for size in layers:
+                strata = np.floor(points[:size] * size)
+                assert np.array_equal(np.sort(strata, axis=0),
+                                      np.tile(np.arange(size)[:, None], d))
+        for size in layers:
+            assert run(size, seed + 2).evaluations_used == 0
+        assert _estimate_bits(run(n, seed + 3)) == _estimate_bits(first)
+        # One more than the largest layer is a multiple of no layer.
+        other = layers[-1] + 1
+        assert _fields_bits(run(other, seed + 4)) == _fields_bits(
+            _DIRECT[estimator](model, other, seed + 4, "LatinHypercube"))
+        assert len(designs[(catalog.estimator_info(estimator)
+                            .sampling_scheme, "LatinHypercube")]) == 2
 
 
 class TestScipyStatsReplacements:

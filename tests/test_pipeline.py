@@ -607,20 +607,35 @@ class TestSessionDesigns:
                    for (_, r), cost in zip(executed, costs))
 
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("problem", [BEAM_PROBLEM, EQ3_PROBLEM],
+                             ids=["beam", "eq3"])
+    def test_a_rerun_on_held_rows_earns_no_precision_credit(self, problem,
+                                                            seed):
+        # Nested samples correlate consecutive estimates, so a run-to-run
+        # check could pass on shared rows alone.  Neither model has analytic
+        # indices, so an accuracy above the 15 consistency points would be
+        # run-to-run precision credit.
+        trace = run_session(_cfg(problem, n_max=5, seed=seed))
+        assert trace.records
+        assert all(r.reward.accuracy <= 15.0 for r in trace.records)
+
     def test_a_served_run_scores_its_estimate_at_the_plan_cost(self):
-        # eq3 at seed 1 reruns Sobol at 1000 samples on the 1333 its design
-        # holds: the run executes nothing, and the reward's thrift reads
-        # the 6000 evaluations its estimate rests on.
+        # eq3 at seed 1 reruns Sobol at 1000 samples on the 1333 pairs the
+        # session's Monte Carlo sample holds, and then Chatterjee at 2000
+        # on the 2666 rows those pairs took: neither run executes anything,
+        # and the reward's thrift reads the evaluations its estimate rests
+        # on, 6000 and 2000.
         trace = run_session(_cfg(n_max=5, seed=1))
         served = [r for r in trace.records if r.observation is not None
                   and r.observation.evaluations_used == 0]
         assert [(r.plan.estimator, r.plan.n_samples) for r in served] \
-            == [("Sobol", 1000)]
-        [rec] = served
-        fresh = reward.score(rec.method, replace(rec.observation,
-                                                 evaluations_used=6000))
-        assert rec.reward.optimality == fresh.optimality > 0.4 * 15
-        assert "0 evaluations" not in rec.diagnostic.physical_insight
+            == [("Sobol", 1000), ("Chatterjee", 2000)]
+        for rec, cost in zip(served, (6000, 2000)):
+            fresh = reward.score(rec.method, replace(rec.observation,
+                                                     evaluations_used=cost))
+            assert rec.reward.optimality == fresh.optimality > 0.4 * 15
+            assert "0 evaluations" not in rec.diagnostic.physical_insight
 
 
 class TestSubmartingaleFlags:
@@ -698,10 +713,15 @@ class TestTraceSerialization:
             assert row["plan"]["seed"] == rec.plan.seed == 1 * 1000 + rec.n
             assert row["observation"]["evaluations_used"] \
                 == rec.observation.evaluations_used
-            # A run that a design served executes none; the first run of
-            # each sampling scheme and level executes its whole plan.
-            design = (catalog.estimator_info(rec.plan.estimator)
-                      .sampling_scheme, rec.method.action.sampling)
+            # A run that a design served executes none; the first run on
+            # each design (the one Monte Carlo sample, Morris's walk, the
+            # Latin hypercubes of a sampling scheme) executes its plan.
+            scheme = catalog.estimator_info(rec.plan.estimator) \
+                .sampling_scheme
+            sampling = rec.method.action.sampling
+            design = (scheme if scheme == "trajectories"
+                      else sampling if sampling == "MonteCarlo"
+                      else (scheme, sampling))
             if design not in opened:
                 assert rec.observation.evaluations_used > 0
             opened.add(design)

@@ -22,7 +22,7 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "driftguard")
 
-MAX_LINES = 3008
+MAX_LINES = 3074
 MAX_PUBLIC_NAMES = 103
 
 # Modules that ``cli`` does not load yet: ROADMAP item 9 wires ``metrics``
